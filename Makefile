@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check bench bench-baseline bench-scale bench-sweep cache-smoke fmt figures profile-smoke scale-smoke fuzz-smoke diffcheck-smoke vet-corpus telemetry-smoke sched-smoke repair-smoke
+.PHONY: all build test vet race check bench bench-e2e bench-compare bench-baseline bench-scale bench-sweep cache-smoke fmt figures profile-smoke scale-smoke fuzz-smoke diffcheck-smoke vet-corpus telemetry-smoke sched-smoke repair-smoke
 
 all: build
 
@@ -22,7 +22,11 @@ race:
 # race coverage never ride a cached result. The robustness smokes close
 # the gate: short fuzz sessions on the parser, analyzer and pipeline,
 # the seeded 500-kernel differential campaign with the fault matrix,
-# and the static vetting sweep over the corpus and workloads.
+# and the static vetting sweep over the corpus and workloads. The simt
+# line re-runs, uncached, the tests that only mean something under the
+# race detector: the group-table invariant on sharded grids, the stack
+# engine sharing one compiled module across goroutines, and the SM
+# sharding and CoW merge determinism.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -30,6 +34,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/harness
 	$(GO) test -race -count=1 ./internal/obs
+	$(GO) test -race -count=1 -run 'GroupTableIsTheScan|StackEngineSharesModule|GridShardingDeterministic|CoWMatchesFullCopySM' ./internal/simt
 	$(MAKE) scale-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) diffcheck-smoke
@@ -71,6 +76,18 @@ vet-corpus:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# bench-e2e runs the repo benchmark (BENCHMARK.json, bench/README.md):
+# six workloads, end-to-end metrics untraced and per-layer metrics
+# traced, results in bench/out/results.json. bench-compare applies the
+# bounds to two such files (A = parent, B = change) and passes the exit
+# code through: 0 within bounds, 1 worse or digests differ, 2 unusable.
+#   make bench-compare A=/path/parent/results.json B=bench/out/results.json
+bench-e2e:
+	sh bench/run.sh -seed 42
+
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
 
 # bench-baseline refreshes BENCH_2.json: a smoke pass first (every
 # figure benchmark must still run to completion at -benchtime=1x), then

@@ -1,6 +1,10 @@
 package simt
 
-import "specrecon/internal/ir"
+import (
+	"fmt"
+
+	"specrecon/internal/ir"
+)
 
 // Decode-time side tables. The issue loop runs once per warp instruction
 // — hundreds of thousands of times per experiment — so everything that
@@ -52,4 +56,23 @@ func buildMeta(m *ir.Module, fnIndex map[string]int) [][][]instrMeta {
 		}
 	}
 	return meta
+}
+
+// checkPCLimits rejects a module whose function, block or instruction
+// counts do not fit the packed PC of the group table (pcKey).
+func checkPCLimits(m *ir.Module) error {
+	if len(m.Funcs) > 1<<pcFnBits {
+		return fmt.Errorf("simt: module has %d functions (limit %d)", len(m.Funcs), 1<<pcFnBits)
+	}
+	for _, f := range m.Funcs {
+		if len(f.Blocks) > 1<<pcBlkBits {
+			return fmt.Errorf("simt: function %q has %d blocks (limit %d)", f.Name, len(f.Blocks), 1<<pcBlkBits)
+		}
+		for _, b := range f.Blocks {
+			if len(b.Instrs) > 1<<pcInsBits {
+				return fmt.Errorf("simt: block %s.%s has %d instructions (limit %d)", f.Name, b.Name, len(b.Instrs), 1<<pcInsBits)
+			}
+		}
+	}
+	return nil
 }

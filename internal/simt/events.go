@@ -1,6 +1,10 @@
 package simt
 
-import "specrecon/internal/ir"
+import (
+	"math/bits"
+
+	"specrecon/internal/ir"
+)
 
 // Generalized simulator event stream. Both execution engines (ITS and
 // the pre-Volta stack model) publish the same events through
@@ -106,7 +110,7 @@ type Event struct {
 }
 
 // ActiveLanes returns the population count of the event's lane mask.
-func (e Event) ActiveLanes() int { return popcount(e.Mask) }
+func (e Event) ActiveLanes() int { return bits.OnesCount32(e.Mask) }
 
 // Diverged reports whether an EvBranch event split its group.
 func (e Event) Diverged() bool { return e.Aux != 0 && e.Aux != e.Mask }

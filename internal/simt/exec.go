@@ -3,28 +3,36 @@ package simt
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"specrecon/internal/ir"
 )
 
-// issue executes one warp instruction for every lane in g, updates the
-// metrics and advances lane PCs.
-func (ws *warpState) issue(g group) error {
+// issue executes one warp instruction for every lane of entry gi of the
+// warp's group table, updates the metrics, advances the lanes' PCs and
+// keeps the table current: instructions that move the whole group
+// uniformly (data ops, join, cancel, votes, branches, calls) edit the
+// entry in place; everything else — and every error return — marks the table
+// stale so the next groups() call rescans the lanes.
+func (ws *warpState) issue(gi int) error {
 	s := ws.sim
-	f := s.mod.Funcs[g.pc.fn]
-	blk := f.Blocks[g.pc.blk]
-	in := &blk.Instrs[g.pc.ins]
-	im := &s.meta[g.pc.fn][g.pc.blk][g.pc.ins]
+	g := ws.groupBuf[gi]
+	pc := g.pc.pc()
+	f := s.mod.Funcs[pc.fn]
+	blk := f.Blocks[pc.blk]
+	in := &blk.Instrs[pc.ins]
+	im := &s.meta[pc.fn][pc.blk][pc.ins]
+	lanes := &ws.lanes
 
-	active := popcount(g.mask)
+	active := bits.OnesCount32(g.mask)
 	s.issues++
 	s.metrics.Issues++
 	s.metrics.ActiveLaneSum += int64(active)
 	s.metrics.opClassCounts[im.class]++
 	cost := im.latency
 
-	if g.pc.ins == 0 {
-		s.metrics.addBlockVisit(g.pc.fn, g.pc.blk, int64(active))
+	if pc.ins == 0 {
+		s.metrics.addBlockVisit(pc.fn, pc.blk, int64(active))
 	}
 	sink := s.cfg.Events
 
@@ -33,12 +41,8 @@ func (ws *warpState) issue(g group) error {
 	var hits0, misses0 int64
 	if im.isMem {
 		addrs := ws.addrBuf[:0]
-		for l := 0; l < ir.WarpWidth; l++ {
-			if g.mask&(1<<l) == 0 {
-				continue
-			}
-			ln := ws.lanes[l]
-			addrs = append(addrs, ln.regs[in.A]+in.Imm)
+		for m := g.mask; m != 0; m &= m - 1 {
+			addrs = append(addrs, lanes[bits.TrailingZeros32(m)].regs[in.A]+in.Imm)
 		}
 		hits0, misses0 = s.metrics.CacheHits, s.metrics.CacheMisses
 		cost += s.cache.access(addrs, &s.metrics)
@@ -51,7 +55,7 @@ func (ws *warpState) issue(g group) error {
 	if sink != nil {
 		ev := Event{
 			Kind: EvIssue, Bar: -1, Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex, PC: im.pcid,
-			Fn: int32(g.pc.fn), Blk: int32(g.pc.blk), Ins: int32(g.pc.ins),
+			Fn: int32(pc.fn), Blk: int32(pc.blk), Ins: int32(pc.ins),
 			FnName: f.Name, BlockName: blk.Name,
 			Issue: s.metrics.Issues, Cycle: s.metrics.Cycles, Cost: cost,
 			Mask: g.mask,
@@ -68,18 +72,17 @@ func (ws *warpState) issue(g group) error {
 	switch in.Op {
 	case ir.OpJoin:
 		ws.masks[in.Bar] |= g.mask
-		ws.advance(g)
+		ws.advance(gi)
 	case ir.OpCancel:
 		ws.masks[in.Bar] &^= g.mask
-		ws.advance(g)
+		ws.advance(gi)
 		ws.releaseCheck(in.Bar)
 	case ir.OpWait, ir.OpWaitN:
+		ws.stale = true
 		var blocked uint32
-		for l := 0; l < ir.WarpWidth; l++ {
-			if g.mask&(1<<l) == 0 {
-				continue
-			}
-			ln := ws.lanes[l]
+		for m := g.mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
 			if ws.masks[in.Bar]&(1<<l) == 0 {
 				// Not a participant: fall through.
 				ln.pc.ins++
@@ -94,7 +97,7 @@ func (ws *warpState) issue(g group) error {
 		if sink != nil && blocked != 0 {
 			sink.Event(Event{
 				Kind: EvBarrierWait, Bar: int16(in.Bar), Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex,
-				PC: im.pcid, Fn: int32(g.pc.fn), Blk: int32(g.pc.blk), Ins: int32(g.pc.ins),
+				PC: im.pcid, Fn: int32(pc.fn), Blk: int32(pc.blk), Ins: int32(pc.ins),
 				FnName: f.Name, BlockName: blk.Name,
 				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
 				Mask: blocked,
@@ -109,108 +112,109 @@ func (ws *warpState) issue(g group) error {
 		// Workgroup barrier: the active lanes block until every live
 		// lane of the CTA (across all its warps) arrives at barrier
 		// in.Bar; the barrier then opens for the whole CTA at once.
-		var blocked uint32
-		for l := 0; l < ir.WarpWidth; l++ {
-			if g.mask&(1<<l) == 0 {
-				continue
-			}
-			ln := ws.lanes[l]
+		ws.stale = true
+		for m := g.mask; m != 0; m &= m - 1 {
+			ln := lanes[bits.TrailingZeros32(m)]
 			ln.status = laneCTAWaiting
 			ln.waitBar = in.Bar
-			blocked |= 1 << l
 		}
-		n := popcount(blocked)
-		ws.cta.blockOnBar(in.Bar, n)
-		s.metrics.CTABarWaits += int64(n)
-		if sink != nil && blocked != 0 {
+		ws.cta.blockOnBar(in.Bar, active)
+		s.metrics.CTABarWaits += int64(active)
+		if sink != nil {
 			sink.Event(Event{
 				Kind: EvCTABarWait, Bar: int16(in.Bar), Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex,
-				PC: im.pcid, Fn: int32(g.pc.fn), Blk: int32(g.pc.blk), Ins: int32(g.pc.ins),
+				PC: im.pcid, Fn: int32(pc.fn), Blk: int32(pc.blk), Ins: int32(pc.ins),
 				FnName: f.Name, BlockName: blk.Name,
 				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
-				Mask: blocked,
+				Mask: g.mask,
 			})
 		}
 		ws.cta.barCheck(s, in.Bar)
 	case ir.OpWarpSync:
-		for l := 0; l < ir.WarpWidth; l++ {
-			if g.mask&(1<<l) != 0 {
-				ws.lanes[l].status = laneSyncing
-			}
+		ws.stale = true
+		for m := g.mask; m != 0; m &= m - 1 {
+			lanes[bits.TrailingZeros32(m)].status = laneSyncing
 		}
 		ws.syncCheck()
 	case ir.OpVoteAny, ir.OpVoteAll, ir.OpBallot:
-		v := voteValue(in.Op, g.mask, func(l int) bool { return ws.lanes[l].regs[in.A] != 0 })
-		for l := 0; l < ir.WarpWidth; l++ {
-			if g.mask&(1<<l) != 0 {
-				ws.lanes[l].regs[in.Dst] = v
-			}
+		v := voteValue(in.Op, g.mask, ws.ballot(g.mask, in.A))
+		for m := g.mask; m != 0; m &= m - 1 {
+			lanes[bits.TrailingZeros32(m)].regs[in.Dst] = v
 		}
-		ws.advance(g)
+		ws.advance(gi)
 	case ir.OpCall:
 		callee := int(im.callee)
 		if callee < 0 {
+			ws.stale = true
 			return fmt.Errorf("call to unknown function %q", in.Callee)
 		}
-		ret := g.pc
+		ret := pc
 		ret.ins++
-		for l := 0; l < ir.WarpWidth; l++ {
-			if g.mask&(1<<l) == 0 {
-				continue
-			}
-			ln := ws.lanes[l]
+		entry := pcT{fn: callee}
+		for m := g.mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
 			if len(ln.stack) >= 64 {
+				ws.stale = true
 				return fmt.Errorf("call stack overflow in lane %d", l)
 			}
 			ln.stack = append(ln.stack, frame{ret: ret})
-			ln.pc = pcT{fn: callee}
+			ln.pc = entry
 		}
+		// The whole group enters the callee together, like a branch.
+		ws.removeGroup(gi)
+		ws.ngroups = insertGroup(&ws.groupBuf, ws.ngroups, entry.key(), g.mask)
 		if sink != nil {
 			sink.Event(Event{
 				Kind: EvCall, Bar: -1, Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex,
-				PC: im.pcid, Fn: int32(g.pc.fn), Blk: int32(g.pc.blk), Ins: int32(g.pc.ins),
+				PC: im.pcid, Fn: int32(pc.fn), Blk: int32(pc.blk), Ins: int32(pc.ins),
 				FnName: f.Name, BlockName: blk.Name,
 				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
 				Mask: g.mask, Aux: uint32(callee),
 			})
 		}
 	case ir.OpBr:
-		t := blk.Succs[0]
-		for l := 0; l < ir.WarpWidth; l++ {
-			if g.mask&(1<<l) != 0 {
-				ws.lanes[l].pc = pcT{fn: g.pc.fn, blk: t.Index}
+		t := pcT{fn: pc.fn, blk: blk.Succs[0].Index}
+		for m := g.mask; m != 0; m &= m - 1 {
+			lanes[bits.TrailingZeros32(m)].pc = t
+		}
+		ws.removeGroup(gi)
+		ws.ngroups = insertGroup(&ws.groupBuf, ws.ngroups, t.key(), g.mask)
+	case ir.OpCBr:
+		then := pcT{fn: pc.fn, blk: blk.Succs[0].Index}
+		els := pcT{fn: pc.fn, blk: blk.Succs[1].Index}
+		var taken uint32
+		for m := g.mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
+			if ln.regs[in.A] != 0 {
+				ln.pc = then
+				taken |= 1 << l
+			} else {
+				ln.pc = els
 			}
 		}
-	case ir.OpCBr:
-		then, els := blk.Succs[0], blk.Succs[1]
-		var taken uint32
-		for l := 0; l < ir.WarpWidth; l++ {
-			if g.mask&(1<<l) == 0 {
-				continue
-			}
-			ln := ws.lanes[l]
-			t := els
-			if ln.regs[in.A] != 0 {
-				t = then
-				taken |= 1 << l
-			}
-			ln.pc = pcT{fn: g.pc.fn, blk: t.Index}
+		ws.removeGroup(gi)
+		if taken != 0 {
+			ws.ngroups = insertGroup(&ws.groupBuf, ws.ngroups, then.key(), taken)
+		}
+		if fell := g.mask &^ taken; fell != 0 {
+			ws.ngroups = insertGroup(&ws.groupBuf, ws.ngroups, els.key(), fell)
 		}
 		if sink != nil {
 			sink.Event(Event{
 				Kind: EvBranch, Bar: -1, Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex,
-				PC: im.pcid, Fn: int32(g.pc.fn), Blk: int32(g.pc.blk), Ins: int32(g.pc.ins),
+				PC: im.pcid, Fn: int32(pc.fn), Blk: int32(pc.blk), Ins: int32(pc.ins),
 				FnName: f.Name, BlockName: blk.Name,
 				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
 				Mask: g.mask, Aux: taken,
 			})
 		}
 	case ir.OpRet:
-		for l := 0; l < ir.WarpWidth; l++ {
-			if g.mask&(1<<l) == 0 {
-				continue
-			}
-			ln := ws.lanes[l]
+		ws.stale = true
+		for m := g.mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
 			if len(ln.stack) == 0 {
 				if err := ws.exitLane(l); err != nil {
 					return err
@@ -223,327 +227,736 @@ func (ws *warpState) issue(g group) error {
 		if sink != nil {
 			sink.Event(Event{
 				Kind: EvRet, Bar: -1, Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex,
-				PC: im.pcid, Fn: int32(g.pc.fn), Blk: int32(g.pc.blk), Ins: int32(g.pc.ins),
+				PC: im.pcid, Fn: int32(pc.fn), Blk: int32(pc.blk), Ins: int32(pc.ins),
 				FnName: f.Name, BlockName: blk.Name,
 				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
 				Mask: g.mask,
 			})
 		}
 	case ir.OpExit:
-		for l := 0; l < ir.WarpWidth; l++ {
-			if g.mask&(1<<l) == 0 {
-				continue
-			}
-			if err := ws.exitLane(l); err != nil {
+		ws.stale = true
+		for m := g.mask; m != 0; m &= m - 1 {
+			if err := ws.exitLane(bits.TrailingZeros32(m)); err != nil {
 				return err
 			}
 		}
 	default:
-		// Scalar data instructions, executed per lane.
-		for l := 0; l < ir.WarpWidth; l++ {
-			if g.mask&(1<<l) == 0 {
-				continue
-			}
-			if err := ws.execScalar(ws.lanes[l], in); err != nil {
-				return fmt.Errorf("lane %d at %s.%s#%d: %w", l, f.Name, blk.Name, g.pc.ins, err)
-			}
+		// Data instructions: one dispatch, then one loop over the group.
+		if l, err := ws.execData(in, g.mask); err != nil {
+			ws.stale = true
+			return fmt.Errorf("lane %d at %s.%s#%d: %w", l, f.Name, blk.Name, pc.ins, err)
 		}
-		ws.advance(g)
+		ws.advance(gi)
 	}
 
 	s.metrics.Cycles += cost
+	if s.afterIssue != nil {
+		s.afterIssue(ws)
+	}
 	return nil
 }
 
-// voteValue evaluates a warp-synchronous vote over the active lanes of
-// mask: the predicate runs per lane and the combined result is written
-// to every active lane. The result depends on which lanes are converged
-// at the instruction — exactly why these ops pin down convergence.
-func voteValue(op ir.Opcode, mask uint32, pred func(l int) bool) int64 {
+// ballot returns the lanes of mask whose integer register r is non-zero.
+func (ws *warpState) ballot(mask uint32, r ir.Reg) uint32 {
 	var ballot uint32
-	for l := 0; l < ir.WarpWidth; l++ {
-		if mask&(1<<l) != 0 && pred(l) {
+	for m := mask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		if ws.lanes[l].regs[r] != 0 {
 			ballot |= 1 << l
 		}
 	}
+	return ballot
+}
+
+// voteValue combines a warp-synchronous vote: ballot holds the active
+// lanes of mask whose predicate is true, and the combined result is
+// written to every active lane. The result depends on which lanes are
+// converged at the instruction — exactly why these ops pin down
+// convergence.
+func voteValue(op ir.Opcode, mask, ballot uint32) int64 {
 	switch op {
 	case ir.OpVoteAny:
-		if ballot != 0 {
-			return 1
-		}
-		return 0
+		return b2i(ballot != 0)
 	case ir.OpVoteAll:
-		if ballot == mask {
-			return 1
-		}
-		return 0
+		return b2i(ballot == mask)
 	default: // OpBallot
 		return int64(ballot)
 	}
 }
 
-// advance steps every lane of the group past a non-control instruction.
-func (ws *warpState) advance(g group) {
-	for l := 0; l < ir.WarpWidth; l++ {
-		if g.mask&(1<<l) != 0 && ws.lanes[l].status == laneRunning {
-			ws.lanes[l].pc.ins++
-		}
+// advance steps every lane of table entry gi past a non-control
+// instruction and the entry's PC with them. The successor PC stays in
+// the same block, so it cannot overtake the next entry: the table stays
+// sorted, and the only possible collision is a merge with that entry.
+func (ws *warpState) advance(gi int) {
+	g := &ws.groupBuf[gi]
+	for m := g.mask; m != 0; m &= m - 1 {
+		ws.lanes[bits.TrailingZeros32(m)].pc.ins++
+	}
+	g.pc++
+	if gi+1 < ws.ngroups && ws.groupBuf[gi+1].pc == g.pc {
+		g.mask |= ws.groupBuf[gi+1].mask
+		ws.removeGroup(gi + 1)
 	}
 }
 
-// execScalar runs one data instruction for one lane.
-func (ws *warpState) execScalar(ln *lane, in *ir.Instr) error {
-	s := ws.sim
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
-	// Integer B operand with optional immediate.
-	ib := func() int64 {
-		if in.BImm {
-			return in.Imm
-		}
-		return ln.regs[in.B]
-	}
-	// Float B operand with optional immediate.
-	fb := func() float64 {
-		if in.BImm {
-			return in.FImm
-		}
-		return ln.fregs[in.B]
-	}
-	boolToInt := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	addr := func() (int64, error) {
-		a := ln.regs[in.A] + in.Imm
-		if a < 0 || a >= int64(s.memLen) {
-			return 0, fmt.Errorf("memory access out of bounds: address %d (memory %d words)", a, s.memLen)
-		}
-		return a, nil
-	}
-	// saddr bounds-checks a CTA shared-memory address; a module without
-	// a sharedwords declaration has a zero-length segment, so any shared
-	// access is rejected.
-	saddr := func() (int64, error) {
-		a := ln.regs[in.A] + in.Imm
-		if a < 0 || a >= int64(len(ws.cta.shared)) {
-			return 0, fmt.Errorf("shared memory access out of bounds: address %d (shared %d words)", a, len(ws.cta.shared))
-		}
-		return a, nil
-	}
+func (s *sim) globalOOB(a int64) error {
+	return fmt.Errorf("memory access out of bounds: address %d (memory %d words)", a, s.memLen)
+}
+
+// sharedOOB rejects a CTA shared-memory address; a module without a
+// sharedwords declaration has a zero-length segment, so any shared
+// access is rejected.
+func sharedOOB(a int64, words int) error {
+	return fmt.Errorf("shared memory access out of bounds: address %d (shared %d words)", a, words)
+}
+
+// execData runs one data instruction for every lane of mask: the opcode
+// (and the B-operand-immediate test) is dispatched once, then each case
+// is a single loop over the set bits in ascending lane order. On an
+// out-of-bounds access it stops at the first offending lane and returns
+// it with the error; lower lanes have already executed.
+func (ws *warpState) execData(in *ir.Instr, mask uint32) (int, error) {
+	s := ws.sim
+	lanes := &ws.lanes
+	d, a, b, c := in.Dst, in.A, in.B, in.C
+	imm, fimm := in.Imm, in.FImm
+	shared := ws.cta.shared
 	switch in.Op {
 	case ir.OpConst:
-		ln.regs[in.Dst] = in.Imm
+		for m := mask; m != 0; m &= m - 1 {
+			r := lanes[bits.TrailingZeros32(m)].regs
+			r[d] = imm
+		}
 	case ir.OpMov:
-		ln.regs[in.Dst] = ln.regs[in.A]
+		for m := mask; m != 0; m &= m - 1 {
+			r := lanes[bits.TrailingZeros32(m)].regs
+			r[d] = r[a]
+		}
 	case ir.OpAdd:
-		ln.regs[in.Dst] = ln.regs[in.A] + ib()
-	case ir.OpSub:
-		ln.regs[in.Dst] = ln.regs[in.A] - ib()
-	case ir.OpMul:
-		ln.regs[in.Dst] = ln.regs[in.A] * ib()
-	case ir.OpDiv:
-		if d := ib(); d != 0 {
-			ln.regs[in.Dst] = ln.regs[in.A] / d
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] + imm
+			}
 		} else {
-			ln.regs[in.Dst] = 0
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] + r[b]
+			}
+		}
+	case ir.OpSub:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] - imm
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] - r[b]
+			}
+		}
+	case ir.OpMul:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] * imm
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] * r[b]
+			}
+		}
+	case ir.OpDiv:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				if imm != 0 {
+					r[d] = r[a] / imm
+				} else {
+					r[d] = 0
+				}
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				if y := r[b]; y != 0 {
+					r[d] = r[a] / y
+				} else {
+					r[d] = 0
+				}
+			}
 		}
 	case ir.OpMod:
-		if d := ib(); d != 0 {
-			ln.regs[in.Dst] = ln.regs[in.A] % d
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				if imm != 0 {
+					r[d] = r[a] % imm
+				} else {
+					r[d] = 0
+				}
+			}
 		} else {
-			ln.regs[in.Dst] = 0
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				if y := r[b]; y != 0 {
+					r[d] = r[a] % y
+				} else {
+					r[d] = 0
+				}
+			}
 		}
 	case ir.OpMin:
-		a, b := ln.regs[in.A], ib()
-		if a < b {
-			ln.regs[in.Dst] = a
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = min(r[a], imm)
+			}
 		} else {
-			ln.regs[in.Dst] = b
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = min(r[a], r[b])
+			}
 		}
 	case ir.OpMax:
-		a, b := ln.regs[in.A], ib()
-		if a > b {
-			ln.regs[in.Dst] = a
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = max(r[a], imm)
+			}
 		} else {
-			ln.regs[in.Dst] = b
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = max(r[a], r[b])
+			}
 		}
 	case ir.OpAnd:
-		ln.regs[in.Dst] = ln.regs[in.A] & ib()
-	case ir.OpOr:
-		ln.regs[in.Dst] = ln.regs[in.A] | ib()
-	case ir.OpXor:
-		ln.regs[in.Dst] = ln.regs[in.A] ^ ib()
-	case ir.OpShl:
-		ln.regs[in.Dst] = ln.regs[in.A] << (uint64(ib()) & 63)
-	case ir.OpShr:
-		ln.regs[in.Dst] = int64(uint64(ln.regs[in.A]) >> (uint64(ib()) & 63))
-	case ir.OpNot:
-		ln.regs[in.Dst] = ^ln.regs[in.A]
-	case ir.OpNeg:
-		ln.regs[in.Dst] = -ln.regs[in.A]
-	case ir.OpSetEQ:
-		ln.regs[in.Dst] = boolToInt(ln.regs[in.A] == ib())
-	case ir.OpSetNE:
-		ln.regs[in.Dst] = boolToInt(ln.regs[in.A] != ib())
-	case ir.OpSetLT:
-		ln.regs[in.Dst] = boolToInt(ln.regs[in.A] < ib())
-	case ir.OpSetLE:
-		ln.regs[in.Dst] = boolToInt(ln.regs[in.A] <= ib())
-	case ir.OpSetGT:
-		ln.regs[in.Dst] = boolToInt(ln.regs[in.A] > ib())
-	case ir.OpSetGE:
-		ln.regs[in.Dst] = boolToInt(ln.regs[in.A] >= ib())
-	case ir.OpSelect:
-		if ln.regs[in.A] != 0 {
-			ln.regs[in.Dst] = ln.regs[in.B]
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] & imm
+			}
 		} else {
-			ln.regs[in.Dst] = ln.regs[in.C]
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] & r[b]
+			}
+		}
+	case ir.OpOr:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] | imm
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] | r[b]
+			}
+		}
+	case ir.OpXor:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] ^ imm
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] ^ r[b]
+			}
+		}
+	case ir.OpShl:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] << (uint64(imm) & 63)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = r[a] << (uint64(r[b]) & 63)
+			}
+		}
+	case ir.OpShr:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = int64(uint64(r[a]) >> (uint64(imm) & 63))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = int64(uint64(r[a]) >> (uint64(r[b]) & 63))
+			}
+		}
+	case ir.OpNot:
+		for m := mask; m != 0; m &= m - 1 {
+			r := lanes[bits.TrailingZeros32(m)].regs
+			r[d] = ^r[a]
+		}
+	case ir.OpNeg:
+		for m := mask; m != 0; m &= m - 1 {
+			r := lanes[bits.TrailingZeros32(m)].regs
+			r[d] = -r[a]
+		}
+	case ir.OpSetEQ:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = b2i(r[a] == imm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = b2i(r[a] == r[b])
+			}
+		}
+	case ir.OpSetNE:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = b2i(r[a] != imm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = b2i(r[a] != r[b])
+			}
+		}
+	case ir.OpSetLT:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = b2i(r[a] < imm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = b2i(r[a] < r[b])
+			}
+		}
+	case ir.OpSetLE:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = b2i(r[a] <= imm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = b2i(r[a] <= r[b])
+			}
+		}
+	case ir.OpSetGT:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = b2i(r[a] > imm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = b2i(r[a] > r[b])
+			}
+		}
+	case ir.OpSetGE:
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = b2i(r[a] >= imm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				r := lanes[bits.TrailingZeros32(m)].regs
+				r[d] = b2i(r[a] >= r[b])
+			}
+		}
+	case ir.OpSelect:
+		for m := mask; m != 0; m &= m - 1 {
+			r := lanes[bits.TrailingZeros32(m)].regs
+			if r[a] != 0 {
+				r[d] = r[b]
+			} else {
+				r[d] = r[c]
+			}
 		}
 
 	case ir.OpFConst:
-		ln.fregs[in.Dst] = in.FImm
+		for m := mask; m != 0; m &= m - 1 {
+			f := lanes[bits.TrailingZeros32(m)].fregs
+			f[d] = fimm
+		}
 	case ir.OpFMov:
-		ln.fregs[in.Dst] = ln.fregs[in.A]
+		for m := mask; m != 0; m &= m - 1 {
+			f := lanes[bits.TrailingZeros32(m)].fregs
+			f[d] = f[a]
+		}
 	case ir.OpFAdd:
-		ln.fregs[in.Dst] = ln.fregs[in.A] + fb()
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				f := lanes[bits.TrailingZeros32(m)].fregs
+				f[d] = f[a] + fimm
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				f := lanes[bits.TrailingZeros32(m)].fregs
+				f[d] = f[a] + f[b]
+			}
+		}
 	case ir.OpFSub:
-		ln.fregs[in.Dst] = ln.fregs[in.A] - fb()
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				f := lanes[bits.TrailingZeros32(m)].fregs
+				f[d] = f[a] - fimm
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				f := lanes[bits.TrailingZeros32(m)].fregs
+				f[d] = f[a] - f[b]
+			}
+		}
 	case ir.OpFMul:
-		ln.fregs[in.Dst] = ln.fregs[in.A] * fb()
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				f := lanes[bits.TrailingZeros32(m)].fregs
+				f[d] = f[a] * fimm
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				f := lanes[bits.TrailingZeros32(m)].fregs
+				f[d] = f[a] * f[b]
+			}
+		}
 	case ir.OpFDiv:
-		ln.fregs[in.Dst] = ln.fregs[in.A] / fb()
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				f := lanes[bits.TrailingZeros32(m)].fregs
+				f[d] = f[a] / fimm
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				f := lanes[bits.TrailingZeros32(m)].fregs
+				f[d] = f[a] / f[b]
+			}
+		}
 	case ir.OpFMin:
-		ln.fregs[in.Dst] = math.Min(ln.fregs[in.A], fb())
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				f := lanes[bits.TrailingZeros32(m)].fregs
+				f[d] = math.Min(f[a], fimm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				f := lanes[bits.TrailingZeros32(m)].fregs
+				f[d] = math.Min(f[a], f[b])
+			}
+		}
 	case ir.OpFMax:
-		ln.fregs[in.Dst] = math.Max(ln.fregs[in.A], fb())
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				f := lanes[bits.TrailingZeros32(m)].fregs
+				f[d] = math.Max(f[a], fimm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				f := lanes[bits.TrailingZeros32(m)].fregs
+				f[d] = math.Max(f[a], f[b])
+			}
+		}
 	case ir.OpFNeg:
-		ln.fregs[in.Dst] = -ln.fregs[in.A]
+		for m := mask; m != 0; m &= m - 1 {
+			f := lanes[bits.TrailingZeros32(m)].fregs
+			f[d] = -f[a]
+		}
 	case ir.OpFAbs:
-		ln.fregs[in.Dst] = math.Abs(ln.fregs[in.A])
+		for m := mask; m != 0; m &= m - 1 {
+			f := lanes[bits.TrailingZeros32(m)].fregs
+			f[d] = math.Abs(f[a])
+		}
 	case ir.OpFSqrt:
-		ln.fregs[in.Dst] = math.Sqrt(ln.fregs[in.A])
+		for m := mask; m != 0; m &= m - 1 {
+			f := lanes[bits.TrailingZeros32(m)].fregs
+			f[d] = math.Sqrt(f[a])
+		}
 	case ir.OpFExp:
-		ln.fregs[in.Dst] = math.Exp(ln.fregs[in.A])
+		for m := mask; m != 0; m &= m - 1 {
+			f := lanes[bits.TrailingZeros32(m)].fregs
+			f[d] = math.Exp(f[a])
+		}
 	case ir.OpFLog:
-		ln.fregs[in.Dst] = math.Log(ln.fregs[in.A])
+		for m := mask; m != 0; m &= m - 1 {
+			f := lanes[bits.TrailingZeros32(m)].fregs
+			f[d] = math.Log(f[a])
+		}
 	case ir.OpFSin:
-		ln.fregs[in.Dst] = math.Sin(ln.fregs[in.A])
+		for m := mask; m != 0; m &= m - 1 {
+			f := lanes[bits.TrailingZeros32(m)].fregs
+			f[d] = math.Sin(f[a])
+		}
 	case ir.OpFCos:
-		ln.fregs[in.Dst] = math.Cos(ln.fregs[in.A])
+		for m := mask; m != 0; m &= m - 1 {
+			f := lanes[bits.TrailingZeros32(m)].fregs
+			f[d] = math.Cos(f[a])
+		}
 	case ir.OpFMA:
-		ln.fregs[in.Dst] = ln.fregs[in.A]*ln.fregs[in.B] + ln.fregs[in.C]
+		for m := mask; m != 0; m &= m - 1 {
+			f := lanes[bits.TrailingZeros32(m)].fregs
+			f[d] = f[a]*f[b] + f[c]
+		}
 	case ir.OpFSetEQ:
-		ln.regs[in.Dst] = boolToInt(ln.fregs[in.A] == fb())
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				ln := lanes[bits.TrailingZeros32(m)]
+				ln.regs[d] = b2i(ln.fregs[a] == fimm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				ln := lanes[bits.TrailingZeros32(m)]
+				ln.regs[d] = b2i(ln.fregs[a] == ln.fregs[b])
+			}
+		}
 	case ir.OpFSetNE:
-		ln.regs[in.Dst] = boolToInt(ln.fregs[in.A] != fb())
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				ln := lanes[bits.TrailingZeros32(m)]
+				ln.regs[d] = b2i(ln.fregs[a] != fimm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				ln := lanes[bits.TrailingZeros32(m)]
+				ln.regs[d] = b2i(ln.fregs[a] != ln.fregs[b])
+			}
+		}
 	case ir.OpFSetLT:
-		ln.regs[in.Dst] = boolToInt(ln.fregs[in.A] < fb())
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				ln := lanes[bits.TrailingZeros32(m)]
+				ln.regs[d] = b2i(ln.fregs[a] < fimm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				ln := lanes[bits.TrailingZeros32(m)]
+				ln.regs[d] = b2i(ln.fregs[a] < ln.fregs[b])
+			}
+		}
 	case ir.OpFSetLE:
-		ln.regs[in.Dst] = boolToInt(ln.fregs[in.A] <= fb())
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				ln := lanes[bits.TrailingZeros32(m)]
+				ln.regs[d] = b2i(ln.fregs[a] <= fimm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				ln := lanes[bits.TrailingZeros32(m)]
+				ln.regs[d] = b2i(ln.fregs[a] <= ln.fregs[b])
+			}
+		}
 	case ir.OpFSetGT:
-		ln.regs[in.Dst] = boolToInt(ln.fregs[in.A] > fb())
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				ln := lanes[bits.TrailingZeros32(m)]
+				ln.regs[d] = b2i(ln.fregs[a] > fimm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				ln := lanes[bits.TrailingZeros32(m)]
+				ln.regs[d] = b2i(ln.fregs[a] > ln.fregs[b])
+			}
+		}
 	case ir.OpFSetGE:
-		ln.regs[in.Dst] = boolToInt(ln.fregs[in.A] >= fb())
+		if in.BImm {
+			for m := mask; m != 0; m &= m - 1 {
+				ln := lanes[bits.TrailingZeros32(m)]
+				ln.regs[d] = b2i(ln.fregs[a] >= fimm)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				ln := lanes[bits.TrailingZeros32(m)]
+				ln.regs[d] = b2i(ln.fregs[a] >= ln.fregs[b])
+			}
+		}
 	case ir.OpItoF:
-		ln.fregs[in.Dst] = float64(ln.regs[in.A])
+		for m := mask; m != 0; m &= m - 1 {
+			ln := lanes[bits.TrailingZeros32(m)]
+			ln.fregs[d] = float64(ln.regs[a])
+		}
 	case ir.OpFtoI:
-		ln.regs[in.Dst] = int64(ln.fregs[in.A])
+		for m := mask; m != 0; m &= m - 1 {
+			ln := lanes[bits.TrailingZeros32(m)]
+			ln.regs[d] = int64(ln.fregs[a])
+		}
 
 	case ir.OpTid:
-		ln.regs[in.Dst] = int64(ln.id)
+		for m := mask; m != 0; m &= m - 1 {
+			ln := lanes[bits.TrailingZeros32(m)]
+			ln.regs[d] = int64(ln.id)
+		}
 	case ir.OpLane:
-		ln.regs[in.Dst] = int64(ln.lane)
+		for m := mask; m != 0; m &= m - 1 {
+			ln := lanes[bits.TrailingZeros32(m)]
+			ln.regs[d] = int64(ln.lane)
+		}
 	case ir.OpNumThreads:
-		ln.regs[in.Dst] = int64(s.cfg.Threads)
+		for m := mask; m != 0; m &= m - 1 {
+			ln := lanes[bits.TrailingZeros32(m)]
+			ln.regs[d] = int64(s.cfg.Threads)
+		}
 	case ir.OpCTAId:
-		ln.regs[in.Dst] = int64(ln.cta)
+		for m := mask; m != 0; m &= m - 1 {
+			ln := lanes[bits.TrailingZeros32(m)]
+			ln.regs[d] = int64(ln.cta)
+		}
 	case ir.OpCTATid:
-		ln.regs[in.Dst] = int64(ln.ctatid)
+		for m := mask; m != 0; m &= m - 1 {
+			ln := lanes[bits.TrailingZeros32(m)]
+			ln.regs[d] = int64(ln.ctatid)
+		}
 	case ir.OpCTASize:
-		ln.regs[in.Dst] = int64(s.ctaSize)
+		for m := mask; m != 0; m &= m - 1 {
+			ln := lanes[bits.TrailingZeros32(m)]
+			ln.regs[d] = int64(s.ctaSize)
+		}
 	case ir.OpRand:
-		ln.regs[in.Dst] = ln.rng.Int63()
+		for m := mask; m != 0; m &= m - 1 {
+			ln := lanes[bits.TrailingZeros32(m)]
+			ln.regs[d] = ln.rng.Int63()
+		}
 	case ir.OpFRand:
-		ln.fregs[in.Dst] = ln.rng.Float64()
+		for m := mask; m != 0; m &= m - 1 {
+			ln := lanes[bits.TrailingZeros32(m)]
+			ln.fregs[d] = ln.rng.Float64()
+		}
 
 	case ir.OpLoad:
-		a, err := addr()
-		if err != nil {
-			return err
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
+			adr := ln.regs[a] + imm
+			if adr < 0 || adr >= int64(s.memLen) {
+				return l, s.globalOOB(adr)
+			}
+			ln.regs[d] = int64(s.loadWord(adr))
 		}
-		ln.regs[in.Dst] = int64(s.loadWord(a))
 	case ir.OpStore:
-		a, err := addr()
-		if err != nil {
-			return err
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
+			adr := ln.regs[a] + imm
+			if adr < 0 || adr >= int64(s.memLen) {
+				return l, s.globalOOB(adr)
+			}
+			s.storeWord(adr, uint64(ln.regs[b]))
 		}
-		s.storeWord(a, uint64(ib()))
 	case ir.OpFLoad:
-		a, err := addr()
-		if err != nil {
-			return err
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
+			adr := ln.regs[a] + imm
+			if adr < 0 || adr >= int64(s.memLen) {
+				return l, s.globalOOB(adr)
+			}
+			ln.fregs[d] = math.Float64frombits(s.loadWord(adr))
 		}
-		ln.fregs[in.Dst] = math.Float64frombits(s.loadWord(a))
 	case ir.OpFStore:
-		a, err := addr()
-		if err != nil {
-			return err
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
+			adr := ln.regs[a] + imm
+			if adr < 0 || adr >= int64(s.memLen) {
+				return l, s.globalOOB(adr)
+			}
+			s.storeWord(adr, math.Float64bits(ln.fregs[b]))
 		}
-		s.storeWord(a, math.Float64bits(fb()))
 	case ir.OpAtomAdd:
-		a, err := addr()
-		if err != nil {
-			return err
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
+			adr := ln.regs[a] + imm
+			if adr < 0 || adr >= int64(s.memLen) {
+				return l, s.globalOOB(adr)
+			}
+			old := int64(s.loadWord(adr))
+			s.storeWord(adr, uint64(old+ln.regs[b]))
+			ln.regs[d] = old
 		}
-		old := int64(s.loadWord(a))
-		s.storeWord(a, uint64(old+ib()))
-		ln.regs[in.Dst] = old
 	case ir.OpFAtomAdd:
-		a, err := addr()
-		if err != nil {
-			return err
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
+			adr := ln.regs[a] + imm
+			if adr < 0 || adr >= int64(s.memLen) {
+				return l, s.globalOOB(adr)
+			}
+			old := math.Float64frombits(s.loadWord(adr))
+			s.storeWord(adr, math.Float64bits(old+ln.fregs[b]))
+			ln.fregs[d] = old
 		}
-		old := math.Float64frombits(s.loadWord(a))
-		s.storeWord(a, math.Float64bits(old+fb()))
-		ln.fregs[in.Dst] = old
 
 	case ir.OpSharedLoad:
-		a, err := saddr()
-		if err != nil {
-			return err
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
+			adr := ln.regs[a] + imm
+			if adr < 0 || adr >= int64(len(shared)) {
+				return l, sharedOOB(adr, len(shared))
+			}
+			ln.regs[d] = int64(shared[adr])
+			s.metrics.SharedAccesses++
 		}
-		ln.regs[in.Dst] = int64(ws.cta.shared[a])
-		s.metrics.SharedAccesses++
 	case ir.OpSharedStore:
-		a, err := saddr()
-		if err != nil {
-			return err
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
+			adr := ln.regs[a] + imm
+			if adr < 0 || adr >= int64(len(shared)) {
+				return l, sharedOOB(adr, len(shared))
+			}
+			shared[adr] = uint64(ln.regs[b])
+			s.metrics.SharedAccesses++
 		}
-		ws.cta.shared[a] = uint64(ib())
-		s.metrics.SharedAccesses++
 	case ir.OpFSharedLoad:
-		a, err := saddr()
-		if err != nil {
-			return err
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
+			adr := ln.regs[a] + imm
+			if adr < 0 || adr >= int64(len(shared)) {
+				return l, sharedOOB(adr, len(shared))
+			}
+			ln.fregs[d] = math.Float64frombits(shared[adr])
+			s.metrics.SharedAccesses++
 		}
-		ln.fregs[in.Dst] = math.Float64frombits(ws.cta.shared[a])
-		s.metrics.SharedAccesses++
 	case ir.OpFSharedStore:
-		a, err := saddr()
-		if err != nil {
-			return err
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ln := lanes[l]
+			adr := ln.regs[a] + imm
+			if adr < 0 || adr >= int64(len(shared)) {
+				return l, sharedOOB(adr, len(shared))
+			}
+			shared[adr] = math.Float64bits(ln.fregs[b])
+			s.metrics.SharedAccesses++
 		}
-		ws.cta.shared[a] = math.Float64bits(fb())
-		s.metrics.SharedAccesses++
 
 	case ir.OpArrived:
-		ln.regs[in.Dst] = int64(popcount(ws.waiting[in.Bar]))
+		v := int64(bits.OnesCount32(ws.waiting[in.Bar]))
+		for m := mask; m != 0; m &= m - 1 {
+			lanes[bits.TrailingZeros32(m)].regs[d] = v
+		}
 	case ir.OpNop:
 		// nothing
 	default:
-		return fmt.Errorf("unhandled opcode %s", in.Op)
+		return bits.TrailingZeros32(mask), fmt.Errorf("unhandled opcode %s", in.Op)
 	}
-	return nil
+	return 0, nil
 }

@@ -2,6 +2,7 @@ package simt
 
 import (
 	"fmt"
+	"sync"
 
 	"specrecon/internal/ir"
 )
@@ -239,4 +240,77 @@ func (h *HandSimGPU) Step() (progress bool, err error) {
 	}
 	h.sm.samplePass(h.warps, issued)
 	return issued > 0, nil
+}
+
+// TableCheck is the group-table invariant checker: installed as the
+// sim's afterIssue seam, it compares every non-stale resident table of
+// the issuing warp's CTA (ctabar releases reach other warps) against a
+// fresh scan of the lanes after every issue. Grid launches call it from
+// every SM goroutine, hence the lock.
+type TableCheck struct {
+	mu sync.Mutex
+	// Checked counts tables compared against a scan; Stale counts tables
+	// skipped because they were marked for rebuild (nothing to compare:
+	// the rebuild is the scan).
+	Checked, Stale int64
+	// Err is the first mismatch found.
+	Err error
+}
+
+func (tc *TableCheck) afterIssue(ws *warpState) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	for _, w := range ws.cta.warps {
+		if w.stale {
+			tc.Stale++
+			continue
+		}
+		tc.Checked++
+		if err := w.tableMismatch(); err != nil && tc.Err == nil {
+			tc.Err = fmt.Errorf("after issue %d of warp %d: %w", ws.sim.issues, ws.index, err)
+		}
+	}
+}
+
+// tableMismatch reports how the warp's resident group table differs
+// from a fresh scan of its lanes (entries, order, masks, anyLive).
+func (ws *warpState) tableMismatch() error {
+	var want [ir.WarpWidth]group
+	n, live := ws.scanGroups(&want)
+	if n != ws.ngroups || live != ws.anyLive {
+		return fmt.Errorf("warp %d: table has %d groups (anyLive=%v), scan has %d (anyLive=%v)",
+			ws.index, ws.ngroups, ws.anyLive, n, live)
+	}
+	for i := 0; i < n; i++ {
+		if got := ws.groupBuf[i]; got != want[i] {
+			return fmt.Errorf("warp %d: table entry %d is %v/%08x, scan has %v/%08x",
+				ws.index, i, got.pc.pc(), got.mask, want[i].pc.pc(), want[i].mask)
+		}
+	}
+	return nil
+}
+
+// RunTableChecked is Run with the group-table invariant checked after
+// every issue.
+func RunTableChecked(m *ir.Module, cfg Config) (*Result, *TableCheck, error) {
+	s, err := newSim(m, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	tc := &TableCheck{}
+	s.afterIssue = tc.afterIssue
+	res, err := s.launch()
+	return res, tc, err
+}
+
+// NewTableCheckedMachine is NewMachine with the group-table invariant
+// checked after every issue of every launch.
+func NewTableCheckedMachine(m *ir.Module, cfg Config) (*Machine, *TableCheck, error) {
+	mc, err := NewMachine(m, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	tc := &TableCheck{}
+	mc.s.afterIssue = tc.afterIssue
+	return mc, tc, nil
 }

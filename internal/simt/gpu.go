@@ -77,7 +77,9 @@ func newCTAState(index, size, sharedWords int) *ctaState {
 func (c *ctaState) blockOnBar(b, count int) { c.arrived[b] += int32(count) }
 
 // barCheck opens workgroup barrier b once every live lane of the CTA
-// has arrived, releasing the blocked lanes of every warp at once.
+// has arrived, releasing the blocked lanes of every warp at once. The
+// released lanes belong to other warps than the one issuing, so each
+// warp it touches has its group table marked stale here.
 func (c *ctaState) barCheck(s *sim, b int) {
 	if c.live == 0 || int(c.arrived[b]) < c.live {
 		return
@@ -92,7 +94,11 @@ func (c *ctaState) barCheck(s *sim, b int) {
 				released |= 1 << l
 			}
 		}
-		if released != 0 && sink != nil {
+		if released == 0 {
+			continue
+		}
+		ws.stale = true
+		if sink != nil {
 			sink.Event(Event{
 				Kind: EvCTABarRelease, Bar: int16(b),
 				Warp: int32(ws.index), SM: s.smIndex, CTA: int32(c.index),
@@ -143,6 +149,8 @@ func (s *sim) forkSM(i int, sink EventSink, samples SampleSink) *sim {
 		ctaSize:  s.ctaSize,
 		memLen:   s.memLen,
 		cache:    newCache(s.cfg.Cache.withDefaults()),
+
+		afterIssue: s.afterIssue,
 	}
 	if s.cfg.fullCopySM {
 		sm.mem = make([]uint64, len(s.mem))
@@ -165,6 +173,7 @@ func (sm *sim) resetSM(tpl *sim, sink EventSink, samples SampleSink) {
 	sm.cfg = tpl.cfg
 	sm.cfg.Events = sink
 	sm.sampleSink = samples
+	sm.afterIssue = tpl.afterIssue
 	sm.wallDeadline = tpl.wallDeadline
 	sm.lastSampleCycle = 0
 	sm.memStallAcc = 0

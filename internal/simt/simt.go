@@ -36,6 +36,7 @@ package simt
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"specrecon/internal/ir"
@@ -277,7 +278,7 @@ type lane struct {
 	regs    []int64
 	fregs   []float64
 	stack   []frame
-	rng     *rng.Source
+	rng     rng.Source
 }
 
 // warpState is the per-warp machine state.
@@ -300,11 +301,20 @@ type warpState struct {
 	// becomes resident.
 	lastIssueSlot int64
 	lastRunCycle  int64
-	// groupBuf and addrBuf are scratch reused on every issue slot so the
-	// steady-state scheduler loop performs no heap allocations: a warp
-	// has at most WarpWidth PC groups and WarpWidth lane addresses.
+	// groupBuf[:ngroups] is the warp's resident runnable-group table:
+	// one (PC, lane mask) entry per distinct PC among the running lanes,
+	// sorted by PC, with anyLive recording whether any lane has not
+	// exited. While stale is clear the table equals a fresh scan of the
+	// lanes (scanGroups); issue edits the entry it picked in place, and
+	// everything that changes a lane's status or moves lanes
+	// non-uniformly sets stale so the next groups() call rescans.
 	groupBuf [ir.WarpWidth]group
-	addrBuf  [ir.WarpWidth]int64
+	ngroups  int
+	anyLive  bool
+	stale    bool
+	// addrBuf is per-issue scratch for the active lanes' addresses, so
+	// the steady-state issue loop performs no heap allocations.
+	addrBuf [ir.WarpWidth]int64
 }
 
 // sim is one SM's machine state plus the launch-wide immutable decode
@@ -318,6 +328,9 @@ type sim struct {
 	fnIndex map[string]int
 	// meta is the decode-time side table, indexed [fn][blk][ins].
 	meta [][][]instrMeta
+	// ipdom is the stack engine's reconvergence table, indexed [fn][blk]
+	// (nil under ModelITS, which never reads it).
+	ipdom [][]int
 	// mem is the global-memory image (the initial template on a grid
 	// launch's root sim, a full private copy on a fullCopySM fork, nil on
 	// a CoW fork, whose view lives in cow). memLen is the image length in
@@ -372,6 +385,11 @@ type sim struct {
 	nbar            int
 	nregs           int
 	nfregs          int
+	// afterIssue, when non-nil, runs after every successful ITS issue
+	// with the warp that issued. Test-only seam: export_test.go installs
+	// the group-table invariant check through it, and forkSM hands it to
+	// every SM.
+	afterIssue func(ws *warpState)
 
 	// Launch-arena pools. Warp and CTA state objects are always recorded
 	// in these pools as they are built; poolWarp/poolCTA are the cursors
@@ -508,6 +526,9 @@ func newSim(m *ir.Module, cfg Config) (*sim, error) {
 	if err := ir.VerifyModule(m); err != nil {
 		return nil, fmt.Errorf("simt: module invalid: %w", err)
 	}
+	if err := checkPCLimits(m); err != nil {
+		return nil, err
+	}
 	cfg, memWords, err := normalizeConfig(m, cfg)
 	if err != nil {
 		return nil, err
@@ -529,6 +550,9 @@ func newSim(m *ir.Module, cfg Config) (*sim, error) {
 		s.fnIndex[f.Name] = i
 	}
 	s.meta = buildMeta(m, s.fnIndex)
+	if cfg.Model == ModelStack {
+		s.ipdom = buildIpdom(m)
+	}
 	s.entryIdx = s.fnIndex[cfg.Kernel]
 
 	s.nbar = 1
@@ -564,6 +588,7 @@ func (s *sim) takeWarp() *warpState {
 		ws := s.warpPool[s.poolWarp]
 		s.poolWarp++
 		ws.done = false
+		ws.stale = true
 		ws.rrCursor = 0
 		ws.lastIssueSlot = s.issues
 		ws.lastRunCycle = s.metrics.Cycles
@@ -573,17 +598,22 @@ func (s *sim) takeWarp() *warpState {
 		}
 		return ws
 	}
-	ws := &warpState{sim: s}
-	for l := 0; l < ir.WarpWidth; l++ {
-		ws.lanes[l] = &lane{
-			lane:  l,
-			regs:  make([]int64, s.nregs),
-			fregs: make([]float64, s.nfregs),
-			rng:   &rng.Source{},
-		}
+	// One slab per kind instead of one object per lane: a fresh warp
+	// costs a handful of allocations, not 4*WarpWidth. Full-slice caps
+	// keep a lane's registers from growing into its neighbour's.
+	ws := &warpState{sim: s, stale: true}
+	lanes := make([]lane, ir.WarpWidth)
+	regs := make([]int64, ir.WarpWidth*s.nregs)
+	fregs := make([]float64, ir.WarpWidth*s.nfregs)
+	for l := range lanes {
+		ln := &lanes[l]
+		ln.lane = l
+		ln.regs = regs[l*s.nregs : (l+1)*s.nregs : (l+1)*s.nregs]
+		ln.fregs = fregs[l*s.nfregs : (l+1)*s.nfregs : (l+1)*s.nfregs]
+		ws.lanes[l] = ln
 	}
-	ws.masks = make([]uint32, s.nbar)
-	ws.waiting = make([]uint32, s.nbar)
+	bars := make([]uint32, 2*s.nbar)
+	ws.masks, ws.waiting = bars[:s.nbar:s.nbar], bars[s.nbar:]
 	ws.lastIssueSlot = s.issues
 	ws.lastRunCycle = s.metrics.Cycles
 	s.warpPool = append(s.warpPool, ws)
@@ -596,6 +626,7 @@ func (s *sim) takeWarp() *warpState {
 // PC, and the RNG stream rng.Split(seed, tid) derives.
 func (ws *warpState) resetLane(l, id, cta, ctatid int, done bool) {
 	s := ws.sim
+	ws.stale = true
 	ln := ws.lanes[l]
 	ln.id = id
 	ln.cta = cta
@@ -742,8 +773,7 @@ func (s *sim) launch() (*Result, error) {
 		for w := 0; w < nwarps; w++ {
 			var err error
 			if cfg.Model == ModelStack {
-				ws := s.newWarp(w)
-				err = s.runStackWarp(w, ws.lanes)
+				err = s.runStackWarp(s.newWarp(w))
 			} else {
 				err = s.newWarp(w).run()
 			}
@@ -819,14 +849,14 @@ func (ws *warpState) step() (bool, error) {
 		}
 		return false, ws.deadlockError()
 	}
-	g := ws.pick(groups)
+	gi := ws.pick(groups)
 	if s.issues >= s.cfg.MaxIssues || (s.cfg.MaxCycles > 0 && s.metrics.Cycles >= s.cfg.MaxCycles) {
 		return false, s.budgetError(ws.index, -1)
 	}
 	if s.watchdogExpired() {
 		return false, s.watchdogError(ws.index, -1)
 	}
-	if err := ws.issue(g); err != nil {
+	if err := ws.issue(gi); err != nil {
 		return false, err
 	}
 	return false, nil
@@ -862,20 +892,54 @@ func (ws *warpState) tryStep() (issued, done bool, err error) {
 	return true, false, nil
 }
 
+// pcKey packs a PC into one word whose unsigned order is the
+// (fn, blk, ins) lexicographic order, so the group table sorts and
+// merges on a single compare. newSim rejects modules too large to pack.
+type pcKey uint64
+
+const (
+	pcInsBits = 24
+	pcBlkBits = 24
+	pcFnBits  = 64 - pcBlkBits - pcInsBits
+)
+
+func (pc pcT) key() pcKey {
+	return pcKey(pc.fn)<<(pcBlkBits+pcInsBits) | pcKey(pc.blk)<<pcInsBits | pcKey(pc.ins)
+}
+
+func (k pcKey) pc() pcT {
+	return pcT{
+		fn:  int(k >> (pcBlkBits + pcInsBits)),
+		blk: int(k>>pcInsBits) & (1<<pcBlkBits - 1),
+		ins: int(k) & (1<<pcInsBits - 1),
+	}
+}
+
 // group is a set of runnable lanes sharing a PC.
 type group struct {
-	pc   pcT
+	pc   pcKey
 	mask uint32
 }
 
 // groups returns the runnable PC groups sorted by PC, plus whether any
-// lane is still live (running, waiting or syncing). The returned slice
-// aliases the warp's scratch buffer and is only valid until the next
-// call: a warp has at most WarpWidth groups, so grouping is an insertion
-// into a small sorted array rather than a map-and-sort — zero heap
-// allocations per issue slot.
+// lane is still live (running, waiting or syncing). The slice is the
+// warp's resident table — callers must not modify it, and it is valid
+// until the warp next issues. Only a table marked stale is rebuilt from
+// the lanes; otherwise issue has kept it current.
 func (ws *warpState) groups() ([]group, bool) {
-	out := ws.groupBuf[:0]
+	if ws.stale {
+		ws.ngroups, ws.anyLive = ws.scanGroups(&ws.groupBuf)
+		ws.stale = false
+	}
+	return ws.groupBuf[:ws.ngroups], ws.anyLive
+}
+
+// scanGroups derives the group table from the lanes into buf: a warp has
+// at most WarpWidth groups, so grouping is an insertion into a small
+// sorted array rather than a map-and-sort — no heap allocation. It
+// returns the entry count and whether any lane has not exited.
+func (ws *warpState) scanGroups(buf *[ir.WarpWidth]group) (int, bool) {
+	n := 0
 	anyLive := false
 	for l, ln := range ws.lanes {
 		switch ln.status {
@@ -883,65 +947,52 @@ func (ws *warpState) groups() ([]group, bool) {
 			anyLive = true
 		case laneRunning:
 			anyLive = true
-			pc := ln.pc
-			// Find the insertion point keeping out sorted by PC; lanes
-			// at the same PC merge into one group's mask.
-			i := len(out)
-			for i > 0 && !pcLess(out[i-1].pc, pc) {
-				if out[i-1].pc == pc {
-					out[i-1].mask |= 1 << l
-					i = -1
-					break
-				}
-				i--
-			}
-			if i < 0 {
-				continue
-			}
-			out = append(out, group{})
-			copy(out[i+1:], out[i:])
-			out[i] = group{pc: pc, mask: 1 << l}
+			n = insertGroup(buf, n, ln.pc.key(), 1<<l)
 		}
 	}
-	return out, anyLive
+	return n, anyLive
 }
 
-func pcLess(a, b pcT) bool {
-	if a.fn != b.fn {
-		return a.fn < b.fn
+// insertGroup adds mask at pc to the sorted table buf[:n], merging into
+// an existing entry with the same PC, and returns the new entry count.
+func insertGroup(buf *[ir.WarpWidth]group, n int, pc pcKey, mask uint32) int {
+	i := n
+	for i > 0 && buf[i-1].pc >= pc {
+		if buf[i-1].pc == pc {
+			buf[i-1].mask |= mask
+			return n
+		}
+		i--
 	}
-	if a.blk != b.blk {
-		return a.blk < b.blk
-	}
-	return a.ins < b.ins
+	copy(buf[i+1:n+1], buf[i:n])
+	buf[i] = group{pc: pc, mask: mask}
+	return n + 1
 }
 
-func (ws *warpState) pick(groups []group) group {
+// removeGroup deletes entry i of the warp's resident table.
+func (ws *warpState) removeGroup(i int) {
+	copy(ws.groupBuf[i:ws.ngroups-1], ws.groupBuf[i+1:ws.ngroups])
+	ws.ngroups--
+}
+
+// pick returns the index in groups of the group to issue.
+func (ws *warpState) pick(groups []group) int {
 	switch ws.sim.cfg.Policy {
 	case PolicyMinPC:
-		return groups[0]
+		return 0
 	case PolicyRoundRobin:
-		g := groups[ws.rrCursor%len(groups)]
+		i := ws.rrCursor % len(groups)
 		ws.rrCursor++
-		return g
+		return i
 	default: // PolicyMaxGroup
-		best := groups[0]
-		for _, g := range groups[1:] {
-			if popcount(g.mask) > popcount(best.mask) {
-				best = g
+		best, bestN := 0, bits.OnesCount32(groups[0].mask)
+		for i := 1; i < len(groups); i++ {
+			if n := bits.OnesCount32(groups[i].mask); n > bestN {
+				best, bestN = i, n
 			}
 		}
 		return best
 	}
-}
-
-func popcount(m uint32) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
 }
 
 // deadlockError builds a typed diagnostic describing why no lane can
@@ -1038,10 +1089,10 @@ func (ws *warpState) releaseCheckSoft(b int, threshold int) {
 		return
 	}
 	need := threshold
-	if pm := popcount(m); pm < need {
+	if pm := bits.OnesCount32(m); pm < need {
 		need = pm
 	}
-	if popcount(w) >= need || w&m == m {
+	if bits.OnesCount32(w) >= need || w&m == m {
 		ws.release(b, w)
 		ws.masks[b] &^= w
 	}
@@ -1049,6 +1100,7 @@ func (ws *warpState) releaseCheckSoft(b int, threshold int) {
 
 // release unblocks the given lanes past their wait instruction.
 func (ws *warpState) release(b int, cohort uint32) {
+	ws.stale = true
 	ws.sim.releases++
 	if ws.sim.cfg.SkipReleaseN > 0 && ws.sim.releases == ws.sim.cfg.SkipReleaseN {
 		// Injected fault: lose this release. The cohort stays blocked and
@@ -1057,8 +1109,10 @@ func (ws *warpState) release(b int, cohort uint32) {
 		return
 	}
 	var released uint32
-	for l, ln := range ws.lanes {
-		if cohort&(1<<l) == 0 || ln.status != laneWaiting || ln.waitBar != b {
+	for m := cohort; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		ln := ws.lanes[l]
+		if ln.status != laneWaiting || ln.waitBar != b {
 			continue
 		}
 		ln.status = laneRunning
@@ -1090,6 +1144,7 @@ func (ws *warpState) syncCheck() {
 		}
 	}
 	if live != 0 && syncing == live {
+		ws.stale = true
 		ws.sim.lastProgressCycle = ws.sim.metrics.Cycles
 		for _, ln := range ws.lanes {
 			if ln.status == laneSyncing {
@@ -1106,6 +1161,7 @@ func (ws *warpState) syncCheck() {
 func (ws *warpState) exitLane(l int) error {
 	ln := ws.lanes[l]
 	ln.status = laneDone
+	ws.stale = true
 	ws.sim.lastProgressCycle = ws.sim.metrics.Cycles
 	bit := uint32(1) << l
 	var leaked []int

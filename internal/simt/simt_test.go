@@ -1,6 +1,7 @@
 package simt
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -269,7 +270,7 @@ meet:
 	if firstStore&0xff != 0xff {
 		t.Fatalf("first cohort %#08x does not contain the 8 early lanes", firstStore)
 	}
-	if n := popcount(firstStore); n < 8 {
+	if n := bits.OnesCount32(firstStore); n < 8 {
 		t.Fatalf("first cohort has %d lanes, below the threshold", n)
 	}
 	if firstStore == 0xffffffff {

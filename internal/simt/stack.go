@@ -2,6 +2,7 @@ package simt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"specrecon/internal/cfg"
 	"specrecon/internal/ir"
@@ -59,26 +60,22 @@ type stackEntry struct {
 	calls []pcT
 }
 
-// stackWarp drives one warp under the reconvergence-stack model.
+// stackWarp drives one warp under the reconvergence-stack model. The
+// lanes, scratch buffers and data-instruction evaluator are the ITS
+// warpState's; the warp's group table and barrier state go unused.
 type stackWarp struct {
 	sim   *sim
-	index int
-	lanes [ir.WarpWidth]*lane
+	warp  *warpState
 	stack []stackEntry
-	// ipdomOf[fnIdx][blockIdx] is the precomputed immediate
-	// post-dominator block index, or -1.
-	ipdomOf [][]int
-	// shim reuses the ITS engine's scalar evaluator.
-	shim warpState
 }
 
-// runStackWarp executes one warp to completion under ModelStack.
-func (s *sim) runStackWarp(index int, lanes [ir.WarpWidth]*lane) error {
-	ws := &stackWarp{sim: s, index: index, lanes: lanes}
-	ws.shim = warpState{sim: s, cta: s.ctas[0], masks: make([]uint32, 1), waiting: make([]uint32, 1)}
-	ws.ipdomOf = make([][]int, len(s.mod.Funcs))
-	for fi, f := range s.mod.Funcs {
-		f.Reindex()
+// buildIpdom computes every block's immediate post-dominator as a block
+// index (-1 when there is none), indexed [fn][blk]. The stack engine
+// reads it at divergent branches; it is built once per launch beside the
+// decode tables and never writes to the (possibly shared) module.
+func buildIpdom(m *ir.Module) [][]int {
+	ipdom := make([][]int, len(m.Funcs))
+	for fi, f := range m.Funcs {
 		info := cfg.New(f)
 		rows := make([]int, len(f.Blocks))
 		for bi, b := range f.Blocks {
@@ -88,12 +85,19 @@ func (s *sim) runStackWarp(index int, lanes [ir.WarpWidth]*lane) error {
 				rows[bi] = -1
 			}
 		}
-		ws.ipdomOf[fi] = rows
+		ipdom[fi] = rows
 	}
+	return ipdom
+}
+
+// runStackWarp executes warp w to completion under ModelStack.
+func (s *sim) runStackWarp(w *warpState) error {
+	ws := &stackWarp{sim: s, warp: w}
+	index := w.index
 
 	var initMask uint32
 	var entryPC pcT
-	for l, ln := range lanes {
+	for l, ln := range w.lanes {
 		if ln.status != laneDone {
 			initMask |= 1 << l
 			entryPC = ln.pc
@@ -139,7 +143,9 @@ func (ws *stackWarp) step() error {
 	in := &blk.Instrs[top.pc.ins]
 	im := &s.meta[top.pc.fn][top.pc.blk][top.pc.ins]
 
-	active := popcount(top.mask)
+	lanes := &ws.warp.lanes
+	index := int32(ws.warp.index)
+	active := bits.OnesCount32(top.mask)
 	s.issues++
 	s.metrics.Issues++
 	s.metrics.ActiveLaneSum += int64(active)
@@ -151,18 +157,16 @@ func (ws *stackWarp) step() error {
 	sink := s.cfg.Events
 	var hits0, misses0 int64
 	if im.isMem {
-		addrs := ws.shim.addrBuf[:0]
-		for l := 0; l < ir.WarpWidth; l++ {
-			if top.mask&(1<<l) != 0 {
-				addrs = append(addrs, ws.lanes[l].regs[in.A]+in.Imm)
-			}
+		addrs := ws.warp.addrBuf[:0]
+		for m := top.mask; m != 0; m &= m - 1 {
+			addrs = append(addrs, lanes[bits.TrailingZeros32(m)].regs[in.A]+in.Imm)
 		}
 		hits0, misses0 = s.metrics.CacheHits, s.metrics.CacheMisses
 		cost += s.cache.access(addrs, &s.metrics)
 	}
 	if sink != nil {
 		ev := Event{
-			Kind: EvIssue, Bar: -1, Warp: int32(ws.index), PC: im.pcid,
+			Kind: EvIssue, Bar: -1, Warp: index, PC: im.pcid,
 			Fn: int32(top.pc.fn), Blk: int32(top.pc.blk), Ins: int32(top.pc.ins),
 			FnName: f.Name, BlockName: blk.Name,
 			Issue: s.metrics.Issues, Cycle: s.metrics.Cycles, Cost: cost,
@@ -187,18 +191,14 @@ func (ws *stackWarp) step() error {
 		top.pc.ins++
 	case ir.OpArrived:
 		// No barrier state to observe; reads as zero.
-		for l := 0; l < ir.WarpWidth; l++ {
-			if top.mask&(1<<l) != 0 {
-				ws.lanes[l].regs[in.Dst] = 0
-			}
+		for m := top.mask; m != 0; m &= m - 1 {
+			lanes[bits.TrailingZeros32(m)].regs[in.Dst] = 0
 		}
 		top.pc.ins++
 	case ir.OpVoteAny, ir.OpVoteAll, ir.OpBallot:
-		v := voteValue(in.Op, top.mask, func(l int) bool { return ws.lanes[l].regs[in.A] != 0 })
-		for l := 0; l < ir.WarpWidth; l++ {
-			if top.mask&(1<<l) != 0 {
-				ws.lanes[l].regs[in.Dst] = v
-			}
+		v := voteValue(in.Op, top.mask, ws.warp.ballot(top.mask, in.A))
+		for m := top.mask; m != 0; m &= m - 1 {
+			lanes[bits.TrailingZeros32(m)].regs[in.Dst] = v
 		}
 		top.pc.ins++
 	case ir.OpCall:
@@ -211,7 +211,7 @@ func (ws *stackWarp) step() error {
 		}
 		if sink != nil {
 			sink.Event(Event{
-				Kind: EvCall, Bar: -1, Warp: int32(ws.index),
+				Kind: EvCall, Bar: -1, Warp: index,
 				PC: im.pcid, Fn: int32(top.pc.fn), Blk: int32(top.pc.blk), Ins: int32(top.pc.ins),
 				FnName: f.Name, BlockName: blk.Name,
 				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
@@ -225,20 +225,11 @@ func (ws *stackWarp) step() error {
 	case ir.OpBr:
 		top.pc = pcT{fn: top.pc.fn, blk: blk.Succs[0].Index}
 	case ir.OpCBr:
-		var taken, fallthru uint32
-		for l := 0; l < ir.WarpWidth; l++ {
-			if top.mask&(1<<l) == 0 {
-				continue
-			}
-			if ws.lanes[l].regs[in.A] != 0 {
-				taken |= 1 << l
-			} else {
-				fallthru |= 1 << l
-			}
-		}
+		taken := ws.warp.ballot(top.mask, in.A)
+		fallthru := top.mask &^ taken
 		if sink != nil {
 			sink.Event(Event{
-				Kind: EvBranch, Bar: -1, Warp: int32(ws.index),
+				Kind: EvBranch, Bar: -1, Warp: index,
 				PC: im.pcid, Fn: int32(top.pc.fn), Blk: int32(top.pc.blk), Ins: int32(top.pc.ins),
 				FnName: f.Name, BlockName: blk.Name,
 				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
@@ -255,7 +246,7 @@ func (ws *stackWarp) step() error {
 			// record parked at the branch's immediate post-dominator;
 			// the two sides are pushed above it and run serially.
 			rpc := noRPC
-			if pd := ws.ipdomOf[top.pc.fn][top.pc.blk]; pd >= 0 {
+			if pd := s.ipdom[top.pc.fn][top.pc.blk]; pd >= 0 {
 				rpc = pcT{fn: top.pc.fn, blk: pd}
 			}
 			thenPC := pcT{fn: top.pc.fn, blk: blk.Succs[0].Index}
@@ -276,7 +267,7 @@ func (ws *stackWarp) step() error {
 	case ir.OpRet:
 		if sink != nil {
 			sink.Event(Event{
-				Kind: EvRet, Bar: -1, Warp: int32(ws.index),
+				Kind: EvRet, Bar: -1, Warp: index,
 				PC: im.pcid, Fn: int32(top.pc.fn), Blk: int32(top.pc.blk), Ins: int32(top.pc.ins),
 				FnName: f.Name, BlockName: blk.Name,
 				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
@@ -291,13 +282,8 @@ func (ws *stackWarp) step() error {
 	case ir.OpExit:
 		return ws.exitEntryLanes(topIdx)
 	default:
-		for l := 0; l < ir.WarpWidth; l++ {
-			if top.mask&(1<<l) == 0 {
-				continue
-			}
-			if err := ws.execScalarStack(ws.lanes[l], in); err != nil {
-				return fmt.Errorf("lane %d at %s.%s#%d: %w", l, f.Name, blk.Name, top.pc.ins, err)
-			}
+		if l, err := ws.warp.execData(in, top.mask); err != nil {
+			return fmt.Errorf("lane %d at %s.%s#%d: %w", l, f.Name, blk.Name, top.pc.ins, err)
 		}
 		top.pc.ins++
 	}
@@ -308,10 +294,8 @@ func (ws *stackWarp) step() error {
 // lanes from all remaining stack entries.
 func (ws *stackWarp) exitEntryLanes(topIdx int) error {
 	mask := ws.stack[topIdx].mask
-	for l := 0; l < ir.WarpWidth; l++ {
-		if mask&(1<<l) != 0 {
-			ws.lanes[l].status = laneDone
-		}
+	for m := mask; m != 0; m &= m - 1 {
+		ws.warp.lanes[bits.TrailingZeros32(m)].status = laneDone
 	}
 	ws.stack = ws.stack[:topIdx]
 	for i := range ws.stack {
@@ -327,11 +311,4 @@ func copyCalls(calls []pcT) []pcT {
 	out := make([]pcT, len(calls))
 	copy(out, calls)
 	return out
-}
-
-// execScalarStack evaluates a data instruction for one lane, reusing the
-// ITS engine's scalar evaluator (barrier introspection is unreachable
-// here — barrier opcodes are intercepted in step()).
-func (ws *stackWarp) execScalarStack(ln *lane, in *ir.Instr) error {
-	return ws.shim.execScalar(ln, in)
 }

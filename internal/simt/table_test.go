@@ -1,0 +1,296 @@
+package simt_test
+
+import (
+	"fmt"
+	"testing"
+
+	"specrecon/internal/core"
+	"specrecon/internal/corpus"
+	"specrecon/internal/ir"
+	"specrecon/internal/simt"
+	"specrecon/internal/workloads"
+)
+
+// The resident group table is only a cache of "group the running lanes
+// by PC": byte-identical simulation rests on it equalling a fresh scan
+// of the lanes whenever it is not marked stale. These tests run real
+// launches with that comparison made after every issue (the TableCheck
+// seam), across every driver, scheduler and group picker.
+
+// tableDriver is one launch driver the invariant is checked under;
+// shape rewrites a flat single-CTA config for it.
+type tableDriver struct {
+	name  string
+	shape func(cfg simt.Config, ctaSize int) simt.Config
+}
+
+func tableDrivers() []tableDriver {
+	ds := []tableDriver{
+		{"flat", func(cfg simt.Config, _ int) simt.Config { return cfg }},
+		{"interleave", func(cfg simt.Config, _ int) simt.Config {
+			cfg.InterleaveWarps = true
+			return cfg
+		}},
+	}
+	// Grid launches: the same thread count split into two CTAs over two
+	// SMs, under the greedy pass and under every scheduling policy.
+	for _, sp := range simt.SchedPolicies() {
+		sp := sp
+		ds = append(ds, tableDriver{"grid-" + sp.String(), func(cfg simt.Config, ctaSize int) simt.Config {
+			cfg.Grid, cfg.CTASize, cfg.SMs, cfg.Workers = cfg.Threads/ctaSize, ctaSize, 2, 2
+			cfg.Sched, cfg.SchedSeed = sp, 11
+			return cfg
+		}})
+	}
+	return ds
+}
+
+// tableBuilds are the two compiler builds every kernel is checked under.
+var tableBuilds = []struct {
+	name string
+	opts core.Options
+}{{"base", core.BaselineOptions()}, {"spec", core.SpecReconOptions()}}
+
+var tablePickers = []simt.Policy{simt.PolicyMaxGroup, simt.PolicyMinPC, simt.PolicyRoundRobin}
+
+// checkTable runs one launch under the invariant check and reports the
+// in-place and stale table counts.
+func checkTable(t *testing.T, name string, m *ir.Module, cfg simt.Config) (checked, stale int64) {
+	t.Helper()
+	_, tc, err := simt.RunTableChecked(m, cfg)
+	if tc != nil && tc.Err != nil {
+		t.Fatalf("%s: group table diverged from the lane scan: %v", name, tc.Err)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return tc.Checked, tc.Stale
+}
+
+// TestGroupTableIsTheScanWorkloads covers the 12 bundled workloads, both
+// builds, under every driver and picker.
+func TestGroupTableIsTheScanWorkloads(t *testing.T) {
+	for _, w := range workloads.All() {
+		inst := w.Build(workloads.BuildConfig{Threads: 2 * ir.WarpWidth, Tasks: 2})
+		for _, build := range tableBuilds {
+			comp, err := core.Compile(inst.Module, build.opts)
+			if err != nil {
+				t.Fatalf("%s/%s: compile: %v", w.Name, build.name, err)
+			}
+			var checked int64
+			for _, d := range tableDrivers() {
+				for _, pol := range tablePickers {
+					cfg := d.shape(simt.Config{
+						Kernel: inst.Kernel, Threads: inst.Threads, Seed: inst.Seed,
+						Memory: inst.Memory, Policy: pol,
+					}, ir.WarpWidth)
+					name := fmt.Sprintf("%s/%s/%s/%v", w.Name, build.name, d.name, pol)
+					c, _ := checkTable(t, name, comp.Module, cfg)
+					checked += c
+				}
+			}
+			if checked == 0 {
+				t.Fatalf("%s/%s: no table was ever compared (always stale?)", w.Name, build.name)
+			}
+		}
+	}
+}
+
+// TestGroupTableIsTheScanCorpus covers a 200-kernel slice of the
+// generated corpus the same way.
+func TestGroupTableIsTheScanCorpus(t *testing.T) {
+	n := 200
+	if testing.Short() {
+		n = 40
+	}
+	for _, app := range corpus.Generate(n, 42) {
+		for _, build := range tableBuilds {
+			comp, err := core.Compile(app.Module, build.opts)
+			if err != nil {
+				t.Fatalf("%s/%s: compile: %v", app.Name, build.name, err)
+			}
+			for _, d := range tableDrivers() {
+				for _, pol := range tablePickers {
+					// One warp per app: the grid drivers split it into two
+					// half-warp CTAs so both SMs run.
+					cfg := d.shape(simt.Config{
+						Kernel: app.Kernel, Threads: app.Threads, Seed: app.Seed,
+						Memory: app.Memory, Policy: pol,
+					}, app.Threads/2)
+					checkTable(t, fmt.Sprintf("%s/%s/%s/%v", app.Name, build.name, d.name, pol), comp.Module, cfg)
+				}
+			}
+		}
+	}
+}
+
+// tableBarrierKernel exercises every status-changing path in one warp
+// loop: a hard barrier, a soft barrier (waitn), warpsync, a call whose
+// callee diverges, and lanes exiting at different times.
+const tableBarrierKernel = `module tb memwords=4096
+func @k nregs=8 nfregs=1 {
+entry:
+  tid r0
+  const r1, #0
+  br header
+header:
+  and r6, r0, #7
+  add r6, r6, #3
+  setlt r2, r1, r6
+  cbr r2, body, done
+body:
+  join b0
+  join b1
+  and r3, r0, #3
+  cbr r3, left, right
+left:
+  ld r4, [r0+0]
+  call @leaf
+  br merge
+right:
+  st [r0], r1
+  br merge
+merge:
+  waitn b1, 5
+  wait b0
+  warpsync
+  add r1, r1, #1
+  br header
+done:
+  cancel b1
+  exit
+}
+func @leaf nregs=8 nfregs=1 {
+e:
+  and r5, r0, #1
+  cbr r5, odd, even
+odd:
+  add r5, r5, #1
+  ret
+even:
+  ret
+}
+`
+
+// tableCTABarKernel has two warps per CTA meeting at a ctabar each
+// iteration; warp 0's lanes run fewer iterations, so warp 1's last
+// barriers open on warp 0's exit — both cross-warp release paths.
+const tableCTABarKernel = `module tc memwords=4096 sharedwords=64
+func @k nregs=8 nfregs=1 {
+entry:
+  ctatid r0
+  tid r6
+  const r1, #0
+  and r7, r0, #32
+  shr r7, r7, #4
+  add r7, r7, #4
+  br header
+header:
+  setlt r2, r1, r7
+  cbr r2, body, done
+body:
+  sts [r0], r1
+  ctabar b0
+  and r3, r0, #3
+  cbr r3, left, right
+left:
+  lds r4, [r0+0]
+  br merge
+right:
+  st [r6], r1
+  br merge
+merge:
+  add r1, r1, #1
+  br header
+done:
+  exit
+}
+`
+
+// TestGroupTableIsTheScanSpecialCases pins the invalidating events that
+// workloads rarely reach: the SkipReleaseN fault, soft barriers,
+// warpsync, a ctabar released from another warp, and Machine relaunch.
+func TestGroupTableIsTheScanSpecialCases(t *testing.T) {
+	parse := func(src string) *ir.Module {
+		m, err := ir.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	barrier := parse(tableBarrierKernel)
+	for _, pol := range tablePickers {
+		checked, stale := checkTable(t, fmt.Sprintf("barriers/%v", pol), barrier, simt.Config{Threads: 2 * ir.WarpWidth, Seed: 3, Policy: pol})
+		if checked == 0 || stale == 0 {
+			t.Fatalf("barriers/%v: %d compared, %d stale: both paths must run", pol, checked, stale)
+		}
+	}
+
+	// A lost hard-barrier release: the launch must still deadlock, and
+	// the table must track the lanes all the way there.
+	hard := parse(`module th memwords=64
+func @k nregs=4 nfregs=0 {
+e:
+  tid r0
+  const r1, #0
+  br header
+header:
+  setlt r2, r1, #4
+  cbr r2, body, done
+body:
+  join b0
+  and r3, r0, #1
+  cbr r3, odd, merge
+odd:
+  st [r0], r1
+  br merge
+merge:
+  wait b0
+  add r1, r1, #1
+  br header
+done:
+  exit
+}
+`)
+	checkTable(t, "hard-barrier", hard, simt.Config{Threads: ir.WarpWidth})
+	_, tc, err := simt.RunTableChecked(hard, simt.Config{Threads: ir.WarpWidth, SkipReleaseN: 3})
+	if err == nil {
+		t.Fatal("SkipReleaseN: launch finished, want deadlock")
+	}
+	if tc.Err != nil {
+		t.Fatalf("SkipReleaseN: %v", tc.Err)
+	}
+
+	// ctabar across warps: two warps per CTA, so the arrival of one
+	// warp's lanes releases the other's — the cross-warp invalidation.
+	grid := parse(tableCTABarKernel)
+	for _, sp := range simt.SchedPolicies() {
+		cfg := simt.Config{Grid: 2, CTASize: 2 * ir.WarpWidth, SMs: 1, Seed: 1, Sched: sp, SchedSeed: 5}
+		checkTable(t, "ctabar/"+sp.String(), grid, cfg)
+	}
+	checkTable(t, "ctabar/flat", grid, simt.Config{Threads: 2 * ir.WarpWidth, Seed: 1, InterleaveWarps: true})
+
+	// Machine relaunch: pooled warps must come back stale, not with the
+	// previous launch's table.
+	for _, cfg := range []simt.Config{
+		{Threads: 2 * ir.WarpWidth, Seed: 1, InterleaveWarps: true},
+		{Grid: 4, CTASize: 2 * ir.WarpWidth, SMs: 2, Workers: 2, Seed: 1},
+	} {
+		mc, tc, err := simt.NewTableCheckedMachine(grid, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for launch := 0; launch < 3; launch++ {
+			cfg.Seed = uint64(launch + 1)
+			if _, err := mc.Run(cfg); err != nil {
+				t.Fatalf("relaunch %d: %v", launch, err)
+			}
+			if tc.Err != nil {
+				t.Fatalf("relaunch %d: %v", launch, tc.Err)
+			}
+		}
+		if tc.Checked == 0 {
+			t.Fatal("relaunch: no table was ever compared")
+		}
+	}
+}
