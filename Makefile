@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check bench bench-e2e bench-compare bench-baseline bench-scale bench-sweep cache-smoke fmt figures profile-smoke scale-smoke fuzz-smoke diffcheck-smoke vet-corpus telemetry-smoke sched-smoke repair-smoke
+.PHONY: all build test vet race check bench bench-e2e bench-compare bench-pairs bench-baseline bench-scale bench-sweep cache-smoke fmt figures profile-smoke scale-smoke fuzz-smoke diffcheck-smoke vet-corpus telemetry-smoke sched-smoke repair-smoke
 
 all: build
 
@@ -24,9 +24,9 @@ race:
 # the seeded 500-kernel differential campaign with the fault matrix,
 # and the static vetting sweep over the corpus and workloads. The simt
 # line re-runs, uncached, the tests that only mean something under the
-# race detector: the group-table invariant on sharded grids, the stack
-# engine sharing one compiled module across goroutines, and the SM
-# sharding and CoW merge determinism.
+# race detector: the group-table invariant and the lazy-PC shadow on
+# sharded grids, the stack engine sharing one compiled module across
+# goroutines, and the SM sharding and CoW merge determinism.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -34,7 +34,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/harness
 	$(GO) test -race -count=1 ./internal/obs
-	$(GO) test -race -count=1 -run 'GroupTableIsTheScan|StackEngineSharesModule|GridShardingDeterministic|CoWMatchesFullCopySM' ./internal/simt
+	$(GO) test -race -count=1 -run 'GroupTableIsTheScan|LazyPCsMatchEagerShadow|StackEngineSharesModule|GridShardingDeterministic|CoWMatchesFullCopySM' ./internal/simt
 	$(MAKE) scale-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) diffcheck-smoke
@@ -88,6 +88,18 @@ bench-e2e:
 
 bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
+
+# bench-pairs judges a claimed gain: N alternated pairs of workload W,
+# parent checkout A against change checkout B, each run built and started
+# by that checkout's own bench/run.sh (cmd/benchpairs). It prints every
+# pair, both medians and quartiles and the win count, and fails unless B
+# wins at least nine tenths of the pairs with the medians further apart
+# than A's inter-quartile range.
+#   make bench-pairs A=/root/scratch/parent B=. W=grid_launch N=10
+W ?= grid_launch
+N ?= 10
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -a $(A) -b $(B) -w $(W) -n $(N)
 
 # bench-baseline refreshes BENCH_2.json: a smoke pass first (every
 # figure benchmark must still run to completion at -benchtime=1x), then

@@ -171,17 +171,11 @@ type PCRef struct {
 // BuildPCTable enumerates every static instruction of the module in the
 // canonical dense-PC order — functions, then blocks, then instructions,
 // each in layout order — and returns the index-to-location table. The
-// decode side tables assign Event.PC with the same enumeration, so a
+// engines' PCs are indices into the same enumeration (walkPCs), so a
 // sink can size fixed counter arrays with len(BuildPCTable(m)) and index
 // them directly with Event.PC.
 func BuildPCTable(m *ir.Module) []PCRef {
-	var out []PCRef
-	for fi, f := range m.Funcs {
-		for bi, b := range f.Blocks {
-			for ii := range b.Instrs {
-				out = append(out, PCRef{Fn: int32(fi), Blk: int32(bi), Ins: int32(ii)})
-			}
-		}
-	}
+	out := make([]PCRef, 0, m.NumInstrs())
+	walkPCs(m, func(ref PCRef, _ *ir.Block) { out = append(out, ref) })
 	return out
 }

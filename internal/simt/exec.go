@@ -9,20 +9,17 @@ import (
 )
 
 // issue executes one warp instruction for every lane of entry gi of the
-// warp's group table, updates the metrics, advances the lanes' PCs and
+// warp's group table, updates the metrics, advances the group's PC and
 // keeps the table current: instructions that move the whole group
 // uniformly (data ops, join, cancel, votes, branches, calls) edit the
-// entry in place; everything else — and every error return — marks the table
-// stale so the next groups() call rescans the lanes.
+// entry in place and touch no per-lane PC; everything else — and every
+// error return — invalidates the table first, so the per-lane edits that
+// follow act on pcs and the next groups() call rescans.
 func (ws *warpState) issue(gi int) error {
 	s := ws.sim
 	g := ws.groupBuf[gi]
-	pc := g.pc.pc()
-	f := s.mod.Funcs[pc.fn]
-	blk := f.Blocks[pc.blk]
-	in := &blk.Instrs[pc.ins]
-	im := &s.meta[pc.fn][pc.blk][pc.ins]
-	lanes := &ws.lanes
+	im := &s.meta[g.pc]
+	in := im.in
 
 	active := bits.OnesCount32(g.mask)
 	s.issues++
@@ -31,8 +28,8 @@ func (ws *warpState) issue(gi int) error {
 	s.metrics.opClassCounts[im.class]++
 	cost := im.latency
 
-	if pc.ins == 0 {
-		s.metrics.addBlockVisit(pc.fn, pc.blk, int64(active))
+	if im.ins == 0 {
+		s.metrics.blockVisits[im.blkID] += int64(active)
 	}
 	sink := s.cfg.Events
 
@@ -40,12 +37,8 @@ func (ws *warpState) issue(gi int) error {
 	// coalescing of the active lanes' addresses.
 	var hits0, misses0 int64
 	if im.isMem {
-		addrs := ws.addrBuf[:0]
-		for m := g.mask; m != 0; m &= m - 1 {
-			addrs = append(addrs, lanes[bits.TrailingZeros32(m)].regs[in.A]+in.Imm)
-		}
 		hits0, misses0 = s.metrics.CacheHits, s.metrics.CacheMisses
-		cost += s.cache.access(addrs, &s.metrics)
+		cost += s.cache.access(ws.gatherAddrs(in, g.mask), &s.metrics)
 		// Everything beyond the base latency is memory transaction time;
 		// the occupancy sampler windows this accumulator into per-sample
 		// mem-stall attribution (sample.go).
@@ -53,13 +46,8 @@ func (ws *warpState) issue(gi int) error {
 	}
 
 	if sink != nil {
-		ev := Event{
-			Kind: EvIssue, Bar: -1, Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex, PC: im.pcid,
-			Fn: int32(pc.fn), Blk: int32(pc.blk), Ins: int32(pc.ins),
-			FnName: f.Name, BlockName: blk.Name,
-			Issue: s.metrics.Issues, Cycle: s.metrics.Cycles, Cost: cost,
-			Mask: g.mask,
-		}
+		ev := ws.event(EvIssue, im, g.pc, -1, g.mask, 0)
+		ev.Cost = cost
 		sink.Event(ev)
 		if im.isMem {
 			ev.Kind = EvCacheAccess
@@ -78,30 +66,23 @@ func (ws *warpState) issue(gi int) error {
 		ws.advance(gi)
 		ws.releaseCheck(in.Bar)
 	case ir.OpWait, ir.OpWaitN:
-		ws.stale = true
+		ws.invalidate()
 		var blocked uint32
 		for m := g.mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
 			if ws.masks[in.Bar]&(1<<l) == 0 {
 				// Not a participant: fall through.
-				ln.pc.ins++
+				ws.pcs[l]++
 				continue
 			}
-			ln.status = laneWaiting
-			ln.waitBar = in.Bar
+			ws.status[l] = laneWaiting
+			ws.waitBar[l] = int32(in.Bar)
 			ws.waiting[in.Bar] |= 1 << l
 			blocked |= 1 << l
 			s.metrics.BarrierWaits++
 		}
 		if sink != nil && blocked != 0 {
-			sink.Event(Event{
-				Kind: EvBarrierWait, Bar: int16(in.Bar), Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex,
-				PC: im.pcid, Fn: int32(pc.fn), Blk: int32(pc.blk), Ins: int32(pc.ins),
-				FnName: f.Name, BlockName: blk.Name,
-				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
-				Mask: blocked,
-			})
+			sink.Event(ws.event(EvBarrierWait, im, g.pc, in.Bar, blocked, 0))
 		}
 		if in.Op == ir.OpWaitN {
 			ws.releaseCheckSoft(in.Bar, int(in.Imm))
@@ -112,129 +93,81 @@ func (ws *warpState) issue(gi int) error {
 		// Workgroup barrier: the active lanes block until every live
 		// lane of the CTA (across all its warps) arrives at barrier
 		// in.Bar; the barrier then opens for the whole CTA at once.
-		ws.stale = true
+		ws.invalidate()
 		for m := g.mask; m != 0; m &= m - 1 {
-			ln := lanes[bits.TrailingZeros32(m)]
-			ln.status = laneCTAWaiting
-			ln.waitBar = in.Bar
+			l := bits.TrailingZeros32(m)
+			ws.status[l] = laneCTAWaiting
+			ws.waitBar[l] = int32(in.Bar)
 		}
 		ws.cta.blockOnBar(in.Bar, active)
 		s.metrics.CTABarWaits += int64(active)
 		if sink != nil {
-			sink.Event(Event{
-				Kind: EvCTABarWait, Bar: int16(in.Bar), Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex,
-				PC: im.pcid, Fn: int32(pc.fn), Blk: int32(pc.blk), Ins: int32(pc.ins),
-				FnName: f.Name, BlockName: blk.Name,
-				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
-				Mask: g.mask,
-			})
+			sink.Event(ws.event(EvCTABarWait, im, g.pc, in.Bar, g.mask, 0))
 		}
 		ws.cta.barCheck(s, in.Bar)
 	case ir.OpWarpSync:
-		ws.stale = true
+		ws.invalidate()
 		for m := g.mask; m != 0; m &= m - 1 {
-			lanes[bits.TrailingZeros32(m)].status = laneSyncing
+			ws.status[bits.TrailingZeros32(m)] = laneSyncing
 		}
 		ws.syncCheck()
 	case ir.OpVoteAny, ir.OpVoteAll, ir.OpBallot:
 		v := voteValue(in.Op, g.mask, ws.ballot(g.mask, in.A))
-		for m := g.mask; m != 0; m &= m - 1 {
-			lanes[bits.TrailingZeros32(m)].regs[in.Dst] = v
-		}
+		ws.broadcast(in.Dst, g.mask, v)
 		ws.advance(gi)
 	case ir.OpCall:
-		callee := int(im.callee)
-		if callee < 0 {
-			ws.stale = true
+		if im.callee < 0 {
+			ws.invalidate()
 			return fmt.Errorf("call to unknown function %q", in.Callee)
 		}
-		ret := pc
-		ret.ins++
-		entry := pcT{fn: callee}
 		for m := g.mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			if len(ln.stack) >= 64 {
-				ws.stale = true
+			if len(ws.stacks[l]) >= 64 {
+				ws.invalidate()
 				return fmt.Errorf("call stack overflow in lane %d", l)
 			}
-			ln.stack = append(ln.stack, frame{ret: ret})
-			ln.pc = entry
+			ws.stacks[l] = append(ws.stacks[l], frame{ret: g.pc + 1})
 		}
 		// The whole group enters the callee together, like a branch.
 		ws.removeGroup(gi)
-		ws.ngroups = insertGroup(&ws.groupBuf, ws.ngroups, entry.key(), g.mask)
+		ws.ngroups = insertGroup(&ws.groupBuf, ws.ngroups, im.succ0, g.mask)
 		if sink != nil {
-			sink.Event(Event{
-				Kind: EvCall, Bar: -1, Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex,
-				PC: im.pcid, Fn: int32(pc.fn), Blk: int32(pc.blk), Ins: int32(pc.ins),
-				FnName: f.Name, BlockName: blk.Name,
-				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
-				Mask: g.mask, Aux: uint32(callee),
-			})
+			sink.Event(ws.event(EvCall, im, g.pc, -1, g.mask, uint32(im.callee)))
 		}
 	case ir.OpBr:
-		t := pcT{fn: pc.fn, blk: blk.Succs[0].Index}
-		for m := g.mask; m != 0; m &= m - 1 {
-			lanes[bits.TrailingZeros32(m)].pc = t
-		}
 		ws.removeGroup(gi)
-		ws.ngroups = insertGroup(&ws.groupBuf, ws.ngroups, t.key(), g.mask)
+		ws.ngroups = insertGroup(&ws.groupBuf, ws.ngroups, im.succ0, g.mask)
 	case ir.OpCBr:
-		then := pcT{fn: pc.fn, blk: blk.Succs[0].Index}
-		els := pcT{fn: pc.fn, blk: blk.Succs[1].Index}
-		var taken uint32
-		for m := g.mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			if ln.regs[in.A] != 0 {
-				ln.pc = then
-				taken |= 1 << l
-			} else {
-				ln.pc = els
-			}
-		}
+		taken := ws.ballot(g.mask, in.A)
 		ws.removeGroup(gi)
 		if taken != 0 {
-			ws.ngroups = insertGroup(&ws.groupBuf, ws.ngroups, then.key(), taken)
+			ws.ngroups = insertGroup(&ws.groupBuf, ws.ngroups, im.succ0, taken)
 		}
 		if fell := g.mask &^ taken; fell != 0 {
-			ws.ngroups = insertGroup(&ws.groupBuf, ws.ngroups, els.key(), fell)
+			ws.ngroups = insertGroup(&ws.groupBuf, ws.ngroups, im.succ1, fell)
 		}
 		if sink != nil {
-			sink.Event(Event{
-				Kind: EvBranch, Bar: -1, Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex,
-				PC: im.pcid, Fn: int32(pc.fn), Blk: int32(pc.blk), Ins: int32(pc.ins),
-				FnName: f.Name, BlockName: blk.Name,
-				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
-				Mask: g.mask, Aux: taken,
-			})
+			sink.Event(ws.event(EvBranch, im, g.pc, -1, g.mask, taken))
 		}
 	case ir.OpRet:
-		ws.stale = true
+		ws.invalidate()
 		for m := g.mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			if len(ln.stack) == 0 {
+			st := ws.stacks[l]
+			if len(st) == 0 {
 				if err := ws.exitLane(l); err != nil {
 					return err
 				}
 				continue
 			}
-			ln.pc = ln.stack[len(ln.stack)-1].ret
-			ln.stack = ln.stack[:len(ln.stack)-1]
+			ws.pcs[l] = st[len(st)-1].ret
+			ws.stacks[l] = st[:len(st)-1]
 		}
 		if sink != nil {
-			sink.Event(Event{
-				Kind: EvRet, Bar: -1, Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex,
-				PC: im.pcid, Fn: int32(pc.fn), Blk: int32(pc.blk), Ins: int32(pc.ins),
-				FnName: f.Name, BlockName: blk.Name,
-				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
-				Mask: g.mask,
-			})
+			sink.Event(ws.event(EvRet, im, g.pc, -1, g.mask, 0))
 		}
 	case ir.OpExit:
-		ws.stale = true
+		ws.invalidate()
 		for m := g.mask; m != 0; m &= m - 1 {
 			if err := ws.exitLane(bits.TrailingZeros32(m)); err != nil {
 				return err
@@ -243,8 +176,8 @@ func (ws *warpState) issue(gi int) error {
 	default:
 		// Data instructions: one dispatch, then one loop over the group.
 		if l, err := ws.execData(in, g.mask); err != nil {
-			ws.stale = true
-			return fmt.Errorf("lane %d at %s.%s#%d: %w", l, f.Name, blk.Name, pc.ins, err)
+			ws.invalidate()
+			return s.laneError(l, im, err)
 		}
 		ws.advance(gi)
 	}
@@ -256,16 +189,59 @@ func (ws *warpState) issue(gi int) error {
 	return nil
 }
 
+// event builds an event of this warp located at instruction pc (im is
+// its decode entry), stamped with the SM's current issue and cycle
+// counts; bar is -1 on events that name no barrier.
+func (ws *warpState) event(kind EventKind, im *instrMeta, pc uint32, bar int, mask, aux uint32) Event {
+	s := ws.sim
+	fnName, blkName := s.names(im)
+	return Event{
+		Kind: kind, Bar: int16(bar), Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex,
+		PC: int32(pc), Fn: im.fn, Blk: im.blk, Ins: im.ins,
+		FnName: fnName, BlockName: blkName,
+		Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
+		Mask: mask, Aux: aux,
+	}
+}
+
+// laneError wraps a data instruction's fault with the lane that raised
+// it and the instruction's location.
+func (s *sim) laneError(l int, im *instrMeta, err error) error {
+	fnName, blkName := s.names(im)
+	return fmt.Errorf("lane %d at %s.%s#%d: %w", l, fnName, blkName, im.ins, err)
+}
+
+// gatherAddrs collects the addresses a memory instruction's active lanes
+// access into the warp's scratch buffer, in ascending lane order.
+func (ws *warpState) gatherAddrs(in *ir.Instr, mask uint32) []int64 {
+	ra := ws.icol(in.A)
+	n := 0
+	for m := mask; m != 0; m &= m - 1 {
+		ws.addrBuf[n&laneMask] = ra[bits.TrailingZeros32(m)&laneMask] + in.Imm
+		n++
+	}
+	return ws.addrBuf[:n]
+}
+
 // ballot returns the lanes of mask whose integer register r is non-zero.
 func (ws *warpState) ballot(mask uint32, r ir.Reg) uint32 {
+	col := ws.icol(r)
 	var ballot uint32
 	for m := mask; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros32(m)
-		if ws.lanes[l].regs[r] != 0 {
+		l := bits.TrailingZeros32(m) & laneMask
+		if col[l] != 0 {
 			ballot |= 1 << l
 		}
 	}
 	return ballot
+}
+
+// broadcast writes v to integer register r of every lane of mask.
+func (ws *warpState) broadcast(r ir.Reg, mask uint32, v int64) {
+	col := ws.icol(r)
+	for m := mask; m != 0; m &= m - 1 {
+		col[bits.TrailingZeros32(m)&laneMask] = v
+	}
 }
 
 // voteValue combines a warp-synchronous vote: ballot holds the active
@@ -284,21 +260,22 @@ func voteValue(op ir.Opcode, mask, ballot uint32) int64 {
 	}
 }
 
-// advance steps every lane of table entry gi past a non-control
-// instruction and the entry's PC with them. The successor PC stays in
-// the same block, so it cannot overtake the next entry: the table stays
-// sorted, and the only possible collision is a merge with that entry.
+// advance steps table entry gi — and with it every lane of the group —
+// past a non-control instruction. The successor PC stays in the same
+// block, so it cannot overtake the next entry: the table stays sorted,
+// and the only possible collision is a merge with that entry.
 func (ws *warpState) advance(gi int) {
 	g := &ws.groupBuf[gi]
-	for m := g.mask; m != 0; m &= m - 1 {
-		ws.lanes[bits.TrailingZeros32(m)].pc.ins++
-	}
 	g.pc++
 	if gi+1 < ws.ngroups && ws.groupBuf[gi+1].pc == g.pc {
 		g.mask |= ws.groupBuf[gi+1].mask
 		ws.removeGroup(gi + 1)
 	}
 }
+
+// laneMask bounds a lane index so the compiler can drop the bounds check
+// on a [WarpWidth] column: l := bits.TrailingZeros32(m) & laneMask.
+const laneMask = ir.WarpWidth - 1
 
 func b2i(b bool) int64 {
 	if b {
@@ -319,640 +296,706 @@ func sharedOOB(a int64, words int) error {
 }
 
 // execData runs one data instruction for every lane of mask: the opcode
-// (and the B-operand-immediate test) is dispatched once, then each case
-// is a single loop over the set bits in ascending lane order. On an
-// out-of-bounds access it stops at the first offending lane and returns
-// it with the error; lower lanes have already executed.
+// (and the B-operand-immediate test) is dispatched once, the operand
+// columns the opcode really uses are taken once, then each case is a
+// single bounds-check-free loop over the set bits in ascending lane
+// order. On an out-of-bounds access it stops at the first offending lane
+// and returns it with the error; lower lanes have already executed.
 func (ws *warpState) execData(in *ir.Instr, mask uint32) (int, error) {
 	s := ws.sim
-	lanes := &ws.lanes
 	d, a, b, c := in.Dst, in.A, in.B, in.C
 	imm, fimm := in.Imm, in.FImm
 	shared := ws.cta.shared
 	switch in.Op {
 	case ir.OpConst:
-		for m := mask; m != 0; m &= m - 1 {
-			r := lanes[bits.TrailingZeros32(m)].regs
-			r[d] = imm
-		}
+		ws.broadcast(d, mask, imm)
 	case ir.OpMov:
+		rd, ra := ws.icol(d), ws.icol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			r := lanes[bits.TrailingZeros32(m)].regs
-			r[d] = r[a]
+			l := bits.TrailingZeros32(m) & laneMask
+			rd[l] = ra[l]
 		}
 	case ir.OpAdd:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] + imm
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] + imm
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] + r[b]
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] + rb[l]
 			}
 		}
 	case ir.OpSub:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] - imm
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] - imm
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] - r[b]
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] - rb[l]
 			}
 		}
 	case ir.OpMul:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] * imm
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] * imm
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] * r[b]
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] * rb[l]
 			}
 		}
 	case ir.OpDiv:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				if imm != 0 {
-					r[d] = r[a] / imm
+				l := bits.TrailingZeros32(m) & laneMask
+				if y := imm; y != 0 {
+					rd[l] = ra[l] / y
 				} else {
-					r[d] = 0
+					rd[l] = 0
 				}
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				if y := r[b]; y != 0 {
-					r[d] = r[a] / y
+				l := bits.TrailingZeros32(m) & laneMask
+				if y := rb[l]; y != 0 {
+					rd[l] = ra[l] / y
 				} else {
-					r[d] = 0
+					rd[l] = 0
 				}
 			}
 		}
 	case ir.OpMod:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				if imm != 0 {
-					r[d] = r[a] % imm
+				l := bits.TrailingZeros32(m) & laneMask
+				if y := imm; y != 0 {
+					rd[l] = ra[l] % y
 				} else {
-					r[d] = 0
+					rd[l] = 0
 				}
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				if y := r[b]; y != 0 {
-					r[d] = r[a] % y
+				l := bits.TrailingZeros32(m) & laneMask
+				if y := rb[l]; y != 0 {
+					rd[l] = ra[l] % y
 				} else {
-					r[d] = 0
+					rd[l] = 0
 				}
 			}
 		}
 	case ir.OpMin:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = min(r[a], imm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = min(ra[l], imm)
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = min(r[a], r[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = min(ra[l], rb[l])
 			}
 		}
 	case ir.OpMax:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = max(r[a], imm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = max(ra[l], imm)
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = max(r[a], r[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = max(ra[l], rb[l])
 			}
 		}
 	case ir.OpAnd:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] & imm
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] & imm
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] & r[b]
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] & rb[l]
 			}
 		}
 	case ir.OpOr:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] | imm
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] | imm
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] | r[b]
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] | rb[l]
 			}
 		}
 	case ir.OpXor:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] ^ imm
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] ^ imm
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] ^ r[b]
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] ^ rb[l]
 			}
 		}
 	case ir.OpShl:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] << (uint64(imm) & 63)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] << (uint64(imm) & 63)
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = r[a] << (uint64(r[b]) & 63)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = ra[l] << (uint64(rb[l]) & 63)
 			}
 		}
 	case ir.OpShr:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = int64(uint64(r[a]) >> (uint64(imm) & 63))
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = int64(uint64(ra[l]) >> (uint64(imm) & 63))
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = int64(uint64(r[a]) >> (uint64(r[b]) & 63))
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = int64(uint64(ra[l]) >> (uint64(rb[l]) & 63))
 			}
 		}
 	case ir.OpNot:
+		rd, ra := ws.icol(d), ws.icol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			r := lanes[bits.TrailingZeros32(m)].regs
-			r[d] = ^r[a]
+			l := bits.TrailingZeros32(m) & laneMask
+			rd[l] = ^ra[l]
 		}
 	case ir.OpNeg:
+		rd, ra := ws.icol(d), ws.icol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			r := lanes[bits.TrailingZeros32(m)].regs
-			r[d] = -r[a]
+			l := bits.TrailingZeros32(m) & laneMask
+			rd[l] = -ra[l]
 		}
 	case ir.OpSetEQ:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = b2i(r[a] == imm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(ra[l] == imm)
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = b2i(r[a] == r[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(ra[l] == rb[l])
 			}
 		}
 	case ir.OpSetNE:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = b2i(r[a] != imm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(ra[l] != imm)
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = b2i(r[a] != r[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(ra[l] != rb[l])
 			}
 		}
 	case ir.OpSetLT:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = b2i(r[a] < imm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(ra[l] < imm)
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = b2i(r[a] < r[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(ra[l] < rb[l])
 			}
 		}
 	case ir.OpSetLE:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = b2i(r[a] <= imm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(ra[l] <= imm)
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = b2i(r[a] <= r[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(ra[l] <= rb[l])
 			}
 		}
 	case ir.OpSetGT:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = b2i(r[a] > imm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(ra[l] > imm)
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = b2i(r[a] > r[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(ra[l] > rb[l])
 			}
 		}
 	case ir.OpSetGE:
+		rd, ra := ws.icol(d), ws.icol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = b2i(r[a] >= imm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(ra[l] >= imm)
 			}
 		} else {
+			rb := ws.icol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				r := lanes[bits.TrailingZeros32(m)].regs
-				r[d] = b2i(r[a] >= r[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(ra[l] >= rb[l])
 			}
 		}
 	case ir.OpSelect:
+		rd, ra, rb, rc := ws.icol(d), ws.icol(a), ws.icol(b), ws.icol(c)
 		for m := mask; m != 0; m &= m - 1 {
-			r := lanes[bits.TrailingZeros32(m)].regs
-			if r[a] != 0 {
-				r[d] = r[b]
+			l := bits.TrailingZeros32(m) & laneMask
+			if ra[l] != 0 {
+				rd[l] = rb[l]
 			} else {
-				r[d] = r[c]
+				rd[l] = rc[l]
 			}
 		}
 
 	case ir.OpFConst:
+		fd := ws.fcol(d)
 		for m := mask; m != 0; m &= m - 1 {
-			f := lanes[bits.TrailingZeros32(m)].fregs
-			f[d] = fimm
+			l := bits.TrailingZeros32(m) & laneMask
+			fd[l] = fimm
 		}
 	case ir.OpFMov:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			f := lanes[bits.TrailingZeros32(m)].fregs
-			f[d] = f[a]
+			l := bits.TrailingZeros32(m) & laneMask
+			fd[l] = fa[l]
 		}
 	case ir.OpFAdd:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				f := lanes[bits.TrailingZeros32(m)].fregs
-				f[d] = f[a] + fimm
+				l := bits.TrailingZeros32(m) & laneMask
+				fd[l] = fa[l] + fimm
 			}
 		} else {
+			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				f := lanes[bits.TrailingZeros32(m)].fregs
-				f[d] = f[a] + f[b]
+				l := bits.TrailingZeros32(m) & laneMask
+				fd[l] = fa[l] + fb[l]
 			}
 		}
 	case ir.OpFSub:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				f := lanes[bits.TrailingZeros32(m)].fregs
-				f[d] = f[a] - fimm
+				l := bits.TrailingZeros32(m) & laneMask
+				fd[l] = fa[l] - fimm
 			}
 		} else {
+			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				f := lanes[bits.TrailingZeros32(m)].fregs
-				f[d] = f[a] - f[b]
+				l := bits.TrailingZeros32(m) & laneMask
+				fd[l] = fa[l] - fb[l]
 			}
 		}
 	case ir.OpFMul:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				f := lanes[bits.TrailingZeros32(m)].fregs
-				f[d] = f[a] * fimm
+				l := bits.TrailingZeros32(m) & laneMask
+				fd[l] = fa[l] * fimm
 			}
 		} else {
+			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				f := lanes[bits.TrailingZeros32(m)].fregs
-				f[d] = f[a] * f[b]
+				l := bits.TrailingZeros32(m) & laneMask
+				fd[l] = fa[l] * fb[l]
 			}
 		}
 	case ir.OpFDiv:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				f := lanes[bits.TrailingZeros32(m)].fregs
-				f[d] = f[a] / fimm
+				l := bits.TrailingZeros32(m) & laneMask
+				fd[l] = fa[l] / fimm
 			}
 		} else {
+			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				f := lanes[bits.TrailingZeros32(m)].fregs
-				f[d] = f[a] / f[b]
+				l := bits.TrailingZeros32(m) & laneMask
+				fd[l] = fa[l] / fb[l]
 			}
 		}
 	case ir.OpFMin:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				f := lanes[bits.TrailingZeros32(m)].fregs
-				f[d] = math.Min(f[a], fimm)
+				l := bits.TrailingZeros32(m) & laneMask
+				fd[l] = math.Min(fa[l], fimm)
 			}
 		} else {
+			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				f := lanes[bits.TrailingZeros32(m)].fregs
-				f[d] = math.Min(f[a], f[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				fd[l] = math.Min(fa[l], fb[l])
 			}
 		}
 	case ir.OpFMax:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				f := lanes[bits.TrailingZeros32(m)].fregs
-				f[d] = math.Max(f[a], fimm)
+				l := bits.TrailingZeros32(m) & laneMask
+				fd[l] = math.Max(fa[l], fimm)
 			}
 		} else {
+			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				f := lanes[bits.TrailingZeros32(m)].fregs
-				f[d] = math.Max(f[a], f[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				fd[l] = math.Max(fa[l], fb[l])
 			}
 		}
 	case ir.OpFNeg:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			f := lanes[bits.TrailingZeros32(m)].fregs
-			f[d] = -f[a]
+			l := bits.TrailingZeros32(m) & laneMask
+			fd[l] = -fa[l]
 		}
 	case ir.OpFAbs:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			f := lanes[bits.TrailingZeros32(m)].fregs
-			f[d] = math.Abs(f[a])
+			l := bits.TrailingZeros32(m) & laneMask
+			fd[l] = math.Abs(fa[l])
 		}
 	case ir.OpFSqrt:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			f := lanes[bits.TrailingZeros32(m)].fregs
-			f[d] = math.Sqrt(f[a])
+			l := bits.TrailingZeros32(m) & laneMask
+			fd[l] = math.Sqrt(fa[l])
 		}
 	case ir.OpFExp:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			f := lanes[bits.TrailingZeros32(m)].fregs
-			f[d] = math.Exp(f[a])
+			l := bits.TrailingZeros32(m) & laneMask
+			fd[l] = math.Exp(fa[l])
 		}
 	case ir.OpFLog:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			f := lanes[bits.TrailingZeros32(m)].fregs
-			f[d] = math.Log(f[a])
+			l := bits.TrailingZeros32(m) & laneMask
+			fd[l] = math.Log(fa[l])
 		}
 	case ir.OpFSin:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			f := lanes[bits.TrailingZeros32(m)].fregs
-			f[d] = math.Sin(f[a])
+			l := bits.TrailingZeros32(m) & laneMask
+			fd[l] = math.Sin(fa[l])
 		}
 	case ir.OpFCos:
+		fd, fa := ws.fcol(d), ws.fcol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			f := lanes[bits.TrailingZeros32(m)].fregs
-			f[d] = math.Cos(f[a])
+			l := bits.TrailingZeros32(m) & laneMask
+			fd[l] = math.Cos(fa[l])
 		}
 	case ir.OpFMA:
+		fd, fa, fb, fc := ws.fcol(d), ws.fcol(a), ws.fcol(b), ws.fcol(c)
 		for m := mask; m != 0; m &= m - 1 {
-			f := lanes[bits.TrailingZeros32(m)].fregs
-			f[d] = f[a]*f[b] + f[c]
+			l := bits.TrailingZeros32(m) & laneMask
+			fd[l] = fa[l]*fb[l] + fc[l]
 		}
 	case ir.OpFSetEQ:
+		rd, fa := ws.icol(d), ws.fcol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				ln := lanes[bits.TrailingZeros32(m)]
-				ln.regs[d] = b2i(ln.fregs[a] == fimm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(fa[l] == fimm)
 			}
 		} else {
+			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				ln := lanes[bits.TrailingZeros32(m)]
-				ln.regs[d] = b2i(ln.fregs[a] == ln.fregs[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(fa[l] == fb[l])
 			}
 		}
 	case ir.OpFSetNE:
+		rd, fa := ws.icol(d), ws.fcol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				ln := lanes[bits.TrailingZeros32(m)]
-				ln.regs[d] = b2i(ln.fregs[a] != fimm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(fa[l] != fimm)
 			}
 		} else {
+			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				ln := lanes[bits.TrailingZeros32(m)]
-				ln.regs[d] = b2i(ln.fregs[a] != ln.fregs[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(fa[l] != fb[l])
 			}
 		}
 	case ir.OpFSetLT:
+		rd, fa := ws.icol(d), ws.fcol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				ln := lanes[bits.TrailingZeros32(m)]
-				ln.regs[d] = b2i(ln.fregs[a] < fimm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(fa[l] < fimm)
 			}
 		} else {
+			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				ln := lanes[bits.TrailingZeros32(m)]
-				ln.regs[d] = b2i(ln.fregs[a] < ln.fregs[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(fa[l] < fb[l])
 			}
 		}
 	case ir.OpFSetLE:
+		rd, fa := ws.icol(d), ws.fcol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				ln := lanes[bits.TrailingZeros32(m)]
-				ln.regs[d] = b2i(ln.fregs[a] <= fimm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(fa[l] <= fimm)
 			}
 		} else {
+			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				ln := lanes[bits.TrailingZeros32(m)]
-				ln.regs[d] = b2i(ln.fregs[a] <= ln.fregs[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(fa[l] <= fb[l])
 			}
 		}
 	case ir.OpFSetGT:
+		rd, fa := ws.icol(d), ws.fcol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				ln := lanes[bits.TrailingZeros32(m)]
-				ln.regs[d] = b2i(ln.fregs[a] > fimm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(fa[l] > fimm)
 			}
 		} else {
+			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				ln := lanes[bits.TrailingZeros32(m)]
-				ln.regs[d] = b2i(ln.fregs[a] > ln.fregs[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(fa[l] > fb[l])
 			}
 		}
 	case ir.OpFSetGE:
+		rd, fa := ws.icol(d), ws.fcol(a)
 		if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
-				ln := lanes[bits.TrailingZeros32(m)]
-				ln.regs[d] = b2i(ln.fregs[a] >= fimm)
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(fa[l] >= fimm)
 			}
 		} else {
+			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
-				ln := lanes[bits.TrailingZeros32(m)]
-				ln.regs[d] = b2i(ln.fregs[a] >= ln.fregs[b])
+				l := bits.TrailingZeros32(m) & laneMask
+				rd[l] = b2i(fa[l] >= fb[l])
 			}
 		}
 	case ir.OpItoF:
+		fd, ra := ws.fcol(d), ws.icol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			ln := lanes[bits.TrailingZeros32(m)]
-			ln.fregs[d] = float64(ln.regs[a])
+			l := bits.TrailingZeros32(m) & laneMask
+			fd[l] = float64(ra[l])
 		}
 	case ir.OpFtoI:
+		rd, fa := ws.icol(d), ws.fcol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			ln := lanes[bits.TrailingZeros32(m)]
-			ln.regs[d] = int64(ln.fregs[a])
+			l := bits.TrailingZeros32(m) & laneMask
+			rd[l] = int64(fa[l])
 		}
 
 	case ir.OpTid:
+		rd := ws.icol(d)
 		for m := mask; m != 0; m &= m - 1 {
-			ln := lanes[bits.TrailingZeros32(m)]
-			ln.regs[d] = int64(ln.id)
+			l := bits.TrailingZeros32(m) & laneMask
+			rd[l] = int64(ws.tidBase + l)
 		}
 	case ir.OpLane:
+		rd := ws.icol(d)
 		for m := mask; m != 0; m &= m - 1 {
-			ln := lanes[bits.TrailingZeros32(m)]
-			ln.regs[d] = int64(ln.lane)
+			l := bits.TrailingZeros32(m) & laneMask
+			rd[l] = int64(l)
 		}
 	case ir.OpNumThreads:
-		for m := mask; m != 0; m &= m - 1 {
-			ln := lanes[bits.TrailingZeros32(m)]
-			ln.regs[d] = int64(s.cfg.Threads)
-		}
+		ws.broadcast(d, mask, int64(s.cfg.Threads))
 	case ir.OpCTAId:
-		for m := mask; m != 0; m &= m - 1 {
-			ln := lanes[bits.TrailingZeros32(m)]
-			ln.regs[d] = int64(ln.cta)
-		}
+		ws.broadcast(d, mask, int64(ws.ctaIndex))
 	case ir.OpCTATid:
+		rd := ws.icol(d)
 		for m := mask; m != 0; m &= m - 1 {
-			ln := lanes[bits.TrailingZeros32(m)]
-			ln.regs[d] = int64(ln.ctatid)
+			l := bits.TrailingZeros32(m) & laneMask
+			rd[l] = int64(ws.ctatidBase + l)
 		}
 	case ir.OpCTASize:
-		for m := mask; m != 0; m &= m - 1 {
-			ln := lanes[bits.TrailingZeros32(m)]
-			ln.regs[d] = int64(s.ctaSize)
-		}
+		ws.broadcast(d, mask, int64(s.ctaSize))
 	case ir.OpRand:
+		rd := ws.icol(d)
 		for m := mask; m != 0; m &= m - 1 {
-			ln := lanes[bits.TrailingZeros32(m)]
-			ln.regs[d] = ln.rng.Int63()
+			l := bits.TrailingZeros32(m) & laneMask
+			rd[l] = ws.rngs[l].Int63()
 		}
 	case ir.OpFRand:
+		fd := ws.fcol(d)
 		for m := mask; m != 0; m &= m - 1 {
-			ln := lanes[bits.TrailingZeros32(m)]
-			ln.fregs[d] = ln.rng.Float64()
+			l := bits.TrailingZeros32(m) & laneMask
+			fd[l] = ws.rngs[l].Float64()
 		}
 
 	case ir.OpLoad:
+		rd, ra := ws.icol(d), ws.icol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			adr := ln.regs[a] + imm
+			l := bits.TrailingZeros32(m) & laneMask
+			adr := ra[l] + imm
 			if adr < 0 || adr >= int64(s.memLen) {
 				return l, s.globalOOB(adr)
 			}
-			ln.regs[d] = int64(s.loadWord(adr))
+			rd[l] = int64(s.loadWord(adr))
 		}
 	case ir.OpStore:
+		ra, rb := ws.icol(a), ws.icol(b)
 		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			adr := ln.regs[a] + imm
+			l := bits.TrailingZeros32(m) & laneMask
+			adr := ra[l] + imm
 			if adr < 0 || adr >= int64(s.memLen) {
 				return l, s.globalOOB(adr)
 			}
-			s.storeWord(adr, uint64(ln.regs[b]))
+			s.storeWord(adr, uint64(rb[l]))
 		}
 	case ir.OpFLoad:
+		fd, ra := ws.fcol(d), ws.icol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			adr := ln.regs[a] + imm
+			l := bits.TrailingZeros32(m) & laneMask
+			adr := ra[l] + imm
 			if adr < 0 || adr >= int64(s.memLen) {
 				return l, s.globalOOB(adr)
 			}
-			ln.fregs[d] = math.Float64frombits(s.loadWord(adr))
+			fd[l] = math.Float64frombits(s.loadWord(adr))
 		}
 	case ir.OpFStore:
+		ra, fb := ws.icol(a), ws.fcol(b)
 		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			adr := ln.regs[a] + imm
+			l := bits.TrailingZeros32(m) & laneMask
+			adr := ra[l] + imm
 			if adr < 0 || adr >= int64(s.memLen) {
 				return l, s.globalOOB(adr)
 			}
-			s.storeWord(adr, math.Float64bits(ln.fregs[b]))
+			s.storeWord(adr, math.Float64bits(fb[l]))
 		}
 	case ir.OpAtomAdd:
+		rd, ra, rb := ws.icol(d), ws.icol(a), ws.icol(b)
 		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			adr := ln.regs[a] + imm
+			l := bits.TrailingZeros32(m) & laneMask
+			adr := ra[l] + imm
 			if adr < 0 || adr >= int64(s.memLen) {
 				return l, s.globalOOB(adr)
 			}
 			old := int64(s.loadWord(adr))
-			s.storeWord(adr, uint64(old+ln.regs[b]))
-			ln.regs[d] = old
+			s.storeWord(adr, uint64(old+rb[l]))
+			rd[l] = old
 		}
 	case ir.OpFAtomAdd:
+		fd, ra, fb := ws.fcol(d), ws.icol(a), ws.fcol(b)
 		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			adr := ln.regs[a] + imm
+			l := bits.TrailingZeros32(m) & laneMask
+			adr := ra[l] + imm
 			if adr < 0 || adr >= int64(s.memLen) {
 				return l, s.globalOOB(adr)
 			}
 			old := math.Float64frombits(s.loadWord(adr))
-			s.storeWord(adr, math.Float64bits(old+ln.fregs[b]))
-			ln.fregs[d] = old
+			s.storeWord(adr, math.Float64bits(old+fb[l]))
+			fd[l] = old
 		}
 
 	case ir.OpSharedLoad:
+		rd, ra := ws.icol(d), ws.icol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			adr := ln.regs[a] + imm
+			l := bits.TrailingZeros32(m) & laneMask
+			adr := ra[l] + imm
 			if adr < 0 || adr >= int64(len(shared)) {
 				return l, sharedOOB(adr, len(shared))
 			}
-			ln.regs[d] = int64(shared[adr])
+			rd[l] = int64(shared[adr])
 			s.metrics.SharedAccesses++
 		}
 	case ir.OpSharedStore:
+		ra, rb := ws.icol(a), ws.icol(b)
 		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			adr := ln.regs[a] + imm
+			l := bits.TrailingZeros32(m) & laneMask
+			adr := ra[l] + imm
 			if adr < 0 || adr >= int64(len(shared)) {
 				return l, sharedOOB(adr, len(shared))
 			}
-			shared[adr] = uint64(ln.regs[b])
+			shared[adr] = uint64(rb[l])
 			s.metrics.SharedAccesses++
 		}
 	case ir.OpFSharedLoad:
+		fd, ra := ws.fcol(d), ws.icol(a)
 		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			adr := ln.regs[a] + imm
+			l := bits.TrailingZeros32(m) & laneMask
+			adr := ra[l] + imm
 			if adr < 0 || adr >= int64(len(shared)) {
 				return l, sharedOOB(adr, len(shared))
 			}
-			ln.fregs[d] = math.Float64frombits(shared[adr])
+			fd[l] = math.Float64frombits(shared[adr])
 			s.metrics.SharedAccesses++
 		}
 	case ir.OpFSharedStore:
+		ra, fb := ws.icol(a), ws.fcol(b)
 		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ln := lanes[l]
-			adr := ln.regs[a] + imm
+			l := bits.TrailingZeros32(m) & laneMask
+			adr := ra[l] + imm
 			if adr < 0 || adr >= int64(len(shared)) {
 				return l, sharedOOB(adr, len(shared))
 			}
-			shared[adr] = math.Float64bits(ln.fregs[b])
+			shared[adr] = math.Float64bits(fb[l])
 			s.metrics.SharedAccesses++
 		}
 
 	case ir.OpArrived:
-		v := int64(bits.OnesCount32(ws.waiting[in.Bar]))
-		for m := mask; m != 0; m &= m - 1 {
-			lanes[bits.TrailingZeros32(m)].regs[d] = v
-		}
+		ws.broadcast(d, mask, int64(bits.OnesCount32(ws.waiting[in.Bar])))
 	case ir.OpNop:
 		// nothing
 	default:

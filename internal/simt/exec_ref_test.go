@@ -8,12 +8,24 @@ import (
 	"testing"
 
 	"specrecon/internal/ir"
+	"specrecon/internal/rng"
 )
+
+// refLane is the lane-major machine state the reference evaluator runs
+// over: one lane's own register slices, indexed by register alone, beside
+// its ids and RNG stream. The engine keeps none of this per lane any
+// more, so comparing against it also pins execData's column indexing.
+type refLane struct {
+	id, lane, cta, ctatid int
+	regs                  []int64
+	fregs                 []float64
+	rng                   rng.Source
+}
 
 // refExecScalar runs one data instruction for one lane: the per-lane
 // evaluator the engine used before execData dispatched once per issue,
 // kept verbatim as the reference the per-opcode loops are pinned to.
-func (ws *warpState) refExecScalar(ln *lane, in *ir.Instr) error {
+func (ws *warpState) refExecScalar(ln *refLane, in *ir.Instr) error {
 	s := ws.sim
 
 	// Integer B operand with optional immediate.
@@ -271,12 +283,12 @@ func (ws *warpState) refExecScalar(ln *lane, in *ir.Instr) error {
 
 // refExecData is the old issue-loop shape around refExecScalar: lanes in
 // ascending order, stopping at the first error.
-func (ws *warpState) refExecData(in *ir.Instr, mask uint32) (int, error) {
+func (ws *warpState) refExecData(lanes *[ir.WarpWidth]refLane, in *ir.Instr, mask uint32) (int, error) {
 	for l := 0; l < ir.WarpWidth; l++ {
 		if mask&(1<<l) == 0 {
 			continue
 		}
-		if err := ws.refExecScalar(ws.lanes[l], in); err != nil {
+		if err := ws.refExecScalar(&lanes[l], in); err != nil {
 			return l, err
 		}
 	}
@@ -322,21 +334,35 @@ func execCases(op ir.Opcode) []execCase {
 // and counters afterwards, and on a fault the same message with the same
 // lane reported first. An opcode execData forgot (a default: that does
 // nothing) leaves its destination unwritten and fails the comparison.
+// The reference keeps its registers lane-major (regs[l][r]) while the
+// engine's files are column-major (regs[r*WarpWidth+l]), and the two
+// files differ in size, so a swapped index or a column taken with the
+// wrong stride fails it too. The warp is warp 1 of CTA 1 of a grid, so
+// the four thread-id opcodes all read different values.
 func TestExecDataMatchesPerLaneReference(t *testing.T) {
-	mod := asm(t, `module t memwords=96 sharedwords=48
-func @k nregs=6 nfregs=6 {
+	const nregs, nfregs = 6, 5
+	mod := asm(t, fmt.Sprintf(`module t memwords=96 sharedwords=48
+func @k nregs=%d nfregs=%d {
 e:
   exit
 }
-`)
+`, nregs, nfregs))
 	newWarp := func() *warpState {
-		s, err := newSim(mod, Config{Threads: ir.WarpWidth, Seed: 9})
+		s, err := newSim(mod, Config{Grid: 2, CTASize: 3 * ir.WarpWidth, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.newWarp(0)
+		cta := s.newCTA(1, s.ctaSize)
+		return s.newCTAWarp(cta, 1)
 	}
 	got, want := newWarp(), newWarp()
+	var ref [ir.WarpWidth]refLane
+	for l := range ref {
+		ref[l] = refLane{
+			id: 4*ir.WarpWidth + l, lane: l, cta: 1, ctatid: ir.WarpWidth + l,
+			regs: make([]int64, nregs), fregs: make([]float64, nfregs),
+		}
+	}
 
 	// Interesting operand values: zero divisors, shift counts at and
 	// past the word size, extremes, and the float specials.
@@ -352,17 +378,19 @@ e:
 	// prime puts both warps into the same pseudo-random state.
 	prime := func(c execCase) {
 		for l := 0; l < ir.WarpWidth; l++ {
-			for r := 0; r < 6; r++ {
+			for r := 0; r < nregs; r++ {
 				iv := int64(next())
 				if next()%3 == 0 {
 					iv = ints[next()%uint64(len(ints))]
 				}
+				got.regs[r*ir.WarpWidth+l], ref[l].regs[r] = iv, iv
+			}
+			for r := 0; r < nfregs; r++ {
 				fv := math.Float64frombits(next())
 				if next()%3 == 0 {
 					fv = floats[next()%uint64(len(floats))]
 				}
-				got.lanes[l].regs[r], want.lanes[l].regs[r] = iv, iv
-				got.lanes[l].fregs[r], want.lanes[l].fregs[r] = fv, fv
+				got.fregs[r*ir.WarpWidth+l], ref[l].fregs[r] = fv, fv
 			}
 			if c.in.Op.IsMemory() || c.in.Op.IsSharedMemory() {
 				// In range for both segments with Imm = 3; every fourth
@@ -374,11 +402,11 @@ e:
 				if c.oob && l == 21 {
 					adr = -40
 				}
-				got.lanes[l].regs[c.in.A], want.lanes[l].regs[c.in.A] = adr, adr
+				got.regs[int(c.in.A)*ir.WarpWidth+l], ref[l].regs[c.in.A] = adr, adr
 			}
 			seed := next()
-			got.lanes[l].rng.Reseed(seed, uint64(l))
-			want.lanes[l].rng.Reseed(seed, uint64(l))
+			got.rngs[l].Reseed(seed, uint64(l))
+			ref[l].rng.Reseed(seed, uint64(l))
 		}
 		for i := range got.sim.mem {
 			v := next()
@@ -399,7 +427,7 @@ e:
 				name := fmt.Sprintf("%s/%s/%08x", op, c.name, mask)
 				prime(c)
 				in := c.in
-				wantLane, wantErr := want.refExecData(&in, mask)
+				wantLane, wantErr := want.refExecData(&ref, &in, mask)
 				gotLane, gotErr := got.execData(&in, mask)
 				if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && (wantErr.Error() != gotErr.Error() || wantLane != gotLane)) {
 					t.Fatalf("%s: execData = lane %d, %v; reference = lane %d, %v", name, gotLane, gotErr, wantLane, wantErr)
@@ -408,18 +436,18 @@ e:
 					handled++
 				}
 				for l := 0; l < ir.WarpWidth; l++ {
-					g, w := got.lanes[l], want.lanes[l]
+					w := &ref[l]
 					for r := range w.regs {
-						if g.regs[r] != w.regs[r] {
-							t.Fatalf("%s: lane %d r%d = %#x, reference %#x", name, l, r, g.regs[r], w.regs[r])
+						if g := got.regs[r*ir.WarpWidth+l]; g != w.regs[r] {
+							t.Fatalf("%s: lane %d r%d = %#x, reference %#x", name, l, r, g, w.regs[r])
 						}
 					}
 					for r := range w.fregs {
-						if math.Float64bits(g.fregs[r]) != math.Float64bits(w.fregs[r]) {
-							t.Fatalf("%s: lane %d f%d = %v, reference %v", name, l, r, g.fregs[r], w.fregs[r])
+						if g := got.fregs[r*ir.WarpWidth+l]; math.Float64bits(g) != math.Float64bits(w.fregs[r]) {
+							t.Fatalf("%s: lane %d f%d = %v, reference %v", name, l, r, g, w.fregs[r])
 						}
 					}
-					if g.rng != w.rng {
+					if got.rngs[l] != w.rng {
 						t.Fatalf("%s: lane %d RNG stream diverged", name, l)
 					}
 				}

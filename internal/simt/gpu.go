@@ -78,8 +78,9 @@ func (c *ctaState) blockOnBar(b, count int) { c.arrived[b] += int32(count) }
 
 // barCheck opens workgroup barrier b once every live lane of the CTA
 // has arrived, releasing the blocked lanes of every warp at once. The
-// released lanes belong to other warps than the one issuing, so each
-// warp it touches has its group table marked stale here.
+// released lanes mostly belong to other warps than the one issuing, so
+// it is each released warp's group table that is invalidated here,
+// before that warp's lanes are stepped.
 func (c *ctaState) barCheck(s *sim, b int) {
 	if c.live == 0 || int(c.arrived[b]) < c.live {
 		return
@@ -87,17 +88,20 @@ func (c *ctaState) barCheck(s *sim, b int) {
 	sink := s.cfg.Events
 	for _, ws := range c.warps {
 		var released uint32
-		for l, ln := range ws.lanes {
-			if ln.status == laneCTAWaiting && ln.waitBar == b {
-				ln.status = laneRunning
-				ln.pc.ins++ // step past the ctabar
+		for l, st := range ws.status {
+			if st == laneCTAWaiting && int(ws.waitBar[l]) == b {
 				released |= 1 << l
 			}
 		}
 		if released == 0 {
 			continue
 		}
-		ws.stale = true
+		ws.invalidate()
+		for m := released; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ws.status[l] = laneRunning
+			ws.pcs[l]++ // step past the ctabar
+		}
 		if sink != nil {
 			sink.Event(Event{
 				Kind: EvCTABarRelease, Bar: int16(b),
@@ -136,19 +140,19 @@ func (c *ctaState) laneExited(s *sim) {
 // whole-image dirty bitmap.
 func (s *sim) forkSM(i int, sink EventSink, samples SampleSink) *sim {
 	sm := &sim{
-		mod:      s.mod,
-		cfg:      s.cfg,
-		fnIndex:  s.fnIndex,
-		meta:     s.meta,
-		entryIdx: s.entryIdx,
-		nbar:     s.nbar,
-		nregs:    s.nregs,
-		nfregs:   s.nfregs,
-		smIndex:  int32(i),
-		gridMode: true,
-		ctaSize:  s.ctaSize,
-		memLen:   s.memLen,
-		cache:    newCache(s.cfg.Cache.withDefaults()),
+		mod:         s.mod,
+		cfg:         s.cfg,
+		decodeTable: s.decodeTable,
+		metrics:     newMetrics(s.decodeTable),
+		entryPC:     s.entryPC,
+		nbar:        s.nbar,
+		nregs:       s.nregs,
+		nfregs:      s.nfregs,
+		smIndex:     int32(i),
+		gridMode:    true,
+		ctaSize:     s.ctaSize,
+		memLen:      s.memLen,
+		cache:       newCache(s.cfg.Cache.withDefaults()),
 
 		afterIssue: s.afterIssue,
 	}

@@ -9,9 +9,10 @@ import (
 // TestGroupsMatchesMapAndSort cross-checks the group-table rebuild (the
 // scan groups() runs on a stale table) against the obvious map-and-sort
 // implementation on randomized lane states, including merged PCs,
-// waiting and exited lanes. The test pokes lane fields behind the
-// table's back, so it marks the table stale before each read — which is
-// exactly the contract every status-changing path in the engine keeps.
+// waiting and exited lanes. The test pokes per-lane status and PCs
+// behind the table's back, so it marks the table stale before each read
+// — which is exactly the contract every status-changing path in the
+// engine keeps.
 func TestGroupsMatchesMapAndSort(t *testing.T) {
 	mod := asm(t, AllocTestKernel)
 	s, err := newSim(mod, Config{Threads: ir.WarpWidth, Seed: 7})
@@ -27,17 +28,22 @@ func TestGroupsMatchesMapAndSort(t *testing.T) {
 		state ^= state << 17
 		return int(state % uint64(n))
 	}
+	npc := len(s.meta)
 	for trial := 0; trial < 2000; trial++ {
-		for _, ln := range ws.lanes {
-			ln.status = laneStatus(next(5))
-			ln.pc = pcT{fn: next(2), blk: next(5), ins: next(3)}
+		// Few distinct PCs, so lanes merge; drawn from the whole decode
+		// table, so both functions and every block appear.
+		var pool [6]uint32
+		for i := range pool {
+			pool[i] = uint32(next(npc))
 		}
-		ref := make(map[pcT]uint32)
+		ref := make(map[uint32]uint32)
 		wantLive := false
-		for l, ln := range ws.lanes {
-			switch ln.status {
+		for l := range ws.status {
+			ws.status[l] = laneStatus(next(5))
+			ws.pcs[l] = pool[next(len(pool))]
+			switch ws.status[l] {
 			case laneRunning:
-				ref[ln.pc] |= 1 << l
+				ref[ws.pcs[l]] |= 1 << l
 				wantLive = true
 			case laneWaiting, laneSyncing, laneCTAWaiting:
 				wantLive = true
@@ -52,22 +58,19 @@ func TestGroupsMatchesMapAndSort(t *testing.T) {
 			t.Fatalf("trial %d: %d groups, want %d", trial, len(got), len(ref))
 		}
 		for i, g := range got {
-			if g.pc.pc().key() != g.pc {
-				t.Fatalf("trial %d: PC key %#x does not round-trip (%v)", trial, g.pc, g.pc.pc())
+			if ref[g.pc] != g.mask {
+				t.Fatalf("trial %d: group %d mask %08x, want %08x", trial, g.pc, g.mask, ref[g.pc])
 			}
-			if ref[g.pc.pc()] != g.mask {
-				t.Fatalf("trial %d: group %v mask %08x, want %08x", trial, g.pc.pc(), g.mask, ref[g.pc.pc()])
-			}
-			if i > 0 && !pcLess(got[i-1].pc.pc(), g.pc.pc()) {
+			if i > 0 && !pcLess(s.meta[got[i-1].pc], s.meta[g.pc]) {
 				t.Fatalf("trial %d: groups not sorted at %d", trial, i)
 			}
 		}
 	}
 }
 
-// pcLess is the (fn, blk, ins) lexicographic order the packed pcKey
-// must reproduce.
-func pcLess(a, b pcT) bool {
+// pcLess is the (fn, blk, ins) lexicographic order the flat PC must
+// reproduce.
+func pcLess(a, b instrMeta) bool {
 	if a.fn != b.fn {
 		return a.fn < b.fn
 	}

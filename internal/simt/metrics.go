@@ -68,10 +68,14 @@ type Metrics struct {
 	// loop pays an array increment instead of a string-keyed map update.
 	opClassCounts [numOpClasses]int64
 
-	// blockVisits[fnIdx][blockIdx] accumulates active lanes entering
-	// each block; used as the execution profile for the profile-guided
+	// blockVisits accumulates active lanes entering each block, indexed
+	// by the decode table's dense block id (blkBase[fn]+blk; blkBase is
+	// the launch's shared, immutable decodeTable.blkBase). It is sized
+	// from the module when the sim is built, so the issue loop pays one
+	// indexed add. Used as the execution profile for the profile-guided
 	// cost model and by tests.
-	blockVisits map[int][]int64
+	blockVisits []int64
+	blkBase     []int32
 
 	// finalized guards finalize against double invocation, which would
 	// double-count the materialized OpClassIssues map.
@@ -137,31 +141,21 @@ func (m *Metrics) merge(o *Metrics) {
 	for c, n := range o.opClassCounts {
 		m.opClassCounts[c] += n
 	}
-	for fn, rows := range o.blockVisits {
-		for blk, lanes := range rows {
-			if lanes != 0 {
-				m.addBlockVisit(fn, blk, lanes)
-			}
-		}
+	for id, lanes := range o.blockVisits {
+		m.blockVisits[id] += lanes
 	}
 }
 
-// detach replaces the map-backed profile state with private deep
-// copies. Result.Metrics is a struct copy of the arena's live
-// accumulator; without detaching, its blockVisits rows and (after
+// detach replaces the slice- and map-backed profile state with private
+// deep copies. Result.Metrics is a struct copy of the arena's live
+// accumulator; without detaching, its blockVisits table and (after
 // finalize) OpClassIssues map stay aliased to the accumulator, so a
-// later Machine relaunch — which resets and re-merges those maps in
-// place — would silently rewrite the escaped Result's profile.
+// later Machine relaunch — which resets and re-merges them in place —
+// would silently rewrite the escaped Result's profile.
 // Result.PerSM stays arena-aliased by documented contract (valid until
 // the next Run); only the launch-wide Metrics copy detaches.
 func (m *Metrics) detach() {
-	if m.blockVisits != nil {
-		bv := make(map[int][]int64, len(m.blockVisits))
-		for fn, rows := range m.blockVisits {
-			bv[fn] = append([]int64(nil), rows...)
-		}
-		m.blockVisits = bv
-	}
+	m.blockVisits = append([]int64(nil), m.blockVisits...)
 	if m.OpClassIssues != nil {
 		oci := make(map[string]int64, len(m.OpClassIssues))
 		for k, v := range m.OpClassIssues {
@@ -171,19 +165,15 @@ func (m *Metrics) detach() {
 	}
 }
 
-// reset zeroes every counter while keeping the map storage behind
+// reset zeroes every counter while keeping the storage behind
 // blockVisits and OpClassIssues alive, so a reused launch arena records
 // a fresh run without reallocating the profile tables.
 func (m *Metrics) reset() {
-	bv := m.blockVisits
+	bv, base := m.blockVisits, m.blkBase
 	oci := m.OpClassIssues
 	*m = Metrics{}
-	for _, rows := range bv {
-		for i := range rows {
-			rows[i] = 0
-		}
-	}
-	m.blockVisits = bv
+	clear(bv)
+	m.blockVisits, m.blkBase = bv, base
 	for k := range oci {
 		delete(oci, k)
 	}
@@ -228,23 +218,20 @@ func (m *Metrics) IPC() float64 {
 // BlockVisits returns the accumulated active-lane count for the given
 // function and block index.
 func (m *Metrics) BlockVisits(fnIdx, blockIdx int) int64 {
-	v := m.blockVisits[fnIdx]
-	if blockIdx >= len(v) {
+	if fnIdx < 0 || fnIdx+1 >= len(m.blkBase) || blockIdx < 0 {
 		return 0
 	}
-	return v[blockIdx]
+	id := int(m.blkBase[fnIdx]) + blockIdx
+	if id >= int(m.blkBase[fnIdx+1]) {
+		return 0
+	}
+	return m.blockVisits[id]
 }
 
-func (m *Metrics) addBlockVisit(fnIdx, blockIdx int, lanes int64) {
-	if m.blockVisits == nil {
-		m.blockVisits = make(map[int][]int64)
-	}
-	v := m.blockVisits[fnIdx]
-	for len(v) <= blockIdx {
-		v = append(v, 0)
-	}
-	v[blockIdx] += lanes
-	m.blockVisits[fnIdx] = v
+// newMetrics returns the zero Metrics of a launch over d's module, with
+// the block-visit table sized.
+func newMetrics(d *decodeTable) Metrics {
+	return Metrics{blockVisits: make([]int64, len(d.blkPC)), blkBase: d.blkBase}
 }
 
 // String renders the headline counters.

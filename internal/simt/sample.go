@@ -138,8 +138,8 @@ func (s *sim) recordSample(warps []*warpState, issued int) {
 			continue
 		}
 		var running, ctabar, barrier bool
-		for _, ln := range ws.lanes {
-			switch ln.status {
+		for _, st := range ws.status {
+			switch st {
 			case laneRunning:
 				running = true
 			case laneCTAWaiting:

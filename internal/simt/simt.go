@@ -257,40 +257,40 @@ const (
 	laneDone
 )
 
-type pcT struct {
-	fn  int // function index in module
-	blk int
-	ins int
-}
-
+// frame is one call-stack record: the PC a ret resumes at.
 type frame struct {
-	ret pcT
+	ret uint32
 }
 
-type lane struct {
-	id      int // global thread id
-	lane    int // lane index within the warp
-	cta     int // CTA index within the grid (0 on flat launches)
-	ctatid  int // thread id within the CTA (== id on flat launches)
-	pc      pcT
-	status  laneStatus
-	waitBar int
-	regs    []int64
-	fregs   []float64
-	stack   []frame
-	rng     rng.Source
-}
-
-// warpState is the per-warp machine state.
+// warpState is the per-warp machine state, laid out warp-major: there is
+// no per-lane object. Lane l's thread ids are the two per-warp bases plus
+// l, and everything else a lane owns is element l of a dense array.
 type warpState struct {
 	sim   *sim
 	index int // launch-wide warp index (unique across CTAs and SMs)
 	// cta is the owning CTA (the implicit whole-launch CTA on a flat
-	// launch); ctaIndex caches its index for event emission.
+	// launch); ctaIndex caches its index for event emission and ctaid.
 	cta      *ctaState
 	ctaIndex int32
 	done     bool // every lane exited (set by the SM driver)
-	lanes    [ir.WarpWidth]*lane
+	// tidBase and ctatidBase are lane 0's global and CTA-relative thread
+	// ids (equal on flat launches).
+	tidBase, ctatidBase int
+	// regs and fregs are the register files, column-major: register r of
+	// lane l is regs[r*WarpWidth+l], so one instruction's operands are
+	// two or three contiguous 32-element columns (icol/fcol).
+	regs  []int64
+	fregs []float64
+	// status, waitBar (the barrier a blocked lane waits on), stacks and
+	// rngs are indexed by lane.
+	status  [ir.WarpWidth]laneStatus
+	waitBar [ir.WarpWidth]int32
+	stacks  [ir.WarpWidth][]frame
+	rngs    [ir.WarpWidth]rng.Source
+	// pcs[l] is lane l's PC when the lane is not running, and every
+	// lane's PC while the group table is stale. A running lane's PC lives
+	// in its group-table entry instead (see invalidate).
+	pcs      [ir.WarpWidth]uint32
 	masks    []uint32 // barrier participation masks
 	waiting  []uint32 // lanes blocked at a wait per barrier
 	rrCursor int
@@ -304,10 +304,11 @@ type warpState struct {
 	// groupBuf[:ngroups] is the warp's resident runnable-group table:
 	// one (PC, lane mask) entry per distinct PC among the running lanes,
 	// sorted by PC, with anyLive recording whether any lane has not
-	// exited. While stale is clear the table equals a fresh scan of the
-	// lanes (scanGroups); issue edits the entry it picked in place, and
-	// everything that changes a lane's status or moves lanes
-	// non-uniformly sets stale so the next groups() call rescans.
+	// exited. While stale is clear the table is where the running lanes'
+	// PCs live: issue edits the entry it picked in place and writes no
+	// per-lane PC. Everything that changes a lane's status or moves lanes
+	// non-uniformly calls invalidate first, which spills the entries' PCs
+	// to pcs and sets stale so the next groups() call rescans.
 	groupBuf [ir.WarpWidth]group
 	ngroups  int
 	anyLive  bool
@@ -323,11 +324,11 @@ type warpState struct {
 // module, config and decode tables, with private memory, cache, metrics
 // and budgets) and merges them deterministically in SM order.
 type sim struct {
-	mod     *ir.Module
-	cfg     Config
-	fnIndex map[string]int
-	// meta is the decode-time side table, indexed [fn][blk][ins].
-	meta [][][]instrMeta
+	mod *ir.Module
+	cfg Config
+	// decodeTable is the decode-time side table: meta indexed by PC plus
+	// the block-start table.
+	*decodeTable
 	// ipdom is the stack engine's reconvergence table, indexed [fn][blk]
 	// (nil under ModelITS, which never reads it).
 	ipdom [][]int
@@ -381,7 +382,7 @@ type sim struct {
 	lastSampleCycle int64
 	memStallAcc     int64
 	memStallSampled int64
-	entryIdx        int
+	entryPC         uint32 // PC of the kernel's first instruction
 	nbar            int
 	nregs           int
 	nfregs          int
@@ -526,9 +527,6 @@ func newSim(m *ir.Module, cfg Config) (*sim, error) {
 	if err := ir.VerifyModule(m); err != nil {
 		return nil, fmt.Errorf("simt: module invalid: %w", err)
 	}
-	if err := checkPCLimits(m); err != nil {
-		return nil, err
-	}
 	cfg, memWords, err := normalizeConfig(m, cfg)
 	if err != nil {
 		return nil, err
@@ -537,23 +535,24 @@ func newSim(m *ir.Module, cfg Config) (*sim, error) {
 	copy(mem, cfg.Memory)
 
 	s := &sim{
-		mod:      m,
-		cfg:      cfg,
-		fnIndex:  make(map[string]int, len(m.Funcs)),
-		mem:      mem,
-		memLen:   memWords,
-		cache:    newCache(cfg.Cache.withDefaults()),
-		gridMode: cfg.Grid > 0,
-		ctaSize:  cfg.Threads,
+		mod:         m,
+		cfg:         cfg,
+		decodeTable: buildDecode(m),
+		mem:         mem,
+		memLen:      memWords,
+		cache:       newCache(cfg.Cache.withDefaults()),
+		gridMode:    cfg.Grid > 0,
+		ctaSize:     cfg.Threads,
 	}
-	for i, f := range m.Funcs {
-		s.fnIndex[f.Name] = i
-	}
-	s.meta = buildMeta(m, s.fnIndex)
+	s.metrics = newMetrics(s.decodeTable)
 	if cfg.Model == ModelStack {
 		s.ipdom = buildIpdom(m)
 	}
-	s.entryIdx = s.fnIndex[cfg.Kernel]
+	for fi, f := range m.Funcs {
+		if f.Name == cfg.Kernel {
+			s.entryPC = s.blockStart(fi, 0)
+		}
+	}
 
 	s.nbar = 1
 	for _, f := range m.Funcs {
@@ -581,8 +580,9 @@ func newSim(m *ir.Module, cfg Config) (*sim, error) {
 // takeWarp hands out the next warpState from the launch arena: past the
 // pool cursor it allocates (recording the object in the pool), behind it
 // — only after a Machine relaunch rewound the cursor — it rewinds the
-// existing object's per-warp state in place. Lane registers, stacks and
-// RNG streams are reinitialized per warp by resetLane.
+// existing object's per-warp state and clears its register files in
+// place. Lane status, stacks, PCs and RNG streams are reinitialized by
+// resetLane.
 func (s *sim) takeWarp() *warpState {
 	if s.poolWarp < len(s.warpPool) {
 		ws := s.warpPool[s.poolWarp]
@@ -592,25 +592,19 @@ func (s *sim) takeWarp() *warpState {
 		ws.rrCursor = 0
 		ws.lastIssueSlot = s.issues
 		ws.lastRunCycle = s.metrics.Cycles
-		for b := range ws.masks {
-			ws.masks[b] = 0
-			ws.waiting[b] = 0
-		}
+		clear(ws.regs)
+		clear(ws.fregs)
+		clear(ws.masks)
+		clear(ws.waiting)
 		return ws
 	}
-	// One slab per kind instead of one object per lane: a fresh warp
-	// costs a handful of allocations, not 4*WarpWidth. Full-slice caps
-	// keep a lane's registers from growing into its neighbour's.
-	ws := &warpState{sim: s, stale: true}
-	lanes := make([]lane, ir.WarpWidth)
-	regs := make([]int64, ir.WarpWidth*s.nregs)
-	fregs := make([]float64, ir.WarpWidth*s.nfregs)
-	for l := range lanes {
-		ln := &lanes[l]
-		ln.lane = l
-		ln.regs = regs[l*s.nregs : (l+1)*s.nregs : (l+1)*s.nregs]
-		ln.fregs = fregs[l*s.nfregs : (l+1)*s.nfregs : (l+1)*s.nfregs]
-		ws.lanes[l] = ln
+	// A fresh warp is four objects: the state, the two register files and
+	// the barrier masks.
+	ws := &warpState{
+		sim:   s,
+		stale: true,
+		regs:  make([]int64, ir.WarpWidth*s.nregs),
+		fregs: make([]float64, ir.WarpWidth*s.nfregs),
 	}
 	bars := make([]uint32, 2*s.nbar)
 	ws.masks, ws.waiting = bars[:s.nbar:s.nbar], bars[s.nbar:]
@@ -622,29 +616,30 @@ func (s *sim) takeWarp() *warpState {
 }
 
 // resetLane (re)initializes lane l of ws to the state a freshly
-// constructed lane would have: zero registers, empty call stack, entry
-// PC, and the RNG stream rng.Split(seed, tid) derives.
-func (ws *warpState) resetLane(l, id, cta, ctatid int, done bool) {
-	s := ws.sim
+// constructed lane would have: empty call stack, entry PC, and the RNG
+// stream rng.Split(seed, tid) derives (takeWarp zeroed the registers).
+func (ws *warpState) resetLane(l int, done bool) {
 	ws.stale = true
-	ln := ws.lanes[l]
-	ln.id = id
-	ln.cta = cta
-	ln.ctatid = ctatid
-	ln.pc = pcT{fn: s.entryIdx}
-	ln.status = laneRunning
+	ws.pcs[l] = ws.sim.entryPC
+	ws.status[l] = laneRunning
 	if done {
-		ln.status = laneDone
+		ws.status[l] = laneDone
 	}
-	ln.waitBar = 0
-	for i := range ln.regs {
-		ln.regs[i] = 0
-	}
-	for i := range ln.fregs {
-		ln.fregs[i] = 0
-	}
-	ln.stack = ln.stack[:0]
-	ln.rng.Reseed(s.cfg.Seed, uint64(id))
+	ws.waitBar[l] = 0
+	ws.stacks[l] = ws.stacks[l][:0]
+	ws.rngs[l].Reseed(ws.sim.cfg.Seed, uint64(ws.tidBase+l))
+}
+
+// icol returns the 32-lane column of integer register r. Only operands
+// the opcode really uses may be taken: an unused one is NoReg, and a
+// float register index may exceed the integer file.
+func (ws *warpState) icol(r ir.Reg) *[ir.WarpWidth]int64 {
+	return (*[ir.WarpWidth]int64)(ws.regs[int(r)*ir.WarpWidth:])
+}
+
+// fcol returns the 32-lane column of float register r.
+func (ws *warpState) fcol(r ir.Reg) *[ir.WarpWidth]float64 {
+	return (*[ir.WarpWidth]float64)(ws.fregs[int(r)*ir.WarpWidth:])
 }
 
 // newCTA hands out the next ctaState from the launch arena, mirroring
@@ -676,9 +671,9 @@ func (s *sim) newWarp(w int) *warpState {
 	ws.index = w
 	ws.cta = s.ctas[0]
 	ws.ctaIndex = 0
+	ws.tidBase, ws.ctatidBase = w*ir.WarpWidth, w*ir.WarpWidth
 	for l := 0; l < ir.WarpWidth; l++ {
-		tid := w*ir.WarpWidth + l
-		ws.resetLane(l, tid, 0, tid, tid >= s.cfg.Threads)
+		ws.resetLane(l, ws.tidBase+l >= s.cfg.Threads)
 	}
 	ws.cta.warps = append(ws.cta.warps, ws)
 	return ws
@@ -694,10 +689,10 @@ func (s *sim) newCTAWarp(cta *ctaState, wi int) *warpState {
 	ws.index = cta.index*warpsPerCTA + wi
 	ws.cta = cta
 	ws.ctaIndex = int32(cta.index)
+	ws.ctatidBase = wi * ir.WarpWidth
+	ws.tidBase = cta.index*s.ctaSize + ws.ctatidBase
 	for l := 0; l < ir.WarpWidth; l++ {
-		ctatid := wi*ir.WarpWidth + l
-		tid := cta.index*s.ctaSize + ctatid
-		ws.resetLane(l, tid, cta.index, ctatid, ctatid >= s.ctaSize)
+		ws.resetLane(l, ws.ctatidBase+l >= s.ctaSize)
 	}
 	cta.warps = append(cta.warps, ws)
 	return ws
@@ -892,32 +887,10 @@ func (ws *warpState) tryStep() (issued, done bool, err error) {
 	return true, false, nil
 }
 
-// pcKey packs a PC into one word whose unsigned order is the
-// (fn, blk, ins) lexicographic order, so the group table sorts and
-// merges on a single compare. newSim rejects modules too large to pack.
-type pcKey uint64
-
-const (
-	pcInsBits = 24
-	pcBlkBits = 24
-	pcFnBits  = 64 - pcBlkBits - pcInsBits
-)
-
-func (pc pcT) key() pcKey {
-	return pcKey(pc.fn)<<(pcBlkBits+pcInsBits) | pcKey(pc.blk)<<pcInsBits | pcKey(pc.ins)
-}
-
-func (k pcKey) pc() pcT {
-	return pcT{
-		fn:  int(k >> (pcBlkBits + pcInsBits)),
-		blk: int(k>>pcInsBits) & (1<<pcBlkBits - 1),
-		ins: int(k) & (1<<pcInsBits - 1),
-	}
-}
-
-// group is a set of runnable lanes sharing a PC.
+// group is a set of runnable lanes sharing a PC. While the table is
+// current the entry is the only place that PC is recorded.
 type group struct {
-	pc   pcKey
+	pc   uint32
 	mask uint32
 }
 
@@ -928,26 +901,44 @@ type group struct {
 // the lanes; otherwise issue has kept it current.
 func (ws *warpState) groups() ([]group, bool) {
 	if ws.stale {
-		ws.ngroups, ws.anyLive = ws.scanGroups(&ws.groupBuf)
+		ws.ngroups, ws.anyLive = scanGroups(&ws.status, &ws.pcs, &ws.groupBuf)
 		ws.stale = false
 	}
 	return ws.groupBuf[:ws.ngroups], ws.anyLive
 }
 
-// scanGroups derives the group table from the lanes into buf: a warp has
-// at most WarpWidth groups, so grouping is an insertion into a small
-// sorted array rather than a map-and-sort — no heap allocation. It
-// returns the entry count and whether any lane has not exited.
-func (ws *warpState) scanGroups(buf *[ir.WarpWidth]group) (int, bool) {
+// invalidate hands the running lanes' PCs back to pcs and marks the
+// table for rebuild. Every path that changes a lane's status or moves
+// lanes non-uniformly calls it before its per-lane edits. On a table
+// that is already stale it does nothing: such a table may be out of
+// date, and pcs is the authority.
+func (ws *warpState) invalidate() {
+	if ws.stale {
+		return
+	}
+	ws.stale = true
+	for _, g := range ws.groupBuf[:ws.ngroups] {
+		for m := g.mask; m != 0; m &= m - 1 {
+			ws.pcs[bits.TrailingZeros32(m)&laneMask] = g.pc
+		}
+	}
+}
+
+// scanGroups derives the group table from per-lane status and PCs into
+// buf: a warp has at most WarpWidth groups, so grouping is an insertion
+// into a small sorted array rather than a map-and-sort — no heap
+// allocation. It returns the entry count and whether any lane has not
+// exited.
+func scanGroups(status *[ir.WarpWidth]laneStatus, pcs *[ir.WarpWidth]uint32, buf *[ir.WarpWidth]group) (int, bool) {
 	n := 0
 	anyLive := false
-	for l, ln := range ws.lanes {
-		switch ln.status {
+	for l, st := range status {
+		switch st {
 		case laneWaiting, laneSyncing, laneCTAWaiting:
 			anyLive = true
 		case laneRunning:
 			anyLive = true
-			n = insertGroup(buf, n, ln.pc.key(), 1<<l)
+			n = insertGroup(buf, n, pcs[l], 1<<l)
 		}
 	}
 	return n, anyLive
@@ -955,7 +946,7 @@ func (ws *warpState) scanGroups(buf *[ir.WarpWidth]group) (int, bool) {
 
 // insertGroup adds mask at pc to the sorted table buf[:n], merging into
 // an existing entry with the same PC, and returns the new entry count.
-func insertGroup(buf *[ir.WarpWidth]group, n int, pc pcKey, mask uint32) int {
+func insertGroup(buf *[ir.WarpWidth]group, n int, pc uint32, mask uint32) int {
 	i := n
 	for i > 0 && buf[i-1].pc >= pc {
 		if buf[i-1].pc == pc {
@@ -1018,17 +1009,15 @@ func (ws *warpState) deadlockError() error {
 		}
 		e.Barriers = append(e.Barriers, BarrierSnapshot{Bar: b, Mask: ws.masks[b], Waiting: ws.waiting[b]})
 	}
-	for l, ln := range ws.lanes {
-		switch ln.status {
-		case laneWaiting:
-			f := ws.sim.mod.Funcs[ln.pc.fn]
+	for l, st := range ws.status {
+		switch st {
+		case laneWaiting, laneCTAWaiting:
+			// A blocked lane is not in the group table: pcs holds its PC.
+			im := &ws.sim.meta[ws.pcs[l]]
+			fnName, blkName := ws.sim.names(im)
 			e.Lanes = append(e.Lanes, BlockedLane{
-				Lane: l, Fn: f.Name, Block: f.Blocks[ln.pc.blk].Name, Ins: ln.pc.ins, Bar: ln.waitBar,
-			})
-		case laneCTAWaiting:
-			f := ws.sim.mod.Funcs[ln.pc.fn]
-			e.Lanes = append(e.Lanes, BlockedLane{
-				Lane: l, Fn: f.Name, Block: f.Blocks[ln.pc.blk].Name, Ins: ln.pc.ins, Bar: ln.waitBar, CTABar: true,
+				Lane: l, Fn: fnName, Block: blkName, Ins: int(im.ins),
+				Bar: int(ws.waitBar[l]), CTABar: st == laneCTAWaiting,
 			})
 		case laneSyncing:
 			e.Lanes = append(e.Lanes, BlockedLane{Lane: l, Bar: -1})
@@ -1059,8 +1048,8 @@ func (s *sim) budgetError(warp, cta int) error {
 // liveMask returns the lanes that have not exited.
 func (ws *warpState) liveMask() uint32 {
 	var m uint32
-	for l, ln := range ws.lanes {
-		if ln.status != laneDone {
+	for l, st := range ws.status {
+		if st != laneDone {
 			m |= 1 << l
 		}
 	}
@@ -1100,7 +1089,7 @@ func (ws *warpState) releaseCheckSoft(b int, threshold int) {
 
 // release unblocks the given lanes past their wait instruction.
 func (ws *warpState) release(b int, cohort uint32) {
-	ws.stale = true
+	ws.invalidate()
 	ws.sim.releases++
 	if ws.sim.cfg.SkipReleaseN > 0 && ws.sim.releases == ws.sim.cfg.SkipReleaseN {
 		// Injected fault: lose this release. The cohort stays blocked and
@@ -1111,12 +1100,11 @@ func (ws *warpState) release(b int, cohort uint32) {
 	var released uint32
 	for m := cohort; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros32(m)
-		ln := ws.lanes[l]
-		if ln.status != laneWaiting || ln.waitBar != b {
+		if ws.status[l] != laneWaiting || int(ws.waitBar[l]) != b {
 			continue
 		}
-		ln.status = laneRunning
-		ln.pc.ins++ // step past the wait
+		ws.status[l] = laneRunning
+		ws.pcs[l]++ // step past the wait
 		released |= 1 << l
 		ws.sim.metrics.BarrierReleases++
 	}
@@ -1138,19 +1126,18 @@ func (ws *warpState) release(b int, cohort uint32) {
 func (ws *warpState) syncCheck() {
 	live := ws.liveMask()
 	var syncing uint32
-	for l, ln := range ws.lanes {
-		if ln.status == laneSyncing {
+	for l, st := range ws.status {
+		if st == laneSyncing {
 			syncing |= 1 << l
 		}
 	}
 	if live != 0 && syncing == live {
-		ws.stale = true
+		ws.invalidate()
 		ws.sim.lastProgressCycle = ws.sim.metrics.Cycles
-		for _, ln := range ws.lanes {
-			if ln.status == laneSyncing {
-				ln.status = laneRunning
-				ln.pc.ins++
-			}
+		for m := syncing; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			ws.status[l] = laneRunning
+			ws.pcs[l]++
 		}
 	}
 }
@@ -1159,9 +1146,8 @@ func (ws *warpState) syncCheck() {
 // strict mode leftover participation is an error (it means the compiler
 // failed to place a CancelBarrier on some region exit).
 func (ws *warpState) exitLane(l int) error {
-	ln := ws.lanes[l]
-	ln.status = laneDone
-	ws.stale = true
+	ws.invalidate()
+	ws.status[l] = laneDone
 	ws.sim.lastProgressCycle = ws.sim.metrics.Cycles
 	bit := uint32(1) << l
 	var leaked []int

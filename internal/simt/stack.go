@@ -48,21 +48,21 @@ func (m Model) String() string {
 	return fmt.Sprintf("model(%d)", int(m))
 }
 
-// noRPC marks an entry with no reconvergence point (divergence that only
-// resolves at thread exit).
-var noRPC = pcT{fn: -1, blk: -1, ins: -1}
-
 // stackEntry is one divergence-stack record.
 type stackEntry struct {
-	pc    pcT
-	mask  uint32
-	rpc   pcT // reconvergence PC (block entry), or noRPC
-	calls []pcT
+	pc   uint32
+	mask uint32
+	// rpc is the reconvergence PC — the first instruction of the
+	// diverging branch's immediate post-dominator — or noPC when the
+	// divergence only resolves at thread exit.
+	rpc   uint32
+	calls []uint32
 }
 
 // stackWarp drives one warp under the reconvergence-stack model. The
-// lanes, scratch buffers and data-instruction evaluator are the ITS
-// warpState's; the warp's group table and barrier state go unused.
+// register files, scratch buffers and data-instruction evaluator are the
+// ITS warpState's; the warp's group table, per-lane PCs and barrier
+// state go unused.
 type stackWarp struct {
 	sim   *sim
 	warp  *warpState
@@ -95,18 +95,11 @@ func (s *sim) runStackWarp(w *warpState) error {
 	ws := &stackWarp{sim: s, warp: w}
 	index := w.index
 
-	var initMask uint32
-	var entryPC pcT
-	for l, ln := range w.lanes {
-		if ln.status != laneDone {
-			initMask |= 1 << l
-			entryPC = ln.pc
-		}
-	}
+	initMask := w.liveMask()
 	if initMask == 0 {
 		return nil
 	}
-	ws.stack = []stackEntry{{pc: entryPC, mask: initMask, rpc: noRPC}}
+	ws.stack = []stackEntry{{pc: s.entryPC, mask: initMask, rpc: noPC}}
 
 	for len(ws.stack) > 0 {
 		top := &ws.stack[len(ws.stack)-1]
@@ -116,7 +109,7 @@ func (s *sim) runStackWarp(w *warpState) error {
 		}
 		// Reached the reconvergence point: pop and merge into the
 		// entry below (which holds the union mask at the same PC).
-		if top.rpc != noRPC && top.pc.fn == top.rpc.fn && top.pc.blk == top.rpc.blk && top.pc.ins == 0 {
+		if top.pc == top.rpc {
 			ws.stack = ws.stack[:len(ws.stack)-1]
 			continue
 		}
@@ -138,40 +131,27 @@ func (ws *stackWarp) step() error {
 	s := ws.sim
 	topIdx := len(ws.stack) - 1
 	top := &ws.stack[topIdx]
-	f := s.mod.Funcs[top.pc.fn]
-	blk := f.Blocks[top.pc.blk]
-	in := &blk.Instrs[top.pc.ins]
-	im := &s.meta[top.pc.fn][top.pc.blk][top.pc.ins]
+	im := &s.meta[top.pc]
+	in := im.in
 
-	lanes := &ws.warp.lanes
-	index := int32(ws.warp.index)
 	active := bits.OnesCount32(top.mask)
 	s.issues++
 	s.metrics.Issues++
 	s.metrics.ActiveLaneSum += int64(active)
 	s.metrics.opClassCounts[im.class]++
 	cost := im.latency
-	if top.pc.ins == 0 {
-		s.metrics.addBlockVisit(top.pc.fn, top.pc.blk, int64(active))
+	if im.ins == 0 {
+		s.metrics.blockVisits[im.blkID] += int64(active)
 	}
 	sink := s.cfg.Events
 	var hits0, misses0 int64
 	if im.isMem {
-		addrs := ws.warp.addrBuf[:0]
-		for m := top.mask; m != 0; m &= m - 1 {
-			addrs = append(addrs, lanes[bits.TrailingZeros32(m)].regs[in.A]+in.Imm)
-		}
 		hits0, misses0 = s.metrics.CacheHits, s.metrics.CacheMisses
-		cost += s.cache.access(addrs, &s.metrics)
+		cost += s.cache.access(ws.warp.gatherAddrs(in, top.mask), &s.metrics)
 	}
 	if sink != nil {
-		ev := Event{
-			Kind: EvIssue, Bar: -1, Warp: index, PC: im.pcid,
-			Fn: int32(top.pc.fn), Blk: int32(top.pc.blk), Ins: int32(top.pc.ins),
-			FnName: f.Name, BlockName: blk.Name,
-			Issue: s.metrics.Issues, Cycle: s.metrics.Cycles, Cost: cost,
-			Mask: top.mask,
-		}
+		ev := ws.warp.event(EvIssue, im, top.pc, -1, top.mask, 0)
+		ev.Cost = cost
 		sink.Event(ev)
 		if im.isMem {
 			ev.Kind = EvCacheAccess
@@ -188,71 +168,50 @@ func (ws *stackWarp) step() error {
 		// ctabar workgroup barrier is likewise a no-op here — the stack
 		// engine is a flat-launch-only ablation with no CTA scheduling
 		// to synchronize (grid launches reject ModelStack).
-		top.pc.ins++
+		top.pc++
 	case ir.OpArrived:
 		// No barrier state to observe; reads as zero.
-		for m := top.mask; m != 0; m &= m - 1 {
-			lanes[bits.TrailingZeros32(m)].regs[in.Dst] = 0
-		}
-		top.pc.ins++
+		ws.warp.broadcast(in.Dst, top.mask, 0)
+		top.pc++
 	case ir.OpVoteAny, ir.OpVoteAll, ir.OpBallot:
 		v := voteValue(in.Op, top.mask, ws.warp.ballot(top.mask, in.A))
-		for m := top.mask; m != 0; m &= m - 1 {
-			lanes[bits.TrailingZeros32(m)].regs[in.Dst] = v
-		}
-		top.pc.ins++
+		ws.warp.broadcast(in.Dst, top.mask, v)
+		top.pc++
 	case ir.OpCall:
-		callee := int(im.callee)
-		if callee < 0 {
+		if im.callee < 0 {
 			return fmt.Errorf("call to unknown function %q", in.Callee)
 		}
 		if len(top.calls) >= 64 {
 			return fmt.Errorf("call stack overflow")
 		}
 		if sink != nil {
-			sink.Event(Event{
-				Kind: EvCall, Bar: -1, Warp: index,
-				PC: im.pcid, Fn: int32(top.pc.fn), Blk: int32(top.pc.blk), Ins: int32(top.pc.ins),
-				FnName: f.Name, BlockName: blk.Name,
-				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
-				Mask: top.mask, Aux: uint32(callee),
-			})
+			sink.Event(ws.warp.event(EvCall, im, top.pc, -1, top.mask, uint32(im.callee)))
 		}
-		ret := top.pc
-		ret.ins++
-		top.calls = append(top.calls, ret)
-		top.pc = pcT{fn: callee}
+		top.calls = append(top.calls, top.pc+1)
+		top.pc = im.succ0
 	case ir.OpBr:
-		top.pc = pcT{fn: top.pc.fn, blk: blk.Succs[0].Index}
+		top.pc = im.succ0
 	case ir.OpCBr:
 		taken := ws.warp.ballot(top.mask, in.A)
 		fallthru := top.mask &^ taken
 		if sink != nil {
-			sink.Event(Event{
-				Kind: EvBranch, Bar: -1, Warp: index,
-				PC: im.pcid, Fn: int32(top.pc.fn), Blk: int32(top.pc.blk), Ins: int32(top.pc.ins),
-				FnName: f.Name, BlockName: blk.Name,
-				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
-				Mask: top.mask, Aux: taken,
-			})
+			sink.Event(ws.warp.event(EvBranch, im, top.pc, -1, top.mask, taken))
 		}
 		switch {
 		case fallthru == 0:
-			top.pc = pcT{fn: top.pc.fn, blk: blk.Succs[0].Index}
+			top.pc = im.succ0
 		case taken == 0:
-			top.pc = pcT{fn: top.pc.fn, blk: blk.Succs[1].Index}
+			top.pc = im.succ1
 		default:
 			// Divergence: the current entry becomes the reconvergence
 			// record parked at the branch's immediate post-dominator;
 			// the two sides are pushed above it and run serially.
-			rpc := noRPC
-			if pd := s.ipdom[top.pc.fn][top.pc.blk]; pd >= 0 {
-				rpc = pcT{fn: top.pc.fn, blk: pd}
+			rpc := noPC
+			if pd := s.ipdom[im.fn][im.blk]; pd >= 0 {
+				rpc = s.blockStart(int(im.fn), pd)
 			}
-			thenPC := pcT{fn: top.pc.fn, blk: blk.Succs[0].Index}
-			elsePC := pcT{fn: top.pc.fn, blk: blk.Succs[1].Index}
 			calls := top.calls
-			if rpc == noRPC {
+			if rpc == noPC {
 				// No common reconvergence point: the sides replace the
 				// entry entirely.
 				ws.stack = ws.stack[:topIdx]
@@ -260,19 +219,13 @@ func (ws *stackWarp) step() error {
 				top.pc = rpc
 			}
 			ws.stack = append(ws.stack,
-				stackEntry{pc: elsePC, mask: fallthru, rpc: rpc, calls: copyCalls(calls)},
-				stackEntry{pc: thenPC, mask: taken, rpc: rpc, calls: copyCalls(calls)},
+				stackEntry{pc: im.succ1, mask: fallthru, rpc: rpc, calls: copyCalls(calls)},
+				stackEntry{pc: im.succ0, mask: taken, rpc: rpc, calls: copyCalls(calls)},
 			)
 		}
 	case ir.OpRet:
 		if sink != nil {
-			sink.Event(Event{
-				Kind: EvRet, Bar: -1, Warp: index,
-				PC: im.pcid, Fn: int32(top.pc.fn), Blk: int32(top.pc.blk), Ins: int32(top.pc.ins),
-				FnName: f.Name, BlockName: blk.Name,
-				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
-				Mask: top.mask,
-			})
+			sink.Event(ws.warp.event(EvRet, im, top.pc, -1, top.mask, 0))
 		}
 		if len(top.calls) == 0 {
 			return ws.exitEntryLanes(topIdx)
@@ -283,9 +236,9 @@ func (ws *stackWarp) step() error {
 		return ws.exitEntryLanes(topIdx)
 	default:
 		if l, err := ws.warp.execData(in, top.mask); err != nil {
-			return fmt.Errorf("lane %d at %s.%s#%d: %w", l, f.Name, blk.Name, top.pc.ins, err)
+			return s.laneError(l, im, err)
 		}
-		top.pc.ins++
+		top.pc++
 	}
 	return nil
 }
@@ -295,7 +248,7 @@ func (ws *stackWarp) step() error {
 func (ws *stackWarp) exitEntryLanes(topIdx int) error {
 	mask := ws.stack[topIdx].mask
 	for m := mask; m != 0; m &= m - 1 {
-		ws.warp.lanes[bits.TrailingZeros32(m)].status = laneDone
+		ws.warp.status[bits.TrailingZeros32(m)&laneMask] = laneDone
 	}
 	ws.stack = ws.stack[:topIdx]
 	for i := range ws.stack {
@@ -304,11 +257,11 @@ func (ws *stackWarp) exitEntryLanes(topIdx int) error {
 	return nil
 }
 
-func copyCalls(calls []pcT) []pcT {
+func copyCalls(calls []uint32) []uint32 {
 	if len(calls) == 0 {
 		return nil
 	}
-	out := make([]pcT, len(calls))
+	out := make([]uint32, len(calls))
 	copy(out, calls)
 	return out
 }

@@ -1,6 +1,7 @@
 package simt_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -11,11 +12,14 @@ import (
 	"specrecon/internal/workloads"
 )
 
-// The resident group table is only a cache of "group the running lanes
-// by PC": byte-identical simulation rests on it equalling a fresh scan
-// of the lanes whenever it is not marked stale. These tests run real
-// launches with that comparison made after every issue (the TableCheck
-// seam), across every driver, scheduler and group picker.
+// The resident group table is where the running lanes' PCs live, and a
+// lane's own PC slot is only current while the lane is not running or
+// the table is stale: byte-identical simulation rests on the table
+// equalling a scan of the lanes (with its PCs spilled) whenever it is
+// not marked stale, and on every lazily kept PC equalling the PC an
+// eager per-lane model would hold. These tests run real launches with
+// both comparisons made after every issue (the TableCheck seam), across
+// every driver, scheduler and group picker.
 
 // tableDriver is one launch driver the invariant is checked under;
 // shape rewrites a flat single-CTA config for it.
@@ -53,16 +57,28 @@ var tableBuilds = []struct {
 
 var tablePickers = []simt.Policy{simt.PolicyMaxGroup, simt.PolicyMinPC, simt.PolicyRoundRobin}
 
+func parseKernel(t *testing.T, src string) *ir.Module {
+	t.Helper()
+	m, err := ir.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // checkTable runs one launch under the invariant check and reports the
 // in-place and stale table counts.
 func checkTable(t *testing.T, name string, m *ir.Module, cfg simt.Config) (checked, stale int64) {
 	t.Helper()
 	_, tc, err := simt.RunTableChecked(m, cfg)
 	if tc != nil && tc.Err != nil {
-		t.Fatalf("%s: group table diverged from the lane scan: %v", name, tc.Err)
+		t.Fatalf("%s: group table, lane PCs and eager shadow disagree: %v", name, tc.Err)
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
+	}
+	if tc.Lanes == 0 {
+		t.Fatalf("%s: no lane PC was ever compared with the eager shadow", name)
 	}
 	return tc.Checked, tc.Stale
 }
@@ -211,13 +227,7 @@ done:
 // workloads rarely reach: the SkipReleaseN fault, soft barriers,
 // warpsync, a ctabar released from another warp, and Machine relaunch.
 func TestGroupTableIsTheScanSpecialCases(t *testing.T) {
-	parse := func(src string) *ir.Module {
-		m, err := ir.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
+	parse := func(src string) *ir.Module { return parseKernel(t, src) }
 	barrier := parse(tableBarrierKernel)
 	for _, pol := range tablePickers {
 		checked, stale := checkTable(t, fmt.Sprintf("barriers/%v", pol), barrier, simt.Config{Threads: 2 * ir.WarpWidth, Seed: 3, Policy: pol})
@@ -282,7 +292,7 @@ done:
 		}
 		for launch := 0; launch < 3; launch++ {
 			cfg.Seed = uint64(launch + 1)
-			if _, err := mc.Run(cfg); err != nil {
+			if _, err := mc.Run(tc.Attach(grid, cfg)); err != nil {
 				t.Fatalf("relaunch %d: %v", launch, err)
 			}
 			if tc.Err != nil {
@@ -292,5 +302,174 @@ done:
 		if tc.Checked == 0 {
 			t.Fatal("relaunch: no table was ever compared")
 		}
+	}
+}
+
+// TestFlatPCIsBuildPCTable pins the one enumeration of static
+// instructions: the decode table indexed by a flat PC locates the same
+// instruction as BuildPCTable, every pre-resolved br/cbr/call successor
+// is the first PC of the successor block or callee, and every EvIssue
+// carries the PC of the group it was issued from.
+func TestFlatPCIsBuildPCTable(t *testing.T) {
+	check := func(name string, m *ir.Module, cfg simt.Config) {
+		t.Helper()
+		if err := simt.DecodeMismatch(m); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, pol := range []simt.Policy{simt.PolicyMaxGroup, simt.PolicyMinPC} {
+			cfg.Policy = pol
+			issues, err := simt.IssuePCMismatch(m, cfg)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, pol, err)
+			}
+			if issues == 0 {
+				t.Fatalf("%s/%v: nothing issued", name, pol)
+			}
+		}
+	}
+	for _, w := range workloads.All() {
+		inst := w.Build(workloads.BuildConfig{Threads: ir.WarpWidth, Tasks: 2})
+		for _, build := range tableBuilds {
+			comp, err := core.Compile(inst.Module, build.opts)
+			if err != nil {
+				t.Fatalf("%s/%s: compile: %v", w.Name, build.name, err)
+			}
+			check(w.Name+"/"+build.name, comp.Module, simt.Config{
+				Kernel: inst.Kernel, Threads: inst.Threads, Seed: inst.Seed, Memory: inst.Memory,
+			})
+		}
+	}
+	for _, app := range corpus.Generate(40, 42) {
+		for _, build := range tableBuilds {
+			comp, err := core.Compile(app.Module, build.opts)
+			if err != nil {
+				t.Fatalf("%s/%s: compile: %v", app.Name, build.name, err)
+			}
+			check(app.Name+"/"+build.name, comp.Module, simt.Config{
+				Kernel: app.Kernel, Threads: app.Threads, Seed: app.Seed, Memory: app.Memory,
+			})
+		}
+	}
+}
+
+// TestLazyPCsMatchEagerShadow covers what the TestGroupTableIsTheScan*
+// matrix (which runs the same eager-shadow comparison on every launch)
+// does not reach: launches that end in an error, where the diagnostic is
+// built from per-lane PCs that were spilled out of the table.
+func TestLazyPCsMatchEagerShadow(t *testing.T) {
+	parse := func(src string) *ir.Module { return parseKernel(t, src) }
+	// runErr runs src to its error under the table check.
+	runErr := func(name, src string, cfg simt.Config) error {
+		t.Helper()
+		_, tc, err := simt.RunTableChecked(parse(src), cfg)
+		if err == nil {
+			t.Fatalf("%s: launch finished, want an error", name)
+		}
+		if tc.Err != nil {
+			t.Fatalf("%s: %v", name, tc.Err)
+		}
+		if tc.Lanes == 0 {
+			t.Fatalf("%s: no lane PC was compared before the error", name)
+		}
+		return err
+	}
+
+	// Odd lanes block at a wait early; even lanes keep running a loop —
+	// the table is rebuilt and edited many times over while the odd
+	// lanes' PCs sit in their slots — and then block on a barrier the
+	// odd lanes never reach. Every blocked lane must report the
+	// instruction it blocked at.
+	err := runErr("deadlock", `module dl memwords=64
+func @k nregs=8 nfregs=0 {
+entry:
+  tid r0
+  join b0
+  join b1
+  and r1, r0, #1
+  const r2, #0
+  cbr r1, odd, loop
+odd:
+  add r5, r0, #1
+  wait b0
+  exit
+loop:
+  add r2, r2, #1
+  and r3, r2, #1
+  cbr r3, tick, tock
+tick:
+  add r4, r4, #1
+  br next
+tock:
+  add r4, r4, #2
+  br next
+next:
+  setlt r3, r2, #20
+  cbr r3, loop, even
+even:
+  add r5, r0, #2
+  add r5, r5, #3
+  wait b1
+  exit
+}
+`, simt.Config{Threads: ir.WarpWidth})
+	var dl *simt.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("deadlock: got %v, want a DeadlockError", err)
+	}
+	if len(dl.Lanes) != ir.WarpWidth {
+		t.Fatalf("deadlock: %d blocked lanes reported, want %d", len(dl.Lanes), ir.WarpWidth)
+	}
+	for _, bl := range dl.Lanes {
+		want := simt.BlockedLane{Lane: bl.Lane, Fn: "k", Block: "even", Ins: 2, Bar: 1}
+		if bl.Lane%2 == 1 {
+			want = simt.BlockedLane{Lane: bl.Lane, Fn: "k", Block: "odd", Ins: 1, Bar: 0}
+		}
+		if bl != want {
+			t.Errorf("deadlock: lane %d reported as %+v, want %+v", bl.Lane, bl, want)
+		}
+	}
+
+	// Errors raised in the middle of a group, after lower lanes already
+	// executed: lanes 16-31 recurse one frame deeper than lanes 0-15, so
+	// the overflow is lane 16's; addresses run past memory from lane 20.
+	err = runErr("call overflow", `module ov memwords=64
+func @k nregs=4 nfregs=0 {
+entry:
+  tid r0
+  and r1, r0, #16
+  cbr r1, deep, shallow
+deep:
+  call @pad
+  exit
+shallow:
+  call @rec
+  exit
+}
+func @pad nregs=4 nfregs=0 {
+e:
+  call @rec
+  ret
+}
+func @rec nregs=4 nfregs=0 {
+e:
+  add r2, r2, #1
+  call @rec
+  ret
+}
+`, simt.Config{Threads: ir.WarpWidth})
+	if got, want := err.Error(), "simt: warp 0: call stack overflow in lane 16"; got != want {
+		t.Errorf("call overflow: error %q, want %q", got, want)
+	}
+	err = runErr("global OOB", `module ob memwords=40
+func @k nregs=4 nfregs=0 {
+e:
+  tid r0
+  add r1, r0, #1
+  ld r2, [r0+20]
+  exit
+}
+`, simt.Config{Threads: ir.WarpWidth})
+	if got, want := err.Error(), "simt: warp 0: lane 20 at k.e#2: memory access out of bounds: address 40 (memory 40 words)"; got != want {
+		t.Errorf("global OOB: error %q, want %q", got, want)
 	}
 }
