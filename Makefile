@@ -26,7 +26,13 @@ race:
 # line re-runs, uncached, the tests that only mean something under the
 # race detector: the group-table invariant and the lazy-PC shadow on
 # sharded grids, the stack engine sharing one compiled module across
-# goroutines, and the SM sharding and CoW merge determinism.
+# goroutines, and the SM sharding and CoW merge determinism (in-place
+# delivery at Workers 1 against replayed buffers at 2 and 4, on
+# completing, failing and relaunched grids). The obs line re-runs
+# TestTraceMatchesReference with them: the trace recorder against the
+# parent's buffer-and-encode exporter (trace_ref_test.go), byte for
+# byte, over the 12 workloads under both builds and a grid sharded
+# over two worker goroutines.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -222,8 +228,13 @@ bench-sweep:
 # carrying SM occupancy counter tracks) must be well-formed JSON. The
 # Go-side coverage — registry/exporters/HTTP scrape, worker-pool
 # instrumentation, sampler attribution — runs under -race. The
-# issue-loop benchmark then proves the sampler adds zero allocations
-# (benchguard-enforced), and perfledger must flag the planted 40%
+# issue-loop benchmark then proves the sampler adds zero allocations,
+# and the observed-launch benchmark (profiler, trace recorder and
+# sampler on one RSBench grid, then the trace export) that the
+# observers allocate by the doubling of a few lists, never per event —
+# some 220 allocations per launch against 784 000 when every event was
+# buffered twice and the export built a map per record (both
+# benchguard-enforced) — and perfledger must flag the planted 40%
 # wall-time regression in the committed fixture while the steady
 # metrics pass their gates.
 telemetry-smoke:
@@ -243,10 +254,14 @@ telemetry-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkIssueWithTelemetry' \
 		-benchtime=20000x -benchmem ./internal/simt \
 		| tee /tmp/specrecon-telemetry-smoke/bench.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkObservedLaunch' \
+		-benchtime=5x -benchmem ./internal/obs \
+		| tee -a /tmp/specrecon-telemetry-smoke/bench.txt
 	$(GO) run ./cmd/benchjson -in /tmp/specrecon-telemetry-smoke/bench.txt \
 		-out /tmp/specrecon-telemetry-smoke/bench.json
 	$(GO) run ./cmd/benchguard -in /tmp/specrecon-telemetry-smoke/bench.json \
-		-assert "IssueWithTelemetry allocs_per_op <= 0"
+		-assert "IssueWithTelemetry allocs_per_op <= 0" \
+		-assert "ObservedLaunch allocs_per_op <= 1000"
 	if $(GO) run ./cmd/perfledger -ledger cmd/perfledger/testdata/ledger_regression.jsonl \
 		-check -tool bench-sweep -gate "wall_seconds <= 1.10"; then \
 		echo "telemetry-smoke: perfledger missed the planted regression"; exit 1; fi

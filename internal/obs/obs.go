@@ -17,14 +17,24 @@
 //     id, so a profiled run stays allocation-free per issue (the
 //     steady-state allocation guard in internal/simt pins this).
 //
-//   - TraceRecorder buffers the stream and WriteTrace renders it as
-//     Chrome trace-event JSON — per-warp tracks with block-residency
-//     spans, per-barrier wait spans and divergence instants — which
-//     opens directly in ui.perfetto.dev.
+//   - TraceRecorder folds the stream, as it arrives, into the records of
+//     a Chrome trace-event file — per-warp tracks with block-residency
+//     spans, per-barrier wait spans and divergence instants — and
+//     WriteTrace writes them as JSON that opens directly in
+//     ui.perfetto.dev. It keeps a 32-byte record for each span edge and
+//     divergence (one event in six on RSBench) and every occupancy
+//     sample it is sent, never the events themselves.
 //
 // Attach either (or both, via simt.TeeSinks) to a launch:
 //
 //	p := obs.NewProfile(mod)
 //	rec := obs.NewTraceRecorder()
 //	res, err := simt.Run(mod, simt.Config{Events: simt.TeeSinks(p, rec)})
+//
+// Neither sink is buffered on the way: the simulator calls Events from
+// the issue loop, on grid launches too, unless the launch shards its
+// SMs over Workers > 1 goroutines — then each SM's events are held
+// until the launch ends and replayed in SM order, and
+// simt.Config.SMEvents with Profile.Fork and Merge is the unbuffered
+// way to profile.
 package obs

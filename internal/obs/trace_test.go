@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"specrecon/internal/core"
+	"specrecon/internal/ir"
 	"specrecon/internal/obs"
 	"specrecon/internal/simt"
+	"specrecon/internal/workloads"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
@@ -154,5 +158,71 @@ func TestTraceHasBarrierSpan(t *testing.T) {
 	}
 	if spans == 0 {
 		t.Error("no barrier-wait span with nonzero duration")
+	}
+}
+
+// rsbenchSpec builds RSBench at the given launch shape, compiles it
+// speculatively and returns the launch configuration of that build.
+func rsbenchSpec(t testing.TB, shape workloads.BuildConfig) (*ir.Module, simt.Config) {
+	t.Helper()
+	w, err := workloads.Get("rsbench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := w.Build(shape)
+	comp, err := core.Compile(inst.Module, core.SpecReconOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp.Module, simt.Config{
+		Kernel: inst.Kernel, Threads: inst.Threads, Seed: inst.Seed, Memory: inst.Memory, Strict: true,
+		Grid: inst.Grid, CTASize: inst.CTASize, SMs: inst.SMs,
+	}
+}
+
+// TestTraceRecorderAllocsPerEvent bounds what recording costs the
+// allocator: the recorder stores a record for a few percent of the
+// events and grows its lists by doubling, so a fresh recorder fed a
+// whole RSBench launch must stay far under one allocation per twenty
+// events. This guards against a per-event allocation creeping in; the
+// bytes are BenchmarkObservedLaunch's to watch.
+func TestTraceRecorderAllocsPerEvent(t *testing.T) {
+	mod, cfg := rsbenchSpec(t, workloads.BuildConfig{})
+	var events []simt.Event
+	cfg.Events = simt.SinkFunc(func(ev simt.Event) { events = append(events, ev) })
+	if _, err := simt.Run(mod, cfg); err != nil {
+		t.Fatal(err)
+	}
+	perRun := testing.AllocsPerRun(3, func() {
+		rec := obs.NewTraceRecorder()
+		for i := range events {
+			rec.Event(events[i])
+		}
+	})
+	if perEvent := perRun / float64(len(events)); perEvent >= 0.05 {
+		t.Errorf("%.0f allocations over %d events = %.4f per event, want < 0.05", perRun, len(events), perEvent)
+	}
+}
+
+// BenchmarkObservedLaunch is one launch as a person looking at a kernel
+// runs it — the RSBench speculative build as a 4x64 grid on 2 SMs with
+// the profiler and the trace recorder on the event stream and the
+// recorder on the occupancy sampler at stride 16 — followed by the
+// trace export. Its allocs/op is gated in `make telemetry-smoke`: the
+// observers may allocate as their lists double, never per event.
+func BenchmarkObservedLaunch(b *testing.B) {
+	mod, cfg := rsbenchSpec(b, workloads.BuildConfig{Grid: 4, CTASize: 2 * ir.WarpWidth, SMs: 2})
+	cfg.SampleStride = 16
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		profile, rec := obs.NewProfile(mod), obs.NewTraceRecorder()
+		cfg.Events, cfg.Samples = simt.TeeSinks(profile, rec), rec
+		if _, err := simt.Run(mod, cfg); err != nil {
+			b.Fatal(err)
+		}
+		if err := rec.WriteTrace(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

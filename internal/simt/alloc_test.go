@@ -93,9 +93,11 @@ func TestSteadyStateIssueAllocFree(t *testing.T) {
 // traffic and a workgroup barrier in the hot loop, still issues with
 // zero heap allocations per round-robin pass — bare, with a per-SM
 // profiler sink attached via Config.SMEvents (the lock-free path a
-// sharded run uses), and with the occupancy sampler recording every
+// sharded run uses), with the occupancy sampler recording every
 // pass (stride 1) into a fixed-state obs.OccupancyStats sink via
-// Config.SMSamples.
+// Config.SMSamples, and with a counting sink on Config.Events and the
+// same OccupancyStats on Config.Samples, which a serial launch delivers
+// to in place (NewHandSimGPU picks SM 0's sinks the way runGrid does).
 func TestSteadyStateIssueAllocFreeGrid(t *testing.T) {
 	mod, err := ir.Parse(simt.AllocTestKernelGrid)
 	if err != nil {
@@ -107,16 +109,27 @@ func TestSteadyStateIssueAllocFreeGrid(t *testing.T) {
 	statsSink := func() func(sm int) simt.SampleSink {
 		return func(sm int) simt.SampleSink { return &obs.OccupancyStats{} }
 	}
-	cases := []struct {
+	type guardCase struct {
 		name     string
 		smEvents func() func(sm int) simt.EventSink
 		stride   int64
 		sched    simt.SchedPolicy
-	}{
-		{"bare", func() func(sm int) simt.EventSink { return nil }, 0, simt.SchedGreedyConverge},
-		{"profile", profSink, 0, simt.SchedGreedyConverge},
-		{"sampler", func() func(sm int) simt.EventSink { return nil }, 1, simt.SchedGreedyConverge},
-		{"profile+sampler", profSink, 1, simt.SchedGreedyConverge},
+		// launchWide attaches the sinks through Config.Events and
+		// Config.Samples instead of the per-SM fields.
+		launchWide bool
+	}
+	noSink := func() func(sm int) simt.EventSink { return nil }
+	cases := []guardCase{
+		{name: "bare", smEvents: noSink},
+		{name: "profile", smEvents: profSink},
+		{name: "sampler", smEvents: noSink, stride: 1},
+		{name: "profile+sampler", smEvents: profSink, stride: 1},
+		// The launch-wide sinks of a serial launch (Workers 1) are handed
+		// to the SM as they are, so a counting sink on Events and a
+		// fixed-state one on Samples must keep the pass allocation-free
+		// exactly like their per-SM counterparts.
+		{name: "events", launchWide: true},
+		{name: "events+samples", stride: 1, launchWide: true},
 	}
 	// Re-pin the guard under every non-greedy scheduler policy in the
 	// most demanding shape: profiler attached, sampler at stride 1 and
@@ -126,27 +139,29 @@ func TestSteadyStateIssueAllocFreeGrid(t *testing.T) {
 		if sp == simt.SchedGreedyConverge {
 			continue
 		}
-		cases = append(cases, struct {
-			name     string
-			smEvents func() func(sm int) simt.EventSink
-			stride   int64
-			sched    simt.SchedPolicy
-		}{"sched-" + sp.String(), profSink, 1, sp})
+		cases = append(cases, guardCase{name: "sched-" + sp.String(), smEvents: profSink, stride: 1, sched: sp})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := simt.Config{
-				Grid: 2, CTASize: 2 * ir.WarpWidth, SMs: 1,
-				Seed: 1, Strict: true, SMEvents: tc.smEvents(),
+				Grid: 2, CTASize: 2 * ir.WarpWidth, SMs: 1, Workers: 1,
+				Seed: 1, Strict: true,
 			}
 			if tc.sched != simt.SchedGreedyConverge {
 				cfg.Sched = tc.sched
 				cfg.SchedSeed = 7
 				cfg.StarveLimit = 1 << 30
 			}
-			if tc.stride > 0 {
-				cfg.SampleStride = tc.stride
-				cfg.SMSamples = statsSink()
+			cfg.SampleStride = tc.stride
+			if tc.launchWide {
+				var counts [16]int64
+				cfg.Events = simt.SinkFunc(func(ev simt.Event) { counts[ev.Kind&15]++ })
+				cfg.Samples = &obs.OccupancyStats{}
+			} else {
+				cfg.SMEvents = tc.smEvents()
+				if tc.stride > 0 {
+					cfg.SMSamples = statsSink()
+				}
 			}
 			h, err := simt.NewHandSimGPU(mod, cfg)
 			if err != nil {

@@ -142,20 +142,9 @@ func NewHandSimGPU(m *ir.Module, cfg Config) (*HandSimGPU, error) {
 		return nil, fmt.Errorf("NewHandSimGPU requires a grid config (Grid > 0)")
 	}
 	warpsPerCTA := (s.cfg.CTASize + ir.WarpWidth - 1) / ir.WarpWidth
-	var sink EventSink
-	if s.cfg.SMEvents != nil {
-		sink = s.cfg.SMEvents(0)
-	} else {
-		sink = s.cfg.Events
-	}
-	var samples SampleSink
-	if s.cfg.samplerEnabled() {
-		if s.cfg.SMSamples != nil {
-			samples = s.cfg.SMSamples(0)
-		} else {
-			samples = s.cfg.Samples
-		}
-	}
+	// The sinks a serial runGrid gives SM 0: per-SM ones if configured,
+	// else the launch-wide Events/Samples in place.
+	sink, samples := s.smSinks(0, nil, nil)
 	sm := s.forkSM(0, sink, samples)
 	occ := sm.occupancy(warpsPerCTA)
 	var warps []*warpState

@@ -26,13 +26,14 @@ import (
 // memory is the initial image overwritten by each SM's dirty words in
 // SM-index order, per-SM metrics are merged in SM order (counters add,
 // the launch cycle count is the slowest SM's), and per-SM event streams
-// are delivered in SM order — so a run sharded over any number of
-// worker goroutines is byte-identical to the serial run. Words written
-// by several SMs with disagreeing values are counted as
-// Metrics.CrossSMConflicts, mirroring real GPUs' lack of inter-CTA
-// write coherence within a launch: kernels must communicate across CTAs
-// through disjoint addresses (and atomics are atomic only within an
-// SM).
+// are delivered in SM order (as they happen when the SMs run serially,
+// from per-SM replay buffers when they run concurrently) — so a run
+// sharded over any number of worker goroutines is byte-identical to the
+// serial run. Words written by several SMs with disagreeing values are
+// counted as Metrics.CrossSMConflicts, mirroring real GPUs' lack of
+// inter-CTA write coherence within a launch: kernels must communicate
+// across CTAs through disjoint addresses (and atomics are atomic only
+// within an SM).
 
 // Volta-scale hardware limits (GV100: 80 SMs, 64 warps and 2048
 // threads per SM, 96 KiB shared memory per SM, 32 CTAs per SM, 16
@@ -220,67 +221,97 @@ func (s *sim) occupancy(warpsPerCTA int) int {
 }
 
 // bufferSink records one SM's event stream for in-order replay after
-// the launch; it is the fallback when a grid launch has only a plain
-// Config.Events sink (Config.SMEvents is the buffer-free path).
+// the launch. It exists only for launches that run SMs concurrently
+// (Workers > 1) into a launch-wide Config.Events sink, where replaying
+// the per-SM buffers in SM order is what makes the delivered stream
+// deterministic; a serial launch hands Config.Events to the SM forks
+// themselves and Config.SMEvents never buffers (see smSinks).
 type bufferSink struct {
 	events []Event
 }
 
 func (b *bufferSink) Event(ev Event) { b.events = append(b.events, ev) }
 
+// smSinks picks the sinks SM i's fork reports to. Per-SM sinks
+// (SMEvents, SMSamples) win. Otherwise the launch-wide sinks are used:
+// through SM i's replay buffer, emptied here, when the launch has them
+// (events, samples non-nil: SMs run concurrently), else in place —
+// forEachSM with Workers <= 1 runs SM 0..n-1 to completion in index
+// order, so handing Config.Events and Config.Samples to each fork in
+// turn is already SM-order delivery, with nothing stored in between.
+func (s *sim) smSinks(i int, events []bufferSink, samples []sampleBuffer) (EventSink, SampleSink) {
+	cfg := &s.cfg
+	sink := cfg.Events
+	switch {
+	case cfg.SMEvents != nil:
+		sink = cfg.SMEvents(i)
+	case events != nil:
+		events[i].events = events[i].events[:0]
+		sink = &events[i]
+	}
+	if !cfg.samplerEnabled() {
+		return sink, nil
+	}
+	sampleSink := cfg.Samples
+	switch {
+	case cfg.SMSamples != nil:
+		sampleSink = cfg.SMSamples(i)
+	case samples != nil:
+		samples[i].samples = samples[i].samples[:0]
+		sampleSink = &samples[i]
+	}
+	return sink, sampleSink
+}
+
 // runGrid executes a grid launch: fork one sim per SM, run the SMs
-// (serially or over Workers goroutines), then merge memory, metrics and
-// event streams in SM order.
+// (serially or over Workers goroutines), then merge memory and metrics
+// in SM order. Events and samples bound for a launch-wide sink are
+// delivered in SM order too: in place on a serial launch, by replaying
+// per-SM buffers after a concurrent one.
 func (s *sim) runGrid() (*Result, error) {
 	cfg := s.cfg
 	warpsPerCTA := (cfg.CTASize + ir.WarpWidth - 1) / ir.WarpWidth
 	occ := s.occupancy(warpsPerCTA)
 
+	// Replay buffers front the launch-wide sinks only when SMs run
+	// concurrently. A Machine keeps them across launches (Workers may
+	// change from one launch to the next).
+	var buffers []bufferSink
+	var sampleBufs []sampleBuffer
+	if cfg.Workers > 1 {
+		if cfg.Events != nil && cfg.SMEvents == nil {
+			if buffers = s.bufPool; buffers == nil {
+				buffers = make([]bufferSink, cfg.SMs)
+				if s.reuse {
+					s.bufPool = buffers
+				}
+			}
+		}
+		if cfg.samplerEnabled() && cfg.SMSamples == nil {
+			if sampleBufs = s.sampleBufPool; sampleBufs == nil {
+				sampleBufs = make([]sampleBuffer, cfg.SMs)
+				if s.reuse {
+					s.sampleBufPool = sampleBufs
+				}
+			}
+		}
+	}
+
 	sms := s.smPool
-	buffers := s.bufPool
-	sampleBufs := s.sampleBufPool
 	fresh := sms == nil
 	if fresh {
 		sms = make([]*sim, cfg.SMs)
-		buffers = make([]*bufferSink, cfg.SMs)
-		sampleBufs = make([]*sampleBuffer, cfg.SMs)
+		if s.reuse {
+			s.smPool = sms
+		}
 	}
 	for i := range sms {
-		var sink EventSink
-		switch {
-		case cfg.SMEvents != nil:
-			sink = cfg.SMEvents(i)
-		case cfg.Events != nil:
-			if buffers[i] == nil {
-				buffers[i] = &bufferSink{}
-			}
-			sink = buffers[i]
-		}
-		if b := buffers[i]; b != nil {
-			b.events = b.events[:0]
-		}
-		var samples SampleSink
-		if cfg.samplerEnabled() {
-			if cfg.SMSamples != nil {
-				samples = cfg.SMSamples(i)
-			} else {
-				if sampleBufs[i] == nil {
-					sampleBufs[i] = &sampleBuffer{}
-				}
-				samples = sampleBufs[i]
-			}
-		}
-		if b := sampleBufs[i]; b != nil {
-			b.samples = b.samples[:0]
-		}
+		sink, samples := s.smSinks(i, buffers, sampleBufs)
 		if fresh {
 			sms[i] = s.forkSM(i, sink, samples)
 		} else {
 			sms[i].resetSM(s, sink, samples)
 		}
-	}
-	if s.reuse && fresh {
-		s.smPool, s.bufPool, s.sampleBufPool = sms, buffers, sampleBufs
 	}
 
 	var shared [][]uint64
@@ -297,23 +328,16 @@ func (s *sim) runGrid() (*Result, error) {
 	err := forEachSM(cfg.Workers, cfg.SMs, func(i int) error {
 		return sms[i].runSM(occ, warpsPerCTA, shared)
 	})
-	if cfg.Events != nil && cfg.SMEvents == nil {
-		for _, b := range buffers {
-			for i := range b.events {
-				cfg.Events.Event(b.events[i])
-			}
+	// Every SM ran to completion even if one errored, so observers see
+	// the same deterministic prefix on either delivery path.
+	for i := range buffers {
+		for j := range buffers[i].events {
+			cfg.Events.Event(buffers[i].events[j])
 		}
 	}
-	// Like events, buffered samples replay in SM order even when a later
-	// SM errored, so observers see a deterministic prefix.
-	if cfg.Samples != nil && cfg.SMSamples == nil && cfg.SampleStride > 0 {
-		for _, b := range sampleBufs {
-			if b == nil {
-				continue
-			}
-			for i := range b.samples {
-				cfg.Samples.Sample(b.samples[i])
-			}
+	for i := range sampleBufs {
+		for j := range sampleBufs[i].samples {
+			cfg.Samples.Sample(sampleBufs[i].samples[j])
 		}
 	}
 	if err != nil {
@@ -471,8 +495,8 @@ func (s *sim) mergeSMs(sms []*sim, warpsPerCTA int, shared [][]uint64) *Result {
 // forEachSM runs fn(0..n-1) over at most workers goroutines. Jobs are
 // independent; every job runs to completion — even after another job
 // errors, and even in the serial case — and the lowest-index error is
-// returned, so both the error and the buffered event streams are
-// identical for every worker count.
+// returned, so both the error and the delivered event and sample
+// streams are identical for every worker count.
 func forEachSM(workers, n int, fn func(i int) error) error {
 	if workers <= 1 {
 		var first error

@@ -3,6 +3,7 @@ package simt_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -99,74 +100,150 @@ func TestGridSharedReduction(t *testing.T) {
 	}
 }
 
-// runGridOnce executes the reduction on a 4-SM grid with the given
-// worker count, capturing metrics, memory, shared segments, the full
-// event stream, a rendered profile and the occupancy sample stream
-// (telemetry on — the sampler must not perturb determinism).
-func runGridOnce(t *testing.T, workers int) (*simt.Result, []simt.Event, []byte, []simt.Sample) {
+// gridRun is everything one observed grid launch produced: the result
+// (nil on error; a Machine's is valid until its next launch) and error
+// text, the full event stream as delivered to
+// Config.Events, a profile rendered from it, and the occupancy sample
+// stream delivered to Config.Samples (telemetry on — the sampler must
+// not perturb determinism).
+type gridRun struct {
+	res     *simt.Result
+	err     string
+	events  []simt.Event
+	prof    []byte
+	samples []simt.Sample
+}
+
+// observeGrid attaches fresh sinks to cfg, launches it through run (a
+// fresh simt.Run or a Machine relaunch) and gathers the outcome.
+func observeGrid(t *testing.T, mod *ir.Module, cfg simt.Config, run func(simt.Config) (*simt.Result, error)) gridRun {
 	t.Helper()
-	mod, err := ir.Parse(reduceKernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []simt.Event
+	var g gridRun
 	prof := obs.NewProfile(mod)
-	sink := simt.SinkFunc(func(ev simt.Event) {
-		events = append(events, ev)
+	cfg.Events = simt.SinkFunc(func(ev simt.Event) {
+		g.events = append(g.events, ev)
 		prof.Event(ev)
 	})
 	occ := obs.NewOccupancyRecorder()
-	res, err := simt.Run(mod, simt.Config{
-		Grid: 8, CTASize: 2 * ir.WarpWidth, SMs: 4, Workers: workers,
-		Seed: 7, Events: sink,
-		SampleStride: 16, Samples: occ,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cfg.Samples = occ
+	var err error
+	if g.res, err = run(cfg); err != nil {
+		g.err = err.Error()
 	}
 	var rendered bytes.Buffer
 	if err := prof.WriteJSON(&rendered); err != nil {
 		t.Fatal(err)
 	}
-	return res, events, rendered.Bytes(), occ.Samples()
+	g.prof, g.samples = rendered.Bytes(), occ.Samples()
+	return g
+}
+
+// sameGridRun reports every way got differs from the serial run.
+func sameGridRun(t *testing.T, label string, got, serial gridRun) {
+	t.Helper()
+	if got.err != serial.err {
+		t.Errorf("%s: error diverges from serial:\n  serial:  %q\n  got:     %q", label, serial.err, got.err)
+	}
+	if !reflect.DeepEqual(got.samples, serial.samples) {
+		t.Errorf("%s: occupancy samples diverge from serial (%d vs %d samples)",
+			label, len(got.samples), len(serial.samples))
+	}
+	if !reflect.DeepEqual(got.events, serial.events) {
+		t.Errorf("%s: event stream diverges from serial (%d vs %d events)",
+			label, len(got.events), len(serial.events))
+	}
+	if !bytes.Equal(got.prof, serial.prof) {
+		t.Errorf("%s: rendered profile diverges from serial", label)
+	}
+	if (got.res == nil) != (serial.res == nil) {
+		t.Fatalf("%s: result present = %v, serial = %v", label, got.res != nil, serial.res != nil)
+	}
+	if got.res == nil {
+		return
+	}
+	if !reflect.DeepEqual(got.res.Metrics, serial.res.Metrics) {
+		t.Errorf("%s: metrics diverge from serial:\n  serial:  %+v\n  got:     %+v",
+			label, serial.res.Metrics, got.res.Metrics)
+	}
+	if !reflect.DeepEqual(got.res.Memory, serial.res.Memory) {
+		t.Errorf("%s: final memory diverges from serial", label)
+	}
+	if !reflect.DeepEqual(got.res.Shared, serial.res.Shared) {
+		t.Errorf("%s: shared segments diverge from serial", label)
+	}
+	if !reflect.DeepEqual(got.res.PerSM, serial.res.PerSM) {
+		t.Errorf("%s: per-SM metrics diverge from serial", label)
+	}
 }
 
 // TestGridShardingDeterministic pins the sharding contract: a grid run
 // over several worker goroutines is byte-identical — metrics, final
-// memory, shared segments, per-SM metrics, the replayed event stream,
+// memory, shared segments, per-SM metrics, the delivered event stream,
 // the rendered profile and the occupancy sample stream — to the serial
-// run.
+// run. The serial run delivers events and samples in place and the
+// sharded ones from per-SM replay buffers, so this is also what holds
+// the two delivery paths equal: on a launch that completes, on one that
+// fails (SM 0 runs out of issues while SMs 1-3 finish: observers must
+// still get SM 0's stream up to the error and the other SMs' whole), and
+// on a Machine relaunched under changing worker counts, whose pooled
+// replay buffers from a sharded launch must not leak into a serial one.
 func TestGridShardingDeterministic(t *testing.T) {
-	serialRes, serialEvents, serialProf, serialSamples := runGridOnce(t, 1)
-	if len(serialSamples) == 0 {
-		t.Fatal("sampler recorded nothing; lower the stride")
+	mod, err := ir.Parse(reduceKernel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4} {
-		res, events, prof, samples := runGridOnce(t, workers)
-		if !reflect.DeepEqual(samples, serialSamples) {
-			t.Errorf("workers=%d: occupancy samples diverge from serial (%d vs %d samples)",
-				workers, len(samples), len(serialSamples))
-		}
-		if !reflect.DeepEqual(res.Metrics, serialRes.Metrics) {
-			t.Errorf("workers=%d: metrics diverge from serial:\n  serial:  %+v\n  sharded: %+v",
-				workers, serialRes.Metrics, res.Metrics)
-		}
-		if !reflect.DeepEqual(res.Memory, serialRes.Memory) {
-			t.Errorf("workers=%d: final memory diverges from serial", workers)
-		}
-		if !reflect.DeepEqual(res.Shared, serialRes.Shared) {
-			t.Errorf("workers=%d: shared segments diverge from serial", workers)
-		}
-		if !reflect.DeepEqual(res.PerSM, serialRes.PerSM) {
-			t.Errorf("workers=%d: per-SM metrics diverge from serial", workers)
-		}
-		if !reflect.DeepEqual(events, serialEvents) {
-			t.Errorf("workers=%d: event stream diverges from serial (%d vs %d events)",
-				workers, len(events), len(serialEvents))
-		}
-		if !bytes.Equal(prof, serialProf) {
-			t.Errorf("workers=%d: rendered profile diverges from serial", workers)
-		}
+	fresh := func(cfg simt.Config) (*simt.Result, error) { return simt.Run(mod, cfg) }
+	complete := simt.Config{
+		Grid: 8, CTASize: 2 * ir.WarpWidth, SMs: 4, Seed: 7, SampleStride: 16,
+	}
+	// Five CTAs over four SMs give SM 0 two CTAs' worth of issues and
+	// the others one; a budget between the two fails SM 0 alone.
+	failing := complete
+	failing.Grid = 5
+	probe, err := simt.Run(mod, failing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing.MaxIssues = (probe.PerSM[0].Issues + probe.PerSM[1].Issues) / 2
+
+	for _, shape := range []struct {
+		name string
+		cfg  simt.Config
+	}{{"complete", complete}, {"failing", failing}} {
+		t.Run(shape.name, func(t *testing.T) {
+			serial := observeGrid(t, mod, shape.cfg, fresh)
+			if len(serial.samples) == 0 {
+				t.Fatal("sampler recorded nothing; lower the stride")
+			}
+			if failed := shape.cfg.MaxIssues > 0; failed != (serial.err != "") {
+				t.Fatalf("serial run error = %q, want failure = %v", serial.err, failed)
+			} else if failed {
+				if !strings.Contains(serial.err, "sm0") {
+					t.Fatalf("serial run failed with %q, want SM 0's budget error", serial.err)
+				}
+				var perSM [4]int
+				for _, ev := range serial.events {
+					perSM[ev.SM]++
+				}
+				if perSM[0] == 0 || perSM[1] == 0 || perSM[3] == 0 {
+					t.Fatalf("events delivered per SM = %v, want the failed SM's prefix and the others' streams", perSM)
+				}
+			}
+			for _, workers := range []int{2, 4} {
+				cfg := shape.cfg
+				cfg.Workers = workers
+				sameGridRun(t, fmt.Sprintf("workers=%d", workers), observeGrid(t, mod, cfg, fresh), serial)
+			}
+			mc, err := simt.NewMachine(mod, shape.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, workers := range []int{2, 1, 4, 1} {
+				cfg := shape.cfg
+				cfg.Workers = workers
+				sameGridRun(t, fmt.Sprintf("machine launch %d, workers=%d", i, workers), observeGrid(t, mod, cfg, mc.Run), serial)
+			}
+		})
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 )
 
 // Machine is a reusable launch arena: one simulator instance whose warp
-// scratch, decode side tables, CTA state, per-SM forks, event replay
-// buffers, metrics tables and memory views stay alive across launches
+// scratch, decode side tables, CTA state, per-SM forks, metrics tables,
+// memory views and (for Workers > 1 launches into a launch-wide sink)
+// event and sample replay buffers stay alive across launches
 // of the same module. A harness loop that re-runs one compilation over
 // many inputs (threshold sweeps, funnel stages, differential checks)
 // pays the full construction cost once; every later Run rewinds the

@@ -20,8 +20,9 @@ package simt
 // driver and the reconvergence-stack engine run one warp at a time, so
 // per-pass occupancy is meaningless there and they do not sample.
 //
-// Determinism and cost mirror the event stream (events.go): per-SM
-// samples are buffered and replayed into Config.Samples in SM order, or
+// Determinism and cost mirror the event stream (events.go): samples
+// reach Config.Samples in SM order — in place on a serial launch,
+// buffered per SM and replayed after a Workers > 1 launch — or are
 // delivered lock-free through Config.SMSamples; with sampling disabled
 // the issue path pays one nil check per pass, and with it enabled the
 // recording itself allocates nothing — a fixed-state sink such as
@@ -98,7 +99,7 @@ func (t teeSampleSink) Sample(s Sample) {
 }
 
 // sampleBuffer records one SM's sample stream for in-order replay after
-// the launch, mirroring bufferSink for events.
+// a Workers > 1 launch, mirroring bufferSink for events.
 type sampleBuffer struct {
 	samples []Sample
 }

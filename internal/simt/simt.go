@@ -168,10 +168,10 @@ type Config struct {
 	// metrics, memory, profiles and event streams.
 	Workers int
 	// SMEvents, when non-nil on a grid launch, supplies one EventSink per
-	// SM so sharded runs keep a lock-free, allocation-free issue path;
-	// it is called once per SM index before simulation starts. When only
-	// Events is set, grid launches buffer each SM's stream and replay the
-	// buffers into Events in SM order after the launch completes.
+	// SM so runs sharded over Workers > 1 keep a lock-free, unbuffered,
+	// allocation-free issue path; it is called once per SM index before
+	// simulation starts, and takes precedence over Events. Each sink is
+	// called only from the goroutine simulating its SM.
 	SMEvents func(sm int) EventSink
 	// Model selects the execution engine: Volta-style independent
 	// thread scheduling (default) or the pre-Volta reconvergence stack.
@@ -211,16 +211,27 @@ type Config struct {
 	// Events, when non-nil, receives the generalized simulator event
 	// stream (issues, branch resolutions, barrier waits and releases,
 	// cache accesses, calls and returns) from both execution engines.
-	// See events.go; combine several observers with TeeSinks.
+	// See events.go; combine several observers with TeeSinks. The sink
+	// is always called from one goroutine at a time and, on a grid
+	// launch, sees SM 0's whole stream, then SM 1's, and so on, for any
+	// Workers count — including every SM's stream up to its own end when
+	// the launch fails. With Workers <= 1 (the default) the SMs run one
+	// after another and each event is delivered as it happens, nothing
+	// stored; only with Workers > 1 is each SM's stream buffered (one
+	// Event per event, for the whole launch) and replayed into the sink
+	// in SM order once every SM has retired. SMEvents avoids that buffer.
 	Events EventSink
 	// SampleStride, when positive, enables the per-SM occupancy/stall
 	// sampler: one Sample per stride of modeled cycles, recorded at the
 	// end of an issue pass over the SM's resident warps. Grid launches
 	// and flat InterleaveWarps launches only; see sample.go.
 	SampleStride int64
-	// Samples receives occupancy samples. On grid launches each SM's
-	// samples are buffered and replayed in SM order after the launch
-	// (deterministic for any worker count), mirroring Events.
+	// Samples receives occupancy samples, SM by SM like Events: in place
+	// as they are taken when Workers <= 1, buffered per SM and replayed
+	// in SM order after the launch (after the buffered events) when
+	// Workers > 1. A sink attached to both Events and Samples therefore
+	// sees the same two streams for any worker count but may see them
+	// interleaved differently, and must not depend on that.
 	Samples SampleSink
 	// SMSamples, when non-nil on a grid launch, supplies one SampleSink
 	// per SM for a lock-free, allocation-free delivery path, mirroring
@@ -403,12 +414,13 @@ type sim struct {
 	poolWarp int
 	poolCTA  int
 	// reuse marks a Machine-owned sim: runGrid stashes its per-SM forks,
-	// event replay buffers and merge scratch on the fields below and
-	// resets them on the next launch instead of reallocating.
+	// merge scratch and (for Workers > 1 launches only) event and sample
+	// replay buffers on the fields below and resets them on the next
+	// launch instead of reallocating.
 	reuse         bool
 	smPool        []*sim
-	bufPool       []*bufferSink
-	sampleBufPool []*sampleBuffer
+	bufPool       []bufferSink
+	sampleBufPool []sampleBuffer
 	sharedBuf     [][]uint64
 	perSMBuf      []Metrics
 	writtenBuf    []uint64
