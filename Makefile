@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check bench bench-e2e bench-compare bench-pairs bench-baseline bench-scale bench-sweep cache-smoke fmt figures profile-smoke scale-smoke fuzz-smoke diffcheck-smoke vet-corpus telemetry-smoke sched-smoke repair-smoke
+.PHONY: all build test vet race check loc bench bench-e2e bench-compare bench-pairs bench-baseline bench-scale bench-sweep cache-smoke fmt figures profile-smoke scale-smoke fuzz-smoke diffcheck-smoke vet-corpus telemetry-smoke sched-smoke repair-smoke
 
 all: build
 
@@ -25,10 +25,12 @@ race:
 # and the static vetting sweep over the corpus and workloads. The simt
 # line re-runs, uncached, the tests that only mean something under the
 # race detector: the group-table invariant and the lazy-PC shadow on
-# sharded grids, the stack engine sharing one compiled module across
-# goroutines, and the SM sharding and CoW merge determinism (in-place
+# sharded grids, the stack model sharing one compiled module across
+# goroutines, the SM sharding and CoW merge determinism (in-place
 # delivery at Workers 1 against replayed buffers at 2 and 4, on
-# completing, failing and relaunched grids). The obs line re-runs
+# completing, failing and relaunched grids), and the two divergence
+# models against each other on every launch shape, sharded grids
+# included. The obs line re-runs
 # TestTraceMatchesReference with them: the trace recorder against the
 # parent's buffer-and-encode exporter (trace_ref_test.go), byte for
 # byte, over the 12 workloads under both builds and a grid sharded
@@ -40,7 +42,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/harness
 	$(GO) test -race -count=1 ./internal/obs
-	$(GO) test -race -count=1 -run 'GroupTableIsTheScan|LazyPCsMatchEagerShadow|StackEngineSharesModule|GridShardingDeterministic|CoWMatchesFullCopySM' ./internal/simt
+	$(GO) test -race -count=1 -run 'GroupTableIsTheScan|LazyPCsMatchEagerShadow|StackEngineSharesModule|GridShardingDeterministic|CoWMatchesFullCopySM|CrossWarpCTABarOnEveryDriver|ModelsAgreeOnEveryDriver' ./internal/simt
 	$(MAKE) scale-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) diffcheck-smoke
@@ -49,6 +51,19 @@ check:
 	$(MAKE) telemetry-smoke
 	$(MAKE) sched-smoke
 	$(MAKE) repair-smoke
+
+# loc is the size simplicity changes quote: per package, the non-test Go
+# lines that are neither blank nor a // comment, then all non-test lines,
+# then a total row.
+#   make loc | grep internal/simt
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' \
+		-exec dirname {} \; | sort -u | while read d; do \
+		f=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go'); \
+		printf '%7d code %7d lines  %s\n' \
+			$$(cat $$f | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//') \
+			$$(cat $$f | wc -l) $$d; \
+	done | awk '{print; c += $$1; l += $$3} END {printf "%7d code %7d lines  total\n", c, l}'
 
 # fuzz-smoke gives each fuzz target a short budget on top of the checked-in
 # seed corpus: enough to catch shallow parser/pipeline regressions without
@@ -135,7 +150,8 @@ figures:
 # scale-smoke exercises the GPU-scale engine end to end: a multi-CTA
 # workload compiled under both builds and simulated as an 8-CTA grid
 # over 4 sharded SMs with the profiler and the per-SM Perfetto trace
-# attached, every artifact validated as well-formed JSON. The grid
+# attached, every artifact validated as well-formed JSON; then the same
+# sharded grid once more on the reconvergence-stack model. The grid
 # determinism itself (sharded == serial, byte for byte) is pinned by
 # TestGridShardingDeterministic under -race above.
 scale-smoke:
@@ -151,6 +167,8 @@ scale-smoke:
 		/tmp/specrecon-scale-smoke/trace-baseline.json \
 		/tmp/specrecon-scale-smoke/trace-spec.json
 	rm -rf /tmp/specrecon-scale-smoke
+	$(GO) run ./cmd/specrecon -kernel xsbench -model stack \
+		-grid 8 -ctasize 64 -sms 4 -workers 2
 
 # bench-scale refreshes BENCH_6.json: the GPU-scale engine's
 # strong-scaling capture. A fixed 16-CTA RSBench grid runs at 1, 4 and 8

@@ -44,12 +44,12 @@ func main() {
 		threshold  = flag.Int("threshold", -1, "override soft-barrier threshold (0=hard, 1..32=soft, -1=per-annotation)")
 		deconf     = flag.String("deconflict", "dynamic", "dynamic | static | none")
 		policy     = flag.String("policy", "maxgroup", "group-pick policy: maxgroup | minpc | roundrobin")
-		sched      = flag.String("sched", "greedy", "warp scheduler: greedy | oldest | youngest | obe | random (non-greedy requires the ITS engine)")
+		sched      = flag.String("sched", "greedy", "warp scheduler: greedy | oldest | youngest | obe | random")
 		schedSeed  = flag.Uint64("sched-seed", 0, "seed for -sched random")
 		starveLim  = flag.Int64("starve-limit", 0, "fail with a StarvationError when a runnable warp goes unissued this many cycles (0 = off)")
 		wallBudget = flag.Duration("wall-budget", 0, "fail with a WatchdogError when a run exceeds this wall-clock budget (0 = off)")
-		model      = flag.String("model", "its", "execution engine: its (Volta) | stack (pre-Volta)")
-		interleave = flag.Bool("interleave", false, "interleave warps issue-by-issue (ITS engine only)")
+		model      = flag.String("model", "its", "divergence model: its (Volta convergence barriers) | stack (pre-Volta reconvergence stack)")
+		interleave = flag.Bool("interleave", false, "interleave a flat launch's warps issue-by-issue as one wave")
 		threads    = flag.Int("threads", 0, "thread count (0 = workload default)")
 		tasks      = flag.Int("tasks", 0, "tasks per thread (0 = workload default)")
 		grid       = flag.Int("grid", 0, "CTAs in a grid launch (0 = flat single-SM launch; overrides -threads)")
@@ -86,7 +86,7 @@ func main() {
 		useCache   = flag.Bool("compile-cache", false, "memoize compilations (sweeps, diffcheck, diagnostics) in a content-addressed compile cache")
 		cacheStats = flag.String("cache-stats", "", "write compile-cache hit/miss statistics as JSON to this file (\"-\" for stderr)")
 
-		sampleStride = flag.Int64("sample-stride", 0, "sample per-SM occupancy/stall attribution every N issue passes (0 = off); prints the occupancy report per run and feeds counter tracks into -trace-out")
+		sampleStride = flag.Int64("sample-stride", 0, "sample per-SM occupancy/stall attribution every N modeled cycles (0 = off); prints the occupancy report per run and feeds counter tracks into -trace-out")
 		telemAddr    = flag.String("telemetry-addr", "", "serve /metrics, /metrics.json and /healthz on this address while running")
 		telemJSON    = flag.String("telemetry-json", "", "write the final telemetry snapshot as JSON to this file (\"-\" for stderr)")
 	)

@@ -27,9 +27,9 @@ const DefaultSampleStride = 64
 
 // CollectOccupancy runs every annotated workload's spec build with the
 // per-SM occupancy/stall sampler attached and returns the recorded
-// streams. Flat workloads are run under InterleaveWarps — the
-// sequential flat driver has no issue passes to sample — so their
-// single implicit SM shows up as SM 0. When a telemetry registry is
+// streams. Flat workloads are run under InterleaveWarps — a
+// run-to-completion launch's waves of one warp have no occupancy to
+// sample — so their single implicit SM shows up as SM 0. When a telemetry registry is
 // installed (UseTelemetry), the per-SM aggregates are also published as
 // simt_sm_* gauges labeled by workload and SM.
 func CollectOccupancy(cfg workloads.BuildConfig, stride int64, parallelism int) ([]WorkloadOccupancy, error) {

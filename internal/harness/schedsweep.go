@@ -89,8 +89,8 @@ func SchedSensitivity(name string, cfg workloads.BuildConfig, policies []simt.Sc
 		runCfg.SampleStride = DefaultSampleStride
 		runCfg.Samples = rec
 		if runCfg.Grid == 0 && pol == simt.SchedGreedyConverge {
-			// The sequential flat driver has no issue passes to sample;
-			// the policy scheduler always runs resident passes.
+			// A run-to-completion launch's waves of one warp are not
+			// sampled; a non-greedy policy already shares one wave.
 			runCfg.InterleaveWarps = true
 		}
 		pt := SchedPoint{Policy: pol, Threshold: thr}

@@ -6,9 +6,8 @@ import (
 	"specrecon/internal/ir"
 )
 
-// Generalized simulator event stream. Both execution engines (ITS and
-// the pre-Volta stack model) publish the same events through
-// Config.Events, and every observer — the per-PC profiler, the Perfetto
+// Generalized simulator event stream. Both divergence models (ITS and
+// the pre-Volta stack) publish the same events through Config.Events, and every observer — the per-PC profiler, the Perfetto
 // trace exporter, the ASCII timeline — is a sink over this one stream.
 //
 // The stream is designed so that a counting sink keeps the issue loop
@@ -33,7 +32,8 @@ const (
 	EvBranch
 	// EvBarrierWait fires when lanes block at a wait/waitn. Mask is the
 	// newly blocked cohort; Bar the barrier register; PC the wait
-	// instruction. ITS engine only (the stack model has no barriers).
+	// instruction. ModelITS only (the stack model has no convergence
+	// barriers).
 	EvBarrierWait
 	// EvBarrierRelease fires when blocked lanes are released past their
 	// wait. Mask is the released cohort; Bar the barrier register. The
@@ -51,7 +51,7 @@ const (
 	EvRet
 	// EvCTABarWait fires when lanes block at a ctabar workgroup barrier.
 	// Mask is the newly blocked cohort of one warp; Bar the workgroup
-	// barrier name. ITS engine only.
+	// barrier name.
 	EvCTABarWait
 	// EvCTABarRelease fires, once per warp with released lanes, when a
 	// workgroup barrier opens (every live lane of the CTA arrived). The
@@ -171,7 +171,7 @@ type PCRef struct {
 // BuildPCTable enumerates every static instruction of the module in the
 // canonical dense-PC order — functions, then blocks, then instructions,
 // each in layout order — and returns the index-to-location table. The
-// engines' PCs are indices into the same enumeration (walkPCs), so a
+// simulator's PCs are indices into the same enumeration (walkPCs), so a
 // sink can size fixed counter arrays with len(BuildPCTable(m)) and index
 // them directly with Event.PC.
 func BuildPCTable(m *ir.Module) []PCRef {

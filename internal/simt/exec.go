@@ -8,16 +8,20 @@ import (
 	"specrecon/internal/ir"
 )
 
-// issue executes one warp instruction for every lane of entry gi of the
-// warp's group table, updates the metrics, advances the group's PC and
-// keeps the table current: instructions that move the whole group
-// uniformly (data ops, join, cancel, votes, branches, calls) edit the
-// entry in place and touch no per-lane PC; everything else — and every
-// error return — invalidates the table first, so the per-lane edits that
-// follow act on pcs and the next groups() call rescans.
-func (ws *warpState) issue(gi int) error {
+// issue executes one warp instruction for every lane of g, which is
+// entry gi of the warp's group table under ITS and the top of its
+// divergence stack under the stack model. The accounting is common: issue, lane,
+// op-class and block-visit counters, the coalescer and cache, the
+// sampler's mem-stall accumulator and the EvIssue/EvCacheAccess events.
+// Where the lanes go next is the model's: the stack model continues in
+// issueTop; ITS advances the group's PC below and keeps the table
+// current — instructions that move the whole group uniformly (data ops,
+// join, cancel, votes, branches, calls) edit the entry in place and touch
+// no per-lane PC; everything else — and every error return — invalidates
+// the table first, so the per-lane edits that follow act on pcs and the
+// next groups() call rescans.
+func (ws *warpState) issue(gi int, g group) error {
 	s := ws.sim
-	g := ws.groupBuf[gi]
 	im := &s.meta[g.pc]
 	in := im.in
 
@@ -57,6 +61,10 @@ func (ws *warpState) issue(gi int) error {
 		}
 	}
 
+	if s.cfg.Model == ModelStack {
+		s.metrics.Cycles += cost
+		return ws.issueTop(im, sink)
+	}
 	switch in.Op {
 	case ir.OpJoin:
 		ws.masks[in.Bar] |= g.mask
@@ -90,21 +98,8 @@ func (ws *warpState) issue(gi int) error {
 			ws.releaseCheck(in.Bar)
 		}
 	case ir.OpCTABar:
-		// Workgroup barrier: the active lanes block until every live
-		// lane of the CTA (across all its warps) arrives at barrier
-		// in.Bar; the barrier then opens for the whole CTA at once.
 		ws.invalidate()
-		for m := g.mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ws.status[l] = laneCTAWaiting
-			ws.waitBar[l] = int32(in.Bar)
-		}
-		ws.cta.blockOnBar(in.Bar, active)
-		s.metrics.CTABarWaits += int64(active)
-		if sink != nil {
-			sink.Event(ws.event(EvCTABarWait, im, g.pc, in.Bar, g.mask, 0))
-		}
-		ws.cta.barCheck(s, in.Bar)
+		ws.arriveCTABar(im, g.pc, g.mask, sink)
 	case ir.OpWarpSync:
 		ws.invalidate()
 		for m := g.mask; m != 0; m &= m - 1 {
@@ -187,6 +182,29 @@ func (ws *warpState) issue(gi int) error {
 		s.afterIssue(ws)
 	}
 	return nil
+}
+
+// arriveCTABar blocks the lanes of mask, issuing the ctabar at pc, on
+// their CTA's workgroup barrier: they wait until every live lane of the
+// CTA (across all its warps) has arrived, and the barrier then opens for
+// the whole CTA at once — possibly right here, if these were the last.
+// The blocked lanes' PC is recorded in pcs under either model.
+func (ws *warpState) arriveCTABar(im *instrMeta, pc, mask uint32, sink EventSink) {
+	s := ws.sim
+	bar := im.in.Bar
+	for m := mask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		ws.status[l] = laneCTAWaiting
+		ws.waitBar[l] = int32(bar)
+		ws.pcs[l] = pc
+	}
+	n := bits.OnesCount32(mask)
+	ws.cta.blockOnBar(bar, n)
+	s.metrics.CTABarWaits += int64(n)
+	if sink != nil {
+		sink.Event(ws.event(EvCTABarWait, im, pc, bar, mask, 0))
+	}
+	ws.cta.barCheck(s, bar)
 }
 
 // event builds an event of this warp located at instruction pc (im is

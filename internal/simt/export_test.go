@@ -50,6 +50,49 @@ e:
 }
 `
 
+// RandomControlFlowKernel (entry @k) mixes a loop, a per-lane random
+// branch and a call into a callee that diverges again — the control flow
+// on which the two divergence models are compared.
+const RandomControlFlowKernel = `module t memwords=256
+func @mix nregs=8 nfregs=4 {
+x:
+  fadd f1, f0, #1.0
+  fsetlt r6, f1, #20.0
+  cbr r6, small, big
+small:
+  fmul f0, f1, #1.5
+  br xo
+big:
+  fmul f0, f1, #0.25
+  br xo
+xo:
+  ret
+}
+func @k nregs=8 nfregs=4 {
+e:
+  tid r0
+  const r1, #0
+  fconst f0, #0.0
+  br hdr
+hdr:
+  setlt r2, r1, #24
+  cbr r2, body, done
+body:
+  frand f2
+  fsetlt r3, f2, #0.4
+  cbr r3, callpath, skip
+callpath:
+  call @mix
+  br skip
+skip:
+  add r1, r1, #1
+  br hdr
+done:
+  fst [r0], f0
+  exit
+}
+`
+
 // WithFullCopySM returns cfg with the copy-on-write SM fork disabled:
 // every SM gets a full private copy of the initial memory image plus a
 // whole-image dirty bitmap (the reference pre-CoW behavior). Tests pin
@@ -59,11 +102,12 @@ func WithFullCopySM(cfg Config) Config {
 	return cfg
 }
 
-// HandSim steps a single warp one issue slot at a time, bypassing Run's
-// driver loop, so tests can measure per-step behavior directly.
+// HandSim steps a single warp one issue slot at a time, so tests can
+// measure per-step behavior directly: Step is one pass of the production
+// wave loop over the one-warp wave a flat run-to-completion launch makes
+// of warp 0.
 type HandSim struct {
-	s  *sim
-	ws *warpState
+	s *sim
 }
 
 // NewHandSim builds a simulator over m and wires up warp 0.
@@ -72,11 +116,16 @@ func NewHandSim(m *ir.Module, cfg Config) (*HandSim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HandSim{s: s, ws: s.newWarp(0)}, nil
+	s.newCTAWarp(s.ctas[0], 0)
+	return &HandSim{s: s}, nil
 }
 
-// Step issues one slot on warp 0; done reports warp completion.
-func (h *HandSim) Step() (done bool, err error) { return h.ws.step() }
+// Step issues one slot on warp 0; done reports that nothing issued (the
+// warp completed, or is stalled).
+func (h *HandSim) Step() (done bool, err error) {
+	issued, err := h.s.passes(h.s.ctas[0].warps, 1)
+	return issued == 0, err
+}
 
 // AllocTestKernelGrid is the grid-launch variant of AllocTestKernel: the
 // same divergent loop with a shared-memory store/load pair and a ctabar
@@ -119,16 +168,21 @@ e:
 }
 `
 
-// HandSimGPU steps one SM of a grid launch by hand: SM 0 is forked with
-// its first occupancy wave of CTAs resident, and Step makes one
-// round-robin issue pass over the resident warps — the same inner loop
-// the SM driver runs, minus the wave scheduling. Under a non-greedy
-// Config.Sched, Step instead runs one scheduling slot of the policy
-// scheduler (sched.go), including its periodic starvation scan.
+// HandSimGPU steps one wave by hand: Step is one pass of the production
+// wave loop (a greedy round-robin sweep, or one policy slot with its
+// periodic starvation scan, then the sampler hook) without the loop's
+// retire and deadlock handling.
 type HandSimGPU struct {
 	sm    *sim
 	warps []*warpState
-	slot  int64
+}
+
+// newHandWave makes warps resident on sm the way runWave does.
+func newHandWave(sm *sim, warps []*warpState) *HandSimGPU {
+	if sm.cfg.Sched != SchedGreedyConverge {
+		sm.schedInit(warps)
+	}
+	return &HandSimGPU{sm: sm, warps: warps}
 }
 
 // NewHandSimGPU builds a grid simulator over m and makes SM 0's first
@@ -155,17 +209,13 @@ func NewHandSimGPU(m *ir.Module, cfg Config) (*HandSimGPU, error) {
 			warps = append(warps, sm.newCTAWarp(cta, wi))
 		}
 	}
-	if sm.cfg.Sched != SchedGreedyConverge {
-		sm.schedInit(warps)
-	}
-	return &HandSimGPU{sm: sm, warps: warps}, nil
+	return newHandWave(sm, warps), nil
 }
 
 // NewHandSimFlat builds the flat-launch counterpart of NewHandSimGPU:
-// every warp of the launch forms one resident wave stepped by Step.
-// With the default greedy policy a Step is one round-robin pass (the
-// InterleaveWarps inner loop); under a non-greedy Config.Sched it is
-// one scheduling slot. cfg must be flat (Grid == 0) and ITS.
+// every warp of the launch forms one resident wave stepped by Step, as
+// under InterleaveWarps or a non-greedy Config.Sched. cfg must be flat
+// (Grid == 0).
 func NewHandSimFlat(m *ir.Module, cfg Config) (*HandSimGPU, error) {
 	s, err := newSim(m, cfg)
 	if err != nil {
@@ -174,62 +224,19 @@ func NewHandSimFlat(m *ir.Module, cfg Config) (*HandSimGPU, error) {
 	if s.gridMode {
 		return nil, fmt.Errorf("NewHandSimFlat requires a flat config (Grid == 0)")
 	}
-	if s.cfg.Model == ModelStack {
-		return nil, fmt.Errorf("NewHandSimFlat requires the ITS engine")
+	_, s.sampleSink = s.smSinks(0, nil, nil)
+	cta := s.ctas[0]
+	for w := 0; w*ir.WarpWidth < s.cfg.Threads; w++ {
+		s.newCTAWarp(cta, w)
 	}
-	if s.cfg.samplerEnabled() {
-		if s.cfg.SMSamples != nil {
-			s.sampleSink = s.cfg.SMSamples(0)
-		} else {
-			s.sampleSink = s.cfg.Samples
-		}
-	}
-	nwarps := (s.cfg.Threads + ir.WarpWidth - 1) / ir.WarpWidth
-	warps := make([]*warpState, nwarps)
-	for w := range warps {
-		warps[w] = s.newWarp(w)
-	}
-	if s.cfg.Sched != SchedGreedyConverge {
-		s.schedInit(warps)
-	}
-	return &HandSimGPU{sm: s, warps: warps}, nil
+	return newHandWave(s, cta.warps), nil
 }
 
-// Step makes one round-robin issue pass over the resident warps,
-// including the occupancy sampler's per-pass hook (the same inner loop
-// runResident runs); progress=false means the wave retired (or
-// stalled).
+// Step runs one pass over the resident warps; progress=false means the
+// wave retired (or stalled).
 func (h *HandSimGPU) Step() (progress bool, err error) {
-	if h.sm.cfg.Sched != SchedGreedyConverge {
-		issued, err := h.sm.schedSlot(h.warps)
-		if err != nil {
-			return false, err
-		}
-		n := 0
-		if issued {
-			n = 1
-		}
-		h.sm.samplePass(h.warps, n)
-		h.slot++
-		if h.sm.cfg.StarveLimit > 0 && h.slot%starveCheckStride == 0 {
-			if err := h.sm.starveCheck(h.warps); err != nil {
-				return false, err
-			}
-		}
-		return issued, nil
-	}
-	issued := 0
-	for _, ws := range h.warps {
-		ok, _, err := ws.tryStep()
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			issued++
-		}
-	}
-	h.sm.samplePass(h.warps, issued)
-	return issued > 0, nil
+	issued, err := h.sm.passes(h.warps, 1)
+	return issued > 0, err
 }
 
 // TableCheck is the group-table invariant checker, installed as the
@@ -621,14 +628,14 @@ func IssuePCMismatch(m *ir.Module, cfg Config) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ws := s.newWarp(0)
+	ws := s.newCTAWarp(s.ctas[0], 0)
 	for {
 		var from group
 		if groups, _ := ws.groups(); len(groups) > 0 {
 			from = groups[ws.pick(groups)]
 		}
-		done, err := ws.step()
-		if done || err != nil {
+		issued, err := ws.tryStep()
+		if !issued {
 			return s.issues, err
 		}
 		if last.PC != int32(from.pc) || last.Mask != from.mask {

@@ -8,15 +8,20 @@ import (
 	"specrecon/internal/ir"
 )
 
-// GPU-scale execution: the GPU → SM → CTA → warp hierarchy.
+// GPU-scale execution: the GPU → SM → CTA → warp hierarchy, and the wave
+// loop every launch runs on.
 //
-// A grid launch (Config.Grid > 0) distributes Grid CTAs round-robin
-// over Config.SMs streaming multiprocessors: CTA c runs on SM c%SMs.
-// Each SM is an independent machine — its own global-memory copy,
-// cache, metrics, issue budget and event sink — executing its CTAs in
-// occupancy-limited waves; within a wave the resident warps issue
-// round-robin, so warps of co-resident CTAs contend for the SM's cache
-// exactly as under the flat engine's InterleaveWarps. A CTA owns a
+// One loop steps warps (passes, driven by runWave): it takes a wave — the
+// warps resident on a machine together — and gives it scheduling passes
+// until every warp has retired. Each launch shape is a way of cutting a
+// launch into waves. A grid launch (Config.Grid > 0) distributes Grid
+// CTAs round-robin over Config.SMs streaming multiprocessors: CTA c
+// runs on SM c%SMs. Each SM is an independent machine — its own
+// global-memory copy, cache, metrics, issue budget and event sink —
+// whose waves are its CTAs, as many at a time as its occupancy limits
+// allow (runSM); the warps of co-resident CTAs contend for the SM's
+// cache. A flat launch runs on the root sim and is either one wave of
+// all its warps or one wave per warp (launch in simt.go). A CTA owns a
 // shared-memory segment (ir.Module.SharedWords words) and up to
 // NumCTABarriers ctabar workgroup barriers scoped to its warps.
 //
@@ -144,6 +149,7 @@ func (s *sim) forkSM(i int, sink EventSink, samples SampleSink) *sim {
 		mod:         s.mod,
 		cfg:         s.cfg,
 		decodeTable: s.decodeTable,
+		ipdom:       s.ipdom,
 		metrics:     newMetrics(s.decodeTable),
 		entryPC:     s.entryPC,
 		nbar:        s.nbar,
@@ -369,7 +375,7 @@ func (s *sim) runSM(occ, warpsPerCTA int, shared [][]uint64) error {
 				resident = append(resident, s.newCTAWarp(cta, wi))
 			}
 		}
-		if err := s.runResident(resident); err != nil {
+		if err := s.runWave(resident); err != nil {
 			return err
 		}
 	}
@@ -381,51 +387,79 @@ func (s *sim) runSM(occ, warpsPerCTA int, shared [][]uint64) error {
 	return nil
 }
 
-// runResident issues round-robin over one wave of resident warps until
-// all retire. A warp with live but unrunnable lanes is skipped (another
-// warp of its CTA may release its ctabar); the SM is deadlocked only
-// when a full pass issues nothing while live lanes remain. A non-greedy
-// scheduling policy replaces this pass with the one-warp-per-slot
-// scheduler in sched.go.
-func (s *sim) runResident(warps []*warpState) error {
+// runWave runs one wave — the warps resident on the machine together —
+// to retirement: it gives them pass after pass until one issues nothing,
+// which means every warp has retired or, if a live one remains, that the
+// wave is deadlocked. A warp stalled at a ctabar is only skipped while
+// some warp still issues, since any of them may be the one that opens
+// it.
+func (s *sim) runWave(warps []*warpState) error {
 	if s.cfg.Sched != SchedGreedyConverge {
-		return s.runResidentSched(warps)
+		s.schedInit(warps)
 	}
+	if _, err := s.passes(warps, -1); err != nil {
+		return err
+	}
+	for _, ws := range warps {
+		if !ws.done {
+			return s.smDeadlock(warps)
+		}
+	}
+	return nil
+}
+
+// passes is the one loop that steps warps. A pass is one scheduling step
+// of the wave: every eligible warp issues once under greedy-converge,
+// one warp chosen by the policy otherwise (schedSlot); it ends with the
+// occupancy sampler's hook and, on policy slots, the starvation
+// monitor's periodic scan. The loop stops after a pass that issued
+// nothing, or after n passes when n is positive (tests step a wave one
+// pass at a time), and returns how many warps issued in the last pass.
+func (s *sim) passes(warps []*warpState, n int) (int, error) {
+	greedy := s.cfg.Sched == SchedGreedyConverge
 	for {
 		issued := 0
-		allDone := true
-		for _, ws := range warps {
-			ok, done, err := ws.tryStep()
+		if greedy {
+			for _, ws := range warps {
+				ok, err := ws.tryStep()
+				if err != nil {
+					return 0, s.warpErr(ws, err)
+				}
+				if ok {
+					issued++
+				}
+			}
+		} else {
+			ok, err := s.schedSlot(warps)
 			if err != nil {
-				return fmt.Errorf("simt: sm %d: warp %d: %w", s.smIndex, ws.index, err)
+				return 0, err
 			}
 			if ok {
-				issued++
-			}
-			if !done {
-				allDone = false
+				issued = 1
 			}
 		}
 		s.samplePass(warps, issued)
-		if allDone {
-			return nil
+		if !greedy && issued > 0 && s.cfg.StarveLimit > 0 {
+			if s.slot++; s.slot%starveCheckStride == 0 {
+				if err := s.starveCheck(warps); err != nil {
+					return 0, err
+				}
+			}
 		}
-		if issued == 0 {
-			return s.smDeadlock(warps)
+		if n--; issued == 0 || n == 0 {
+			return issued, nil
 		}
 	}
 }
 
-// smDeadlock reports the SM-level deadlock through the first stalled
-// warp's diagnostic (its blocked lanes and barrier snapshots). It also
-// serves flat launches driven by the policy scheduler, where the wrap
-// omits the SM prefix.
+// smDeadlock reports the wave's deadlock through the first stalled
+// warp's diagnostic (its blocked lanes and barrier snapshots).
 func (s *sim) smDeadlock(warps []*warpState) error {
 	for _, ws := range warps {
 		if ws.done {
 			continue
 		}
-		if _, anyLive := ws.groups(); anyLive {
+		if _, live := ws.ready(); live {
 			return s.warpErr(ws, ws.deadlockError())
 		}
 	}

@@ -247,9 +247,11 @@ func TestGridShardingDeterministic(t *testing.T) {
 	}
 }
 
-// TestGridDegenerateMatchesFlat pins the refactor's compatibility
-// contract at its boundary: a 1-CTA/1-SM grid of one warp produces the
-// same metrics, memory and event stream as the flat single-warp launch.
+// TestGridDegenerateMatchesFlat pins what it means that every launch
+// shape is waves through one loop: a 1-CTA/1-SM grid produces the same
+// metrics, memory and event stream as the flat launch that makes the
+// same waves of the same warps — one warp either way, and four warps as
+// one InterleaveWarps wave against one 128-thread CTA.
 func TestGridDegenerateMatchesFlat(t *testing.T) {
 	mod, err := ir.Parse(simt.AllocTestKernel)
 	if err != nil {
@@ -267,22 +269,30 @@ func TestGridDegenerateMatchesFlat(t *testing.T) {
 		}
 		return res, events
 	}
-	flatRes, flatEvents := run(simt.Config{Threads: ir.WarpWidth})
-	gridRes, gridEvents := run(simt.Config{Grid: 1, CTASize: ir.WarpWidth, SMs: 1})
-	if flatRes != nil && gridRes != nil {
-		if flatRes.Metrics.Issues != gridRes.Metrics.Issues ||
-			flatRes.Metrics.Cycles != gridRes.Metrics.Cycles {
-			t.Errorf("issue/cycle counts diverge: flat %d/%d, grid %d/%d",
-				flatRes.Metrics.Issues, flatRes.Metrics.Cycles,
-				gridRes.Metrics.Issues, gridRes.Metrics.Cycles)
+	for _, tc := range []struct {
+		name       string
+		flat, grid simt.Config
+	}{
+		{"one warp", simt.Config{Threads: ir.WarpWidth}, simt.Config{Grid: 1, CTASize: ir.WarpWidth, SMs: 1}},
+		{"four warps", simt.Config{Threads: 4 * ir.WarpWidth, InterleaveWarps: true}, simt.Config{Grid: 1, CTASize: 4 * ir.WarpWidth}},
+	} {
+		flatRes, flatEvents := run(tc.flat)
+		gridRes, gridEvents := run(tc.grid)
+		if flatRes != nil && gridRes != nil {
+			if flatRes.Metrics.Issues != gridRes.Metrics.Issues ||
+				flatRes.Metrics.Cycles != gridRes.Metrics.Cycles {
+				t.Errorf("%s: issue/cycle counts diverge: flat %d/%d, grid %d/%d", tc.name,
+					flatRes.Metrics.Issues, flatRes.Metrics.Cycles,
+					gridRes.Metrics.Issues, gridRes.Metrics.Cycles)
+			}
+			if !reflect.DeepEqual(flatRes.Memory, gridRes.Memory) {
+				t.Errorf("%s: final memory diverges between flat and degenerate grid", tc.name)
+			}
 		}
-		if !reflect.DeepEqual(flatRes.Memory, gridRes.Memory) {
-			t.Error("final memory diverges between flat and degenerate grid")
+		if !reflect.DeepEqual(flatEvents, gridEvents) {
+			t.Errorf("%s: event streams diverge: flat %d events, grid %d events",
+				tc.name, len(flatEvents), len(gridEvents))
 		}
-	}
-	if !reflect.DeepEqual(flatEvents, gridEvents) {
-		t.Errorf("event streams diverge: flat %d events, grid %d events",
-			len(flatEvents), len(gridEvents))
 	}
 }
 
@@ -409,7 +419,6 @@ func TestGridConfigValidation(t *testing.T) {
 		cfg  simt.Config
 		want string
 	}{
-		{"stack engine", simt.Config{Grid: 1, Model: simt.ModelStack}, "ITS engine"},
 		{"interleave", simt.Config{Grid: 1, InterleaveWarps: true}, "InterleaveWarps"},
 		{"cta too big", simt.Config{Grid: 1, CTASize: simt.MaxThreadsPerCTA + 1}, "CTA size"},
 		{"too many sms", simt.Config{Grid: 1, SMs: simt.MaxSMs + 1}, "SM count"},

@@ -19,7 +19,7 @@ func TestGroupsMatchesMapAndSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := s.newWarp(0)
+	ws := s.newCTAWarp(s.ctas[0], 0)
 	// A tiny deterministic generator keeps the case table reproducible.
 	state := uint64(0x9e3779b97f4a7c15)
 	next := func(n int) int {

@@ -82,20 +82,6 @@ meet:
 	}
 }
 
-// TestInterleaveRejectsStackModel: the combination is unsupported.
-func TestInterleaveRejectsStackModel(t *testing.T) {
-	m := asm(t, `module t memwords=8
-func @k nregs=1 nfregs=0 {
-e:
-  exit
-}
-`)
-	_, err := Run(m, Config{InterleaveWarps: true, Model: ModelStack})
-	if err == nil || !strings.Contains(err.Error(), "only supported on the ITS engine") {
-		t.Fatalf("want unsupported-combination error, got %v", err)
-	}
-}
-
 // TestInterleavedDeadlockStillDetected: a deadlocked warp is reported
 // even while other warps continue.
 func TestInterleavedDeadlockStillDetected(t *testing.T) {

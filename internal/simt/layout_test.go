@@ -22,7 +22,7 @@ func TestFreshWarpAllocs(t *testing.T) {
 	s.ctas[0].warps = make([]*warpState, 0, runs+2)
 	w := 0
 	take := func() {
-		s.newWarp(w)
+		s.newCTAWarp(s.ctas[0], w)
 		w++
 	}
 	if got := testing.AllocsPerRun(runs, take); got > 4 {
@@ -44,7 +44,7 @@ func TestFreshWarpAllocs(t *testing.T) {
 	ws.regs[3*ir.WarpWidth+5], ws.fregs[7], ws.pcs[9], ws.status[9] = 42, 1.5, 17, laneWaiting
 	ws.stacks[9] = append(ws.stacks[9], frame{ret: 3})
 	rewind()
-	if got := s.newWarp(0); got != ws {
+	if got := s.newCTAWarp(s.ctas[0], 0); got != ws {
 		t.Fatal("relaunch did not hand back the pooled warp")
 	}
 	if ws.regs[3*ir.WarpWidth+5] != 0 || ws.fregs[7] != 0 || ws.pcs[9] != s.entryPC ||
@@ -62,11 +62,11 @@ func TestInvalidateTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := s.newWarp(0)
+	ws := s.newCTAWarp(s.ctas[0], 0)
 	// Step until the table is current and holds diverged groups.
 	for ws.stale || ws.ngroups < 2 {
-		if done, err := ws.step(); done || err != nil {
-			t.Fatalf("kernel ended before diverging: done=%v err=%v", done, err)
+		if issued, err := ws.tryStep(); !issued {
+			t.Fatalf("kernel ended before diverging: err=%v", err)
 		}
 	}
 	table := ws.groupBuf

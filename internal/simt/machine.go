@@ -18,8 +18,9 @@ import (
 // TestMachineMatchesFreshRun).
 //
 // A Machine is bound to a launch shape: the kernel, thread/grid
-// geometry, SM count, scheduling policy, engine and cache configuration
-// of the Config it was built with, plus the derived memory-image size.
+// geometry, SM count, scheduling policy, divergence model and cache
+// configuration of the Config it was built with, plus the derived
+// memory-image size.
 // Per-launch inputs — Seed, Memory contents, issue/cycle/wall budgets,
 // Strict, SkipReleaseN, Workers, event sinks and the scheduler policy
 // (Sched, SchedSeed, StarveLimit) — may differ freely between runs. Run

@@ -114,6 +114,7 @@ func TestMachineMatchesFreshRun(t *testing.T) {
 		{"flat", cowMod, simt.Config{Threads: 96}},
 		{"grid", cowMod, simt.Config{Grid: 8, CTASize: 64, SMs: 4, Workers: 2}},
 		{"grid-shared", reduceMod, simt.Config{Grid: 4, CTASize: 48, SMs: 2, MemWords: 256}},
+		{"grid-shared-stack", reduceMod, simt.Config{Grid: 4, CTASize: 48, SMs: 2, MemWords: 256, Model: simt.ModelStack}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,9 +2,9 @@ package simt
 
 // Occupancy/stall sampling: the simulator's analogue of a hardware
 // performance-counter sampler (Nsight's SM occupancy and warp-stall
-// attribution). When Config.SampleStride is positive, the SM driver
-// records one Sample per stride of modeled cycles at the end of an
-// issue pass over its resident warps: how many warps are resident, how
+// attribution). When Config.SampleStride is positive, the wave loop
+// records one Sample per stride of modeled cycles at the end of a
+// pass over the resident warps: how many warps are resident, how
 // many were eligible to issue (had a runnable lane group), how many
 // actually issued this pass, and — for the stalled ones — whether they
 // are blocked at convergence barriers/warpsync or at a ctabar workgroup
@@ -14,11 +14,13 @@ package simt
 // sample with Eligible == 0 is a "no-eligible" stall window (the SM had
 // resident warps but nothing to issue).
 //
-// The sampler exists on the two drivers where warps genuinely share an
-// SM: grid launches (every SM's resident-warp round-robin) and flat
-// InterleaveWarps launches (reported as SM 0). The sequential flat
-// driver and the reconvergence-stack engine run one warp at a time, so
-// per-pass occupancy is meaningless there and they do not sample.
+// The hook sits in the one wave loop, so it sees every launch shape,
+// warp scheduler and divergence model alike. A sink is attached wherever
+// warps genuinely share a machine: on every SM of a grid launch, and on
+// a flat launch that is one wave of all its warps (InterleaveWarps or a
+// non-greedy Sched), reported as SM 0. A run-to-completion flat launch
+// makes a wave of each warp; occupancy of one is meaningless, so it gets
+// no sink and records nothing.
 //
 // Determinism and cost mirror the event stream (events.go): samples
 // reach Config.Samples in SM order — in place on a serial launch,
@@ -31,7 +33,7 @@ package simt
 
 // Sample is one occupancy/stall observation of one SM.
 type Sample struct {
-	// SM is the sampled SM's index (0 on flat InterleaveWarps launches).
+	// SM is the sampled SM's index (0 on flat launches).
 	SM int32
 	// Cycle is the SM-local modeled cycle count at sample time.
 	Cycle int64
@@ -111,10 +113,9 @@ func (cfg *Config) samplerEnabled() bool {
 	return cfg.SampleStride > 0 && (cfg.Samples != nil || cfg.SMSamples != nil)
 }
 
-// samplePass is called once per issue pass over an SM's resident warps
-// (and once per InterleaveWarps round on flat launches). It records a
-// sample when at least SampleStride cycles elapsed since the last one.
-// The disabled-path cost is the nil check.
+// samplePass is called once per pass over a wave. It records a sample
+// when at least SampleStride cycles elapsed since the last one. The
+// disabled-path cost is the nil check.
 func (s *sim) samplePass(warps []*warpState, issued int) {
 	if s.sampleSink == nil {
 		return
@@ -150,7 +151,7 @@ func (s *sim) recordSample(warps []*warpState, issued int) {
 			}
 		}
 		if !running && !ctabar && !barrier {
-			continue // every lane exited; the driver just hasn't marked done
+			continue // every lane exited; tryStep just hasn't marked it done
 		}
 		smp.Resident++
 		switch {

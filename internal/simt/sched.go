@@ -7,8 +7,8 @@ import (
 
 // Inter-warp scheduling policies and the progress-model stress layer.
 //
-// The paper's correctness argument (and the reference round-robin SM
-// driver in gpu.go) assumes the scheduler eventually issues every
+// The paper's correctness argument (and the reference greedy-converge
+// pass in gpu.go) assumes the scheduler eventually issues every
 // runnable warp. Real GPUs promise much less: "Specifying and Testing
 // GPU Workgroup Progress Models" (arXiv 2109.06132) shows kernels that
 // pass under a fair scheduler and deadlock or starve under
@@ -20,16 +20,16 @@ import (
 // whose outcome varies by policy are exactly the ones relying on a
 // progress guarantee the hardware does not give.
 //
-// Execution model under a non-greedy policy. Instead of the greedy
-// round-robin pass (one instruction per eligible warp per pass), the
-// scheduler runs one *slot* at a time: the policy ranks the resident
-// warps, and the first ranked warp able to issue gets the slot. A slot
-// where no warp can issue means the wave either retired or deadlocked.
-// Flat ITS launches under a non-greedy policy route through the same
-// resident-warp scheduler (all warps of the launch form one wave), so
-// cross-warp producer/consumer kernels see the policy too. The stack
-// engine runs warps to completion by construction and rejects
-// non-greedy policies.
+// Execution model. A pass of the wave loop (runWave in gpu.go) is one
+// scheduling step of the resident warps. Under greedy-converge it is a
+// round-robin sweep, one instruction per eligible warp; under any other
+// policy it is one *slot*: the policy ranks the resident warps, and the
+// first ranked warp able to issue gets the slot (schedSlot). A pass in
+// which no warp can issue means the wave either retired or deadlocked.
+// The policy applies to whatever shares a wave — an SM's co-resident
+// CTAs on a grid launch, every warp of a flat launch (a non-greedy
+// policy makes a flat launch one shared wave, like InterleaveWarps) —
+// and to either divergence model: it only ever asks a warp to tryStep.
 //
 // Liveness layer. Unfair policies can starve a runnable warp forever
 // (legal under OBE, but worth surfacing): the starvation monitor
@@ -37,9 +37,10 @@ import (
 // when a warp with runnable lanes has not issued for more than the
 // limit in modeled cycles. The wall-clock watchdog (Config.WallBudget)
 // bounds real time beside the modeled MaxIssues/MaxCycles budgets and
-// fires a typed WatchdogError; it applies to every driver and policy.
+// fires a typed WatchdogError; it applies to every launch shape and
+// policy.
 
-// SchedPolicy selects how the SM driver picks the next warp to issue
+// SchedPolicy selects how the wave loop picks the next warp to issue
 // from, complementing Policy, which picks among one warp's PC groups.
 type SchedPolicy int
 
@@ -47,7 +48,7 @@ const (
 	// SchedGreedyConverge is the reference scheduler: a round-robin
 	// pass issuing one instruction per eligible resident warp. Every
 	// runnable warp issues every pass, so no warp can starve; this is
-	// the fairest model and the default (today's behavior, unchanged).
+	// the fairest model and the default.
 	SchedGreedyConverge SchedPolicy = iota
 	// SchedOldestFirst issues the warp that has waited longest since
 	// its last issue (ties to the lowest warp index) — a fair aging
@@ -126,17 +127,17 @@ func ParsePolicy(s string) (Policy, error) {
 
 // starveCheckStride is how many scheduling slots pass between starvation
 // scans; the monitor's resolution is this many slots, its cost one
-// groups() call per resident warp per scan.
+// ready() call per resident warp per scan.
 const starveCheckStride = 64
 
 // watchdogCheckMask amortizes the wall-clock watchdog: the deadline is
 // consulted once per (mask+1) issues, so a fired budget is detected
-// within ~1024 issues while the hot path pays only a zero-check.
+// within ~1024 issues while the hot path pays only a mask test.
 const watchdogCheckMask = 1<<10 - 1
 
-// warpErr wraps a warp-level error with the launch-position prefix the
-// drivers use: "simt: sm S: warp W:" on grid launches, "simt: warp W:"
-// on flat ones. errors.As sees through both.
+// warpErr wraps a warp-level error with its launch-position prefix:
+// "simt: sm S: warp W:" on grid launches, "simt: warp W:" on flat ones.
+// errors.As sees through both.
 func (s *sim) warpErr(ws *warpState, err error) error {
 	if s.gridMode {
 		return fmt.Errorf("simt: sm %d: warp %d: %w", s.smIndex, ws.index, err)
@@ -145,10 +146,10 @@ func (s *sim) warpErr(ws *warpState, err error) error {
 }
 
 // watchdogExpired reports whether the wall-clock budget has run out.
-// The time.Now call is amortized over watchdogCheckMask+1 issues; with
-// no budget configured the cost is one IsZero check per issue.
+// tryStep consults it once per watchdogCheckMask+1 issues, so the hot
+// path pays one mask test per issue whether or not a budget is set.
 func (s *sim) watchdogExpired() bool {
-	return !s.wallDeadline.IsZero() && s.issues&watchdogCheckMask == 0 && time.Now().After(s.wallDeadline)
+	return !s.wallDeadline.IsZero() && time.Now().After(s.wallDeadline)
 }
 
 // noteIssue timestamps a warp's successful issue for the aging policies
@@ -160,7 +161,7 @@ func (s *sim) noteIssue(ws *warpState) {
 }
 
 // clearTried resets and returns the per-slot tried bitmap (sized by
-// runResidentSched; one bit per resident warp).
+// schedInit; one bit per resident warp).
 func (s *sim) clearTried() []uint64 {
 	for i := range s.schedTried {
 		s.schedTried[i] = 0
@@ -168,54 +169,14 @@ func (s *sim) clearTried() []uint64 {
 	return s.schedTried
 }
 
-// runResidentSched drives one wave of resident warps under a non-greedy
-// scheduling policy: one warp issues per slot, chosen by the policy,
-// until the wave retires (no warp can issue and all are done) or
-// deadlocks (no warp can issue while live lanes remain). The starvation
-// monitor scans between slots when Config.StarveLimit is set. The loop
-// performs no steady-state heap allocations: the tried bitmap is arena
-// scratch and every per-warp structure is pooled.
-func (s *sim) runResidentSched(warps []*warpState) error {
-	s.schedInit(warps)
-	var slot int64
-	for {
-		issued, err := s.schedSlot(warps)
-		if err != nil {
-			return err
-		}
-		n := 0
-		if issued {
-			n = 1
-		}
-		s.samplePass(warps, n)
-		if !issued {
-			allDone := true
-			for _, ws := range warps {
-				if !ws.done {
-					allDone = false
-					break
-				}
-			}
-			if allDone {
-				return nil
-			}
-			return s.smDeadlock(warps)
-		}
-		slot++
-		if s.cfg.StarveLimit > 0 && slot%starveCheckStride == 0 {
-			if err := s.starveCheck(warps); err != nil {
-				return err
-			}
-		}
-	}
-}
-
 // schedInit prepares a wave for policy scheduling: the SchedRandom pick
 // stream reseeds per SM (sharded runs stay deterministic for any
 // Workers count, and distinct SMs explore distinct interleavings), the
-// tried bitmap is sized to the wave, and every warp's aging/starvation
-// clock starts at residency.
+// tried bitmap is sized to the wave (arena scratch, so the slots
+// allocate nothing), and every warp's aging/starvation clock and the
+// wave's slot count start at residency.
 func (s *sim) schedInit(warps []*warpState) {
+	s.slot = 0
 	if s.cfg.Sched == SchedRandom {
 		s.schedRng.Reseed(s.cfg.Seed^s.cfg.SchedSeed, 0x5eed0+uint64(s.smIndex))
 	}
@@ -239,7 +200,7 @@ func (s *sim) schedSlot(warps []*warpState) (bool, error) {
 		// OBE: lowest index able to issue wins; tryStep doubles as the
 		// eligibility probe, so no separate tried set is needed.
 		for _, ws := range warps {
-			ok, _, err := ws.tryStep()
+			ok, err := ws.tryStep()
 			if err != nil {
 				return false, s.warpErr(ws, err)
 			}
@@ -273,7 +234,7 @@ func (s *sim) schedSlot(warps []*warpState) (bool, error) {
 				k--
 			}
 			ws := warps[pick]
-			ok, _, err := ws.tryStep()
+			ok, err := ws.tryStep()
 			if err != nil {
 				return false, s.warpErr(ws, err)
 			}
@@ -309,7 +270,7 @@ func (s *sim) schedSlot(warps []*warpState) (bool, error) {
 				return false, nil
 			}
 			ws := warps[best]
-			ok, _, err := ws.tryStep()
+			ok, err := ws.tryStep()
 			if err != nil {
 				return false, s.warpErr(ws, err)
 			}
@@ -324,18 +285,18 @@ func (s *sim) schedSlot(warps []*warpState) (bool, error) {
 
 // starveCheck scans the wave for a runnable warp the policy has not
 // issued for more than Config.StarveLimit modeled cycles. A warp with
-// live lanes but no runnable group is *blocked*, not starved — deadlock
+// live lanes but no runnable one is *blocked*, not starved — deadlock
 // and budget detection own that case — so its clock resets.
 func (s *sim) starveCheck(warps []*warpState) error {
 	for _, ws := range warps {
 		if ws.done {
 			continue
 		}
-		groups, anyLive := ws.groups()
-		if !anyLive {
+		runnable, live := ws.ready()
+		if !live {
 			continue
 		}
-		if len(groups) == 0 {
+		if !runnable {
 			ws.lastRunCycle = s.metrics.Cycles
 			continue
 		}
@@ -350,34 +311,25 @@ func (s *sim) starveCheck(warps []*warpState) error {
 func (s *sim) starvationError(ws *warpState, age int64) error {
 	e := &StarvationError{
 		Warp:      ws.index,
-		SM:        -1,
-		CTA:       -1,
 		AgeCycles: age,
 		Limit:     s.cfg.StarveLimit,
 		Cycles:    s.metrics.Cycles,
 		Sched:     s.cfg.Sched,
 	}
-	if s.gridMode {
-		e.SM = int(s.smIndex)
-		e.CTA = int(ws.ctaIndex)
-	}
+	e.SM, e.CTA = ws.place()
 	return e
 }
 
-// watchdogError builds the typed wall-clock budget diagnostic. cta is
-// the CTA of the warp that observed expiry, or -1 on a flat launch.
-func (s *sim) watchdogError(warp, cta int) error {
+// watchdogError builds the typed wall-clock budget diagnostic for ws,
+// the warp that observed expiry.
+func (s *sim) watchdogError(ws *warpState) error {
 	e := &WatchdogError{
-		Warp:              warp,
-		SM:                -1,
-		CTA:               cta,
+		Warp:              ws.index,
 		Budget:            s.cfg.WallBudget,
 		Issues:            s.issues,
 		Cycles:            s.metrics.Cycles,
 		LastProgressCycle: s.lastProgressCycle,
 	}
-	if s.gridMode {
-		e.SM = int(s.smIndex)
-	}
+	e.SM, e.CTA = ws.place()
 	return e
 }

@@ -60,8 +60,8 @@ func TestSchedPolicyStringRoundTrip(t *testing.T) {
 }
 
 // TestSchedCrossWarpProgress: fair policies resolve the cross-warp
-// spin/flag dependency on a flat launch (the policy scheduler runs all
-// warps as one wave, unlike the sequential flat driver).
+// spin/flag dependency on a flat launch (a non-greedy policy makes the
+// launch one wave of all its warps, not one wave per warp).
 func TestSchedCrossWarpProgress(t *testing.T) {
 	m := asm(t, spinFlagKernel)
 	for _, sp := range []SchedPolicy{SchedOldestFirst, SchedRandom} {
@@ -201,9 +201,8 @@ done:
 	}
 }
 
-// TestSchedConfigValidation: the stack engine rejects non-greedy
-// policies; negative liveness budgets and out-of-range policies are
-// rejected.
+// TestSchedConfigValidation: negative liveness budgets and out-of-range
+// policies are rejected.
 func TestSchedConfigValidation(t *testing.T) {
 	m := asm(t, `module v memwords=64
 func @k nregs=2 nfregs=0 {
@@ -211,9 +210,6 @@ e:
   exit
 }
 `)
-	if _, err := Run(m, Config{Model: ModelStack, Sched: SchedLooseFair}); err == nil {
-		t.Fatal("stack engine accepted a non-greedy sched policy")
-	}
 	if _, err := Run(m, Config{Sched: SchedPolicy(99)}); err == nil {
 		t.Fatal("out-of-range sched policy accepted")
 	}

@@ -116,27 +116,40 @@ const DefaultMaxIssues = 1 << 28
 
 // Config controls one kernel launch.
 //
-// Launch shapes. A flat launch (Grid == 0) is the original single-SM
-// model: Threads threads in one implicit CTA on one SM, with every
-// existing driver (sequential warps, InterleaveWarps, the stack engine)
-// behaving exactly as before. A grid launch (Grid > 0) runs Grid CTAs
-// of CTASize threads over SMs streaming multiprocessors: CTAs are
-// assigned round-robin (CTA c runs on SM c%SMs), each SM executes its
-// resident warps round-robin in occupancy-limited waves, and each CTA
-// owns a shared-memory segment and its ctabar workgroup barriers.
+// Launch shapes. Every launch is a sequence of waves — sets of warps
+// resident on a machine together — run one after another by the same
+// loop (runWave); within a wave the warps take turns issuing, so they
+// contend for the cache and can meet at a ctabar. The shapes differ only
+// in what a wave is:
+//
+//   - A flat launch (Grid == 0) is Threads threads in one implicit CTA on
+//     one SM. By default it runs to completion one warp at a time: every
+//     warp is a wave of its own.
+//   - A flat launch with InterleaveWarps, or under a non-greedy Sched,
+//     is one wave of all its warps.
+//   - A grid launch (Grid > 0) runs Grid CTAs of CTASize threads over SMs
+//     streaming multiprocessors: CTAs are assigned round-robin (CTA c
+//     runs on SM c%SMs), each SM is a machine of its own, and an SM's
+//     waves are as many of its CTAs as fit on it at once. Each CTA owns a
+//     shared-memory segment and its ctabar workgroup barriers.
+//
+// Model, Sched, the sampler, the starvation monitor and the budgets act
+// inside the loop, so each applies to every shape. A ctabar only collects
+// warps that share a wave: a kernel whose warps must meet at one needs
+// InterleaveWarps, a non-greedy Sched or a grid launch, and the default
+// flat launch reports the first warp to reach it as deadlocked.
 type Config struct {
 	Kernel  string // entry function (default: first function)
 	Threads int    // total threads (default: one warp; grid launches derive it)
 	Seed    uint64
 	Policy  Policy
 	// Sched selects the inter-warp scheduling policy (see SchedPolicy
-	// in sched.go). The default greedy-converge keeps every existing
-	// driver exactly as before; any other policy replaces the SM
-	// round-robin with the policy's one-warp-per-slot pick, and routes
-	// flat ITS launches through the resident-warp scheduler (all warps
-	// of the launch form one wave, interleaving like InterleaveWarps).
-	// ITS engine only — the stack engine runs warps to completion by
-	// construction.
+	// in sched.go): how a pass of the wave loop picks among the wave's
+	// warps. Under the default greedy-converge every eligible warp issues
+	// once per pass; under any other policy one warp, the policy's pick,
+	// issues per pass — and a flat launch becomes one wave of all its
+	// warps, as under InterleaveWarps, so the policy has warps to choose
+	// among.
 	Sched SchedPolicy
 	// SchedSeed seeds SchedRandom's pick streams. Each SM derives its
 	// own stream from (Seed, SchedSeed, SM index), so sharded runs stay
@@ -157,8 +170,8 @@ type Config struct {
 	// Grid, when positive, launches a grid of Grid CTAs of CTASize
 	// threads each (CTASize defaults to one warp, capped at
 	// MaxThreadsPerCTA) across SMs streaming multiprocessors (default 1,
-	// capped at MaxSMs). Threads is derived as Grid*CTASize. Grid
-	// launches require the ITS engine.
+	// capped at MaxSMs). Threads is derived as Grid*CTASize. An SM's
+	// wave is the CTAs co-resident on it (see occupancy).
 	Grid    int
 	CTASize int
 	SMs     int
@@ -173,15 +186,19 @@ type Config struct {
 	// simulation starts, and takes precedence over Events. Each sink is
 	// called only from the goroutine simulating its SM.
 	SMEvents func(sm int) EventSink
-	// Model selects the execution engine: Volta-style independent
-	// thread scheduling (default) or the pre-Volta reconvergence stack.
+	// Model selects the divergence model — which lanes of a warp issue
+	// next and where they go: Volta-style independent thread scheduling
+	// with convergence barriers (default) or the pre-Volta reconvergence
+	// stack (stack.go). Every launch shape, scheduler and observer works
+	// under both.
 	Model Model
-	// InterleaveWarps issues one instruction per live warp round-robin
-	// instead of running warps to completion sequentially, so
-	// concurrent warps contend for the cache as on a real SM. Results
-	// are unaffected (warps only interact through memory, and atomics
-	// remain atomic); cache statistics become more realistic.
-	// ITS engine only.
+	// InterleaveWarps makes a flat launch one wave of all its warps
+	// instead of one wave per warp, so concurrent warps contend for the
+	// cache as on a real SM and can meet at a ctabar. Results of kernels
+	// whose warps only interact through memory are unaffected (atomics
+	// remain atomic); cache statistics become more realistic. Grid
+	// launches always interleave their resident warps and reject the
+	// flag.
 	InterleaveWarps bool
 	// Strict makes leftover barrier participation at thread exit an
 	// error instead of an implicit cancel.
@@ -198,8 +215,8 @@ type Config struct {
 	// cohort's lanes stay blocked and the barrier's participation mask is
 	// still cleared, so no later wait can release them. This models a
 	// hardware/runtime fault losing a release and exists to prove the
-	// deadlock detector and differential checker catch it. ITS engine
-	// only (the stack engine has no barrier releases to skip).
+	// deadlock detector and differential checker catch it. ModelITS
+	// only (the stack model has no barrier releases to skip).
 	SkipReleaseN int64
 	// Memory is the initial global memory image; it is copied, and the
 	// final memory is returned in Result.Memory.
@@ -210,7 +227,7 @@ type Config struct {
 	Cache    CacheConfig
 	// Events, when non-nil, receives the generalized simulator event
 	// stream (issues, branch resolutions, barrier waits and releases,
-	// cache accesses, calls and returns) from both execution engines.
+	// cache accesses, calls and returns) under either divergence model.
 	// See events.go; combine several observers with TeeSinks. The sink
 	// is always called from one goroutine at a time and, on a grid
 	// launch, sees SM 0's whole stream, then SM 1's, and so on, for any
@@ -223,8 +240,10 @@ type Config struct {
 	Events EventSink
 	// SampleStride, when positive, enables the per-SM occupancy/stall
 	// sampler: one Sample per stride of modeled cycles, recorded at the
-	// end of an issue pass over the SM's resident warps. Grid launches
-	// and flat InterleaveWarps launches only; see sample.go.
+	// end of a pass over the wave. It samples the waves that warps share
+	// — an SM's on a grid launch, a flat launch's one wave under
+	// InterleaveWarps or a non-greedy Sched (as SM 0) — and not the
+	// one-warp waves of a run-to-completion flat launch; see sample.go.
 	SampleStride int64
 	// Samples receives occupancy samples, SM by SM like Events: in place
 	// as they are taken when Workers <= 1, buffered per SM and replayed
@@ -283,7 +302,7 @@ type warpState struct {
 	// launch); ctaIndex caches its index for event emission and ctaid.
 	cta      *ctaState
 	ctaIndex int32
-	done     bool // every lane exited (set by the SM driver)
+	done     bool // every lane exited (set by tryStep)
 	// tidBase and ctatidBase are lane 0's global and CTA-relative thread
 	// ids (equal on flat launches).
 	tidBase, ctatidBase int
@@ -324,14 +343,18 @@ type warpState struct {
 	ngroups  int
 	anyLive  bool
 	stale    bool
+	// stack is the divergence stack under ModelStack (stack.go), where it
+	// replaces the group table as the home of the running lanes' PCs; it
+	// stays empty under ModelITS.
+	stack []stackEntry
 	// addrBuf is per-issue scratch for the active lanes' addresses, so
 	// the steady-state issue loop performs no heap allocations.
 	addrBuf [ir.WarpWidth]int64
 }
 
 // sim is one SM's machine state plus the launch-wide immutable decode
-// tables. A flat launch runs on a single sim exactly as before the GPU
-// hierarchy existed; a grid launch forks one sim per SM (sharing the
+// tables. A flat launch runs its waves on a single sim, with its own
+// memory image; a grid launch forks one sim per SM (sharing the
 // module, config and decode tables, with private memory, cache, metrics
 // and budgets) and merges them deterministically in SM order.
 type sim struct {
@@ -340,8 +363,8 @@ type sim struct {
 	// decodeTable is the decode-time side table: meta indexed by PC plus
 	// the block-start table.
 	*decodeTable
-	// ipdom is the stack engine's reconvergence table, indexed [fn][blk]
-	// (nil under ModelITS, which never reads it).
+	// ipdom is the stack model's reconvergence table, indexed [fn][blk]
+	// (nil under ModelITS, which never reads it); SM forks share it.
 	ipdom [][]int
 	// mem is the global-memory image (the initial template on a grid
 	// launch's root sim, a full private copy on a fullCopySM fork, nil on
@@ -379,10 +402,13 @@ type sim struct {
 	lastProgressCycle int64
 	// Scheduler-policy state (sched.go). schedRng is SchedRandom's
 	// per-SM pick stream; schedTried is the per-slot tried bitmap (one
-	// bit per resident warp, arena scratch); wallDeadline is the
-	// wall-clock watchdog's deadline (zero when WallBudget is off).
+	// bit per resident warp, arena scratch); slot counts the current
+	// wave's issued policy slots while the starvation monitor is armed
+	// (its scan stride); wallDeadline is the wall-clock watchdog's
+	// deadline (zero when WallBudget is off).
 	schedRng     rng.Source
 	schedTried   []uint64
+	slot         int64
 	wallDeadline time.Time
 	// Occupancy-sampler state (sample.go). sampleSink is this SM's
 	// resolved sink (nil when sampling is off — the hot-path check);
@@ -464,9 +490,6 @@ func normalizeConfig(m *ir.Module, cfg Config) (Config, int, error) {
 		return cfg, 0, fmt.Errorf("simt: negative grid size %d", cfg.Grid)
 	}
 	if cfg.Grid > 0 {
-		if cfg.Model == ModelStack {
-			return cfg, 0, fmt.Errorf("simt: grid launches require the ITS engine")
-		}
 		if cfg.InterleaveWarps {
 			return cfg, 0, fmt.Errorf("simt: InterleaveWarps does not apply to grid launches (SMs always interleave their resident warps)")
 		}
@@ -502,14 +525,8 @@ func normalizeConfig(m *ir.Module, cfg Config) (Config, int, error) {
 	if cfg.MaxIssues == 0 {
 		cfg.MaxIssues = DefaultMaxIssues
 	}
-	if cfg.InterleaveWarps && cfg.Model == ModelStack {
-		return cfg, 0, fmt.Errorf("simt: InterleaveWarps is only supported on the ITS engine")
-	}
 	if cfg.Sched < SchedGreedyConverge || cfg.Sched > SchedRandom {
 		return cfg, 0, fmt.Errorf("simt: unknown sched policy %v", cfg.Sched)
-	}
-	if cfg.Sched != SchedGreedyConverge && cfg.Model == ModelStack {
-		return cfg, 0, fmt.Errorf("simt: sched policy %v requires the ITS engine (the stack engine runs warps to completion)", cfg.Sched)
 	}
 	if cfg.StarveLimit < 0 {
 		return cfg, 0, fmt.Errorf("simt: negative starvation limit %d", cfg.StarveLimit)
@@ -601,6 +618,7 @@ func (s *sim) takeWarp() *warpState {
 		s.poolWarp++
 		ws.done = false
 		ws.stale = true
+		ws.stack = ws.stack[:0]
 		ws.rrCursor = 0
 		ws.lastIssueSlot = s.issues
 		ws.lastRunCycle = s.metrics.Cycles
@@ -676,25 +694,11 @@ func (s *sim) newCTA(index, size int) *ctaState {
 	return c
 }
 
-// newWarp builds warp w's initial machine state on a flat launch, where
-// every warp belongs to the single implicit CTA.
-func (s *sim) newWarp(w int) *warpState {
-	ws := s.takeWarp()
-	ws.index = w
-	ws.cta = s.ctas[0]
-	ws.ctaIndex = 0
-	ws.tidBase, ws.ctatidBase = w*ir.WarpWidth, w*ir.WarpWidth
-	for l := 0; l < ir.WarpWidth; l++ {
-		ws.resetLane(l, ws.tidBase+l >= s.cfg.Threads)
-	}
-	ws.cta.warps = append(ws.cta.warps, ws)
-	return ws
-}
-
-// newCTAWarp builds warp wi of cta on a grid launch. Lane tids are
-// CTA-relative-first: ctatid = wi*WarpWidth+lane, tid = cta*CTASize +
-// ctatid, so a CTA whose size is not a warp multiple ends with a
-// partial warp.
+// newCTAWarp builds warp wi of cta. Lane tids are CTA-relative-first:
+// ctatid = wi*WarpWidth+lane, tid = cta*CTASize + ctatid, so a CTA whose
+// size is not a warp multiple ends with a partial warp. A flat launch is
+// the one implicit CTA 0 of Threads threads, so there tid == ctatid and
+// the warp's launch-wide index is wi.
 func (s *sim) newCTAWarp(cta *ctaState, wi int) *warpState {
 	warpsPerCTA := (s.ctaSize + ir.WarpWidth - 1) / ir.WarpWidth
 	ws := s.takeWarp()
@@ -706,15 +710,16 @@ func (s *sim) newCTAWarp(cta *ctaState, wi int) *warpState {
 	for l := 0; l < ir.WarpWidth; l++ {
 		ws.resetLane(l, ws.ctatidBase+l >= s.ctaSize)
 	}
+	if s.cfg.Model == ModelStack {
+		ws.stack = append(ws.stack, stackEntry{pc: s.entryPC, mask: ws.liveMask(), rpc: noPC})
+	}
 	cta.warps = append(cta.warps, ws)
 	return ws
 }
 
 // Run launches the module's kernel under cfg and simulates it to
-// completion. Warps are simulated one after another over the shared
-// global memory (the optimization under study is intra-warp, so
-// inter-warp timing interleaving is irrelevant; inter-warp data effects
-// via atomics are preserved).
+// completion: every launch shape is a sequence of waves handed to the
+// one wave loop, runWave (see Config).
 func Run(m *ir.Module, cfg Config) (*Result, error) {
 	s, err := newSim(m, cfg)
 	if err != nil {
@@ -723,8 +728,11 @@ func Run(m *ir.Module, cfg Config) (*Result, error) {
 	return s.launch()
 }
 
-// launch drives one launch over s's (fresh or arena-reset) state: the
-// grid scheduler for grid configs, else one of the flat drivers.
+// launch drives one launch over s's (fresh or arena-reset) state. A
+// grid launch forks its SMs, which run their occupancy-limited waves; a
+// flat launch runs its warps on s itself, as one wave of them all when
+// they share the machine (InterleaveWarps or a non-greedy Sched) and
+// else as one wave per warp.
 func (s *sim) launch() (*Result, error) {
 	if s.cfg.WallBudget > 0 {
 		s.wallDeadline = time.Now().Add(s.cfg.WallBudget)
@@ -733,60 +741,21 @@ func (s *sim) launch() (*Result, error) {
 		return s.runGrid()
 	}
 	cfg := s.cfg
+	cta := s.ctas[0]
 	nwarps := (cfg.Threads + ir.WarpWidth - 1) / ir.WarpWidth
-	useSched := cfg.Sched != SchedGreedyConverge && cfg.Model != ModelStack
-
-	if cfg.InterleaveWarps || useSched {
-		// Flat interleaved (and policy-scheduled) launches sample as
-		// SM 0: warps genuinely share the machine here, so per-pass
-		// occupancy is meaningful.
-		if cfg.samplerEnabled() {
-			if cfg.SMSamples != nil {
-				s.sampleSink = cfg.SMSamples(0)
-			} else {
-				s.sampleSink = cfg.Samples
-			}
-		}
-		warps := make([]*warpState, nwarps)
-		for w := range warps {
-			warps[w] = s.newWarp(w)
-		}
-		if useSched {
-			// A non-greedy policy schedules the whole flat launch as one
-			// resident wave (sched.go), so cross-warp waits resolve and
-			// the policy's fairness model applies.
-			if err := s.runResidentSched(warps); err != nil {
-				return nil, err
-			}
-		} else {
-			live := nwarps
-			for live > 0 {
-				live = 0
-				for _, ws := range warps {
-					done, err := ws.step()
-					if err != nil {
-						return nil, fmt.Errorf("simt: warp %d: %w", ws.index, err)
-					}
-					if !done {
-						live++
-					}
-				}
-				// A warp that is not done issued exactly one instruction this
-				// round, so live doubles as the pass's issued-warp count.
-				s.samplePass(warps, live)
-			}
-		}
-	} else {
-		for w := 0; w < nwarps; w++ {
-			var err error
-			if cfg.Model == ModelStack {
-				err = s.runStackWarp(s.newWarp(w))
-			} else {
-				err = s.newWarp(w).run()
-			}
-			if err != nil {
-				return nil, fmt.Errorf("simt: warp %d: %w", w, err)
-			}
+	for w := 0; w < nwarps; w++ {
+		s.newCTAWarp(cta, w)
+	}
+	wave := 1
+	if cfg.InterleaveWarps || cfg.Sched != SchedGreedyConverge {
+		// The shared wave samples as SM 0; a wave of one warp has no
+		// occupancy to sample.
+		wave = nwarps
+		_, s.sampleSink = s.smSinks(0, nil, nil)
+	}
+	for w := 0; w < nwarps; w += wave {
+		if err := s.runWave(cta.warps[w : w+wave]); err != nil {
+			return nil, err
 		}
 	}
 	s.metrics.Threads = cfg.Threads
@@ -798,7 +767,7 @@ func (s *sim) launch() (*Result, error) {
 	res := &Result{Metrics: s.metrics, Memory: s.mem}
 	res.Metrics.detach()
 	if s.mod.SharedWords > 0 {
-		res.Shared = [][]uint64{s.ctas[0].shared}
+		res.Shared = [][]uint64{cta.shared}
 	}
 	return res, nil
 }
@@ -832,71 +801,57 @@ func (s *sim) resetForLaunch(cfg Config) {
 	}
 }
 
-// run drives one warp to completion.
-func (ws *warpState) run() error {
-	for {
-		done, err := ws.step()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-}
-
-// step issues at most one instruction. It reports done=true once every
-// lane has exited, and errors on deadlock or budget exhaustion.
-func (ws *warpState) step() (bool, error) {
-	s := ws.sim
-	groups, anyLive := ws.groups()
-	if len(groups) == 0 {
-		if !anyLive {
-			return true, nil // all lanes done
-		}
-		return false, ws.deadlockError()
-	}
-	gi := ws.pick(groups)
-	if s.issues >= s.cfg.MaxIssues || (s.cfg.MaxCycles > 0 && s.metrics.Cycles >= s.cfg.MaxCycles) {
-		return false, s.budgetError(ws.index, -1)
-	}
-	if s.watchdogExpired() {
-		return false, s.watchdogError(ws.index, -1)
-	}
-	if err := ws.issue(gi); err != nil {
-		return false, err
-	}
-	return false, nil
-}
-
-// tryStep is the SM driver's stall-aware variant of step: a warp with
-// live but unrunnable lanes reports issued=false instead of declaring
-// deadlock, because another warp of its CTA may still release a ctabar
-// it is blocked on. The SM detects deadlock only when a full pass over
-// its resident warps issues nothing (see runResident).
-func (ws *warpState) tryStep() (issued, done bool, err error) {
+// tryStep issues at most one instruction of ws, the only way a warp
+// steps. The divergence model supplies what to issue — the group the
+// Policy picks under ITS, the settled top of the divergence stack under
+// the stack model — and everything else is common. A warp with live but
+// unrunnable lanes reports issued=false rather than a deadlock, because
+// another warp of its wave may still open the ctabar it is blocked on;
+// runWave declares deadlock only when a whole pass issues nothing. Once
+// every lane has exited the warp is marked done.
+func (ws *warpState) tryStep() (issued bool, err error) {
 	if ws.done {
-		return false, true, nil
+		return false, nil
 	}
 	s := ws.sim
-	groups, anyLive := ws.groups()
-	if len(groups) == 0 {
-		if !anyLive {
-			ws.done = true
-			return false, true, nil
+	var gi int
+	var g group
+	if s.cfg.Model == ModelStack {
+		runnable, live := ws.settle()
+		if !runnable {
+			ws.done = !live
+			return false, nil
 		}
-		return false, false, nil // stalled; SM-level deadlock detection decides
+		top := &ws.stack[len(ws.stack)-1]
+		g = group{pc: top.pc, mask: top.mask}
+	} else {
+		groups, live := ws.groups()
+		if len(groups) == 0 {
+			ws.done = !live
+			return false, nil
+		}
+		gi = ws.pick(groups)
+		g = groups[gi]
 	}
 	if s.issues >= s.cfg.MaxIssues || (s.cfg.MaxCycles > 0 && s.metrics.Cycles >= s.cfg.MaxCycles) {
-		return false, false, s.budgetError(ws.index, int(ws.ctaIndex))
+		return false, s.budgetError(ws)
 	}
-	if s.watchdogExpired() {
-		return false, false, s.watchdogError(ws.index, int(ws.ctaIndex))
+	if s.issues&watchdogCheckMask == 0 && s.watchdogExpired() {
+		return false, s.watchdogError(ws)
 	}
-	if err := ws.issue(ws.pick(groups)); err != nil {
-		return false, false, err
+	return true, ws.issue(gi, g)
+}
+
+// ready reports whether the warp has a runnable lane and whether any of
+// its lanes is still live (not exited) — the one question the wave loop,
+// the starvation monitor and the deadlock report ask of either
+// divergence model.
+func (ws *warpState) ready() (runnable, live bool) {
+	if ws.sim.cfg.Model == ModelStack {
+		return ws.settle()
 	}
-	return true, false, nil
+	groups, anyLive := ws.groups()
+	return len(groups) > 0, anyLive
 }
 
 // group is a set of runnable lanes sharing a PC. While the table is
@@ -913,10 +868,19 @@ type group struct {
 // the lanes; otherwise issue has kept it current.
 func (ws *warpState) groups() ([]group, bool) {
 	if ws.stale {
-		ws.ngroups, ws.anyLive = scanGroups(&ws.status, &ws.pcs, &ws.groupBuf)
-		ws.stale = false
+		ws.rescan()
 	}
 	return ws.groupBuf[:ws.ngroups], ws.anyLive
+}
+
+// rescan rebuilds the stale table from the lanes. It is kept out of line
+// so that groups, whose common case is a current table, inlines into
+// tryStep.
+//
+//go:noinline
+func (ws *warpState) rescan() {
+	ws.ngroups, ws.anyLive = scanGroups(&ws.status, &ws.pcs, &ws.groupBuf)
+	ws.stale = false
 }
 
 // invalidate hands the running lanes' PCs back to pcs and marks the
@@ -998,20 +962,22 @@ func (ws *warpState) pick(groups []group) int {
 	}
 }
 
+// place locates the warp in the GPU hierarchy for a typed diagnostic:
+// its SM and CTA on a grid launch, -1 and -1 on a flat one, which has no
+// hierarchy to name.
+func (ws *warpState) place() (sm, cta int) {
+	if !ws.sim.gridMode {
+		return -1, -1
+	}
+	return int(ws.sim.smIndex), int(ws.ctaIndex)
+}
+
 // deadlockError builds a typed diagnostic describing why no lane can
 // proceed: every barrier with leftover state and every blocked lane's
 // per-lane PC.
 func (ws *warpState) deadlockError() error {
-	e := &DeadlockError{
-		Warp:   ws.index,
-		SM:     -1,
-		CTA:    -1,
-		Cycles: ws.sim.metrics.Cycles,
-	}
-	if ws.sim.gridMode {
-		e.SM = int(ws.sim.smIndex)
-		e.CTA = int(ws.ctaIndex)
-	}
+	e := &DeadlockError{Warp: ws.index, Cycles: ws.sim.metrics.Cycles}
+	e.SM, e.CTA = ws.place()
 	if since := ws.sim.metrics.Cycles - ws.sim.lastProgressCycle; since > 0 {
 		e.CyclesSinceProgress = since
 	}
@@ -1038,22 +1004,18 @@ func (ws *warpState) deadlockError() error {
 	return e
 }
 
-// budgetError builds the typed budget-exhaustion diagnostic. cta is the
-// CTA of the warp that hit the limit, or -1 on a flat launch.
-func (s *sim) budgetError(warp, cta int) error {
+// budgetError builds the typed budget-exhaustion diagnostic for ws, the
+// warp that hit the limit.
+func (s *sim) budgetError(ws *warpState) error {
 	e := &BudgetError{
-		Warp:              warp,
-		SM:                -1,
-		CTA:               cta,
+		Warp:              ws.index,
 		MaxIssues:         s.cfg.MaxIssues,
 		MaxCycles:         s.cfg.MaxCycles,
 		Issues:            s.issues,
 		Cycles:            s.metrics.Cycles,
 		LastProgressCycle: s.lastProgressCycle,
 	}
-	if s.gridMode {
-		e.SM = int(s.smIndex)
-	}
+	e.SM, e.CTA = ws.place()
 	return e
 }
 

@@ -195,45 +195,7 @@ e:
 // TestStackMatchesITSOnRandomControlFlow: both engines compute identical
 // results on a kernel mixing loops, nested branches and calls.
 func TestStackMatchesITSOnRandomControlFlow(t *testing.T) {
-	m := asm(t, `module t memwords=256
-func @mix nregs=8 nfregs=4 {
-x:
-  fadd f1, f0, #1.0
-  fsetlt r6, f1, #20.0
-  cbr r6, small, big
-small:
-  fmul f0, f1, #1.5
-  br xo
-big:
-  fmul f0, f1, #0.25
-  br xo
-xo:
-  ret
-}
-func @k nregs=8 nfregs=4 {
-e:
-  tid r0
-  const r1, #0
-  fconst f0, #0.0
-  br hdr
-hdr:
-  setlt r2, r1, #24
-  cbr r2, body, done
-body:
-  frand f2
-  fsetlt r3, f2, #0.4
-  cbr r3, callpath, skip
-callpath:
-  call @mix
-  br skip
-skip:
-  add r1, r1, #1
-  br hdr
-done:
-  fst [r0], f0
-  exit
-}
-`)
+	m := asm(t, RandomControlFlowKernel)
 	its := run(t, m, Config{Kernel: "k", Seed: 17})
 	stack := run(t, m, Config{Kernel: "k", Seed: 17, Model: ModelStack})
 	for i := range its.Memory {
