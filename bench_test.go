@@ -415,8 +415,8 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkLaunchReuse measures the steady-state cost of relaunching
 // one compilation — the inner loop of every sweep — through a reusable
-// specrecon.Machine. The pre capture (testdata/bench_sweep_pre.txt) ran
-// the same launches through fresh specrecon.Run calls; the arena keeps
+// specrecon.Machine. Before PR 7 the same launches went through fresh
+// specrecon.Run calls (EXPERIMENTS.md keeps the numbers); the arena keeps
 // warp scratch, per-SM machines, event buffers and metrics alive, so
 // allocs/op is the per-launch arena overhead, not the construction cost,
 // and the 8-SM variant's bytes/op no longer scales with the full
@@ -475,10 +475,10 @@ func BenchmarkLaunchReuse(b *testing.B) {
 // BenchmarkCorpusSweep measures a diagnostics sweep over a synthetic
 // corpus — 40 generated applications, each compiled under the baseline
 // and two speculative threshold points — through the content-addressed
-// compile cache. The pre capture ran the identical sweep with direct
-// compilation; with the cache installed, every iteration after the first
-// is pure hits, so ns/op converges to the lookup cost and the pre/post
-// ratio is the per-point compile tax a threshold study stops paying.
+// compile cache. Before PR 7 the identical sweep compiled directly; with
+// the cache installed, every iteration after the first is pure hits, so
+// ns/op converges to the lookup cost: the per-point compile tax a
+// threshold study stops paying.
 func BenchmarkCorpusSweep(b *testing.B) {
 	b.Run("apps40", func(b *testing.B) {
 		apps := corpus.Generate(40, 42)
@@ -543,7 +543,7 @@ func BenchmarkHarness(b *testing.B) {
 
 // BenchmarkGPUScale measures the GPU-scale engine: the speculative build
 // of RSBench launched as a fixed 16-CTA grid while the SM count and the
-// worker shards scale — the strong-scaling capture behind BENCH_6.json.
+// worker shards scale: the strong-scaling probe.
 // Modeled sim_cycles drop as the CTAs spread over more SMs (each SM runs
 // its share concurrently and the launch takes the slowest SM's cycles);
 // wall-clock gains from -workers only appear on multi-core machines, and

@@ -19,7 +19,7 @@
 // differentially checked against the un-repaired PDOM baseline. The
 // campaign fails unless the post-repair fallback rate strictly improves
 // on the pre-repair rate. -ledger appends the rates as a
-// "diffhunt-repair" record for perfledger gating.
+// "diffhunt-repair" record for `perf ledger` gating.
 //
 // Exit status: 0 when every check passed and (with -matrix) every
 // injected fault was detected as expected; 1 otherwise. Kernels whose

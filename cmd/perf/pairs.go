@@ -1,21 +1,3 @@
-// Command benchpairs runs the alternated-pairs protocol a performance
-// claim is judged by (the choosing-metrics rule BENCHMARK.json's driver
-// applies): N pairs of one benchmark workload, parent checkout A against
-// change checkout B, alternating which side runs first, each run through
-// the checkout's own bench/run.sh (which builds that checkout's benchmark
-// on first use; later builds are cache hits) with tracing off and the
-// benchmark's own seed and run length (the runner's defaults, which its
-// schema test pins to BENCHMARK.json).
-//
-//	benchpairs -a /path/parent -b . -w grid_launch -n 10
-//
-// It prints every pair's op_wall_s, both sides' medians and quartiles and
-// the win count, and claims a gain only when B wins at least nine tenths
-// of the pairs (ties count for neither side) with the medians further
-// apart than A's own inter-quartile range.
-//
-// Exit status: 0 when the gain holds, 1 when it does not (or B fails more
-// ops than A), 2 on usage errors or a run that cannot be read.
 package main
 
 import (
@@ -24,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"os/exec"
 	"sort"
 )
@@ -32,26 +13,30 @@ import (
 // metric is the end-to-end metric a gain is claimed on; lower is better.
 const metric = "op_wall_s"
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
-
-// result is the line bench prints last on a one-workload run.
-type result struct {
-	Correct   bool `json:"correct"`
-	Attempted int  `json:"attempted"`
-	Failed    int  `json:"failed"`
-	Metrics   map[string]struct {
-		Value float64 `json:"value"`
-	} `json:"metrics"`
-}
-
 // sample is one run's reading: the metric and its failed-op count.
 type sample struct {
 	value             float64
 	attempted, failed int
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("benchpairs", flag.ContinueOnError)
+// pairs is `perf pairs`: the alternated-pairs protocol a performance
+// claim is judged by (the choosing-metrics rule BENCHMARK.json's driver
+// applies). N pairs of one benchmark workload, parent checkout A against
+// change checkout B, alternating which side runs first, each run through
+// the checkout's own bench/run.sh (which builds that checkout's benchmark
+// on first use; later builds are cache hits) with tracing off and the
+// benchmark's own seed and run length (the runner's defaults, which its
+// schema test pins to BENCHMARK.json).
+//
+//	perf pairs -a /path/parent -b . -w grid_launch -n 10
+//
+// It prints every pair's op_wall_s, both sides' medians and quartiles and
+// the win count, and claims a gain (exit 0) only when B wins at least
+// nine tenths of the pairs (ties count for neither side) with the medians
+// further apart than A's own inter-quartile range; exit 1 when it does
+// not or B fails more ops than A, 2 on a run that cannot be read.
+func pairs(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("perf pairs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		a = fs.String("a", "", "checkout of the parent commit")
@@ -63,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *a == "" || *b == "" || *n < 1 || fs.NArg() != 0 {
-		fmt.Fprintln(stderr, "usage: benchpairs -a <parent checkout> -b <change checkout> [-w workload] [-n pairs]")
+		fmt.Fprint(stderr, usage)
 		return 2
 	}
 	one := func(dir string) (sample, error) {
@@ -84,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			side := (k + i) % 2
 			var err error
 			if got[side], err = one([2]string{*a, *b}[side]); err != nil {
-				fmt.Fprintln(stderr, "benchpairs:", err)
+				fmt.Fprintln(stderr, "perf pairs:", err)
 				return 2
 			}
 		}
@@ -102,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // parseResult reads the metric out of the JSON line a run ends with.
 func parseResult(out []byte) (sample, error) {
 	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
-	var r result
+	var r record
 	if err := json.Unmarshal(lines[len(lines)-1], &r); err != nil {
 		return sample{}, fmt.Errorf("last line of the run is not its result: %w", err)
 	}

@@ -48,7 +48,7 @@ func goldenDiags() []analyze.Diagnostic {
 
 // TestWriteSARIFGolden pins the emitter's exact output against the
 // committed fixture (testdata/diagnostics.sarif), which `make
-// vet-corpus` also feeds through cmd/jsoncheck. Regenerate with
+// vet-corpus` also feeds through `perf json`. Regenerate with
 // `go test ./internal/analyze -run SARIF -update`.
 func TestWriteSARIFGolden(t *testing.T) {
 	var buf bytes.Buffer

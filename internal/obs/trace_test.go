@@ -208,8 +208,10 @@ func TestTraceRecorderAllocsPerEvent(t *testing.T) {
 // runs it — the RSBench speculative build as a 4x64 grid on 2 SMs with
 // the profiler and the trace recorder on the event stream and the
 // recorder on the occupancy sampler at stride 16 — followed by the
-// trace export. Its allocs/op is gated in `make telemetry-smoke`: the
-// observers may allocate as their lists double, never per event.
+// trace export: a quick speed and allocs/op probe. The gates are
+// TestTraceRecorderAllocsPerEvent above and `make perf-gate` on the
+// observed_grid workload: the observers may allocate as their lists
+// double, never per event.
 func BenchmarkObservedLaunch(b *testing.B) {
 	mod, cfg := rsbenchSpec(b, workloads.BuildConfig{Grid: 4, CTASize: 2 * ir.WarpWidth, SMs: 2})
 	cfg.SampleStride = 16

@@ -58,7 +58,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 }
 
 // WriteJSON writes the snapshot as indented JSON — the shape
-// cmd/jsoncheck validates in telemetry-smoke and -telemetry-json dumps.
+// `perf json` validates in telemetry-smoke and -telemetry-json dumps.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

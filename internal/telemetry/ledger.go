@@ -14,27 +14,27 @@ import (
 
 // The run ledger: one JSON object per line appended to runs.jsonl by
 // harness/sasmvet/figures invocations (the -ledger flags), diffed by
-// cmd/perfledger. A record carries enough identity to compare runs
+// `perf ledger` (cmd/perf). A record carries enough identity to compare runs
 // across commits — the git revision, a fingerprint of the run's
 // configuration — plus a flat metric map (wall times, cache hit rates,
-// BENCH deltas). Appends are O_APPEND single writes, so concurrent
+// campaign counts). Appends are O_APPEND single writes, so concurrent
 // tools interleave whole records.
 
 // RunRecord is one ledger line.
 type RunRecord struct {
 	// Time is the RFC 3339 timestamp of the run (NowRFC3339).
 	Time string `json:"time,omitempty"`
-	// Tool identifies the appender: "figures", "sasmvet", "bench-sweep"...
+	// Tool identifies the appender: "figures", "sasmvet", "schedhunt"...
 	Tool string `json:"tool"`
 	// GitRev is the short revision of the working tree (GitRev; may be
 	// "unknown" outside a checkout).
 	GitRev string `json:"git_rev,omitempty"`
 	// Config fingerprints the run's configuration (Fingerprint), so
-	// perfledger only compares like with like.
+	// perf ledger only compares like with like.
 	Config string `json:"config,omitempty"`
 	// Note is free-form context ("nightly", "pre-refactor").
 	Note string `json:"note,omitempty"`
-	// Metrics is the flat metric map; perfledger gates on ratios of
+	// Metrics is the flat metric map; perf ledger gates on ratios of
 	// these between consecutive records.
 	Metrics map[string]float64 `json:"metrics"`
 }

@@ -3,7 +3,7 @@
 // fixed label sets, exported as Prometheus text exposition or a JSON
 // snapshot and optionally served over HTTP (-telemetry-addr). It also
 // holds the run ledger (ledger.go): structured per-invocation records
-// appended to runs.jsonl that cmd/perfledger gates regressions on.
+// appended to runs.jsonl that `perf ledger` (cmd/perf) gates regressions on.
 //
 // Design. A metric family is registered once with its full label-key
 // set; With(values...) resolves a series handle whose hot path is a
