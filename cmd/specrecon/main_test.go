@@ -1,0 +1,30 @@
+package main
+
+import (
+	"testing"
+
+	"specrecon/internal/cli/clitest"
+)
+
+// TestCLI pins exit status and stdout of the modes make check and the
+// README lean on.
+func TestCLI(t *testing.T) {
+	clitest.Check(t, run, []clitest.Case{
+		{Name: "run", Args: []string{"-kernel", "rsbench"}},
+		{Name: "run-sasm", Args: []string{"-kernel", "../../testdata/iterdelay.sasm"}},
+		{Name: "run-grid-stack", Args: []string{"-kernel", "xsbench", "-model", "stack", "-grid", "8", "-ctasize", "64", "-sms", "4", "-workers", "2"}},
+		{Name: "run-auto-safe", Args: []string{"-kernel", "rsbench", "-mode", "auto", "-safe", "-remarks", "-compile-cache"}},
+		{Name: "diagnostics", Args: []string{"-kernel", "rsbench", "-mode", "spec", "-diagnostics", "-sched", "oldest", "-starve-limit", "1000000"}},
+		{Name: "sweep", Args: []string{"-kernel", "xsbench", "-sweep", "-threads", "64"}},
+		{Name: "diffcheck-ok", Args: []string{"-kernel", "rsbench", "-diffcheck"}},
+		{Name: "diffcheck-finding", Args: []string{"-kernel", "rsbench", "-diffcheck", "-inject", "skip-release@1"}, Code: 1},
+		{Name: "list", Args: []string{"-list"}},
+		{Name: "list-passes", Args: []string{"-list-passes"}},
+		{Name: "no-kernel", Code: 2, Stderr: "-kernel is required"},
+		{Name: "unknown-kernel", Args: []string{"-kernel", "nope"}, Code: 1, Stderr: "unknown workload"},
+		{Name: "bad-policy", Args: []string{"-kernel", "rsbench", "-policy", "bad"}, Code: 1, Stderr: "unknown policy"},
+		{Name: "bad-passes", Args: []string{"-kernel", "rsbench", "-passes", "pdom,bogus"}, Code: 1, Stderr: `unknown pass "bogus"`},
+	})
+}
+
+func TestFlagNames(t *testing.T) { clitest.FlagNames(t, run) }
