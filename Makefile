@@ -75,9 +75,10 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzRepair -fuzztime 30s .
 	$(GO) test -fuzz FuzzPipeline -fuzztime 30s .
 
-# diffcheck-smoke is the seeded differential campaign: 500 corpus kernels
-# compiled under both pipelines and compared, plus the full fault-injection
-# matrix (every fault must be detected by the expected layer).
+# diffcheck-smoke is the seeded differential campaign on the driver's
+# default (spec) axis: 500 corpus kernels compiled under both pipelines
+# and compared, plus the full fault-injection matrix (every fault must be
+# detected by the expected layer).
 diffcheck-smoke:
 	$(GO) run ./cmd/diffhunt -n 500 -seed 42 -matrix
 
@@ -222,7 +223,7 @@ telemetry-smoke:
 		./internal/simt ./internal/obs ./internal/harness
 	rm -rf /tmp/specrecon-telemetry-smoke
 
-# sched-smoke exercises the schedule-exploration stress rig end to end.
+# sched-smoke exercises the campaign driver's schedule axis end to end.
 # The planted scheduler-sensitive fault matrix must catch every fault at
 # its pinned layer, then a short corpus campaign sweeps four adversarial
 # policies x two schedule seeds against the greedy reference with the
@@ -235,12 +236,12 @@ telemetry-smoke:
 sched-smoke:
 	rm -rf /tmp/specrecon-sched-smoke
 	mkdir -p /tmp/specrecon-sched-smoke
-	$(GO) run ./cmd/schedhunt -n 60 -seed 42 -matrix \
+	$(GO) run ./cmd/diffhunt -axis sched -n 60 -seed 42 -matrix \
 		-policies oldest,youngest,obe,random -seeds 7,11 \
 		-stats /tmp/specrecon-sched-smoke/stats.json \
 		-ledger runs.jsonl
 	$(GO) run ./cmd/perf json /tmp/specrecon-sched-smoke/stats.json
-	$(GO) run ./cmd/perf ledger -ledger runs.jsonl -tool schedhunt -last 5 \
+	$(GO) run ./cmd/perf ledger -ledger runs.jsonl -tool diffhunt-sched -last 5 \
 		-gate "findings <= 1" \
 		-gate "panics <= 1" \
 		-gate "wall_seconds <= 2"
@@ -251,8 +252,8 @@ sched-smoke:
 # injected repairable fault on the canonical kernel and exit 0, while
 # the designated unrepairable fault (SR1003 carries no machine edit)
 # must fall through with the edits-applied count at zero and keep exit
-# 1 — the gate distinguishes "repaired" from "fell back". The diffhunt
-# repair campaign then plants every statically-visible matrix fault
+# 1 — the gate distinguishes "repaired" from "fell back". The campaign
+# driver's repair axis then plants every statically-visible matrix fault
 # over the matrix kernel and a 120-application corpus, pushes each
 # through repair-then-reverify, differentially checks every repaired
 # build against the un-repaired PDOM baseline, and fails unless the
@@ -264,7 +265,7 @@ repair-smoke:
 		testdata/repair/listing1.sasm
 	! $(GO) run ./cmd/sasmvet -q -compiled -inject drop-wait@1 -fix \
 		testdata/repair/listing1.sasm
-	$(GO) run ./cmd/diffhunt -repair -n 120 -seed 42 -compile-cache \
+	$(GO) run ./cmd/diffhunt -axis repair -n 120 -seed 42 -compile-cache \
 		-ledger runs.jsonl
 	$(GO) run ./cmd/perf ledger -ledger runs.jsonl -tool diffhunt-repair -last 5 \
 		-gate "repair_fallback_rate <= 1.05" \

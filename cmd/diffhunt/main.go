@@ -1,240 +1,220 @@
 // Command diffhunt runs differential-checking campaigns: it generates a
-// seeded corpus of synthetic applications, pushes every kernel through
-// the checker (baseline vs speculative build, strict budgeted runs,
-// memory comparison), and reports findings. Failing kernels are shrunk
-// to minimal standalone .sasm repros.
+// seeded corpus of synthetic applications, expands every application
+// into the cells of one perturbation axis, pushes each cell through the
+// checker (baseline vs speculative build, strict budgeted runs, memory
+// comparison) on a panic-contained worker pool, and reports findings in
+// cell order. Failing cells are shrunk to minimal standalone .sasm
+// repros that record what exposed them. The axes (axis.go):
+//
+//	-axis spec    the speculative transform: every kernel, plus -mutate
+//	              structural mutants, under the -policy/-sched selection
+//	-axis sched   the schedule: every kernel under -policies x -seeds on
+//	              the speculative run against the greedy reference, with
+//	              the starvation monitor and the watchdog armed
+//	-axis repair  automated repair: every statically-visible matrix fault
+//	              planted over the matrix kernel and the corpus, through
+//	              repair-then-reverify; fails unless the post-repair
+//	              fallback rate improves on the pre-repair rate
 //
 // Examples:
 //
-//	diffhunt -n 500 -seed 42            # seeded campaign, clean exit 0
-//	diffhunt -n 500 -seed 42 -matrix    # campaign + fault-injection matrix
-//	diffhunt -n 100 -mutate             # also check structural mutants
-//	diffhunt -n 50 -v -j 4              # verbose, four workers
-//	diffhunt -n 120 -repair             # automated-repair mutation campaign
+//	diffhunt -n 500 -seed 42 -matrix      # campaign + fault-injection matrix
+//	diffhunt -n 100 -mutate 2 -v -j 4     # also check structural mutants
+//	diffhunt -axis sched -n 500 -policies obe,random -seeds 1,2,3,4
+//	diffhunt -axis sched -n 60 -matrix -stats stats.json -ledger runs.jsonl
+//	diffhunt -axis repair -n 120 -compile-cache -ledger runs.jsonl
 //
-// -repair replaces the standard campaign with the repair measurement:
-// every statically-visible matrix fault is planted over the canonical
-// kernel and the corpus, pushed through the repair-then-reverify
-// pipeline, and classified repaired vs fallback; each repaired build is
-// differentially checked against the un-repaired PDOM baseline. The
-// campaign fails unless the post-repair fallback rate strictly improves
-// on the pre-repair rate. -ledger appends the rates as a
-// "diffhunt-repair" record for `perf ledger` gating.
+// -stats writes the campaign counts as JSON and -ledger appends them as
+// a "diffhunt-<axis>" record for `perf ledger`. Cells whose baseline
+// build or run fails — possible for structural mutants — are skips, not
+// findings: they indict the input, not the transform. A cell whose check
+// panics is contained as one PANIC line with an unminimized repro.
 //
-// Exit status: 0 when every check passed and (with -matrix) every
-// injected fault was detected as expected; 1 otherwise. Kernels whose
-// baseline build or run fails — possible for structural mutants — are
-// counted as skips, not findings: they indict the input, not the
-// transform.
+// Exit status: 0 every check passed and every planted fault of the
+// axis's matrix was caught where expected; 1 a finding, a panic, a moved
+// matrix row or a repair rate that did not improve; 2 a flag, a flag
+// value or an output file it cannot use.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"sync"
+	"sort"
+	"strconv"
+	"strings"
 
-	"specrecon/internal/ccache"
-	"specrecon/internal/corpus"
-	"specrecon/internal/diffcheck"
+	"specrecon/internal/cli"
+	"specrecon/internal/harness"
 	"specrecon/internal/simt"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	app := cli.New("diffhunt", stdout, stderr)
+	c := &campaign{App: app}
 	var (
-		n          = flag.Int("n", 500, "number of corpus applications to generate")
-		seed       = flag.Uint64("seed", 42, "corpus generation seed")
-		jobs       = flag.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
-		matrix     = flag.Bool("matrix", false, "also run the fault-injection matrix and require every fault detected")
-		repair     = flag.Bool("repair", false, "run the automated-repair campaign instead of the standard one (matrix + corpus fault plants through repair-then-reverify)")
-		ledgerPath = flag.String("ledger", "", "with -repair, append the campaign record to this runs.jsonl ledger")
-		mutate     = flag.Int("mutate", 0, "additionally check up to this many structural mutants per kernel")
-		maxIssues  = flag.Int64("max-issues", 0, "per-run issue budget (0 = checker default)")
-		repros     = flag.String("repros", "testdata/repros", "directory for minimized .sasm repros of findings")
-		verbose    = flag.Bool("v", false, "print one line per kernel")
-		useCache   = flag.Bool("compile-cache", false, "memoize baseline/speculative compilations across the campaign")
-		cacheStats = flag.String("cache-stats", "", "write compile-cache hit/miss statistics as JSON to this file (\"-\" for stderr)")
-		policy     = flag.String("policy", "maxgroup", "intra-warp group pick for both runs: maxgroup | minpc | roundrobin")
-		sched      = flag.String("sched", "greedy", "warp scheduler for the speculative run: greedy | oldest | youngest | obe | random (cmd/schedhunt sweeps these)")
-		schedSeed  = flag.Uint64("sched-seed", 0, "seed for -sched random")
-		starveLim  = flag.Int64("starve-limit", 0, "arm the starvation monitor on the speculative run with this cycle budget (0 = off)")
+		axisName = app.String("axis", "spec", "perturbation axis: spec | sched | repair")
+		matrix   = app.Bool("matrix", false, "also run the axis's planted-fault matrix and require every fault caught where expected (on by default on the repair axis, which measures on it)")
+		policies = app.String("policies", "oldest,youngest,obe,random", "sched axis: comma-separated scheduling policies to explore")
+		seeds    = app.String("seeds", "1,2,3,4", "sched axis: comma-separated schedule seeds; each perturbs the launch seed and seeds the random policy")
+		stats    = app.String("stats", "", "write campaign statistics as JSON to this file (\"-\" for stdout)")
 	)
-	flag.Parse()
-
-	pol, err := simt.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "diffhunt:", err)
-		os.Exit(2)
+	app.IntVar(&c.n, "n", 500, "number of corpus applications to generate")
+	app.Uint64Var(&c.seed, "seed", 42, "corpus generation seed")
+	app.IntVar(&c.jobs, "j", 0, "parallel workers (0 = GOMAXPROCS)")
+	app.IntVar(&c.mutate, "mutate", 0, "spec axis: additionally check up to this many structural mutants per kernel")
+	app.Int64Var(&c.maxIssues, "max-issues", 0, "per-run issue budget (0 = checker default; the sched axis defaults to 1<<22)")
+	app.StringVar(&c.reproDir, "repros", "testdata/repros", "directory for minimized .sasm repros of findings")
+	app.BoolVar(&c.verbose, "v", false, "print one line per check")
+	app.SchedFlags()
+	app.LivenessFlags()
+	app.CacheFlags()
+	app.LedgerFlag()
+	if code, done := app.Parse(args); done {
+		return code
 	}
-	sp, err := simt.ParseSchedPolicy(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "diffhunt:", err)
-		os.Exit(2)
-	}
-	schedOpts := diffcheck.ReproOpts{Policy: pol, Sched: sp, SchedSeed: *schedSeed, StarveLimit: *starveLim}
+	defer app.Close(&code)
 
-	var cache *ccache.Cache
-	if *useCache {
-		cache = ccache.New(0)
+	ax, ok := axes[*axisName]
+	if !ok {
+		return app.Fail(cli.Usage, fmt.Errorf("unknown axis %q (spec|sched|repair)", *axisName))
 	}
+	// The axis's own defaults stand in for every flag the command line
+	// left alone.
+	given := map[string]bool{}
+	app.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	for name, value := range ax.defaults {
+		if !given[name] {
+			app.Set(name, value)
+		}
+	}
+	if ax.cached {
+		app.EnableCache()
+	}
+	var err error
+	if c.policies, err = parseList(*policies, "policies", parsePolicy); err != nil {
+		return app.Fail(cli.Usage, err)
+	}
+	if c.seeds, err = parseList(*seeds, "seeds", parseSeed); err != nil {
+		return app.Fail(cli.Usage, err)
+	}
+	defer harness.UseTelemetry(harness.UseTelemetry(app.Reg))
 
+	st := &Stats{PerPolicy: map[string]int{}, PerLayer: map[string]int{}, Buckets: map[string]int{}, Rates: map[string]float64{}}
 	failures := 0
 	if *matrix {
-		failures += runMatrix(*verbose)
+		failures += ax.matrix(c, st)
 	}
-	if *repair {
-		failures += runRepairCampaign(*n, *seed, *jobs, *maxIssues, *repros, *verbose, cache, *ledgerPath)
-	} else {
-		failures += runCampaign(*n, *seed, *jobs, *mutate, *maxIssues, schedOpts, *repros, *verbose, cache)
-	}
+	c.run(*axisName, ax, st)
+	failures += st.Findings + st.Panics + ax.summary(c, st)
 
-	if *cacheStats != "" {
-		w := os.Stderr
-		if *cacheStats != "-" {
-			f, err := os.Create(*cacheStats)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "diffhunt: %v\n", err)
-				os.Exit(2)
-			}
-			defer f.Close()
-			w = f
+	if *stats != "" {
+		if err := cli.WriteTo(*stats, stdout, st.writeJSON); err != nil {
+			return app.Fail(cli.Usage, err)
 		}
-		if err := cache.WriteStatsJSON(w); err != nil {
-			fmt.Fprintf(os.Stderr, "diffhunt: %v\n", err)
-			os.Exit(2)
-		}
+	}
+	config := map[string]any{
+		"axis": *axisName, "n": c.n, "seed": c.seed, "mutate": c.mutate, "maxIssues": c.maxIssues,
+		"policy": app.Launch.Policy, "sched": app.Launch.Sched, "starveLimit": app.StarveLimit,
+		"policies": *policies, "seeds": *seeds,
+	}
+	if err := app.Record("diffhunt-"+*axisName, config, st.metrics()); err != nil {
+		return app.Fail(cli.Usage, err)
 	}
 	if failures > 0 {
-		os.Exit(1)
+		return cli.Fail
 	}
+	return cli.OK
 }
 
-// runMatrix evaluates the injection matrix and returns the number of
-// faults that escaped or were caught by unexpected layers.
-func runMatrix(verbose bool) int {
-	bad := 0
-	fmt.Println("fault-injection matrix:")
-	for _, o := range diffcheck.RunMatrix() {
-		static, dynamic := "-", "-"
-		if o.StaticErr != nil {
-			static = "verifier"
-		}
-		if !o.Dynamic.OK {
-			dynamic = string(o.Dynamic.Stage)
-		}
-		status := "ok"
-		switch {
-		case !o.Detected():
-			status = "ESCAPED"
-			bad++
-		case !o.ExpectationMet():
-			status = "SURFACE MOVED"
-			bad++
-		}
-		fmt.Printf("  %-16s static=%-9s dynamic=%-9s %s\n", o.Fault.Name, static, dynamic, status)
-		if verbose && o.StaticErr != nil {
-			fmt.Printf("    %v\n", o.StaticErr)
-		}
-		if verbose && !o.Dynamic.OK {
-			fmt.Printf("    %v\n", o.Dynamic.Err)
-		}
-	}
-	return bad
-}
-
-type finding struct {
-	kernel diffcheck.Kernel
-	res    diffcheck.Result
-}
-
-// runCampaign checks every corpus kernel (plus mutants when requested)
-// and returns the number of findings.
-func runCampaign(n int, seed uint64, jobs, mutate int, maxIssues int64, schedOpts diffcheck.ReproOpts, reproDir string, verbose bool, cache *ccache.Cache) int {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	opts := schedOpts.Apply(diffcheck.Options{
-		MaxIssues:    maxIssues,
-		AutoAnnotate: true,
-		Verify:       true,
-		Cache:        cache,
-	})
-
-	apps := corpus.Generate(n, seed)
-	type job struct {
-		k      diffcheck.Kernel
-		mutant bool
-	}
-	var jobsList []job
-	for _, app := range apps {
-		k := diffcheck.Kernel{
-			Name: app.Name, Module: app.Module, Entry: app.Kernel,
-			Threads: app.Threads, Memory: app.Memory, Seed: app.Seed,
-		}
-		jobsList = append(jobsList, job{k: k})
-		for i, m := range diffcheck.Mutations(k) {
-			if i >= mutate {
-				break
-			}
-			m.Name = fmt.Sprintf("%s-mut%d", k.Name, i)
-			jobsList = append(jobsList, job{k: m, mutant: true})
-		}
-	}
-
-	var (
-		mu       sync.Mutex
-		findings []finding
-		skips    int
-		checked  int
-	)
-	var wg sync.WaitGroup
-	ch := make(chan job)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				res := diffcheck.Check(j.k, opts)
-				mu.Lock()
-				checked++
-				switch {
-				case res.OK:
-					if verbose {
-						fmt.Printf("ok   %s\n", j.k.Name)
-					}
-				case res.Stage.BaselineFailure():
-					// The kernel itself is broken (expected for some
-					// mutants): not a speculation finding.
-					skips++
-					if verbose {
-						fmt.Printf("skip %s: %v\n", j.k.Name, res)
-					}
-				default:
-					findings = append(findings, finding{kernel: j.k, res: res})
-					fmt.Printf("FAIL %s: %v\n", j.k.Name, res)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, j := range jobsList {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-
-	for _, f := range findings {
-		small, res := diffcheck.Minimize(f.kernel, opts)
-		path, err := diffcheck.WriteRepro(reproDir, small, opts, res)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "diffhunt: writing repro for %s: %v\n", f.kernel.Name, err)
+// parseList parses a comma-separated flag value item by item.
+func parseList[T any](spec, what string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, item := range strings.Split(spec, ",") {
+		if item = strings.TrimSpace(item); item == "" {
 			continue
 		}
-		fmt.Printf("     repro: %s\n", path)
+		v, err := parse(item)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
 	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no %s in %q", what, spec)
+	}
+	return out, nil
+}
 
-	fmt.Printf("diffhunt: %d checked, %d ok, %d skipped, %d findings\n",
-		checked, checked-skips-len(findings), skips, len(findings))
-	return len(findings)
+func parsePolicy(name string) (simt.SchedPolicy, error) {
+	p, err := simt.ParseSchedPolicy(name)
+	if err == nil && p == simt.SchedGreedyConverge {
+		err = fmt.Errorf("policy %q is the reference schedule; explore non-greedy policies", name)
+	}
+	return p, err
+}
+
+func parseSeed(s string) (uint64, error) {
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		err = fmt.Errorf("seed %q: %w", s, err)
+	}
+	return v, err
+}
+
+// Stats is the machine-readable campaign summary (-stats), the same for
+// every axis.
+type Stats struct {
+	Kernels  int `json:"kernels"`
+	Checks   int `json:"checks"`
+	OK       int `json:"ok"`
+	Skips    int `json:"skips"`
+	Findings int `json:"findings"`
+	Panics   int `json:"panics"`
+	// PerPolicy / PerLayer break findings down by the warp scheduler of
+	// the speculative run and by detection layer.
+	PerPolicy map[string]int `json:"per_policy"`
+	PerLayer  map[string]int `json:"per_layer"`
+	// Buckets counts the outcomes only the axis names, and Rates what it
+	// derives from them (the repair axis: planted, repaired, fallbacks,
+	// quiet, mismatches; the fail-safe fallback rates).
+	Buckets map[string]int     `json:"buckets,omitempty"`
+	Rates   map[string]float64 `json:"rates,omitempty"`
+	// Repros lists the repro files written for findings and panics.
+	Repros []string `json:"repros,omitempty"`
+}
+
+func (st *Stats) writeJSON(w io.Writer) error {
+	sort.Strings(st.Repros)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(st)
+}
+
+// panics is what a summary line that has no panic column appends when
+// there is something to put in it.
+func (st *Stats) panics() string {
+	if st.Panics == 0 {
+		return ""
+	}
+	return fmt.Sprintf(", %d panics", st.Panics)
+}
+
+// metrics flattens the counts into the ledger record's metric map.
+func (st *Stats) metrics() map[string]float64 {
+	m := map[string]float64{
+		"checks": float64(st.Checks), "findings": float64(st.Findings),
+		"skips": float64(st.Skips), "panics": float64(st.Panics),
+	}
+	for name, n := range st.Buckets {
+		m[name] = float64(n)
+	}
+	for name, v := range st.Rates {
+		m[name] = v
+	}
+	return m
 }

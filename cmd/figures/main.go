@@ -8,247 +8,154 @@
 //
 // Output is plain text tables; EXPERIMENTS.md records a reference run and
 // compares each against the paper's reported shape.
+//
+// Exit status: 0 every requested figure was produced; 1 an experiment
+// failed; 2 a flag, a flag value or an output file it cannot use.
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
-	"specrecon/internal/ccache"
+	"specrecon/internal/cli"
 	"specrecon/internal/harness"
-	"specrecon/internal/prof"
-	"specrecon/internal/simt"
-	"specrecon/internal/telemetry"
 	"specrecon/internal/workloads"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	app := cli.New("figures", stdout, stderr)
 	var (
-		fig        = flag.String("fig", "all", "7 | 8 | 9 | 10 | all")
-		threads    = flag.Int("threads", 0, "thread count (0 = default)")
-		apps       = flag.Int("apps", 520, "corpus size for the section 5.4 funnel")
-		seed       = flag.Uint64("seed", 0, "workload seed (0 = default)")
-		grid       = flag.Int("grid", 0, "CTAs in a grid launch (0 = flat single-SM launch; overrides -threads)")
-		ctasize    = flag.Int("ctasize", 0, "threads per CTA for -grid (0 = one warp)")
-		sms        = flag.Int("sms", 0, "streaming multiprocessors for -grid (0 = 1)")
-		workers    = flag.Int("workers", 0, "goroutines simulating SMs (0 = serial; results are identical)")
-		policy     = flag.String("policy", "maxgroup", "intra-warp group pick: maxgroup | minpc | roundrobin")
-		sched      = flag.String("sched", "greedy", "warp scheduler: greedy | oldest | youngest | obe | random")
-		schedSeed  = flag.Uint64("sched-seed", 0, "seed for -sched random")
-		markdown   = flag.Bool("markdown", false, "emit the full suite as markdown tables (EXPERIMENTS.md style)")
-		traceDir   = flag.String("trace-dir", "", "also dump per-workload Perfetto traces (baseline and spec) into this directory")
-		jobs       = flag.Int("j", 0, "worker-pool size for the experiment drivers (0 = GOMAXPROCS, 1 = serial)")
-		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof    = flag.String("memprofile", "", "write a heap profile to this file")
-		useCache   = flag.Bool("compile-cache", false, "memoize compilations across the experiment drivers")
-		cacheStats = flag.String("cache-stats", "", "write compile-cache hit/miss statistics as JSON to this file (\"-\" for stderr)")
-		telemAddr  = flag.String("telemetry-addr", "", "serve /metrics, /metrics.json and /healthz on this address while running")
-		ledgerPath = flag.String("ledger", "", "append a run record (wall time, cache and registry metrics) to this JSONL ledger")
+		fig      = app.String("fig", "all", "7 | 8 | 9 | 10 | all")
+		apps     = app.Int("apps", 520, "corpus size for the section 5.4 funnel")
+		markdown = app.Bool("markdown", false, "emit the full suite as markdown tables (EXPERIMENTS.md style)")
+		traceDir = app.String("trace-dir", "", "also dump per-workload Perfetto traces (baseline and spec) into this directory")
+		jobs     = app.Int("j", 0, "worker-pool size for the experiment drivers (0 = GOMAXPROCS, 1 = serial)")
 	)
-	flag.Parse()
-	pol, err := simt.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+	app.LaunchFlags()
+	app.SchedFlags()
+	app.CacheFlags()
+	app.ProfileFlags()
+	app.TelemetryAddrFlag()
+	app.LedgerFlag()
+	if code, done := app.Parse(args); done {
+		return code
 	}
-	sp, err := simt.ParseSchedPolicy(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
-	}
-	cfg := workloads.BuildConfig{
-		Threads: *threads, Seed: *seed,
-		Grid: *grid, CTASize: *ctasize, SMs: *sms, Workers: *workers,
-		Policy: pol, Sched: sp, SchedSeed: *schedSeed,
-	}
-
-	var cache *ccache.Cache
-	if *useCache || *cacheStats != "" {
-		cache = ccache.New(0)
-		harness.UseCompileCache(cache)
-	}
-	var reg *telemetry.Registry
-	if *telemAddr != "" || *ledgerPath != "" {
-		reg = telemetry.New()
-		harness.UseTelemetry(reg)
-		if cache != nil {
-			cache.RegisterMetrics(reg)
-		}
-	}
-	if *telemAddr != "" {
-		srv, err := telemetry.Serve(*telemAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "figures: telemetry on http://%s/metrics\n", srv.Addr())
-	}
-	started := time.Now()
-
-	stopProf, err := prof.Start(*cpuprof, *memprof)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
-
-	dumpTraces := func() {
-		if *traceDir == "" {
-			return
-		}
-		paths, err := harness.DumpTraces(*traceDir, cfg, *jobs)
-		if err != nil {
-			stopProf()
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d traces to %s (open in ui.perfetto.dev)\n", len(paths), *traceDir)
-	}
-
-	// finish emits the side outputs both exit paths share: the cache
-	// statistics dump and the run-ledger record.
-	finish := func() {
-		if *cacheStats != "" {
-			w := os.Stderr
-			if *cacheStats != "-" {
-				f, err := os.Create(*cacheStats)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "figures:", err)
-					os.Exit(2)
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := cache.WriteStatsJSON(w); err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				os.Exit(2)
-			}
-		}
-		if *ledgerPath != "" {
-			rec := telemetry.RunRecord{
-				Time:    telemetry.NowRFC3339(),
-				Tool:    "figures",
-				GitRev:  telemetry.GitRev(),
-				Config:  telemetry.Fingerprint(cfg),
-				Metrics: reg.LedgerMetrics(),
-			}
-			rec.Metrics["wall_seconds"] = time.Since(started).Seconds()
-			if s := cache.Stats(); s.Hits+s.Misses > 0 {
-				rec.Metrics["ccache_hit_rate"] = float64(s.Hits) / float64(s.Hits+s.Misses)
-			}
-			if err := telemetry.AppendRecord(*ledgerPath, rec); err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "figures: appended run record (%d metrics) to %s\n",
-				len(rec.Metrics), *ledgerPath)
-		}
-	}
+	defer app.Close(&code)
+	cfg := app.Launch
+	// The drivers compile and report through the harness's process-wide
+	// cache and registry; both are put back on the way out.
+	defer harness.UseCompileCache(harness.UseCompileCache(app.Cache))
+	defer harness.UseTelemetry(harness.UseTelemetry(app.Reg))
 
 	if *markdown {
-		if err := harness.WriteMarkdownReport(os.Stdout, cfg, *apps, *jobs); err != nil {
-			stopProf()
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+		if err := harness.WriteMarkdownReport(stdout, cfg, *apps, *jobs); err != nil {
+			return app.Fail(cli.Fail, err)
 		}
-		dumpTraces()
-		finish()
-		return
+	} else {
+		for _, f := range []struct {
+			name string
+			run  func() error
+		}{
+			{"7", func() error { return figure7(stdout, cfg, *jobs) }},
+			{"8", func() error { return figure8(stdout, cfg, *jobs) }},
+			{"9", func() error { return figure9(stdout, cfg, *jobs) }},
+			{"10", func() error { return figure10(stdout, cfg, *apps, *jobs) }},
+		} {
+			if *fig != "all" && *fig != f.name {
+				continue
+			}
+			if err := f.run(); err != nil {
+				return app.Fail(cli.Fail, fmt.Errorf("figure %s: %w", f.name, err))
+			}
+		}
 	}
-
-	run := func(name string, f func() error) {
-		if *fig != "all" && *fig != name {
-			return
+	if *traceDir != "" {
+		paths, err := harness.DumpTraces(*traceDir, cfg, *jobs)
+		if err != nil {
+			return app.Fail(cli.Fail, err)
 		}
-		if err := f(); err != nil {
-			stopProf()
-			fmt.Fprintf(os.Stderr, "figures: figure %s: %v\n", name, err)
-			os.Exit(1)
-		}
+		fmt.Fprintf(stdout, "wrote %d traces to %s (open in ui.perfetto.dev)\n", len(paths), *traceDir)
 	}
-
-	run("7", func() error { return figure7(cfg, *jobs) })
-	run("8", func() error { return figure8(cfg, *jobs) })
-	run("9", func() error { return figure9(cfg, *jobs) })
-	run("10", func() error { return figure10(cfg, *apps, *jobs) })
-	dumpTraces()
-	finish()
+	if err := app.Record("figures", cfg, nil); err != nil {
+		return app.Fail(cli.Usage, err)
+	}
+	return cli.OK
 }
 
-func figure7(cfg workloads.BuildConfig, jobs int) error {
+func figure7(out io.Writer, cfg workloads.BuildConfig, jobs int) error {
 	rows, err := harness.Figure7(cfg, jobs)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 7: SIMT efficiency, programmer-annotated applications")
-	fmt.Println("  (paper: significant increases after moving reconvergence points)")
-	fmt.Printf("  %-12s %-16s %10s %10s %10s\n", "benchmark", "pattern", "base eff", "spec eff", "threshold")
+	fmt.Fprintln(out, "Figure 7: SIMT efficiency, programmer-annotated applications")
+	fmt.Fprintln(out, "  (paper: significant increases after moving reconvergence points)")
+	fmt.Fprintf(out, "  %-12s %-16s %10s %10s %10s\n", "benchmark", "pattern", "base eff", "spec eff", "threshold")
 	for _, r := range rows {
-		fmt.Printf("  %-12s %-16s %9.1f%% %9.1f%% %10d\n",
+		fmt.Fprintf(out, "  %-12s %-16s %9.1f%% %9.1f%% %10d\n",
 			r.Name, r.Pattern, 100*r.BaseEff, 100*r.SpecEff, r.Threshold)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	return nil
 }
 
-func figure8(cfg workloads.BuildConfig, jobs int) error {
+func figure8(out io.Writer, cfg workloads.BuildConfig, jobs int) error {
 	rows, err := harness.Figure8(cfg, jobs)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 8: SIMT efficiency improvement versus speedup")
-	fmt.Println("  (paper: improvements 10% to 3x; efficiency gain roughly upper-bounds speedup)")
-	fmt.Printf("  %-12s %14s %10s\n", "benchmark", "eff improvement", "speedup")
+	fmt.Fprintln(out, "Figure 8: SIMT efficiency improvement versus speedup")
+	fmt.Fprintln(out, "  (paper: improvements 10% to 3x; efficiency gain roughly upper-bounds speedup)")
+	fmt.Fprintf(out, "  %-12s %14s %10s\n", "benchmark", "eff improvement", "speedup")
 	for _, r := range rows {
-		fmt.Printf("  %-12s %13.2fx %9.2fx\n", r.Name, r.EffImprovement(), r.Speedup())
+		fmt.Fprintf(out, "  %-12s %13.2fx %9.2fx\n", r.Name, r.EffImprovement(), r.Speedup())
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	return nil
 }
 
-func figure9(cfg workloads.BuildConfig, jobs int) error {
+func figure9(out io.Writer, cfg workloads.BuildConfig, jobs int) error {
 	thresholds := []int{1, 4, 8, 12, 16, 20, 24, 28, 30, 32}
-	fmt.Println("Figure 9: SIMT efficiency and speedup with soft barrier")
-	fmt.Println("  threshold = lanes that must collect before the cohort proceeds")
+	fmt.Fprintln(out, "Figure 9: SIMT efficiency and speedup with soft barrier")
+	fmt.Fprintln(out, "  threshold = lanes that must collect before the cohort proceeds")
 	for _, name := range []string{"pathtracer", "xsbench"} {
 		pts, err := harness.Figure9(name, cfg, thresholds, jobs)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %s:\n", name)
-		fmt.Printf("    %9s %10s %10s\n", "threshold", "simt eff", "speedup")
+		fmt.Fprintf(out, "  %s:\n", name)
+		fmt.Fprintf(out, "    %9s %10s %10s\n", "threshold", "simt eff", "speedup")
 		for _, p := range pts {
-			fmt.Printf("    %9d %9.1f%% %9.2fx\n", p.Threshold, 100*p.Eff, p.Speedup)
+			fmt.Fprintf(out, "    %9d %9.1f%% %9.2fx\n", p.Threshold, 100*p.Eff, p.Speedup)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	return nil
 }
 
-func figure10(cfg workloads.BuildConfig, apps, jobs int) error {
+func figure10(out io.Writer, cfg workloads.BuildConfig, apps, jobs int) error {
 	rows, err := harness.Figure10(cfg, jobs)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 10: automatic speculative reconvergence")
-	fmt.Printf("  %-13s %10s %10s %10s\n", "kernel", "base eff", "auto eff", "speedup")
+	fmt.Fprintln(out, "Figure 10: automatic speculative reconvergence")
+	fmt.Fprintf(out, "  %-13s %10s %10s %10s\n", "kernel", "base eff", "auto eff", "speedup")
 	for _, r := range rows {
-		fmt.Printf("  %-13s %9.1f%% %9.1f%% %9.2fx\n", r.Name, 100*r.BaseEff, 100*r.SpecEff, r.Speedup())
+		fmt.Fprintf(out, "  %-13s %9.1f%% %9.1f%% %9.2fx\n", r.Name, 100*r.BaseEff, 100*r.SpecEff, r.Speedup())
 	}
 
 	funnel, err := harness.RunFunnel(apps, 42, jobs)
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nSection 5.4 application-population funnel")
-	fmt.Printf("  studied applications:        %4d   (paper: 520)\n", funnel.Studied)
-	fmt.Printf("  SIMT efficiency < 80%%:       %4d   (paper: 75)\n", funnel.LowEff)
-	fmt.Printf("  non-trivial opportunity:     %4d   (paper: 16)\n", funnel.Detected)
-	fmt.Printf("  significant improvement:     %4d   (paper: 5)\n", funnel.Significant)
-	fmt.Printf("  regressions among detected:  %4d   (paper: \"many ... see no change or even regression\")\n", funnel.Regressed)
-	fmt.Println()
+	fmt.Fprintln(out, "\nSection 5.4 application-population funnel")
+	fmt.Fprintf(out, "  studied applications:        %4d   (paper: 520)\n", funnel.Studied)
+	fmt.Fprintf(out, "  SIMT efficiency < 80%%:       %4d   (paper: 75)\n", funnel.LowEff)
+	fmt.Fprintf(out, "  non-trivial opportunity:     %4d   (paper: 16)\n", funnel.Detected)
+	fmt.Fprintf(out, "  significant improvement:     %4d   (paper: 5)\n", funnel.Significant)
+	fmt.Fprintf(out, "  regressions among detected:  %4d   (paper: \"many ... see no change or even regression\")\n", funnel.Regressed)
+	fmt.Fprintln(out)
 	return nil
 }

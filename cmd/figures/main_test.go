@@ -1,8 +1,11 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
+	"specrecon/internal/ccache"
 	"specrecon/internal/cli/clitest"
 )
 
@@ -12,9 +15,37 @@ func TestCLI(t *testing.T) {
 	clitest.Check(t, run, []clitest.Case{
 		{Name: "fig7", Args: []string{"-fig", "7", "-j", "1"}},
 		{Name: "fig8-grid", Args: []string{"-fig", "8", "-j", "2", "-grid", "2", "-ctasize", "64", "-sms", "2", "-sched", "oldest", "-compile-cache"}},
-		{Name: "bad-policy", Args: []string{"-fig", "7", "-policy", "bad"}, Code: 1, Stderr: "unknown policy"},
-		{Name: "bad-sched", Args: []string{"-fig", "7", "-sched", "bad"}, Code: 1, Stderr: "unknown sched policy"},
+		{Name: "bad-policy", Args: []string{"-fig", "7", "-policy", "bad"}, Code: 2, Stderr: "unknown policy"},
+		{Name: "bad-sched", Args: []string{"-fig", "7", "-sched", "bad"}, Code: 2, Stderr: "unknown sched policy"},
 	})
 }
 
 func TestFlagNames(t *testing.T) { clitest.FlagNames(t, run) }
+
+// TestCacheStatsImplyCache: -cache-stats alone turns the cache on.
+func TestCacheStatsImplyCache(t *testing.T) {
+	stats := filepath.Join(t.TempDir(), "stats.json")
+	if code, _, stderr := clitest.Exec(t, run, "-fig", "7", "-j", "1", "-cache-stats", stats); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	var st ccache.Stats
+	if clitest.ReadJSON(t, stats, &st); st.Misses == 0 {
+		t.Errorf("-cache-stats without -compile-cache recorded no lookup: %+v", st)
+	}
+}
+
+// TestFinishersRunOnFailure: a run that fails (the trace directory
+// cannot be made) exits 1 and still writes the cache statistics.
+func TestFinishersRunOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	file, stats := filepath.Join(dir, "file"), filepath.Join(dir, "stats.json")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := clitest.Exec(t, run, "-fig", "none", "-trace-dir", filepath.Join(file, "traces"), "-cache-stats", stats)
+	if code != 1 {
+		t.Errorf("exit %d, want 1\nstderr: %s", code, stderr)
+	}
+	var st ccache.Stats
+	clitest.ReadJSON(t, stats, &st)
+}

@@ -25,7 +25,7 @@ func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
 // latest record carries one, the same config fingerprint — and applies
 // each gate to the ratio latest/baseline of its metric:
 //
-//	perf ledger -ledger runs.jsonl -tool schedhunt -last 5 \
+//	perf ledger -ledger runs.jsonl -tool diffhunt-sched -last 5 \
 //	  -gate "findings <= 1" -gate "wall_seconds <= 2"
 //
 // A gate "metric <= 1.10" fails when the latest value exceeds the

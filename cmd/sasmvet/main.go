@@ -33,8 +33,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -42,37 +42,39 @@ import (
 
 	"specrecon/internal/analyze"
 	"specrecon/internal/ccache"
+	"specrecon/internal/cli"
 	"specrecon/internal/core"
 	"specrecon/internal/corpus"
 	"specrecon/internal/ir"
 	"specrecon/internal/repair"
-	"specrecon/internal/telemetry"
 	"specrecon/internal/workloads"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	app := cli.New("sasmvet", stdout, stderr)
 	var (
-		vetWorkloads = flag.Bool("workloads", false, "vet every bundled paper workload")
-		corpusN      = flag.Int("corpus", 0, "vet a synthetic corpus of this many generated kernels")
-		corpusSeed   = flag.Uint64("corpus-seed", 42, "seed for -corpus generation")
-		compiled     = flag.Bool("compiled", false, "vet the compiled module (full speculative pipeline with barrier provenance) instead of the raw input")
-		sarifOut     = flag.String("sarif", "", "write a SARIF 2.1.0 report to this file (\"-\" for stdout)")
-		failOn       = flag.String("fail-on", "error", "exit 1 when a diagnostic of at least this severity exists: note | warning | error")
-		effFlag      = flag.Bool("eff", false, "print the static SIMT-efficiency estimate per kernel")
-		effBelow     = flag.Float64("eff-below", 0, "note kernels with static efficiency below this threshold (0 disables)")
-		quiet        = flag.Bool("q", false, "suppress per-diagnostic text output (summary and exit code only)")
-		useCache     = flag.Bool("compile-cache", false, "memoize -compiled pipeline runs in a content-addressed compile cache")
-		cacheStats   = flag.String("cache-stats", "", "write compile-cache hit/miss statistics as JSON to this file (\"-\" for stderr)")
-		repeatN      = flag.Int("repeat", 1, "vet the module set this many times (cache warm-up exercise; diagnostics are reported from the last pass only)")
-		minCacheHits = flag.Int64("min-cache-hits", 0, "exit 2 unless the compile cache recorded at least this many hits")
-		ledgerPath   = flag.String("ledger", "", "append a run record (module/diagnostic counts, cache hit rate) to this JSONL ledger")
-		fix          = flag.Bool("fix", false, "apply the diagnostics' machine edits to fixpoint (internal/repair); raw-mode file inputs are rewritten in place")
-		fixDryRun    = flag.Bool("fix-dry-run", false, "like -fix but never writes: report the repairs and exit on the post-repair diagnostics")
-		fixDiff      = flag.Bool("fix-diff", false, "with -fix/-fix-dry-run, print a line diff of each repaired module (implies -fix-dry-run when given alone)")
-		injectSpec   = flag.String("inject", "", "with -compiled, plant this fault plan (core.ParseFaultPlan syntax, e.g. drop-cancel@1) before vetting")
+		vetWorkloads = app.Bool("workloads", false, "vet every bundled paper workload")
+		corpusN      = app.Int("corpus", 0, "vet a synthetic corpus of this many generated kernels")
+		corpusSeed   = app.Uint64("corpus-seed", 42, "seed for -corpus generation")
+		compiled     = app.Bool("compiled", false, "vet the compiled module (full speculative pipeline with barrier provenance) instead of the raw input")
+		sarifOut     = app.String("sarif", "", "write a SARIF 2.1.0 report to this file (\"-\" for stdout)")
+		failOn       = app.String("fail-on", "error", "exit 1 when a diagnostic of at least this severity exists: note | warning | error")
+		effFlag      = app.Bool("eff", false, "print the static SIMT-efficiency estimate per kernel")
+		effBelow     = app.Float64("eff-below", 0, "note kernels with static efficiency below this threshold (0 disables)")
+		quiet        = app.Bool("q", false, "suppress per-diagnostic text output (summary and exit code only)")
+		repeatN      = app.Int("repeat", 1, "vet the module set this many times (cache warm-up exercise; diagnostics are reported from the last pass only)")
+		minCacheHits = app.Int64("min-cache-hits", 0, "exit 2 unless the compile cache recorded at least this many hits")
+		fix          = app.Bool("fix", false, "apply the diagnostics' machine edits to fixpoint (internal/repair); raw-mode file inputs are rewritten in place")
+		fixDryRun    = app.Bool("fix-dry-run", false, "like -fix but never writes: report the repairs and exit on the post-repair diagnostics")
+		fixDiff      = app.Bool("fix-diff", false, "with -fix/-fix-dry-run, print a line diff of each repaired module (implies -fix-dry-run when given alone)")
+		injectSpec   = app.String("inject", "", "with -compiled, plant this fault plan (core.ParseFaultPlan syntax, e.g. drop-cancel@1) before vetting")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, `usage: sasmvet [flags] [file.sasm | glob ...]
+	app.CacheFlags()
+	app.LedgerFlag()
+	app.Usage = func() {
+		fmt.Fprintf(stderr, `usage: sasmvet [flags] [file.sasm | glob ...]
 
 Exit status:
   0  no diagnostic at or above -fail-on severity (post-repair with -fix*)
@@ -85,48 +87,40 @@ severity for that code.
 
 Flags:
 `)
-		flag.PrintDefaults()
+		app.PrintDefaults()
 	}
-	flag.Parse()
+	if code, done := app.Parse(args); done {
+		return code
+	}
+	defer app.Close(&code)
 
 	failSev, err := analyze.ParseSeverity(*failOn)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-		os.Exit(2)
+		return app.Fail(cli.Usage, err)
 	}
 	fixMode := *fix || *fixDryRun || *fixDiff
 	var injectPlan core.FaultPlan
 	if *injectSpec != "" {
 		if !*compiled {
-			fmt.Fprintln(os.Stderr, "sasmvet: -inject requires -compiled (faults target the compiled barrier layout)")
-			os.Exit(2)
+			return app.Fail(cli.Usage, fmt.Errorf("-inject requires -compiled (faults target the compiled barrier layout)"))
 		}
-		injectPlan, err = core.ParseFaultPlan(*injectSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-			os.Exit(2)
+		if injectPlan, err = core.ParseFaultPlan(*injectSpec); err != nil {
+			return app.Fail(cli.Usage, err)
 		}
 	}
 
-	mods, err := collectModules(flag.Args(), *vetWorkloads, *corpusN, *corpusSeed)
+	mods, err := collectModules(app.Args(), *vetWorkloads, *corpusN, *corpusSeed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-		os.Exit(2)
+		return app.Fail(cli.Usage, err)
 	}
 	if len(mods) == 0 {
-		fmt.Fprintln(os.Stderr, "sasmvet: nothing to vet (pass .sasm files, -workloads, or -corpus N)")
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	var cache *ccache.Cache
-	if *useCache {
-		cache = ccache.New(0)
+		app.Fail(cli.Usage, fmt.Errorf("nothing to vet (pass .sasm files, -workloads, or -corpus N)"))
+		app.Usage()
+		return cli.Usage
 	}
 	if *repeatN < 1 {
 		*repeatN = 1
 	}
-
 	// Diagnostics and efficiencies are recorded from the last pass only,
 	// so a -repeat N warm-up run reports exactly what a single pass would
 	// — the cache-smoke check diffs the SARIF outputs to prove it. In fix
@@ -141,10 +135,9 @@ Flags:
 		editsApplied = 0
 		last := pass == *repeatN-1
 		for _, vm := range mods {
-			vr, err := vet(vm, *compiled, *effBelow, cache, fixMode, injectPlan)
+			vr, err := vet(vm, *compiled, *effBelow, app.Cache, fixMode, injectPlan)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "sasmvet: %s: %v\n", vm.label, err)
-				os.Exit(2)
+				return app.Fail(cli.Usage, fmt.Errorf("%s: %w", vm.label, err))
 			}
 			for _, d := range vr.diags {
 				if d.Fn == "" {
@@ -152,7 +145,7 @@ Flags:
 				}
 				all = append(all, d)
 				if !*quiet && last {
-					fmt.Printf("%s: %s\n", d.Severity, d)
+					fmt.Fprintf(stdout, "%s: %s\n", d.Severity, d)
 				}
 			}
 			for _, d := range vr.post {
@@ -169,25 +162,24 @@ Flags:
 			}
 			editsApplied += len(vr.report.Edits)
 			if !*quiet && len(vr.report.Edits) > 0 {
-				fmt.Printf("sasmvet: %s: %s\n", vm.label, vr.report.Summary())
+				fmt.Fprintf(stdout, "sasmvet: %s: %s\n", vm.label, vr.report.Summary())
 			}
 			if *fixDiff && len(vr.report.Edits) > 0 {
 				if vr.oldSrc != "" {
-					printDiff(vm.label, vr.oldSrc, vr.newSrc)
+					printDiff(stdout, vm.label, vr.oldSrc, vr.newSrc)
 				} else {
 					// Compiled artifacts have no source text to diff;
 					// list the applied edits instead.
 					for _, e := range vr.report.Edits {
-						fmt.Printf("  %s\n", e.Edit)
+						fmt.Fprintf(stdout, "  %s\n", e.Edit)
 					}
 				}
 			}
 			if *fix && vm.path != "" && len(vr.report.Edits) > 0 && vr.newSrc != "" {
 				if err := os.WriteFile(vm.path, []byte(vr.newSrc), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-					os.Exit(2)
+					return app.Fail(cli.Usage, err)
 				}
-				fmt.Printf("sasmvet: %s: rewrote with %d edit(s)\n", vm.path, len(vr.report.Edits))
+				fmt.Fprintf(stdout, "sasmvet: %s: rewrote with %d edit(s)\n", vm.path, len(vr.report.Edits))
 			}
 		}
 	}
@@ -196,26 +188,9 @@ Flags:
 	normalizeSeverity(all)
 	normalizeSeverity(post)
 
-	if *cacheStats != "" {
-		w := os.Stderr
-		if *cacheStats != "-" {
-			f, err := os.Create(*cacheStats)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-				os.Exit(2)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := cache.WriteStatsJSON(w); err != nil {
-			fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-			os.Exit(2)
-		}
-	}
 	if *minCacheHits > 0 {
-		if hits := cache.Stats().Hits; hits < *minCacheHits {
-			fmt.Fprintf(os.Stderr, "sasmvet: compile cache recorded %d hit(s), want >= %d\n", hits, *minCacheHits)
-			os.Exit(2)
+		if hits := app.Cache.Stats().Hits; hits < *minCacheHits {
+			return app.Fail(cli.Usage, fmt.Errorf("compile cache recorded %d hit(s), want >= %d", hits, *minCacheHits))
 		}
 	}
 
@@ -231,24 +206,14 @@ Flags:
 			return names[i] < names[j]
 		})
 		for _, n := range names {
-			fmt.Printf("eff %5.1f%%  %s\n", effs[n]*100, n)
+			fmt.Fprintf(stdout, "eff %5.1f%%  %s\n", effs[n]*100, n)
 		}
 	}
 
 	if *sarifOut != "" {
-		w := os.Stdout
-		if *sarifOut != "-" {
-			f, err := os.Create(*sarifOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-				os.Exit(2)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := analyze.WriteSARIF(w, "sasmvet", all); err != nil {
-			fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-			os.Exit(2)
+		err := cli.WriteTo(*sarifOut, stdout, func(w io.Writer) error { return analyze.WriteSARIF(w, "sasmvet", all) })
+		if err != nil {
+			return app.Fail(cli.Usage, err)
 		}
 	}
 
@@ -265,43 +230,33 @@ Flags:
 	}
 	if fixMode {
 		postErrs := len(analyze.Filter(post, analyze.SeverityError))
-		fmt.Printf("sasmvet: %d module(s): %d error(s), %d warning(s), %d note(s); %d edit(s) applied, %d error(s) remain\n",
+		fmt.Fprintf(stdout, "sasmvet: %d module(s): %d error(s), %d warning(s), %d note(s); %d edit(s) applied, %d error(s) remain\n",
 			len(mods), errors, warnings, notes, editsApplied, postErrs)
 	} else {
-		fmt.Printf("sasmvet: %d module(s): %d error(s), %d warning(s), %d note(s)\n",
+		fmt.Fprintf(stdout, "sasmvet: %d module(s): %d error(s), %d warning(s), %d note(s)\n",
 			len(mods), errors, warnings, notes)
 	}
 
-	if *ledgerPath != "" {
-		rec := telemetry.RunRecord{
-			Time:   telemetry.NowRFC3339(),
-			Tool:   "sasmvet",
-			GitRev: telemetry.GitRev(),
-			Config: telemetry.Fingerprint(fmt.Sprintf("workloads=%v corpus=%d seed=%d compiled=%v repeat=%d fix=%v inject=%q args=%v",
-				*vetWorkloads, *corpusN, *corpusSeed, *compiled, *repeatN, fixMode, *injectSpec, flag.Args())),
-			Metrics: map[string]float64{
-				"modules":  float64(len(mods)),
-				"errors":   float64(errors),
-				"warnings": float64(warnings),
-				"notes":    float64(notes),
-			},
-		}
-		if fixMode {
-			rec.Metrics["edits_applied"] = float64(editsApplied)
-			rec.Metrics["post_errors"] = float64(len(analyze.Filter(post, analyze.SeverityError)))
-		}
-		if s := cache.Stats(); s.Hits+s.Misses > 0 {
-			rec.Metrics["ccache_hit_rate"] = float64(s.Hits) / float64(s.Hits+s.Misses)
-		}
-		if err := telemetry.AppendRecord(*ledgerPath, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-			os.Exit(2)
-		}
+	metrics := map[string]float64{
+		"modules":  float64(len(mods)),
+		"errors":   float64(errors),
+		"warnings": float64(warnings),
+		"notes":    float64(notes),
+	}
+	if fixMode {
+		metrics["edits_applied"] = float64(editsApplied)
+		metrics["post_errors"] = float64(len(analyze.Filter(post, analyze.SeverityError)))
+	}
+	config := fmt.Sprintf("workloads=%v corpus=%d seed=%d compiled=%v repeat=%d fix=%v inject=%q args=%v",
+		*vetWorkloads, *corpusN, *corpusSeed, *compiled, *repeatN, fixMode, *injectSpec, app.Args())
+	if err := app.Record("sasmvet", config, metrics); err != nil {
+		return app.Fail(cli.Usage, err)
 	}
 
 	if len(analyze.Filter(post, failSev)) > 0 {
-		os.Exit(1)
+		return cli.Fail
 	}
+	return cli.OK
 }
 
 // normalizeSeverity aligns each diagnostic's severity with the SR code
@@ -319,7 +274,7 @@ func normalizeSeverity(diags []analyze.Diagnostic) {
 
 // printDiff prints a minimal LCS line diff between the module text
 // before and after repair.
-func printDiff(label, oldSrc, newSrc string) {
+func printDiff(out io.Writer, label, oldSrc, newSrc string) {
 	if oldSrc == newSrc {
 		return
 	}
@@ -339,7 +294,7 @@ func printDiff(label, oldSrc, newSrc string) {
 			}
 		}
 	}
-	fmt.Printf("--- %s\n+++ %s (repaired)\n", label, label)
+	fmt.Fprintf(out, "--- %s\n+++ %s (repaired)\n", label, label)
 	i, j := 0, 0
 	for i < n && j < m {
 		switch {
@@ -347,18 +302,18 @@ func printDiff(label, oldSrc, newSrc string) {
 			i++
 			j++
 		case lcs[i+1][j] >= lcs[i][j+1]:
-			fmt.Printf("-%s\n", a[i])
+			fmt.Fprintf(out, "-%s\n", a[i])
 			i++
 		default:
-			fmt.Printf("+%s\n", b[j])
+			fmt.Fprintf(out, "+%s\n", b[j])
 			j++
 		}
 	}
 	for ; i < n; i++ {
-		fmt.Printf("-%s\n", a[i])
+		fmt.Fprintf(out, "-%s\n", a[i])
 	}
 	for ; j < m; j++ {
-		fmt.Printf("+%s\n", b[j])
+		fmt.Fprintf(out, "+%s\n", b[j])
 	}
 }
 

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"path/filepath"
 	"testing"
 
+	"specrecon/internal/ccache"
 	"specrecon/internal/cli/clitest"
 )
 
@@ -29,3 +31,15 @@ func TestCLI(t *testing.T) {
 }
 
 func TestFlagNames(t *testing.T) { clitest.FlagNames(t, run) }
+
+// TestCacheStatsImplyCache: -cache-stats alone turns the cache on.
+func TestCacheStatsImplyCache(t *testing.T) {
+	stats := filepath.Join(t.TempDir(), "stats.json")
+	if code, _, stderr := clitest.Exec(t, run, "-q", "-compiled", "-corpus", "5", "-cache-stats", stats); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	var st ccache.Stats
+	if clitest.ReadJSON(t, stats, &st); st.Misses != 5 {
+		t.Errorf("-cache-stats without -compile-cache: %+v, want 5 misses", st)
+	}
+}

@@ -5,40 +5,47 @@
 //
 //	simtviz -kernel rsbench -mode baseline -rows 60
 //	simtviz -kernel rsbench -mode spec -rows 60
+//
+// Exit status: 0 rendered; 1 the compile or the run failed; 2 a flag or
+// a workload name it cannot use.
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"specrecon/internal/cli"
 	"specrecon/internal/core"
+	"specrecon/internal/harness"
 	"specrecon/internal/simt"
 	"specrecon/internal/viz"
 	"specrecon/internal/workloads"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	app := cli.New("simtviz", stdout, stderr)
 	var (
-		kernel  = flag.String("kernel", "rsbench", "workload name")
-		mode    = flag.String("mode", "baseline", "baseline | spec")
-		rows    = flag.Int("rows", 80, "max timeline rows")
-		tasks   = flag.Int("tasks", 4, "tasks per thread (small values keep timelines readable)")
-		hist    = flag.Bool("hist", false, "also print the active-lane histogram")
-		grid    = flag.Int("grid", 0, "CTAs in a grid launch (0 = flat single-warp launch)")
-		ctasize = flag.Int("ctasize", 0, "threads per CTA for -grid (0 = one warp)")
-		sms     = flag.Int("sms", 0, "streaming multiprocessors for -grid (0 = 1)")
+		kernel = app.String("kernel", "rsbench", "workload name")
+		mode   = app.String("mode", "baseline", "baseline | spec")
+		rows   = app.Int("rows", 80, "max timeline rows")
+		hist   = app.Bool("hist", false, "also print the active-lane histogram")
 	)
-	flag.Parse()
+	app.IntVar(&app.Launch.Tasks, "tasks", 4, "tasks per thread (small values keep timelines readable)")
+	app.GridFlags()
+	if code, done := app.Parse(args); done {
+		return code
+	}
+	defer app.Close(&code)
 
 	w, err := workloads.Get(*kernel)
 	if err != nil {
-		fail(err)
+		return app.Fail(cli.Usage, err)
 	}
-	inst := w.Build(workloads.BuildConfig{
-		Threads: 32, Tasks: *tasks,
-		Grid: *grid, CTASize: *ctasize, SMs: *sms,
-	})
+	app.Launch.Threads = 32
+	inst := w.Build(app.Launch)
 
 	opts := core.BaselineOptions()
 	if *mode == "spec" {
@@ -46,34 +53,22 @@ func main() {
 	}
 	comp, err := core.Compile(inst.Module, opts)
 	if err != nil {
-		fail(err)
+		return app.Fail(cli.Fail, err)
 	}
 
 	tl := viz.NewTimeline(0)
-	res, err := simt.Run(comp.Module, simt.Config{
-		Kernel:  inst.Kernel,
-		Threads: inst.Threads,
-		Seed:    inst.Seed,
-		Memory:  inst.Memory,
-		Strict:  true,
-		Events:  tl,
-		Grid:    inst.Grid,
-		CTASize: inst.CTASize,
-		SMs:     inst.SMs,
-	})
+	cfg := harness.LaunchConfig(inst)
+	cfg.Events = tl
+	res, err := simt.Run(comp.Module, cfg)
 	if err != nil {
-		fail(err)
+		return app.Fail(cli.Fail, err)
 	}
 
-	fmt.Printf("%s (%s): %s\n\n", *kernel, *mode, res.Metrics.String())
-	fmt.Print(tl.Render(*rows))
+	fmt.Fprintf(stdout, "%s (%s): %s\n\n", *kernel, *mode, res.Metrics.String())
+	fmt.Fprint(stdout, tl.Render(*rows))
 	if *hist {
-		fmt.Println()
-		fmt.Print(tl.OccupancyHistogram())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, tl.OccupancyHistogram())
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "simtviz:", err)
-	os.Exit(1)
+	return cli.OK
 }

@@ -11,7 +11,7 @@ func TestCLI(t *testing.T) {
 	clitest.Check(t, run, []clitest.Case{
 		{Name: "baseline", Args: []string{"-kernel", "rsbench", "-rows", "12"}},
 		{Name: "spec-hist-grid", Args: []string{"-kernel", "rsbench", "-mode", "spec", "-rows", "12", "-hist", "-grid", "2", "-ctasize", "32", "-sms", "2"}},
-		{Name: "unknown-kernel", Args: []string{"-kernel", "nope"}, Code: 1, Stderr: "unknown workload"},
+		{Name: "unknown-kernel", Args: []string{"-kernel", "nope"}, Code: 2, Stderr: "unknown workload"},
 	})
 }
 

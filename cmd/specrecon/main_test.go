@@ -1,8 +1,10 @@
 package main
 
 import (
+	"path/filepath"
 	"testing"
 
+	"specrecon/internal/ccache"
 	"specrecon/internal/cli/clitest"
 )
 
@@ -21,10 +23,32 @@ func TestCLI(t *testing.T) {
 		{Name: "list", Args: []string{"-list"}},
 		{Name: "list-passes", Args: []string{"-list-passes"}},
 		{Name: "no-kernel", Code: 2, Stderr: "-kernel is required"},
-		{Name: "unknown-kernel", Args: []string{"-kernel", "nope"}, Code: 1, Stderr: "unknown workload"},
-		{Name: "bad-policy", Args: []string{"-kernel", "rsbench", "-policy", "bad"}, Code: 1, Stderr: "unknown policy"},
-		{Name: "bad-passes", Args: []string{"-kernel", "rsbench", "-passes", "pdom,bogus"}, Code: 1, Stderr: `unknown pass "bogus"`},
+		{Name: "unknown-kernel", Args: []string{"-kernel", "nope"}, Code: 2, Stderr: "unknown workload"},
+		{Name: "bad-policy", Args: []string{"-kernel", "rsbench", "-policy", "bad"}, Code: 2, Stderr: "unknown policy"},
+		{Name: "bad-passes", Args: []string{"-kernel", "rsbench", "-passes", "pdom,bogus"}, Code: 2, Stderr: `unknown pass "bogus"`},
 	})
 }
 
 func TestFlagNames(t *testing.T) { clitest.FlagNames(t, run) }
+
+// TestFinishersRunOnFailure: a -diffcheck finding exits 1 and still
+// writes the cache statistics and the metrics snapshot, and asking for
+// the statistics alone got a cache to take them from.
+func TestFinishersRunOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	stats, snapshot := filepath.Join(dir, "stats.json"), filepath.Join(dir, "metrics.json")
+	code, _, stderr := clitest.Exec(t, run, "-kernel", "rsbench", "-diffcheck", "-inject", "skip-release@1",
+		"-cache-stats", stats, "-telemetry-json", snapshot)
+	if code != 1 {
+		t.Errorf("exit %d, want 1\nstderr: %s", code, stderr)
+	}
+	var st ccache.Stats
+	clitest.ReadJSON(t, stats, &st)
+	if st.Misses == 0 {
+		t.Errorf("-cache-stats without -compile-cache recorded no lookup: %+v", st)
+	}
+	var metrics struct{ Metrics []any }
+	if clitest.ReadJSON(t, snapshot, &metrics); len(metrics.Metrics) == 0 {
+		t.Error("-telemetry-json snapshot carries no metric")
+	}
+}

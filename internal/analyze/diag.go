@@ -147,9 +147,9 @@ func InfoFor(c Code) CodeInfo {
 }
 
 // Diagnostic is one finding. The Fn/Block/Msg field names are load-
-// bearing: core.LintWarning and core.SafetyViolation are aliases of this
-// type, and their pre-existing composite literals and field accesses
-// must keep compiling.
+// bearing: core.SafetyViolation is an alias of this type, and its
+// pre-existing composite literals and field accesses must keep
+// compiling.
 type Diagnostic struct {
 	// Code identifies the check; empty for legacy free-form diagnostics
 	// constructed through the back-compat aliases.
@@ -172,7 +172,7 @@ type Diagnostic struct {
 }
 
 // String renders "CODE: fn.block: msg" with the empty parts elided —
-// compatible with the historical LintWarning/SafetyViolation formats,
+// compatible with the historical lint and SafetyViolation formats,
 // which tests match by substring.
 func (d Diagnostic) String() string {
 	prefix := ""

@@ -6,6 +6,7 @@ package clitest
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -82,6 +83,18 @@ func Golden(t *testing.T, name, got string) {
 	}
 	if got != string(want) {
 		t.Errorf("stdout differs from %s:\n--- got\n%s--- want\n%s", path, got, want)
+	}
+}
+
+// ReadJSON decodes the file a command wrote at path into v.
+func ReadJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }
 

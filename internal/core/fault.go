@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -185,6 +186,11 @@ func findNth(m *ir.Module, n int, pred func(in, prev *ir.Instr) bool) (instrRef,
 	return instrRef{}, false
 }
 
+// ErrNoFaultTarget is what inject wraps when a fault's target instruction
+// does not exist in the module: nothing was planted, which campaigns
+// count as a skip and never as the verifier rejecting the build.
+var ErrNoFaultTarget = errors.New("module has no")
+
 // inject applies the plan's inject-layer faults to the module. A fault
 // whose target instruction does not exist is an error: the caller asked
 // for a perturbation that would not actually perturb anything.
@@ -209,7 +215,7 @@ func (c *PassContext) inject(p FaultPlan) error {
 		}
 		ref, ok := findNth(c.Mod, d.n, d.pred)
 		if !ok {
-			return fmt.Errorf("fault %s@%d: module has no such target", d.name, d.n)
+			return fmt.Errorf("fault %s@%d: %w such target", d.name, d.n, ErrNoFaultTarget)
 		}
 		in := ref.b.Instrs[ref.idx]
 		c.Remarkf(ref.f.Name, ref.b.Name, "fault %s@%d: removed %s b%d", d.name, d.n, in.Op, in.Bar)
@@ -218,12 +224,12 @@ func (c *PassContext) inject(p FaultPlan) error {
 	if p.SwapWaits {
 		first, ok := findNth(c.Mod, 1, func(in, _ *ir.Instr) bool { return isWait(in.Op) })
 		if !ok {
-			return fmt.Errorf("fault swap-waits: module has no waits")
+			return fmt.Errorf("fault swap-waits: %w waits", ErrNoFaultTarget)
 		}
 		bar0 := first.b.Instrs[first.idx].Bar
 		second, ok := findNth(c.Mod, 1, func(in, _ *ir.Instr) bool { return isWait(in.Op) && in.Bar != bar0 })
 		if !ok {
-			return fmt.Errorf("fault swap-waits: module has no second wait on a distinct barrier")
+			return fmt.Errorf("fault swap-waits: %w second wait on a distinct barrier", ErrNoFaultTarget)
 		}
 		bar1 := second.b.Instrs[second.idx].Bar
 		first.b.Instrs[first.idx].Bar = bar1

@@ -78,8 +78,22 @@ func TestInjectMissingTargetIsError(t *testing.T) {
 
 	opts := BaselineOptions()
 	opts.Faults = FaultPlan{DropCancel: 1}
-	if _, err := Compile(m, opts); err == nil || !strings.Contains(err.Error(), "no such target") {
+	_, err := Compile(m, opts)
+	if err == nil || !strings.Contains(err.Error(), "fault drop-cancel@1: module has no such target") {
 		t.Fatalf("want missing-target error, got %v", err)
+	}
+	if !errors.Is(err, ErrNoFaultTarget) {
+		t.Errorf("missing-target error does not wrap ErrNoFaultTarget through the pass manager: %v", err)
+	}
+	opts.Faults = FaultPlan{SwapWaits: true}
+	if _, err := Compile(m, opts); !errors.Is(err, ErrNoFaultTarget) || !strings.Contains(err.Error(), "fault swap-waits: module has no waits") {
+		t.Errorf("swap-waits without waits: got %v", err)
+	}
+	// The verifier's own "module has no functions" shares the words, not
+	// the sentinel.
+	_, err = Compile(ir.NewModule("empty"), opts)
+	if err == nil || !strings.Contains(err.Error(), "module has no functions") || errors.Is(err, ErrNoFaultTarget) {
+		t.Errorf("empty module: got %v, want an invalid-module error that is not ErrNoFaultTarget", err)
 	}
 }
 

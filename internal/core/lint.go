@@ -17,12 +17,6 @@ func init() {
 		})
 }
 
-// LintWarning is one diagnostic from the lint checks. It is the unified
-// diagnostic type of internal/analyze; the historical Fn/Block/Msg
-// fields are unchanged, and each warning now also carries a stable
-// diagnostic code and severity.
-type LintWarning = analyze.Diagnostic
-
 // Lint runs best-effort static diagnostics over the module. It does not
 // fail compilation — kernels with warnings may still be intentional —
 // but the workloads and corpus generators are tested to be lint-clean.
@@ -34,15 +28,7 @@ type LintWarning = analyze.Diagnostic
 // barriers escaping through thread-exiting terminators (SR1002).
 // Advisory notes (SR3xxx) are the analyzer's own; run cmd/sasmvet or
 // the "analyze" pass to see them.
-func Lint(m *ir.Module) []LintWarning {
+func Lint(m *ir.Module) []analyze.Diagnostic {
 	rep := analyze.Analyze(m, analyze.Options{})
 	return analyze.Filter(rep.Diags, analyze.SeverityWarning)
-}
-
-// lintBarriers checks join/wait pairing at module granularity: barrier
-// registers are warp state shared across the whole call graph, and the
-// interprocedural variant legitimately joins a barrier in a caller while
-// waiting on it at a callee's entry.
-func lintBarriers(m *ir.Module) []LintWarning {
-	return analyze.Pairing(m, nil)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"specrecon/internal/analyze"
 	"specrecon/internal/ir"
 	"specrecon/internal/workloads"
 )
@@ -170,13 +171,13 @@ func TestLintBarriersDirectOnConflictingRanges(t *testing.T) {
 	// Conflicting live ranges are a deadlock hazard, not a pairing
 	// defect: every barrier is joined and waited, so the pairing lint
 	// stays quiet...
-	if ws := lintBarriers(m); len(ws) != 0 {
+	if ws := analyze.Pairing(m, nil); len(ws) != 0 {
 		t.Fatalf("complete pairing should produce no warnings, got %v", ws)
 	}
 	// ...until a wait is lost, which it must pinpoint by register.
 	meet := f.BlockByName("meet")
 	meet.RemoveAt(0) // drop "wait b1"
-	ws := lintBarriers(m)
+	ws := analyze.Pairing(m, nil)
 	found := false
 	for _, w := range ws {
 		if strings.Contains(w.Msg, "b1 is joined but never waited or cancelled") {
@@ -184,7 +185,7 @@ func TestLintBarriersDirectOnConflictingRanges(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("lintBarriers missed the lost wait: %v", ws)
+		t.Errorf("analyze.Pairing missed the lost wait: %v", ws)
 	}
 }
 

@@ -87,8 +87,9 @@ type Options struct {
 	// scheduler, so a check under a non-greedy Sched is simultaneously
 	// a speculation check and a schedule-dependence check: any
 	// mismatch, deadlock or starvation indicts the kernel's reliance on
-	// a progress guarantee (or one of the engines — see cmd/schedhunt's
-	// analyzer cross-check). SchedSeed seeds simt.SchedRandom.
+	// a progress guarantee (or one of the engines — see the analyzer
+	// cross-check of cmd/diffhunt's sched axis). SchedSeed seeds
+	// simt.SchedRandom.
 	Sched     simt.SchedPolicy
 	SchedSeed uint64
 	// StarveLimit arms the starvation monitor on the policy-scheduled

@@ -18,8 +18,8 @@ import (
 // matrix.go pins the compile/simulator faults to their layers. A
 // statically-clean kernel failing under a legal schedule indicts either
 // the kernel's reliance on a progress guarantee the policy does not
-// grant, or one of the two engines; the corpus campaigns of
-// cmd/schedhunt use the same classification to tell those apart.
+// grant, or one of the two engines; cmd/diffhunt's sched axis uses the
+// same classification on the corpus to tell those apart.
 
 // SchedLayer identifies which liveness/equivalence layer caught (or
 // should catch) a schedule-dependent failure.

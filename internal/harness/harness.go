@@ -24,17 +24,19 @@ func Run(inst *workloads.Instance, opts core.Options) (*core.Compilation, *simt.
 	if err != nil {
 		return nil, nil, fmt.Errorf("compile %s: %w", inst.Module.Name, err)
 	}
-	res, err := simt.Run(comp.Module, launchConfig(inst))
+	res, err := simt.Run(comp.Module, LaunchConfig(inst))
 	if err != nil {
 		return nil, nil, fmt.Errorf("run %s: %w", inst.Module.Name, err)
 	}
 	return comp, res, nil
 }
 
-// launchConfig maps an instance's launch shape onto the simulator
-// config: flat single-SM by default, a GPU-scale grid launch when the
-// instance was built with one.
-func launchConfig(inst *workloads.Instance) simt.Config {
+// LaunchConfig maps an instance's launch shape and scheduler selection
+// onto the simulator config: flat single-SM by default, a GPU-scale grid
+// launch when the instance was built with one. Every driver here and the
+// binaries that run one instance (cmd/specrecon, cmd/simtviz) start from
+// it.
+func LaunchConfig(inst *workloads.Instance) simt.Config {
 	return simt.Config{
 		Kernel:    inst.Kernel,
 		Threads:   inst.Threads,
@@ -61,7 +63,7 @@ func RunSafe(inst *workloads.Instance, opts core.Options) (*core.SafeCompilation
 	if err != nil {
 		return nil, nil, fmt.Errorf("compile %s: %w", inst.Module.Name, err)
 	}
-	res, err := simt.Run(comp.Module, launchConfig(inst))
+	res, err := simt.Run(comp.Module, LaunchConfig(inst))
 	if err != nil {
 		return nil, nil, fmt.Errorf("run %s: %w", inst.Module.Name, err)
 	}
@@ -276,7 +278,7 @@ func Figure9(name string, cfg workloads.BuildConfig, thresholds []int, paralleli
 		if err != nil {
 			return fmt.Errorf("threshold %d: %w", t, err)
 		}
-		spec, err := simt.Run(comp.Module, launchConfig(inst))
+		spec, err := simt.Run(comp.Module, LaunchConfig(inst))
 		if err != nil {
 			return fmt.Errorf("threshold %d: %w", t, err)
 		}

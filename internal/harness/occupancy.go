@@ -47,7 +47,7 @@ func CollectOccupancy(cfg workloads.BuildConfig, stride int64, parallelism int) 
 			return fmt.Errorf("compile %s: %w", inst.Module.Name, err)
 		}
 		rec := obs.NewOccupancyRecorder()
-		runCfg := launchConfig(inst)
+		runCfg := LaunchConfig(inst)
 		if runCfg.Grid == 0 {
 			runCfg.InterleaveWarps = true
 		}

@@ -57,112 +57,67 @@ func safeCall(i int, fn func(i int) error) (err error) {
 	return fn(i)
 }
 
-// forEach runs fn(i) for every i in [0, n) on at most parallelism
-// workers and returns the lowest-index error, matching what the serial
-// loop would have reported. After an error is recorded, workers stop
-// picking up new jobs; in-flight jobs still complete. A panicking job
-// is contained to a typed *TaskPanicError instead of crashing the pool.
-// driver labels the fan-out in the installed telemetry registry (see
-// UseTelemetry); with no registry installed the instrumentation is a
-// nil pointer no-op.
-func forEach(driver string, parallelism, n int, fn func(i int) error) error {
-	pm := poolStart(driver, n)
-	defer pm.finish()
-	workers := effectiveParallelism(parallelism)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			err := safeCall(i, fn)
-			pm.jobDone()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		next     atomic.Int64
-		mu       sync.Mutex
-		errIdx   = n
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed() {
-					return
-				}
-				if err := safeCall(i, fn); err != nil {
-					record(i, err)
-				}
-				pm.jobDone()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// RunTasks runs fn(i) for every i in [0, n) on at most parallelism
-// workers and returns every task's error slot (nil on success), indexed
-// by task. Unlike forEach, an error — or a panic, contained to a typed
-// *TaskPanicError — does NOT stop the fan-out: every task runs to
-// completion. Campaign drivers (cmd/schedhunt) use it so one
-// pathological kernel × schedule yields one typed finding while the
-// sweep finishes. driver labels the fan-out in the installed telemetry
-// registry.
-func RunTasks(driver string, parallelism, n int, fn func(i int) error) []error {
+// runPool is the one worker loop: fn(i) for every i in [0, n) on at most
+// parallelism workers, each call contained by safeCall, every task's
+// error (nil on success) returned in its slot. With stopOnErr, workers
+// pick up no new task once one has failed; tasks in flight still
+// complete. driver labels the fan-out in the installed telemetry
+// registry (see UseTelemetry); with no registry installed the
+// instrumentation is a nil pointer no-op.
+func runPool(driver string, parallelism, n int, stopOnErr bool, fn func(i int) error) []error {
 	pm := poolStart(driver, n)
 	defer pm.finish()
 	errs := make([]error, n)
-	workers := effectiveParallelism(parallelism)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = safeCall(i, fn)
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+	)
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || (stopOnErr && failed.Load()) {
+				return
+			}
+			if errs[i] = safeCall(i, fn); errs[i] != nil {
+				failed.Store(true)
+			}
 			pm.jobDone()
 		}
+	}
+	workers := min(effectiveParallelism(parallelism), n)
+	if workers <= 1 {
+		work()
 		return errs
 	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
+	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = safeCall(i, fn)
-				pm.jobDone()
-			}
+			work()
 		}()
 	}
 	wg.Wait()
 	return errs
+}
+
+// forEach runs the fan-out until a task fails and returns the
+// lowest-index error, matching what the serial loop would have reported.
+// A panicking job is a typed *TaskPanicError, not a crashed pool.
+func forEach(driver string, parallelism, n int, fn func(i int) error) error {
+	for _, err := range runPool(driver, parallelism, n, true, fn) {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunTasks runs every task to completion whatever the others do and
+// returns every task's error slot, indexed by task: an error — or a
+// panic, contained to a typed *TaskPanicError — does NOT stop the
+// fan-out. The campaign driver (cmd/diffhunt) uses it so one
+// pathological cell yields one typed finding while the sweep finishes.
+func RunTasks(driver string, parallelism, n int, fn func(i int) error) []error {
+	return runPool(driver, parallelism, n, false, fn)
 }

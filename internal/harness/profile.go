@@ -23,7 +23,7 @@ func CollectProfile(inst *workloads.Instance) (map[string]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := simt.Run(comp.Module, launchConfig(inst))
+	res, err := simt.Run(comp.Module, LaunchConfig(inst))
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func runProfiled(inst *workloads.Instance, opts core.Options) (*obs.Profile, err
 		return nil, fmt.Errorf("compile %s: %w", inst.Module.Name, err)
 	}
 	p := obs.NewProfile(comp.Module)
-	runCfg := launchConfig(inst)
+	runCfg := LaunchConfig(inst)
 	runCfg.Events = p
 	if _, err := simt.Run(comp.Module, runCfg); err != nil {
 		return nil, fmt.Errorf("run %s: %w", inst.Module.Name, err)
@@ -123,7 +123,7 @@ func DumpTraces(dir string, cfg workloads.BuildConfig, parallelism int) ([]strin
 				return fmt.Errorf("compile %s: %w", ws[i].Name, err)
 			}
 			rec := obs.NewTraceRecorder()
-			runCfg := launchConfig(inst)
+			runCfg := LaunchConfig(inst)
 			runCfg.Events = rec
 			if _, err := simt.Run(comp.Module, runCfg); err != nil {
 				return fmt.Errorf("run %s: %w", ws[i].Name, err)

@@ -83,7 +83,7 @@ func SchedSensitivity(name string, cfg workloads.BuildConfig, policies []simt.Sc
 		}
 		rec := obs.NewOccupancyRecorder()
 		recs[i] = rec
-		runCfg := launchConfig(inst)
+		runCfg := LaunchConfig(inst)
 		runCfg.Sched = pol
 		runCfg.StarveLimit = SchedSweepStarveLimit
 		runCfg.SampleStride = DefaultSampleStride

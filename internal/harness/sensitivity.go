@@ -52,7 +52,7 @@ func CompareWithCache(w *workloads.Workload, cfg workloads.BuildConfig, cache si
 		if err != nil {
 			return nil, err
 		}
-		runCfg := launchConfig(inst)
+		runCfg := LaunchConfig(inst)
 		runCfg.Cache = cache
 		return simt.Run(comp.Module, runCfg)
 	}

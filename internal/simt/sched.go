@@ -15,7 +15,7 @@ import (
 // occupancy-bound execution (OBE), where a resident warp may run to a
 // blocking point before any other warp is considered. SchedPolicy makes
 // the warp-selection rule pluggable so the schedule-exploration rig
-// (cmd/schedhunt) can hunt schedule-dependent outcomes: every policy
+// (diffhunt -axis sched) can hunt schedule-dependent outcomes: every policy
 // must produce the same final memory on race-free kernels, and kernels
 // whose outcome varies by policy are exactly the ones relying on a
 // progress guarantee the hardware does not give.

@@ -13,18 +13,18 @@ import (
 )
 
 // The run ledger: one JSON object per line appended to runs.jsonl by
-// harness/sasmvet/figures invocations (the -ledger flags), diffed by
-// `perf ledger` (cmd/perf). A record carries enough identity to compare runs
-// across commits — the git revision, a fingerprint of the run's
-// configuration — plus a flat metric map (wall times, cache hit rates,
-// campaign counts). Appends are O_APPEND single writes, so concurrent
+// figures/sasmvet/diffhunt invocations (cli.App.Record behind the
+// -ledger flags), diffed by `perf ledger` (cmd/perf). A record carries
+// enough identity to compare runs across commits — the git revision, a
+// fingerprint of the run's configuration — plus a flat metric map (wall
+// times, cache hit rates, campaign counts). Appends are O_APPEND single writes, so concurrent
 // tools interleave whole records.
 
 // RunRecord is one ledger line.
 type RunRecord struct {
 	// Time is the RFC 3339 timestamp of the run (NowRFC3339).
 	Time string `json:"time,omitempty"`
-	// Tool identifies the appender: "figures", "sasmvet", "schedhunt"...
+	// Tool identifies the appender: "figures", "sasmvet", "diffhunt-sched"...
 	Tool string `json:"tool"`
 	// GitRev is the short revision of the working tree (GitRev; may be
 	// "unknown" outside a checkout).

@@ -191,7 +191,7 @@ const (
 // Inter-warp scheduling policies (RunConfig.Sched): which resident warp
 // issues next. The greedy-converge reference reproduces the paper's
 // measurements; the others are legal-but-adversarial schedules for the
-// stress rig (cmd/schedhunt), with SchedRandom seeded by
+// stress rig (diffhunt -axis sched), with SchedRandom seeded by
 // RunConfig.SchedSeed.
 const (
 	SchedGreedyConverge = simt.SchedGreedyConverge
@@ -302,8 +302,8 @@ func DiffMinimize(k DiffKernel, opts DiffOptions) (DiffKernel, DiffResult) {
 type (
 	// Diagnostic is the unified diagnostic record: stable SRxxxx code,
 	// severity, position (function, block, instruction) and an optional
-	// fix-it suggestion. core.Lint, the barrier-safety verifier and the
-	// "analyze" pass all produce this type.
+	// fix-it suggestion. The "lint" and "analyze" passes and the
+	// barrier-safety verifier all produce this type.
 	Diagnostic = analyze.Diagnostic
 	// DiagnosticSeverity orders note < warning < error.
 	DiagnosticSeverity = analyze.Severity
@@ -329,6 +329,13 @@ const (
 // provenance via Diagnose or the "analyze" pass instead.
 func Analyze(m *Module, opts AnalyzeOptions) *AnalyzeReport { return analyze.Analyze(m, opts) }
 
+// Filter returns the diagnostics at or above min severity;
+// Filter(Analyze(m, AnalyzeOptions{}).Diags, SeverityWarning) is the
+// warnings-and-errors view the "lint" pass reports.
+func Filter(diags []Diagnostic, min DiagnosticSeverity) []Diagnostic {
+	return analyze.Filter(diags, min)
+}
+
 // Diagnose compiles m under opts with the "analyze" pass inserted
 // before register allocation, returning the compilation with
 // Diagnostics and StaticEff populated (provenance-aware: the class-
@@ -347,13 +354,6 @@ func StaticEfficiency(m *Module) map[string]float64 { return analyze.Efficiency(
 func WriteSARIF(w io.Writer, toolName string, diags []Diagnostic) error {
 	return analyze.WriteSARIF(w, toolName, diags)
 }
-
-// LintWarning is a diagnostic from Lint.
-type LintWarning = core.LintWarning
-
-// Lint runs static diagnostics (uninitialized reads, unreachable blocks,
-// barrier hygiene) over the module.
-func Lint(m *Module) []LintWarning { return core.Lint(m) }
 
 // Automated repair layer (internal/repair, sasmvet -fix): the
 // analysis-driven fixpoint engine that applies the machine edits error
