@@ -99,6 +99,10 @@ func Analyze(m *ir.Module, opts Options) *Report {
 
 	r.Diags = append(r.Diags, Pairing(m, opts.ClassOf)...)
 
+	// One CFG and one divergence analysis per function serve every check
+	// below and the efficiency estimate after them: Analyze does not
+	// change the module.
+	facts := make(map[*ir.Function]funcFacts, len(m.Funcs))
 	for _, f := range m.Funcs {
 		if len(f.Blocks) == 0 {
 			continue
@@ -106,6 +110,7 @@ func Analyze(m *ir.Module, opts Options) *Report {
 		f.Reindex()
 		info := cfg.New(f)
 		div := divergence.Analyze(m, f, info)
+		facts[f] = funcFacts{info, div}
 
 		for _, b := range f.Blocks {
 			if !info.Reachable(b) {
@@ -136,7 +141,7 @@ func Analyze(m *ir.Module, opts Options) *Report {
 	// reported once.
 	r.Diags = Dedupe(r.Diags)
 
-	r.Efficiency = Efficiency(m)
+	r.Efficiency = efficiency(m, called, facts)
 	if opts.EffNoteBelow > 0 {
 		kernels := make([]string, 0, len(r.Efficiency))
 		for name := range r.Efficiency {
@@ -266,10 +271,10 @@ func uninitDiags(f *ir.Function, info *cfg.Info) []Diagnostic {
 	ints, floats := dataflow.RegLiveness(f, info)
 	entry := f.Entry().Index
 	var regs []string
-	ints.In[entry].ForEach(func(r int) {
+	ints.In(entry).ForEach(func(r int) {
 		regs = append(regs, fmt.Sprintf("r%d", r))
 	})
-	floats.In[entry].ForEach(func(r int) {
+	floats.In(entry).ForEach(func(r int) {
 		regs = append(regs, fmt.Sprintf("f%d", r))
 	})
 	if len(regs) == 0 {
@@ -298,7 +303,7 @@ func exitPathDiags(f *ir.Function, info *cfg.Info, nb int, entryWaits map[string
 		if t.Op != ir.OpExit && (t.Op != ir.OpRet || called[f.Name]) {
 			continue
 		}
-		at[b.Index][len(b.Instrs)-1].ForEach(func(bar int) {
+		at.Before(b.Index, len(b.Instrs)-1).ForEach(func(bar int) {
 			msg := fmt.Sprintf("b%d may still be joined when threads exit here (no wait or cancel on some path)", bar)
 			if classed {
 				msg = fmt.Sprintf("%s barrier b%d may still be joined when threads exit (missing release on this path)", classOf(bar), bar)
@@ -386,7 +391,7 @@ func conflictDiags(f *ir.Function, info *cfg.Info, div *divergence.Info, nb int,
 	if len(specBars) == 0 {
 		return nil
 	}
-	conflicts := dataflow.FindConflicts(f, specBars)
+	conflicts := dataflow.FindConflicts(f, info, specBars)
 	if len(conflicts) == 0 {
 		return nil
 	}
@@ -477,37 +482,9 @@ func waitNoteDiags(f *ir.Function, info *cfg.Info, st *FuncStates) []Diagnostic 
 
 // deadJoinDiags emits the dead-join note: a join after which no path
 // releases the barrier — no wait, no cancel, no call whose callee entry
-// waits on it. Solved as a backward may-analysis on the equation-2
-// solver with the release set extended to cancels and calls.
+// waits on it (dataflow.ReleasedAhead).
 func deadJoinDiags(f *ir.Function, info *cfg.Info, nb int, entryWaits map[string][]int) []Diagnostic {
-	release := func(set dataflow.Bits, in *ir.Instr) {
-		switch in.Op {
-		case ir.OpWait, ir.OpWaitN, ir.OpCancel:
-			if in.Bar < nb {
-				set.Set(in.Bar)
-			}
-		case ir.OpCall:
-			for _, bar := range entryWaits[in.Callee] {
-				if bar < nb {
-					set.Set(bar)
-				}
-			}
-		}
-	}
-	res := dataflow.Solve(f, info, dataflow.Problem{
-		Dir:     dataflow.Backward,
-		NumBits: nb,
-		Gen: func(b *ir.Block) dataflow.Bits {
-			gen := dataflow.NewBits(nb)
-			for i := range b.Instrs {
-				release(gen, &b.Instrs[i])
-			}
-			return gen
-		},
-		Kill: func(b *ir.Block) dataflow.Bits {
-			return dataflow.NewBits(nb)
-		},
-	})
+	res := dataflow.ReleasedAhead(f, info, nb, entryWaits)
 
 	var out []Diagnostic
 	for _, b := range f.Blocks {
@@ -515,7 +492,7 @@ func deadJoinDiags(f *ir.Function, info *cfg.Info, nb int, entryWaits map[string
 			continue
 		}
 		// ahead[i] = releases on some path strictly after instruction i.
-		ahead := res.Out[b.Index].Clone()
+		ahead := res.Out(b.Index).Clone()
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			if in.Op == ir.OpJoin && in.Bar < nb && !ahead.Has(in.Bar) {
@@ -525,7 +502,7 @@ func deadJoinDiags(f *ir.Function, info *cfg.Info, nb int, entryWaits map[string
 					Msg: fmt.Sprintf("join of b%d is never released on any path ahead (participation leaks until thread exit)", in.Bar),
 				})
 			}
-			release(ahead, in)
+			dataflow.Release(ahead, in, nb, entryWaits)
 		}
 	}
 	// Emission above runs bottom-up per block; restore top-down order.

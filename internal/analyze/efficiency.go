@@ -35,8 +35,20 @@ const maxTrip = 64
 // Efficiency returns the static SIMT-efficiency estimate of every
 // kernel (function not called from anywhere) in m, in (0, 1].
 func Efficiency(m *ir.Module) map[string]float64 {
-	e := &effEstimator{m: m, memo: map[string]funcCost{}, active: map[string]bool{}}
-	called := calledFunctions(m)
+	return efficiency(m, calledFunctions(m), nil)
+}
+
+// funcFacts is the CFG and divergence analysis of one function.
+type funcFacts struct {
+	info *cfg.Info
+	div  *divergence.Info
+}
+
+// efficiency is Efficiency given the module's called set and the facts
+// of the functions the caller has already analyzed (the rest are
+// analyzed here).
+func efficiency(m *ir.Module, called map[string]bool, facts map[*ir.Function]funcFacts) map[string]float64 {
+	e := &effEstimator{m: m, facts: facts, memo: map[string]funcCost{}, active: map[string]bool{}}
 	out := map[string]float64{}
 	for _, f := range m.Funcs {
 		if called[f.Name] || len(f.Blocks) == 0 {
@@ -60,6 +72,7 @@ type funcCost struct {
 
 type effEstimator struct {
 	m      *ir.Module
+	facts  map[*ir.Function]funcFacts
 	memo   map[string]funcCost
 	active map[string]bool // recursion guard
 }
@@ -81,9 +94,13 @@ func (e *effEstimator) fold(name string) funcCost {
 	e.active[name] = true
 	defer delete(e.active, name)
 
-	f.Reindex()
-	info := cfg.New(f)
-	div := divergence.Analyze(e.m, f, info)
+	ff, ok := e.facts[f]
+	if !ok {
+		f.Reindex()
+		ff.info = cfg.New(f)
+		ff.div = divergence.Analyze(e.m, f, ff.info)
+	}
+	info, div := ff.info, ff.div
 	freq := blockFreqs(f, info, div)
 	lanes, sideProb := laneFractions(f, info, div)
 

@@ -15,19 +15,18 @@
 // it never writes the module, and reports only read the result.
 //
 // Entries are evicted least-recently-used once the byte budget is
-// exceeded (sizes are estimated from the printed module and report
-// lengths). Every method is nil-safe: a nil *Cache simply forwards to
-// core, so call sites thread an optional cache without conditionals.
-// A Cache is safe for concurrent use; compilation runs outside the
-// lock, and concurrent misses on the same key keep the first inserted
-// result.
+// exceeded (an entry is charged the measured length of its printed
+// module plus a flat cost per report row). Every method is nil-safe: a
+// nil *Cache simply forwards to core, so call sites thread an optional
+// cache without conditionals. A Cache is safe for concurrent use;
+// compilation runs outside the lock, and concurrent misses on the same
+// key keep the first inserted result.
 package ccache
 
 import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 
@@ -80,25 +79,12 @@ func New(maxBytes int64) *Cache {
 	}
 }
 
-// key hashes everything that determines a compilation's output: a
-// variant tag separating the entry points, the pass pipeline spec, the
-// memoized options fingerprint, and the canonical binary encoding of
-// the module's IR (hash.go) — the cheap equivalent of hashing the
-// printed assembly.
-func key(variant, pipeSpec string, opts core.Options, m *ir.Module) [sha256.Size]byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00", variant, pipeSpec, optionsFingerprint(opts))
-	hashModule(h, m)
-	var k [sha256.Size]byte
-	h.Sum(k[:0])
-	return k
-}
-
-// compSize estimates the bytes an entry keeps alive. It only needs to
-// be consistent enough for the LRU budget to track real growth, so it
-// charges the printed module plus a flat cost per report row.
+// compSize is the bytes an entry is charged against the LRU budget:
+// the measured length of the printed module (hash.go: printed into the
+// pooled buffer, never built as a string) plus a flat cost per report
+// row — consistent enough for the budget to track real growth.
 func compSize(c *core.Compilation) int64 {
-	n := int64(len(ir.Print(c.Module))) + 256
+	n := int64(printedLen(c.Module)) + 256
 	n += 64 * int64(len(c.Barriers)+len(c.Conflicts)+len(c.PassStats))
 	for _, r := range c.Remarks {
 		n += 64 + int64(len(r.Msg))

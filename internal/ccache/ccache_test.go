@@ -1,6 +1,7 @@
 package ccache_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -129,61 +130,164 @@ func TestKeySeparation(t *testing.T) {
 	}
 }
 
-// TestKeyHashCoversStructure pins the binary module hasher against the
-// text renderer it replaced: any semantic edit — a successor edge, a
-// prediction's threshold or target, a float immediate, a block name, a
+// TestKeyHashCoversStructure pins the key encoding against the text
+// renderer it stands in for: any semantic edit — a successor edge, a
+// prediction's threshold or target, an immediate, a block name, a
 // module geometry field — must miss, and re-parsing the identical
-// source must hit (content addressing, not pointer identity).
+// source must hit (content addressing, not pointer identity). Each case
+// is a pair of edits of the same kernel; "a" alone is the pair (as
+// parsed, a). The pairs past the structural ones sit on the encoding's
+// own seams: integers either side of a varint length boundary, and
+// names whose bytes read as a length prefix or as the neighbouring
+// field.
 func TestKeyHashCoversStructure(t *testing.T) {
-	edits := []struct {
+	imm := func(v int64) func(m *ir.Module) {
+		return func(m *ir.Module) { m.Funcs[0].Blocks[0].Instrs[1].Imm = v } // and r1, r0, #v
+	}
+	blockName := func(name string) func(m *ir.Module) {
+		return func(m *ir.Module) { m.Funcs[0].Blocks[2].Name = name }
+	}
+	pairs := []struct {
 		name string
-		edit func(m *ir.Module)
+		a, b func(m *ir.Module)
 	}{
-		{"swap-succs", func(m *ir.Module) {
+		{name: "swap-succs", a: func(m *ir.Module) {
 			b := m.Funcs[0].Blocks[0] // entry: cbr left, right
 			b.Succs[0], b.Succs[1] = b.Succs[1], b.Succs[0]
 		}},
-		{"prediction-threshold", func(m *ir.Module) {
+		{name: "prediction-threshold", a: func(m *ir.Module) {
 			m.Funcs[0].Predictions[0].Threshold = 13
 		}},
-		{"prediction-target", func(m *ir.Module) {
+		{name: "prediction-target", a: func(m *ir.Module) {
 			m.Funcs[0].Predictions[0].Label = m.Funcs[0].Blocks[1]
 		}},
-		{"drop-prediction", func(m *ir.Module) {
+		{name: "drop-prediction", a: func(m *ir.Module) {
 			m.Funcs[0].Predictions = nil
 		}},
-		{"block-name", func(m *ir.Module) {
-			m.Funcs[0].Blocks[2].Name = "right2"
-		}},
-		{"memwords", func(m *ir.Module) {
+		{name: "block-name", a: blockName("right2")},
+		{name: "memwords", a: func(m *ir.Module) {
 			m.MemWords = 512
 		}},
-		{"nregs", func(m *ir.Module) {
+		{name: "nregs", a: func(m *ir.Module) {
 			m.Funcs[0].NRegs = 9
 		}},
+		// A zigzag varint grows a byte between 63 and 64 and between -64
+		// and -65, and again at 2^13; MinInt64 is the ten-byte extreme.
+		{name: "imm-63-64", a: imm(63), b: imm(64)},
+		{name: "imm-neg64-neg65", a: imm(-64), b: imm(-65)},
+		{name: "imm-127-128", a: imm(127), b: imm(128)},
+		{name: "imm-8191-8192", a: imm(8191), b: imm(8192)},
+		{name: "imm-minint64", a: imm(math.MinInt64), b: imm(math.MinInt64 + 1)},
+		{name: "imm-zero-absent", a: imm(0), b: imm(1)},
+		// The presence byte: the same value in a different field.
+		{name: "imm-vs-bar", a: imm(5), b: func(m *ir.Module) {
+			m.Funcs[0].Blocks[0].Instrs[1].Imm = 0
+			m.Funcs[0].Blocks[0].Instrs[1].Bar = 5
+		}},
+		{name: "float-imm", a: func(m *ir.Module) {
+			m.Funcs[0].Blocks[0].Instrs[1].FImm = 0.5
+		}, b: func(m *ir.Module) {
+			m.Funcs[0].Blocks[0].Instrs[1].FImm = -0.5
+		}},
+		// Names whose bytes imitate the encoding around them: a leading
+		// byte that reads as a length prefix, and a trailing byte that
+		// reads as the successor count that follows the name.
+		{name: "name-imitates-length", a: blockName("\x05right"), b: blockName("right")},
+		{name: "name-absorbs-next-field", a: blockName("right"), b: blockName("right\x01")},
+		{name: "callee-vs-next-opcode", a: func(m *ir.Module) {
+			m.Funcs[0].Blocks[0].Instrs[1].Callee = "f"
+		}, b: func(m *ir.Module) {
+			m.Funcs[0].Blocks[0].Instrs[1].Callee = "f" + string(rune(m.Funcs[0].Blocks[0].Instrs[2].Op))
+		}},
 	}
-	for _, tc := range edits {
+	// Diagnose verifies its input unless told not to, and several edits
+	// (a callee on an ALU instruction, a barrier on one) exist only to
+	// move key bytes; the key does not depend on the verdict.
+	opts := core.BaselineOptions()
+	opts.AssumeVerified = true
+	for _, tc := range pairs {
 		t.Run(tc.name, func(t *testing.T) {
+			edit := func(fn func(m *ir.Module)) *ir.Module {
+				m := parse(t, divergentKernel)
+				if fn != nil {
+					fn(m)
+				}
+				return m
+			}
 			cache := ccache.New(0)
-			if _, err := cache.Diagnose(parse(t, divergentKernel), core.BaselineOptions()); err != nil {
+			if _, err := cache.Diagnose(edit(tc.b), opts); err != nil {
 				t.Fatal(err)
 			}
 			// Identical content from a fresh parse must hit.
-			if _, err := cache.Diagnose(parse(t, divergentKernel), core.BaselineOptions()); err != nil {
+			if _, err := cache.Diagnose(edit(tc.b), opts); err != nil {
 				t.Fatal(err)
 			}
 			if st := cache.Stats(); st.Hits != 1 {
 				t.Fatalf("re-parsed identical module: stats = %+v, want 1 hit", st)
 			}
-			edited := parse(t, divergentKernel)
-			tc.edit(edited)
-			if _, err := cache.Diagnose(edited, core.BaselineOptions()); err != nil {
+			if _, err := cache.Diagnose(edit(tc.a), opts); err != nil {
 				t.Fatal(err)
 			}
 			if st := cache.Stats(); st.Misses != 2 {
 				t.Errorf("edited module: stats = %+v, want 2 misses (edit must change the key)", st)
 			}
 		})
+	}
+}
+
+// TestKeyIgnoresStaleBlockIndex: block references are keyed by position
+// in the function, read off Block.Index only where it is current — a
+// module whose indices are stale (blocks moved without Reindex) keys
+// exactly as the same module reindexed.
+func TestKeyIgnoresStaleBlockIndex(t *testing.T) {
+	opts := core.SpecReconOptions()
+	opts.AssumeVerified = true // the verifier rejects stale indices; the key must not care
+	cache := ccache.New(0)
+	fresh, err := cache.Diagnose(parse(t, divergentKernel), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, stale := range map[string]func(i, n int) int{
+		"reversed":     func(i, n int) int { return n - 1 - i },
+		"all-zero":     func(i, n int) int { return 0 },
+		"out-of-range": func(i, n int) int { return n + i },
+		"negative":     func(i, n int) int { return -1 - i },
+	} {
+		m := parse(t, divergentKernel)
+		for i, b := range m.Funcs[0].Blocks {
+			b.Index = stale(i, len(m.Funcs[0].Blocks))
+		}
+		got, err := cache.Diagnose(m, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != fresh {
+			t.Errorf("%s: stale Block.Index values changed the key (miss)", name)
+		}
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 4 {
+		t.Errorf("stats = %+v, want 1 miss / 4 hits", st)
+	}
+}
+
+// TestHitAllocatesNothing: a hit is the key and a map lookup, and the
+// key is built in a pooled buffer — nothing reaches the heap.
+func TestHitAllocatesNothing(t *testing.T) {
+	if ccache.RaceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	cache := ccache.New(0)
+	mod := parse(t, divergentKernel)
+	opts := core.SpecReconOptions()
+	if _, err := cache.Diagnose(mod, opts); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := cache.Diagnose(mod, opts); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("cache hit: %v allocs per lookup, want 0", allocs)
 	}
 }
 

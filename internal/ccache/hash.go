@@ -1,9 +1,12 @@
 package ccache
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"hash"
 	"math"
+	"math/bits"
+	"reflect"
 	"sync"
 
 	"specrecon/internal/core"
@@ -11,124 +14,173 @@ import (
 )
 
 // The cache key must hash the module's full semantic content on every
-// lookup — that is what content addressing means — but rendering the
-// textual assembly per lookup made key() cost more than a corpus
-// kernel's compile. hashModule instead streams a canonical binary
-// encoding of the IR straight into the hasher: every variable-length
-// sequence and string is length-prefixed, so the encoding is injective
-// over (name, geometry, instruction fields, successor edges,
-// predictions) — the same facts ir.Print round-trips through the
-// parser.
+// lookup — that is what content addressing means — and a lookup that
+// hits does nothing else, so the key is the whole cost of a hit. key
+// encodes (variant, pipeline spec, options fingerprint, module) into one
+// pooled buffer and hashes it with a single sha256.Sum256.
+//
+// The encoding is a fixed grammar of self-delimiting fields: an integer
+// is a varint (zigzag when signed), which no other varint prefixes; a
+// string is its length as a varint, then its bytes; a sequence is its
+// count, then its elements; an instruction is its opcode, a byte saying
+// which fields are not at their default, then those fields. A decoder
+// can therefore read the fields back one by one without ambiguity
+// (hash_test.go has one), so two inputs that differ in any field — or in
+// where one string ends and the next begins — differ in their bytes: the
+// encoding is injective over (name, geometry, every instruction field,
+// successor edges, predictions), which covers what ir.Print writes and
+// ir.Parse reads back. Small values dominate IR (register numbers,
+// NoReg, zero immediates, empty callees), so an instruction is about
+// five bytes.
 
-// moduleHasher is the reusable encoder scratch: one append-only buffer
-// flushed to the hasher in a single Write, and a per-function block
-// index for encoding successor and prediction targets positionally.
-type moduleHasher struct {
+// encoder is the pooled scratch of key and printedLen.
+type encoder struct {
 	buf []byte
-	idx map[*ir.Block]int
 }
 
-var hasherPool = sync.Pool{
-	New: func() any { return &moduleHasher{idx: map[*ir.Block]int{}} },
+var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
+
+func appendStr(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
-func (e *moduleHasher) u64(v uint64) {
-	e.buf = append(e.buf,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
+// Presence bits of an encoded instruction: a field whose bit is clear
+// holds its default (NoReg for a register, zero otherwise) and takes no
+// bytes. hasBImm is the BImm flag itself. Float immediates and callees
+// are rare and share one bit.
+const (
+	hasDst = 1 << iota
+	hasA
+	hasB
+	hasC
+	hasBImm
+	hasImm
+	hasBar
+	hasFImmCallee
+)
 
-func (e *moduleHasher) i64(v int64) { e.u64(uint64(v)) }
-
-func (e *moduleHasher) str(s string) {
-	e.u64(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *moduleHasher) boolean(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
+// appendInstr encodes one instruction: opcode byte, presence byte, then
+// the present fields in the order of the bits.
+func appendInstr(buf []byte, in *ir.Instr) []byte {
+	at := len(buf) + 1
+	buf = append(buf, byte(in.Op), 0)
+	var has byte
+	if in.Dst != ir.NoReg {
+		has |= hasDst
+		buf = binary.AppendVarint(buf, int64(in.Dst))
 	}
-	e.buf = append(e.buf, b)
-}
-
-// blockRef encodes a block pointer as its position in the current
-// function's block list (-1 for nil or foreign blocks, which the
-// verifier rejects anyway).
-func (e *moduleHasher) blockRef(b *ir.Block) {
-	if i, ok := e.idx[b]; ok {
-		e.i64(int64(i))
-		return
+	if in.A != ir.NoReg {
+		has |= hasA
+		buf = binary.AppendVarint(buf, int64(in.A))
 	}
-	e.i64(-1)
+	if in.B != ir.NoReg {
+		has |= hasB
+		buf = binary.AppendVarint(buf, int64(in.B))
+	}
+	if in.C != ir.NoReg {
+		has |= hasC
+		buf = binary.AppendVarint(buf, int64(in.C))
+	}
+	if in.BImm {
+		has |= hasBImm
+	}
+	if in.Imm != 0 {
+		has |= hasImm
+		buf = binary.AppendVarint(buf, in.Imm)
+	}
+	if in.Bar != 0 {
+		has |= hasBar
+		buf = binary.AppendVarint(buf, int64(in.Bar))
+	}
+	if fimm := math.Float64bits(in.FImm); fimm != 0 || in.Callee != "" {
+		has |= hasFImmCallee
+		// A float's set bits sit at the top (sign, exponent, leading
+		// mantissa); byte-reversed they make a short varint.
+		buf = binary.AppendUvarint(buf, bits.ReverseBytes64(fimm))
+		buf = appendStr(buf, in.Callee)
+	}
+	buf[at] = has
+	return buf
 }
 
-// hashModule writes the canonical binary encoding of m into h.
-func hashModule(h hash.Hash, m *ir.Module) {
-	e := hasherPool.Get().(*moduleHasher)
-	e.buf = e.buf[:0]
-
-	e.str(m.Name)
-	e.i64(int64(m.MemWords))
-	e.i64(int64(m.SharedWords))
-	e.i64(int64(len(m.Funcs)))
+// appendModule appends the canonical encoding of m. A block reference
+// is the block's position in its function (ir.Function.IndexOf: read off
+// Block.Index where that is current, searched for where it is stale), -1
+// for nil and foreign blocks, which the verifier rejects anyway.
+func appendModule(buf []byte, m *ir.Module) []byte {
+	buf = appendStr(buf, m.Name)
+	buf = binary.AppendVarint(buf, int64(m.MemWords))
+	buf = binary.AppendVarint(buf, int64(m.SharedWords))
+	buf = binary.AppendUvarint(buf, uint64(len(m.Funcs)))
 	for _, f := range m.Funcs {
-		e.str(f.Name)
-		e.i64(int64(f.NRegs))
-		e.i64(int64(f.NFRegs))
-		e.i64(int64(len(f.Blocks)))
-		e.i64(int64(len(f.Predictions)))
-		clear(e.idx)
-		for i, b := range f.Blocks {
-			e.idx[b] = i
-		}
+		buf = appendStr(buf, f.Name)
+		buf = binary.AppendVarint(buf, int64(f.NRegs))
+		buf = binary.AppendVarint(buf, int64(f.NFRegs))
+		buf = binary.AppendUvarint(buf, uint64(len(f.Blocks)))
+		buf = binary.AppendUvarint(buf, uint64(len(f.Predictions)))
 		for _, b := range f.Blocks {
-			e.str(b.Name)
-			e.i64(int64(len(b.Succs)))
+			buf = appendStr(buf, b.Name)
+			buf = binary.AppendUvarint(buf, uint64(len(b.Succs)))
 			for _, s := range b.Succs {
-				e.blockRef(s)
+				buf = binary.AppendVarint(buf, int64(f.IndexOf(s)))
 			}
-			e.i64(int64(len(b.Instrs)))
+			buf = binary.AppendUvarint(buf, uint64(len(b.Instrs)))
 			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				e.u64(uint64(in.Op))
-				e.i64(int64(in.Dst))
-				e.i64(int64(in.A))
-				e.i64(int64(in.B))
-				e.i64(int64(in.C))
-				e.boolean(in.BImm)
-				e.i64(in.Imm)
-				e.u64(math.Float64bits(in.FImm))
-				e.i64(int64(in.Bar))
-				e.str(in.Callee)
+				buf = appendInstr(buf, &b.Instrs[i])
 			}
 		}
 		for _, p := range f.Predictions {
-			e.blockRef(p.At)
-			e.blockRef(p.Label)
-			e.str(p.Callee)
-			e.i64(int64(p.Threshold))
+			buf = binary.AppendVarint(buf, int64(f.IndexOf(p.At)))
+			buf = binary.AppendVarint(buf, int64(f.IndexOf(p.Label)))
+			buf = appendStr(buf, p.Callee)
+			buf = binary.AppendVarint(buf, int64(p.Threshold))
 		}
 	}
-
-	h.Write(e.buf)
-	hasherPool.Put(e)
+	return buf
 }
 
-// optionsFingerprint canonicalizes opts. Options is a comparable struct
-// of value fields, so %#v is a faithful rendering — but it reflects over
-// every field on every call, so the rendering is memoized per distinct
-// value (sweeps use a handful: one per threshold point). The map is
+// key hashes everything that determines a compilation's output: a
+// variant tag separating the entry points, the pass pipeline spec, the
+// memoized options fingerprint, and the module. It allocates nothing
+// once the pool is warm.
+func key(variant, pipeSpec string, opts core.Options, m *ir.Module) [sha256.Size]byte {
+	e := encoderPool.Get().(*encoder)
+	buf := appendStr(e.buf[:0], variant)
+	buf = appendStr(buf, pipeSpec)
+	buf = appendStr(buf, optionsFingerprint(opts))
+	buf = appendModule(buf, m)
+	k := sha256.Sum256(buf)
+	e.buf = buf
+	encoderPool.Put(e)
+	return k
+}
+
+// printedLen returns len(ir.Print(m)) without building the string: the
+// module is printed into the pooled buffer and measured there.
+func printedLen(m *ir.Module) int {
+	e := encoderPool.Get().(*encoder)
+	e.buf = ir.AppendModule(e.buf[:0], m)
+	n := len(e.buf)
+	encoderPool.Put(e)
+	return n
+}
+
+// optionsFingerprint canonicalizes opts: every field, nested structs
+// included, in declaration order and in the key's own self-delimiting
+// encoding, so a field added to Options is keyed without a change here.
+// It reflects over every field, so the rendering is memoized per
+// distinct value (sweeps use a handful: one per threshold point). Every
+// key takes this path, hits included, from every harness worker at
+// once, so a memoized value costs one shared read lock. The map is
 // capped as a precaution; past the cap, unseen values render directly.
 func optionsFingerprint(opts core.Options) string {
-	optsFPMu.Lock()
+	optsFPMu.RLock()
 	s, ok := optsFP[opts]
-	optsFPMu.Unlock()
+	optsFPMu.RUnlock()
 	if ok {
 		return s
 	}
-	s = fmt.Sprintf("%#v", opts)
+	s = string(appendValue(nil, reflect.ValueOf(opts)))
 	optsFPMu.Lock()
 	if len(optsFP) < 4096 {
 		optsFP[opts] = s
@@ -138,6 +190,26 @@ func optionsFingerprint(opts core.Options) string {
 }
 
 var (
-	optsFPMu sync.Mutex
+	optsFPMu sync.RWMutex
 	optsFP   = map[core.Options]string{}
 )
+
+func appendValue(buf []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			return append(buf, 1)
+		}
+		return append(buf, 0)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return binary.AppendVarint(buf, v.Int())
+	case reflect.String:
+		return appendStr(buf, v.String())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			buf = appendValue(buf, v.Field(i))
+		}
+		return buf
+	}
+	panic(fmt.Sprintf("ccache: core.Options holds a %s, which the cache key cannot encode", v.Kind()))
+}

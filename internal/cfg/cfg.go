@@ -54,7 +54,8 @@ type Loop struct {
 	// Depth is 1 for outermost loops.
 	Depth int
 
-	blockSet map[int]bool
+	// blockSet[i] reports whether block i belongs to the body.
+	blockSet []bool
 }
 
 // Contains reports whether b belongs to the loop body.
@@ -77,54 +78,87 @@ func (l *Loop) Preheader(info *Info) *ir.Block {
 }
 
 // New computes all analyses for f. The function must verify (in
-// particular Block.Index must be consistent).
+// particular Block.Index must be consistent). Every per-block table is
+// an index array cut from one slab per element type, so the cost in
+// allocations does not grow with the block count — only with the number
+// of loops.
 func New(f *ir.Function) *Info {
 	n := len(f.Blocks)
+	ints := make([]int, 5*n)
+	cut := func() []int {
+		row := ints[:n:n]
+		ints = ints[n:]
+		return row
+	}
 	info := &Info{
 		Fn:     f,
 		Preds:  make([][]*ir.Block, n),
-		rpoNum: make([]int, n),
-		idom:   make([]int, n),
-		ipdom:  make([]int, n),
+		rpoNum: cut(),
+		idom:   cut(),
+		ipdom:  cut(),
 		loopOf: make([]*Loop, n),
+	}
+	scratch := cut()
+	info.buildPreds(scratch)
+	visited := make([]bool, 2*n)
+	info.buildRPO(visited[:n], scratch[:0])
+	info.buildDominators()
+	info.buildPostDominators(visited[n:], scratch[:0], cut())
+	info.buildLoops()
+	return info
+}
+
+// buildPreds fills Preds in the order a walk over every block's
+// successors meets each edge, from one slab sized by a counting pass
+// (count is scratch).
+func (info *Info) buildPreds(count []int) {
+	f := info.Fn
+	edges := 0
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs {
+			count[s.Index]++
+			edges++
+		}
+	}
+	slab := make([]*ir.Block, edges)
+	for i, c := range count {
+		info.Preds[i], slab = slab[:0:c], slab[c:]
 	}
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs {
 			info.Preds[s.Index] = append(info.Preds[s.Index], b)
 		}
 	}
-	info.buildRPO()
-	info.buildDominators()
-	info.buildPostDominators()
-	info.buildLoops()
-	return info
 }
 
-func (info *Info) buildRPO() {
-	f := info.Fn
-	n := len(f.Blocks)
-	visited := make([]bool, n)
-	post := make([]*ir.Block, 0, n)
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		visited[b.Index] = true
-		for _, s := range b.Succs {
-			if !visited[s.Index] {
-				dfs(s)
-			}
+// postorder appends to order the indices of the unvisited blocks
+// reachable from b — over successor edges, or over predecessor edges
+// when reverse — in depth-first postorder.
+func (info *Info) postorder(b *ir.Block, reverse bool, visited []bool, order []int) []int {
+	visited[b.Index] = true
+	next := b.Succs
+	if reverse {
+		next = info.Preds[b.Index]
+	}
+	for _, s := range next {
+		if !visited[s.Index] {
+			order = info.postorder(s, reverse, visited, order)
 		}
-		post = append(post, b)
 	}
-	dfs(f.Entry())
-	info.RPO = make([]*ir.Block, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		info.RPO = append(info.RPO, post[i])
-	}
+	return append(order, b.Index)
+}
+
+func (info *Info) buildRPO(visited []bool, post []int) {
+	f := info.Fn
+	post = info.postorder(f.Entry(), false, visited, post)
+	info.RPO = make([]*ir.Block, len(post))
 	for i := range info.rpoNum {
 		info.rpoNum[i] = -1
 	}
-	for i, b := range info.RPO {
-		info.rpoNum[b.Index] = i
+	for i, bi := range post {
+		r := len(post) - 1 - i
+		info.RPO[r] = f.Blocks[bi]
+		info.rpoNum[bi] = r
 	}
 }
 
@@ -179,40 +213,22 @@ func (info *Info) buildDominators() {
 }
 
 // buildPostDominators runs the same algorithm on the reversed CFG with a
-// virtual exit joining every exit block (ret/exit terminators).
-func (info *Info) buildPostDominators() {
+// virtual exit joining every exit block (ret/exit terminators). visited,
+// order and num are scratch of the block count.
+func (info *Info) buildPostDominators(visited []bool, order, num []int) {
 	f := info.Fn
-	n := len(f.Blocks)
-
-	exits := make([]bool, n)
-	for _, b := range f.Blocks {
-		if len(b.Succs) == 0 {
-			exits[b.Index] = true
-		}
-	}
+	exits := func(i int) bool { return len(f.Blocks[i].Succs) == 0 }
 
 	// Postorder of the reversed graph starting at the virtual exit is a
-	// reverse DFS from all exit blocks over predecessor edges.
-	order := make([]int, 0, n) // postorder of reverse graph
-	num := make([]int, n)      // position in order, -1 if not reached
+	// reverse DFS from all exit blocks over predecessor edges; num is a
+	// block's position in it, -1 if no exit is reachable from the block.
+	for _, b := range f.Blocks {
+		if exits(b.Index) && !visited[b.Index] {
+			order = info.postorder(b, true, visited, order)
+		}
+	}
 	for i := range num {
 		num[i] = -1
-	}
-	visited := make([]bool, n)
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		visited[b.Index] = true
-		for _, p := range info.Preds[b.Index] {
-			if !visited[p.Index] {
-				dfs(p)
-			}
-		}
-		order = append(order, b.Index)
-	}
-	for _, b := range f.Blocks {
-		if exits[b.Index] && !visited[b.Index] {
-			dfs(b)
-		}
 	}
 	for i, bi := range order {
 		num[bi] = i
@@ -257,14 +273,14 @@ func (info *Info) buildPostDominators() {
 			bi := order[i]
 			b := f.Blocks[bi]
 			newIp := -1
-			if exits[bi] {
+			if exits(bi) {
 				newIp = virtualExit
 			}
 			for _, s := range b.Succs {
 				if num[s.Index] < 0 {
 					continue // successor cannot reach an exit
 				}
-				if ip[s.Index] == -1 && !exits[s.Index] {
+				if ip[s.Index] == -1 && !exits(s.Index) {
 					continue // not yet processed
 				}
 				if newIp == -1 {
@@ -403,21 +419,26 @@ func (info *Info) StrictIpdomOutside(b *ir.Block, inSet func(*ir.Block) bool) *i
 // forest.
 func (info *Info) buildLoops() {
 	f := info.Fn
-	byHeader := make(map[int]*Loop)
+	var stack []*ir.Block
 	for _, b := range info.RPO {
 		for _, s := range b.Succs {
 			if !info.Dominates(s, b) {
 				continue
 			}
-			l := byHeader[s.Index]
+			var l *Loop
+			for _, seen := range info.Loops {
+				if seen.Header == s {
+					l = seen
+				}
+			}
 			if l == nil {
-				l = &Loop{Header: s, blockSet: map[int]bool{s.Index: true}}
-				byHeader[s.Index] = l
+				l = &Loop{Header: s, blockSet: make([]bool, len(f.Blocks))}
+				l.blockSet[s.Index] = true
 				info.Loops = append(info.Loops, l)
 			}
 			// Collect the natural loop of this back edge: all blocks
 			// that reach t without passing through h.
-			stack := []*ir.Block{b}
+			stack = append(stack[:0], b)
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -434,10 +455,18 @@ func (info *Info) buildLoops() {
 		}
 	}
 	for _, l := range info.Loops {
-		for idx := range l.blockSet {
-			l.Blocks = append(l.Blocks, f.Blocks[idx])
+		size := 0
+		for _, in := range l.blockSet {
+			if in {
+				size++
+			}
 		}
-		sortBlocks(l.Blocks)
+		l.Blocks = make([]*ir.Block, 0, size)
+		for idx, in := range l.blockSet {
+			if in {
+				l.Blocks = append(l.Blocks, f.Blocks[idx])
+			}
+		}
 	}
 	// Nesting: loop A is inside loop B if B contains A's header and
 	// A != B. Pick the smallest such B as parent.
@@ -461,10 +490,10 @@ func (info *Info) buildLoops() {
 	// Innermost loop per block: among loops containing the block, the
 	// one with the greatest depth.
 	for _, l := range info.Loops {
-		for idx := range l.blockSet {
-			cur := info.loopOf[idx]
+		for _, b := range l.Blocks {
+			cur := info.loopOf[b.Index]
 			if cur == nil || l.Depth > cur.Depth {
-				info.loopOf[idx] = l
+				info.loopOf[b.Index] = l
 			}
 		}
 	}
@@ -472,14 +501,6 @@ func (info *Info) buildLoops() {
 
 // LoopOf returns the innermost loop containing b, or nil.
 func (info *Info) LoopOf(b *ir.Block) *Loop { return info.loopOf[b.Index] }
-
-func sortBlocks(bs []*ir.Block) {
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && bs[j-1].Index > bs[j].Index; j-- {
-			bs[j-1], bs[j] = bs[j], bs[j-1]
-		}
-	}
-}
 
 // ReachableFrom returns the set of blocks reachable from start (inclusive)
 // as a bitset indexed by Block.Index.

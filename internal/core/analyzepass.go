@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"specrecon/internal/analyze"
 	"specrecon/internal/ir"
@@ -63,22 +62,5 @@ func init() {
 // diagnostic does not fail the build — Diagnose is the reporting entry
 // point behind cmd/sasmvet and specrecon -diagnostics.
 func Diagnose(m *ir.Module, opts Options) (*Compilation, error) {
-	pipe := PipelineFor(opts)
-	specs := make([]string, 0, len(pipe.passes)+1)
-	inserted := false
-	for _, ps := range pipe.passes {
-		if ps.Name() == "alloc" {
-			specs = append(specs, "analyze")
-			inserted = true
-		}
-		specs = append(specs, ps.Spec())
-	}
-	if !inserted {
-		specs = append(specs, "analyze")
-	}
-	p, err := ParsePipeline(strings.Join(specs, ","))
-	if err != nil {
-		panic(fmt.Sprintf("core: Diagnose: %v", err))
-	}
-	return CompilePipeline(m, opts, p)
+	return CompilePipeline(m, opts, pipelineWith(opts, "analyze"))
 }

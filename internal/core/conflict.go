@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"specrecon/internal/cfg"
 	"specrecon/internal/dataflow"
 	"specrecon/internal/ir"
 )
@@ -48,7 +49,8 @@ func init() {
 // findConflicts returns the conflicting barrier pairs in f where one side
 // is one of the given speculative barriers (dataflow.FindConflicts).
 func findConflicts(f *ir.Function, specBars map[int]bool) map[int]map[int]bool {
-	return dataflow.FindConflicts(f, specBars)
+	f.Reindex()
+	return dataflow.FindConflicts(f, cfg.New(f), specBars)
 }
 
 // deconflict finds conflicts against the speculative (and region-exit)

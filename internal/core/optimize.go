@@ -256,8 +256,8 @@ func eliminateDeadCode(f *ir.Function) int {
 	removed := 0
 	for _, b := range f.Blocks {
 		// Walk backwards maintaining liveness within the block.
-		liveI := ints.Out[b.Index].Clone()
-		liveF := floats.Out[b.Index].Clone()
+		liveI := ints.Out(b.Index).Clone()
+		liveF := floats.Out(b.Index).Clone()
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			sig := ir.OperandFiles(in.Op)

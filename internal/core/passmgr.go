@@ -282,30 +282,41 @@ func passNames() []string {
 // When Options.Faults carries inject-layer faults, an "inject" pass is
 // appended after deconfliction (so faults perturb the final barrier
 // layout) and before allocation (so they are stated in virtual ids).
-func PipelineFor(opts Options) *Pipeline {
-	var specs []string
+func PipelineFor(opts Options) *Pipeline { return pipelineWith(opts) }
+
+// pipelineWith is PipelineFor with the named argument-free passes put
+// in front of register allocation — the slot every verifying, repairing
+// and reporting variant of the default pipeline uses, because there the
+// barrier layout is final and still stated in virtual ids — or at the
+// end when allocation is skipped. The passes come straight from the
+// registry: no spec string is built or parsed.
+func pipelineWith(opts Options, beforeAlloc ...string) *Pipeline {
+	p := &Pipeline{}
+	add := func(name, arg string) {
+		ps, err := passRegistry[name].Build(arg)
+		if err != nil {
+			// The registry is populated at init; default passes cannot fail.
+			panic(fmt.Sprintf("core: default pipeline: %v", err))
+		}
+		p.passes = append(p.passes, ps)
+	}
 	if opts.InsertPDOM {
-		specs = append(specs, "pdom")
+		add("pdom", "")
 	}
 	if opts.ApplyPredictions {
-		specs = append(specs, "predict")
+		add("predict", "")
 		if opts.Deconflict != DeconflictNone {
-			specs = append(specs, "deconflict="+opts.Deconflict.String())
+			add("deconflict", opts.Deconflict.String())
 		}
 	}
 	if opts.Faults.injectLayer() {
-		specs = append(specs, "inject")
+		add("inject", "")
+	}
+	for _, name := range beforeAlloc {
+		add(name, "")
 	}
 	if !opts.SkipAllocation {
-		specs = append(specs, "alloc")
-	}
-	if len(specs) == 0 {
-		return &Pipeline{}
-	}
-	p, err := ParsePipeline(strings.Join(specs, ","))
-	if err != nil {
-		// The registry is populated at init; default specs cannot fail.
-		panic(fmt.Sprintf("core: PipelineFor: %v", err))
+		add("alloc", "")
 	}
 	return p
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"specrecon/internal/ir"
 	"specrecon/internal/repair"
@@ -55,24 +54,7 @@ func init() {
 // barrier-safety alloc. CompileSafe runs it as the second attempt after
 // a plain SafePipelineFor build is rejected.
 func RepairPipelineFor(opts Options) *Pipeline {
-	pipe := PipelineFor(opts)
-	specs := make([]string, 0, len(pipe.passes)+2)
-	inserted := false
-	for _, ps := range pipe.passes {
-		if ps.Name() == "alloc" {
-			specs = append(specs, "repair", "barrier-safety")
-			inserted = true
-		}
-		specs = append(specs, ps.Spec())
-	}
-	if !inserted {
-		specs = append(specs, "repair", "barrier-safety")
-	}
-	p, err := ParsePipeline(strings.Join(specs, ","))
-	if err != nil {
-		panic(fmt.Sprintf("core: RepairPipelineFor: %v", err))
-	}
-	return p
+	return pipelineWith(opts, "repair", "barrier-safety")
 }
 
 // DiagnoseRepaired is Diagnose with the repair pass ahead of the
@@ -83,22 +65,5 @@ func RepairPipelineFor(opts Options) *Pipeline {
 // diagnostics do not fail the build. cmd/sasmvet -compiled -fix sits on
 // top of this.
 func DiagnoseRepaired(m *ir.Module, opts Options) (*Compilation, error) {
-	pipe := PipelineFor(opts)
-	specs := make([]string, 0, len(pipe.passes)+2)
-	inserted := false
-	for _, ps := range pipe.passes {
-		if ps.Name() == "alloc" {
-			specs = append(specs, "repair", "analyze")
-			inserted = true
-		}
-		specs = append(specs, ps.Spec())
-	}
-	if !inserted {
-		specs = append(specs, "repair", "analyze")
-	}
-	p, err := ParsePipeline(strings.Join(specs, ","))
-	if err != nil {
-		panic(fmt.Sprintf("core: DiagnoseRepaired: %v", err))
-	}
-	return CompilePipeline(m, opts, p)
+	return CompilePipeline(m, opts, pipelineWith(opts, "repair", "analyze"))
 }

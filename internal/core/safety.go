@@ -119,24 +119,7 @@ func (c *PassContext) verifyBarrierSafety() error {
 // SafePipelineFor derives the default pipeline like PipelineFor but with
 // the barrier-safety verifier inserted before register allocation.
 func SafePipelineFor(opts Options) *Pipeline {
-	pipe := PipelineFor(opts)
-	specs := make([]string, 0, len(pipe.passes)+1)
-	inserted := false
-	for _, ps := range pipe.passes {
-		if ps.Name() == "alloc" {
-			specs = append(specs, "barrier-safety")
-			inserted = true
-		}
-		specs = append(specs, ps.Spec())
-	}
-	if !inserted {
-		specs = append(specs, "barrier-safety")
-	}
-	p, err := ParsePipeline(strings.Join(specs, ","))
-	if err != nil {
-		panic(fmt.Sprintf("core: SafePipelineFor: %v", err))
-	}
-	return p
+	return pipelineWith(opts, "barrier-safety")
 }
 
 // RepairedRemark records that CompileSafe's repair stage rescued a

@@ -26,43 +26,24 @@ func NumBarriers(f *ir.Function) int {
 // a live range "extends from the moment threads join the barrier until
 // the barrier is cleared either by waiting or exiting threads".
 func JoinedBarriers(f *ir.Function, info *cfg.Info, includeCancels bool) *Result {
-	nb := NumBarriers(f)
-	return Solve(f, info, Problem{
-		Dir:     Forward,
-		NumBits: nb,
-		Gen: func(b *ir.Block) Bits {
-			gen := NewBits(nb)
-			for i := range b.Instrs {
-				switch in := &b.Instrs[i]; in.Op {
-				case ir.OpJoin:
-					gen.Set(in.Bar)
-				case ir.OpWait, ir.OpWaitN:
+	return Solve(f, info, joinedProblem(NumBarriers(f), includeCancels))
+}
+
+func joinedProblem(nb int, includeCancels bool) Problem {
+	return Problem{Dir: Forward, NumBits: nb, Summarize: func(b *ir.Block, gen, kill Bits) {
+		for i := range b.Instrs {
+			switch in := &b.Instrs[i]; in.Op {
+			case ir.OpJoin:
+				gen.Set(in.Bar)
+				kill.Clear(in.Bar)
+			case ir.OpWait, ir.OpWaitN, ir.OpCancel:
+				if in.Op != ir.OpCancel || includeCancels {
 					gen.Clear(in.Bar)
-				case ir.OpCancel:
-					if includeCancels {
-						gen.Clear(in.Bar)
-					}
-				}
-			}
-			return gen
-		},
-		Kill: func(b *ir.Block) Bits {
-			kill := NewBits(nb)
-			for i := range b.Instrs {
-				switch in := &b.Instrs[i]; in.Op {
-				case ir.OpJoin:
-					kill.Clear(in.Bar)
-				case ir.OpWait, ir.OpWaitN:
 					kill.Set(in.Bar)
-				case ir.OpCancel:
-					if includeCancels {
-						kill.Set(in.Bar)
-					}
 				}
 			}
-			return kill
-		},
-	})
+		}
+	}}
 }
 
 // LiveBarriers implements the paper's equation (2): a backward union
@@ -70,37 +51,24 @@ func JoinedBarriers(f *ir.Function, info *cfg.Info, includeCancels bool) *Result
 // A barrier is live at P if a WaitBarrier lies on some path from P to the
 // end of the program.
 func LiveBarriers(f *ir.Function, info *cfg.Info) *Result {
-	nb := NumBarriers(f)
-	return Solve(f, info, Problem{
-		Dir:     Backward,
-		NumBits: nb,
-		Gen: func(b *ir.Block) Bits {
-			gen := NewBits(nb)
-			// Scan backward so the earliest instruction dominates the
-			// block summary.
-			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				switch in := &b.Instrs[i]; in.Op {
-				case ir.OpWait, ir.OpWaitN:
-					gen.Set(in.Bar)
-				case ir.OpJoin:
-					gen.Clear(in.Bar)
-				}
+	return Solve(f, info, liveProblem(NumBarriers(f)))
+}
+
+func liveProblem(nb int) Problem {
+	return Problem{Dir: Backward, NumBits: nb, Summarize: func(b *ir.Block, gen, kill Bits) {
+		// Scan backward so the earliest instruction dominates the
+		// block summary.
+		for i := len(b.Instrs) - 1; i >= 0; i-- {
+			switch in := &b.Instrs[i]; in.Op {
+			case ir.OpWait, ir.OpWaitN:
+				gen.Set(in.Bar)
+				kill.Clear(in.Bar)
+			case ir.OpJoin:
+				gen.Clear(in.Bar)
+				kill.Set(in.Bar)
 			}
-			return gen
-		},
-		Kill: func(b *ir.Block) Bits {
-			kill := NewBits(nb)
-			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				switch in := &b.Instrs[i]; in.Op {
-				case ir.OpWait, ir.OpWaitN:
-					kill.Clear(in.Bar)
-				case ir.OpJoin:
-					kill.Set(in.Bar)
-				}
-			}
-			return kill
-		},
-	})
+		}
+	}}
 }
 
 // Point identifies one instruction position inside a function.
@@ -110,83 +78,84 @@ type Point struct {
 }
 
 // JoinedAt refines a JoinedBarriers result to instruction granularity:
-// it returns, for each block, the joined set *before* each instruction.
-// The slice is indexed [blockIndex][instrIndex].
-func JoinedAt(f *ir.Function, res *Result, includeCancels bool) [][]Bits {
-	out := make([][]Bits, len(f.Blocks))
-	for _, b := range f.Blocks {
-		cur := res.In[b.Index].Clone()
-		rows := make([]Bits, len(b.Instrs))
-		for i := range b.Instrs {
-			rows[i] = cur.Clone()
-			switch in := &b.Instrs[i]; in.Op {
-			case ir.OpJoin:
-				cur.Set(in.Bar)
-			case ir.OpWait, ir.OpWaitN:
-				cur.Clear(in.Bar)
-			case ir.OpCancel:
-				if includeCancels {
-					cur.Clear(in.Bar)
-				}
+// the joined set *before* each instruction.
+func JoinedAt(f *ir.Function, res *Result, includeCancels bool) *PointSets {
+	return refine(f, res, func(set Bits, in *ir.Instr) {
+		switch in.Op {
+		case ir.OpJoin:
+			set.Set(in.Bar)
+		case ir.OpWait, ir.OpWaitN:
+			set.Clear(in.Bar)
+		case ir.OpCancel:
+			if includeCancels {
+				set.Clear(in.Bar)
 			}
 		}
-		out[b.Index] = rows
+	})
+}
+
+// PointSets holds one set per instruction of a function, as rows of one
+// slab in FuncPoints order.
+type PointSets struct {
+	*FuncPoints
+	w    int
+	slab Bits
+}
+
+// Before returns the set holding before instruction instr of the block
+// with Block.Index block.
+func (p *PointSets) Before(block, instr int) Bits {
+	i := p.ID(block, instr)
+	return p.slab[i*p.w : (i+1)*p.w : (i+1)*p.w]
+}
+
+// refine walks a forward result down to instruction granularity: the
+// set before a block's first instruction is the block's IN, and before
+// each later one the previous set stepped by transfer.
+func refine(f *ir.Function, res *Result, transfer func(set Bits, in *ir.Instr)) *PointSets {
+	fp := NewFuncPoints(f)
+	p := &PointSets{FuncPoints: fp, w: res.w, slab: make(Bits, fp.Total*res.w)}
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			row := p.Before(b.Index, i)
+			if i == 0 {
+				row.Copy(res.In(b.Index))
+			} else {
+				row.Copy(p.Before(b.Index, i-1))
+				transfer(row, &b.Instrs[i-1])
+			}
+		}
 	}
-	return out
+	return p
 }
 
 // RegLiveness computes backward liveness of the integer and float
 // register files (two independent problems, returned separately). It is
 // used by cost models and by sanity checks in tests.
 func RegLiveness(f *ir.Function, info *cfg.Info) (ints, floats *Result) {
-	ints = regLiveness(f, info, false)
-	floats = regLiveness(f, info, true)
-	return ints, floats
+	return Solve(f, info, regLiveProblem(f.NRegs, tagInt)),
+		Solve(f, info, regLiveProblem(f.NFRegs, tagFloat))
 }
 
-func regLiveness(f *ir.Function, info *cfg.Info, floats bool) *Result {
-	n := f.NRegs
-	if floats {
-		n = f.NFRegs
-	}
+// regLiveProblem is liveness of one register file of n registers.
+func regLiveProblem(n int, file regFileTag) Problem {
 	if n < 1 {
 		n = 1
 	}
-	file := fileOfInterest(floats)
-	return Solve(f, info, Problem{
-		Dir:     Backward,
-		NumBits: n,
-		Gen: func(b *ir.Block) Bits {
-			gen := NewBits(n)
-			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				in := &b.Instrs[i]
-				if d, dfile := dstOf(in); dfile == file && d >= 0 {
-					gen.Clear(int(d))
-				}
-				for _, u := range usesOf(in, file) {
-					if u >= 0 {
-						gen.Set(int(u))
-					}
-				}
+	return Problem{Dir: Backward, NumBits: n, Summarize: func(b *ir.Block, gen, kill Bits) {
+		for i := len(b.Instrs) - 1; i >= 0; i-- {
+			in := &b.Instrs[i]
+			if d, dfile := dstOf(in); dfile == file && d >= 0 {
+				gen.Clear(int(d))
+				kill.Set(int(d))
 			}
-			return gen
-		},
-		Kill: func(b *ir.Block) Bits {
-			kill := NewBits(n)
-			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				in := &b.Instrs[i]
-				if d, dfile := dstOf(in); dfile == file && d >= 0 {
-					kill.Set(int(d))
-				}
-				for _, u := range usesOf(in, file) {
-					if u >= 0 {
-						kill.Clear(int(u))
-					}
-				}
+			uses, n := usesOf(in, file)
+			for _, u := range uses[:n] {
+				gen.Set(int(u))
+				kill.Clear(int(u))
 			}
-			return kill
-		},
-	})
+		}
+	}}
 }
 
 type regFileTag int
@@ -195,13 +164,6 @@ const (
 	tagInt regFileTag = iota
 	tagFloat
 )
-
-func fileOfInterest(floats bool) regFileTag {
-	if floats {
-		return tagFloat
-	}
-	return tagInt
-}
 
 // dstOf returns the destination register of in and which file it is in.
 func dstOf(in *ir.Instr) (ir.Reg, regFileTag) {
@@ -215,16 +177,17 @@ func dstOf(in *ir.Instr) (ir.Reg, regFileTag) {
 	return ir.NoReg, tagInt
 }
 
-// usesOf returns the source registers of in belonging to the given file.
-func usesOf(in *ir.Instr, file regFileTag) []ir.Reg {
+// usesOf returns the source registers of in belonging to the given
+// file: the first n of uses.
+func usesOf(in *ir.Instr, file regFileTag) (uses [3]ir.Reg, n int) {
 	sig := ir.OperandFiles(in.Op)
-	var uses []ir.Reg
 	add := func(r ir.Reg, f ir.OperandFile) {
 		if r < 0 {
 			return
 		}
 		if (f == ir.FileInt && file == tagInt) || (f == ir.FileFloat && file == tagFloat) {
-			uses = append(uses, r)
+			uses[n] = r
+			n++
 		}
 	}
 	add(in.A, sig.A)
@@ -232,5 +195,5 @@ func usesOf(in *ir.Instr, file regFileTag) []ir.Reg {
 		add(in.B, sig.B)
 	}
 	add(in.C, sig.C)
-	return uses
+	return uses, n
 }

@@ -106,77 +106,75 @@ const (
 type Problem struct {
 	Dir     Direction
 	NumBits int
-	// Gen and Kill give each block's composed gen/kill sets.
-	Gen  func(b *ir.Block) Bits
-	Kill func(b *ir.Block) Bits
+	// Summarize composes b's instructions into its gen and kill sets.
+	// Both rows arrive zeroed and NumBits wide.
+	Summarize func(b *ir.Block, gen, kill Bits)
 }
 
-// Result holds per-block IN and OUT sets indexed by Block.Index.
+// Result holds the per-block IN and OUT sets of a solved problem, as
+// rows of the slab Solve cut them from.
 type Result struct {
-	In, Out []Bits
+	n, w int // blocks, words per row
+	slab Bits
 }
 
-// Solve runs the worklist algorithm to a fixed point.
+// In returns the IN set of the block with the given Block.Index.
+func (r *Result) In(i int) Bits { return r.row(i) }
+
+// Out returns the OUT set of the block with the given Block.Index.
+func (r *Result) Out(i int) Bits { return r.row(r.n + i) }
+
+func (r *Result) row(i int) Bits { return r.slab[i*r.w : (i+1)*r.w : (i+1)*r.w] }
+
+// Solve iterates to a fixed point: RPO sweeps for a forward problem,
+// reverse-RPO sweeps for a backward one, until a sweep changes nothing.
+// Every row of the problem — IN, OUT, gen and kill of every block, and
+// the sweep's scratch row — is cut from one slab, so a solve costs two
+// allocations however many blocks the function has.
 func Solve(f *ir.Function, info *cfg.Info, p Problem) *Result {
 	n := len(f.Blocks)
-	res := &Result{In: make([]Bits, n), Out: make([]Bits, n)}
-	gen := make([]Bits, n)
-	kill := make([]Bits, n)
+	res := &Result{n: n, w: (p.NumBits + 63) / 64}
+	res.slab = make(Bits, (4*n+1)*res.w)
+	gen := func(i int) Bits { return res.row(2*n + i) }
+	kill := func(i int) Bits { return res.row(3*n + i) }
+	tmp := res.row(4 * n)
 	for i, b := range f.Blocks {
-		res.In[i] = NewBits(p.NumBits)
-		res.Out[i] = NewBits(p.NumBits)
-		gen[i] = p.Gen(b)
-		kill[i] = p.Kill(b)
+		p.Summarize(b, gen(i), kill(i))
 	}
 
-	// Iteration order: RPO for forward problems, reverse RPO for
-	// backward ones, repeated until stable.
-	order := make([]*ir.Block, len(info.RPO))
-	copy(order, info.RPO)
+	// meet is the side a block's set is joined into from its neighbours
+	// (IN from predecessor OUTs when forward, OUT from successor INs when
+	// backward); flow is the side the transfer function produces. Each
+	// is the slab row its side starts at.
+	meet, flow := 0, n
 	if p.Dir == Backward {
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
+		meet, flow = n, 0
 	}
-
-	tmp := NewBits(p.NumBits)
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		for _, b := range order {
+		for k := range info.RPO {
+			b := info.RPO[k]
+			if p.Dir == Backward {
+				b = info.RPO[len(info.RPO)-1-k]
+			}
 			i := b.Index
+			m := res.row(meet + i)
+			clear(m)
 			if p.Dir == Forward {
-				// IN = union of predecessor OUTs
-				for k := range res.In[i] {
-					res.In[i][k] = 0
-				}
 				for _, pr := range info.Preds[i] {
-					res.In[i].UnionWith(res.Out[pr.Index])
-				}
-				// OUT = (IN - kill) | gen
-				tmp.Copy(res.In[i])
-				tmp.AndNot(kill[i])
-				tmp.UnionWith(gen[i])
-				if !tmp.Equal(res.Out[i]) {
-					res.Out[i].Copy(tmp)
-					changed = true
+					m.UnionWith(res.row(flow + pr.Index))
 				}
 			} else {
-				// OUT = union of successor INs
-				for k := range res.Out[i] {
-					res.Out[i][k] = 0
-				}
 				for _, s := range b.Succs {
-					res.Out[i].UnionWith(res.In[s.Index])
+					m.UnionWith(res.row(flow + s.Index))
 				}
-				// IN = (OUT - kill) | gen
-				tmp.Copy(res.Out[i])
-				tmp.AndNot(kill[i])
-				tmp.UnionWith(gen[i])
-				if !tmp.Equal(res.In[i]) {
-					res.In[i].Copy(tmp)
-					changed = true
-				}
+			}
+			tmp.Copy(m)
+			tmp.AndNot(kill(i))
+			tmp.UnionWith(gen(i))
+			if out := res.row(flow + i); !tmp.Equal(out) {
+				out.Copy(tmp)
+				changed = true
 			}
 		}
 	}

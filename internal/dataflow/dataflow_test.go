@@ -138,7 +138,7 @@ func TestJoinedBarriersFigure4(t *testing.T) {
 		"BB4": true, "BB5": true,
 	}
 	for _, b := range f.Blocks {
-		got := res.Out[b.Index].Has(0)
+		got := res.Out(b.Index).Has(0)
 		if got != wantOut[b.Name] {
 			t.Errorf("JoinedOut(%s) = %v, want %v", b.Name, got, wantOut[b.Name])
 		}
@@ -158,12 +158,12 @@ func TestLiveBarriersFigure4(t *testing.T) {
 		"BB5": false,
 	}
 	for _, b := range f.Blocks {
-		got := res.Out[b.Index].Has(0)
+		got := res.Out(b.Index).Has(0)
 		if got != wantOut[b.Name] {
 			t.Errorf("LiveOut(%s) = %v, want %v", b.Name, got, wantOut[b.Name])
 		}
 	}
-	if res.In[f.BlockByName("BB0").Index].Has(0) {
+	if res.In(f.BlockByName("BB0").Index).Has(0) {
 		t.Error("LiveIn(BB0) should be empty: the join kills liveness")
 	}
 }
@@ -176,14 +176,14 @@ func TestJoinedAtInstructionGranularity(t *testing.T) {
 	res := JoinedBarriers(f, info, false)
 	at := JoinedAt(f, res, false)
 	bb3 := f.BlockByName("BB3")
-	if !at[bb3.Index][0].Has(0) {
+	if !at.Before(bb3.Index, 0).Has(0) {
 		t.Error("barrier should be joined before the wait in BB3")
 	}
-	if at[bb3.Index][1].Has(0) {
+	if at.Before(bb3.Index, 1).Has(0) {
 		t.Error("barrier should be cleared after the wait in BB3")
 	}
 	bb0 := f.BlockByName("BB0")
-	if at[bb0.Index][0].Has(0) {
+	if at.Before(bb0.Index, 0).Has(0) {
 		// Before the join in BB0 the barrier is joined only via the
 		// loop path... there is no path back to BB0, so it must be
 		// clear.
@@ -199,11 +199,11 @@ func TestCancelsExtendKills(t *testing.T) {
 	f.BlockByName("BB5").InsertTop(ir.Instr{Op: ir.OpCancel, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Bar: 0})
 
 	without := JoinedBarriers(f, info, false)
-	if !without.Out[f.BlockByName("BB5").Index].Has(0) {
+	if !without.Out(f.BlockByName("BB5").Index).Has(0) {
 		t.Error("ignoring cancels, barrier should remain joined at BB5 exit")
 	}
 	with := JoinedBarriers(f, info, true)
-	if with.Out[f.BlockByName("BB5").Index].Has(0) {
+	if with.Out(f.BlockByName("BB5").Index).Has(0) {
 		t.Error("with cancels, barrier should be cleared at BB5 exit")
 	}
 }
@@ -227,13 +227,13 @@ func TestRegLiveness(t *testing.T) {
 
 	info := cfg.New(f)
 	ints, _ := RegLiveness(f, info)
-	if !ints.Out[entry.Index].Has(int(x)) {
+	if !ints.Out(entry.Index).Has(int(x)) {
 		t.Errorf("r%d should be live out of entry", x)
 	}
-	if ints.Out[entry.Index].Has(int(y)) {
+	if ints.Out(entry.Index).Has(int(y)) {
 		t.Errorf("r%d should be dead out of entry", y)
 	}
-	if ints.In[use.Index].Has(int(z)) {
+	if ints.In(use.Index).Has(int(z)) {
 		t.Errorf("r%d is defined in 'use'; must not be live in", z)
 	}
 }
@@ -248,7 +248,7 @@ func TestSolverReachesFixpointOnLoop(t *testing.T) {
 	bb3.Instrs = bb3.Instrs[1:]
 	res := JoinedBarriers(f, info, false)
 	for _, b := range f.Blocks {
-		if !res.Out[b.Index].Has(0) {
+		if !res.Out(b.Index).Has(0) {
 			t.Errorf("barrier should be joined at %s with no wait anywhere", b.Name)
 		}
 	}

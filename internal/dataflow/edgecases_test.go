@@ -43,13 +43,13 @@ func TestSelfLoopBlock(t *testing.T) {
 	joined := JoinedBarriers(f, info, false)
 	// Equation 1: the join reaches the top of its own block around the
 	// self edge — without the self-edge union IN would stay empty.
-	if !joined.In[loop.Index].Has(bar) {
+	if !joined.In(loop.Index).Has(bar) {
 		t.Errorf("eq1: joined IN of self-loop block misses b%d", bar)
 	}
-	if !joined.In[done.Index].Has(bar) {
+	if !joined.In(done.Index).Has(bar) {
 		t.Errorf("eq1: joined IN of loop exit misses b%d", bar)
 	}
-	if joined.Out[done.Index].Has(bar) {
+	if joined.Out(done.Index).Has(bar) {
 		t.Errorf("eq1: wait did not clear b%d at exit OUT", bar)
 	}
 
@@ -57,13 +57,13 @@ func TestSelfLoopBlock(t *testing.T) {
 	// Equation 2: the wait ahead makes the barrier live at the bottom of
 	// the self-loop block, but the join at its top kills liveness before
 	// the block entry.
-	if !live.Out[loop.Index].Has(bar) {
+	if !live.Out(loop.Index).Has(bar) {
 		t.Errorf("eq2: live OUT of self-loop block misses b%d", bar)
 	}
-	if live.In[loop.Index].Has(bar) {
+	if live.In(loop.Index).Has(bar) {
 		t.Errorf("eq2: join failed to kill liveness at self-loop block IN")
 	}
-	if !live.In[done.Index].Has(bar) {
+	if !live.In(done.Index).Has(bar) {
 		t.Errorf("eq2: live IN of waiting block misses b%d", bar)
 	}
 }
@@ -99,10 +99,10 @@ func TestUnreachableBlockDoesNotPoison(t *testing.T) {
 	}
 
 	joined := JoinedBarriers(f, info, false)
-	if joined.In[merge.Index].Has(bar) {
+	if joined.In(merge.Index).Has(bar) {
 		t.Errorf("eq1: unreachable join of b%d poisoned the reachable merge", bar)
 	}
-	if joined.Out[island.Index].Has(bar) {
+	if joined.Out(island.Index).Has(bar) {
 		t.Errorf("eq1: unreachable block's OUT was computed; it should stay bottom")
 	}
 }
@@ -152,17 +152,17 @@ func TestMultipleBackEdges(t *testing.T) {
 	// latches into the header, and from there to the exit where the
 	// wait clears it.
 	for _, blk := range []*ir.Block{latchA, latchB} {
-		if !joined.Out[blk.Index].Has(bar) {
+		if !joined.Out(blk.Index).Has(bar) {
 			t.Errorf("eq1: joined OUT of %s misses b%d", blk.Name, bar)
 		}
 	}
-	if !joined.In[header.Index].Has(bar) {
+	if !joined.In(header.Index).Has(bar) {
 		t.Errorf("eq1: joined IN of two-latch header misses b%d", bar)
 	}
-	if !joined.In[done.Index].Has(bar) {
+	if !joined.In(done.Index).Has(bar) {
 		t.Errorf("eq1: joined IN of exit misses b%d", bar)
 	}
-	if joined.Out[done.Index].Has(bar) {
+	if joined.Out(done.Index).Has(bar) {
 		t.Errorf("eq1: wait did not clear b%d", bar)
 	}
 
@@ -171,11 +171,11 @@ func TestMultipleBackEdges(t *testing.T) {
 	// skeleton (header and both latches — a wait lies ahead of each),
 	// and the join kills liveness at the body's entry.
 	for _, blk := range []*ir.Block{header, latchA, latchB} {
-		if !live.In[blk.Index].Has(bar) {
+		if !live.In(blk.Index).Has(bar) {
 			t.Errorf("eq2: live IN of %s misses b%d", blk.Name, bar)
 		}
 	}
-	if live.In[body.Index].Has(bar) {
+	if live.In(body.Index).Has(bar) {
 		t.Errorf("eq2: join failed to kill liveness at body IN")
 	}
 }

@@ -48,11 +48,10 @@ func CalleeEntryWaits(m *ir.Module) map[string][]int {
 
 // JoinedAtWithCalls runs the forward joined-barrier analysis of equation
 // (1) with cancels as clears and calls clearing their callee's
-// entry-waited barriers, refined to instruction granularity: the
-// returned [blockIndex][instrIndex] set is the joined set *before* that
-// instruction.
-func JoinedAtWithCalls(f *ir.Function, info *cfg.Info, nb int, entryWaits map[string][]int) [][]Bits {
-	transfer := func(set Bits, in *ir.Instr) {
+// entry-waited barriers, refined to instruction granularity: the joined
+// set *before* each instruction.
+func JoinedAtWithCalls(f *ir.Function, info *cfg.Info, nb int, entryWaits map[string][]int) *PointSets {
+	return refine(f, Solve(f, info, joinedWithCallsProblem(nb, entryWaits)), func(set Bits, in *ir.Instr) {
 		switch in.Op {
 		case ir.OpJoin:
 			set.Set(in.Bar)
@@ -63,43 +62,59 @@ func JoinedAtWithCalls(f *ir.Function, info *cfg.Info, nb int, entryWaits map[st
 				set.Clear(bar)
 			}
 		}
-	}
-	res := Solve(f, info, Problem{
-		Dir:     Forward,
-		NumBits: nb,
-		Gen: func(b *ir.Block) Bits {
-			gen := NewBits(nb)
-			for i := range b.Instrs {
-				transfer(gen, &b.Instrs[i])
-			}
-			return gen
-		},
-		Kill: func(b *ir.Block) Bits {
-			kill := NewBits(nb)
-			for i := range b.Instrs {
-				switch in := &b.Instrs[i]; in.Op {
-				case ir.OpJoin:
-					kill.Clear(in.Bar)
-				case ir.OpWait, ir.OpWaitN, ir.OpCancel:
-					kill.Set(in.Bar)
-				case ir.OpCall:
-					for _, bar := range entryWaits[in.Callee] {
-						kill.Set(bar)
-					}
+	})
+}
+
+func joinedWithCallsProblem(nb int, entryWaits map[string][]int) Problem {
+	return Problem{Dir: Forward, NumBits: nb, Summarize: func(b *ir.Block, gen, kill Bits) {
+		for i := range b.Instrs {
+			switch in := &b.Instrs[i]; in.Op {
+			case ir.OpJoin:
+				gen.Set(in.Bar)
+				kill.Clear(in.Bar)
+			case ir.OpWait, ir.OpWaitN, ir.OpCancel:
+				gen.Clear(in.Bar)
+				kill.Set(in.Bar)
+			case ir.OpCall:
+				for _, bar := range entryWaits[in.Callee] {
+					gen.Clear(bar)
+					kill.Set(bar)
 				}
 			}
-			return kill
-		},
-	})
-	out := make([][]Bits, len(f.Blocks))
-	for _, b := range f.Blocks {
-		cur := res.In[b.Index].Clone()
-		rows := make([]Bits, len(b.Instrs))
-		for i := range b.Instrs {
-			rows[i] = cur.Clone()
-			transfer(cur, &b.Instrs[i])
 		}
-		out[b.Index] = rows
+	}}
+}
+
+// Release adds to set the barriers in releases: the barrier of a wait
+// or a cancel, and every barrier the callee of a call waits on at entry.
+// Barriers at or past nb are ignored.
+func Release(set Bits, in *ir.Instr, nb int, entryWaits map[string][]int) {
+	switch in.Op {
+	case ir.OpWait, ir.OpWaitN, ir.OpCancel:
+		if in.Bar < nb {
+			set.Set(in.Bar)
+		}
+	case ir.OpCall:
+		for _, bar := range entryWaits[in.Callee] {
+			if bar < nb {
+				set.Set(bar)
+			}
+		}
 	}
-	return out
+}
+
+// ReleasedAhead is the backward may-analysis behind the dead-join note:
+// on the equation-2 solver with the release set extended to cancels and
+// calls (Release), and nothing killing it, OUT of a block holds the
+// barriers some path leaving the block releases.
+func ReleasedAhead(f *ir.Function, info *cfg.Info, nb int, entryWaits map[string][]int) *Result {
+	return Solve(f, info, releasedAheadProblem(nb, entryWaits))
+}
+
+func releasedAheadProblem(nb int, entryWaits map[string][]int) Problem {
+	return Problem{Dir: Backward, NumBits: nb, Summarize: func(b *ir.Block, gen, _ Bits) {
+		for i := range b.Instrs {
+			Release(gen, &b.Instrs[i], nb, entryWaits)
+		}
+	}}
 }

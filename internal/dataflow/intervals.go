@@ -50,9 +50,8 @@ type Interval struct {
 
 // JoinedIntervals computes the live intervals of every barrier in f.
 func JoinedIntervals(f *ir.Function, info *cfg.Info) ([]Interval, *FuncPoints) {
-	fp := NewFuncPoints(f)
-	res := JoinedBarriers(f, info, true)
-	at := JoinedAt(f, res, true)
+	at := JoinedAt(f, JoinedBarriers(f, info, true), true)
+	fp := at.FuncPoints
 
 	nb := NumBarriers(f)
 	joined := make([]Bits, nb)
@@ -61,8 +60,7 @@ func JoinedIntervals(f *ir.Function, info *cfg.Info) ([]Interval, *FuncPoints) {
 	}
 	for _, blk := range f.Blocks {
 		for i := range blk.Instrs {
-			rows := at[blk.Index]
-			rows[i].ForEach(func(b int) {
+			at.Before(blk.Index, i).ForEach(func(b int) {
 				joined[b].Set(fp.ID(blk.Index, i))
 			})
 		}
@@ -148,10 +146,9 @@ func splitComponents(f *ir.Function, fp *FuncPoints, bar int, pts Bits) []Interv
 
 // FindConflicts returns the conflicting barrier pairs in f where one
 // side is one of the given speculative barriers. The result maps each
-// speculative barrier to the set of barriers it conflicts with.
-func FindConflicts(f *ir.Function, specBars map[int]bool) map[int]map[int]bool {
-	f.Reindex()
-	info := cfg.New(f)
+// speculative barrier to the set of barriers it conflicts with. info
+// must be current for f.
+func FindConflicts(f *ir.Function, info *cfg.Info, specBars map[int]bool) map[int]map[int]bool {
 	intervals, _ := JoinedIntervals(f, info)
 
 	conflicts := make(map[int]map[int]bool)

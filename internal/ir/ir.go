@@ -258,35 +258,62 @@ func (m *Module) Clone() *Module {
 	return out
 }
 
+// IndexOf returns b's position in f.Blocks, or -1 when b is nil or not
+// a block of f. Block.Index is that position whenever f.Blocks holds b
+// there, which one comparison checks; a stale Index falls back to a
+// search, so the answer never depends on Reindex having run.
+func (f *Function) IndexOf(b *Block) int {
+	if b != nil && uint(b.Index) < uint(len(f.Blocks)) && f.Blocks[b.Index] == b {
+		return b.Index
+	}
+	for i, fb := range f.Blocks {
+		if fb == b {
+			return i
+		}
+	}
+	return -1
+}
+
 // Clone returns a deep copy of the function, remapping successor edges and
-// prediction block references onto the new blocks.
+// prediction block references onto the new blocks. The new blocks and
+// their edge lists are each one allocation; every block owns its
+// instruction array, as passes grow and shrink them independently.
 func (f *Function) Clone() *Function {
 	nf := &Function{
 		Name:   f.Name,
 		NRegs:  f.NRegs,
 		NFRegs: f.NFRegs,
+		Blocks: make([]*Block, len(f.Blocks)),
 	}
-	remap := make(map[*Block]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		nb := nf.NewBlock(b.Name)
-		nb.Instrs = append([]Instr(nil), b.Instrs...)
-		remap[b] = nb
+	blocks := make([]Block, len(f.Blocks))
+	edges := 0
+	for i, b := range f.Blocks {
+		blocks[i] = Block{Name: b.Name, Index: i, Instrs: append([]Instr(nil), b.Instrs...)}
+		nf.Blocks[i] = &blocks[i]
+		edges += len(b.Succs)
 	}
-	for _, b := range f.Blocks {
-		nb := remap[b]
+	// remap is the clone's block at b's position; nil for a block that
+	// is not f's.
+	remap := func(b *Block) *Block {
+		if i := f.IndexOf(b); i >= 0 {
+			return nf.Blocks[i]
+		}
+		return nil
+	}
+	succs := make([]*Block, 0, edges)
+	for i, b := range f.Blocks {
 		for _, s := range b.Succs {
-			nb.Succs = append(nb.Succs, remap[s])
+			succs = append(succs, remap(s))
+		}
+		n := len(b.Succs)
+		if n > 0 {
+			nf.Blocks[i].Succs = succs[len(succs)-n : len(succs) : len(succs)]
 		}
 	}
 	for _, p := range f.Predictions {
-		np := Prediction{Callee: p.Callee, Threshold: p.Threshold}
-		if p.At != nil {
-			np.At = remap[p.At]
-		}
-		if p.Label != nil {
-			np.Label = remap[p.Label]
-		}
-		nf.Predictions = append(nf.Predictions, np)
+		nf.Predictions = append(nf.Predictions, Prediction{
+			At: remap(p.At), Label: remap(p.Label), Callee: p.Callee, Threshold: p.Threshold,
+		})
 	}
 	return nf
 }

@@ -165,7 +165,7 @@ func TestFormatInstrQuickRoundTrip(t *testing.T) {
 		}
 		text := FormatInstr(&in, nil)
 		parsed, succ, err := parseInstr(text)
-		if err != nil || len(succ) != 0 {
+		if err != nil || succ[0] != "" {
 			t.Logf("parse %q: %v", text, err)
 			return false
 		}

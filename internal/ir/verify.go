@@ -50,9 +50,7 @@ func VerifyFunction(f *Function) error {
 		return errors.New("no blocks")
 	}
 	names := make(map[string]bool, len(f.Blocks))
-	blockSet := make(map[*Block]bool, len(f.Blocks))
 	for i, b := range f.Blocks {
-		blockSet[b] = true
 		if b.Name == "" {
 			errs = append(errs, fmt.Errorf("block %d has empty name", i))
 		}
@@ -65,12 +63,12 @@ func VerifyFunction(f *Function) error {
 		}
 	}
 	for _, b := range f.Blocks {
-		errs = append(errs, verifyBlock(f, b, blockSet)...)
+		errs = append(errs, verifyBlock(f, b)...)
 	}
 	for pi, p := range f.Predictions {
 		if p.At == nil {
 			errs = append(errs, fmt.Errorf("prediction %d: nil At block", pi))
-		} else if !blockSet[p.At] {
+		} else if f.IndexOf(p.At) < 0 {
 			errs = append(errs, fmt.Errorf("prediction %d: At block not in function", pi))
 		}
 		switch {
@@ -78,7 +76,7 @@ func VerifyFunction(f *Function) error {
 			errs = append(errs, fmt.Errorf("prediction %d: neither Label nor Callee set", pi))
 		case p.Label != nil && p.Callee != "":
 			errs = append(errs, fmt.Errorf("prediction %d: both Label and Callee set", pi))
-		case p.Label != nil && !blockSet[p.Label]:
+		case p.Label != nil && f.IndexOf(p.Label) < 0:
 			errs = append(errs, fmt.Errorf("prediction %d: Label block not in function", pi))
 		}
 		if p.Threshold < 0 || p.Threshold > WarpWidth {
@@ -88,7 +86,7 @@ func VerifyFunction(f *Function) error {
 	return errors.Join(errs...)
 }
 
-func verifyBlock(f *Function, b *Block, blockSet map[*Block]bool) []error {
+func verifyBlock(f *Function, b *Block) []error {
 	var errs []error
 	if len(b.Instrs) == 0 {
 		return []error{fmt.Errorf("block %q is empty", b.Name)}
@@ -117,7 +115,7 @@ func verifyBlock(f *Function, b *Block, blockSet map[*Block]bool) []error {
 	for si, s := range b.Succs {
 		if s == nil {
 			errs = append(errs, fmt.Errorf("block %q: nil successor %d", b.Name, si))
-		} else if !blockSet[s] {
+		} else if f.IndexOf(s) < 0 {
 			errs = append(errs, fmt.Errorf("block %q: successor %d (%q) not in function", b.Name, si, s.Name))
 		}
 	}
