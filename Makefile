@@ -42,7 +42,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/harness
 	$(GO) test -race -count=1 ./internal/obs
-	$(GO) test -race -count=1 -run 'GroupTableIsTheScan|LazyPCsMatchEagerShadow|StackEngineSharesModule|GridShardingDeterministic|CoWMatchesFullCopySM|CrossWarpCTABarOnEveryDriver|ModelsAgreeOnEveryDriver' ./internal/simt
+	$(GO) test -race -count=1 -run 'GroupTableIsTheScan|LazyPCsMatchEagerShadow|StackEngineSharesModule|GridShardingDeterministic|CoWMatchesPlainCopyModel|CrossWarpCTABarOnEveryDriver|ModelsAgreeOnEveryDriver' ./internal/simt
 	$(MAKE) scale-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) diffcheck-smoke

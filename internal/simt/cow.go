@@ -2,17 +2,17 @@ package simt
 
 import "math/bits"
 
-// Copy-on-write SM memory. A sharded grid launch gives every SM a
-// private view of global memory; before this file that view was a full
-// copy of the initial image per SM, so the fixed cost of a launch scaled
-// with memWords × SMs no matter how little the kernel wrote. A cowMem
-// instead shares the launch template's image read-only and materializes
-// a private 4 KiB page on the first store to it, tracking stored words
-// in a per-page bitmap. The deterministic merge walks pages in ascending
-// index order and dirty bits in ascending word order, which visits
-// exactly the same addresses in exactly the same order as the old
-// whole-image dirty bitmap — CrossSMConflicts accounting is bit-for-bit
-// identical (pinned by TestCoWMatchesFullCopySM).
+// Copy-on-write SM memory. A grid launch gives every SM a private view
+// of global memory. A full copy of the initial image per SM would make
+// the fixed cost of a launch scale with memWords × SMs no matter how
+// little the kernel wrote; a cowMem instead shares the launch template's
+// image read-only and materializes a private 4 KiB page on the first
+// store to it, tracking stored words in a per-page bitmap. The
+// deterministic merge walks pages in ascending index order and dirty
+// bits in ascending word order — the addresses a private full copy with
+// a whole-image dirty bitmap would visit, in the same order, so the
+// final image and the CrossSMConflicts count are the ones that plain
+// model gives (TestCoWMatchesPlainCopyModel holds it to one).
 //
 // The base image is never written while SMs execute (the merge runs
 // after every SM retires), so concurrent SMs may read it freely.
@@ -47,23 +47,6 @@ func newCowMem(base []uint64) *cowMem {
 		base:  base,
 		pages: make([]cowPage, (len(base)+cowPageMask)>>cowPageShift),
 	}
-}
-
-func (c *cowMem) load(a int64) uint64 {
-	if w := c.pages[a>>cowPageShift].words; w != nil {
-		return w[a&cowPageMask]
-	}
-	return c.base[a]
-}
-
-func (c *cowMem) store(a int64, v uint64) {
-	p := &c.pages[a>>cowPageShift]
-	if p.words == nil {
-		c.materialize(p, int(a>>cowPageShift))
-	}
-	off := a & cowPageMask
-	p.words[off] = v
-	p.dirty[off>>6] |= 1 << (uint(off) & 63)
 }
 
 // materialize faults page pi in: its buffer comes from the free list

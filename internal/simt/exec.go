@@ -902,70 +902,8 @@ func (ws *warpState) execData(in *ir.Instr, mask uint32) (int, error) {
 			fd[l] = ws.rngs[l].Float64()
 		}
 
-	case ir.OpLoad:
-		rd, ra := ws.icol(d), ws.icol(a)
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m) & laneMask
-			adr := ra[l] + imm
-			if adr < 0 || adr >= int64(s.memLen) {
-				return l, s.globalOOB(adr)
-			}
-			rd[l] = int64(s.loadWord(adr))
-		}
-	case ir.OpStore:
-		ra, rb := ws.icol(a), ws.icol(b)
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m) & laneMask
-			adr := ra[l] + imm
-			if adr < 0 || adr >= int64(s.memLen) {
-				return l, s.globalOOB(adr)
-			}
-			s.storeWord(adr, uint64(rb[l]))
-		}
-	case ir.OpFLoad:
-		fd, ra := ws.fcol(d), ws.icol(a)
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m) & laneMask
-			adr := ra[l] + imm
-			if adr < 0 || adr >= int64(s.memLen) {
-				return l, s.globalOOB(adr)
-			}
-			fd[l] = math.Float64frombits(s.loadWord(adr))
-		}
-	case ir.OpFStore:
-		ra, fb := ws.icol(a), ws.fcol(b)
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m) & laneMask
-			adr := ra[l] + imm
-			if adr < 0 || adr >= int64(s.memLen) {
-				return l, s.globalOOB(adr)
-			}
-			s.storeWord(adr, math.Float64bits(fb[l]))
-		}
-	case ir.OpAtomAdd:
-		rd, ra, rb := ws.icol(d), ws.icol(a), ws.icol(b)
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m) & laneMask
-			adr := ra[l] + imm
-			if adr < 0 || adr >= int64(s.memLen) {
-				return l, s.globalOOB(adr)
-			}
-			old := int64(s.loadWord(adr))
-			s.storeWord(adr, uint64(old+rb[l]))
-			rd[l] = old
-		}
-	case ir.OpFAtomAdd:
-		fd, ra, fb := ws.fcol(d), ws.icol(a), ws.fcol(b)
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m) & laneMask
-			adr := ra[l] + imm
-			if adr < 0 || adr >= int64(s.memLen) {
-				return l, s.globalOOB(adr)
-			}
-			old := math.Float64frombits(s.loadWord(adr))
-			s.storeWord(adr, math.Float64bits(old+fb[l]))
-			fd[l] = old
-		}
+	case ir.OpLoad, ir.OpStore, ir.OpFLoad, ir.OpFStore, ir.OpAtomAdd, ir.OpFAtomAdd:
+		return ws.execGlobal(in, mask)
 
 	case ir.OpSharedLoad:
 		rd, ra := ws.icol(d), ws.icol(a)
@@ -1018,6 +956,150 @@ func (ws *warpState) execData(in *ir.Instr, mask uint32) (int, error) {
 		// nothing
 	default:
 		return bits.TrailingZeros32(mask), fmt.Errorf("unhandled opcode %s", in.Op)
+	}
+	return 0, nil
+}
+
+// memWin is the span of global memory the lanes of one instruction are
+// in: words holds the words at addresses lo, lo+1, …, and dirty, when the
+// span is a CoW page the SM has a private copy of, the bitmap of its
+// stored words.
+type memWin struct {
+	s            *sim
+	stores       bool
+	words, dirty []uint64
+	lo           int64
+}
+
+// oobWord is what at returns for an address out of bounds.
+const oobWord = ^uint64(0)
+
+// at returns the index in w.words of global-memory word adr. The memory
+// is picked per instruction, not per word: only an address outside the
+// span asks for the memory behind it (window) — once on a flat launch,
+// whose span is the whole image, so the span test is also the bounds
+// check, and once per page on a CoW fork, where the 32 lanes of a
+// coalesced access share one page-table lookup.
+func (w *memWin) at(adr int64) uint64 {
+	if off := uint64(adr - w.lo); off < uint64(len(w.words)) {
+		return off
+	}
+	return w.window(adr)
+}
+
+// mark records a store to word off of the span.
+func (w *memWin) mark(off uint64) {
+	if w.dirty != nil {
+		w.dirty[off>>6] |= 1 << (off & 63)
+	}
+}
+
+// window moves w to the span that holds word adr and returns its index
+// there, or oobWord. This is where the launch's memory representation is
+// told apart: a flat launch's span is its whole image; a CoW fork's is
+// the page of adr — for a load of a page the SM has not stored to, the
+// template's words, else the SM's private copy, faulted in first if need
+// be.
+func (w *memWin) window(adr int64) uint64 {
+	s := w.s
+	if adr < 0 || adr >= int64(s.memLen) {
+		return oobWord
+	}
+	c := s.cow
+	if c == nil {
+		w.words = s.mem
+		return uint64(adr)
+	}
+	pi := int(adr >> cowPageShift)
+	p := &c.pages[pi]
+	start := pi << cowPageShift
+	end := min(start+cowPageWords, len(c.base))
+	if w.stores && p.words == nil {
+		c.materialize(p, pi)
+	}
+	w.lo, w.words, w.dirty = int64(start), p.words, p.dirty
+	if p.words == nil {
+		w.words = c.base[start:]
+	}
+	w.words = w.words[:end-start]
+	return uint64(adr & cowPageMask)
+}
+
+// execGlobal is execData for the global-memory opcodes.
+func (ws *warpState) execGlobal(in *ir.Instr, mask uint32) (int, error) {
+	s := ws.sim
+	d, b, imm := in.Dst, in.B, in.Imm
+	ra := ws.icol(in.A)
+	w := memWin{s: s, stores: in.Op != ir.OpLoad && in.Op != ir.OpFLoad}
+	switch in.Op {
+	case ir.OpLoad:
+		rd := ws.icol(d)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m) & laneMask
+			off := w.at(ra[l] + imm)
+			if off == oobWord {
+				return l, s.globalOOB(ra[l] + imm)
+			}
+			rd[l] = int64(w.words[off])
+		}
+	case ir.OpStore:
+		rb := ws.icol(b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m) & laneMask
+			off := w.at(ra[l] + imm)
+			if off == oobWord {
+				return l, s.globalOOB(ra[l] + imm)
+			}
+			w.words[off] = uint64(rb[l])
+			w.mark(off)
+		}
+	case ir.OpFLoad:
+		fd := ws.fcol(d)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m) & laneMask
+			off := w.at(ra[l] + imm)
+			if off == oobWord {
+				return l, s.globalOOB(ra[l] + imm)
+			}
+			fd[l] = math.Float64frombits(w.words[off])
+		}
+	case ir.OpFStore:
+		fb := ws.fcol(b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m) & laneMask
+			off := w.at(ra[l] + imm)
+			if off == oobWord {
+				return l, s.globalOOB(ra[l] + imm)
+			}
+			w.words[off] = math.Float64bits(fb[l])
+			w.mark(off)
+		}
+	case ir.OpAtomAdd:
+		rd, rb := ws.icol(d), ws.icol(b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m) & laneMask
+			off := w.at(ra[l] + imm)
+			if off == oobWord {
+				return l, s.globalOOB(ra[l] + imm)
+			}
+			old := int64(w.words[off])
+			w.words[off] = uint64(old + rb[l])
+			rd[l] = old
+			w.mark(off)
+		}
+	case ir.OpFAtomAdd:
+		fd, fb := ws.fcol(d), ws.fcol(b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m) & laneMask
+			off := w.at(ra[l] + imm)
+			if off == oobWord {
+				return l, s.globalOOB(ra[l] + imm)
+			}
+			old := math.Float64frombits(w.words[off])
+			w.words[off] = math.Float64bits(old + fb[l])
+			fd[l] = old
+			w.mark(off)
+		}
 	}
 	return 0, nil
 }

@@ -473,3 +473,32 @@ e:
 		t.Fatalf("only %d passing (opcode form, mask) cases ran", handled)
 	}
 }
+
+// loadWord and storeWord are the per-word global-memory access the
+// reference runs on, as the engine had it before execGlobal picked the
+// memory once per instruction: a branch on the representation per word
+// and, on a CoW fork, a page-table lookup per word.
+func (s *sim) loadWord(a int64) uint64 {
+	if c := s.cow; c != nil {
+		if w := c.pages[a>>cowPageShift].words; w != nil {
+			return w[a&cowPageMask]
+		}
+		return c.base[a]
+	}
+	return s.mem[a]
+}
+
+func (s *sim) storeWord(a int64, v uint64) {
+	c := s.cow
+	if c == nil {
+		s.mem[a] = v
+		return
+	}
+	p := &c.pages[a>>cowPageShift]
+	if p.words == nil {
+		c.materialize(p, int(a>>cowPageShift))
+	}
+	off := a & cowPageMask
+	p.words[off] = v
+	p.dirty[off>>6] |= 1 << (uint(off) & 63)
+}

@@ -93,15 +93,6 @@ done:
 }
 `
 
-// WithFullCopySM returns cfg with the copy-on-write SM fork disabled:
-// every SM gets a full private copy of the initial memory image plus a
-// whole-image dirty bitmap (the reference pre-CoW behavior). Tests pin
-// the CoW merge byte-for-byte against it.
-func WithFullCopySM(cfg Config) Config {
-	cfg.fullCopySM = true
-	return cfg
-}
-
 // HandSim steps a single warp one issue slot at a time, so tests can
 // measure per-step behavior directly: Step is one pass of the production
 // wave loop over the one-warp wave a flat run-to-completion launch makes
@@ -237,6 +228,42 @@ func NewHandSimFlat(m *ir.Module, cfg Config) (*HandSimGPU, error) {
 func (h *HandSimGPU) Step() (progress bool, err error) {
 	issued, err := h.sm.passes(h.warps, 1)
 	return issued > 0, err
+}
+
+// LaneScanSample classifies the resident warps the way the sampler did
+// before it trusted a current group table: by walking every lane status
+// of every warp. Only the four warp counts are filled in.
+func (h *HandSimGPU) LaneScanSample() Sample {
+	var smp Sample
+	for _, ws := range h.warps {
+		if ws.done {
+			continue
+		}
+		var running, ctabar, barrier bool
+		for _, st := range ws.status {
+			switch st {
+			case laneRunning:
+				running = true
+			case laneCTAWaiting:
+				ctabar = true
+			case laneWaiting, laneSyncing:
+				barrier = true
+			}
+		}
+		if !running && !ctabar && !barrier {
+			continue
+		}
+		smp.Resident++
+		switch {
+		case running:
+			smp.Eligible++
+		case ctabar:
+			smp.StallCTABar++
+		default:
+			smp.StallBarrier++
+		}
+	}
+	return smp
 }
 
 // TableCheck is the group-table invariant checker, installed as the

@@ -17,7 +17,7 @@ import (
 // launch into waves. A grid launch (Config.Grid > 0) distributes Grid
 // CTAs round-robin over Config.SMs streaming multiprocessors: CTA c
 // runs on SM c%SMs. Each SM is an independent machine — its own
-// global-memory copy, cache, metrics, issue budget and event sink —
+// global-memory view, cache, metrics, issue budget and event sink —
 // whose waves are its CTAs, as many at a time as its occupancy limits
 // allow (runSM); the warps of co-resident CTAs contend for the SM's
 // cache. A flat launch runs on the root sim and is either one wave of
@@ -26,15 +26,15 @@ import (
 // NumCTABarriers ctabar workgroup barriers scoped to its warps.
 //
 // Determinism under sharding. SMs never share mutable state: each runs
-// over a private copy of the initial global memory and records the
-// words it stores in a dirty bitmap. After every SM retires, the final
-// memory is the initial image overwritten by each SM's dirty words in
-// SM-index order, per-SM metrics are merged in SM order (counters add,
-// the launch cycle count is the slowest SM's), and per-SM event streams
-// are delivered in SM order (as they happen when the SMs run serially,
-// from per-SM replay buffers when they run concurrently) — so a run
-// sharded over any number of worker goroutines is byte-identical to the
-// serial run. Words written by several SMs with disagreeing values are
+// over a private copy-on-write view of the initial global memory
+// (cow.go), which records the words it stores. After every SM retires,
+// the final memory is the initial image overwritten by each SM's stored
+// words in SM-index order, per-SM metrics are merged in SM order
+// (counters add, the launch cycle count is the slowest SM's), and per-SM
+// event streams are delivered in SM order (as they happen when the SMs
+// run serially, from per-SM replay buffers when they run concurrently) —
+// so a run sharded over any number of worker goroutines is byte-identical
+// to the serial run. Words written by several SMs with disagreeing values are
 // counted as Metrics.CrossSMConflicts, mirroring real GPUs' lack of
 // inter-CTA write coherence within a launch: kernels must communicate
 // across CTAs through disjoint addresses (and atomics are atomic only
@@ -139,11 +139,9 @@ func (c *ctaState) laneExited(s *sim) {
 // forkSM clones the launch template into SM i's private machine state:
 // a private view of the initial global memory, its own cache, metrics,
 // budgets and event sink, sharing the immutable module and decode
-// tables. The memory view is copy-on-write by default — the template
-// image is shared read-only and pages materialize on first store — so
-// forking cost scales with the SM's write set, not the image size;
-// cfg.fullCopySM selects the reference full-copy fork with a
-// whole-image dirty bitmap.
+// tables. The memory view is copy-on-write — the template image is
+// shared read-only and pages materialize on first store — so forking
+// cost scales with the SM's write set, not the image size.
 func (s *sim) forkSM(i int, sink EventSink, samples SampleSink) *sim {
 	sm := &sim{
 		mod:         s.mod,
@@ -159,16 +157,10 @@ func (s *sim) forkSM(i int, sink EventSink, samples SampleSink) *sim {
 		gridMode:    true,
 		ctaSize:     s.ctaSize,
 		memLen:      s.memLen,
+		cow:         newCowMem(s.mem),
 		cache:       newCache(s.cfg.Cache.withDefaults()),
 
 		afterIssue: s.afterIssue,
-	}
-	if s.cfg.fullCopySM {
-		sm.mem = make([]uint64, len(s.mem))
-		sm.dirty = make([]uint64, (len(s.mem)+63)/64)
-		copy(sm.mem, s.mem)
-	} else {
-		sm.cow = newCowMem(s.mem)
 	}
 	sm.cfg.Events = sink
 	sm.sampleSink = samples
@@ -177,34 +169,17 @@ func (s *sim) forkSM(i int, sink EventSink, samples SampleSink) *sim {
 }
 
 // resetSM rewinds a pooled SM fork for the next launch of the same
-// Machine: the memory view is restored to the template image (CoW pages
-// dropped, or the full copy re-copied), the cache, metrics and budgets
-// clear in place, and the arena cursors rewind.
+// Machine: the memory view is restored to the template image (its CoW
+// pages dropped), the cache, metrics and budgets clear in place, and the
+// arena cursors rewind.
 func (sm *sim) resetSM(tpl *sim, sink EventSink, samples SampleSink) {
 	sm.cfg = tpl.cfg
 	sm.cfg.Events = sink
 	sm.sampleSink = samples
 	sm.afterIssue = tpl.afterIssue
 	sm.wallDeadline = tpl.wallDeadline
-	sm.lastSampleCycle = 0
-	sm.memStallAcc = 0
-	sm.memStallSampled = 0
-	if sm.cow != nil {
-		sm.cow.reset()
-	} else {
-		copy(sm.mem, tpl.mem)
-		for i := range sm.dirty {
-			sm.dirty[i] = 0
-		}
-	}
-	sm.cache.reset()
-	sm.metrics.reset()
-	sm.issues = 0
-	sm.releases = 0
-	sm.lastProgressCycle = 0
-	sm.poolWarp = 0
-	sm.poolCTA = 0
-	sm.ctas = sm.ctas[:0]
+	sm.cow.reset()
+	sm.rewind()
 }
 
 // occupancy returns how many CTAs fit on one SM at once, limited by the
@@ -473,9 +448,7 @@ func (s *sim) smDeadlock(warps []*warpState) error {
 // order: stored global-memory words overwrite the initial image in
 // ascending address order (words several SMs wrote with disagreeing
 // values count as cross-SM conflicts), and metrics merge with Cycles =
-// max over SMs. CoW forks merge their materialized pages; full-copy
-// forks walk the whole-image dirty bitmap — both visit the same
-// addresses in the same order.
+// max over SMs.
 func (s *sim) mergeSMs(sms []*sim, warpsPerCTA int, shared [][]uint64) *Result {
 	final := s.mem // the template's untouched initial image
 	written := s.writtenBuf
@@ -498,21 +471,7 @@ func (s *sim) mergeSMs(sms []*sim, warpsPerCTA int, shared [][]uint64) *Result {
 	}
 	for i, sm := range sms {
 		s.metrics.merge(&sm.metrics)
-		if sm.cow != nil {
-			sm.cow.mergeInto(final, written, &s.metrics)
-		} else {
-			for wi, mask := range sm.dirty {
-				for m := mask; m != 0; m &= m - 1 {
-					bit := uint(bits.TrailingZeros64(m))
-					a := wi*64 + int(bit)
-					if written[wi]&(1<<bit) != 0 && final[a] != sm.mem[a] {
-						s.metrics.CrossSMConflicts++
-					}
-					final[a] = sm.mem[a]
-					written[wi] |= 1 << bit
-				}
-			}
-		}
+		sm.cow.mergeInto(final, written, &s.metrics)
 		perSM[i] = sm.metrics
 		perSM[i].finalize()
 	}

@@ -88,8 +88,6 @@ func (s *sim) compatible(cfg Config, memWords int) error {
 		return fmt.Errorf("simt: machine cache configuration mismatch")
 	case memWords != s.memLen:
 		return fmt.Errorf("simt: machine built for %d memory words, got %d", s.memLen, memWords)
-	case cfg.fullCopySM != base.fullCopySM:
-		return fmt.Errorf("simt: machine SM fork style mismatch")
 	}
 	return nil
 }

@@ -1,10 +1,12 @@
 package simt_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"specrecon/internal/ir"
+	"specrecon/internal/rng"
 	"specrecon/internal/simt"
 )
 
@@ -49,46 +51,188 @@ func captureRun(t *testing.T, run func(simt.Config) (*simt.Result, error), cfg s
 	return res, events
 }
 
-// TestCoWMatchesFullCopySM pins the copy-on-write SM fork bit-for-bit
-// against the reference full-copy fork: across 1/4/8 SMs (sharded over
-// worker goroutines, so -race covers the concurrent page faults), the
-// merged memory, metrics — including CrossSMConflicts — per-SM metrics
-// and event streams are identical.
-func TestCoWMatchesFullCopySM(t *testing.T) {
-	mod, err := ir.Parse(cowTestKernel)
+// plainSM is the model the copy-on-write fork is held to: one SM's
+// private full copy of the initial image plus a whole-image dirty bitmap.
+type plainSM struct {
+	mem   []uint64
+	dirty []uint64
+}
+
+func (p *plainSM) store(a int, v uint64) {
+	p.mem[a] = v
+	p.dirty[a>>6] |= 1 << (a & 63)
+}
+
+// mergePlain folds the SMs' dirty words over final in SM order, each in
+// ascending address order, counting a word an earlier SM left with a
+// different value as a cross-SM conflict.
+func mergePlain(final []uint64, sms []*plainSM) (conflicts int64) {
+	written := make([]uint64, (len(final)+63)/64)
+	for _, sm := range sms {
+		for a := range final {
+			if sm.dirty[a>>6]>>(a&63)&1 == 0 {
+				continue
+			}
+			if written[a>>6]>>(a&63)&1 != 0 && final[a] != sm.mem[a] {
+				conflicts++
+			}
+			final[a] = sm.mem[a]
+			written[a>>6] |= 1 << (a & 63)
+		}
+	}
+	return conflicts
+}
+
+// TestCoWMatchesPlainCopyModel is the property the copy-on-write SM
+// memory must keep: for random store sets the merged image and the
+// CrossSMConflicts count are those of the plain model above. Each thread
+// stores cowStores table-driven (address, value) pairs, adds the last
+// value to its last address atomically, then copies what the atomic read
+// and a probe address — a near neighbour no other thread of
+// its SM stores to, so often a word of a materialized page nobody wrote —
+// into slots of its own. The addresses cluster around page
+// boundaries and the partial last page, repeat within a thread, overlap
+// between SMs (with equal and unequal values) and are disjoint elsewhere;
+// within an SM one thread owns an address, so the outcome does not depend
+// on the warp schedule. One Machine per SM count runs three launches, so
+// pages come off the free list, sharded over as many workers as SMs. The
+// order the merge visits SMs in shows in both compared results: the last
+// writer's value stays, and a conflict is counted against the value the
+// SM before left.
+func TestCoWMatchesPlainCopyModel(t *testing.T) {
+	const (
+		grid, ctaSize = 8, 32
+		threads       = grid * ctaSize
+		cowStores     = 6
+		addrTab       = 0
+		valTab        = threads * cowStores
+		chkTab        = 2 * threads * cowStores
+		probeTab      = chkTab + threads
+		probeChk      = probeTab + threads
+		target        = probeChk + threads
+		memWords      = target + 5*512 + 137 // the last page is partial
+	)
+	mod, err := ir.Parse(fmt.Sprintf(`module cowprop memwords=%d
+func @k nregs=10 nfregs=0 {
+entry:
+  tid r0
+  mul r1, r0, #%d
+  const r2, #0
+  br header
+header:
+  setlt r3, r2, #%d
+  cbr r3, body, done
+body:
+  add r4, r1, r2
+  ld r5, [r4+%d]
+  ld r6, [r4+%d]
+  st [r5], r6
+  add r2, r2, #1
+  br header
+done:
+  atomadd r7, [r5+0], r6
+  st [r0+%d], r7
+  ld r8, [r0+%d]
+  ld r9, [r8+0]
+  st [r0+%d], r9
+  exit
+}
+`, memWords, cowStores, cowStores, addrTab, valTab, chkTab, probeTab, probeChk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial := make([]uint64, 4096)
-	for i := range initial {
-		initial[i] = uint64(i) * 2654435761
+	r := rng.New(2020)
+	var conflicts, launches int64
+	for sms := 1; sms <= 4; sms++ {
+		cfg := simt.Config{Grid: grid, CTASize: ctaSize, SMs: sms, Workers: sms, MemWords: memWords}
+		machine, err := simt.NewMachine(mod, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for launch := 0; launch < 3; launch++ {
+			initial := make([]uint64, memWords)
+			for i := target; i < memWords; i++ {
+				initial[i] = uint64(r.Intn(4))
+			}
+			// Deal each SM's candidate addresses to its threads: an address
+			// goes to the first thread of the SM that draws it.
+			owner := make([]map[int]int, sms)
+			for i := range owner {
+				owner[i] = map[int]int{}
+			}
+			mine := make([][]int, threads)
+			for tid := 0; tid < threads; tid++ {
+				sm := tid / ctaSize % sms
+				for len(mine[tid]) < 1+r.Intn(cowStores) {
+					a := target + r.Intn(memWords-target)
+					switch r.Intn(3) {
+					case 0: // around a page boundary
+						a = (a&^511 + 512) - 8 + r.Intn(16)
+					case 1: // the partial last page
+						a = memWords - 1 - r.Intn(137)
+					}
+					if a < target || a >= memWords {
+						continue
+					}
+					if by, taken := owner[sm][a]; !taken || by == tid {
+						owner[sm][a] = tid
+						mine[tid] = append(mine[tid], a)
+					}
+				}
+			}
+			for tid := 0; tid < threads; tid++ {
+				for i := 0; i < cowStores; i++ {
+					initial[addrTab+tid*cowStores+i] = uint64(mine[tid][r.Intn(len(mine[tid]))])
+					initial[valTab+tid*cowStores+i] = uint64(r.Intn(4))
+				}
+				probe := mine[tid][0]
+				for d := 1; d < 16; d++ {
+					if _, taken := owner[tid/ctaSize%sms][probe+d]; !taken && probe+d < memWords {
+						probe += d
+						break
+					}
+				}
+				initial[probeTab+tid] = uint64(probe)
+			}
+
+			models := make([]*plainSM, sms)
+			for i := range models {
+				models[i] = &plainSM{mem: append([]uint64(nil), initial...), dirty: make([]uint64, (memWords+63)/64)}
+			}
+			for tid := 0; tid < threads; tid++ {
+				p := models[tid/ctaSize%sms]
+				last := 0
+				for i := 0; i < cowStores; i++ {
+					last = int(initial[addrTab+tid*cowStores+i])
+					p.store(last, initial[valTab+tid*cowStores+i])
+				}
+				old := p.mem[last]
+				p.store(last, old+initial[valTab+tid*cowStores+cowStores-1])
+				p.store(chkTab+tid, old)
+				p.store(probeChk+tid, p.mem[initial[probeTab+tid]])
+			}
+			want := append([]uint64(nil), initial...)
+			wantConflicts := mergePlain(want, models)
+
+			cfg.Memory = initial
+			res, err := machine.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Metrics.CrossSMConflicts != wantConflicts {
+				t.Errorf("SMs=%d launch %d: %d cross-SM conflicts, the plain model counts %d", sms, launch, res.Metrics.CrossSMConflicts, wantConflicts)
+			}
+			for a := range want {
+				if res.Memory[a] != want[a] {
+					t.Fatalf("SMs=%d launch %d: word %d is %d, the plain model leaves %d", sms, launch, a, res.Memory[a], want[a])
+				}
+			}
+			conflicts += wantConflicts
+			launches++
+		}
 	}
-	for _, sms := range []int{1, 4, 8} {
-		cfg := simt.Config{
-			Grid: 16, CTASize: 64, SMs: sms, Workers: sms,
-			Seed: 11, Memory: initial,
-		}
-		cowRes, cowEvents := captureRun(t, func(c simt.Config) (*simt.Result, error) {
-			return simt.Run(mod, c)
-		}, cfg)
-		fullRes, fullEvents := captureRun(t, func(c simt.Config) (*simt.Result, error) {
-			return simt.Run(mod, simt.WithFullCopySM(c))
-		}, cfg)
-		if !reflect.DeepEqual(cowRes.Metrics, fullRes.Metrics) {
-			t.Errorf("SMs=%d: metrics diverge:\n  cow:  %+v\n  full: %+v", sms, cowRes.Metrics, fullRes.Metrics)
-		}
-		if !reflect.DeepEqual(cowRes.Memory, fullRes.Memory) {
-			t.Errorf("SMs=%d: final memory diverges between CoW and full-copy forks", sms)
-		}
-		if !reflect.DeepEqual(cowRes.PerSM, fullRes.PerSM) {
-			t.Errorf("SMs=%d: per-SM metrics diverge", sms)
-		}
-		if !reflect.DeepEqual(cowEvents, fullEvents) {
-			t.Errorf("SMs=%d: event streams diverge (%d vs %d events)", sms, len(cowEvents), len(fullEvents))
-		}
-		if sms > 1 && cowRes.Metrics.CrossSMConflicts == 0 {
-			t.Errorf("SMs=%d: kernel produced no cross-SM conflicts; the conflict path went untested", sms)
-		}
+	if conflicts == 0 {
+		t.Fatalf("%d launches produced no cross-SM conflict; the conflict path went untested", launches)
 	}
 }
 

@@ -1,75 +1,114 @@
 package simt
 
-import "specrecon/internal/ir"
+import (
+	"math/bits"
+
+	"specrecon/internal/ir"
+)
 
 // cache is a small set-associative LRU cache used to price memory
 // transactions. Addresses are word indices; a warp memory instruction is
 // coalesced into one transaction per distinct cache line touched by the
 // active lanes (the standard GPU coalescing rule with 128-byte lines).
+//
+// The tags are one flat array: set s owns tags[s*Ways:(s+1)*Ways], of
+// which the first fill[s] are valid, most recently used first. With
+// power-of-two LineWords and Sets (the defaults) the line of an address
+// is a shift and the set of a line a mask, both fixed at newCache; other
+// geometries divide and take the modulo. A negative address — gatherAddrs
+// can produce one before execGlobal's bounds check rejects it — always
+// divides: / truncates toward zero where >> floors, and the line number
+// it is priced under must not depend on the geometry's fast path.
 type cache struct {
 	cfg  CacheConfig
-	sets [][]int64 // per-set slice of line tags, most recent first
+	tags []int64
+	fill []uint8
+	// lineShift is log2(LineWords) and setMask is Sets-1 when those are
+	// powers of two, else -1.
+	lineShift int
+	setMask   int64
 }
 
+// maxCacheWays is the largest associativity the per-set fill count holds.
+const maxCacheWays = 255
+
 func newCache(cfg CacheConfig) *cache {
-	c := &cache{cfg: cfg, sets: make([][]int64, cfg.Sets)}
-	// One backing array carved into fixed-capacity per-set windows:
-	// touch never grows a set past Ways, so the windows cannot collide,
-	// and forking an SM costs three allocations instead of Sets+2.
-	backing := make([]int64, cfg.Sets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Ways : i*cfg.Ways : (i+1)*cfg.Ways]
+	c := &cache{
+		cfg:       cfg,
+		tags:      make([]int64, cfg.Sets*cfg.Ways),
+		fill:      make([]uint8, cfg.Sets),
+		lineShift: -1,
+		setMask:   -1,
+	}
+	if cfg.LineWords&(cfg.LineWords-1) == 0 {
+		c.lineShift = bits.TrailingZeros(uint(cfg.LineWords))
+	}
+	if cfg.Sets&(cfg.Sets-1) == 0 {
+		c.setMask = int64(cfg.Sets - 1)
 	}
 	return c
 }
 
-// reset empties every set without dropping its backing array, so a
-// reused launch arena starts from a cold cache with zero allocations.
+// reset empties every set without dropping the tag array, so a reused
+// launch arena starts from a cold cache with zero allocations.
 func (c *cache) reset() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
+	clear(c.fill)
 }
 
 // access coalesces the active lanes' addresses into line transactions,
 // charges hit/miss costs and updates LRU state. It returns the added
 // cycle cost and updates the metrics counters.
 func (c *cache) access(addrs []int64, m *Metrics) int64 {
-	// Collect distinct lines; warp width is tiny so a slice scan beats
-	// a map allocation.
+	if len(addrs) == 0 {
+		return 0
+	}
+	// Collect the distinct lines in order of first appearance. Warp width
+	// is tiny, so a repeat is found by scanning the array rather than in a
+	// map, and most lanes are settled before that: a coalesced lane is on
+	// the newest line, and a line whose 6-bit hash no earlier line of this
+	// instruction had (seen) cannot be a repeat, which is nearly every
+	// lane of a strided or scattered access.
 	var lines [ir.WarpWidth]int64
 	n := 0
+	var seen uint64
 outer:
 	for _, a := range addrs {
-		line := a / int64(c.cfg.LineWords)
-		for i := 0; i < n; i++ {
-			if lines[i] == line {
-				continue outer
+		var line int64
+		if c.lineShift >= 0 && a >= 0 {
+			line = a >> uint(c.lineShift)
+		} else {
+			line = a / int64(c.cfg.LineWords)
+		}
+		if n > 0 && line == lines[(n-1)&laneMask] {
+			continue
+		}
+		bit := uint64(1) << (uint64(line) * 0x9e3779b97f4a7c15 >> 58)
+		if seen&bit != 0 {
+			for i := n - 2; i >= 0; i-- {
+				if lines[i&laneMask] == line {
+					continue outer
+				}
 			}
 		}
-		lines[n] = line
+		seen |= bit
+		lines[n&laneMask] = line
 		n++
 	}
 	// Transactions of one warp instruction overlap in the memory
 	// pipeline: the instruction is charged the slowest transaction's
 	// latency plus a throughput cost per transaction beyond the first.
-	worst := 0
-	for i := 0; i < n; i++ {
-		m.MemTransactions++
-		if c.touch(lines[i]) {
-			m.CacheHits++
-			if worst < c.cfg.HitCost {
-				worst = c.cfg.HitCost
-			}
-		} else {
-			m.CacheMisses++
-			if worst < c.cfg.MissCost {
-				worst = c.cfg.MissCost
-			}
+	hits := 0
+	for _, line := range lines[:n] {
+		if c.touch(line) {
+			hits++
 		}
 	}
-	if n == 0 {
-		return 0
+	m.MemTransactions += int64(n)
+	m.CacheHits += int64(hits)
+	m.CacheMisses += int64(n - hits)
+	worst := c.cfg.MissCost
+	if hits == n || (hits > 0 && worst < c.cfg.HitCost) {
+		worst = c.cfg.HitCost
 	}
 	return int64(worst + (n-1)*c.cfg.TxThroughput)
 }
@@ -77,20 +116,29 @@ outer:
 // touch looks the line up, returns whether it hit, and installs it at the
 // MRU position of its set.
 func (c *cache) touch(line int64) bool {
-	set := c.sets[int(uint64(line)%uint64(c.cfg.Sets))]
-	for i, tag := range set {
-		if tag == line {
-			// Move to front.
-			copy(set[1:i+1], set[:i])
-			set[0] = line
-			return true
-		}
+	var si int
+	if c.setMask >= 0 {
+		si = int(line & c.setMask)
+	} else {
+		si = int(uint64(line) % uint64(c.cfg.Sets))
 	}
-	if len(set) < c.cfg.Ways {
-		set = append(set, 0)
+	ways := c.cfg.Ways
+	set := c.tags[si*ways : (si+1)*ways]
+	n := int(c.fill[si])
+	i := 0
+	for i < n && set[i] != line {
+		i++
 	}
-	copy(set[1:], set)
+	hit := i < n
+	if !hit && n < ways {
+		c.fill[si]++
+	} else if !hit {
+		i-- // full: the LRU way is replaced
+	}
+	// Move (or install) to front; a hit in way 0 moves nothing.
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
 	set[0] = line
-	c.sets[int(uint64(line)%uint64(c.cfg.Sets))] = set
-	return false
+	return hit
 }

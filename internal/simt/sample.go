@@ -128,7 +128,10 @@ func (s *sim) samplePass(warps []*warpState, issued int) {
 
 // recordSample classifies every resident warp and emits one Sample. It
 // performs no heap allocation: the Sample is a value and the sink is
-// responsible for storage.
+// responsible for storage. A warp whose group table is current and not
+// empty is eligible without a look at its lanes — an entry is a running
+// lane; only a stale or empty table (and every warp of the stack model,
+// which keeps none) sends the classification to the lane statuses.
 func (s *sim) recordSample(warps []*warpState, issued int) {
 	smp := Sample{
 		SM:     s.smIndex,
@@ -139,9 +142,10 @@ func (s *sim) recordSample(warps []*warpState, issued int) {
 		if ws.done {
 			continue
 		}
-		var running, ctabar, barrier bool
-		for _, st := range ws.status {
-			switch st {
+		running := !ws.stale && ws.ngroups > 0
+		var ctabar, barrier bool
+		for l := 0; !running && l < len(ws.status); l++ {
+			switch ws.status[l] {
 			case laneRunning:
 				running = true
 			case laneCTAWaiting:

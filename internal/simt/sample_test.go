@@ -293,3 +293,48 @@ func TestTeeSampleSinks(t *testing.T) {
 		t.Fatal("single-sink tee collapsed to nil")
 	}
 }
+
+// TestSamplerMatchesLaneScan runs the lane-status scan the sampler used
+// to make of every resident warp beside every sample it now takes, on a
+// multi-CTA kernel whose warps block at a ctabar and a soft barrier and
+// retire at different times, under all five schedulers and both
+// divergence models: the warp counts must be the scan's.
+func TestSamplerMatchesLaneScan(t *testing.T) {
+	mod := parseKernel(t, schedBlockKernel)
+	for _, model := range []simt.Model{simt.ModelITS, simt.ModelStack} {
+		for _, sp := range simt.SchedPolicies() {
+			var got *simt.Sample
+			h, err := simt.NewHandSimGPU(mod, simt.Config{
+				Grid: 4, CTASize: 2 * ir.WarpWidth, Seed: 5, Model: model, Sched: sp, SchedSeed: 3,
+				SampleStride: 1, Samples: simt.SampleSinkFunc(func(s simt.Sample) { got = &s }),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			samples, stalled := 0, 0
+			for progress := true; progress; {
+				got = nil
+				if progress, err = h.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if got == nil {
+					continue
+				}
+				samples++
+				want := h.LaneScanSample()
+				if got.Resident != want.Resident || got.Eligible != want.Eligible ||
+					got.StallBarrier != want.StallBarrier || got.StallCTABar != want.StallCTABar {
+					t.Fatalf("%v/%v sample %d at cycle %d: resident/eligible/barrier/ctabar %d/%d/%d/%d, the lane scan counts %d/%d/%d/%d",
+						model, sp, samples, got.Cycle, got.Resident, got.Eligible, got.StallBarrier, got.StallCTABar,
+						want.Resident, want.Eligible, want.StallBarrier, want.StallCTABar)
+				}
+				if got.Eligible < got.Resident {
+					stalled++
+				}
+			}
+			if samples == 0 || stalled == 0 {
+				t.Fatalf("%v/%v: %d samples, %d with a stalled warp: both must occur", model, sp, samples, stalled)
+			}
+		}
+	}
+}

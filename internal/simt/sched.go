@@ -2,6 +2,7 @@ package simt
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -24,8 +25,10 @@ import (
 // scheduling step of the resident warps. Under greedy-converge it is a
 // round-robin sweep, one instruction per eligible warp; under any other
 // policy it is one *slot*: the policy ranks the resident warps, and the
-// first ranked warp able to issue gets the slot (schedSlot). A pass in
-// which no warp can issue means the wave either retired or deadlocked.
+// first ranked warp able to issue gets the slot (schedSlot). The ranking
+// is kept, not recomputed: a slot costs the warps it tries, not the warps
+// resident (schedInit has the invariant). A pass in which no warp can
+// issue means the wave either retired or deadlocked.
 // The policy applies to whatever shares a wave — an SM's co-resident
 // CTAs on a grid launch, every warp of a flat launch (a non-greedy
 // policy makes a flat launch one shared wave, like InterleaveWarps) —
@@ -160,79 +163,78 @@ func (s *sim) noteIssue(ws *warpState) {
 	ws.lastRunCycle = s.metrics.Cycles
 }
 
-// clearTried resets and returns the per-slot tried bitmap (sized by
-// schedInit; one bit per resident warp).
-func (s *sim) clearTried() []uint64 {
-	for i := range s.schedTried {
-		s.schedTried[i] = 0
-	}
-	return s.schedTried
-}
-
 // schedInit prepares a wave for policy scheduling: the SchedRandom pick
 // stream reseeds per SM (sharded runs stay deterministic for any
 // Workers count, and distinct SMs explore distinct interleavings), the
-// tried bitmap is sized to the wave (arena scratch, so the slots
-// allocate nothing), and every warp's aging/starvation clock and the
+// policy's selection state is laid out in schedBuf (arena scratch sized
+// to the wave, so the slots allocate nothing and a relaunch allocates
+// nothing either), and every warp's aging/starvation clock and the
 // wave's slot count start at residency.
+//
+// Oldest-first, youngest-first and OBE keep the wave on one intrusive
+// priority list over wave positions: schedBuf holds next[0..n] then
+// prev[0..n], position n being the sentinel, so next[n] is the head. The
+// list order is the policy's priority order and is edited only when a
+// warp issues (it moves to the tail under oldest-first, to the head
+// under youngest-first, nowhere under OBE, whose priority is the warp
+// index) and when a warp's tryStep leaves it done (it is unlinked).
+// The aging policies' priority key is (lastIssueSlot, warp index). Built
+// in warp-index order the list is sorted by it from the start — every
+// warp carries the schedInit slot — and an issue stamps a slot number
+// larger than any before it, so moving the issuer to the far end keeps
+// it sorted: the only ties are among never-issued warps, which are never
+// moved and so stay in ascending index order.
+//
+// SchedRandom keeps schedBuf[:schedLive], the ascending positions of the
+// warps not yet done, and uses the n words after it as per-slot scratch.
 func (s *sim) schedInit(warps []*warpState) {
 	s.slot = 0
+	n := len(warps)
+	if cap(s.schedBuf) < 2*n+2 {
+		s.schedBuf = make([]int32, 2*n+2)
+	}
+	s.schedBuf = s.schedBuf[:2*n+2]
+	next, prev := s.schedBuf[:n+1], s.schedBuf[n+1:]
 	if s.cfg.Sched == SchedRandom {
 		s.schedRng.Reseed(s.cfg.Seed^s.cfg.SchedSeed, 0x5eed0+uint64(s.smIndex))
+		s.schedLive = 0
 	}
-	nw := (len(warps) + 63) / 64
-	if cap(s.schedTried) < nw {
-		s.schedTried = make([]uint64, nw)
-	}
-	s.schedTried = s.schedTried[:nw]
-	for _, ws := range warps {
+	tail := int32(n)
+	for i, ws := range warps {
 		ws.lastRunCycle = s.metrics.Cycles
 		ws.lastIssueSlot = s.issues
+		switch {
+		case ws.done:
+		case s.cfg.Sched == SchedRandom:
+			s.schedBuf[s.schedLive] = int32(i)
+			s.schedLive++
+		default:
+			next[tail], prev[i] = int32(i), tail
+			tail = int32(i)
+		}
 	}
+	// Close the list (under SchedRandom: an empty one, in the scratch words).
+	next[tail], prev[n] = int32(n), tail
 }
 
-// schedSlot runs one scheduling slot: the policy ranks the resident
-// warps and the first ranked warp able to issue does. issued=false
-// means no resident warp could issue this slot.
+// schedSlot runs one scheduling slot: the first warp in the policy's
+// priority order able to issue does. issued=false means no resident warp
+// could issue this slot. tryStep doubles as the eligibility probe, and a
+// warp is only ever marked done inside its own tryStep, so the selection
+// state is kept exact by dropping a warp the moment its tryStep leaves it
+// done.
 func (s *sim) schedSlot(warps []*warpState) (bool, error) {
-	switch s.cfg.Sched {
-	case SchedLooseFair:
-		// OBE: lowest index able to issue wins; tryStep doubles as the
-		// eligibility probe, so no separate tried set is needed.
-		for _, ws := range warps {
-			ok, err := ws.tryStep()
-			if err != nil {
-				return false, s.warpErr(ws, err)
-			}
-			if ok {
-				s.noteIssue(ws)
-				return true, nil
-			}
-		}
-		return false, nil
-	case SchedRandom:
-		tried := s.clearTried()
-		remaining := 0
-		for i, ws := range warps {
-			if ws.done {
-				tried[i>>6] |= 1 << (uint(i) & 63)
-			} else {
-				remaining++
-			}
-		}
-		for remaining > 0 {
-			k := s.schedRng.Intn(remaining)
-			pick := -1
-			for i := range warps {
-				if tried[i>>6]&(1<<(uint(i)&63)) != 0 {
-					continue
-				}
-				if k == 0 {
-					pick = i
-					break
-				}
-				k--
-			}
+	n := len(warps)
+	if s.cfg.Sched == SchedRandom {
+		// A uniform pick among the warps not yet tried this slot, in
+		// ascending index order. The first draw indexes the live array
+		// directly; only a slot whose first pick could not issue copies
+		// the array to scratch and deletes the tried positions from it.
+		live := s.schedBuf[:s.schedLive]
+		untried := live
+		for len(untried) > 0 {
+			k := s.schedRng.Intn(len(untried))
+			pick := untried[k]
 			ws := warps[pick]
 			ok, err := ws.tryStep()
 			if err != nil {
@@ -242,45 +244,49 @@ func (s *sim) schedSlot(warps []*warpState) (bool, error) {
 				s.noteIssue(ws)
 				return true, nil
 			}
-			tried[pick>>6] |= 1 << (uint(pick) & 63)
-			remaining--
+			if &untried[0] == &live[0] {
+				untried = s.schedBuf[n : n+len(live)]
+				copy(untried, live)
+			}
+			untried = slices.Delete(untried, k, k+1)
+			if ws.done {
+				k = slices.Index(live, pick)
+				live = slices.Delete(live, k, k+1)
+				s.schedLive = len(live)
+			}
 		}
 		return false, nil
-	default: // SchedOldestFirst, SchedYoungestFirst
-		tried := s.clearTried()
-		for {
-			best := -1
-			for i, ws := range warps {
-				if ws.done || tried[i>>6]&(1<<(uint(i)&63)) != 0 {
-					continue
-				}
-				if best < 0 {
-					best = i
-					continue
-				}
-				if s.cfg.Sched == SchedOldestFirst {
-					if ws.lastIssueSlot < warps[best].lastIssueSlot {
-						best = i
-					}
-				} else if ws.lastIssueSlot > warps[best].lastIssueSlot {
-					best = i
-				}
-			}
-			if best < 0 {
-				return false, nil
-			}
-			ws := warps[best]
-			ok, err := ws.tryStep()
-			if err != nil {
-				return false, s.warpErr(ws, err)
-			}
-			if ok {
-				s.noteIssue(ws)
-				return true, nil
-			}
-			tried[best>>6] |= 1 << (uint(best) & 63)
-		}
 	}
+	next, prev := s.schedBuf[:n+1], s.schedBuf[n+1:]
+	end := int32(n)
+	for i := next[end]; i != end; {
+		ws := warps[i]
+		ok, err := ws.tryStep()
+		if err != nil {
+			return false, s.warpErr(ws, err)
+		}
+		after := next[i]
+		if ok {
+			s.noteIssue(ws)
+			if s.cfg.Sched != SchedLooseFair {
+				// Move to the priority the new timestamp gives it: last
+				// under oldest-first, first under youngest-first.
+				next[prev[i]], prev[after] = after, prev[i]
+				at := end
+				if s.cfg.Sched == SchedOldestFirst {
+					at = prev[end]
+				}
+				next[i], prev[i] = next[at], at
+				prev[next[at]], next[at] = i, i
+			}
+			return true, nil
+		}
+		if ws.done {
+			next[prev[i]], prev[after] = after, prev[i]
+		}
+		i = after
+	}
+	return false, nil
 }
 
 // starveCheck scans the wave for a runnable warp the policy has not

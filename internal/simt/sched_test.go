@@ -2,6 +2,7 @@ package simt
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -218,6 +219,72 @@ e:
 	}
 	if _, err := Run(m, Config{WallBudget: -time.Second}); err == nil {
 		t.Fatal("negative WallBudget accepted")
+	}
+}
+
+// TestSchedInitReusesArena: the scheduler's selection state is arena
+// scratch — once a Machine's first launch has sized it, making a wave
+// resident allocates nothing under any policy.
+func TestSchedInitReusesArena(t *testing.T) {
+	m := asm(t, spinFlagKernel)
+	for _, sp := range SchedPolicies()[1:] {
+		cfg := Config{Grid: 4, CTASize: 64, Seed: 1, Sched: sp, SchedSeed: 9, MaxIssues: 1 << 16}
+		mc, err := NewMachine(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc.Run(cfg) // OBE starves the consumer; the arena is sized either way
+		sm := mc.s.smPool[0]
+		warps := sm.warpPool[:sm.poolWarp]
+		if len(warps) != 8 {
+			t.Fatalf("%v: %d warps in the arena, want 8", sp, len(warps))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { sm.schedInit(warps) }); allocs != 0 {
+			t.Errorf("%v: schedInit on a reused machine allocates %.0f objects, want 0", sp, allocs)
+		}
+	}
+}
+
+// TestCacheConfigValidation: a cache geometry or cost the simulator
+// cannot build or price with is an ordinary error from Run, NewMachine
+// and Machine.Run alike, before anything is allocated — never a panic.
+func TestCacheConfigValidation(t *testing.T) {
+	m := asm(t, `module v memwords=64
+func @k nregs=2 nfregs=0 {
+e:
+  ld r1, [r0+0]
+  exit
+}
+`)
+	mc, err := NewMachine(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cache CacheConfig
+		want  string
+	}{
+		{CacheConfig{Sets: -1}, "simt: negative cache configuration {Sets:-1 "},
+		{CacheConfig{Ways: -2}, "simt: negative cache configuration {Sets:0 Ways:-2 "},
+		{CacheConfig{LineWords: -4}, "simt: negative cache configuration "},
+		{CacheConfig{HitCost: -1}, "simt: negative cache configuration "},
+		{CacheConfig{MissCost: -80}, "simt: negative cache configuration "},
+		{CacheConfig{TxThroughput: -6}, "simt: negative cache configuration "},
+		{CacheConfig{Ways: 256}, "simt: cache Ways 256 exceeds 255"},
+	} {
+		cfg := Config{Cache: tc.cache}
+		if _, err := Run(m, cfg); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("Run with %+v: error %v, want %q", tc.cache, err, tc.want)
+		}
+		if _, err := NewMachine(m, cfg); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("NewMachine with %+v: error %v, want %q", tc.cache, err, tc.want)
+		}
+		if _, err := mc.Run(cfg); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("Machine.Run with %+v: error %v, want %q", tc.cache, err, tc.want)
+		}
+	}
+	if _, err := Run(m, Config{Cache: CacheConfig{Sets: 3, Ways: 255, LineWords: 5}}); err != nil {
+		t.Errorf("odd but valid geometry rejected: %v", err)
 	}
 }
 

@@ -35,6 +35,7 @@
 package simt
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"time"
@@ -88,25 +89,14 @@ type CacheConfig struct {
 }
 
 func (c CacheConfig) withDefaults() CacheConfig {
-	if c.Sets == 0 {
-		c.Sets = 128
+	return CacheConfig{
+		Sets:         cmp.Or(c.Sets, 128),
+		Ways:         cmp.Or(c.Ways, 4),
+		LineWords:    cmp.Or(c.LineWords, 16),
+		HitCost:      cmp.Or(c.HitCost, 4),
+		MissCost:     cmp.Or(c.MissCost, 80),
+		TxThroughput: cmp.Or(c.TxThroughput, 6),
 	}
-	if c.Ways == 0 {
-		c.Ways = 4
-	}
-	if c.LineWords == 0 {
-		c.LineWords = 16
-	}
-	if c.HitCost == 0 {
-		c.HitCost = 4
-	}
-	if c.MissCost == 0 {
-		c.MissCost = 80
-	}
-	if c.TxThroughput == 0 {
-		c.TxThroughput = 6
-	}
-	return c
 }
 
 // DefaultMaxIssues is the issue budget applied when Config.MaxIssues is
@@ -256,12 +246,6 @@ type Config struct {
 	// per SM for a lock-free, allocation-free delivery path, mirroring
 	// SMEvents. It takes precedence over Samples.
 	SMSamples func(sm int) SampleSink
-	// fullCopySM disables the copy-on-write SM fork and gives every SM a
-	// full private copy of the initial memory image plus a whole-image
-	// dirty bitmap — the pre-CoW behavior. Test-only seam (see
-	// WithFullCopySM in export_test.go) kept so the CoW merge can be
-	// pinned byte-for-byte against the reference implementation.
-	fullCopySM bool
 }
 
 // Result is the outcome of a launch.
@@ -366,29 +350,25 @@ type sim struct {
 	// ipdom is the stack model's reconvergence table, indexed [fn][blk]
 	// (nil under ModelITS, which never reads it); SM forks share it.
 	ipdom [][]int
-	// mem is the global-memory image (the initial template on a grid
-	// launch's root sim, a full private copy on a fullCopySM fork, nil on
-	// a CoW fork, whose view lives in cow). memLen is the image length in
-	// words on every sim — the bounds check the hot path uses.
-	mem    []uint64
-	memLen int
-	// cow is the copy-on-write view of the template image on a grid
-	// launch's SM forks (nil on flat launches and fullCopySM forks).
+	// Global memory has two representations, fixed when the sim is built:
+	// a flat launch's sim owns the image in mem; a grid launch's root sim
+	// holds the initial template there, and each SM fork reaches it through
+	// cow, its copy-on-write view (mem nil on a fork, cow nil elsewhere).
+	// memLen is the image length in words on every sim — the bounds check
+	// the hot path uses.
+	mem     []uint64
+	memLen  int
 	cow     *cowMem
 	cache   *cache
 	metrics Metrics
 	issues  int64
 	// smIndex is this SM's index (0 on flat launches); gridMode marks a
-	// grid launch, where errors carry SM/CTA identity and stores mark
-	// the dirty bitmap for the cross-SM memory merge.
+	// grid launch, where errors carry SM/CTA identity.
 	smIndex  int32
 	gridMode bool
 	// ctaSize is the thread count of one CTA (the whole launch on flat
 	// launches); it backs the ctasize opcode.
 	ctaSize int
-	// dirty is the bitmap of global-memory words this SM wrote (grid
-	// launches only; nil and unused on flat launches).
-	dirty []uint64
 	// ctas are the CTAs that ran on this SM, in launch order (flat
 	// launches hold the single implicit CTA).
 	ctas []*ctaState
@@ -401,13 +381,16 @@ type sim struct {
 	// BudgetError.
 	lastProgressCycle int64
 	// Scheduler-policy state (sched.go). schedRng is SchedRandom's
-	// per-SM pick stream; schedTried is the per-slot tried bitmap (one
-	// bit per resident warp, arena scratch); slot counts the current
+	// per-SM pick stream; schedBuf is the policy's selection state over
+	// the resident wave (the priority list of oldest-first, youngest-first
+	// and OBE, or SchedRandom's schedLive not-yet-done positions and their
+	// scratch; arena scratch laid out by schedInit); slot counts the current
 	// wave's issued policy slots while the starvation monitor is armed
 	// (its scan stride); wallDeadline is the wall-clock watchdog's
 	// deadline (zero when WallBudget is off).
 	schedRng     rng.Source
-	schedTried   []uint64
+	schedBuf     []int32
+	schedLive    int
 	slot         int64
 	wallDeadline time.Time
 	// Occupancy-sampler state (sample.go). sampleSink is this SM's
@@ -450,27 +433,6 @@ type sim struct {
 	sharedBuf     [][]uint64
 	perSMBuf      []Metrics
 	writtenBuf    []uint64
-}
-
-// loadWord reads global-memory word a (bounds already checked).
-func (s *sim) loadWord(a int64) uint64 {
-	if s.cow != nil {
-		return s.cow.load(a)
-	}
-	return s.mem[a]
-}
-
-// storeWord writes global-memory word a, faulting in the CoW page or
-// marking the full-copy dirty bitmap as the fork style requires.
-func (s *sim) storeWord(a int64, v uint64) {
-	if s.cow != nil {
-		s.cow.store(a, v)
-		return
-	}
-	s.mem[a] = v
-	if s.dirty != nil {
-		s.dirty[a>>6] |= 1 << (uint(a) & 63)
-	}
 }
 
 // normalizeConfig validates cfg against m and fills in every default
@@ -536,6 +498,13 @@ func normalizeConfig(m *ir.Module, cfg Config) (Config, int, error) {
 	}
 	if cfg.SampleStride < 0 {
 		return cfg, 0, fmt.Errorf("simt: negative sample stride %d", cfg.SampleStride)
+	}
+	// A negative cache geometry or cost cannot be built or priced with
+	// (zero selects the default), and a set's fill count holds maxCacheWays.
+	if c := cfg.Cache; min(c.Sets, c.Ways, c.LineWords, c.HitCost, c.MissCost, c.TxThroughput) < 0 {
+		return cfg, 0, fmt.Errorf("simt: negative cache configuration %+v", c)
+	} else if c.Ways > maxCacheWays {
+		return cfg, 0, fmt.Errorf("simt: cache Ways %d exceeds %d", c.Ways, maxCacheWays)
 	}
 
 	memWords := m.MemWords
@@ -783,22 +752,29 @@ func (s *sim) resetForLaunch(cfg Config) {
 	for i := n; i < len(s.mem); i++ {
 		s.mem[i] = 0
 	}
+	s.wallDeadline = time.Time{}
+	s.sampleSink = nil
+	s.rewind()
+	if !s.gridMode {
+		s.ctas = append(s.ctas, s.newCTA(0, cfg.Threads))
+	}
+}
+
+// rewind clears what one launch leaves on a machine — the cache, the
+// metrics, the budgets' and the sampler's counters — in place, and
+// rewinds the arena cursors.
+func (s *sim) rewind() {
 	s.cache.reset()
 	s.metrics.reset()
 	s.issues = 0
 	s.releases = 0
 	s.lastProgressCycle = 0
-	s.wallDeadline = time.Time{}
-	s.sampleSink = nil
 	s.lastSampleCycle = 0
 	s.memStallAcc = 0
 	s.memStallSampled = 0
 	s.poolWarp = 0
 	s.poolCTA = 0
 	s.ctas = s.ctas[:0]
-	if !s.gridMode {
-		s.ctas = append(s.ctas, s.newCTA(0, cfg.Threads))
-	}
 }
 
 // tryStep issues at most one instruction of ws, the only way a warp
