@@ -9,12 +9,16 @@ import (
 	"specrecon/internal/cli/clitest"
 )
 
-// TestCLI pins exit status and stdout of one figure, serial and on the
-// worker pool, and the flag errors.
+// TestCLI pins exit status and stdout of every figure, serial and on the
+// worker pool, under the default and a non-default launch shape, and the
+// flag errors.
 func TestCLI(t *testing.T) {
 	clitest.Check(t, run, []clitest.Case{
 		{Name: "fig7", Args: []string{"-fig", "7", "-j", "1"}},
 		{Name: "fig8-grid", Args: []string{"-fig", "8", "-j", "2", "-grid", "2", "-ctasize", "64", "-sms", "2", "-sched", "oldest", "-compile-cache"}},
+		{Name: "fig9", Args: []string{"-fig", "9", "-j", "1"}},
+		{Name: "fig10-apps60", Args: []string{"-fig", "10", "-apps", "60", "-j", "1"}},
+		{Name: "fig7-grid-oldest", Args: []string{"-fig", "7", "-grid", "4", "-ctasize", "64", "-sms", "2", "-sched", "oldest", "-j", "1"}},
 		{Name: "bad-policy", Args: []string{"-fig", "7", "-policy", "bad"}, Code: 2, Stderr: "unknown policy"},
 		{Name: "bad-sched", Args: []string{"-fig", "7", "-sched", "bad"}, Code: 2, Stderr: "unknown sched policy"},
 	})
