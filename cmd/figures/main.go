@@ -55,12 +55,25 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return app.Fail(cli.Fail, err)
 		}
 	} else {
+		// Figures 7 and 8 are two views of one measurement of the annotated
+		// suite; -fig all measures it once.
+		var suite []harness.Comparison
+		measured := func(view func(io.Writer, []harness.Comparison)) error {
+			if suite == nil {
+				var err error
+				if suite, err = harness.Figure7(cfg, *jobs); err != nil {
+					return err
+				}
+			}
+			view(stdout, suite)
+			return nil
+		}
 		for _, f := range []struct {
 			name string
 			run  func() error
 		}{
-			{"7", func() error { return figure7(stdout, cfg, *jobs) }},
-			{"8", func() error { return figure8(stdout, cfg, *jobs) }},
+			{"7", func() error { return measured(figure7) }},
+			{"8", func() error { return measured(figure8) }},
 			{"9", func() error { return figure9(stdout, cfg, *jobs) }},
 			{"10", func() error { return figure10(stdout, cfg, *apps, *jobs) }},
 		} {
@@ -85,11 +98,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	return cli.OK
 }
 
-func figure7(out io.Writer, cfg workloads.BuildConfig, jobs int) error {
-	rows, err := harness.Figure7(cfg, jobs)
-	if err != nil {
-		return err
-	}
+func figure7(out io.Writer, rows []harness.Comparison) {
 	fmt.Fprintln(out, "Figure 7: SIMT efficiency, programmer-annotated applications")
 	fmt.Fprintln(out, "  (paper: significant increases after moving reconvergence points)")
 	fmt.Fprintf(out, "  %-12s %-16s %10s %10s %10s\n", "benchmark", "pattern", "base eff", "spec eff", "threshold")
@@ -98,14 +107,9 @@ func figure7(out io.Writer, cfg workloads.BuildConfig, jobs int) error {
 			r.Name, r.Pattern, 100*r.BaseEff, 100*r.SpecEff, r.Threshold)
 	}
 	fmt.Fprintln(out)
-	return nil
 }
 
-func figure8(out io.Writer, cfg workloads.BuildConfig, jobs int) error {
-	rows, err := harness.Figure8(cfg, jobs)
-	if err != nil {
-		return err
-	}
+func figure8(out io.Writer, rows []harness.Comparison) {
 	fmt.Fprintln(out, "Figure 8: SIMT efficiency improvement versus speedup")
 	fmt.Fprintln(out, "  (paper: improvements 10% to 3x; efficiency gain roughly upper-bounds speedup)")
 	fmt.Fprintf(out, "  %-12s %14s %10s\n", "benchmark", "eff improvement", "speedup")
@@ -113,7 +117,6 @@ func figure8(out io.Writer, cfg workloads.BuildConfig, jobs int) error {
 		fmt.Fprintf(out, "  %-12s %13.2fx %9.2fx\n", r.Name, r.EffImprovement(), r.Speedup())
 	}
 	fmt.Fprintln(out)
-	return nil
 }
 
 func figure9(out io.Writer, cfg workloads.BuildConfig, jobs int) error {

@@ -38,6 +38,24 @@ func TestCacheStatsImplyCache(t *testing.T) {
 	}
 }
 
+// TestAllMeasuresTheSuiteOnce: figures 7 and 8 are two views of one
+// measurement, so -fig all compiles what -fig 7, -fig 9 and -fig 10
+// compile between them and nothing twice over for figure 8.
+func TestAllMeasuresTheSuiteOnce(t *testing.T) {
+	lookups := func(fig string) int64 {
+		stats := filepath.Join(t.TempDir(), "stats.json")
+		if code, _, stderr := clitest.Exec(t, run, "-fig", fig, "-apps", "20", "-j", "1", "-cache-stats", stats); code != 0 {
+			t.Fatalf("-fig %s: exit %d\n%s", fig, code, stderr)
+		}
+		var st ccache.Stats
+		clitest.ReadJSON(t, stats, &st)
+		return st.Hits + st.Misses
+	}
+	if all, parts := lookups("all"), lookups("7")+lookups("9")+lookups("10"); all != parts || lookups("8") != lookups("7") {
+		t.Errorf("-fig all made %d compile lookups, figures 7, 9 and 10 apart make %d", all, parts)
+	}
+}
+
 // TestFinishersRunOnFailure: a run that fails (the trace directory
 // cannot be made) exits 1 and still writes the cache statistics.
 func TestFinishersRunOnFailure(t *testing.T) {

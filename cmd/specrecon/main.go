@@ -343,11 +343,7 @@ func printPassStats(out io.Writer, mode string, comp *core.Compilation) {
 // are honored; a -inject spec or non-default scheduler flag on the
 // command line overrides the corresponding recorded value.
 func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, inject string, dec core.DeconflictMode, threshold int) int {
-	k := diffcheck.Kernel{
-		Name: inst.Module.Name, Module: inst.Module, Entry: inst.Kernel,
-		Threads: inst.Threads, Memory: inst.Memory, Seed: inst.Seed,
-		Grid: inst.Grid, CTASize: inst.CTASize, SMs: inst.SMs, Workers: inst.Workers,
-	}
+	k := harness.DiffcheckKernel(inst)
 	fault := inject
 	replay := diffcheck.ReproOpts{
 		Sched: app.Launch.Sched, SchedSeed: app.Launch.SchedSeed, Policy: app.Launch.Policy, StarveLimit: app.StarveLimit,
@@ -393,34 +389,20 @@ func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, inject st
 	return cli.OK
 }
 
-// runSweep measures the kernel across soft-barrier thresholds.
+// runSweep measures the kernel across soft-barrier thresholds, each
+// point's final memory checked against the baseline's.
 func runSweep(app *cli.App, inst *workloads.Instance, dec core.DeconflictMode) error {
-	runAt := func(opts core.Options) (*simt.Metrics, error) {
-		comp, err := app.Cache.Compile(inst.Module, opts)
-		if err != nil {
-			return nil, err
-		}
-		res, err := simt.Run(comp.Module, harness.LaunchConfig(inst))
-		if err != nil {
-			return nil, err
-		}
-		return &res.Metrics, nil
-	}
-	base, err := runAt(core.BaselineOptions())
+	defer harness.UseCompileCache(harness.UseCompileCache(app.Cache))
+	opts := core.SpecReconOptions()
+	opts.Deconflict = dec
+	rows, err := harness.ThresholdSweep(inst, opts, []int{1, 4, 8, 12, 16, 20, 24, 28, 30, 32}, 1)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(app.Stdout, "baseline: eff %5.1f%%  cycles %d\n", 100*base.SIMTEfficiency(), base.Cycles)
+	fmt.Fprintf(app.Stdout, "baseline: eff %5.1f%%  cycles %d\n", 100*rows[0].BaseEff, rows[0].BaseCycles)
 	fmt.Fprintf(app.Stdout, "%9s %10s %10s\n", "threshold", "simt eff", "speedup")
-	for _, t := range []int{1, 4, 8, 12, 16, 20, 24, 28, 30, 32} {
-		opts := core.SpecReconOptions()
-		opts.Deconflict = dec
-		opts.ThresholdOverride = t
-		m, err := runAt(opts)
-		if err != nil {
-			return fmt.Errorf("threshold %d: %w", t, err)
-		}
-		fmt.Fprintf(app.Stdout, "%9d %9.1f%% %9.2fx\n", t, 100*m.SIMTEfficiency(), float64(base.Cycles)/float64(m.Cycles))
+	for _, c := range rows {
+		fmt.Fprintf(app.Stdout, "%9d %9.1f%% %9.2fx\n", c.Threshold, 100*c.SpecEff, c.Speedup())
 	}
 	return nil
 }
@@ -472,11 +454,7 @@ func optionsFor(out io.Writer, mode string, inst *workloads.Instance, dec core.D
 		opts.ThresholdOverride = threshold
 		return opts, inst.Module, nil
 	case "auto":
-		mod := inst.Module.Clone()
-		for _, f := range mod.Funcs {
-			f.Predictions = nil
-		}
-		applied := core.AutoAnnotate(mod, core.DefaultAutoDetectOptions())
+		mod, applied := harness.AutoAnnotated(inst.Module, core.DefaultAutoDetectOptions())
 		for _, c := range applied {
 			fmt.Fprintf(out, "auto: %s candidate at=%s label=%s score=%.1f\n", c.Kind, c.At.Name, c.Label.Name, c.Score())
 		}

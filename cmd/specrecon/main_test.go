@@ -18,6 +18,7 @@ func TestCLI(t *testing.T) {
 		{Name: "run-auto-safe", Args: []string{"-kernel", "rsbench", "-mode", "auto", "-safe", "-remarks", "-compile-cache"}},
 		{Name: "diagnostics", Args: []string{"-kernel", "rsbench", "-mode", "spec", "-diagnostics", "-sched", "oldest", "-starve-limit", "1000000"}},
 		{Name: "sweep", Args: []string{"-kernel", "xsbench", "-sweep", "-threads", "64"}},
+		{Name: "sweep-mismatch", Args: []string{"-kernel", "testdata/ballotdep.sasm", "-sweep"}, Code: 1, Stderr: "threshold 1: ballotdep: memory word 0 differs"},
 		{Name: "diffcheck-ok", Args: []string{"-kernel", "rsbench", "-diffcheck"}},
 		{Name: "diffcheck-finding", Args: []string{"-kernel", "rsbench", "-diffcheck", "-inject", "skip-release@1"}, Code: 1},
 		{Name: "list", Args: []string{"-list"}},
@@ -50,5 +51,18 @@ func TestFinishersRunOnFailure(t *testing.T) {
 	var metrics struct{ Metrics []any }
 	if clitest.ReadJSON(t, snapshot, &metrics); len(metrics.Metrics) == 0 {
 		t.Error("-telemetry-json snapshot carries no metric")
+	}
+}
+
+// TestSweepCompilesThroughTheCache: -sweep's baseline and ten threshold
+// builds are lookups in the command's compile cache.
+func TestSweepCompilesThroughTheCache(t *testing.T) {
+	stats := filepath.Join(t.TempDir(), "stats.json")
+	if code, _, stderr := clitest.Exec(t, run, "-kernel", "xsbench", "-sweep", "-threads", "64", "-cache-stats", stats); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	var st ccache.Stats
+	if clitest.ReadJSON(t, stats, &st); st.Misses != 11 {
+		t.Errorf("cache recorded %d misses over the sweep, want 11: %+v", st.Misses, st)
 	}
 }

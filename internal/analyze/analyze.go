@@ -71,8 +71,6 @@ type Report struct {
 	// Efficiency maps each kernel (function not called from anywhere in
 	// the module) to its static SIMT-efficiency estimate in (0, 1].
 	Efficiency map[string]float64
-	// States holds the abstract interpreter's fixpoint per function.
-	States map[string]*FuncStates
 }
 
 // Errors returns the error-severity findings.
@@ -83,7 +81,7 @@ func (r *Report) Errors() []Diagnostic { return Filter(r.Diags, SeverityError) }
 // blocks) yields an empty report. The input is not modified beyond
 // Reindex.
 func Analyze(m *ir.Module, opts Options) *Report {
-	r := &Report{Efficiency: map[string]float64{}, States: map[string]*FuncStates{}}
+	r := &Report{Efficiency: map[string]float64{}}
 	if m == nil || len(m.Funcs) == 0 {
 		return r
 	}
@@ -124,14 +122,14 @@ func Analyze(m *ir.Module, opts Options) *Report {
 			r.Diags = append(r.Diags, uninitDiags(f, info)...)
 		}
 
+		// One interpreter fixpoint per function serves the conflict
+		// phrasing and the wait notes.
+		st := Interp(f, info, div, nb, entryWaits, !called[f.Name])
 		r.Diags = append(r.Diags, exitPathDiags(f, info, nb, entryWaits, called, classOf, classed)...)
 		if classed {
 			r.Diags = append(r.Diags, rejoinDiags(f, info, classOf)...)
-			r.Diags = append(r.Diags, conflictDiags(f, info, div, nb, entryWaits, called, classOf)...)
+			r.Diags = append(r.Diags, conflictDiags(f, info, st, classOf)...)
 		}
-
-		st := Interp(f, info, div, nb, entryWaits, !called[f.Name])
-		r.States[f.Name] = st
 		r.Diags = append(r.Diags, waitNoteDiags(f, info, st)...)
 		r.Diags = append(r.Diags, deadJoinDiags(f, info, nb, entryWaits)...)
 	}
@@ -375,7 +373,7 @@ func rejoinDiags(f *ir.Function, info *cfg.Info, classOf func(int) BarrierClass)
 // blocked at its wait while still holding the other's barrier joined.
 // Interprocedural (ClassSpecCall) barriers are excluded, as in the
 // deconflict pass.
-func conflictDiags(f *ir.Function, info *cfg.Info, div *divergence.Info, nb int, entryWaits map[string][]int, called map[string]bool, classOf func(int) BarrierClass) []Diagnostic {
+func conflictDiags(f *ir.Function, info *cfg.Info, st *FuncStates, classOf func(int) BarrierClass) []Diagnostic {
 	specBars := map[int]bool{}
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
@@ -399,7 +397,6 @@ func conflictDiags(f *ir.Function, info *cfg.Info, div *divergence.Info, nb int,
 	// Phrase the deadlock with the interpreter: at the speculative
 	// wait, the conflicting barrier is still joined on some path. The
 	// returned index anchors the diagnostic and places the repair edit.
-	st := Interp(f, info, div, nb, entryWaits, !called[f.Name])
 	stillJoinedAtWait := func(spec, other int) (string, int, bool) {
 		for _, b := range f.Blocks {
 			found := -1

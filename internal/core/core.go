@@ -106,11 +106,6 @@ type Options struct {
 	// Faults deterministically perturbs barrier placement for robustness
 	// testing (see fault.go). The zero value injects nothing.
 	Faults FaultPlan
-	// NoRepair disables CompileSafe's repair-then-reverify attempt: a
-	// verifier-rejected build falls straight back to PDOM, the
-	// pre-repair behavior. Campaigns measuring the pre-repair fallback
-	// rate set it.
-	NoRepair bool
 }
 
 // BaselineOptions compiles with standard PDOM synchronization only.

@@ -155,13 +155,14 @@ type SafeCompilation struct {
 // CompileSafe compiles m under opts with the static barrier-safety
 // verifier in the pipeline. A build the verifier rejects gets a second
 // chance through the automated-repair pipeline (the "repair" pass to
-// fixpoint, then re-verification) unless opts.NoRepair is set; only
-// when that also fails does it degrade to the PDOM baseline build
-// (predictions and faults stripped), recording the reason as a
-// structured "failsafe" remark, so a harness run over many kernels
-// survives one pathological input. The error return is non-nil only
-// when the baseline itself cannot be built, i.e. the input module is
-// unusable regardless of speculation.
+// fixpoint, then re-verification); only when that also fails does it
+// degrade to the PDOM baseline build (predictions and faults stripped),
+// recording the reason as a structured "failsafe" remark, so a harness
+// run over many kernels survives one pathological input. (The verdict
+// before repair is CompilePipeline(m, opts, SafePipelineFor(opts))
+// returning the *SafetyError.) The error return is non-nil only when
+// the baseline itself cannot be built, i.e. the input module is unusable
+// regardless of speculation.
 func CompileSafe(m *ir.Module, opts Options) (*SafeCompilation, error) {
 	comp, err := CompilePipeline(m, opts, SafePipelineFor(opts))
 	if err == nil {
@@ -172,7 +173,7 @@ func CompileSafe(m *ir.Module, opts Options) (*SafeCompilation, error) {
 	// the verifier's (anything else — a fault that broke the module, a
 	// prediction that does not lower — has no diagnostics to drive it).
 	var se *SafetyError
-	if !opts.NoRepair && errors.As(err, &se) {
+	if errors.As(err, &se) {
 		rcomp, rerr := CompilePipeline(m, opts, RepairPipelineFor(opts))
 		if rerr == nil && rcomp.RepairReport != nil && len(rcomp.RepairReport.Edits) > 0 {
 			return &SafeCompilation{

@@ -128,13 +128,6 @@ func TestCompileSafeRepairsFault(t *testing.T) {
 	if !found {
 		t.Error("repair should be recorded as repair-pass remarks")
 	}
-
-	// NoRepair restores the pre-repair contract: straight to PDOM.
-	opts.NoRepair = true
-	sc = mustCompileSafe(t, opts)
-	if !sc.FellBack || sc.Repaired != nil {
-		t.Fatal("NoRepair build should fall back without attempting repair")
-	}
 }
 
 // TestCompileSafeFallsBackWithRemark: a fault whose diagnostic carries

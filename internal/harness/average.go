@@ -29,16 +29,10 @@ type AveragedComparison struct {
 // serial run.
 func CompareAveraged(w *workloads.Workload, cfg workloads.BuildConfig, thresholdOverride int, seeds []uint64, parallelism int) (AveragedComparison, error) {
 	out := AveragedComparison{Name: w.Name, Seeds: len(seeds), MinSpeed: math.Inf(1), MaxSpeed: math.Inf(-1)}
-	cmps := make([]Comparison, len(seeds))
-	err := forEach("averaged", parallelism, len(seeds), func(i int) error {
+	cmps, err := collect("averaged", parallelism, len(seeds), func(i int) (Comparison, error) {
 		c := cfg
 		c.Seed = seeds[i]
-		cmp, err := Compare(w, c, thresholdOverride)
-		if err != nil {
-			return err
-		}
-		cmps[i] = cmp
-		return nil
+		return Compare(w, c, thresholdOverride)
 	})
 	if err != nil {
 		return out, err

@@ -29,10 +29,19 @@ func CompileCacheStats() ccache.Stats {
 	return compileCache.Load().Stats()
 }
 
-func compile(m *ir.Module, opts core.Options) (*core.Compilation, error) {
-	return compileCache.Load().Compile(m, opts)
-}
-
-func compileSafe(m *ir.Module, opts core.Options) (*core.SafeCompilation, error) {
-	return compileCache.Load().CompileSafe(m, opts)
+// compile builds m under opts through the installed cache: plainly, or —
+// safe — through CompileSafe's verifier, repair and PDOM fallback. A
+// plain build comes back in the same wrapper with nothing flagged, so a
+// caller reads either kind one way; the wrapper travels by value so the
+// plain path allocates nothing for it.
+func compile(m *ir.Module, opts core.Options, safe bool) (core.SafeCompilation, error) {
+	if !safe {
+		comp, err := compileCache.Load().Compile(m, opts)
+		return core.SafeCompilation{Compilation: comp}, err
+	}
+	sc, err := compileCache.Load().CompileSafe(m, opts)
+	if err != nil {
+		return core.SafeCompilation{}, err
+	}
+	return *sc, nil
 }

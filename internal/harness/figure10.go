@@ -1,11 +1,8 @@
 package harness
 
 import (
-	"fmt"
-
 	"specrecon/internal/core"
 	"specrecon/internal/corpus"
-	"specrecon/internal/simt"
 	"specrecon/internal/workloads"
 )
 
@@ -71,21 +68,15 @@ func RunFunnel(n int, seed uint64, parallelism int) (*FunnelResult, error) {
 	outcomes := make([]funnelOutcome, len(apps))
 	err := forEach("funnel", parallelism, len(apps), func(i int) error {
 		app := apps[i]
-		baseComp, err := compile(app.Module, core.BaselineOptions())
+		inst := &workloads.Instance{Module: app.Module, Kernel: app.Kernel, Threads: app.Threads, Seed: app.Seed, Memory: app.Memory}
+		base, err := measureBaseline(inst, nil)
 		if err != nil {
-			return fmt.Errorf("%s: baseline compile: %w", app.Name, err)
+			return err
 		}
-		runCfg := simt.Config{Kernel: app.Kernel, Threads: app.Threads, Seed: app.Seed, Memory: app.Memory, Strict: true}
-		base, err := simt.Run(baseComp.Module, runCfg)
-		if err != nil {
-			return fmt.Errorf("%s: baseline run: %w", app.Name, err)
-		}
-		baseEff := base.Metrics.SIMTEfficiency()
-		outcomes[i].lowEff = baseEff < lowEffScreen
-
 		// The detector only considers applications below the screen,
 		// mirroring the paper's triage.
-		if baseEff >= lowEffScreen {
+		outcomes[i].lowEff = base.res.Metrics.SIMTEfficiency() < lowEffScreen
+		if !outcomes[i].lowEff {
 			return nil
 		}
 		annotated := app.Module.Clone()
@@ -98,25 +89,18 @@ func RunFunnel(n int, seed uint64, parallelism int) (*FunnelResult, error) {
 		// Fail-safe compilation: a detector-annotated kernel the static
 		// verifier rejects is measured as its PDOM fallback (and counted)
 		// instead of killing the whole campaign.
-		specComp, err := compileSafe(annotated, core.SpecReconOptions())
+		c, err := base.versus(app.Name, app.Kind.String(), annotated, core.SpecReconOptions(), true)
 		if err != nil {
-			return fmt.Errorf("%s: auto compile: %w", app.Name, err)
+			return err
 		}
-		outcomes[i].fellBack = specComp.FellBack
-		outcomes[i].repaired = specComp.Repaired != nil
-		spec, err := simt.Run(specComp.Module, runCfg)
-		if err != nil {
-			return fmt.Errorf("%s: auto run: %w", app.Name, err)
-		}
-		if err := VerifySameResults(base.Memory, spec.Memory); err != nil {
-			return fmt.Errorf("%s: %w", app.Name, err)
-		}
+		outcomes[i].fellBack = c.FellBack
+		outcomes[i].repaired = c.Repaired
 		outcomes[i].row = FunnelRow{
-			Name:    app.Name,
-			Kind:    app.Kind.String(),
-			BaseEff: baseEff,
-			AutoEff: spec.Metrics.SIMTEfficiency(),
-			Speedup: float64(base.Metrics.Cycles) / float64(spec.Metrics.Cycles),
+			Name:    c.Name,
+			Kind:    c.Pattern,
+			BaseEff: c.BaseEff,
+			AutoEff: c.SpecEff,
+			Speedup: c.Speedup(),
 			Score:   applied[0].Score(),
 		}
 		return nil
@@ -154,43 +138,9 @@ func RunFunnel(n int, seed uint64, parallelism int) (*FunnelResult, error) {
 // and compared against baseline — the bars of Figure 10.
 func AutoComparison(w *workloads.Workload, cfg workloads.BuildConfig) (Comparison, []core.Candidate, error) {
 	inst := w.Build(cfg)
-	// Strip manual annotations so the detector works unaided.
-	stripped := inst.Module.Clone()
-	for _, f := range stripped.Funcs {
-		f.Predictions = nil
-	}
-	applied := core.AutoAnnotate(stripped, core.DefaultAutoDetectOptions())
-
-	baseComp, base, err := Run(inst, core.BaselineOptions())
-	if err != nil {
-		return Comparison{}, nil, err
-	}
-	autoInst := &workloads.Instance{
-		Module: stripped, Kernel: inst.Kernel, Threads: inst.Threads, Memory: inst.Memory, Seed: inst.Seed,
-		Grid: inst.Grid, CTASize: inst.CTASize, SMs: inst.SMs, Workers: inst.Workers,
-		Policy: inst.Policy, Sched: inst.Sched, SchedSeed: inst.SchedSeed,
-	}
-	comp, spec, err := Run(autoInst, core.SpecReconOptions())
-	if err != nil {
-		return Comparison{}, nil, err
-	}
-	if err := VerifySameResults(base.Memory, spec.Memory); err != nil {
-		return Comparison{}, nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	return Comparison{
-		Name:         w.Name,
-		Pattern:      w.Pattern,
-		BaseEff:      base.Metrics.SIMTEfficiency(),
-		SpecEff:      spec.Metrics.SIMTEfficiency(),
-		BaseCycles:   base.Metrics.Cycles,
-		SpecCycles:   spec.Metrics.Cycles,
-		BaseIssues:   base.Metrics.Issues,
-		SpecIssues:   spec.Metrics.Issues,
-		Conflicts:    len(comp.Conflicts),
-		BaseCompile:  baseComp.CompileTime,
-		SpecCompile:  comp.CompileTime,
-		SpecPipeline: comp.Pipeline,
-	}, applied, nil
+	mod, applied := AutoAnnotated(inst.Module, core.DefaultAutoDetectOptions())
+	c, err := compare(w.Name, w.Pattern, inst, mod, core.SpecReconOptions(), false, nil)
+	return c, applied, err
 }
 
 // Figure10 runs automatic speculative reconvergence over the kernels the
@@ -198,21 +148,12 @@ func AutoComparison(w *workloads.Workload, cfg workloads.BuildConfig) (Compariso
 // per-kernel jobs run on the worker pool.
 func Figure10(cfg workloads.BuildConfig, parallelism int) ([]Comparison, error) {
 	names := []string{"optix-ao", "optix-path", "optix-shadow", "meiyamd5"}
-	out := make([]Comparison, len(names))
-	err := forEach("figure10", parallelism, len(names), func(i int) error {
+	return collect("figure10", parallelism, len(names), func(i int) (Comparison, error) {
 		w, err := workloads.Get(names[i])
 		if err != nil {
-			return err
+			return Comparison{}, err
 		}
 		c, _, err := AutoComparison(w, cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = c
-		return nil
+		return c, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

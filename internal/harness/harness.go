@@ -7,7 +7,7 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -18,17 +18,42 @@ import (
 	"specrecon/internal/workloads"
 )
 
-// Run compiles one workload instance with the given options and runs it.
-func Run(inst *workloads.Instance, opts core.Options) (*core.Compilation, *simt.Result, error) {
-	comp, err := compile(inst.Module, opts)
+// launch is the one place the harness reaches the simulator: every
+// driver's "compile, configure, run" goes through it. mod — inst.Module
+// or a re-annotated clone of it — is compiled under opts through the
+// installed cache, fail-safe when safe is set (a build the static
+// barrier verifier rejects comes back repaired or as its PDOM fallback,
+// flagged on the compilation, instead of failing the figure). The config
+// starts from LaunchConfig(inst); adjust, when non-nil, edits it with the
+// compiled module in hand (cache geometry, scheduler, sampler, event
+// sink, InterleaveWarps).
+func launch(inst *workloads.Instance, mod *ir.Module, opts core.Options, safe bool, adjust adjuster) (core.SafeCompilation, *simt.Result, error) {
+	comp, err := compile(mod, opts, safe)
 	if err != nil {
-		return nil, nil, fmt.Errorf("compile %s: %w", inst.Module.Name, err)
+		return comp, nil, fmt.Errorf("compile %s: %w", mod.Name, err)
 	}
-	res, err := simt.Run(comp.Module, LaunchConfig(inst))
+	cfg := LaunchConfig(inst)
+	if adjust != nil {
+		cfg = adjust(comp.Module, cfg)
+	}
+	res, err := simt.Run(comp.Module, cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("run %s: %w", inst.Module.Name, err)
+		return comp, nil, fmt.Errorf("run %s: %w", mod.Name, err)
 	}
 	return comp, res, nil
+}
+
+// adjuster edits a launch's config once its module is compiled. Config
+// in, config out: the config never leaves launch's frame.
+type adjuster func(compiled *ir.Module, cfg simt.Config) simt.Config
+
+// Run compiles one workload instance with the given options and runs it.
+func Run(inst *workloads.Instance, opts core.Options) (*core.Compilation, *simt.Result, error) {
+	comp, res, err := launch(inst, inst.Module, opts, false, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return comp.Compilation, res, nil
 }
 
 // LaunchConfig maps an instance's launch shape and scheduler selection
@@ -53,21 +78,34 @@ func LaunchConfig(inst *workloads.Instance) simt.Config {
 	}
 }
 
-// RunSafe is Run through fail-safe compilation: when the static barrier
-// verifier rejects the speculative build, the PDOM fallback runs instead
-// and the returned compilation records the rejection. Experiment rows
-// built from RunSafe therefore always complete, with fallbacks reported
-// rather than aborting the whole figure.
-func RunSafe(inst *workloads.Instance, opts core.Options) (*core.SafeCompilation, *simt.Result, error) {
-	comp, err := compileSafe(inst.Module, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("compile %s: %w", inst.Module.Name, err)
+// DiffcheckKernel is LaunchConfig's counterpart for the differential
+// checker: the instance as the kernel diffcheck.Check compiles and
+// launches itself. The scheduler selection is not part of a Kernel; it
+// travels in diffcheck.Options.
+func DiffcheckKernel(inst *workloads.Instance) diffcheck.Kernel {
+	return diffcheck.Kernel{
+		Name:    inst.Module.Name,
+		Module:  inst.Module,
+		Entry:   inst.Kernel,
+		Threads: inst.Threads,
+		Memory:  inst.Memory,
+		Seed:    inst.Seed,
+		Grid:    inst.Grid,
+		CTASize: inst.CTASize,
+		SMs:     inst.SMs,
+		Workers: inst.Workers,
 	}
-	res, err := simt.Run(comp.Module, LaunchConfig(inst))
-	if err != nil {
-		return nil, nil, fmt.Errorf("run %s: %w", inst.Module.Name, err)
+}
+
+// AutoAnnotated returns a clone of m annotated by the automatic detector
+// alone — any manual predictions are stripped first, so the detector
+// works unaided — and the candidates it applied.
+func AutoAnnotated(m *ir.Module, opts core.AutoDetectOptions) (*ir.Module, []core.Candidate) {
+	m = m.Clone()
+	for _, f := range m.Funcs {
+		f.Predictions = nil
 	}
-	return comp, res, nil
+	return m, core.AutoAnnotate(m, opts)
 }
 
 // Comparison is one bar pair of Figure 7 plus the derived Figure 8 view.
@@ -134,58 +172,88 @@ func Compare(w *workloads.Workload, cfg workloads.BuildConfig, thresholdOverride
 
 // CompareOpts is Compare with the speculative build's options fully
 // caller-controlled (fault-injection tests perturb them). The
-// speculative side compiles through CompileSafe: a build the verifier
-// rejects is measured as its PDOM fallback and flagged on the row
+// speculative side compiles fail-safe: a build the verifier rejects is
+// measured repaired or as its PDOM fallback and flagged on the row
 // instead of failing the experiment.
 func CompareOpts(w *workloads.Workload, cfg workloads.BuildConfig, specOpts core.Options) (Comparison, error) {
 	inst := w.Build(cfg)
-	baseComp, base, err := Run(inst, core.BaselineOptions())
+	return compare(w.Name, w.Pattern, inst, inst.Module, specOpts, true, nil)
+}
+
+// compare is the measured pair behind every row of every figure: inst's
+// PDOM build and the speculative build of mod (inst.Module or a
+// re-annotated clone) under specOpts, launched on the same inputs under
+// the same adjust, final memories required equal. A new experiment is a
+// caller of compare (or, when one baseline serves many speculative
+// builds, of measureBaseline and versus), not a copy of it.
+func compare(name, pattern string, inst *workloads.Instance, mod *ir.Module, specOpts core.Options, safe bool, adjust adjuster) (Comparison, error) {
+	base, err := measureBaseline(inst, adjust)
 	if err != nil {
 		return Comparison{}, err
 	}
-	comp, spec, err := RunSafe(inst, specOpts)
+	return base.versus(name, pattern, mod, specOpts, safe)
+}
+
+// baseline is the PDOM side of a measured pair, kept so threshold sweeps
+// and the funnel measure it once for everything they compare with it.
+type baseline struct {
+	inst   *workloads.Instance
+	adjust adjuster
+	comp   core.SafeCompilation
+	res    *simt.Result
+}
+
+func measureBaseline(inst *workloads.Instance, adjust adjuster) (baseline, error) {
+	comp, res, err := launch(inst, inst.Module, core.BaselineOptions(), false, adjust)
+	return baseline{inst: inst, adjust: adjust, comp: comp, res: res}, err
+}
+
+// versus launches the speculative side against b, checks the two final
+// memories agree, and fills the row — the only place a Comparison is
+// built.
+func (b *baseline) versus(name, pattern string, mod *ir.Module, specOpts core.Options, safe bool) (Comparison, error) {
+	comp, spec, err := launch(b.inst, mod, specOpts, safe, b.adjust)
 	if err != nil {
 		return Comparison{}, err
 	}
-	if err := VerifySameResults(base.Memory, spec.Memory); err != nil {
-		return Comparison{}, fmt.Errorf("%s: %w", w.Name, err)
+	if err := VerifySameResults(b.res.Memory, spec.Memory); err != nil {
+		return Comparison{}, fmt.Errorf("%s: %w", name, err)
 	}
 	threshold := specOpts.ThresholdOverride
 	if threshold < 0 {
-		threshold = firstThreshold(inst.Module)
+		threshold = firstThreshold(mod)
 	}
 	c := Comparison{
-		Name:         w.Name,
-		Pattern:      w.Pattern,
-		BaseEff:      base.Metrics.SIMTEfficiency(),
+		Name:         name,
+		Pattern:      pattern,
+		BaseEff:      b.res.Metrics.SIMTEfficiency(),
 		SpecEff:      spec.Metrics.SIMTEfficiency(),
-		BaseCycles:   base.Metrics.Cycles,
+		BaseCycles:   b.res.Metrics.Cycles,
 		SpecCycles:   spec.Metrics.Cycles,
-		BaseIssues:   base.Metrics.Issues,
+		BaseIssues:   b.res.Metrics.Issues,
 		SpecIssues:   spec.Metrics.Issues,
 		Conflicts:    len(comp.Conflicts),
 		Threshold:    threshold,
-		BaseCompile:  baseComp.CompileTime,
+		BaseCompile:  b.comp.CompileTime,
 		SpecCompile:  comp.CompileTime,
 		SpecPipeline: comp.Pipeline,
 		FellBack:     comp.FellBack,
+		Repaired:     comp.Repaired != nil,
+		StaticEff:    comp.StaticEff[b.inst.Kernel],
 	}
 	if comp.FellBack && comp.FallbackErr != nil {
 		c.FallbackReason, _, _ = strings.Cut(comp.FallbackErr.Error(), "\n")
 	}
-	if comp.Repaired != nil {
-		c.Repaired = true
+	if c.Repaired {
 		c.RepairSummary = comp.Repaired.Report.Summary()
 	}
-	c.StaticEff = comp.StaticEff[inst.Kernel]
-	seen := map[string]bool{}
 	for _, d := range comp.Diagnostics {
-		if d.Code != "" && !seen[string(d.Code)] {
-			seen[string(d.Code)] = true
+		if d.Code != "" {
 			c.DiagCodes = append(c.DiagCodes, string(d.Code))
 		}
 	}
-	sort.Strings(c.DiagCodes)
+	slices.Sort(c.DiagCodes)
+	c.DiagCodes = slices.Compact(c.DiagCodes)
 	return c, nil
 }
 
@@ -214,19 +282,9 @@ func VerifySameResults(a, b []uint64) error {
 // pool.go); parallelism 0 selects GOMAXPROCS, 1 runs serially.
 func Figure7(cfg workloads.BuildConfig, parallelism int) ([]Comparison, error) {
 	ws := workloads.Annotated()
-	out := make([]Comparison, len(ws))
-	err := forEach("figure7", parallelism, len(ws), func(i int) error {
-		c, err := Compare(ws[i], cfg, -1)
-		if err != nil {
-			return err
-		}
-		out[i] = c
-		return nil
+	return collect("figure7", parallelism, len(ws), func(i int) (Comparison, error) {
+		return Compare(ws[i], cfg, -1)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Figure8 is the same experiment viewed as relative SIMT-efficiency
@@ -248,53 +306,49 @@ type ThresholdPoint struct {
 // shows PathTracer and XSBench). Threshold t means the waiting cohort
 // proceeds once t lanes have collected; t=0 never waits, t=32 waits for
 // every possible participant.
-//
-// The baseline is compiled and simulated exactly once and shared by
-// every point, and the workload's IR is verified once up front: each
-// threshold job then compiles the shared verified module with
-// AssumeVerified (Compile clones before transforming, so concurrent
-// jobs never touch shared mutable state) instead of re-verifying the
-// same input per point.
 func Figure9(name string, cfg workloads.BuildConfig, thresholds []int, parallelism int) ([]ThresholdPoint, error) {
 	w, err := workloads.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	inst := w.Build(cfg)
-	_, base, err := Run(inst, core.BaselineOptions())
+	rows, err := ThresholdSweep(w.Build(cfg), core.SpecReconOptions(), thresholds, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ThresholdPoint, len(rows))
+	for i, c := range rows {
+		out[i] = ThresholdPoint{Threshold: thresholds[i], Eff: c.SpecEff, Speedup: c.Speedup(), Cycles: c.SpecCycles}
+	}
+	return out, nil
+}
+
+// ThresholdSweep measures inst's speculative build under specOpts at
+// each soft-barrier threshold, one row per threshold, every point's
+// final memory checked against the baseline's.
+//
+// The baseline is compiled and simulated exactly once and shared by
+// every point, and the instance's IR is verified once up front: each
+// threshold job then compiles the shared verified module with
+// AssumeVerified (Compile clones before transforming, so concurrent
+// jobs never touch shared mutable state) instead of re-verifying the
+// same input per point.
+func ThresholdSweep(inst *workloads.Instance, specOpts core.Options, thresholds []int, parallelism int) ([]Comparison, error) {
+	name := inst.Module.Name
+	base, err := measureBaseline(inst, nil)
 	if err != nil {
 		return nil, err
 	}
 	if err := ir.VerifyModule(inst.Module); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	out := make([]ThresholdPoint, len(thresholds))
-	err = forEach("figure9", parallelism, len(thresholds), func(i int) error {
-		t := thresholds[i]
-		specOpts := core.SpecReconOptions()
-		specOpts.ThresholdOverride = t
-		specOpts.AssumeVerified = true
-		comp, err := compile(inst.Module, specOpts)
+	specOpts.AssumeVerified = true
+	return collect("figure9", parallelism, len(thresholds), func(i int) (Comparison, error) {
+		opts := specOpts
+		opts.ThresholdOverride = thresholds[i]
+		c, err := base.versus(name, "", inst.Module, opts, false)
 		if err != nil {
-			return fmt.Errorf("threshold %d: %w", t, err)
+			return c, fmt.Errorf("threshold %d: %w", thresholds[i], err)
 		}
-		spec, err := simt.Run(comp.Module, LaunchConfig(inst))
-		if err != nil {
-			return fmt.Errorf("threshold %d: %w", t, err)
-		}
-		if err := VerifySameResults(base.Memory, spec.Memory); err != nil {
-			return fmt.Errorf("threshold %d: %w", t, err)
-		}
-		out[i] = ThresholdPoint{
-			Threshold: t,
-			Eff:       spec.Metrics.SIMTEfficiency(),
-			Speedup:   float64(base.Metrics.Cycles) / float64(spec.Metrics.Cycles),
-			Cycles:    spec.Metrics.Cycles,
-		}
-		return nil
+		return c, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

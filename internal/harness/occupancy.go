@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"specrecon/internal/core"
+	"specrecon/internal/ir"
 	"specrecon/internal/obs"
 	"specrecon/internal/simt"
 	"specrecon/internal/telemetry"
@@ -37,27 +38,18 @@ func CollectOccupancy(cfg workloads.BuildConfig, stride int64, parallelism int) 
 		stride = DefaultSampleStride
 	}
 	ws := workloads.Annotated()
-	out := make([]WorkloadOccupancy, len(ws))
-	err := forEach("occupancy", parallelism, len(ws), func(i int) error {
+	out, err := collect("occupancy", parallelism, len(ws), func(i int) (WorkloadOccupancy, error) {
 		inst := ws[i].Build(cfg)
-		specOpts := core.SpecReconOptions()
-		specOpts.ThresholdOverride = -1
-		comp, err := compile(inst.Module, specOpts)
-		if err != nil {
-			return fmt.Errorf("compile %s: %w", inst.Module.Name, err)
-		}
 		rec := obs.NewOccupancyRecorder()
-		runCfg := LaunchConfig(inst)
-		if runCfg.Grid == 0 {
-			runCfg.InterleaveWarps = true
-		}
-		runCfg.SampleStride = stride
-		runCfg.Samples = rec
-		if _, err := simt.Run(comp.Module, runCfg); err != nil {
-			return fmt.Errorf("run %s: %w", inst.Module.Name, err)
-		}
-		out[i] = WorkloadOccupancy{Name: ws[i].Name, Rec: rec}
-		return nil
+		_, _, err := launch(inst, inst.Module, core.SpecReconOptions(), false, func(_ *ir.Module, runCfg simt.Config) simt.Config {
+			if runCfg.Grid == 0 {
+				runCfg.InterleaveWarps = true
+			}
+			runCfg.SampleStride = stride
+			runCfg.Samples = rec
+			return runCfg
+		})
+		return WorkloadOccupancy{Name: ws[i].Name, Rec: rec}, err
 	})
 	if err != nil {
 		return nil, err

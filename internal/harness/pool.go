@@ -113,6 +113,20 @@ func forEach(driver string, parallelism, n int, fn func(i int) error) error {
 	return nil
 }
 
+// collect is forEach for the common driver shape — job i produces row i —
+// returning the rows in job order, or the lowest-index error and no rows.
+func collect[T any](driver string, parallelism, n int, job func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := forEach(driver, parallelism, n, func(i int) (err error) {
+		out[i], err = job(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // RunTasks runs every task to completion whatever the others do and
 // returns every task's error slot, indexed by task: an error — or a
 // panic, contained to a typed *TaskPanicError — does NOT stop the

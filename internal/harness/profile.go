@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"specrecon/internal/core"
-	"specrecon/internal/simt"
 	"specrecon/internal/workloads"
 )
 
@@ -19,11 +18,7 @@ import (
 // CollectProfile runs the baseline build of inst and returns per-block
 // active-lane visit counts keyed by block name, for every function.
 func CollectProfile(inst *workloads.Instance) (map[string]int64, error) {
-	comp, err := compile(inst.Module, core.BaselineOptions())
-	if err != nil {
-		return nil, err
-	}
-	res, err := simt.Run(comp.Module, LaunchConfig(inst))
+	comp, res, err := Run(inst, core.BaselineOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -53,39 +48,13 @@ func ProfileGuidedAutoComparison(w *workloads.Workload, cfg workloads.BuildConfi
 		return Comparison{}, nil, err
 	}
 
-	stripped := inst.Module.Clone()
-	for _, f := range stripped.Funcs {
-		f.Predictions = nil
-	}
 	opts := core.DefaultAutoDetectOptions()
 	opts.Profile = profile
 	// A measured profile yields true dynamic cost ratios, which are
 	// smaller than the static mode's trip-count extrapolations; the
 	// profitability bar is "common work dominates overhead 4:1".
 	opts.MinScore = 4
-	applied := core.AutoAnnotate(stripped, opts)
-
-	_, base, err := Run(inst, core.BaselineOptions())
-	if err != nil {
-		return Comparison{}, nil, err
-	}
-	autoInst := &workloads.Instance{Module: stripped, Kernel: inst.Kernel, Threads: inst.Threads, Memory: inst.Memory, Seed: inst.Seed}
-	comp, spec, err := Run(autoInst, core.SpecReconOptions())
-	if err != nil {
-		return Comparison{}, nil, err
-	}
-	if err := VerifySameResults(base.Memory, spec.Memory); err != nil {
-		return Comparison{}, nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	return Comparison{
-		Name:       w.Name,
-		Pattern:    w.Pattern,
-		BaseEff:    base.Metrics.SIMTEfficiency(),
-		SpecEff:    spec.Metrics.SIMTEfficiency(),
-		BaseCycles: base.Metrics.Cycles,
-		SpecCycles: spec.Metrics.Cycles,
-		BaseIssues: base.Metrics.Issues,
-		SpecIssues: spec.Metrics.Issues,
-		Conflicts:  len(comp.Conflicts),
-	}, applied, nil
+	mod, applied := AutoAnnotated(inst.Module, opts)
+	c, err := compare(w.Name, w.Pattern, inst, mod, core.SpecReconOptions(), false, nil)
+	return c, applied, err
 }

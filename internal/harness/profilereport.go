@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"specrecon/internal/core"
+	"specrecon/internal/ir"
 	"specrecon/internal/obs"
 	"specrecon/internal/simt"
 	"specrecon/internal/workloads"
@@ -21,18 +22,14 @@ type WorkloadProfile struct {
 
 // runProfiled compiles inst with opts and runs it with an attached
 // profiler.
-func runProfiled(inst *workloads.Instance, opts core.Options) (*obs.Profile, error) {
-	comp, err := compile(inst.Module, opts)
-	if err != nil {
-		return nil, fmt.Errorf("compile %s: %w", inst.Module.Name, err)
-	}
-	p := obs.NewProfile(comp.Module)
-	runCfg := LaunchConfig(inst)
-	runCfg.Events = p
-	if _, err := simt.Run(comp.Module, runCfg); err != nil {
-		return nil, fmt.Errorf("run %s: %w", inst.Module.Name, err)
-	}
-	return p, nil
+func runProfiled(inst *workloads.Instance, opts core.Options) (p *obs.Profile, err error) {
+	_, _, err = launch(inst, inst.Module, opts, false, func(m *ir.Module, runCfg simt.Config) simt.Config {
+		// The profiler indexes its counters by the compiled module's PCs.
+		p = obs.NewProfile(m)
+		runCfg.Events = p
+		return runCfg
+	})
+	return p, err
 }
 
 // CollectProfiles profiles every annotated workload in both builds on
@@ -40,26 +37,15 @@ func runProfiled(inst *workloads.Instance, opts core.Options) (*obs.Profile, err
 // parallelism (0 = GOMAXPROCS) does not affect the result.
 func CollectProfiles(cfg workloads.BuildConfig, parallelism int) ([]WorkloadProfile, error) {
 	ws := workloads.Annotated()
-	out := make([]WorkloadProfile, len(ws))
-	err := forEach("profiles", parallelism, len(ws), func(i int) error {
+	return collect("profiles", parallelism, len(ws), func(i int) (WorkloadProfile, error) {
 		inst := ws[i].Build(cfg)
 		base, err := runProfiled(inst, core.BaselineOptions())
 		if err != nil {
-			return err
+			return WorkloadProfile{}, err
 		}
-		specOpts := core.SpecReconOptions()
-		specOpts.ThresholdOverride = -1
-		spec, err := runProfiled(inst, specOpts)
-		if err != nil {
-			return err
-		}
-		out[i] = WorkloadProfile{Name: ws[i].Name, Base: base, Spec: spec}
-		return nil
+		spec, err := runProfiled(inst, core.SpecReconOptions())
+		return WorkloadProfile{Name: ws[i].Name, Base: base, Spec: spec}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // WriteProfileSection renders the per-workload profile section of the
@@ -112,21 +98,15 @@ func DumpTraces(dir string, cfg workloads.BuildConfig, parallelism int) ([]strin
 			opts core.Options
 		}{
 			{"baseline", core.BaselineOptions()},
-			{"spec", func() core.Options {
-				o := core.SpecReconOptions()
-				o.ThresholdOverride = -1
-				return o
-			}()},
+			{"spec", core.SpecReconOptions()},
 		} {
-			comp, err := compile(inst.Module, build.opts)
-			if err != nil {
-				return fmt.Errorf("compile %s: %w", ws[i].Name, err)
-			}
 			rec := obs.NewTraceRecorder()
-			runCfg := LaunchConfig(inst)
-			runCfg.Events = rec
-			if _, err := simt.Run(comp.Module, runCfg); err != nil {
-				return fmt.Errorf("run %s: %w", ws[i].Name, err)
+			_, _, err := launch(inst, inst.Module, build.opts, false, func(_ *ir.Module, runCfg simt.Config) simt.Config {
+				runCfg.Events = rec
+				return runCfg
+			})
+			if err != nil {
+				return err
 			}
 			path := filepath.Join(dir, fmt.Sprintf("%s-%s.trace.json", ws[i].Name, build.tag))
 			f, err := os.Create(path)

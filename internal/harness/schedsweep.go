@@ -77,24 +77,21 @@ func SchedSensitivity(name string, cfg workloads.BuildConfig, policies []simt.Sc
 		specOpts := core.SpecReconOptions()
 		specOpts.ThresholdOverride = thr
 		specOpts.AssumeVerified = true
-		comp, err := compile(inst.Module, specOpts)
-		if err != nil {
-			return fmt.Errorf("policy %s threshold %d: %w", pol, thr, err)
-		}
 		rec := obs.NewOccupancyRecorder()
 		recs[i] = rec
-		runCfg := LaunchConfig(inst)
-		runCfg.Sched = pol
-		runCfg.StarveLimit = SchedSweepStarveLimit
-		runCfg.SampleStride = DefaultSampleStride
-		runCfg.Samples = rec
-		if runCfg.Grid == 0 && pol == simt.SchedGreedyConverge {
-			// A run-to-completion launch's waves of one warp are not
-			// sampled; a non-greedy policy already shares one wave.
-			runCfg.InterleaveWarps = true
-		}
 		pt := SchedPoint{Policy: pol, Threshold: thr}
-		res, err := simt.Run(comp.Module, runCfg)
+		_, res, err := launch(inst, inst.Module, specOpts, false, func(_ *ir.Module, runCfg simt.Config) simt.Config {
+			runCfg.Sched = pol
+			runCfg.StarveLimit = SchedSweepStarveLimit
+			runCfg.SampleStride = DefaultSampleStride
+			runCfg.Samples = rec
+			if runCfg.Grid == 0 && pol == simt.SchedGreedyConverge {
+				// A run-to-completion launch's waves of one warp are not
+				// sampled; a non-greedy policy already shares one wave.
+				runCfg.InterleaveWarps = true
+			}
+			return runCfg
+		})
 		if err != nil {
 			var se *simt.StarvationError
 			if errors.As(err, &se) {

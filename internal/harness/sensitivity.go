@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"specrecon/internal/core"
+	"specrecon/internal/ir"
 	"specrecon/internal/simt"
 	"specrecon/internal/workloads"
 )
@@ -47,36 +48,10 @@ func NoMLPVariant() ModelVariant {
 // CompareWithCache is Compare under an explicit memory configuration.
 func CompareWithCache(w *workloads.Workload, cfg workloads.BuildConfig, cache simt.CacheConfig) (Comparison, error) {
 	inst := w.Build(cfg)
-	runC := func(opts core.Options) (*simt.Result, error) {
-		comp, err := compile(inst.Module, opts)
-		if err != nil {
-			return nil, err
-		}
-		runCfg := LaunchConfig(inst)
+	return compare(w.Name, w.Pattern, inst, inst.Module, core.SpecReconOptions(), false, func(_ *ir.Module, runCfg simt.Config) simt.Config {
 		runCfg.Cache = cache
-		return simt.Run(comp.Module, runCfg)
-	}
-	base, err := runC(core.BaselineOptions())
-	if err != nil {
-		return Comparison{}, err
-	}
-	spec, err := runC(core.SpecReconOptions())
-	if err != nil {
-		return Comparison{}, err
-	}
-	if err := VerifySameResults(base.Memory, spec.Memory); err != nil {
-		return Comparison{}, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	return Comparison{
-		Name:       w.Name,
-		Pattern:    w.Pattern,
-		BaseEff:    base.Metrics.SIMTEfficiency(),
-		SpecEff:    spec.Metrics.SIMTEfficiency(),
-		BaseCycles: base.Metrics.Cycles,
-		SpecCycles: spec.Metrics.Cycles,
-		BaseIssues: base.Metrics.Issues,
-		SpecIssues: spec.Metrics.Issues,
-	}, nil
+		return runCfg
+	})
 }
 
 // Sensitivity measures every named workload under every model variant.
@@ -86,20 +61,17 @@ func CompareWithCache(w *workloads.Workload, cfg workloads.BuildConfig, cache si
 // a serial run exactly.
 func Sensitivity(names []string, cfg workloads.BuildConfig, parallelism int) (map[string][]Comparison, error) {
 	variants := ModelVariants()
-	results := make([]Comparison, len(variants)*len(names))
-	err := forEach("sensitivity", parallelism, len(results), func(i int) error {
+	results, err := collect("sensitivity", parallelism, len(variants)*len(names), func(i int) (Comparison, error) {
 		v := variants[i/len(names)]
-		name := names[i%len(names)]
-		w, err := workloads.Get(name)
+		w, err := workloads.Get(names[i%len(names)])
 		if err != nil {
-			return err
+			return Comparison{}, err
 		}
 		c, err := CompareWithCache(w, cfg, v.Cache)
 		if err != nil {
-			return fmt.Errorf("variant %s: %w", v.Name, err)
+			return c, fmt.Errorf("variant %s: %w", v.Name, err)
 		}
-		results[i] = c
-		return nil
+		return c, nil
 	})
 	if err != nil {
 		return nil, err

@@ -380,8 +380,7 @@ type (
 // analysis and application to a fixpoint under a bounded budget with
 // oscillation detection. Clone the module first to keep the original.
 // CompileSafe calls this automatically (repair-then-reverify) before
-// surrendering a rejected speculative build to the PDOM fail-safe;
-// Options.NoRepair disables that.
+// surrendering a rejected speculative build to the PDOM fail-safe.
 func Repair(m *Module, opts RepairOptions) *RepairReport { return repair.Repair(m, opts) }
 
 // RepairableCode reports whether diagnostics with this SR code can
