@@ -198,15 +198,18 @@ cache-smoke:
 
 # telemetry-smoke exercises the fleet-telemetry layer end to end. A grid
 # workload runs with the per-SM occupancy sampler, the compile cache and
-# the telemetry snapshot attached; the snapshot and the trace (now
-# carrying SM occupancy counter tracks) must be well-formed JSON. The
-# Go-side coverage — registry/exporters/HTTP scrape, worker-pool
-# instrumentation, sampler attribution — runs under -race. That the
-# sampler adds zero allocations to the issue loop is pinned by
-# TestSteadyStateIssueAllocFreeGrid, and that the observers allocate by
-# the doubling of a few lists, never per event, by
-# TestTraceRecorderAllocsPerEvent and perf-gate's observed_grid
-# allocs_per_op.
+# the telemetry snapshot attached; the snapshot and the trace (carrying
+# SM occupancy counter tracks) must be well-formed JSON. Then the
+# registry's other reader: figures -fig 7 appends two run records,
+# registry series included, to a scratch ledger, and perf ledger holds
+# the second's compile-cache misses to the first's (16 -> 16; exit 2 if
+# the record lacks the registry's series). The Go-side coverage —
+# registry and snapshot, worker-pool instrumentation, sampler
+# attribution — runs under -race. That the sampler adds zero allocations
+# to the issue loop is pinned by TestSteadyStateIssueAllocFreeGrid, and
+# that the observers allocate by the doubling of a few lists, never per
+# event, by TestTraceRecorderAllocsPerEvent and perf-gate's
+# observed_grid allocs_per_op.
 telemetry-smoke:
 	rm -rf /tmp/specrecon-telemetry-smoke
 	mkdir -p /tmp/specrecon-telemetry-smoke
@@ -218,6 +221,12 @@ telemetry-smoke:
 	$(GO) run ./cmd/perf json \
 		/tmp/specrecon-telemetry-smoke/metrics.json \
 		/tmp/specrecon-telemetry-smoke/trace.json
+	$(GO) run ./cmd/figures -fig 7 -compile-cache \
+		-ledger /tmp/specrecon-telemetry-smoke/runs.jsonl >/dev/null
+	$(GO) run ./cmd/figures -fig 7 -compile-cache \
+		-ledger /tmp/specrecon-telemetry-smoke/runs.jsonl >/dev/null
+	$(GO) run ./cmd/perf ledger -ledger /tmp/specrecon-telemetry-smoke/runs.jsonl \
+		-tool figures -gate "ccache_misses_total <= 1"
 	$(GO) test -race -count=1 ./internal/telemetry
 	$(GO) test -race -count=1 -run 'Telemetry|Occupancy|Sampler' \
 		./internal/simt ./internal/obs ./internal/harness

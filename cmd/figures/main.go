@@ -38,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	app.SchedFlags()
 	app.CacheFlags()
 	app.ProfileFlags()
-	app.TelemetryAddrFlag()
 	app.LedgerFlag()
 	if code, done := app.Parse(args); done {
 		return code

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -59,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 		diffFlag = app.Bool("diffcheck", false, "differentially check the kernel (baseline vs speculative) and exit; honors `; repro-*` directives in .sasm files")
 		inject   = app.String("inject", "", "inject faults into the speculative build/run (e.g. \"drop-cancel@1+skip-release@2\"; see diffcheck.ParseFault)")
-		safe     = app.Bool("safe", false, "compile non-baseline modes through the fail-safe pipeline (verifier + PDOM fallback)")
+		safe     = app.Bool("safe", false, "compile non-baseline modes through the fail-safe pipeline (verifier + PDOM fallback); not with -passes, -verify-each or -dump-ir-after")
 
 		passes     = app.String("passes", "", "override the pass pipeline with a spec string (e.g. \"pdom,predict,deconflict=dynamic,alloc\")")
 		dumpAfter  = app.String("dump-ir-after", "", "print the IR after the named pass")
@@ -81,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	app.LivenessFlags()
 	app.CacheFlags()
 	app.ProfileFlags()
-	app.TelemetryAddrFlag()
 	app.TelemetryJSONFlag()
 	if code, done := app.Parse(args); done {
 		return code
@@ -108,6 +108,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if *kernel == "" {
 		return usage(errors.New("-kernel is required (try -list)"))
+	}
+	if *safe && (*passes != "" || *verifyEach || *dumpAfter != "") {
+		return usage(errors.New("-safe compiles through its own fail-safe pipeline and cannot be combined with -passes, -verify-each or -dump-ir-after"))
+	}
+	if *profileTop < 0 {
+		return usage(fmt.Errorf("-profile-top %d: the row count cannot be negative", *profileTop))
 	}
 	inst, err := loadInstance(*kernel, app.Launch)
 	if err != nil {
@@ -149,11 +155,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 
-	dec, err := parseDeconflict(*deconf)
+	dec, err := parseNamed("deconfliction mode", *deconf, core.DeconflictDynamic, core.DeconflictStatic, core.DeconflictNone)
 	if err != nil {
 		return usage(err)
 	}
-	eng, err := parseModel(*model)
+	eng, err := parseNamed("model", *model, simt.ModelITS, simt.ModelStack)
 	if err != nil {
 		return usage(err)
 	}
@@ -330,10 +336,14 @@ func modeSuffixed(path, mode string, multi bool) string {
 // -print-pass-stats.
 func printPassStats(out io.Writer, mode string, comp *core.Compilation) {
 	fmt.Fprintf(out, "%s pipeline: %s (compile %s)\n", mode, comp.Pipeline, comp.CompileTime.Round(time.Microsecond))
-	fmt.Fprintf(out, "  %-11s %10s %8s %8s %8s %7s %8s\n", "pass", "time", "instrs", "Δinstrs", "bar-ops", "minted", "remarks")
+	w := len("pass")
 	for _, s := range comp.PassStats {
-		fmt.Fprintf(out, "  %-11s %10s %8d %+8d %8d %7d %8d\n",
-			s.Pass, s.Wall.Round(time.Microsecond), s.InstrsAfter, s.InstrDelta(), s.BarrierOpsAfter, s.BarriersMinted, s.Remarks)
+		w = max(w, len(s.Pass))
+	}
+	fmt.Fprintf(out, "  %-*s %10s %8s %8s %8s %7s %8s\n", w, "pass", "time", "instrs", "Δinstrs", "bar-ops", "minted", "remarks")
+	for _, s := range comp.PassStats {
+		fmt.Fprintf(out, "  %-*s %10s %8d %+8d %8d %7d %8d\n",
+			w, s.Pass, s.Wall.Round(time.Microsecond), s.InstrsAfter, s.InstrDelta(), s.BarrierOpsAfter, s.BarriersMinted, s.Remarks)
 	}
 }
 
@@ -417,14 +427,10 @@ func loadInstance(kernel string, cfg workloads.BuildConfig) (*workloads.Instance
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", kernel, err)
 		}
-		threads := cfg.Threads
-		if threads == 0 {
-			threads = ir.WarpWidth
-		}
 		return &workloads.Instance{
 			Module:    mod,
 			Kernel:    mod.Funcs[0].Name,
-			Threads:   threads,
+			Threads:   cmp.Or(cfg.Threads, ir.WarpWidth),
 			Seed:      cfg.Seed,
 			Grid:      cfg.Grid,
 			CTASize:   cfg.CTASize,
@@ -445,45 +451,33 @@ func loadInstance(kernel string, cfg workloads.BuildConfig) (*workloads.Instance
 // optionsFor returns the compile options and the module to compile for a
 // mode. Auto mode strips manual annotations and runs the detector.
 func optionsFor(out io.Writer, mode string, inst *workloads.Instance, dec core.DeconflictMode, threshold int) (core.Options, *ir.Module, error) {
+	mod := inst.Module
 	switch mode {
 	case "baseline":
-		return core.BaselineOptions(), inst.Module, nil
+		return core.BaselineOptions(), mod, nil
 	case "spec":
-		opts := core.SpecReconOptions()
-		opts.Deconflict = dec
-		opts.ThresholdOverride = threshold
-		return opts, inst.Module, nil
 	case "auto":
-		mod, applied := harness.AutoAnnotated(inst.Module, core.DefaultAutoDetectOptions())
+		var applied []core.Candidate
+		mod, applied = harness.AutoAnnotated(mod, core.DefaultAutoDetectOptions())
 		for _, c := range applied {
 			fmt.Fprintf(out, "auto: %s candidate at=%s label=%s score=%.1f\n", c.Kind, c.At.Name, c.Label.Name, c.Score())
 		}
-		opts := core.SpecReconOptions()
-		opts.Deconflict = dec
-		opts.ThresholdOverride = threshold
-		return opts, mod, nil
+	default:
+		return core.Options{}, nil, fmt.Errorf("unknown mode %q", mode)
 	}
-	return core.Options{}, nil, fmt.Errorf("unknown mode %q", mode)
+	opts := core.SpecReconOptions()
+	opts.Deconflict = dec
+	opts.ThresholdOverride = threshold
+	return opts, mod, nil
 }
 
-func parseModel(s string) (simt.Model, error) {
-	switch s {
-	case "its":
-		return simt.ModelITS, nil
-	case "stack":
-		return simt.ModelStack, nil
+// parseNamed returns the one of vals that prints as s.
+func parseNamed[T fmt.Stringer](what, s string, vals ...T) (T, error) {
+	for _, v := range vals {
+		if v.String() == s {
+			return v, nil
+		}
 	}
-	return 0, fmt.Errorf("unknown model %q", s)
-}
-
-func parseDeconflict(s string) (core.DeconflictMode, error) {
-	switch s {
-	case "dynamic":
-		return core.DeconflictDynamic, nil
-	case "static":
-		return core.DeconflictStatic, nil
-	case "none":
-		return core.DeconflictNone, nil
-	}
-	return 0, fmt.Errorf("unknown deconfliction mode %q", s)
+	var none T
+	return none, fmt.Errorf("unknown %s %q", what, s)
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"specrecon/internal/ccache"
 	"specrecon/internal/cli/clitest"
@@ -27,10 +29,35 @@ func TestCLI(t *testing.T) {
 		{Name: "unknown-kernel", Args: []string{"-kernel", "nope"}, Code: 2, Stderr: "unknown workload"},
 		{Name: "bad-policy", Args: []string{"-kernel", "rsbench", "-policy", "bad"}, Code: 2, Stderr: "unknown policy"},
 		{Name: "bad-passes", Args: []string{"-kernel", "rsbench", "-passes", "pdom,bogus"}, Code: 2, Stderr: `unknown pass "bogus"`},
+		{Name: "safe-passes", Args: []string{"-kernel", "rsbench", "-safe", "-passes", "pdom,alloc"}, Code: 2, Stderr: "-safe compiles through its own fail-safe pipeline and cannot be combined with -passes"},
+		{Name: "safe-verify-each", Args: []string{"-kernel", "rsbench", "-safe", "-mode", "spec", "-verify-each"}, Code: 2, Stderr: "-safe compiles"},
+		{Name: "safe-dump-ir-after", Args: []string{"-kernel", "rsbench", "-safe", "-mode", "spec", "-dump-ir-after", "pdom"}, Code: 2, Stderr: "-dump-ir-after"},
+		{Name: "negative-profile-top", Args: []string{"-kernel", "rsbench", "-profile", "-profile-top", "-3"}, Code: 2, Stderr: "-profile-top -3"},
 	})
 }
 
 func TestFlagNames(t *testing.T) { clitest.FlagNames(t, run) }
+
+// TestPassStatsColumnsAlign: every row of the -print-pass-stats table is
+// as wide as its header, barrier-safety (the longest pass name, in the
+// pipeline only under -safe) included.
+func TestPassStatsColumnsAlign(t *testing.T) {
+	code, stdout, stderr := clitest.Exec(t, run, "-kernel", "rsbench", "-mode", "spec", "-safe", "-print-pass-stats")
+	if code != 0 || !strings.Contains(stdout, "  barrier-safety ") {
+		t.Fatalf("exit %d, barrier-safety row missing\n%s%s", code, stdout, stderr)
+	}
+	width := 0
+	for _, line := range strings.Split(stdout, "\n") {
+		if !strings.HasPrefix(line, "  ") {
+			continue
+		}
+		if n := utf8.RuneCountInString(line); width == 0 {
+			width = n
+		} else if n != width {
+			t.Errorf("row is %d columns wide, the header %d: %q", n, width, line)
+		}
+	}
+}
 
 // TestFinishersRunOnFailure: a -diffcheck finding exits 1 and still
 // writes the cache statistics and the metrics snapshot, and asking for

@@ -2,13 +2,15 @@ package specrecon_test
 
 import (
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
 
 // livingDocs are the documents that tell a reader what to run; they may
-// only name make targets and cmd/ binaries that exist. A section that
+// only name make targets, cmd/ binaries, tests and flags that exist. A section that
 // records what an earlier PR ran (and so names what has since been
 // retired) is fenced off in the document itself:
 //
@@ -23,6 +25,14 @@ var (
 	makeRefRE  = regexp.MustCompile(`\bmake\s+([a-z][a-z0-9-]*)`)
 	cmdRefRE   = regexp.MustCompile(`\bcmd/([a-z][a-z0-9_]*)`)
 	targetRE   = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+	// A cited test; a trailing * cites every test with that prefix.
+	testRefRE  = regexp.MustCompile(`\b((?:Test|Benchmark|Fuzz|Example)[A-Z][A-Za-z0-9_]*)(\*?)`)
+	testFuncRE = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)[A-Za-z0-9_]*)\(`)
+	flagRefRE  = regexp.MustCompile(`(?:^|[\s/(\x60])-([a-z][a-z0-9-]*)`)
+	// README's Layout stanza: a cmd/<name> entry and its indented lines.
+	layoutRE = regexp.MustCompile(`(?m)^cmd/([a-z]+) .*\n(?:[ \t]+.*\n)*`)
+	// A row of README's "| flag | command | effect |" tables.
+	flagRowRE = regexp.MustCompile("(?m)^\\| (`-[^|]*) \\| (`[^|]*) \\|")
 )
 
 // docCode returns what a markdown document sets as code: the lines of
@@ -47,9 +57,50 @@ func docCode(text string) string {
 	return code.String()
 }
 
+// testFuncs returns every Test, Benchmark, Fuzz and Example function the
+// repository's test files declare.
+func testFuncs(t *testing.T) []string {
+	var names []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFuncRE.FindAllSubmatch(src, -1) {
+			names = append(names, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// checkFlags fails on a -flag in text that cmd/<cmd>/testdata/flags.golden
+// (what the binary's -h lists, held by its TestFlagNames) does not have.
+func checkFlags(t *testing.T, where, cmd, text string) {
+	flags := flagRefRE.FindAllStringSubmatch(text, -1)
+	if len(flags) == 0 {
+		return
+	}
+	golden, err := os.ReadFile(filepath.Join("cmd", cmd, "testdata", "flags.golden"))
+	if err != nil {
+		t.Errorf("%s attributes flags to cmd/%s: %v", where, cmd, err)
+		return
+	}
+	for _, m := range flags {
+		if !strings.Contains("\n"+string(golden), "\n"+m[1]+"\n") {
+			t.Errorf("%s names -%s, which cmd/%s does not have", where, m[1], cmd)
+		}
+	}
+}
+
 // TestDocsNameOnlyWhatExists fails on a `make <target>` the Makefile no
-// longer has and on a cmd/<name> that is no longer a directory, in any
-// living document outside its history fences.
+// longer has, on a cmd/<name> that is no longer a directory and on a
+// cited test no test file declares, in any living document outside its
+// history fences; and on a flag README's Layout stanza or one of its flag
+// tables gives a binary that the binary does not have.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -61,6 +112,15 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 	if !targets["check"] || !targets["perf-gate"] {
 		t.Fatalf("Makefile targets not recognised: %v", targets)
+	}
+	tests := testFuncs(t)
+	declared := func(name string, prefix bool) bool {
+		for _, fn := range tests {
+			if fn == name || prefix && strings.HasPrefix(fn, name) {
+				return true
+			}
+		}
+		return false
 	}
 	for _, doc := range livingDocs {
 		data, err := os.ReadFile(doc)
@@ -81,5 +141,48 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				t.Errorf("%s names cmd/%s, which does not exist", doc, m[1])
 			}
 		}
+		for _, m := range testRefRE.FindAllStringSubmatch(text, -1) {
+			if !declared(m[1], m[2] == "*") {
+				t.Errorf("%s cites %s%s, which no test file declares", doc, m[1], m[2])
+			}
+		}
+		if doc != "README.md" {
+			continue
+		}
+		layout := text[strings.Index(text, "\n## Layout\n")+1:]
+		for _, m := range layoutRE.FindAllStringSubmatch(layout, -1) {
+			checkFlags(t, "README.md Layout", m[1], m[0])
+		}
+		for _, row := range flagRowRE.FindAllStringSubmatch(text, -1) {
+			for _, cmd := range codeSpanRE.FindAllString(row[2], -1) {
+				checkFlags(t, "README.md flag table", strings.Trim(cmd, "`"), row[1])
+			}
+		}
+	}
+}
+
+// TestFacadeIsTheGolden holds the package's exported names — what
+// `go doc -short .` lists — to testdata/facade.golden. The facade is what
+// the programs under examples/ use; a name joins it with the example that
+// needs it, and the golden (`go doc -short . > testdata/facade.golden`)
+// is the record that it did.
+func TestFacadeIsTheGolden(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip(err)
+	}
+	got, err := exec.Command(goTool, "doc", "-short", ".").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/facade.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("go doc -short . differs from testdata/facade.golden:\n--- got\n%s--- want\n%s", got, want)
+	}
+	if n := strings.Count(string(want), "\n"); n > 50 {
+		t.Errorf("the facade exports %d names, over its bound of 50", n)
 	}
 }

@@ -203,18 +203,6 @@ func Filter(diags []Diagnostic, min Severity) []Diagnostic {
 	return out
 }
 
-// MaxSeverity returns the highest severity present; SeverityNote-1 (an
-// out-of-range value below every real severity) when diags is empty.
-func MaxSeverity(diags []Diagnostic) Severity {
-	max := SeverityNote - 1
-	for _, d := range diags {
-		if d.Severity > max {
-			max = d.Severity
-		}
-	}
-	return max
-}
-
 // Dedupe drops diagnostics identical in (Code, Fn, Block, Instr, Msg),
 // keeping the first occurrence and the input order. Module-granularity
 // checks over an interprocedural call graph can reach the same defect

@@ -52,10 +52,6 @@ const (
 // Has reports whether s contains every state of t.
 func (s BarState) Has(t BarState) bool { return s&t == t }
 
-// Top reports whether paths disagree on the barrier's state (two or
-// more lattice points are possible).
-func (s BarState) Top() bool { return s&(s-1) != 0 }
-
 func (s BarState) String() string {
 	if s == 0 {
 		return "⊥"
@@ -198,12 +194,4 @@ func (fs *FuncStates) ForEachInstr(b *ir.Block, fn func(i int, pre []BarState)) 
 		fn(i, cur)
 		fs.apply(cur, &b.Instrs[i])
 	}
-}
-
-// MixedAt reports whether a state disagreement at block b is
-// simultaneous — the block can execute with a partial warp, so distinct
-// lanes of one warp genuinely hold the distinct states at the same time
-// — rather than a choice between alternative whole-warp paths.
-func (fs *FuncStates) MixedAt(b *ir.Block) bool {
-	return fs.Div != nil && b.Index < len(fs.Div.DivergentBlock) && fs.Div.DivergentBlock[b.Index]
 }

@@ -54,12 +54,12 @@ type App struct {
 	// was given.
 	Reg *telemetry.Registry
 
-	policy, sched                        string
-	cacheOn                              bool
-	cacheStats, cpuProfile, memProfile   string
-	telemetryAddr, telemetryJSON, ledger string
-	started                              time.Time
-	finishers                            []func() error
+	policy, sched                      string
+	cacheOn                            bool
+	cacheStats, cpuProfile, memProfile string
+	telemetryJSON, ledger              string
+	started                            time.Time
+	finishers                          []func() error
 }
 
 // New returns the App of the command called name.
@@ -110,11 +110,6 @@ func (a *App) CacheFlags() {
 func (a *App) ProfileFlags() {
 	a.StringVar(&a.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	a.StringVar(&a.memProfile, "memprofile", "", "write a heap profile to this file")
-}
-
-// TelemetryAddrFlag registers the metrics endpoint.
-func (a *App) TelemetryAddrFlag() {
-	a.StringVar(&a.telemetryAddr, "telemetry-addr", "", "serve /metrics, /metrics.json and /healthz on this address while running")
 }
 
 // TelemetryJSONFlag registers the final metrics snapshot.
@@ -172,7 +167,7 @@ func (a *App) start() (err error) {
 		}
 		a.finishers = append(a.finishers, func() error { pprof.StopCPUProfile(); return f.Close() })
 	}
-	if a.telemetryAddr != "" || a.telemetryJSON != "" || a.ledger != "" {
+	if a.telemetryJSON != "" || a.ledger != "" {
 		a.Reg = telemetry.New()
 	}
 	if a.cacheOn || a.cacheStats != "" {
@@ -183,14 +178,6 @@ func (a *App) start() (err error) {
 	}
 	if a.telemetryJSON != "" {
 		a.finishers = append(a.finishers, func() error { return WriteTo(a.telemetryJSON, a.Stderr, a.Reg.WriteJSON) })
-	}
-	if a.telemetryAddr != "" {
-		srv, err := telemetry.Serve(a.telemetryAddr, a.Reg)
-		if err != nil {
-			return err
-		}
-		a.finishers = append(a.finishers, srv.Close)
-		fmt.Fprintf(a.Stderr, "%s: telemetry on http://%s/metrics\n", a.Name(), srv.Addr())
 	}
 	return nil
 }
@@ -207,7 +194,7 @@ func (a *App) EnableCache() {
 }
 
 // Close finishes what Parse started, last started first: the metrics
-// snapshot and endpoint, the cache statistics, the profiles. run defers
+// snapshot, the cache statistics, the profiles. run defers
 // it with the address of its named result, so every exit path finishes;
 // a finisher that fails is reported and turns an OK status into Usage.
 func (a *App) Close(code *int) {

@@ -23,7 +23,6 @@ func full(name string) (*App, *bytes.Buffer) {
 	a.LivenessFlags()
 	a.CacheFlags()
 	a.ProfileFlags()
-	a.TelemetryAddrFlag()
 	a.TelemetryJSONFlag()
 	a.LedgerFlag()
 	return a, &stderr

@@ -202,13 +202,6 @@ type Pipeline struct {
 	Observer func(pass string, m *ir.Module)
 }
 
-// NewPipeline builds a pipeline directly from pass instances. Most
-// callers use ParsePipeline or PipelineFor; this exists for tests and
-// programmatic construction of unregistered passes.
-func NewPipeline(passes ...Pass) *Pipeline {
-	return &Pipeline{passes: passes}
-}
-
 // Passes returns the pipeline's pass names in order.
 func (p *Pipeline) Passes() []string {
 	out := make([]string, len(p.passes))

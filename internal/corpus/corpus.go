@@ -42,7 +42,6 @@ const (
 	// KindDivergentCond has an expensive divergent conditional inside a
 	// loop — an Iteration Delay opportunity.
 	KindDivergentCond
-	numKinds
 )
 
 func (k Kind) String() string {

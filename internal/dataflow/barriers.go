@@ -71,12 +71,6 @@ func liveProblem(nb int) Problem {
 	}}
 }
 
-// Point identifies one instruction position inside a function.
-type Point struct {
-	Block int // Block.Index
-	Instr int // instruction index within the block
-}
-
 // JoinedAt refines a JoinedBarriers result to instruction granularity:
 // the joined set *before* each instruction.
 func JoinedAt(f *ir.Function, res *Result, includeCancels bool) *PointSets {

@@ -47,13 +47,6 @@ func (b Bits) AndNot(src Bits) {
 	}
 }
 
-// Or sets b = x | y.
-func (b Bits) Or(x, y Bits) {
-	for i := range b {
-		b[i] = x[i] | y[i]
-	}
-}
-
 // Count returns the number of set bits.
 func (b Bits) Count() int {
 	n := 0

@@ -23,12 +23,6 @@ func UseCompileCache(c *ccache.Cache) *ccache.Cache {
 	return compileCache.Swap(c)
 }
 
-// CompileCacheStats snapshots the installed cache's counters (zero
-// stats when none is installed).
-func CompileCacheStats() ccache.Stats {
-	return compileCache.Load().Stats()
-}
-
 // compile builds m under opts through the installed cache: plainly, or —
 // safe — through CompileSafe's verifier, repair and PDOM fallback. A
 // plain build comes back in the same wrapper with nothing flagged, so a

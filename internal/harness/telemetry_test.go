@@ -3,8 +3,6 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"io"
-	"net/http"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,10 +14,9 @@ import (
 
 // TestTelemetrySmoke is the end-to-end fleet-telemetry path: install a
 // registry and a compile cache, run a small grid workload sweep with
-// occupancy collection, then scrape the HTTP endpoint and check that
-// the ccache, worker-pool and per-SM occupancy/stall series all
-// surface on /metrics, that the JSON snapshot parses, and that
-// /healthz answers.
+// occupancy collection, then write the JSON snapshot and check that it
+// parses and that the ccache, worker-pool and per-SM occupancy/stall
+// series all surface in it.
 func TestTelemetrySmoke(t *testing.T) {
 	reg := telemetry.New()
 	cache := ccache.New(0)
@@ -54,56 +51,35 @@ func TestTelemetrySmoke(t *testing.T) {
 		t.Fatal("occupancy collection recorded no samples")
 	}
 
-	srv, err := telemetry.Serve("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
 	}
-	defer srv.Close()
-
-	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("read %s: %v", path, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return string(body)
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatalf("JSON snapshot does not parse: %v", err)
 	}
-
-	metrics := get("/metrics")
-	for _, series := range []string{
+	series := map[string][]telemetry.SeriesSnapshot{}
+	for _, m := range snap.Metrics {
+		series[m.Name] = m.Series
+	}
+	for _, name := range []string{
 		"ccache_hits_total",
 		"ccache_misses_total",
 		"harness_pool_tasks_total",
-		"harness_pool_driver_seconds_bucket",
+		"harness_pool_driver_seconds",
 		"simt_sm_issue_efficiency",
 		"simt_sm_stall_barrier_frac",
 		"simt_sm_avg_resident",
 	} {
-		if !strings.Contains(metrics, series) {
-			t.Errorf("/metrics missing %s", series)
+		if len(series[name]) == 0 {
+			t.Errorf("snapshot missing %s", name)
 		}
 	}
-	if !strings.Contains(metrics, `driver="figure7"`) ||
-		!strings.Contains(metrics, `driver="occupancy"`) {
-		t.Errorf("/metrics missing driver labels:\n%s", metrics)
-	}
-
-	var snap telemetry.Snapshot
-	if err := json.Unmarshal([]byte(get("/metrics.json")), &snap); err != nil {
-		t.Fatalf("JSON snapshot does not parse: %v", err)
-	}
-	if len(snap.Metrics) == 0 {
-		t.Fatal("JSON snapshot empty")
-	}
-	if got := get("/healthz"); !strings.Contains(got, "ok") {
-		t.Errorf("/healthz = %q", got)
+	for _, driver := range []string{"figure7", "occupancy"} {
+		if _, ok := snap.Get("harness_pool_tasks_total", driver); !ok {
+			t.Errorf("harness_pool_tasks_total has no driver=%q series:\n%s", driver, buf.String())
+		}
 	}
 
 	// The compile cache must have seen real traffic through the sweep.

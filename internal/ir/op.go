@@ -147,15 +147,15 @@ const (
 	fileFloat
 )
 
-// immKind says how an opcode uses the immediate fields.
+// immKind says how an opcode uses the immediate fields; the zero value
+// is an opcode without one.
 type immKind uint8
 
 const (
-	immNone      immKind = iota
-	immInt               // Imm is a required integer literal (const)
-	immFloat             // FImm is a required float literal (fconst)
-	immOffset            // Imm is a memory offset, printed as [rA+imm]
-	immThreshold         // Imm is a soft-barrier threshold
+	immInt       immKind = iota + 1 // Imm is a required integer literal (const)
+	immFloat                        // FImm is a required float literal (fconst)
+	immOffset                       // Imm is a memory offset, printed as [rA+imm]
+	immThreshold                    // Imm is a soft-barrier threshold
 )
 
 // opInfo describes the operand signature, assembly name and issue latency
@@ -294,9 +294,6 @@ func OpcodeByName(name string) (Opcode, bool) {
 
 // IsTerminator reports whether the opcode ends a basic block.
 func (op Opcode) IsTerminator() bool { return opTable[op].term }
-
-// NumSuccs returns the successor count a terminator requires.
-func (op Opcode) NumSuccs() int { return opTable[op].nsucc }
 
 // Latency returns the base issue latency in simulator cycles.
 func (op Opcode) Latency() int { return opTable[op].latency }

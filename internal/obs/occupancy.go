@@ -141,9 +141,6 @@ func (r *OccupancyRecorder) Len() int { return len(r.samples) }
 // Samples returns the recorded samples (aliasing the buffer).
 func (r *OccupancyRecorder) Samples() []simt.Sample { return r.samples }
 
-// Reset empties the recorder, keeping the buffer.
-func (r *OccupancyRecorder) Reset() { r.samples = r.samples[:0] }
-
 // Stats aggregates every recorded sample.
 func (r *OccupancyRecorder) Stats() OccupancyStats {
 	var o OccupancyStats

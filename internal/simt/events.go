@@ -1,10 +1,6 @@
 package simt
 
-import (
-	"math/bits"
-
-	"specrecon/internal/ir"
-)
+import "specrecon/internal/ir"
 
 // Generalized simulator event stream. Both divergence models (ITS and
 // the pre-Volta stack) publish the same events through Config.Events, and every observer — the per-PC profiler, the Perfetto
@@ -109,17 +105,8 @@ type Event struct {
 	Aux       uint32
 }
 
-// ActiveLanes returns the population count of the event's lane mask.
-func (e Event) ActiveLanes() int { return bits.OnesCount32(e.Mask) }
-
 // Diverged reports whether an EvBranch event split its group.
 func (e Event) Diverged() bool { return e.Aux != 0 && e.Aux != e.Mask }
-
-// CacheHits unpacks the hit count of an EvCacheAccess event.
-func (e Event) CacheHits() int { return int(e.Aux >> 16) }
-
-// CacheMisses unpacks the miss count of an EvCacheAccess event.
-func (e Event) CacheMisses() int { return int(e.Aux & 0xffff) }
 
 // EventSink receives the event stream of one launch. Event is called
 // synchronously from the issue loop: implementations must not retain the

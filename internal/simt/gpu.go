@@ -48,8 +48,6 @@ const (
 	MaxSMs = 80
 	// MaxWarpsPerSM bounds the warps resident on one SM.
 	MaxWarpsPerSM = 64
-	// MaxThreadsPerSM bounds the threads resident on one SM.
-	MaxThreadsPerSM = MaxWarpsPerSM * ir.WarpWidth
 	// MaxCTAsPerSM bounds the CTAs co-resident on one SM.
 	MaxCTAsPerSM = 32
 	// MaxThreadsPerCTA bounds the threads of one CTA.

@@ -113,11 +113,6 @@ func OpClassOf(op ir.Opcode) OpClassID {
 	}
 }
 
-// OpClass maps an opcode to its reporting class name.
-func OpClass(op ir.Opcode) string {
-	return opClassNames[OpClassOf(op)]
-}
-
 // merge folds one SM's metrics into the launch aggregate. Counters are
 // additive; Cycles takes the max (SMs run concurrently, so the launch
 // finishes with its slowest SM) while the per-SM cycle sum accumulates
@@ -205,14 +200,6 @@ func (m *Metrics) SIMTEfficiency() float64 {
 		return 0
 	}
 	return float64(m.ActiveLaneSum) / float64(m.Issues) / float64(ir.WarpWidth)
-}
-
-// IPC returns issued warp instructions per modeled cycle.
-func (m *Metrics) IPC() float64 {
-	if m.Cycles == 0 {
-		return 0
-	}
-	return float64(m.Issues) / float64(m.Cycles)
 }
 
 // BlockVisits returns the accumulated active-lane count for the given

@@ -1,8 +1,7 @@
 // Package telemetry is the run- and fleet-level metrics layer: an
 // allocation-conscious registry of counters, gauges and histograms with
-// fixed label sets, exported as Prometheus text exposition or a JSON
-// snapshot and optionally served over HTTP (-telemetry-addr). It also
-// holds the run ledger (ledger.go): structured per-invocation records
+// fixed label sets, exported as a JSON snapshot (-telemetry-json). It
+// also holds the run ledger (ledger.go): structured per-invocation records
 // appended to runs.jsonl that `perf ledger` (cmd/perf) gates regressions on.
 //
 // Design. A metric family is registered once with its full label-key

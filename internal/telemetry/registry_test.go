@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -110,32 +109,6 @@ func TestFuncMetricsEvaluatedAtSnapshot(t *testing.T) {
 	}
 	if v, ok := snap.Get("cache_hits_total"); !ok || v != 7 {
 		t.Fatalf("cache_hits_total = %v,%v", v, ok)
-	}
-}
-
-func TestWritePrometheusFormat(t *testing.T) {
-	r := New()
-	r.Counter("ccache_hits_total", "compile cache hits").With().Add(12)
-	r.Gauge("sm_occupancy", `per-SM "state" share`, "sm", "state").With("0", "eligible").Set(0.75)
-	r.Histogram("wall_seconds", "wall time", []float64{1, 10}).With().Observe(3)
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE ccache_hits_total counter",
-		"ccache_hits_total 12",
-		`sm_occupancy{sm="0",state="eligible"} 0.75`,
-		`wall_seconds_bucket{le="1"} 0`,
-		`wall_seconds_bucket{le="10"} 1`,
-		`wall_seconds_bucket{le="+Inf"} 1`,
-		"wall_seconds_sum 3",
-		"wall_seconds_count 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q:\n%s", want, out)
-		}
 	}
 }
 
