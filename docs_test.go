@@ -7,12 +7,14 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"specrecon/internal/cli/clitest"
 )
 
 // livingDocs are the documents that tell a reader what to run; they may
-// only name make targets, cmd/ binaries, tests and flags that exist. A section that
-// records what an earlier PR ran (and so names what has since been
-// retired) is fenced off in the document itself:
+// only name make targets, cmd/ binaries, tests and flags that exist. A
+// section that records what an earlier PR ran (and so names what has
+// since been retired) is fenced off in the document itself:
 //
 //	<!-- history: names tools and targets as they were -->
 //	...
@@ -62,6 +64,9 @@ func docCode(text string) string {
 func testFuncs(t *testing.T) []string {
 	var names []string
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, the benchmark's build directory
+		}
 		if err != nil || !strings.HasSuffix(path, "_test.go") {
 			return err
 		}
@@ -153,7 +158,8 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		for _, m := range layoutRE.FindAllStringSubmatch(layout, -1) {
 			checkFlags(t, "README.md Layout", m[1], m[0])
 		}
-		for _, row := range flagRowRE.FindAllStringSubmatch(text, -1) {
+		// A cell spells a literal | as \|.
+		for _, row := range flagRowRE.FindAllStringSubmatch(strings.ReplaceAll(text, `\|`, "/"), -1) {
 			for _, cmd := range codeSpanRE.FindAllString(row[2], -1) {
 				checkFlags(t, "README.md flag table", strings.Trim(cmd, "`"), row[1])
 			}
@@ -164,7 +170,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 // TestFacadeIsTheGolden holds the package's exported names — what
 // `go doc -short .` lists — to testdata/facade.golden. The facade is what
 // the programs under examples/ use; a name joins it with the example that
-// needs it, and the golden (`go doc -short . > testdata/facade.golden`)
+// needs it, and the golden (`go test . -run FacadeIsTheGolden -update`)
 // is the record that it did.
 func TestFacadeIsTheGolden(t *testing.T) {
 	goTool, err := exec.LookPath("go")
@@ -175,14 +181,8 @@ func TestFacadeIsTheGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/facade.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("go doc -short . differs from testdata/facade.golden:\n--- got\n%s--- want\n%s", got, want)
-	}
-	if n := strings.Count(string(want), "\n"); n > 50 {
+	clitest.Golden(t, "facade", string(got))
+	if n := strings.Count(string(got), "\n"); n > 50 {
 		t.Errorf("the facade exports %d names, over its bound of 50", n)
 	}
 }
