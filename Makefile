@@ -34,8 +34,12 @@ race:
 # TestTraceMatchesReference with them: the trace recorder against the
 # parent's buffer-and-encode exporter (trace_ref_test.go), byte for
 # byte, over the 12 workloads under both builds and a grid sharded
-# over two worker goroutines. perf-gate closes the gate: the repo
-# benchmark's digests and allocation metrics against the committed run.
+# over two worker goroutines. The core/ccache line re-runs the compile's
+# analysis record against a recompute after every pass of every pipeline
+# (TestAnalysisRecordIsTheRecompute, with its planted faults), and two
+# goroutines setting hooks on the memoized default pipelines they were
+# handed. perf-gate closes the gate: the repo benchmark's digests and
+# allocation metrics against the committed run.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -43,6 +47,7 @@ check:
 	$(GO) test -race -count=1 ./internal/harness
 	$(GO) test -race -count=1 ./internal/obs
 	$(GO) test -race -count=1 -run 'GroupTableIsTheScan|LazyPCsMatchEagerShadow|StackEngineSharesModule|GridShardingDeterministic|CoWMatchesPlainCopyModel|CrossWarpCTABarOnEveryDriver|ModelsAgreeOnEveryDriver' ./internal/simt
+	$(GO) test -race -count=1 -run 'AnalysisRecordIsTheRecompute|ShadowCatchesPlantedFaults|DefaultPipelinesAreNotSharedMutably' ./internal/core ./internal/ccache
 	$(MAKE) scale-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) diffcheck-smoke

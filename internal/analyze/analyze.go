@@ -6,13 +6,12 @@ import (
 
 	"specrecon/internal/cfg"
 	"specrecon/internal/dataflow"
-	"specrecon/internal/divergence"
 	"specrecon/internal/ir"
 )
 
-// BarrierClass mirrors core.BarrierKind without importing core (core
-// imports this package). It tells the class-gated checks why a barrier
-// exists: the rejoin discipline only binds speculative barriers, the
+// BarrierClass says why a barrier exists (core names it BarrierKind and
+// records one per barrier its passes mint). It gates the class-gated
+// checks: the rejoin discipline only binds speculative barriers, the
 // conflict check only indicts speculative/exit live ranges, and the
 // lost-wait rule only applies to compiler-minted barriers.
 type BarrierClass int
@@ -80,7 +79,13 @@ func (r *Report) Errors() []Diagnostic { return Filter(r.Diags, SeverityError) }
 // diagnostics, and a module too malformed to analyze (no functions, no
 // blocks) yields an empty report. The input is not modified beyond
 // Reindex.
-func Analyze(m *ir.Module, opts Options) *Report {
+func Analyze(m *ir.Module, opts Options) *Report { return NewFacts(m).Analyze(opts) }
+
+// Analyze is the package-level Analyze over the record's module, reading
+// each function's CFG and divergence analysis from the record — the
+// same ones the efficiency estimate after the checks reads.
+func (fa *Facts) Analyze(opts Options) *Report {
+	m := fa.m
 	r := &Report{Efficiency: map[string]float64{}}
 	if m == nil || len(m.Funcs) == 0 {
 		return r
@@ -97,18 +102,11 @@ func Analyze(m *ir.Module, opts Options) *Report {
 
 	r.Diags = append(r.Diags, Pairing(m, opts.ClassOf)...)
 
-	// One CFG and one divergence analysis per function serve every check
-	// below and the efficiency estimate after them: Analyze does not
-	// change the module.
-	facts := make(map[*ir.Function]funcFacts, len(m.Funcs))
 	for _, f := range m.Funcs {
 		if len(f.Blocks) == 0 {
 			continue
 		}
-		f.Reindex()
-		info := cfg.New(f)
-		div := divergence.Analyze(m, f, info)
-		facts[f] = funcFacts{info, div}
+		info, div := fa.CFG(f), fa.Divergence(f)
 
 		for _, b := range f.Blocks {
 			if !info.Reachable(b) {
@@ -139,7 +137,7 @@ func Analyze(m *ir.Module, opts Options) *Report {
 	// reported once.
 	r.Diags = Dedupe(r.Diags)
 
-	r.Efficiency = efficiency(m, called, facts)
+	r.Efficiency = efficiency(fa, called)
 	if opts.EffNoteBelow > 0 {
 		kernels := make([]string, 0, len(r.Efficiency))
 		for name := range r.Efficiency {
@@ -415,35 +413,24 @@ func conflictDiags(f *ir.Function, info *cfg.Info, st *FuncStates, classOf func(
 	}
 
 	var out []Diagnostic
-	specs := make([]int, 0, len(conflicts))
-	for spec := range conflicts {
-		specs = append(specs, spec)
-	}
-	sort.Ints(specs)
-	for _, spec := range specs {
-		others := make([]int, 0, len(conflicts[spec]))
-		for other := range conflicts[spec] {
-			others = append(others, other)
+	for _, pair := range conflicts {
+		spec, other := pair[0], pair[1]
+		d := Diagnostic{
+			Code: CodeResidualConflict, Severity: SeverityError, Fn: f.Name,
+			Msg: fmt.Sprintf("residual live-range conflict between b%d and b%d after deconfliction (would deadlock, §4.3)", spec, other),
 		}
-		sort.Ints(others)
-		for _, other := range others {
-			d := Diagnostic{
-				Code: CodeResidualConflict, Severity: SeverityError, Fn: f.Name,
-				Msg: fmt.Sprintf("residual live-range conflict between b%d and b%d after deconfliction (would deadlock, §4.3)", spec, other),
-			}
-			if blk, idx, ok := stillJoinedAtWait(spec, other); ok {
-				d.Block, d.Instr = blk, idx+1
-				d.Fix = fmt.Sprintf("b%d is waiting at %q while b%d is still joined: cancel b%d before that wait (dynamic deconfliction)", spec, blk, other, other)
-				// The repair is exactly what dynamic deconfliction would
-				// have emitted: cancel the conflicting barrier right
-				// before the speculative wait (Figure 5(c)).
-				d.Edits = []Edit{{
-					Kind: EditInsert, Fn: f.Name, Block: blk,
-					Index: idx, Op: ir.OpCancel, Bar: other,
-				}}
-			}
-			out = append(out, d)
+		if blk, idx, ok := stillJoinedAtWait(spec, other); ok {
+			d.Block, d.Instr = blk, idx+1
+			d.Fix = fmt.Sprintf("b%d is waiting at %q while b%d is still joined: cancel b%d before that wait (dynamic deconfliction)", spec, blk, other, other)
+			// The repair is exactly what dynamic deconfliction would
+			// have emitted: cancel the conflicting barrier right
+			// before the speculative wait (Figure 5(c)).
+			d.Edits = []Edit{{
+				Kind: EditInsert, Fn: f.Name, Block: blk,
+				Index: idx, Op: ir.OpCancel, Bar: other,
+			}}
 		}
+		out = append(out, d)
 	}
 	return out
 }

@@ -35,22 +35,15 @@ const maxTrip = 64
 // Efficiency returns the static SIMT-efficiency estimate of every
 // kernel (function not called from anywhere) in m, in (0, 1].
 func Efficiency(m *ir.Module) map[string]float64 {
-	return efficiency(m, calledFunctions(m), nil)
+	return efficiency(NewFacts(m), calledFunctions(m))
 }
 
-// funcFacts is the CFG and divergence analysis of one function.
-type funcFacts struct {
-	info *cfg.Info
-	div  *divergence.Info
-}
-
-// efficiency is Efficiency given the module's called set and the facts
-// of the functions the caller has already analyzed (the rest are
-// analyzed here).
-func efficiency(m *ir.Module, called map[string]bool, facts map[*ir.Function]funcFacts) map[string]float64 {
-	e := &effEstimator{m: m, facts: facts, memo: map[string]funcCost{}, active: map[string]bool{}}
+// efficiency is Efficiency given the module's analysis record and
+// called set.
+func efficiency(fa *Facts, called map[string]bool) map[string]float64 {
+	e := &effEstimator{facts: fa, memo: map[string]funcCost{}, active: map[string]bool{}}
 	out := map[string]float64{}
-	for _, f := range m.Funcs {
+	for _, f := range fa.m.Funcs {
 		if called[f.Name] || len(f.Blocks) == 0 {
 			continue
 		}
@@ -71,8 +64,7 @@ type funcCost struct {
 }
 
 type effEstimator struct {
-	m      *ir.Module
-	facts  map[*ir.Function]funcFacts
+	facts  *Facts
 	memo   map[string]funcCost
 	active map[string]bool // recursion guard
 }
@@ -87,20 +79,14 @@ func (e *effEstimator) fold(name string) funcCost {
 		// Recursive cycle: account the call as its issue latency only.
 		return funcCost{cost: float64(ir.OpCall.Latency()), activeCost: float64(ir.OpCall.Latency())}
 	}
-	f := e.m.FuncByName(name)
+	f := e.facts.m.FuncByName(name)
 	if f == nil || len(f.Blocks) == 0 {
 		return funcCost{}
 	}
 	e.active[name] = true
 	defer delete(e.active, name)
 
-	ff, ok := e.facts[f]
-	if !ok {
-		f.Reindex()
-		ff.info = cfg.New(f)
-		ff.div = divergence.Analyze(e.m, f, ff.info)
-	}
-	info, div := ff.info, ff.div
+	info, div := e.facts.CFG(f), e.facts.Divergence(f)
 	freq := blockFreqs(f, info, div)
 	lanes, sideProb := laneFractions(f, info, div)
 

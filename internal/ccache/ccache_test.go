@@ -3,6 +3,7 @@ package ccache_test
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"specrecon/internal/ccache"
@@ -331,5 +332,54 @@ func TestNilCacheForwards(t *testing.T) {
 	}
 	if st := cache.Stats(); st != (ccache.Stats{}) {
 		t.Errorf("nil cache stats = %+v, want zero", st)
+	}
+}
+
+// TestDefaultPipelinesAreNotSharedMutably: the default pipelines are
+// built once per shape, but the *Pipeline a caller is handed is its own.
+// One goroutine sets VerifyEach and an Observer on its SafePipelineFor
+// and compiles through the cache while another asks for the same shape
+// and compiles through the cache's own entry points; the second must see
+// neither hook, and the observer must hear exactly the first's passes.
+// Run under -race (make check does): a shared struct would be a write
+// in one goroutine against run's read in the other.
+func TestDefaultPipelinesAreNotSharedMutably(t *testing.T) {
+	mod := parse(t, divergentKernel)
+	opts := core.SpecReconOptions()
+	passes := len(core.SafePipelineFor(opts).Passes())
+
+	const rounds = 50
+	var wg sync.WaitGroup
+	wg.Add(2)
+	observed := 0
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			pipe := core.SafePipelineFor(opts)
+			pipe.VerifyEach = true
+			pipe.Observer = func(string, *ir.Module) { observed++ }
+			if _, err := ccache.New(0).CompilePipeline(mod, opts, pipe); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if pipe := core.SafePipelineFor(opts); pipe.VerifyEach || pipe.Observer != nil {
+				t.Error("SafePipelineFor handed out a pipeline carrying another caller's hooks")
+			}
+			cache := ccache.New(0)
+			if _, err := cache.CompileSafe(mod, opts); err != nil {
+				t.Error(err)
+			}
+			if _, err := cache.Diagnose(mod, opts); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	if observed != rounds*passes {
+		t.Errorf("the observer heard %d passes, want %d: %d compiles of %d passes", observed, rounds*passes, rounds, passes)
 	}
 }

@@ -38,6 +38,10 @@ type Info struct {
 
 	// loopOf[i] is the innermost loop containing block i, or nil.
 	loopOf []*Loop
+
+	// blocks and succs are the graph New saw, for Valid: the block list,
+	// and every block's successors in order, each run closed by a nil.
+	blocks, succs []*ir.Block
 }
 
 // virtualExit is the pseudo block index used as the sink of the reversed
@@ -79,9 +83,9 @@ func (l *Loop) Preheader(info *Info) *ir.Block {
 
 // New computes all analyses for f. The function must verify (in
 // particular Block.Index must be consistent). Every per-block table is
-// an index array cut from one slab per element type, so the cost in
-// allocations does not grow with the block count — only with the number
-// of loops.
+// an index array cut from one slab per element type, and so is every
+// per-loop table, so the cost in allocations grows with neither the
+// block count nor the number of loops.
 func New(f *ir.Function) *Info {
 	n := len(f.Blocks)
 	ints := make([]int, 5*n)
@@ -104,23 +108,27 @@ func New(f *ir.Function) *Info {
 	info.buildRPO(visited[:n], scratch[:0])
 	info.buildDominators()
 	info.buildPostDominators(visited[n:], scratch[:0], cut())
-	info.buildLoops()
+	clear(visited[:n])
+	info.buildLoops(visited[:n], scratch[:0])
 	return info
 }
 
 // buildPreds fills Preds in the order a walk over every block's
-// successors meets each edge, from one slab sized by a counting pass
-// (count is scratch).
+// successors meets each edge, and the snapshot Valid compares, all from
+// one slab sized by a counting pass (count is scratch).
 func (info *Info) buildPreds(count []int) {
 	f := info.Fn
-	edges := 0
+	n, edges := len(f.Blocks), 0
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs {
 			count[s.Index]++
 			edges++
 		}
 	}
-	slab := make([]*ir.Block, edges)
+	slab := make([]*ir.Block, 2*(n+edges))
+	info.blocks, slab = slab[:n:n], slab[n:]
+	copy(info.blocks, f.Blocks)
+	info.succs, slab = slab[:0:n+edges], slab[n+edges:]
 	for i, c := range count {
 		info.Preds[i], slab = slab[:0:c], slab[c:]
 	}
@@ -128,7 +136,34 @@ func (info *Info) buildPreds(count []int) {
 		for _, s := range b.Succs {
 			info.Preds[s.Index] = append(info.Preds[s.Index], b)
 		}
+		info.succs = append(append(info.succs, b.Succs...), nil)
 	}
+}
+
+// Valid reports whether the function still has the block list, block
+// indices and successor edges New saw — everything the analyses are
+// derived from — in O(blocks + edges) pointer compares.
+func (info *Info) Valid() bool {
+	if len(info.Fn.Blocks) != len(info.blocks) {
+		return false
+	}
+	k := 0
+	for i, b := range info.Fn.Blocks {
+		if b != info.blocks[i] || b.Index != i {
+			return false
+		}
+		for _, s := range b.Succs {
+			if s == nil || info.succs[k] != s {
+				return false
+			}
+			k++
+		}
+		if info.succs[k] != nil {
+			return false
+		}
+		k++
+	}
+	return true
 }
 
 // postorder appends to order the indices of the unvisited blocks
@@ -416,57 +451,70 @@ func (info *Info) StrictIpdomOutside(b *ir.Block, inSet func(*ir.Block) bool) *i
 
 // buildLoops finds natural loops from back edges (an edge t->h where h
 // dominates t), merges loops sharing a header, and builds the nesting
-// forest.
-func (info *Info) buildLoops() {
+// forest. The headers are counted first, so that the loop records, their
+// block sets and their block lists are each cut from one slab; isHeader
+// (all false) and stack are scratch.
+func (info *Info) buildLoops(isHeader []bool, stack []int) {
 	f := info.Fn
-	var stack []*ir.Block
+	n, nl := len(f.Blocks), 0
+	backEdge := func(t, h *ir.Block) bool {
+		return info.rpoNum[h.Index] <= info.rpoNum[t.Index] && info.Dominates(h, t)
+	}
 	for _, b := range info.RPO {
 		for _, s := range b.Succs {
-			if !info.Dominates(s, b) {
+			if !isHeader[s.Index] && backEdge(b, s) {
+				isHeader[s.Index] = true
+				nl++
+			}
+		}
+	}
+	if nl == 0 {
+		return
+	}
+	loops, sets, members := make([]Loop, 0, nl), make([]bool, nl*n), nl
+	info.Loops = make([]*Loop, 0, nl)
+	for _, b := range info.RPO {
+		for _, s := range b.Succs {
+			if !backEdge(b, s) {
 				continue
 			}
-			var l *Loop
-			for _, seen := range info.Loops {
-				if seen.Header == s {
-					l = seen
-				}
-			}
+			// A header's innermost loop is the one it heads, so loopOf
+			// already serves as the header-to-loop table here.
+			l := info.loopOf[s.Index]
 			if l == nil {
-				l = &Loop{Header: s, blockSet: make([]bool, len(f.Blocks))}
+				loops = append(loops, Loop{Header: s, blockSet: sets[:n:n]})
+				l, sets = &loops[len(loops)-1], sets[n:]
 				l.blockSet[s.Index] = true
-				info.Loops = append(info.Loops, l)
+				info.Loops, info.loopOf[s.Index] = append(info.Loops, l), l
 			}
 			// Collect the natural loop of this back edge: all blocks
 			// that reach t without passing through h.
-			stack = append(stack[:0], b)
+			stack = append(stack[:0], b.Index)
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				if l.blockSet[x.Index] {
+				if l.blockSet[x] {
 					continue
 				}
-				l.blockSet[x.Index] = true
-				for _, p := range info.Preds[x.Index] {
+				l.blockSet[x] = true
+				members++
+				for _, p := range info.Preds[x] {
 					if info.Reachable(p) {
-						stack = append(stack, p)
+						stack = append(stack, p.Index)
 					}
 				}
 			}
 		}
 	}
+	slab := make([]*ir.Block, 0, members)
 	for _, l := range info.Loops {
-		size := 0
-		for _, in := range l.blockSet {
-			if in {
-				size++
-			}
-		}
-		l.Blocks = make([]*ir.Block, 0, size)
+		start := len(slab)
 		for idx, in := range l.blockSet {
 			if in {
-				l.Blocks = append(l.Blocks, f.Blocks[idx])
+				slab = append(slab, f.Blocks[idx])
 			}
 		}
+		l.Blocks = slab[start:len(slab):len(slab)]
 	}
 	// Nesting: loop A is inside loop B if B contains A's header and
 	// A != B. Pick the smallest such B as parent.

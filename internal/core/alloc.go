@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"specrecon/internal/cfg"
 	"specrecon/internal/dataflow"
 	"specrecon/internal/ir"
 )
@@ -19,7 +18,7 @@ import (
 func init() {
 	registerSimplePass("alloc",
 		"color virtual barriers onto the physical barrier registers",
-		false,
+		BarriersOnly,
 		func(c *PassContext) error { return c.allocateBarriers() })
 }
 
@@ -83,9 +82,7 @@ func (c *PassContext) allocateBarriers() error {
 	}
 
 	for _, f := range c.Mod.Funcs {
-		f.Reindex()
-		info := cfg.New(f)
-		intervals, fp := dataflow.JoinedIntervals(f, info)
+		intervals, fp := dataflow.JoinedIntervals(f, c.facts.CFG(f))
 
 		// Union point sets per barrier for interference within f.
 		ranges := make(map[int]dataflow.Bits)

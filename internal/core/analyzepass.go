@@ -27,14 +27,10 @@ func init() {
 				}
 				thr = v
 			}
-			spec := "analyze"
-			if arg != "" {
-				spec += "=" + arg
-			}
 			return &pass{
-				name:     "analyze",
-				spec:     spec,
-				analysis: true,
+				name:   "analyze",
+				spec:   specOf("analyze", arg),
+				effect: ReadsOnly,
 				run: func(c *PassContext) error {
 					aOpts := analyze.Options{EffNoteBelow: thr}
 					if len(c.barriers) > 0 {
@@ -42,10 +38,7 @@ func init() {
 						// barriers): run the class-gated checks too.
 						aOpts.ClassOf = c.barrierClassOf()
 					}
-					rep := analyze.Analyze(c.Mod, aOpts)
-					c.result.Diagnostics = rep.Diags
-					c.result.StaticEff = rep.Efficiency
-					for _, d := range rep.Diags {
+					for _, d := range c.analyzed(aOpts).Diags {
 						c.Remarkf(d.Fn, d.Block, "%s %s: %s", d.Severity, d.Code, d.Msg)
 					}
 					return nil
@@ -62,5 +55,5 @@ func init() {
 // diagnostic does not fail the build — Diagnose is the reporting entry
 // point behind cmd/sasmvet and specrecon -diagnostics.
 func Diagnose(m *ir.Module, opts Options) (*Compilation, error) {
-	return CompilePipeline(m, opts, pipelineWith(opts, "analyze"))
+	return CompilePipeline(m, opts, pipelineWith(opts, "analyze", ""))
 }

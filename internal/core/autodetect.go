@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 
+	"specrecon/internal/analyze"
 	"specrecon/internal/cfg"
 	"specrecon/internal/divergence"
 	"specrecon/internal/ir"
@@ -28,18 +29,16 @@ func init() {
 		Description: "annotate profitable reconvergence opportunities automatically (arg: min score, e.g. autodetect=1.5)",
 		Build: func(arg string) (Pass, error) {
 			opts := DefaultAutoDetectOptions()
-			spec := "autodetect"
 			if arg != "" {
 				min, err := strconv.ParseFloat(arg, 64)
 				if err != nil {
 					return nil, fmt.Errorf("pass \"autodetect\": bad min score %q: %v", arg, err)
 				}
 				opts.MinScore = min
-				spec = "autodetect=" + arg
 			}
 			return &pass{
 				name: "autodetect",
-				spec: spec,
+				spec: specOf("autodetect", arg),
 				run: func(c *PassContext) error {
 					for _, cand := range AutoAnnotate(c.Mod, opts) {
 						c.Remarkf(cand.Fn.Name, cand.At.Name, "%s candidate: label %q, score %.2f", cand.Kind, cand.Label.Name, cand.Score())
@@ -129,8 +128,9 @@ func DefaultAutoDetectOptions() AutoDetectOptions {
 // candidates, best first.
 func DetectOpportunities(m *ir.Module, opts AutoDetectOptions) []Candidate {
 	var out []Candidate
+	facts := analyze.NewFacts(m)
 	for _, f := range m.Funcs {
-		out = append(out, detectInFunction(m, f, opts)...)
+		out = append(out, detectInFunction(facts, f, opts)...)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Score() > out[j].Score() })
 	return out
@@ -161,10 +161,8 @@ func AutoAnnotate(m *ir.Module, opts AutoDetectOptions) []Candidate {
 	return applied
 }
 
-func detectInFunction(m *ir.Module, f *ir.Function, opts AutoDetectOptions) []Candidate {
-	f.Reindex()
-	info := cfg.New(f)
-	div := divergence.Analyze(m, f, info)
+func detectInFunction(facts *analyze.Facts, f *ir.Function, opts AutoDetectOptions) []Candidate {
+	info, div := facts.CFG(f), facts.Divergence(f)
 
 	// Synchronization requirement: regions containing warp-synchronous
 	// operations must not have their convergence changed.

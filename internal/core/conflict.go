@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"specrecon/internal/cfg"
 	"specrecon/internal/dataflow"
 	"specrecon/internal/ir"
 )
@@ -24,8 +22,9 @@ func init() {
 				return nil, fmt.Errorf("pass \"deconflict\": unknown mode %q (want dynamic or static)", arg)
 			}
 			return &pass{
-				name: "deconflict",
-				spec: "deconflict=" + mode.String(),
+				name:   "deconflict",
+				spec:   "deconflict=" + mode.String(),
+				effect: BarriersOnly,
 				run: func(c *PassContext) error {
 					for _, fw := range c.specWaits {
 						c.deconflict(fw.f, fw.waits, mode)
@@ -45,13 +44,6 @@ func init() {
 // cancels as clears, refined within blocks and split into connected
 // components) lives in internal/dataflow so the static analyzer and the
 // allocator share it; this file keeps the pass that consumes it.
-
-// findConflicts returns the conflicting barrier pairs in f where one side
-// is one of the given speculative barriers (dataflow.FindConflicts).
-func findConflicts(f *ir.Function, specBars map[int]bool) map[int]map[int]bool {
-	f.Reindex()
-	return dataflow.FindConflicts(f, cfg.New(f), specBars)
-}
 
 // deconflict finds conflicts against the speculative (and region-exit)
 // barriers of f and resolves them per the given strategy.
@@ -77,47 +69,34 @@ func (c *PassContext) deconflict(f *ir.Function, waits []specWait, mode Deconfli
 		return
 	}
 
-	// Resolve conflicts in sorted (spec, other) order: the pair sequence
-	// — and therefore ConflictPair/remark order and the identity of "the
-	// Nth conflict" under fault injection — must not depend on map
-	// iteration order.
-	conflicts := findConflicts(f, specBars)
-	specs := make([]int, 0, len(conflicts))
-	for spec := range conflicts {
-		specs = append(specs, spec)
-	}
-	sort.Ints(specs)
-	for _, spec := range specs {
+	// FindConflicts returns the pairs sorted: ConflictPair and remark
+	// order, and the identity of "the Nth conflict" under fault
+	// injection, depend on it.
+	for _, pair := range dataflow.FindConflicts(f, c.facts.CFG(f), specBars) {
+		spec, other := pair[0], pair[1]
 		sw := waitOf[spec]
 		if sw.waitBlock == nil {
 			continue
 		}
-		others := make([]int, 0, len(conflicts[spec]))
-		for other := range conflicts[spec] {
-			others = append(others, other)
+		c.result.Conflicts = append(c.result.Conflicts, ConflictPair{Fn: f, A: spec, B: other})
+		kind := KindUser
+		if other < len(c.barriers) {
+			kind = c.barriers[other].Kind
 		}
-		sort.Ints(others)
-		for _, other := range others {
-			c.result.Conflicts = append(c.result.Conflicts, ConflictPair{Fn: f, A: spec, B: other})
-			kind := KindUser
-			if other < len(c.barriers) {
-				kind = c.barriers[other].Kind
-			}
-			c.conflictSeen++
-			if c.conflictSeen == c.Opts.Faults.SkipConflict {
-				c.Remarkf(f.Name, sw.waitBlock.Name, "fault skip-conflict@%d: conflict between b%d and %s barrier b%d left unresolved", c.conflictSeen, spec, kind, other)
-				continue
-			}
-			if mode == DeconflictStatic && kind == KindPDOM {
-				c.Remarkf(f.Name, sw.waitBlock.Name, "barrier b%d conflicts with %s barrier b%d: removed its operations statically", spec, kind, other)
-				removeBarrierOps(f, other)
-				continue
-			}
-			// Dynamic deconfliction: cancel the conflicting barrier
-			// immediately before the speculative wait (Figure 5(c)).
-			c.Remarkf(f.Name, sw.waitBlock.Name, "barrier b%d conflicts with %s barrier b%d: cancelled before the speculative wait", spec, kind, other)
-			insertCancelBeforeWait(sw.waitBlock, spec, other)
+		c.conflictSeen++
+		if c.conflictSeen == c.Opts.Faults.SkipConflict {
+			c.Remarkf(f.Name, sw.waitBlock.Name, "fault skip-conflict@%d: conflict between b%d and %s barrier b%d left unresolved", c.conflictSeen, spec, kind, other)
+			continue
 		}
+		if mode == DeconflictStatic && kind == KindPDOM {
+			c.Remarkf(f.Name, sw.waitBlock.Name, "barrier b%d conflicts with %s barrier b%d: removed its operations statically", spec, kind, other)
+			removeBarrierOps(f, other)
+			continue
+		}
+		// Dynamic deconfliction: cancel the conflicting barrier
+		// immediately before the speculative wait (Figure 5(c)).
+		c.Remarkf(f.Name, sw.waitBlock.Name, "barrier b%d conflicts with %s barrier b%d: cancelled before the speculative wait", spec, kind, other)
+		insertCancelBeforeWait(sw.waitBlock, spec, other)
 	}
 }
 

@@ -34,8 +34,6 @@ import (
 	"time"
 
 	"specrecon/internal/analyze"
-	"specrecon/internal/cfg"
-	"specrecon/internal/divergence"
 	"specrecon/internal/ir"
 	"specrecon/internal/repair"
 )
@@ -43,7 +41,7 @@ import (
 func init() {
 	registerSimplePass("pdom",
 		"insert baseline post-dominator convergence barriers at divergent branches",
-		false,
+		BarriersOnly,
 		func(c *PassContext) error {
 			for _, f := range c.Mod.Funcs {
 				c.insertPDOM(f)
@@ -126,37 +124,22 @@ func SpecReconOptions() Options {
 }
 
 // BarrierKind records why a barrier exists, for deconfliction decisions
-// and diagnostics.
-type BarrierKind int
+// and diagnostics. It is the analyzer's BarrierClass: the class-gated
+// checks read the provenance the passes record, unconverted.
+type BarrierKind = analyze.BarrierClass
 
 const (
 	// KindUser marks barriers already present in the input IR.
-	KindUser BarrierKind = iota
+	KindUser = analyze.ClassUser
 	// KindPDOM marks baseline post-dominator barriers.
-	KindPDOM
+	KindPDOM = analyze.ClassPDOM
 	// KindSpec marks speculative reconvergence barriers (the paper's b0).
-	KindSpec
+	KindSpec = analyze.ClassSpec
 	// KindExit marks the orthogonal region-exit barriers (the paper's b1).
-	KindExit
+	KindExit = analyze.ClassExit
 	// KindSpecCall marks interprocedural speculative barriers.
-	KindSpecCall
+	KindSpecCall = analyze.ClassSpecCall
 )
-
-func (k BarrierKind) String() string {
-	switch k {
-	case KindUser:
-		return "user"
-	case KindPDOM:
-		return "pdom"
-	case KindSpec:
-		return "spec"
-	case KindExit:
-		return "exit"
-	case KindSpecCall:
-		return "speccall"
-	}
-	return fmt.Sprintf("kind(%d)", int(k))
-}
 
 // BarrierInfo describes one virtual barrier created by the pipeline.
 type BarrierInfo struct {
@@ -249,7 +232,7 @@ type ConflictPair struct {
 // and returns the transformed module with its compilation report. The
 // input module is not modified.
 func Compile(m *ir.Module, opts Options) (*Compilation, error) {
-	return CompilePipeline(m, opts, PipelineFor(opts))
+	return CompilePipeline(m, opts, pipelineWith(opts, "", ""))
 }
 
 // CompilePipeline clones m and runs an explicit pass pipeline over it.
@@ -266,7 +249,7 @@ func CompilePipeline(m *ir.Module, opts Options, pipe *Pipeline) (*Compilation, 
 		}
 	}
 	mod := m.Clone()
-	c := &PassContext{Mod: mod, Opts: opts}
+	c := &PassContext{Mod: mod, Opts: opts, facts: analyze.NewFacts(mod)}
 	c.result = &Compilation{
 		Module:            mod,
 		Options:           opts,
@@ -315,8 +298,7 @@ func (c *PassContext) newBarrier(kind BarrierKind, f *ir.Function, callee string
 // the branch's immediate post-dominator ("GPU compilers currently attempt
 // reconvergence at the post-dominator", paper section 1).
 func (c *PassContext) insertPDOM(f *ir.Function) {
-	info := cfg.New(f)
-	div := divergence.Analyze(c.Mod, f, info)
+	info, div := c.facts.CFG(f), c.facts.Divergence(f)
 
 	type placement struct {
 		branch *ir.Block

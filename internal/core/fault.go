@@ -135,13 +135,10 @@ func init() {
 				}
 				plan = &p
 			}
-			spec := "inject"
-			if arg != "" {
-				spec += "=" + arg
-			}
 			return &pass{
-				name: "inject",
-				spec: spec,
+				name:   "inject",
+				spec:   specOf("inject", arg),
+				effect: BarriersOnly,
 				run: func(c *PassContext) error {
 					p := c.Opts.Faults
 					if plan != nil {

@@ -10,7 +10,7 @@ import (
 func init() {
 	registerSimplePass("predict",
 		"lower Predict annotations into speculative join/wait/rejoin/cancel barriers",
-		false,
+		BarriersOnly,
 		func(c *PassContext) error {
 			for _, f := range c.Mod.Funcs {
 				if err := c.applyPredictions(f); err != nil {
@@ -98,8 +98,7 @@ func barInstr(op ir.Opcode, bar int) ir.Instr {
 //     start and the region's post-dominator collects all threads at the
 //     region exit.
 func (c *PassContext) applyLabelPrediction(f *ir.Function, p ir.Prediction) (specWait, error) {
-	f.Reindex()
-	info := cfg.New(f)
+	info := c.facts.CFG(f)
 	if !info.Reachable(p.At) || !info.Reachable(p.Label) {
 		return specWait{}, fmt.Errorf("prediction region start %q or label %q unreachable", p.At.Name, p.Label.Name)
 	}
@@ -184,8 +183,7 @@ func (c *PassContext) applyCallPrediction(f *ir.Function, p ir.Prediction) (spec
 	if callee == nil {
 		return specWait{}, fmt.Errorf("prediction callee %q not found", p.Callee)
 	}
-	f.Reindex()
-	info := cfg.New(f)
+	info := c.facts.CFG(f)
 	if !info.Reachable(p.At) {
 		return specWait{}, fmt.Errorf("prediction region start %q unreachable", p.At.Name)
 	}

@@ -8,7 +8,7 @@ import (
 func init() {
 	registerSimplePass("lint",
 		"static diagnostics: uninitialized reads, unreachable blocks, barrier hygiene (read-only)",
-		true,
+		ReadsOnly,
 		func(c *PassContext) error {
 			for _, w := range Lint(c.Mod) {
 				c.Remarkf(w.Fn, w.Block, "%s", w.Msg)

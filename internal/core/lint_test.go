@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"specrecon/internal/analyze"
+	"specrecon/internal/cfg"
+	"specrecon/internal/dataflow"
 	"specrecon/internal/ir"
 	"specrecon/internal/workloads"
 )
@@ -164,8 +166,8 @@ func TestLintBarriersDirectOnConflictingRanges(t *testing.T) {
 	m := buildConflictingRanges(t)
 	// Sanity: the module really holds a non-inclusive overlap.
 	f := m.Funcs[0]
-	conflicts := findConflicts(f, map[int]bool{0: true})
-	if len(conflicts[0]) == 0 {
+	conflicts := dataflow.FindConflicts(f, cfg.New(f), map[int]bool{0: true})
+	if len(conflicts) == 0 {
 		t.Fatal("hand-built module should have b0 conflicting with b1")
 	}
 	// Conflicting live ranges are a deadlock hazard, not a pairing

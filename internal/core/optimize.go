@@ -2,8 +2,8 @@ package core
 
 import (
 	"math"
+	"specrecon/internal/analyze"
 
-	"specrecon/internal/cfg"
 	"specrecon/internal/dataflow"
 	"specrecon/internal/ir"
 )
@@ -17,7 +17,7 @@ import (
 func init() {
 	registerSimplePass("opt",
 		"scalar optimization: constant folding and dead-code elimination to a fixed point",
-		false,
+		Rewrites,
 		func(c *PassContext) error {
 			if n := Optimize(c.Mod); n > 0 {
 				c.Remarkf("", "", "%d instructions folded or eliminated", n)
@@ -249,9 +249,7 @@ func tryFold(in *ir.Instr, consts map[ir.Reg]int64, fconsts map[ir.Reg]float64) 
 // sources with no destination effect beyond the register (rand advances
 // per-thread RNG state, so it is NOT pure) and terminators are preserved.
 func eliminateDeadCode(f *ir.Function) int {
-	f.Reindex()
-	info := cfg.New(f)
-	ints, floats := dataflow.RegLiveness(f, info)
+	ints, floats := dataflow.RegLiveness(f, analyze.NewFacts(nil).CFG(f))
 
 	removed := 0
 	for _, b := range f.Blocks {

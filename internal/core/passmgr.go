@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
+	"specrecon/internal/analyze"
 	"specrecon/internal/ir"
 )
 
@@ -93,6 +95,12 @@ type PassContext struct {
 
 	// current is the running pass's name, stamped onto remarks.
 	current string
+
+	// facts is the compile's analysis record: every pass reads a
+	// function's CFG and divergence analysis through it, and run drops
+	// what a pass's declared Effect does not preserve. It is reachable
+	// from the context only, never from the Compilation.
+	facts *analyze.Facts
 }
 
 // funcWaits pairs a function with the speculative waits lowered into it.
@@ -119,23 +127,43 @@ type Pass interface {
 	// Spec is the pass as it appears in a pipeline spec string: the
 	// name, plus "=arg" when the pass was built with an argument.
 	Spec() string
-	// Analysis reports whether the pass only reads the module (it may
-	// still emit remarks).
-	Analysis() bool
+	// Effect declares what the pass may change.
+	Effect() Effect
 	Run(c *PassContext) error
 }
 
+// Effect declares what a pass may change, which decides what of the
+// compile's analysis record survives it. The CFG half of the record
+// needs no declaration (it is checked against the graph on every read);
+// the divergence half is kept only across passes that declare
+// BarriersOnly or ReadsOnly. The zero value preserves nothing, so a pass
+// that declares nothing is safe.
+type Effect int
+
+const (
+	// Rewrites is a pass that may change anything.
+	Rewrites Effect = iota
+	// BarriersOnly is a pass that inserts, removes or renumbers join,
+	// wait and cancel operations and touches nothing else: no block, no
+	// edge and no register definition (arrived writes a register, so a
+	// pass placing or removing one does not qualify).
+	BarriersOnly
+	// ReadsOnly is an analysis pass: it reads the module and may emit
+	// remarks.
+	ReadsOnly
+)
+
 // pass is the concrete Pass used by every registration.
 type pass struct {
-	name     string
-	spec     string
-	analysis bool
-	run      func(c *PassContext) error
+	name   string
+	spec   string
+	effect Effect
+	run    func(c *PassContext) error
 }
 
 func (p *pass) Name() string             { return p.name }
 func (p *pass) Spec() string             { return p.spec }
-func (p *pass) Analysis() bool           { return p.analysis }
+func (p *pass) Effect() Effect           { return p.effect }
 func (p *pass) Run(c *PassContext) error { return p.run(c) }
 
 // PassInfo describes one registered pass factory.
@@ -174,25 +202,36 @@ func RegisteredPasses() []PassInfo {
 	return out
 }
 
+// specOf renders a pass as it appears in a pipeline spec string.
+func specOf(name, arg string) string {
+	if arg == "" {
+		return name
+	}
+	return name + "=" + arg
+}
+
 // registerSimplePass registers an argument-free pass.
-func registerSimplePass(name, description string, analysis bool, run func(c *PassContext) error) {
+func registerSimplePass(name, description string, effect Effect, run func(c *PassContext) error) {
+	ps := &pass{name: name, spec: name, effect: effect, run: run}
 	RegisterPass(PassInfo{
 		Name:        name,
 		Description: description,
-		Analysis:    analysis,
+		Analysis:    effect == ReadsOnly,
 		Build: func(arg string) (Pass, error) {
 			if arg != "" {
 				return nil, fmt.Errorf("pass %q takes no argument (got %q)", name, arg)
 			}
-			return &pass{name: name, spec: name, analysis: analysis, run: run}, nil
+			return ps, nil
 		},
 	})
 }
 
 // Pipeline is an ordered list of pass instances plus the manager's debug
-// hooks.
+// hooks. Pass instances are immutable, and so are passes and spec once
+// the pipeline is built: pipelines of one shape share them.
 type Pipeline struct {
 	passes []Pass
+	spec   string
 
 	// VerifyEach runs ir.VerifyModule after every pass; the first
 	// failure is reported against the pass that introduced it.
@@ -213,12 +252,15 @@ func (p *Pipeline) Passes() []string {
 
 // Spec renders the pipeline back to its spec string; ParsePipeline and
 // Spec round-trip.
-func (p *Pipeline) Spec() string {
-	specs := make([]string, len(p.passes))
-	for i, ps := range p.passes {
+func (p *Pipeline) Spec() string { return p.spec }
+
+// newPipeline returns the pipeline of the given passes.
+func newPipeline(passes []Pass) *Pipeline {
+	specs := make([]string, len(passes))
+	for i, ps := range passes {
 		specs[i] = ps.Spec()
 	}
-	return strings.Join(specs, ",")
+	return &Pipeline{passes: passes, spec: strings.Join(specs, ",")}
 }
 
 // ParsePipeline parses a spec string like
@@ -229,7 +271,7 @@ func ParsePipeline(spec string) (*Pipeline, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("core: empty pipeline spec")
 	}
-	p := &Pipeline{}
+	var passes []Pass
 	seen := map[string]bool{}
 	for _, item := range strings.Split(spec, ",") {
 		item = strings.TrimSpace(item)
@@ -252,9 +294,9 @@ func ParsePipeline(spec string) (*Pipeline, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		p.passes = append(p.passes, ps)
+		passes = append(passes, ps)
 	}
-	return p, nil
+	return newPipeline(passes), nil
 }
 
 func passNames() []string {
@@ -275,51 +317,82 @@ func passNames() []string {
 // When Options.Faults carries inject-layer faults, an "inject" pass is
 // appended after deconfliction (so faults perturb the final barrier
 // layout) and before allocation (so they are stated in virtual ids).
-func PipelineFor(opts Options) *Pipeline { return pipelineWith(opts) }
+func PipelineFor(opts Options) *Pipeline { return pipelineWith(opts, "", "").own() }
 
-// pipelineWith is PipelineFor with the named argument-free passes put
-// in front of register allocation — the slot every verifying, repairing
-// and reporting variant of the default pipeline uses, because there the
-// barrier layout is final and still stated in virtual ids — or at the
-// end when allocation is skipped. The passes come straight from the
-// registry: no spec string is built or parsed.
-func pipelineWith(opts Options, beforeAlloc ...string) *Pipeline {
-	p := &Pipeline{}
+// own returns a copy of a shared pipeline for a caller to set VerifyEach
+// and Observer on.
+func (p *Pipeline) own() *Pipeline {
+	cp := *p
+	return &cp
+}
+
+// shape is what a default pipeline depends on: the options that select
+// passes and the passes put in front of register allocation.
+type shape struct {
+	pdom, predict, inject, skipAlloc bool
+	deconflict                       DeconflictMode
+	before                           [2]string
+}
+
+// defaults memoizes the default pipeline of every shape asked for
+// (shape -> *Pipeline).
+var defaults sync.Map
+
+// pipelineWith is PipelineFor with up to two named argument-free passes
+// ("" for none) put in front of register allocation — the slot every
+// verifying, repairing and reporting variant of the default pipeline
+// uses, because there the barrier layout is final and still stated in
+// virtual ids — or at the end when allocation is skipped. The passes
+// come straight from the registry: no spec string is parsed. The
+// pipeline is built once per shape and shared, so it is the caller's to
+// run but not to set hooks on (own).
+func pipelineWith(opts Options, before1, before2 string) *Pipeline {
+	sh := shape{opts.InsertPDOM, opts.ApplyPredictions, opts.Faults.injectLayer(), opts.SkipAllocation,
+		opts.Deconflict, [2]string{before1, before2}}
+	if p, ok := defaults.Load(sh); ok {
+		return p.(*Pipeline)
+	}
+	var passes []Pass
 	add := func(name, arg string) {
+		if name == "" {
+			return
+		}
 		ps, err := passRegistry[name].Build(arg)
 		if err != nil {
 			// The registry is populated at init; default passes cannot fail.
 			panic(fmt.Sprintf("core: default pipeline: %v", err))
 		}
-		p.passes = append(p.passes, ps)
+		passes = append(passes, ps)
 	}
-	if opts.InsertPDOM {
+	if sh.pdom {
 		add("pdom", "")
 	}
-	if opts.ApplyPredictions {
+	if sh.predict {
 		add("predict", "")
-		if opts.Deconflict != DeconflictNone {
-			add("deconflict", opts.Deconflict.String())
+		if sh.deconflict != DeconflictNone {
+			add("deconflict", sh.deconflict.String())
 		}
 	}
-	if opts.Faults.injectLayer() {
+	if sh.inject {
 		add("inject", "")
 	}
-	for _, name := range beforeAlloc {
-		add(name, "")
-	}
-	if !opts.SkipAllocation {
+	add(before1, "")
+	add(before2, "")
+	if !sh.skipAlloc {
 		add("alloc", "")
 	}
-	return p
+	p, _ := defaults.LoadOrStore(sh, newPipeline(passes))
+	return p.(*Pipeline)
 }
 
 // run executes the pipeline over the context, instrumenting each pass.
 func (p *Pipeline) run(c *PassContext) error {
+	c.result.PassStats = make([]PassStat, 0, len(p.passes))
+	// One pass's counts after are the next one's before.
+	instrs, barOps := c.Mod.NumInstrs(), c.Mod.NumBarrierOps()
 	for _, ps := range p.passes {
 		name := ps.Name()
-		instrsBefore := c.Mod.NumInstrs()
-		barOpsBefore := c.Mod.NumBarrierOps()
+		instrsBefore, barOpsBefore := instrs, barOps
 		mintedBefore := len(c.barriers)
 		remarksBefore := len(c.result.Remarks)
 
@@ -331,14 +404,18 @@ func (p *Pipeline) run(c *PassContext) error {
 		if err != nil {
 			return fmt.Errorf("pass %q: %w", name, err)
 		}
+		if e := ps.Effect(); e != BarriersOnly && e != ReadsOnly {
+			c.facts.Invalidate()
+		}
 
+		instrs, barOps = c.Mod.NumInstrs(), c.Mod.NumBarrierOps()
 		c.result.PassStats = append(c.result.PassStats, PassStat{
 			Pass:             name,
 			Wall:             wall,
 			InstrsBefore:     instrsBefore,
-			InstrsAfter:      c.Mod.NumInstrs(),
+			InstrsAfter:      instrs,
 			BarrierOpsBefore: barOpsBefore,
-			BarrierOpsAfter:  c.Mod.NumBarrierOps(),
+			BarrierOpsAfter:  barOps,
 			BarriersMinted:   len(c.barriers) - mintedBefore,
 			Remarks:          len(c.result.Remarks) - remarksBefore,
 		})

@@ -13,7 +13,7 @@ func init() {
 	// first function's last block.
 	registerSimplePass("breakir",
 		"test-only pass that corrupts the module",
-		false,
+		Rewrites,
 		func(c *PassContext) error {
 			f := c.Mod.Funcs[0]
 			b := f.Blocks[len(f.Blocks)-1]
@@ -328,5 +328,33 @@ func TestRemarkString(t *testing.T) {
 		if got := tc.r.String(); got != tc.want {
 			t.Errorf("Remark.String() = %q, want %q", got, tc.want)
 		}
+	}
+}
+
+// TestDefaultPipelinesAreBuiltOnce: a default pipeline is built the
+// first time its shape is asked for; after that the internal entry
+// points get the shared one for a map lookup and no allocation, and the
+// exported constructors hand out distinct copies of it.
+func TestDefaultPipelinesAreBuiltOnce(t *testing.T) {
+	opts := SpecReconOptions()
+	shared := pipelineWith(opts, "repair", "analyze")
+	if want := "pdom,predict,deconflict=dynamic,repair,analyze,alloc"; shared.Spec() != want {
+		t.Fatalf("spec = %q, want %q", shared.Spec(), want)
+	}
+	other := opts
+	other.ThresholdOverride = 8 // not part of the shape
+	if allocs := testing.AllocsPerRun(100, func() {
+		if pipelineWith(other, "repair", "analyze") != shared {
+			t.Fatal("the same shape built a second pipeline")
+		}
+	}); allocs != 0 {
+		t.Errorf("looking up a built default pipeline allocates %v objects, want 0", allocs)
+	}
+	a, b := SafePipelineFor(opts), SafePipelineFor(opts)
+	if a == b || a == pipelineWith(opts, "barrier-safety", "") {
+		t.Error("SafePipelineFor handed out a shared *Pipeline")
+	}
+	if a.Spec() != b.Spec() || len(a.passes) == 0 || &a.passes[0] != &b.passes[0] {
+		t.Error("two SafePipelineFor results do not share one pass list")
 	}
 }

@@ -21,15 +21,12 @@ func init() {
 				}
 				iters = v
 			}
-			spec := "repair"
-			if arg != "" {
-				spec += "=" + arg
-			}
 			return &pass{
-				name: "repair",
-				spec: spec,
+				name:   "repair",
+				spec:   specOf("repair", arg),
+				effect: BarriersOnly,
 				run: func(c *PassContext) error {
-					rep := repair.Repair(c.Mod, repair.Options{
+					rep := repair.RepairWith(c.facts, repair.Options{
 						ClassOf:  c.barrierClassOf(),
 						MaxIters: iters,
 					})
@@ -54,7 +51,7 @@ func init() {
 // barrier-safety alloc. CompileSafe runs it as the second attempt after
 // a plain SafePipelineFor build is rejected.
 func RepairPipelineFor(opts Options) *Pipeline {
-	return pipelineWith(opts, "repair", "barrier-safety")
+	return pipelineWith(opts, "repair", "barrier-safety").own()
 }
 
 // DiagnoseRepaired is Diagnose with the repair pass ahead of the

@@ -66,26 +66,10 @@ func (e *SafetyError) Error() string {
 func init() {
 	registerSimplePass("barrier-safety",
 		"verify barrier placement: pairing, releases on all exit paths, rejoin discipline, residual conflicts (read-only)",
-		true,
+		ReadsOnly,
 		func(c *PassContext) error {
 			return c.verifyBarrierSafety()
 		})
-}
-
-// classOfKind maps the pass manager's barrier provenance onto the
-// analyzer's class vocabulary.
-func classOfKind(k BarrierKind) analyze.BarrierClass {
-	switch k {
-	case KindPDOM:
-		return analyze.ClassPDOM
-	case KindSpec:
-		return analyze.ClassSpec
-	case KindExit:
-		return analyze.ClassExit
-	case KindSpecCall:
-		return analyze.ClassSpecCall
-	}
-	return analyze.ClassUser
 }
 
 // barrierClassOf returns the analyzer ClassOf callback for the barriers
@@ -93,20 +77,26 @@ func classOfKind(k BarrierKind) analyze.BarrierClass {
 func (c *PassContext) barrierClassOf() func(int) analyze.BarrierClass {
 	return func(bar int) analyze.BarrierClass {
 		if bar >= 0 && bar < len(c.barriers) {
-			return classOfKind(c.barriers[bar].Kind)
+			return c.barriers[bar].Kind
 		}
 		return analyze.ClassUser
 	}
+}
+
+// analyzed runs the static analyzer over the compile's analysis record
+// and keeps its full report on the result: the "barrier-safety" and
+// "analyze" passes are its error layer and its whole.
+func (c *PassContext) analyzed(opts analyze.Options) *analyze.Report {
+	rep := c.facts.Analyze(opts)
+	c.result.Diagnostics, c.result.StaticEff = rep.Diags, rep.Efficiency
+	return rep
 }
 
 // verifyBarrierSafety runs the static analyzer with barrier provenance
 // and returns a *SafetyError when any error-severity diagnostic is
 // found, remarking each one. The full report is kept on the result.
 func (c *PassContext) verifyBarrierSafety() error {
-	rep := analyze.Analyze(c.Mod, analyze.Options{ClassOf: c.barrierClassOf()})
-	c.result.Diagnostics = rep.Diags
-	c.result.StaticEff = rep.Efficiency
-	vs := rep.Errors()
+	vs := c.analyzed(analyze.Options{ClassOf: c.barrierClassOf()}).Errors()
 	if len(vs) == 0 {
 		return nil
 	}
@@ -119,7 +109,7 @@ func (c *PassContext) verifyBarrierSafety() error {
 // SafePipelineFor derives the default pipeline like PipelineFor but with
 // the barrier-safety verifier inserted before register allocation.
 func SafePipelineFor(opts Options) *Pipeline {
-	return pipelineWith(opts, "barrier-safety")
+	return pipelineWith(opts, "barrier-safety", "").own()
 }
 
 // RepairedRemark records that CompileSafe's repair stage rescued a
@@ -164,7 +154,7 @@ type SafeCompilation struct {
 // the baseline itself cannot be built, i.e. the input module is unusable
 // regardless of speculation.
 func CompileSafe(m *ir.Module, opts Options) (*SafeCompilation, error) {
-	comp, err := CompilePipeline(m, opts, SafePipelineFor(opts))
+	comp, err := CompilePipeline(m, opts, pipelineWith(opts, "barrier-safety", ""))
 	if err == nil {
 		return &SafeCompilation{Compilation: comp}, nil
 	}
@@ -174,7 +164,7 @@ func CompileSafe(m *ir.Module, opts Options) (*SafeCompilation, error) {
 	// prediction that does not lower — has no diagnostics to drive it).
 	var se *SafetyError
 	if errors.As(err, &se) {
-		rcomp, rerr := CompilePipeline(m, opts, RepairPipelineFor(opts))
+		rcomp, rerr := CompilePipeline(m, opts, pipelineWith(opts, "repair", "barrier-safety"))
 		if rerr == nil && rcomp.RepairReport != nil && len(rcomp.RepairReport.Edits) > 0 {
 			return &SafeCompilation{
 				Compilation: rcomp,
@@ -189,7 +179,7 @@ func CompileSafe(m *ir.Module, opts Options) (*SafeCompilation, error) {
 		SkipAllocation:    opts.SkipAllocation,
 		AssumeVerified:    opts.AssumeVerified,
 	}
-	base, berr := CompilePipeline(m, fb, SafePipelineFor(fb))
+	base, berr := CompilePipeline(m, fb, pipelineWith(fb, "barrier-safety", ""))
 	if berr != nil {
 		return nil, fmt.Errorf("core: speculative build failed (%v); baseline fallback also failed: %w", err, berr)
 	}

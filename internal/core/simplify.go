@@ -1,6 +1,7 @@
 package core
 
 import (
+	"specrecon/internal/analyze"
 	"specrecon/internal/cfg"
 	"specrecon/internal/ir"
 )
@@ -8,7 +9,7 @@ import (
 func init() {
 	registerSimplePass("simplify",
 		"control-flow cleanup: merge straight-line blocks, skip empty blocks, drop unreachable ones",
-		false,
+		Rewrites,
 		func(c *PassContext) error {
 			for _, f := range c.Mod.Funcs {
 				if n := Simplify(f); n > 0 {
@@ -63,7 +64,7 @@ func simplifyOnce(f *ir.Function) int {
 		}
 	}
 
-	info := cfg.New(f)
+	info := analyze.NewFacts(nil).CFG(f)
 
 	// Empty-block skip: retarget edges around blocks that are just
 	// `br X`.

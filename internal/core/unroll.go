@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"specrecon/internal/analyze"
 	"strconv"
 	"strings"
 
-	"specrecon/internal/cfg"
 	"specrecon/internal/ir"
 )
 
@@ -63,8 +63,7 @@ func UnrollLoop(m *ir.Module, fnName, headerName string, factor int) ([]string, 
 	if f == nil {
 		return nil, fmt.Errorf("core: unroll: function %q missing", fnName)
 	}
-	f.Reindex()
-	info := cfg.New(f)
+	info := analyze.NewFacts(nil).CFG(f)
 	header := f.BlockByName(headerName)
 	if header == nil {
 		return nil, fmt.Errorf("core: unroll: block %q missing", headerName)

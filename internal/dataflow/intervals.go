@@ -1,6 +1,9 @@
 package dataflow
 
 import (
+	"cmp"
+	"slices"
+
 	"specrecon/internal/cfg"
 	"specrecon/internal/ir"
 )
@@ -144,20 +147,15 @@ func splitComponents(f *ir.Function, fp *FuncPoints, bar int, pts Bits) []Interv
 	return out
 }
 
-// FindConflicts returns the conflicting barrier pairs in f where one
-// side is one of the given speculative barriers. The result maps each
-// speculative barrier to the set of barriers it conflicts with. info
-// must be current for f.
-func FindConflicts(f *ir.Function, info *cfg.Info, specBars map[int]bool) map[int]map[int]bool {
+// FindConflicts returns the conflicting barrier pairs {spec, other} in f
+// where spec is one of the given speculative barriers — each pair once,
+// sorted by spec, then other, so that what callers emit per pair never
+// depends on map iteration order. A pair of two speculative barriers
+// appears from both sides. info must be current for f.
+func FindConflicts(f *ir.Function, info *cfg.Info, specBars map[int]bool) [][2]int {
 	intervals, _ := JoinedIntervals(f, info)
 
-	conflicts := make(map[int]map[int]bool)
-	addConflict := func(spec, other int) {
-		if conflicts[spec] == nil {
-			conflicts[spec] = make(map[int]bool)
-		}
-		conflicts[spec][other] = true
-	}
+	var pairs [][2]int
 	for i := 0; i < len(intervals); i++ {
 		for j := i + 1; j < len(intervals); j++ {
 			a, b := intervals[i], intervals[j]
@@ -172,14 +170,17 @@ func FindConflicts(f *ir.Function, info *cfg.Info, specBars map[int]bool) map[in
 				continue
 			}
 			if aSpec {
-				addConflict(a.Bar, b.Bar)
+				pairs = append(pairs, [2]int{a.Bar, b.Bar})
 			}
 			if bSpec {
-				addConflict(b.Bar, a.Bar)
+				pairs = append(pairs, [2]int{b.Bar, a.Bar})
 			}
 		}
 	}
-	return conflicts
+	slices.SortFunc(pairs, func(x, y [2]int) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	return slices.Compact(pairs)
 }
 
 // OverlapNonInclusive reports whether the two point sets intersect with

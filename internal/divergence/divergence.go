@@ -24,6 +24,8 @@
 package divergence
 
 import (
+	"slices"
+
 	"specrecon/internal/cfg"
 	"specrecon/internal/ir"
 )
@@ -47,26 +49,24 @@ type Info struct {
 	DivergentBlock []bool
 }
 
-// Analyze runs the analysis. Calls are handled conservatively: a call
-// makes the callee's clobbered registers (the low halves of both files)
-// divergent if the module is unavailable; when a module is provided,
-// divergence is propagated through callees by treating every register the
-// callee writes as divergent if the callee reads any divergence root.
-// That is coarse but sound, and precise enough for the kernels here.
+// Analyze runs the analysis. Divergence is propagated through calls by
+// treating the registers a call may clobber (the low halves of both
+// files) as divergent when the callee is in CalleeRoots(m); with a nil
+// module no callee is. That is coarse but sound, and precise enough for
+// the kernels here.
 func Analyze(m *ir.Module, f *ir.Function, info *cfg.Info) *Info {
+	return AnalyzeWith(f, info, CalleeRoots(m))
+}
+
+// AnalyzeWith is Analyze given the module's callee-roots set, which a
+// caller analyzing every function of a module computes once.
+func AnalyzeWith(f *ir.Function, info *cfg.Info, calleeDivergent []string) *Info {
 	d := &Info{
 		Fn:              f,
 		DivergentInt:    make([]bool, max(f.NRegs, 1)),
 		DivergentFloat:  make([]bool, max(f.NFRegs, 1)),
 		DivergentBranch: make([]bool, len(f.Blocks)),
 		DivergentBlock:  make([]bool, len(f.Blocks)),
-	}
-
-	calleeDivergent := map[string]bool{}
-	if m != nil {
-		for _, fn := range m.Funcs {
-			calleeDivergent[fn.Name] = functionHasRoots(m, fn, map[string]bool{})
-		}
 	}
 
 	// Fixed point over register divergence.
@@ -145,7 +145,7 @@ func Analyze(m *ir.Module, f *ir.Function, info *cfg.Info) *Info {
 
 // transfer applies one instruction's divergence propagation, reporting
 // whether any register changed to divergent.
-func (d *Info) transfer(in *ir.Instr, calleeDivergent map[string]bool) bool {
+func (d *Info) transfer(in *ir.Instr, calleeDivergent []string) bool {
 	sig := ir.OperandFiles(in.Op)
 	srcDivergent := false
 	if in.Op.IsDivergenceSource() {
@@ -172,7 +172,7 @@ func (d *Info) transfer(in *ir.Instr, calleeDivergent map[string]bool) bool {
 	}
 	use(in.C, sig.C)
 
-	if in.Op == ir.OpCall && calleeDivergent[in.Callee] {
+	if in.Op == ir.OpCall && slices.Contains(calleeDivergent, in.Callee) {
 		// The callee derives values from divergence roots and may leave
 		// them in the clobberable low registers.
 		changed := false
@@ -217,24 +217,33 @@ func (d *Info) transfer(in *ir.Instr, calleeDivergent map[string]bool) bool {
 	return false
 }
 
-// functionHasRoots reports whether fn (or anything it transitively calls)
-// contains a divergence-root opcode.
-func functionHasRoots(m *ir.Module, fn *ir.Function, visiting map[string]bool) bool {
-	if visiting[fn.Name] {
-		return false
+// CalleeRoots returns the names of m's functions that contain a
+// divergence-root opcode or, through any chain of calls, reach one that
+// does: the least fixed point, so recursive cycles neither loop nor hide
+// a root behind them. The set is a short list (a module has a handful
+// of functions), never nil.
+func CalleeRoots(m *ir.Module) []string {
+	roots := []string{}
+	for changed := m != nil; changed; {
+		changed = false
+		for _, fn := range m.Funcs {
+			if !slices.Contains(roots, fn.Name) && hasRoot(fn, roots) {
+				roots, changed = append(roots, fn.Name), true
+			}
+		}
 	}
-	visiting[fn.Name] = true
-	defer delete(visiting, fn.Name)
+	return roots
+}
+
+// hasRoot reports whether fn contains a divergence-root opcode or a call
+// to a function in roots.
+func hasRoot(fn *ir.Function, roots []string) bool {
 	for _, b := range fn.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.Op.IsDivergenceSource() || in.Op == ir.OpAtomAdd || in.Op == ir.OpFAtomAdd {
+			if in.Op.IsDivergenceSource() || in.Op == ir.OpAtomAdd || in.Op == ir.OpFAtomAdd ||
+				in.Op == ir.OpCall && slices.Contains(roots, in.Callee) {
 				return true
-			}
-			if in.Op == ir.OpCall {
-				if callee := m.FuncByName(in.Callee); callee != nil && functionHasRoots(m, callee, visiting) {
-					return true
-				}
 			}
 		}
 	}

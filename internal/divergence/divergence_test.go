@@ -1,6 +1,7 @@
 package divergence
 
 import (
+	"slices"
 	"testing"
 
 	"specrecon/internal/cfg"
@@ -219,5 +220,95 @@ func TestDivergentBlockRegion(t *testing.T) {
 	}
 	if d.DivergentBlock[merge.Index] || d.DivergentBlock[tail.Index] {
 		t.Error("post-dominator and beyond should not be divergent blocks")
+	}
+}
+
+// calleeRootsByPaths is the per-function, path-exploring search that
+// CalleeRoots replaced (Analyze ran it for every function of the module
+// on every call); kept as the oracle.
+func calleeRootsByPaths(m *ir.Module, fn *ir.Function, visiting map[string]bool) bool {
+	if visiting[fn.Name] {
+		return false
+	}
+	visiting[fn.Name] = true
+	defer delete(visiting, fn.Name)
+	for _, b := range fn.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if in.Op.IsDivergenceSource() || in.Op == ir.OpAtomAdd || in.Op == ir.OpFAtomAdd {
+				return true
+			}
+			if in.Op == ir.OpCall {
+				if callee := m.FuncByName(in.Callee); callee != nil && calleeRootsByPaths(m, callee, visiting) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestCalleeRootsThroughCycles pins the module-level callee-roots set: a
+// root reached only through a callee marks every caller up the chain,
+// functions on a recursive cycle are marked when the cycle reaches a
+// root and stay unmarked (and terminate) when it does not, and a call
+// out of the module marks nothing.
+func TestCalleeRootsThroughCycles(t *testing.T) {
+	m := ir.NewModule("t")
+	calls := func(name string, callees ...string) {
+		f := m.NewFunction(name)
+		b := ir.NewBuilder(f)
+		b.SetBlock(f.NewBlock("c"))
+		for _, c := range callees {
+			b.Call(c)
+		}
+		b.Ret()
+	}
+	leaf := m.NewFunction("leaf")
+	{
+		b := ir.NewBuilder(leaf)
+		b.SetBlock(leaf.NewBlock("c"))
+		b.MovTo(ir.Reg(0), b.Rand())
+		b.Ret()
+	}
+	calls("ping", "pong")
+	calls("pong", "ping", "leaf")
+	calls("quiet", "quiet2", "elsewhere")
+	calls("quiet2", "quiet")
+	calls("k", "quiet", "ping")
+	calls("calm", "quiet")
+
+	roots := CalleeRoots(m)
+	want := map[string]bool{"leaf": true, "ping": true, "pong": true, "k": true}
+	for _, f := range m.Funcs {
+		got := slices.Contains(roots, f.Name)
+		if got != want[f.Name] {
+			t.Errorf("%s in CalleeRoots: %v, want %v", f.Name, got, want[f.Name])
+		}
+		if old := calleeRootsByPaths(m, f, map[string]bool{}); got != old {
+			t.Errorf("%s in CalleeRoots: %v, the path search says %v", f.Name, got, old)
+		}
+	}
+	if len(CalleeRoots(nil)) != 0 {
+		t.Error("a nil module has no callee roots")
+	}
+
+	// The set is what Analyze consults at a call: r0 survives a call
+	// into the rootless cycle and is clobbered by one whose root sits
+	// two calls down.
+	for _, tc := range []struct {
+		callee    string
+		divergent bool
+	}{{"quiet", false}, {"ping", true}} {
+		f := m.NewFunction("caller_" + tc.callee)
+		b := ir.NewBuilder(f)
+		b.SetBlock(f.NewBlock("e"))
+		r0 := b.Reg()
+		b.ConstTo(r0, 0)
+		b.Call(tc.callee)
+		b.Exit()
+		if d := Analyze(m, f, cfg.New(f)); d.DivergentInt[r0] != tc.divergent {
+			t.Errorf("r0 after call %s: divergent = %v, want %v", tc.callee, d.DivergentInt[r0], tc.divergent)
+		}
 	}
 }

@@ -166,14 +166,20 @@ func EditsFor(d analyze.Diagnostic) []analyze.Edit {
 // Repair drives the analyze-edit-reanalyze fixpoint over m, mutating it
 // in place (clone first to keep the original). It never fails: the
 // outcome, including every stop reason, is the Report.
-func Repair(m *ir.Module, opts Options) *Report {
+func Repair(m *ir.Module, opts Options) *Report { return RepairWith(analyze.NewFacts(m), opts) }
+
+// RepairWith is Repair over the module of an analysis record the caller
+// already holds. Every round re-analyzes through the record: the edits
+// are barrier operations, which falsify nothing in it.
+func RepairWith(fa *analyze.Facts, opts Options) *Report {
+	m := fa.Module()
 	maxIters := opts.MaxIters
 	if maxIters <= 0 {
 		maxIters = DefaultMaxIters
 	}
 	aOpts := analyze.Options{ClassOf: opts.ClassOf, EffNoteBelow: opts.EffNoteBelow}
 
-	rep := analyze.Analyze(m, aOpts)
+	rep := fa.Analyze(aOpts)
 	r := &Report{Before: rep.Diags}
 	initial := errorCodes(rep.Errors())
 
@@ -201,7 +207,7 @@ func Repair(m *ir.Module, opts Options) *Report {
 		for _, e := range batch {
 			r.Edits = append(r.Edits, AppliedEdit{Iter: iter, Code: e.code, Edit: e.edit})
 		}
-		rep = analyze.Analyze(m, aOpts)
+		rep = fa.Analyze(aOpts)
 		r.Remaining = rep.Errors()
 		if fp := fingerprint(m); seen[fp] {
 			r.GaveUp = GaveUpOscillation
