@@ -28,13 +28,17 @@ race:
 # sharded grids, the stack model sharing one compiled module across
 # goroutines, the SM sharding and CoW merge determinism (in-place
 # delivery at Workers 1 against replayed buffers at 2 and 4, on
-# completing, failing and relaunched grids), and the two divergence
+# completing, failing and relaunched grids), the two divergence
 # models against each other on every launch shape, sharded grids
-# included. The obs line re-runs
+# included, every sink against a caller that overwrites its Event after
+# each call (TestSinksDoNotRetainEvent), and what a Workers 2 launch
+# allocates for its per-SM replay buffers against what they hold. The obs
+# line re-runs
 # TestTraceMatchesReference with them: the trace recorder against the
 # parent's buffer-and-encode exporter (trace_ref_test.go), byte for
 # byte, over the 12 workloads under both builds and a grid sharded
-# over two worker goroutines. The core/ccache line re-runs the compile's
+# over two worker goroutines — and the recorders' bytes against what
+# they keep (TestRecordersAllocateWhatTheyHold). The core/ccache line re-runs the compile's
 # analysis record against a recompute after every pass of every pipeline
 # (TestAnalysisRecordIsTheRecompute, with its planted faults), and two
 # goroutines setting hooks on the memoized default pipelines they were
@@ -46,7 +50,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/harness
 	$(GO) test -race -count=1 ./internal/obs
-	$(GO) test -race -count=1 -run 'GroupTableIsTheScan|LazyPCsMatchEagerShadow|StackEngineSharesModule|GridShardingDeterministic|CoWMatchesPlainCopyModel|CrossWarpCTABarOnEveryDriver|ModelsAgreeOnEveryDriver' ./internal/simt
+	$(GO) test -race -count=1 -run 'GroupTableIsTheScan|LazyPCsMatchEagerShadow|StackEngineSharesModule|GridShardingDeterministic|CoWMatchesPlainCopyModel|CrossWarpCTABarOnEveryDriver|ModelsAgreeOnEveryDriver|SinksDoNotRetainEvent|ReplayBuffersAllocateWhatTheyHold' ./internal/simt
 	$(GO) test -race -count=1 -run 'AnalysisRecordIsTheRecompute|ShadowCatchesPlantedFaults|DefaultPipelinesAreNotSharedMutably' ./internal/core ./internal/ccache
 	$(MAKE) scale-smoke
 	$(MAKE) fuzz-smoke
@@ -135,8 +139,9 @@ bench-pairs:
 # testdata/perfgate on what is deterministic on a shared host — no failed
 # op, every result_digest equal, and allocs_per_op, alloc_mb_per_op and
 # heap_live_mb within the bounds BENCHMARK.json gives them. Wall time is
-# not gated here (it moves ±10% on this host); bench-pairs judges it.
-# perf gate exits 2 if GATE_WORKLOADS lacks a workload BENCHMARK.json
+# not gated here (it moves ±10% on this host); bench-pairs judges it. A
+# metric that beats its record by more than its bound passes with a
+# "stale" line naming perf-baseline. perf gate exits 2 if GATE_WORKLOADS lacks a workload BENCHMARK.json
 # lists. perf-baseline is the same run written over the committed
 # records: run it, and commit the result, in the PR that means to move a
 # digest or an allocation count.
@@ -212,9 +217,10 @@ cache-smoke:
 # registry and snapshot, worker-pool instrumentation, sampler
 # attribution — runs under -race. That the sampler adds zero allocations
 # to the issue loop is pinned by TestSteadyStateIssueAllocFreeGrid, and
-# that the observers allocate by the doubling of a few lists, never per
-# event, by TestTraceRecorderAllocsPerEvent and perf-gate's
-# observed_grid allocs_per_op.
+# that the observers allocate what they keep, a chunk at a time and never
+# per event, by TestTraceRecorderAllocsPerEvent,
+# TestRecordersAllocateWhatTheyHold and perf-gate's observed_grid
+# allocation metrics.
 telemetry-smoke:
 	rm -rf /tmp/specrecon-telemetry-smoke
 	mkdir -p /tmp/specrecon-telemetry-smoke

@@ -16,7 +16,10 @@ import (
 // ±10% here and are judged by `perf pairs`) within the bound
 // BENCHMARK.json gives it, as fresh/base - 1 — the rule `bench -compare`
 // applies. Workloads, metrics and bounds all come from BENCHMARK.json;
-// there is no second copy and no option.
+// there is no second copy and no option. A metric that reads better than
+// its record by more than its bound passes with a "stale" line: the
+// record leaves that much for a later change to lose unseen, so the
+// change that moved it re-records (`make perf-baseline`).
 //
 // Exit status: 0 when everything holds, 1 when something does not, 2 on
 // an unreadable BENCHMARK.json, a workload with no record in a
@@ -75,6 +78,10 @@ func gate(args []string, stdout, stderr io.Writer) int {
 			ratio, lim := vf.Value/vb.Value, limit{"<=", 1 + m.Bound}
 			check(lim.holds(ratio), "%s %s: %g -> %g (ratio %.4f), want %s",
 				w.Name, m.Name, vb.Value, vf.Value, ratio, lim)
+			if ratio < 1-m.Bound {
+				fmt.Fprintf(stdout, "stale %s %s: the committed record is %.1f%% above this run, more than the %g%% bound; run `make perf-baseline` and commit %s\n",
+					w.Name, m.Name, 100*(1/ratio-1), 100*m.Bound, args[1])
+			}
 		}
 	}
 	if failures > 0 {

@@ -71,6 +71,8 @@ func TestGateExitCodes(t *testing.T) {
 	}{
 		{"identical", benchmarkJSON, "sweep", unchanged, 0, "6 workloads hold"},
 		{"allocs +2% is inside the 3% bound", benchmarkJSON, "campaign", scale(1.02, "allocs_per_op", "alloc_mb_per_op"), 0, "6 workloads hold"},
+		{"alloc_mb_per_op -2% is inside the 3% bound", benchmarkJSON, "campaign", scale(0.98, "alloc_mb_per_op"), 0, "6 workloads hold"},
+		{"alloc_mb_per_op -50% passes and calls the record stale", benchmarkJSON, "observed_grid", scale(0.5, "alloc_mb_per_op"), 0, "stale observed_grid alloc_mb_per_op: the committed record is 100.0% above this run, more than the 3% bound; run `make perf-baseline`"},
 		{"allocs_per_op +5%", benchmarkJSON, "observed_grid", scale(1.05, "allocs_per_op"), 1, "FAIL observed_grid allocs_per_op"},
 		{"alloc_mb_per_op +5%", benchmarkJSON, "grid_launch", scale(1.05, "alloc_mb_per_op"), 1, "FAIL grid_launch alloc_mb_per_op"},
 		{"heap_live_mb +20%", benchmarkJSON, "sweep", scale(1.20, "heap_live_mb"), 1, "FAIL sweep heap_live_mb"},
@@ -94,9 +96,13 @@ func TestGateExitCodes(t *testing.T) {
 			if !strings.Contains(out, tc.want) {
 				t.Errorf("output missing %q:\n%s", tc.want, out)
 			}
-			// One planted change fails one check, not its neighbours.
+			// One planted change fails one check, not its neighbours, and
+			// only a record beaten by more than its bound is called stale.
 			if tc.code == 1 && strings.Count(stdout, "FAIL") != 1 {
 				t.Errorf("want exactly one FAIL line:\n%s", stdout)
+			}
+			if stale := strings.Count(stdout, "stale "); stale != strings.Count(tc.want, "stale ") {
+				t.Errorf("%d stale lines:\n%s", stale, stdout)
 			}
 		})
 	}

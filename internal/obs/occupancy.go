@@ -14,9 +14,10 @@ import (
 //     adds into its fields — attach one per SM via simt.Config.SMSamples
 //     and the 0-allocs/issue property holds with sampling enabled (the
 //     sampler cases of TestSteadyStateIssueAllocFree* pin this).
-//   - OccupancyRecorder buffers every sample for timelines and the
-//     Perfetto counter tracks; like TraceRecorder it allocates as the
-//     buffer grows, so use it for runs you intend to look at.
+//   - OccupancyRecorder keeps every sample for timelines and the
+//     Perfetto counter tracks; like TraceRecorder it keeps them in a
+//     simt.Log — 56 bytes a sample, allocated a chunk at a time and never
+//     copied — so use it for runs you intend to look at.
 
 // OccupancyStats aggregates samples into per-window sums. The zero
 // value is ready to use. It implements simt.SampleSink.
@@ -123,49 +124,48 @@ func (o *OccupancyStats) NoEligibleFrac() float64 {
 // issue-slot utilization.
 func (o *OccupancyStats) IssueEfficiency() float64 { return o.stallFrac(o.IssuedSum) }
 
-// OccupancyRecorder buffers every sample (implements simt.SampleSink;
-// attach via simt.Config.Samples for deterministic SM-ordered replay).
+// OccupancyRecorder keeps every sample, in arrival order (implements
+// simt.SampleSink; attach via simt.Config.Samples for deterministic
+// SM-ordered replay), and notes the largest SM index and the last cycle
+// as the samples arrive, so every reader below is one walk of the log.
 type OccupancyRecorder struct {
-	samples []simt.Sample
+	samples  simt.Log[simt.Sample]
+	maxSM    int32
+	endCycle int64
 }
 
 // NewOccupancyRecorder returns an empty recorder.
 func NewOccupancyRecorder() *OccupancyRecorder { return &OccupancyRecorder{} }
 
 // Sample implements simt.SampleSink.
-func (r *OccupancyRecorder) Sample(s simt.Sample) { r.samples = append(r.samples, s) }
+func (r *OccupancyRecorder) Sample(s simt.Sample) {
+	r.maxSM = max(r.maxSM, s.SM)
+	r.endCycle = max(r.endCycle, s.Cycle)
+	r.samples.Append(s)
+}
 
 // Len returns the number of recorded samples.
-func (r *OccupancyRecorder) Len() int { return len(r.samples) }
+func (r *OccupancyRecorder) Len() int { return r.samples.Len() }
 
-// Samples returns the recorded samples (aliasing the buffer).
-func (r *OccupancyRecorder) Samples() []simt.Sample { return r.samples }
+// Each calls visit with every recorded sample, in arrival order; the
+// pointer is into the recorder's log and must not be written through.
+func (r *OccupancyRecorder) Each(visit func(*simt.Sample)) { r.samples.Each(visit) }
 
 // Stats aggregates every recorded sample.
 func (r *OccupancyRecorder) Stats() OccupancyStats {
 	var o OccupancyStats
-	for _, s := range r.samples {
-		o.Sample(s)
-	}
+	r.Each(func(s *simt.Sample) { o.Sample(*s) })
 	return o
 }
 
 // PerSM aggregates the samples per SM, indexed by SM (length = max SM
 // index + 1; nil when nothing was recorded).
 func (r *OccupancyRecorder) PerSM() []OccupancyStats {
-	if len(r.samples) == 0 {
+	if r.Len() == 0 {
 		return nil
 	}
-	max := int32(0)
-	for _, s := range r.samples {
-		if s.SM > max {
-			max = s.SM
-		}
-	}
-	out := make([]OccupancyStats, max+1)
-	for _, s := range r.samples {
-		out[s.SM].Sample(s)
-	}
+	out := make([]OccupancyStats, r.maxSM+1)
+	r.Each(func(s *simt.Sample) { out[s.SM].Sample(*s) })
 	return out
 }
 
@@ -195,38 +195,23 @@ func (r *OccupancyRecorder) WriteMarkdown(w io.Writer) error {
 			100*o.IssueEfficiency(), 100*o.StallBarrierFrac(), 100*o.StallCTABarFrac(),
 			100*o.NoEligibleFrac(), o.MemStallCycles)
 	}
-
-	endCycle := int64(0)
-	for _, s := range r.samples {
-		if s.Cycle > endCycle {
-			endCycle = s.Cycle
-		}
-	}
-	if endCycle == 0 {
+	if r.endCycle == 0 {
 		return nil
 	}
 	fmt.Fprintf(w, "\nIssue activity over time (columns = cycle buckets of %d cycles; digit = issued/resident, 0–9):\n\n```\n",
-		(endCycle+timelineBuckets-1)/timelineBuckets)
-	var issued, resident [timelineBuckets]int64
+		(r.endCycle+timelineBuckets-1)/timelineBuckets)
+	// Every SM's strip is filled in one more walk of the samples.
+	strips := make([]struct{ issued, resident [timelineBuckets]int64 }, len(per))
+	r.Each(func(s *simt.Sample) {
+		b := min(max(int((s.Cycle-1)*timelineBuckets/r.endCycle), 0), timelineBuckets-1)
+		strips[s.SM].issued[b] += int64(s.Issued)
+		strips[s.SM].resident[b] += int64(s.Resident)
+	})
 	for sm := range per {
 		if per[sm].Samples == 0 {
 			continue
 		}
-		issued, resident = [timelineBuckets]int64{}, [timelineBuckets]int64{}
-		for _, s := range r.samples {
-			if int(s.SM) != sm {
-				continue
-			}
-			b := int((s.Cycle - 1) * timelineBuckets / endCycle)
-			if b < 0 {
-				b = 0
-			}
-			if b >= timelineBuckets {
-				b = timelineBuckets - 1
-			}
-			issued[b] += int64(s.Issued)
-			resident[b] += int64(s.Resident)
-		}
+		issued, resident := &strips[sm].issued, &strips[sm].resident
 		fmt.Fprintf(w, "sm %2d |", sm)
 		for b := 0; b < timelineBuckets; b++ {
 			switch {

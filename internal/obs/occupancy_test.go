@@ -3,6 +3,8 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -32,7 +34,8 @@ func sampleGrid(t *testing.T, stride int64) *obs.OccupancyRecorder {
 // derived ratios' ranges.
 func TestOccupancyStatsAggregation(t *testing.T) {
 	rec := sampleGrid(t, 8)
-	samples := rec.Samples()
+	var samples []simt.Sample
+	rec.Each(func(s *simt.Sample) { samples = append(samples, *s) })
 	if len(samples) == 0 {
 		t.Fatal("no samples recorded")
 	}
@@ -91,26 +94,29 @@ func TestOccupancyPerSM(t *testing.T) {
 	}
 }
 
-// TestOccupancyMarkdown renders the timeline section and checks the
-// table header, one row and one strip per SM, and the empty-recorder
-// fallback.
+// TestOccupancyMarkdown holds the timeline section of the 4-SM grid —
+// the summary table, one row and one strip per SM — to its golden, which
+// the renderer that walked the samples once per SM strip wrote
+// (regenerate with -update after an intentional format change), and
+// checks the empty-recorder fallback.
 func TestOccupancyMarkdown(t *testing.T) {
 	rec := sampleGrid(t, 8)
 	var buf bytes.Buffer
 	if err := rec.WriteMarkdown(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "| sm | samples | avg resident |") {
-		t.Errorf("missing summary header:\n%s", out)
-	}
-	for _, want := range []string{"| 0 |", "| 3 |", "sm  0 |", "sm  3 |"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in occupancy markdown:\n%s", want, out)
+	golden := filepath.Join("testdata", "occupancy_golden.md")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatalf("update golden: %v", err)
 		}
 	}
-	if !strings.Contains(out, "Issue activity over time") {
-		t.Errorf("missing timeline strip:\n%s", out)
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("occupancy markdown differs from %s (rerun with -update if intentional)\ngot:\n%s", golden, buf.Bytes())
 	}
 
 	buf.Reset()

@@ -175,7 +175,7 @@ func (p *Profile) warp(w int32) *laneWaitState {
 
 // Event implements simt.EventSink. It performs no allocation on the
 // issue/branch path.
-func (p *Profile) Event(ev simt.Event) {
+func (p *Profile) Event(ev *simt.Event) {
 	switch ev.Kind {
 	case simt.EvIssue:
 		if ev.PC < 0 || int(ev.PC) >= len(p.counters) {

@@ -38,16 +38,19 @@ const trackStride = ir.NumBarrierRegs + 1
 // pointer-free structs, with each block's name escaped once. Most
 // events (an issue inside the block its warp is already in, a cache
 // access, a call) store nothing, so a recorder holds about a twentieth
-// of the stream's bytes and allocates only as the record list doubles
-// (TestTraceRecorderAllocsPerEvent); occupancy samples are kept as they
-// arrive. Warp indices must be non-negative and barrier registers
-// within [0, ir.NumBarrierRegs), as the simulator guarantees; events
-// outside that are counted by Len but leave no track.
+// of the stream's bytes; the records and the occupancy samples, kept as
+// they arrive, go into simt.Logs, so the recorder allocates what it holds
+// plus at most a chunk of each (TestRecordersAllocateWhatTheyHold) and
+// never per event (TestTraceRecorderAllocsPerEvent). An Event is read
+// during the call and nothing of it is kept but copied fields and the
+// module's own name strings. Warp indices must be non-negative and
+// barrier registers within [0, ir.NumBarrierRegs), as the simulator
+// guarantees; events outside that are counted by Len but leave no track.
 type TraceRecorder struct {
 	n        int // events received
 	warps    []warpTrack
-	recs     []traceRec
-	samples  []simt.Sample
+	recs     simt.Log[traceRec]
+	samples  simt.Log[simt.Sample]
 	names    []blockName
 	nameIDs  map[nameKey]int32
 	maxSM    int32
@@ -111,8 +114,10 @@ func NewTraceRecorder() *TraceRecorder {
 // Len returns the number of events received.
 func (r *TraceRecorder) Len() int { return r.n }
 
-// track returns warp's fold state, growing the table by doubling so a
-// launch of thousands of warps sizes it in a handful of steps.
+// track returns warp's fold state. The table is indexed, so it is a
+// slice and not a Log: it at least doubles when a warp index falls
+// outside it, and a launch of thousands of warps sizes it in a handful of
+// steps.
 func (r *TraceRecorder) track(warp int32) *warpTrack {
 	if int(warp) >= len(r.warps) {
 		grown := make([]warpTrack, max(int(warp)+1, 2*len(r.warps)))
@@ -146,7 +151,7 @@ func (r *TraceRecorder) intern(ev *simt.Event) int32 {
 }
 
 // Event implements simt.EventSink: one step of the trace fold.
-func (r *TraceRecorder) Event(ev simt.Event) {
+func (r *TraceRecorder) Event(ev *simt.Event) {
 	r.n++
 	if c := ev.Cycle + ev.Cost; c > r.endCycle {
 		r.endCycle = c
@@ -168,15 +173,15 @@ func (r *TraceRecorder) Event(ev simt.Event) {
 				return
 			}
 			rec.kind = recBlockEnd
-			r.recs = append(r.recs, rec)
+			r.recs.Append(rec)
 		}
 		wt.fn, wt.blk, wt.blockOpen = ev.Fn, ev.Blk, true
-		rec.kind, rec.name = recBlockBegin, r.intern(&ev)
+		rec.kind, rec.name = recBlockBegin, r.intern(ev)
 	case simt.EvBranch:
 		if !ev.Diverged() {
 			return
 		}
-		rec.kind, rec.name, rec.aux = recDiverge, r.intern(&ev), ev.Aux
+		rec.kind, rec.name, rec.aux = recDiverge, r.intern(ev), ev.Aux
 	case simt.EvBarrierWait, simt.EvCTABarWait:
 		if ev.Bar < 0 || ev.Bar >= ir.NumBarrierRegs {
 			return
@@ -193,7 +198,7 @@ func (r *TraceRecorder) Event(ev simt.Event) {
 			rec.kind = recCTABarBegin
 			wt.barCTA |= bit
 		}
-		rec.bar, rec.name, rec.aux = uint8(ev.Bar), r.intern(&ev), uint32(ev.Ins)
+		rec.bar, rec.name, rec.aux = uint8(ev.Bar), r.intern(ev), uint32(ev.Ins)
 	case simt.EvBarrierRelease, simt.EvCTABarRelease:
 		if ev.Bar < 0 || ev.Bar >= ir.NumBarrierRegs {
 			return
@@ -211,7 +216,7 @@ func (r *TraceRecorder) Event(ev simt.Event) {
 	default:
 		return
 	}
-	r.recs = append(r.recs, rec)
+	r.recs.Append(rec)
 }
 
 // Sample implements simt.SampleSink: occupancy samples recorded here
@@ -225,7 +230,7 @@ func (r *TraceRecorder) Sample(s simt.Sample) {
 	if s.Cycle > r.endCycle {
 		r.endCycle = s.Cycle
 	}
-	r.samples = append(r.samples, s)
+	r.samples.Append(s)
 }
 
 // WriteTrace renders what was recorded so far as Chrome trace-event
@@ -276,8 +281,7 @@ func (r *TraceRecorder) WriteTrace(w io.Writer) error {
 		}
 	}
 
-	for i := range r.recs {
-		rec := &r.recs[i]
+	r.recs.Each(func(rec *traceRec) {
 		pid, tid := int(rec.sm), int(rec.warp)*trackStride
 		switch rec.kind {
 		case recBlockBegin:
@@ -298,7 +302,7 @@ func (r *TraceRecorder) WriteTrace(w io.Writer) error {
 			tw.argHex("released", rec.mask)
 		}
 		tw.close()
-	}
+	})
 
 	// Per-SM utilization counter tracks, one point per occupancy sample.
 	// Stacked "sm occupancy" areas decompose the resident warps into
@@ -306,8 +310,7 @@ func (r *TraceRecorder) WriteTrace(w io.Writer) error {
 	// stall" carries the window's memory-transaction cycles. Samples
 	// arrive SM-ordered (the simulator delivers SM by SM), so the output
 	// stays deterministic.
-	for i := range r.samples {
-		s := &r.samples[i]
+	r.samples.Each(func(s *simt.Sample) {
 		tw.open('C', s.Cycle, int(s.SM), 0, text("sm occupancy"))
 		tw.argInt("eligible idle", int64(max(s.Eligible-s.Issued, 0)))
 		tw.argInt("issued", int64(s.Issued))
@@ -318,7 +321,7 @@ func (r *TraceRecorder) WriteTrace(w io.Writer) error {
 		tw.open('C', s.Cycle, int(s.SM), 0, text("sm mem stall"))
 		tw.argInt("cycles", s.MemStallCycles)
 		tw.close()
-	}
+	})
 
 	// Close every span still open at the end of the run: block spans by
 	// warp, then wait spans by (warp, barrier), each under the name it

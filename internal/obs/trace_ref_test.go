@@ -310,8 +310,8 @@ type refCapture struct {
 
 func newRefCapture() *refCapture { return &refCapture{rec: obs.NewTraceRecorder()} }
 
-func (c *refCapture) Event(ev simt.Event) {
-	c.events = append(c.events, ev)
+func (c *refCapture) Event(ev *simt.Event) {
+	c.events = append(c.events, *ev)
 	c.rec.Event(ev)
 }
 
@@ -452,7 +452,7 @@ func TestTraceMatchesReference(t *testing.T) {
 				if k == simt.EvBarrierRelease {
 					ev.Warp = []int32{0, 7, 130}[(i+1)%3] // mostly releases nothing
 				}
-				c.Event(ev)
+				c.Event(&ev)
 				cycle += 3
 			}
 		}
@@ -469,7 +469,7 @@ func TestTraceMatchesReference(t *testing.T) {
 func TestTraceClosesCTABarSpanUnderItsName(t *testing.T) {
 	c := newRefCapture()
 	wait := func(kind simt.EventKind, warp int32, bar int16, cycle int64) {
-		c.Event(simt.Event{
+		c.Event(&simt.Event{
 			Kind: kind, Warp: warp, Bar: bar, Cycle: cycle, Mask: 1,
 			FnName: "k", BlockName: "e", Ins: 3,
 		})

@@ -7,7 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"specrecon/internal/core"
 	"specrecon/internal/ir"
@@ -182,10 +184,11 @@ func rsbenchSpec(t testing.TB, shape workloads.BuildConfig) (*ir.Module, simt.Co
 
 // TestTraceRecorderAllocsPerEvent bounds what recording costs the
 // allocator: the recorder stores a record for a few percent of the
-// events and grows its lists by doubling, so a fresh recorder fed a
-// whole RSBench launch must stay far under one allocation per twenty
-// events. This guards against a per-event allocation creeping in; the
-// bytes are BenchmarkObservedLaunch's to watch.
+// events, in a log that allocates a chunk of up to simt.LogChunkCap
+// records at a time, so a fresh recorder fed a whole RSBench launch must
+// stay far under one allocation per twenty events. This guards against a
+// per-event allocation creeping in; the bytes are
+// TestRecordersAllocateWhatTheyHold's to bound.
 func TestTraceRecorderAllocsPerEvent(t *testing.T) {
 	mod, cfg := rsbenchSpec(t, workloads.BuildConfig{})
 	var events []simt.Event
@@ -196,7 +199,7 @@ func TestTraceRecorderAllocsPerEvent(t *testing.T) {
 	perRun := testing.AllocsPerRun(3, func() {
 		rec := obs.NewTraceRecorder()
 		for i := range events {
-			rec.Event(events[i])
+			rec.Event(&events[i])
 		}
 	})
 	if perEvent := perRun / float64(len(events)); perEvent >= 0.05 {
@@ -204,14 +207,71 @@ func TestTraceRecorderAllocsPerEvent(t *testing.T) {
 	}
 }
 
+// allocated returns the bytes f allocates.
+func allocated(f func()) int {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return int(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestRecordersAllocateWhatTheyHold bounds the bytes the two recorders
+// allocate for the streams of an RSBench grid launch sampled every pass:
+// what they end up holding, a quarter more, and one capped chunk per log
+// — a fresh OccupancyRecorder for its samples, a fresh TraceRecorder for
+// its records and the same samples. Lists grown by append allocated
+// about five times what they held.
+func TestRecordersAllocateWhatTheyHold(t *testing.T) {
+	mod, cfg := rsbenchSpec(t, workloads.BuildConfig{Grid: 4, CTASize: 2 * ir.WarpWidth, SMs: 2})
+	var events []simt.Event
+	var samples []simt.Sample
+	cfg.Events = simt.SinkFunc(func(ev simt.Event) { events = append(events, ev) })
+	cfg.SampleStride, cfg.Samples = 1, simt.SampleSinkFunc(func(s simt.Sample) { samples = append(samples, s) })
+	if _, err := simt.Run(mod, cfg); err != nil {
+		t.Fatal(err)
+	}
+	sampleSize := int(unsafe.Sizeof(simt.Sample{}))
+	if len(samples) < 3*simt.LogChunkCap {
+		t.Fatalf("%d samples, too few to fill three capped chunks", len(samples))
+	}
+	check := func(what string, got, held, chunk int) {
+		t.Helper()
+		if bound := held + held/4 + chunk; got < held || got > bound {
+			t.Errorf("%s allocated %d bytes to hold %d, want between that and %d", what, got, held, bound)
+		}
+	}
+
+	occ := obs.NewOccupancyRecorder()
+	got := allocated(func() {
+		for _, s := range samples {
+			occ.Sample(s)
+		}
+	})
+	check("OccupancyRecorder", got, occ.Len()*sampleSize, simt.LogChunkCap*sampleSize)
+
+	rec := obs.NewTraceRecorder()
+	got = allocated(func() {
+		for i := range events {
+			rec.Event(&events[i])
+		}
+		for _, s := range samples {
+			rec.Sample(s)
+		}
+	})
+	// Two logs, so two last chunks; a trace record is smaller than a sample.
+	check("TraceRecorder", got, rec.HeldBytes(), 2*simt.LogChunkCap*sampleSize)
+}
+
 // BenchmarkObservedLaunch is one launch as a person looking at a kernel
 // runs it — the RSBench speculative build as a 4x64 grid on 2 SMs with
 // the profiler and the trace recorder on the event stream and the
 // recorder on the occupancy sampler at stride 16 — followed by the
 // trace export: a quick speed and allocs/op probe. The gates are
-// TestTraceRecorderAllocsPerEvent above and `make perf-gate` on the
-// observed_grid workload: the observers may allocate as their lists
-// double, never per event.
+// TestTraceRecorderAllocsPerEvent and TestRecordersAllocateWhatTheyHold
+// above and `make perf-gate` on the observed_grid workload: the observers
+// allocate what they keep, a chunk at a time, never per event and never
+// to copy what they already hold.
 func BenchmarkObservedLaunch(b *testing.B) {
 	mod, cfg := rsbenchSpec(b, workloads.BuildConfig{Grid: 4, CTASize: 2 * ir.WarpWidth, SMs: 2})
 	cfg.SampleStride = 16

@@ -50,10 +50,36 @@ func (d *decodeTable) blockStart(fn, blk int) uint32 {
 }
 
 // names returns the function and block names of a decoded instruction,
-// for events and diagnostics. They alias the module's own strings.
+// for diagnostics. They alias the module's own strings.
 func (s *sim) names(im *instrMeta) (fn, blk string) {
 	f := s.mod.Funcs[im.fn]
 	return f.Name, f.Blocks[im.blk].Name
+}
+
+// eventScratch is what an SM needs once it has a sink to report to.
+type eventScratch struct {
+	// ev is the one Event the SM's sinks are shown: event and releaseEvent
+	// build each event here, and every sink is handed its address.
+	ev Event
+	// names, indexed by instrMeta.blkID, keeps what names returns for each
+	// block one load from an event's instruction, where names itself takes
+	// three dependent ones through the module.
+	names []blockNames
+}
+
+type blockNames struct{ fn, blk string }
+
+// scratch returns s.evs, which the SM's first event builds.
+func (s *sim) scratch() *eventScratch {
+	if s.evs == nil {
+		s.evs = &eventScratch{names: make([]blockNames, len(s.blkPC))}
+		for fi, f := range s.mod.Funcs {
+			for bi, b := range f.Blocks {
+				s.evs.names[int(s.blkBase[fi])+bi] = blockNames{f.Name, b.Name}
+			}
+		}
+	}
+	return s.evs
 }
 
 // walkPCs visits every static instruction of the module in dense-PC

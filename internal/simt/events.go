@@ -7,12 +7,13 @@ import "specrecon/internal/ir"
 // trace exporter, the ASCII timeline — is a sink over this one stream.
 //
 // The stream is designed so that a counting sink keeps the issue loop
-// allocation-free: events are fixed-size values passed on the stack, the
-// static instruction is identified by a dense PC index assigned at
-// decode time (see BuildPCTable), and name fields are copies of string
-// headers that already exist in the module. A sink that only increments
-// decode-indexed tables therefore costs two branches and a few array
-// writes per issue.
+// allocation-free: each SM builds its events in one scratch Event of its
+// own and hands every sink the same pointer to it, the static
+// instruction is identified by a dense PC index assigned at decode time
+// (see BuildPCTable), and name fields are copies of string headers that
+// already exist in the module. A sink that only increments decode-indexed
+// tables therefore costs two branches and a few array writes per issue,
+// and no sink costs a copy of the Event it does not make itself.
 
 // EventKind discriminates Event payloads.
 type EventKind uint8
@@ -109,23 +110,29 @@ type Event struct {
 func (e Event) Diverged() bool { return e.Aux != 0 && e.Aux != e.Mask }
 
 // EventSink receives the event stream of one launch. Event is called
-// synchronously from the issue loop: implementations must not retain the
-// Event's address and should avoid per-call allocation (the steady-state
-// allocation guard runs with a counting sink attached).
+// synchronously from the issue loop with a pointer to the SM's scratch
+// Event, which the next event overwrites: a sink reads *ev during the call
+// and must neither write it nor keep the pointer — what it wants later it
+// copies, the whole Event (as SinkFunc does) or the fields it needs
+// (TestSinksDoNotRetainEvent holds every sink in the repository to this).
+// The strings are the module's own and outlive the launch. A sink should
+// also avoid per-call allocation (the steady-state allocation guard runs
+// with a counting sink attached).
 type EventSink interface {
-	Event(ev Event)
+	Event(ev *Event)
 }
 
-// SinkFunc adapts a function to the EventSink interface.
+// SinkFunc adapts a function to the EventSink interface. The function
+// receives its own copy of each Event and may keep it.
 type SinkFunc func(Event)
 
 // Event implements EventSink.
-func (f SinkFunc) Event(ev Event) { f(ev) }
+func (f SinkFunc) Event(ev *Event) { f(*ev) }
 
 // multiSink fans one stream out to several sinks, in order.
 type multiSink []EventSink
 
-func (m multiSink) Event(ev Event) {
+func (m multiSink) Event(ev *Event) {
 	for _, s := range m {
 		s.Event(ev)
 	}

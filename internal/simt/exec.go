@@ -207,19 +207,37 @@ func (ws *warpState) arriveCTABar(im *instrMeta, pc, mask uint32, sink EventSink
 	ws.cta.barCheck(s, bar)
 }
 
-// event builds an event of this warp located at instruction pc (im is
-// its decode entry), stamped with the SM's current issue and cycle
-// counts; bar is -1 on events that name no barrier.
-func (ws *warpState) event(kind EventKind, im *instrMeta, pc uint32, bar int, mask, aux uint32) Event {
+// event builds, in the SM's scratch slot, an event of this warp located
+// at instruction pc (im is its decode entry), stamped with the SM's
+// current issue and cycle counts; bar is -1 on events that name no
+// barrier. Every field is written, so nothing of the previous event
+// shows through; the pointer is good until the SM's next event.
+func (ws *warpState) event(kind EventKind, im *instrMeta, pc uint32, bar int, mask, aux uint32) *Event {
 	s := ws.sim
-	fnName, blkName := s.names(im)
-	return Event{
+	es := s.scratch()
+	ev, names := &es.ev, &es.names[im.blkID]
+	ev.Kind, ev.Bar = kind, int16(bar)
+	ev.Warp, ev.SM, ev.CTA = int32(ws.index), s.smIndex, ws.ctaIndex
+	ev.PC, ev.Fn, ev.Blk, ev.Ins = int32(pc), im.fn, im.blk, im.ins
+	ev.FnName, ev.BlockName = names.fn, names.blk
+	ev.Issue, ev.Cycle, ev.Cost = s.metrics.Issues, s.metrics.Cycles, 0
+	ev.Mask, ev.Aux = mask, aux
+	return ev
+}
+
+// releaseEvent builds, in the SM's scratch slot, the event of a barrier
+// (kind EvBarrierRelease) or workgroup barrier (EvCTABarRelease) letting
+// the lanes of mask go. A release has no instruction site.
+func (ws *warpState) releaseEvent(kind EventKind, bar int, mask uint32) *Event {
+	s := ws.sim
+	es := s.scratch()
+	es.ev = Event{
 		Kind: kind, Bar: int16(bar), Warp: int32(ws.index), SM: s.smIndex, CTA: ws.ctaIndex,
-		PC: int32(pc), Fn: im.fn, Blk: im.blk, Ins: im.ins,
-		FnName: fnName, BlockName: blkName,
+		PC: -1, Fn: -1, Blk: -1, Ins: -1,
 		Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
-		Mask: mask, Aux: aux,
+		Mask: mask,
 	}
+	return &es.ev
 }
 
 // laneError wraps a data instruction's fault with the lane that raised

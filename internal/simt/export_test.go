@@ -500,7 +500,7 @@ func (w *shadowWarp) syncCheck() {
 	}
 }
 
-func (sh *pcShadow) Event(ev Event) {
+func (sh *pcShadow) Event(ev *Event) {
 	w := sh.warp(ev.Warp)
 	fail := func(format string, args ...any) {
 		if sh.err == nil {
@@ -675,3 +675,11 @@ func IssuePCMismatch(m *ir.Module, cfg Config) (int64, error) {
 		}
 	}
 }
+
+// ReplayBuffer is the per-SM event buffer of a Workers > 1 launch into a
+// launch-wide sink, for TestSinksDoNotRetainEvent.
+type ReplayBuffer = bufferSink
+
+// Replay delivers the buffered stream to sink, as runGrid does once every
+// SM has retired.
+func (b *bufferSink) Replay(sink EventSink) { b.events.Each(sink.Event) }

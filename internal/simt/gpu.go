@@ -107,13 +107,7 @@ func (c *ctaState) barCheck(s *sim, b int) {
 			ws.pcs[l]++ // step past the ctabar
 		}
 		if sink != nil {
-			sink.Event(Event{
-				Kind: EvCTABarRelease, Bar: int16(b),
-				Warp: int32(ws.index), SM: s.smIndex, CTA: int32(c.index),
-				PC: -1, Fn: -1, Blk: -1, Ins: -1,
-				Issue: s.metrics.Issues, Cycle: s.metrics.Cycles,
-				Mask: released,
-			})
+			sink.Event(ws.releaseEvent(EvCTABarRelease, b, released))
 		}
 	}
 	c.arrived[b] = 0
@@ -199,17 +193,18 @@ func (s *sim) occupancy(warpsPerCTA int) int {
 	return occ
 }
 
-// bufferSink records one SM's event stream for in-order replay after
-// the launch. It exists only for launches that run SMs concurrently
-// (Workers > 1) into a launch-wide Config.Events sink, where replaying
-// the per-SM buffers in SM order is what makes the delivered stream
-// deterministic; a serial launch hands Config.Events to the SM forks
-// themselves and Config.SMEvents never buffers (see smSinks).
+// bufferSink records one SM's event stream — a copy of each Event, in a
+// Log — for in-order replay after the launch. It exists only for
+// launches that run SMs concurrently (Workers > 1) into a launch-wide
+// Config.Events sink, where replaying the per-SM buffers in SM order is
+// what makes the delivered stream deterministic; a serial launch hands
+// Config.Events to the SM forks themselves and Config.SMEvents never
+// buffers (see smSinks).
 type bufferSink struct {
-	events []Event
+	events Log[Event]
 }
 
-func (b *bufferSink) Event(ev Event) { b.events = append(b.events, ev) }
+func (b *bufferSink) Event(ev *Event) { b.events.Append(*ev) }
 
 // smSinks picks the sinks SM i's fork reports to. Per-SM sinks
 // (SMEvents, SMSamples) win. Otherwise the launch-wide sinks are used:
@@ -225,7 +220,7 @@ func (s *sim) smSinks(i int, events []bufferSink, samples []sampleBuffer) (Event
 	case cfg.SMEvents != nil:
 		sink = cfg.SMEvents(i)
 	case events != nil:
-		events[i].events = events[i].events[:0]
+		events[i].events.Rewind()
 		sink = &events[i]
 	}
 	if !cfg.samplerEnabled() {
@@ -236,7 +231,7 @@ func (s *sim) smSinks(i int, events []bufferSink, samples []sampleBuffer) (Event
 	case cfg.SMSamples != nil:
 		sampleSink = cfg.SMSamples(i)
 	case samples != nil:
-		samples[i].samples = samples[i].samples[:0]
+		samples[i].samples.Rewind()
 		sampleSink = &samples[i]
 	}
 	return sink, sampleSink
@@ -310,14 +305,10 @@ func (s *sim) runGrid() (*Result, error) {
 	// Every SM ran to completion even if one errored, so observers see
 	// the same deterministic prefix on either delivery path.
 	for i := range buffers {
-		for j := range buffers[i].events {
-			cfg.Events.Event(buffers[i].events[j])
-		}
+		buffers[i].events.Each(cfg.Events.Event)
 	}
 	for i := range sampleBufs {
-		for j := range sampleBufs[i].samples {
-			cfg.Samples.Sample(sampleBufs[i].samples[j])
-		}
+		sampleBufs[i].samples.Each(func(s *Sample) { cfg.Samples.Sample(*s) })
 	}
 	if err != nil {
 		return nil, err

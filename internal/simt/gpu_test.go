@@ -122,7 +122,7 @@ func observeGrid(t *testing.T, mod *ir.Module, cfg simt.Config, run func(simt.Co
 	prof := obs.NewProfile(mod)
 	cfg.Events = simt.SinkFunc(func(ev simt.Event) {
 		g.events = append(g.events, ev)
-		prof.Event(ev)
+		prof.Event(&ev)
 	})
 	occ := obs.NewOccupancyRecorder()
 	cfg.Samples = occ
@@ -134,7 +134,8 @@ func observeGrid(t *testing.T, mod *ir.Module, cfg simt.Config, run func(simt.Co
 	if err := prof.WriteJSON(&rendered); err != nil {
 		t.Fatal(err)
 	}
-	g.prof, g.samples = rendered.Bytes(), occ.Samples()
+	g.prof = rendered.Bytes()
+	occ.Each(func(s *simt.Sample) { g.samples = append(g.samples, *s) })
 	return g
 }
 

@@ -103,10 +103,10 @@ func (t teeSampleSink) Sample(s Sample) {
 // sampleBuffer records one SM's sample stream for in-order replay after
 // a Workers > 1 launch, mirroring bufferSink for events.
 type sampleBuffer struct {
-	samples []Sample
+	samples Log[Sample]
 }
 
-func (b *sampleBuffer) Sample(s Sample) { b.samples = append(b.samples, s) }
+func (b *sampleBuffer) Sample(s Sample) { b.samples.Append(s) }
 
 // samplerEnabled reports whether this launch wants samples at all.
 func (cfg *Config) samplerEnabled() bool {

@@ -224,9 +224,12 @@ type Config struct {
 	// Workers count — including every SM's stream up to its own end when
 	// the launch fails. With Workers <= 1 (the default) the SMs run one
 	// after another and each event is delivered as it happens, nothing
-	// stored; only with Workers > 1 is each SM's stream buffered (one
-	// Event per event, for the whole launch) and replayed into the sink
-	// in SM order once every SM has retired. SMEvents avoids that buffer.
+	// stored; only with Workers > 1 is each SM's stream buffered (a copy
+	// of every Event in a per-SM Log, so the launch allocates the stream's
+	// bytes plus at most one chunk per SM) and replayed into the sink in
+	// SM order once every SM has retired. SMEvents avoids that buffer.
+	// Either way the sink is handed a pointer that is good for the call
+	// only (see EventSink).
 	Events EventSink
 	// SampleStride, when positive, enables the per-SM occupancy/stall
 	// sampler: one Sample per stride of modeled cycles, recorded at the
@@ -235,12 +238,12 @@ type Config struct {
 	// InterleaveWarps or a non-greedy Sched (as SM 0) — and not the
 	// one-warp waves of a run-to-completion flat launch; see sample.go.
 	SampleStride int64
-	// Samples receives occupancy samples, SM by SM like Events: in place
-	// as they are taken when Workers <= 1, buffered per SM and replayed
-	// in SM order after the launch (after the buffered events) when
-	// Workers > 1. A sink attached to both Events and Samples therefore
-	// sees the same two streams for any worker count but may see them
-	// interleaved differently, and must not depend on that.
+	// Samples receives occupancy samples, by value, SM by SM like Events:
+	// in place as they are taken when Workers <= 1, buffered in a per-SM
+	// Log and replayed in SM order after the launch (after the buffered
+	// events) when Workers > 1. A sink attached to both Events and Samples
+	// therefore sees the same two streams for any worker count but may see
+	// them interleaved differently, and must not depend on that.
 	Samples SampleSink
 	// SMSamples, when non-nil on a grid launch, supplies one SampleSink
 	// per SM for a lock-free, allocation-free delivery path, mirroring
@@ -362,6 +365,9 @@ type sim struct {
 	cache   *cache
 	metrics Metrics
 	issues  int64
+	// evs is where this SM builds the events it reports; its first event
+	// allocates it, so a launch nobody observes carries a nil pointer.
+	evs *eventScratch
 	// smIndex is this SM's index (0 on flat launches); gridMode marks a
 	// grid launch, where errors carry SM/CTA identity.
 	smIndex  int32
@@ -1062,12 +1068,7 @@ func (ws *warpState) release(b int, cohort uint32) {
 	if released != 0 {
 		ws.sim.lastProgressCycle = ws.sim.metrics.Cycles
 		if sink := ws.sim.cfg.Events; sink != nil {
-			sink.Event(Event{
-				Kind: EvBarrierRelease, Bar: int16(b), Warp: int32(ws.index), SM: ws.sim.smIndex, CTA: ws.ctaIndex,
-				PC: -1, Fn: -1, Blk: -1, Ins: -1,
-				Issue: ws.sim.metrics.Issues, Cycle: ws.sim.metrics.Cycles,
-				Mask: released,
-			})
+			sink.Event(ws.releaseEvent(EvBarrierRelease, b, released))
 		}
 	}
 }

@@ -38,7 +38,7 @@ func NewTimeline(warp int) *Timeline {
 
 // Event implements simt.EventSink; attach the timeline via
 // simt.Config.Events.
-func (t *Timeline) Event(ev simt.Event) {
+func (t *Timeline) Event(ev *simt.Event) {
 	if ev.Kind != simt.EvIssue || int(ev.Warp) != t.warp {
 		return
 	}
