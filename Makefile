@@ -17,41 +17,18 @@ race:
 	$(GO) test -race ./...
 
 # check is the pre-commit gate: everything must build, vet clean, and
-# pass the full suite under the race detector. The harness package runs
-# a second time with fresh counters so the worker-pool determinism and
-# race coverage never ride a cached result. The robustness smokes close
-# the gate: short fuzz sessions on the parser, analyzer and pipeline,
-# the seeded 500-kernel differential campaign with the fault matrix,
-# and the static vetting sweep over the corpus and workloads. The simt
-# line re-runs, uncached, the tests that only mean something under the
-# race detector: the group-table invariant and the lazy-PC shadow on
-# sharded grids, the stack model sharing one compiled module across
-# goroutines, the SM sharding and CoW merge determinism (in-place
-# delivery at Workers 1 against replayed buffers at 2 and 4, on
-# completing, failing and relaunched grids), the two divergence
-# models against each other on every launch shape, sharded grids
-# included, every sink against a caller that overwrites its Event after
-# each call (TestSinksDoNotRetainEvent), and what a Workers 2 launch
-# allocates for its per-SM replay buffers against what they hold. The obs
-# line re-runs
-# TestTraceMatchesReference with them: the trace recorder against the
-# parent's buffer-and-encode exporter (trace_ref_test.go), byte for
-# byte, over the 12 workloads under both builds and a grid sharded
-# over two worker goroutines — and the recorders' bytes against what
-# they keep (TestRecordersAllocateWhatTheyHold). The core/ccache line re-runs the compile's
-# analysis record against a recompute after every pass of every pipeline
-# (TestAnalysisRecordIsTheRecompute, with its planted faults), and two
-# goroutines setting hooks on the memoized default pipelines they were
-# handed. perf-gate closes the gate: the repo benchmark's digests and
-# allocation metrics against the committed run.
+# pass the full suite under the race detector, uncached (-count=1) so the
+# tests that only mean something there — worker-pool and SM-sharding
+# determinism, pipelines shared across goroutines — never ride a cached
+# result. The robustness smokes follow: short fuzz sessions on the
+# parser, analyzer and pipeline, the seeded 500-kernel differential
+# campaign with the fault matrix, and the static vetting sweep over the
+# corpus and workloads. perf-gate closes the gate: the repo benchmark's
+# digests and allocation metrics against the committed run.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) test -race ./...
-	$(GO) test -race -count=1 ./internal/harness
-	$(GO) test -race -count=1 ./internal/obs
-	$(GO) test -race -count=1 -run 'GroupTableIsTheScan|LazyPCsMatchEagerShadow|StackEngineSharesModule|GridShardingDeterministic|CoWMatchesPlainCopyModel|CrossWarpCTABarOnEveryDriver|ModelsAgreeOnEveryDriver|SinksDoNotRetainEvent|ReplayBuffersAllocateWhatTheyHold' ./internal/simt
-	$(GO) test -race -count=1 -run 'AnalysisRecordIsTheRecompute|ShadowCatchesPlantedFaults|DefaultPipelinesAreNotSharedMutably' ./internal/core ./internal/ccache
+	$(GO) test -race -count=1 ./...
 	$(MAKE) scale-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) diffcheck-smoke
@@ -196,11 +173,11 @@ scale-smoke:
 cache-smoke:
 	rm -rf /tmp/specrecon-cache-smoke
 	mkdir -p /tmp/specrecon-cache-smoke
-	$(GO) run ./cmd/sasmvet -q -compiled -corpus 120 -corpus-seed 42 \
+	$(GO) run ./cmd/sasmvet -q -compiled -eff-below 0.8 -corpus 120 -corpus-seed 42 \
 		-compile-cache -repeat 2 -min-cache-hits 120 \
 		-cache-stats /tmp/specrecon-cache-smoke/stats.json \
 		-sarif /tmp/specrecon-cache-smoke/cached.sarif
-	$(GO) run ./cmd/sasmvet -q -compiled -corpus 120 -corpus-seed 42 \
+	$(GO) run ./cmd/sasmvet -q -compiled -eff-below 0.8 -corpus 120 -corpus-seed 42 \
 		-sarif /tmp/specrecon-cache-smoke/fresh.sarif
 	cmp /tmp/specrecon-cache-smoke/cached.sarif /tmp/specrecon-cache-smoke/fresh.sarif
 	$(GO) run ./cmd/perf json /tmp/specrecon-cache-smoke/stats.json

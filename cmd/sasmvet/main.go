@@ -98,6 +98,9 @@ Flags:
 	if err != nil {
 		return app.Fail(cli.Usage, err)
 	}
+	if *effBelow < 0 || *effBelow > 1 {
+		return app.Fail(cli.Usage, fmt.Errorf("-eff-below %g: want a fraction in [0, 1]", *effBelow))
+	}
 	fixMode := *fix || *fixDryRun || *fixDiff
 	var injectPlan core.FaultPlan
 	if *injectSpec != "" {
@@ -396,7 +399,7 @@ type vetResult struct {
 // installed (nil runs the pipeline directly; the pipeline clones the
 // module before transforming, so vm.mod is never written either way).
 // In fix mode the raw path repairs a clone and re-analyzes it, and the
-// compiled path routes through the repair pipeline (DiagnoseRepaired).
+// compiled path puts the repair pass ahead of the analysis.
 func vet(vm vetModule, compiled bool, effBelow float64, cache *ccache.Cache, fixMode bool, inject core.FaultPlan) (vetResult, error) {
 	if !compiled {
 		if fixMode {
@@ -415,20 +418,23 @@ func vet(vm vetModule, compiled bool, effBelow float64, cache *ccache.Cache, fix
 	if !inject.Zero() {
 		opts.Faults = inject
 	}
+	// core.Diagnose's pipeline (DiagnoseRepaired's in fix mode) with the
+	// note threshold handed to the analyze pass: the default pipeline's
+	// spec with the reporting passes put in front of register allocation.
+	passes := fmt.Sprintf("analyze=%g,alloc", effBelow)
 	if fixMode {
-		comp, err := core.DiagnoseRepaired(vm.mod, opts)
-		if err != nil {
-			return vetResult{}, err
-		}
-		pre := comp.Diagnostics
-		if comp.RepairReport != nil {
-			pre = comp.RepairReport.Before
-		}
-		return vetResult{diags: pre, post: comp.Diagnostics, eff: comp.StaticEff, report: comp.RepairReport}, nil
+		passes = "repair," + passes
 	}
-	comp, err := cache.Diagnose(vm.mod, opts)
+	pipe, err := core.ParsePipeline(strings.TrimSuffix(core.PipelineFor(opts).Spec(), "alloc") + passes)
 	if err != nil {
 		return vetResult{}, err
+	}
+	comp, err := cache.CompilePipeline(vm.mod, opts, pipe)
+	if err != nil {
+		return vetResult{}, err
+	}
+	if comp.RepairReport != nil {
+		return vetResult{diags: comp.RepairReport.Before, post: comp.Diagnostics, eff: comp.StaticEff, report: comp.RepairReport}, nil
 	}
 	return vetResult{diags: comp.Diagnostics, post: comp.Diagnostics, eff: comp.StaticEff}, nil
 }

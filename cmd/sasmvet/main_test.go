@@ -18,7 +18,13 @@ const lostJoin = "testdata/lostjoin.sasm"
 func TestCLI(t *testing.T) {
 	clitest.Check(t, run, []clitest.Case{
 		{Name: "workloads", Args: []string{"-workloads", "-eff"}},
-		{Name: "corpus-compiled", Args: []string{"-q", "-compiled", "-corpus", "20", "-compile-cache", "-repeat", "2", "-min-cache-hits", "20", "-sarif", "-"}},
+		{Name: "corpus-compiled", Args: []string{"-q", "-compiled", "-eff-below", "0.8", "-corpus", "20", "-compile-cache", "-repeat", "2", "-min-cache-hits", "20", "-sarif", "-"}},
+		// -eff-below is honoured raw and compiled alike: ten SR3003 notes
+		// under 50 %, none at the default 0.
+		{Name: "eff-below-raw", Args: []string{"-workloads", "-eff-below", "0.5"}},
+		{Name: "eff-below-compiled", Args: []string{"-workloads", "-compiled", "-eff-below", "0.5"}},
+		{Name: "eff-below-compiled-off", Args: []string{"-workloads", "-compiled"}},
+		{Name: "eff-below-out-of-range", Args: []string{"-workloads", "-eff-below", "1.5"}, Code: 2, Stderr: "-eff-below 1.5"},
 		{Name: "sr1001", Args: []string{lostJoin}, Code: 1},
 		{Name: "sr1001-dry-run", Args: []string{"-fix-dry-run", "-fix-diff", lostJoin}},
 		{Name: "fix-repaired", Args: []string{"-compiled", "-inject", "drop-cancel@1", "-fix", "-fix-diff", listing1}},

@@ -115,6 +115,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *profileTop < 0 {
 		return usage(fmt.Errorf("-profile-top %d: the row count cannot be negative", *profileTop))
 	}
+	if *threshold < -1 || *threshold > ir.WarpWidth {
+		return usage(fmt.Errorf("-threshold %d: want -1 (each annotation's own), 0 (hard) or 1..%d", *threshold, ir.WarpWidth))
+	}
+	if *sampleStride < 0 {
+		return usage(fmt.Errorf("-sample-stride %d: the stride cannot be negative", *sampleStride))
+	}
+	if *interleave && app.Launch.Grid > 0 {
+		return usage(errors.New("-interleave makes a flat launch one wave and cannot be combined with -grid: an SM always interleaves its resident warps"))
+	}
 	inst, err := loadInstance(*kernel, app.Launch)
 	if err != nil {
 		return usage(err)
@@ -169,7 +178,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *diffFlag {
-		return runDiffcheck(app, *kernel, inst, *inject, dec, *threshold)
+		return runDiffcheck(app, *kernel, inst, diffcheck.Options{
+			ThresholdOverride: *threshold, Deconflict: dec, AutoAnnotate: true,
+			Faults: faultPlan, SkipReleaseN: skipRelease,
+			Sched: app.Launch.Sched, SchedSeed: app.Launch.SchedSeed, Policy: app.Launch.Policy, StarveLimit: app.StarveLimit,
+			WallBudget: app.WallBudget, Cache: app.Cache,
+		}, *inject != "")
 	}
 	if *sweep {
 		if err := runSweep(app, inst, dec); err != nil {
@@ -347,49 +361,30 @@ func printPassStats(out io.Writer, mode string, comp *core.Compilation) {
 	}
 }
 
-// runDiffcheck runs the differential checker on the loaded kernel and
-// returns the exit status: Fail on a finding. For .sasm files the repro
-// directives (threads, seed, memory, recorded fault, recorded scheduler)
-// are honored; a -inject spec or non-default scheduler flag on the
-// command line overrides the corresponding recorded value.
-func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, inject string, dec core.DeconflictMode, threshold int) int {
-	k := harness.DiffcheckKernel(inst)
-	fault := inject
-	replay := diffcheck.ReproOpts{
-		Sched: app.Launch.Sched, SchedSeed: app.Launch.SchedSeed, Policy: app.Launch.Policy, StarveLimit: app.StarveLimit,
-	}
+// runDiffcheck runs the differential checker on the loaded kernel under
+// flags, the options the command line gives, and returns the exit
+// status: Fail on a finding. A .sasm file is replayed under the options
+// its repro directives record (launch, seed, memory, fault, scheduler),
+// each of which yields to an -inject spec (injected) or a scheduler flag
+// moved off its default.
+func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, flags diffcheck.Options, injected bool) int {
+	k, opts := harness.DiffcheckKernel(inst), flags
 	if strings.HasSuffix(path, ".sasm") {
 		loaded, recorded, err := diffcheck.LoadRepro(path)
 		if err != nil {
 			return app.Fail(cli.Usage, err)
 		}
-		k = loaded
-		if fault == "" {
-			fault = recorded.Fault
+		k, opts.Repair = loaded, recorded.Repair
+		if !injected {
+			opts.Faults, opts.SkipReleaseN = recorded.Faults, recorded.SkipReleaseN
 		}
-		if replay.Sched == simt.SchedGreedyConverge {
-			replay.Sched, replay.SchedSeed = recorded.Sched, recorded.SchedSeed
+		if flags.Sched == simt.SchedGreedyConverge {
+			opts.Sched, opts.SchedSeed = recorded.Sched, recorded.SchedSeed
 		}
-		if replay.Policy == simt.PolicyMaxGroup {
-			replay.Policy = recorded.Policy
-		}
-		if replay.StarveLimit == 0 {
-			replay.StarveLimit = recorded.StarveLimit
-		}
+		opts.Policy = cmp.Or(flags.Policy, recorded.Policy)
+		opts.StarveLimit = cmp.Or(flags.StarveLimit, recorded.StarveLimit)
 	}
-	plan, skipRelease, err := diffcheck.ParseFault(fault)
-	if err != nil {
-		return app.Fail(cli.Usage, err)
-	}
-	res := diffcheck.Check(k, replay.Apply(diffcheck.Options{
-		ThresholdOverride: threshold,
-		Deconflict:        dec,
-		AutoAnnotate:      true,
-		Faults:            plan,
-		SkipReleaseN:      skipRelease,
-		WallBudget:        app.WallBudget,
-		Cache:             app.Cache,
-	}))
+	res := diffcheck.Check(k, opts)
 	if !res.OK {
 		fmt.Fprintf(app.Stdout, "diffcheck: FAIL at %s: %v\n", res.Stage, res.Err)
 		return cli.Fail

@@ -104,9 +104,12 @@ func checkFlags(t *testing.T, where, cmd, text string) {
 // TestDocsNameOnlyWhatExists fails on a `make <target>` the Makefile no
 // longer has, on a cmd/<name> that is no longer a directory and on a
 // cited test no test file declares, in any living document outside its
-// history fences; and on a flag README's Layout stanza or one of its flag
-// tables gives a binary that the binary does not have.
+// history fences; on a flag README's Layout stanza or one of its flag
+// tables gives a binary that the binary does not have; and on a
+// directory DESIGN.md's inventory tree has and the repository does not,
+// or the other way round.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
+	checkInventoryTree(t)
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +167,57 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				checkFlags(t, "README.md flag table", strings.Trim(cmd, "`"), row[1])
 			}
 		}
+	}
+}
+
+// treeEntryRE is one entry of DESIGN.md's inventory tree: the connector,
+// whose column gives the depth, and the name.
+var treeEntryRE = regexp.MustCompile(`^([│ ]*)[├└]── (\S+)`)
+
+// checkInventoryTree holds DESIGN.md §3's tree to the repository both
+// ways: every entry it spells as a directory is one, and every directory
+// that holds a Go package is an entry.
+func checkInventoryTree(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(design), "\n## 3. System inventory")
+	_, tree, _ := strings.Cut(section, "```\n")
+	tree, _, _ = strings.Cut(tree, "```")
+	listed := map[string]bool{}
+	var stack []string
+	for _, line := range strings.Split(tree, "\n") {
+		m := treeEntryRE.FindStringSubmatch(line)
+		if m == nil || !strings.HasSuffix(m[2], "/") {
+			continue
+		}
+		depth := len([]rune(m[1])) / 4
+		if depth > len(stack) {
+			t.Fatalf("inventory tree: %q is indented past its parent", line)
+		}
+		stack = append(stack[:depth], strings.TrimSuffix(m[2], "/"))
+		dir := filepath.Join(stack...)
+		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+			t.Errorf("DESIGN.md §3 lists %s/, which is not a directory", dir)
+		}
+		listed[dir] = true
+	}
+	if len(listed) < 10 {
+		t.Fatalf("inventory tree not recognised: %v", listed)
+	}
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if dir := filepath.Dir(path); err == nil && dir != "." && strings.HasSuffix(path, ".go") && !listed[dir] {
+			listed[dir] = true
+			t.Errorf("DESIGN.md §3 does not list %s/, which holds a Go package", dir)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -243,6 +243,9 @@ func Compile(m *ir.Module, opts Options) (*Compilation, error) {
 // pipe.VerifyEach.
 func CompilePipeline(m *ir.Module, opts Options, pipe *Pipeline) (*Compilation, error) {
 	start := time.Now()
+	if t := opts.ThresholdOverride; t < -1 || t > ir.WarpWidth {
+		return nil, fmt.Errorf("core: options: ThresholdOverride %d outside [-1,%d]", t, ir.WarpWidth)
+	}
 	if !opts.AssumeVerified {
 		if err := ir.VerifyModule(m); err != nil {
 			return nil, fmt.Errorf("core: input module invalid: %w", err)

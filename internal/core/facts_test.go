@@ -29,11 +29,11 @@ func (e *staleFacts) Error() string { return e.msg }
 // function, reads the CFG and divergence analyses through the record
 // and compares them field by field (reflect.DeepEqual walks every
 // field, unexported ones and the loop forest included) with ones built
-// from scratch. reads and reused count the CFG reads and those among
+// from scratch. reads and kept count the CFG reads and those among
 // them that returned the Info the previous shadow saw.
 type shadow struct {
-	seen          map[*ir.Function]*cfg.Info
-	reads, reused int
+	seen        map[*ir.Function]*cfg.Info
+	reads, kept int
 }
 
 func (s *shadow) pass() Pass {
@@ -45,7 +45,7 @@ func (s *shadow) pass() Pass {
 			info, div := c.facts.CFG(f), c.facts.Divergence(f)
 			s.reads++
 			if s.seen[f] == info {
-				s.reused++
+				s.kept++
 			}
 			s.seen[f] = info
 			fresh := cfg.New(f)
@@ -168,14 +168,14 @@ func TestAnalysisRecordIsTheRecompute(t *testing.T) {
 	}
 	reshaped.run(t, "loop-merge nest", buildLoopMergeKernel(6, 2), SpecReconOptions(), unrolling)
 
-	t.Logf("default shapes: %d of %d CFG reads reused; reshaping pipelines: %d of %d", defaults.reused, defaults.reads, reshaped.reused, reshaped.reads)
+	t.Logf("default shapes: %d of %d CFG reads reused; reshaping pipelines: %d of %d", defaults.kept, defaults.reads, reshaped.kept, reshaped.reads)
 	// Every default pass is barrier-only or read-only, so only the first
 	// shadow of a compile (one read per function) can build.
-	if defaults.reused*10 < defaults.reads*7 {
-		t.Errorf("default shapes reused %d of %d CFG reads: the record is not being kept", defaults.reused, defaults.reads)
+	if defaults.kept*10 < defaults.reads*7 {
+		t.Errorf("default shapes reused %d of %d CFG reads: the record is not being kept", defaults.kept, defaults.reads)
 	}
-	if reshaped.reused == 0 || reshaped.reused == reshaped.reads {
-		t.Errorf("reshaping pipelines reused %d of %d CFG reads: want some kept and some rebuilt", reshaped.reused, reshaped.reads)
+	if reshaped.kept == 0 || reshaped.kept == reshaped.reads {
+		t.Errorf("reshaping pipelines reused %d of %d CFG reads: want some kept and some rebuilt", reshaped.kept, reshaped.reads)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"specrecon/internal/cfg"
@@ -167,6 +168,27 @@ func TestThresholdOverrideLowersToWaitN(t *testing.T) {
 	b1 := barriersByKind(comp, KindExit)[0]
 	if got := findBarrierOps(f, b1, ir.OpWaitN); len(got) != 0 {
 		t.Errorf("exit barrier must not be soft, found waitn in %v", got)
+	}
+}
+
+// TestThresholdOverrideOutOfRange: a threshold no waitn can carry is the
+// caller's mistake and is reported as one, before any pass runs — not as
+// an invalid output module blamed on the compiler.
+func TestThresholdOverrideOutOfRange(t *testing.T) {
+	for _, thr := range []int{-2, ir.WarpWidth + 1, 99} {
+		opts := SpecReconOptions()
+		opts.ThresholdOverride = thr
+		_, err := Compile(buildListing1(64, 8), opts)
+		if err == nil || !strings.Contains(err.Error(), "core: options: ThresholdOverride") {
+			t.Errorf("threshold %d: error %v, want an options error", thr, err)
+		}
+	}
+	for _, thr := range []int{-1, 0, ir.WarpWidth} {
+		opts := SpecReconOptions()
+		opts.ThresholdOverride = thr
+		if _, err := Compile(buildListing1(64, 8), opts); err != nil {
+			t.Errorf("threshold %d: %v", thr, err)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // robustness layer: it takes any kernel — hand-written, corpus-generated
 // or mutated — compiles it under both the PDOM baseline and the
 // speculative-reconvergence pipeline, runs both builds in the simulator
-// under an issue/cycle budget with strict barrier accounting, and
+// under an issue budget with strict barrier accounting, and
 // asserts that the two terminate with equivalent architectural state.
 // Speculative reconvergence must never change results (the paper's
 // transform only reorders when lanes execute, §4); any divergence in
@@ -47,11 +47,10 @@ type Kernel struct {
 
 // Options configures one differential check.
 type Options struct {
-	// MaxIssues/MaxCycles budget each simulator run (defaults: 1<<24
-	// issues, unlimited cycles). A speculative build that exceeds the
-	// budget the baseline met is a livelock finding.
+	// MaxIssues budgets each simulator run (default 1<<24 issues). A
+	// speculative build that exceeds the budget the baseline met is a
+	// livelock finding.
 	MaxIssues int64
-	MaxCycles int64
 	// ThresholdOverride forwards to core.Options (default -1: keep each
 	// prediction's own soft-barrier threshold).
 	ThresholdOverride int
@@ -95,9 +94,9 @@ type Options struct {
 	// StarveLimit arms the starvation monitor on the policy-scheduled
 	// speculative run (simt.Config.StarveLimit semantics).
 	StarveLimit int64
-	// WallBudget bounds each run's wall-clock time beside MaxIssues/
-	// MaxCycles (simt.Config.WallBudget semantics); it applies to both
-	// runs so a pathological kernel cannot hang a campaign worker.
+	// WallBudget bounds each run's wall-clock time beside MaxIssues
+	// (simt.Config.WallBudget semantics); it applies to both runs so a
+	// pathological kernel cannot hang a campaign worker.
 	WallBudget time.Duration
 	// Cache, when non-nil, memoizes the baseline and speculative
 	// compilations: a campaign re-checking one kernel under many
@@ -222,7 +221,6 @@ func Check(k Kernel, opts Options) Result {
 		Memory:     k.Memory,
 		Strict:     true,
 		MaxIssues:  opts.MaxIssues,
-		MaxCycles:  opts.MaxCycles,
 		Grid:       k.Grid,
 		CTASize:    k.CTASize,
 		SMs:        k.SMs,

@@ -1,11 +1,18 @@
 package diffcheck
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"specrecon/internal/core"
 	"specrecon/internal/corpus"
+	"specrecon/internal/ir"
 	"specrecon/internal/simt"
 	"specrecon/internal/workloads"
 )
@@ -163,21 +170,17 @@ func TestWriteAndLoadRepro(t *testing.T) {
 		t.Errorf("repro should be a .sasm file, got %s", path)
 	}
 
-	loaded, ro, err := LoadRepro(path)
+	loaded, recorded, err := LoadRepro(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ro.Fault != "skip-release@1" {
-		t.Errorf("fault spec not round-tripped: %q", ro.Fault)
+	if recorded != opts {
+		t.Errorf("fault not round-tripped: %+v, want %+v", recorded, opts)
 	}
 	if loaded.Threads != k.Threads || loaded.Seed != k.Seed {
 		t.Errorf("launch config not round-tripped: %+v", loaded)
 	}
-	plan, rel, err := ParseFault(ro.Fault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := Check(loaded, ro.Apply(Options{Faults: plan, SkipReleaseN: rel}))
+	replay := Check(loaded, recorded)
 	if replay.OK || replay.Stage != res.Stage {
 		t.Errorf("replayed repro: %v, want failure at %s", replay, res.Stage)
 	}
@@ -205,23 +208,112 @@ func TestReproRoundTripsScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, ro, err := LoadRepro(path)
+	loaded, recorded, err := LoadRepro(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ReproOpts{
-		Fault: "skip-release@1", Sched: simt.SchedRandom, SchedSeed: 77,
-		Policy: simt.PolicyMinPC, StarveLimit: 1 << 20,
+	if recorded != opts {
+		t.Fatalf("replay env not round-tripped: %+v, want %+v", recorded, opts)
 	}
-	if ro != want {
-		t.Fatalf("replay env not round-tripped: %+v, want %+v", ro, want)
-	}
-	plan, rel, err := ParseFault(ro.Fault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := Check(loaded, ro.Apply(Options{Faults: plan, SkipReleaseN: rel}))
+	replay := Check(loaded, recorded)
 	if replay.OK || replay.Stage != res.Stage {
 		t.Errorf("replayed repro: %v, want failure at %s", replay, res.Stage)
+	}
+}
+
+// TestEveryDirectiveRoundTrips drives the repro header off the
+// directives table: three findings that between them move every recorded
+// field off the value LoadRepro starts from are written and loaded back,
+// and must come back equal — kernel, memory image and options. A row no
+// finding here writes fails the test, so a new directive is covered (or
+// this test is extended) the day it is added.
+func TestEveryDirectiveRoundTrips(t *testing.T) {
+	mod := MatrixKernel().Module
+	image := func(n int) []uint64 {
+		mem := make([]uint64, n+8) // the tail stays zero: not recorded
+		for i := 0; i < n; i++ {
+			mem[i] = uint64(i)*0x9e3779b97f4a7c15 | 1
+		}
+		return mem
+	}
+	findings := []struct {
+		k    Kernel
+		opts Options
+	}{
+		{Kernel{Name: "flat", Module: mod, Entry: "kernel", Threads: 96, Seed: 9, Memory: image(40)},
+			Options{Faults: core.FaultPlan{DropCancel: 2, SwapWaits: true}, SkipReleaseN: 3, Repair: true,
+				Sched: simt.SchedRandom, SchedSeed: 77, Policy: simt.PolicyMinPC, StarveLimit: 1 << 20}},
+		// A grid launch ignores Threads, and a repro of one does not record it.
+		{Kernel{Name: "grid", Module: mod, Threads: ir.WarpWidth, Grid: 6, CTASize: 64, SMs: 3, Seed: 1 << 40},
+			Options{Sched: simt.SchedOldestFirst}},
+		{Kernel{Name: "big", Module: mod, Threads: 32, Memory: image(maxReproMemWords + 5)}, Options{}},
+	}
+	dir := t.TempDir()
+	written := map[string]bool{}
+	for _, f := range findings {
+		path, err := WriteRepro(dir, f.k, f.opts, Result{Stage: StageRunSpec, Err: errors.New("planted\nsecond line")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range directives {
+			if regexp.MustCompile(`(?m)^; repro-` + d.key + `(:|$)`).Match(text) {
+				written[d.key] = true
+			}
+		}
+		loaded, recorded, err := LoadRepro(path)
+		if err != nil {
+			t.Fatalf("%s: %v", f.k.Name, err)
+		}
+		if recorded != f.opts {
+			t.Errorf("%s: options came back as %+v, want %+v", f.k.Name, recorded, f.opts)
+		}
+		if got, want := ir.Print(loaded.Module), ir.Print(f.k.Module); got != want {
+			t.Errorf("%s: the module did not round-trip", f.k.Name)
+		}
+		want := f.k
+		if want.Memory = slices.Clone(want.Memory); len(want.Memory) > maxReproMemWords {
+			clear(want.Memory[maxReproMemWords:]) // the words a truncated image drops
+		}
+		want.Name, want.Module = loaded.Name, loaded.Module // the file's name; compared above
+		if !reflect.DeepEqual(loaded, want) {
+			loaded.Memory, want.Memory = nil, nil
+			t.Errorf("%s: kernel came back as %+v, want %+v (or the memory images differ)", f.k.Name, loaded, want)
+		}
+	}
+	for _, d := range directives {
+		if !written[d.key] {
+			t.Errorf("no finding of this test writes repro-%s", d.key)
+		}
+	}
+}
+
+// TestLoadReproRejectsBadDirective: a directive whose value does not parse
+// is an error naming the file, the line and the key — not a replay under
+// the default — while a key this tree does not know is skipped.
+func TestLoadReproRejectsBadDirective(t *testing.T) {
+	body := ir.Print(MatrixKernel().Module)
+	load := func(header string) (Kernel, Options, error) {
+		path := filepath.Join(t.TempDir(), "r.sasm")
+		if err := os.WriteFile(path, []byte(header+body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadRepro(path)
+	}
+	for key, val := range map[string]string{
+		"seed": "abc", "sched": "bogus", "policy": "bogus", "threads": "-4", "grid": "x", "fault": "drop-everything",
+		"repair": "maybe", "sched-seed": "-1", "starve-limit": "soon", "memwords": "many", "mem": "3",
+	} {
+		_, _, err := load("; repro-threads: 64\n; repro-memwords: 8\n; repro-" + key + ": " + val + "\n")
+		if want := "r.sasm:3: repro-" + key + ": "; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("repro-%s: %s: error %v, want one carrying %q", key, val, err, want)
+		}
+	}
+	k, opts, err := load("; repro-model: stack\n; repro-threads: 64\n; repro-err: seed: abc\n")
+	if err != nil || k.Threads != 64 || opts != (Options{}) {
+		t.Errorf("unknown repro-model directive: kernel %+v options %+v error %v, want it skipped", k, opts, err)
 	}
 }

@@ -17,70 +17,141 @@ import (
 // a human before it is replayed.
 const maxReproMemWords = 4096
 
+// directive is one `; repro-<key>: <value>` header line of a repro: the
+// field of the kernel's launch configuration or of the replay environment
+// (the injected fault, the schedule — a repro of a schedule-dependent
+// failure is only a repro under the schedule that exposed it) it records.
+// WriteRepro and LoadRepro both walk the directives table, so a new
+// replayed field is one more row.
+type directive struct {
+	key string
+	// values is what WriteRepro records under key, one line each: nothing
+	// for a field holding the value LoadRepro starts from. An empty value
+	// is written as the bare key.
+	values func(k *Kernel, o *Options) []string
+	// parse applies one recorded value; nil for a line that is only read
+	// by people.
+	parse func(v string, k *Kernel, o *Options) error
+}
+
+// when returns v, formatted, as the one value of a directive that is
+// recorded only if cond holds.
+func when(cond bool, v any) []string {
+	if !cond {
+		return nil
+	}
+	return []string{fmt.Sprint(v)}
+}
+
+// count parses a directive's non-negative integer value into dst.
+func count(v string, dst *int) (err error) {
+	if *dst, err = strconv.Atoi(v); err == nil && *dst < 0 {
+		err = fmt.Errorf("negative value %d", *dst)
+	}
+	return err
+}
+
+var directives = []directive{
+	{"grid", func(k *Kernel, _ *Options) []string { return when(k.Grid > 0, k.Grid) },
+		func(v string, k *Kernel, _ *Options) error { return count(v, &k.Grid) }},
+	{"ctasize", func(k *Kernel, _ *Options) []string { return when(k.Grid > 0, k.CTASize) },
+		func(v string, k *Kernel, _ *Options) error { return count(v, &k.CTASize) }},
+	{"sms", func(k *Kernel, _ *Options) []string { return when(k.Grid > 0, k.SMs) },
+		func(v string, k *Kernel, _ *Options) error { return count(v, &k.SMs) }},
+	{"threads", func(k *Kernel, _ *Options) []string { return when(k.Grid <= 0, k.Threads) },
+		func(v string, k *Kernel, _ *Options) error { return count(v, &k.Threads) }},
+	{"seed", func(k *Kernel, _ *Options) []string { return when(true, k.Seed) },
+		func(v string, k *Kernel, _ *Options) (err error) { k.Seed, err = strconv.ParseUint(v, 10, 64); return }},
+	{"entry", func(k *Kernel, _ *Options) []string { return when(k.Entry != "", k.Entry) },
+		func(v string, k *Kernel, _ *Options) error { k.Entry = v; return nil }},
+	{"fault", func(_ *Kernel, o *Options) []string { spec := faultSpec(*o); return when(spec != "", spec) },
+		func(v string, _ *Kernel, o *Options) (err error) {
+			o.Faults, o.SkipReleaseN, err = ParseFault(v)
+			return
+		}},
+	{"repair", func(_ *Kernel, o *Options) []string { return when(o.Repair, true) },
+		func(v string, _ *Kernel, o *Options) (err error) { o.Repair, err = strconv.ParseBool(v); return }},
+	{"sched", func(_ *Kernel, o *Options) []string { return when(o.Sched != simt.SchedGreedyConverge, o.Sched) },
+		func(v string, _ *Kernel, o *Options) (err error) { o.Sched, err = simt.ParseSchedPolicy(v); return }},
+	{"sched-seed", func(_ *Kernel, o *Options) []string { return when(o.Sched == simt.SchedRandom, o.SchedSeed) },
+		func(v string, _ *Kernel, o *Options) (err error) {
+			o.SchedSeed, err = strconv.ParseUint(v, 10, 64)
+			return
+		}},
+	{"policy", func(_ *Kernel, o *Options) []string { return when(o.Policy != simt.PolicyMaxGroup, o.Policy) },
+		func(v string, _ *Kernel, o *Options) (err error) { o.Policy, err = simt.ParsePolicy(v); return }},
+	{"starve-limit", func(_ *Kernel, o *Options) []string { return when(o.StarveLimit > 0, o.StarveLimit) },
+		func(v string, _ *Kernel, o *Options) (err error) {
+			o.StarveLimit, err = strconv.ParseInt(v, 10, 64)
+			return
+		}},
+	// The memory image: its length, then its nonzero words.
+	{"memwords", func(k *Kernel, _ *Options) []string { return when(k.Memory != nil, len(k.Memory)) },
+		func(v string, k *Kernel, _ *Options) error {
+			var n int
+			if err := count(v, &n); err != nil || n == 0 {
+				return err
+			}
+			k.Memory = make([]uint64, n)
+			return nil
+		}},
+	{"mem", func(k *Kernel, _ *Options) []string { words, _ := reproMem(k.Memory); return words },
+		func(v string, k *Kernel, _ *Options) error {
+			is, vs, _ := strings.Cut(v, "=")
+			i, err := strconv.Atoi(is)
+			if err != nil {
+				return err
+			}
+			w, err := strconv.ParseUint(vs, 0, 64)
+			if err == nil && i >= 0 && i < len(k.Memory) {
+				k.Memory[i] = w
+			}
+			return err
+		}},
+	{"mem-truncated", func(k *Kernel, _ *Options) []string { _, more := reproMem(k.Memory); return when(more, "") }, nil},
+}
+
+// reproMem renders the nonzero words of mem as index=value pairs, the
+// first maxReproMemWords of them, and reports whether there were more.
+func reproMem(mem []uint64) (words []string, more bool) {
+	for i, w := range mem {
+		if w == 0 {
+			continue
+		}
+		if len(words) == maxReproMemWords {
+			return words, true
+		}
+		words = append(words, fmt.Sprintf("%d=%#x", i, w))
+	}
+	return words, false
+}
+
 // WriteRepro writes a standalone .sasm reproducer for a failed check to
 // dir and returns its path. The file is the kernel's assembly prefixed
-// with `; repro-*` comment directives carrying the launch configuration,
-// the injected fault (if any), and the observed failure, so LoadRepro —
-// and `specrecon -diffcheck <file>` — can replay it without the
+// with the observed failure and the `; repro-*` directives, so LoadRepro
+// — and `specrecon -diffcheck <file>` — can replay it without the
 // generating campaign.
 //
 // The filename is deterministic (name, stage, and a hash of the module
 // text), so re-running a campaign over the same corpus overwrites
 // rather than accumulates.
 func WriteRepro(dir string, k Kernel, opts Options, res Result) (string, error) {
-	text := ir.Print(k.Module)
-
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "; repro: kernel=%s stage=%s\n", k.Name, res.Stage)
 	if res.Err != nil {
 		msg, _, _ := strings.Cut(res.Err.Error(), "\n")
 		fmt.Fprintf(&sb, "; repro-err: %s\n", msg)
 	}
-	if k.Grid > 0 {
-		fmt.Fprintf(&sb, "; repro-grid: %d\n", k.Grid)
-		fmt.Fprintf(&sb, "; repro-ctasize: %d\n", k.CTASize)
-		fmt.Fprintf(&sb, "; repro-sms: %d\n", k.SMs)
-	} else {
-		fmt.Fprintf(&sb, "; repro-threads: %d\n", k.Threads)
-	}
-	fmt.Fprintf(&sb, "; repro-seed: %d\n", k.Seed)
-	if k.Entry != "" {
-		fmt.Fprintf(&sb, "; repro-entry: %s\n", k.Entry)
-	}
-	if fault := faultSpec(opts); fault != "" {
-		fmt.Fprintf(&sb, "; repro-fault: %s\n", fault)
-	}
-	if opts.Repair {
-		sb.WriteString("; repro-repair: true\n")
-	}
-	if opts.Sched != simt.SchedGreedyConverge {
-		fmt.Fprintf(&sb, "; repro-sched: %s\n", opts.Sched)
-		if opts.Sched == simt.SchedRandom {
-			fmt.Fprintf(&sb, "; repro-sched-seed: %d\n", opts.SchedSeed)
+	for _, d := range directives {
+		for _, v := range d.values(&k, &opts) {
+			sb.WriteString("; repro-" + d.key)
+			if v != "" {
+				sb.WriteString(": " + v)
+			}
+			sb.WriteByte('\n')
 		}
 	}
-	if opts.Policy != simt.PolicyMaxGroup {
-		fmt.Fprintf(&sb, "; repro-policy: %s\n", opts.Policy)
-	}
-	if opts.StarveLimit > 0 {
-		fmt.Fprintf(&sb, "; repro-starve-limit: %d\n", opts.StarveLimit)
-	}
-	if k.Memory != nil {
-		fmt.Fprintf(&sb, "; repro-memwords: %d\n", len(k.Memory))
-		written := 0
-		for i, w := range k.Memory {
-			if w == 0 {
-				continue
-			}
-			if written >= maxReproMemWords {
-				sb.WriteString("; repro-mem-truncated\n")
-				break
-			}
-			fmt.Fprintf(&sb, "; repro-mem: %d=%#x\n", i, w)
-			written++
-		}
-	}
-	sb.WriteString(text)
+	sb.WriteString(ir.Print(k.Module))
 
 	h := fnv.New32a()
 	h.Write([]byte(sb.String()))
@@ -123,45 +194,17 @@ func sanitize(name string) string {
 	}, name)
 }
 
-// ReproOpts is the replay environment a repro was recorded under: the
-// injected fault spec plus the scheduler selection. A repro of a
-// schedule-dependent failure is only a repro under the schedule that
-// exposed it, so WriteRepro records it and LoadRepro hands it back.
-type ReproOpts struct {
-	// Fault is the ParseFault spec ("" when the check ran unfaulted).
-	Fault string
-	// Sched/SchedSeed/Policy/StarveLimit mirror the Options fields of
-	// the generating check.
-	Sched       simt.SchedPolicy
-	SchedSeed   uint64
-	Policy      simt.Policy
-	StarveLimit int64
-	// Repair replays the check through the automated-repair pipeline
-	// (Options.Repair) — a repro of a repair that broke results is only
-	// a repro with the repair applied.
-	Repair bool
-}
-
-// Apply copies the recorded replay environment onto opts, returning the
-// result; the fault spec is left to the caller (it needs ParseFault).
-func (r ReproOpts) Apply(opts Options) Options {
-	opts.Sched = r.Sched
-	opts.SchedSeed = r.SchedSeed
-	opts.Policy = r.Policy
-	opts.StarveLimit = r.StarveLimit
-	opts.Repair = r.Repair
-	return opts
-}
-
 // LoadRepro reads a .sasm file written by WriteRepro (or any plain
-// module listing) and reconstructs the kernel plus the replay
-// environment (fault spec, scheduler policy and seed) to replay it
-// under. Plain listings get one warp, seed 0, no fault and the
-// reference schedulers.
-func LoadRepro(path string) (Kernel, ReproOpts, error) {
+// module listing) and reconstructs the kernel plus the options it was
+// checked under, as far as the directives record them. Plain listings
+// get one warp, seed 0, no fault and the reference schedulers. A
+// directive whose value does not parse is an error naming its line; a
+// `repro-*` key the table does not have is skipped, so a repro written
+// by a newer tree loads.
+func LoadRepro(path string) (Kernel, Options, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return Kernel{}, ReproOpts{}, err
+		return Kernel{}, Options{}, err
 	}
 	src := string(data)
 
@@ -169,92 +212,24 @@ func LoadRepro(path string) (Kernel, ReproOpts, error) {
 		Name:    strings.TrimSuffix(filepath.Base(path), ".sasm"),
 		Threads: ir.WarpWidth,
 	}
-	var ro ReproOpts
-	memWords := 0
-	type memInit struct {
-		idx int
-		val uint64
-	}
-	var mem []memInit
-	for _, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		rest, ok := strings.CutPrefix(line, "; repro-")
+	var opts Options
+	for n, line := range strings.Split(src, "\n") {
+		rest, ok := strings.CutPrefix(strings.TrimSpace(line), "; repro-")
 		if !ok {
 			continue
 		}
 		key, val, _ := strings.Cut(rest, ":")
-		val = strings.TrimSpace(val)
-		switch key {
-		case "threads":
-			if n, err := strconv.Atoi(val); err == nil && n > 0 {
-				k.Threads = n
-			}
-		case "grid":
-			if n, err := strconv.Atoi(val); err == nil && n > 0 {
-				k.Grid = n
-			}
-		case "ctasize":
-			if n, err := strconv.Atoi(val); err == nil && n > 0 {
-				k.CTASize = n
-			}
-		case "sms":
-			if n, err := strconv.Atoi(val); err == nil && n > 0 {
-				k.SMs = n
-			}
-		case "seed":
-			if n, err := strconv.ParseUint(val, 10, 64); err == nil {
-				k.Seed = n
-			}
-		case "entry":
-			k.Entry = val
-		case "fault":
-			ro.Fault = val
-		case "repair":
-			ro.Repair = val == "true"
-		case "sched":
-			if sp, err := simt.ParseSchedPolicy(val); err == nil {
-				ro.Sched = sp
-			}
-		case "sched-seed":
-			if n, err := strconv.ParseUint(val, 10, 64); err == nil {
-				ro.SchedSeed = n
-			}
-		case "policy":
-			if p, err := simt.ParsePolicy(val); err == nil {
-				ro.Policy = p
-			}
-		case "starve-limit":
-			if n, err := strconv.ParseInt(val, 10, 64); err == nil && n > 0 {
-				ro.StarveLimit = n
-			}
-		case "memwords":
-			if n, err := strconv.Atoi(val); err == nil && n >= 0 {
-				memWords = n
-			}
-		case "mem":
-			is, vs, found := strings.Cut(val, "=")
-			if !found {
+		for _, d := range directives {
+			if d.key != key || d.parse == nil {
 				continue
 			}
-			i, ierr := strconv.Atoi(is)
-			v, verr := strconv.ParseUint(vs, 0, 64)
-			if ierr == nil && verr == nil && i >= 0 {
-				mem = append(mem, memInit{i, v})
+			if err := d.parse(strings.TrimSpace(val), &k, &opts); err != nil {
+				return Kernel{}, Options{}, fmt.Errorf("%s:%d: repro-%s: %w", path, n+1, key, err)
 			}
 		}
 	}
-	m, err := ir.Parse(src)
-	if err != nil {
-		return Kernel{}, ReproOpts{}, fmt.Errorf("%s: %w", path, err)
+	if k.Module, err = ir.Parse(src); err != nil {
+		return Kernel{}, Options{}, fmt.Errorf("%s: %w", path, err)
 	}
-	k.Module = m
-	if memWords > 0 {
-		k.Memory = make([]uint64, memWords)
-		for _, mi := range mem {
-			if mi.idx < memWords {
-				k.Memory[mi.idx] = mi.val
-			}
-		}
-	}
-	return k, ro, nil
+	return k, opts, nil
 }

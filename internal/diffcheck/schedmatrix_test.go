@@ -58,14 +58,15 @@ func TestSchedFaultReproRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, ro, err := LoadRepro(path)
+		loaded, recorded, err := LoadRepro(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ro.Sched != f.Sched || ro.StarveLimit != f.StarveLimit {
-			t.Fatalf("%s: schedule not recorded: %+v", f.Name, ro)
+		if recorded.Sched != f.Sched || recorded.StarveLimit != f.StarveLimit {
+			t.Fatalf("%s: schedule not recorded: %+v", f.Name, recorded)
 		}
-		replay := Check(loaded, ro.Apply(Options{MaxIssues: 1 << 17}))
+		recorded.MaxIssues = 1 << 17
+		replay := Check(loaded, recorded)
 		if got := ClassifySchedFailure(replay); got != f.WantLayer {
 			t.Fatalf("%s: repro replays at layer %s, want %s: %v", f.Name, got, f.WantLayer, replay)
 		}

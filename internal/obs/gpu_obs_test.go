@@ -31,51 +31,34 @@ done:
 }
 `
 
-// TestProfileMergePerSM pins the profiler's sharding contract: per-SM
-// profiles attached through Config.SMEvents, merged in SM order, render
-// byte-identically to one profile fed the replayed launch-wide stream.
-func TestProfileMergePerSM(t *testing.T) {
+// TestReplayedProfileMatchesSerial pins the profiler's sharding contract:
+// a profile on Config.Events of a launch sharded over two workers — fed
+// from the per-SM replay logs once the SMs have retired — renders
+// byte-identically to the profile of the serial launch, fed in place.
+func TestReplayedProfileMatchesSerial(t *testing.T) {
 	m := asm(t, gridKernel)
 	// Two warps per CTA so the workgroup barrier actually makes the
 	// first warp wait (and nonzero stall time is attributed).
 	cfg := simt.Config{Grid: 4, CTASize: 2 * ir.WarpWidth, SMs: 2, Seed: 5}
-
-	// One NewProfile derives the PC table; the per-SM sinks fork it.
-	proto := obs.NewProfile(m)
-	perSM := make([]*obs.Profile, cfg.SMs)
-	cfgSharded := cfg
-	cfgSharded.Workers = 2
-	cfgSharded.SMEvents = func(sm int) simt.EventSink {
-		perSM[sm] = proto.Fork()
-		return perSM[sm]
-	}
-	if _, err := simt.Run(m, cfgSharded); err != nil {
-		t.Fatalf("sharded Run: %v", err)
-	}
-	merged := proto.Fork()
-	for _, p := range perSM {
-		merged.Merge(p)
-	}
-
-	single := obs.NewProfile(m)
-	cfgSerial := cfg
-	cfgSerial.Events = single
-	if _, err := simt.Run(m, cfgSerial); err != nil {
-		t.Fatalf("serial Run: %v", err)
-	}
-
-	render := func(p *obs.Profile) []byte {
+	render := func(workers int) ([]byte, *obs.Profile) {
+		p := obs.NewProfile(m)
+		run := cfg
+		run.Workers, run.Events = workers, p
+		if _, err := simt.Run(m, run); err != nil {
+			t.Fatalf("Workers %d: %v", workers, err)
+		}
 		var buf bytes.Buffer
 		if err := p.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return buf.Bytes(), p
 	}
-	got, want := render(merged), render(single)
+	want, _ := render(1)
+	got, replayed := render(2)
 	if !bytes.Equal(got, want) {
-		t.Errorf("merged per-SM profile differs from single-sink profile\nmerged:\n%s\nsingle:\n%s", got, want)
+		t.Errorf("replayed profile differs from the serial one\nreplayed:\n%s\nserial:\n%s", got, want)
 	}
-	if merged.BarrierStallCycles() == 0 {
+	if replayed.BarrierStallCycles() == 0 {
 		t.Error("BarrierStallCycles = 0, want ctabar stalls attributed")
 	}
 }
@@ -133,65 +116,5 @@ func TestTraceMultiSM(t *testing.T) {
 	}
 	if !sawCTABar {
 		t.Error("no ctabar span in the trace")
-	}
-}
-
-// TestProfileForkResetMerge pins the sink-reuse cycle satellite: forked
-// per-SM profiles that already absorbed one launch, Reset and reattached
-// for a second launch, then merged, must reconstruct exactly the
-// profile a fresh NewProfile builds over that launch — no counter may
-// leak across the Reset, and merging must not double-count.
-func TestProfileForkResetMerge(t *testing.T) {
-	m := asm(t, gridKernel)
-	cfg := simt.Config{Grid: 4, CTASize: 2 * ir.WarpWidth, SMs: 2, Seed: 5}
-
-	proto := obs.NewProfile(m)
-	perSM := make([]*obs.Profile, cfg.SMs)
-	shard := func() {
-		run := cfg
-		run.SMEvents = func(sm int) simt.EventSink {
-			if perSM[sm] == nil {
-				perSM[sm] = proto.Fork()
-			}
-			return perSM[sm]
-		}
-		if _, err := simt.Run(m, run); err != nil {
-			t.Fatalf("sharded Run: %v", err)
-		}
-	}
-
-	// First launch dirties the forks; Reset must clear every counter.
-	shard()
-	for _, p := range perSM {
-		p.Reset()
-		if p.Issues() != 0 || p.Cycles() != 0 {
-			t.Fatalf("Reset left issues=%d cycles=%d", p.Issues(), p.Cycles())
-		}
-	}
-
-	// Second launch into the recycled forks, merged into a recycled
-	// parent.
-	shard()
-	merged := proto.Fork()
-	for _, p := range perSM {
-		merged.Merge(p)
-	}
-
-	fresh := obs.NewProfile(m)
-	run := cfg
-	run.Events = fresh
-	if _, err := simt.Run(m, run); err != nil {
-		t.Fatalf("serial Run: %v", err)
-	}
-
-	render := func(p *obs.Profile) []byte {
-		var buf bytes.Buffer
-		if err := p.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if got, want := render(merged), render(fresh); !bytes.Equal(got, want) {
-		t.Errorf("merge after reset differs from fresh profile\nmerged:\n%s\nfresh:\n%s", got, want)
 	}
 }

@@ -34,7 +34,6 @@
 // Neither sink is buffered on the way: the simulator calls Events from
 // the issue loop, on grid launches too, unless the launch shards its
 // SMs over Workers > 1 goroutines — then each SM's events are held
-// until the launch ends and replayed in SM order, and
-// simt.Config.SMEvents with Profile.Fork and Merge is the unbuffered
-// way to profile.
+// until the launch ends and replayed in SM order (the delivery rule at
+// simt.Config.Events), and either sink renders the same bytes.
 package obs

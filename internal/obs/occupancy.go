@@ -11,9 +11,9 @@ import (
 // sampler (simt.Sample). Two sinks with different cost contracts:
 //
 //   - OccupancyStats is a fixed-size aggregate whose Sample method only
-//     adds into its fields — attach one per SM via simt.Config.SMSamples
-//     and the 0-allocs/issue property holds with sampling enabled (the
-//     sampler cases of TestSteadyStateIssueAllocFree* pin this).
+//     adds into its fields — with one on simt.Config.Samples the
+//     0-allocs/issue property holds with sampling enabled (the sampler
+//     cases of TestSteadyStateIssueAllocFree* pin this).
 //   - OccupancyRecorder keeps every sample for timelines and the
 //     Perfetto counter tracks; like TraceRecorder it keeps them in a
 //     simt.Log — 56 bytes a sample, allocated a chunk at a time and never
@@ -74,9 +74,6 @@ func (o *OccupancyStats) Merge(p *OccupancyStats) {
 		o.LastCycle = p.LastCycle
 	}
 }
-
-// Reset zeroes the aggregate in place for reuse across launches.
-func (o *OccupancyStats) Reset() { *o = OccupancyStats{} }
 
 func (o *OccupancyStats) avg(sum int64) float64 {
 	if o.Samples == 0 {

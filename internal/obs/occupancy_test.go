@@ -66,12 +66,6 @@ func TestOccupancyStatsAggregation(t *testing.T) {
 	if merged != want {
 		t.Errorf("merged per-SM stats = %+v, want %+v", merged, want)
 	}
-
-	// Reset returns the zero aggregate.
-	got.Reset()
-	if got != (obs.OccupancyStats{}) {
-		t.Errorf("Reset left %+v", got)
-	}
 }
 
 // TestOccupancyPerSM: samples land in their own SM's bucket and every

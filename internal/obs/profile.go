@@ -90,77 +90,6 @@ func NewProfile(m *ir.Module) *Profile {
 	return p
 }
 
-// Fork returns a new empty profile for the same module, sharing p's
-// immutable module-derived tables (PC table, base latencies) and
-// pre-sizing the counter tables from them. Sharded launches should
-// build one profile with NewProfile and Fork it per SM: the per-SM
-// sinks then cost two slice allocations each instead of re-deriving
-// the PC table per SM, and Merge never has to grow anything.
-func (p *Profile) Fork() *Profile {
-	return &Profile{
-		mod:      p.mod,
-		pcs:      p.pcs,
-		base:     p.base,
-		counters: make([]pcCounters, len(p.counters)),
-		barriers: make([]barCounters, len(p.barriers)),
-	}
-}
-
-// Reset zeroes every counter in place, keeping the tables (and any
-// grown lane-wait state) allocated, so one profile can be reused
-// across launches — e.g. as a per-SM sink in a sweep loop — without
-// rebuilding it. Lane-wait state is transient between a wait and its
-// release, so a profile of a completed launch carries none to clear.
-func (p *Profile) Reset() {
-	for i := range p.counters {
-		p.counters[i] = pcCounters{}
-	}
-	for i := range p.barriers {
-		p.barriers[i] = barCounters{}
-	}
-	for _, w := range p.warps {
-		if w != nil {
-			*w = laneWaitState{}
-		}
-	}
-	p.issues, p.activeLanes, p.cycles = 0, 0, 0
-}
-
-// Merge folds o — a profile of the same module, typically one SM's
-// profile of a sharded grid launch — into p: every per-PC and
-// per-barrier counter adds, as do the launch-wide totals, so merging the
-// per-SM profiles in SM order reproduces the single profile a serial
-// run with one shared sink would have built. Transient lane-wait state
-// is not merged (a completed SM has none).
-func (p *Profile) Merge(o *Profile) {
-	for i := range p.counters {
-		if i >= len(o.counters) {
-			break
-		}
-		pc, oc := &p.counters[i], &o.counters[i]
-		pc.issues += oc.issues
-		pc.activeLanes += oc.activeLanes
-		pc.cycles += oc.cycles
-		pc.memStall += oc.memStall
-		pc.barStall += oc.barStall
-		pc.waits += oc.waits
-		pc.takenLanes += oc.takenLanes
-		pc.notTakenLanes += oc.notTakenLanes
-		pc.divergent += oc.divergent
-	}
-	for b := range p.barriers {
-		if b >= len(o.barriers) {
-			break
-		}
-		p.barriers[b].waits += o.barriers[b].waits
-		p.barriers[b].releases += o.barriers[b].releases
-		p.barriers[b].blocked += o.barriers[b].blocked
-	}
-	p.issues += o.issues
-	p.activeLanes += o.activeLanes
-	p.cycles += o.cycles
-}
-
 // warp returns (growing on demand) the wait state of warp w. Growth only
 // happens the first time a warp blocks, never in the steady state.
 func (p *Profile) warp(w int32) *laneWaitState {

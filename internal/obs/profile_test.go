@@ -283,51 +283,6 @@ func TestProfileDiff(t *testing.T) {
 	}
 }
 
-// TestProfileForkReset: a forked profile behaves exactly like a fresh
-// NewProfile over the same module, and Reset returns a used profile to
-// the empty state so it can be reattached — both render byte-identically
-// to a freshly built profile of the same launch.
-func TestProfileForkReset(t *testing.T) {
-	m := asm(t, divergentBarrierKernel)
-	cfg := simt.Config{Strict: true, Policy: simt.PolicyRoundRobin}
-
-	render := func(p *obs.Profile) []byte {
-		var buf bytes.Buffer
-		if err := p.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	run := func(p *obs.Profile) {
-		c := cfg
-		c.Events = p
-		if _, err := simt.Run(m, c); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-	}
-
-	fresh := obs.NewProfile(m)
-	run(fresh)
-	want := render(fresh)
-
-	forked := fresh.Fork()
-	run(forked)
-	if got := render(forked); !bytes.Equal(got, want) {
-		t.Errorf("forked profile differs from fresh profile\nforked:\n%s\nfresh:\n%s", got, want)
-	}
-
-	// Reuse the forked profile for a second launch after Reset: it must
-	// report only the second launch, identically to a fresh profile.
-	forked.Reset()
-	if forked.Issues() != 0 {
-		t.Fatalf("Issues after Reset = %d, want 0", forked.Issues())
-	}
-	run(forked)
-	if got := render(forked); !bytes.Equal(got, want) {
-		t.Errorf("reset-and-reused profile differs from fresh profile\nreused:\n%s\nfresh:\n%s", got, want)
-	}
-}
-
 func abs(v int64) int64 {
 	if v < 0 {
 		return -v

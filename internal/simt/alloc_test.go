@@ -91,45 +91,35 @@ func TestSteadyStateIssueAllocFree(t *testing.T) {
 // TestSteadyStateIssueAllocFreeGrid extends the allocation guard to the
 // GPU hierarchy: a multi-CTA wave resident on one SM, with shared-memory
 // traffic and a workgroup barrier in the hot loop, still issues with
-// zero heap allocations per round-robin pass — bare, with a per-SM
-// profiler sink attached via Config.SMEvents (the lock-free path a
-// sharded run uses), with the occupancy sampler recording every
-// pass (stride 1) into a fixed-state obs.OccupancyStats sink via
-// Config.SMSamples, and with a counting sink on Config.Events and the
-// same OccupancyStats on Config.Samples, which a serial launch delivers
-// to in place (NewHandSimGPU picks SM 0's sinks the way runGrid does).
+// zero heap allocations per round-robin pass — bare, with the profiler
+// and with a counting sink on Config.Events, and with the occupancy
+// sampler recording every pass (stride 1) into a fixed-state
+// obs.OccupancyStats on Config.Samples. A serial launch (Workers 1)
+// delivers to both in place (NewHandSimGPU picks SM 0's sinks the way
+// runGrid does).
 func TestSteadyStateIssueAllocFreeGrid(t *testing.T) {
 	mod, err := ir.Parse(simt.AllocTestKernelGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profSink := func() func(sm int) simt.EventSink {
-		return func(sm int) simt.EventSink { return obs.NewProfile(mod) }
-	}
-	statsSink := func() func(sm int) simt.SampleSink {
-		return func(sm int) simt.SampleSink { return &obs.OccupancyStats{} }
+	profSink := func() simt.EventSink { return obs.NewProfile(mod) }
+	countSink := func() simt.EventSink {
+		var counts [16]int64
+		return simt.SinkFunc(func(ev simt.Event) { counts[ev.Kind&15]++ })
 	}
 	type guardCase struct {
-		name     string
-		smEvents func() func(sm int) simt.EventSink
-		stride   int64
-		sched    simt.SchedPolicy
-		// launchWide attaches the sinks through Config.Events and
-		// Config.Samples instead of the per-SM fields.
-		launchWide bool
+		name   string
+		events func() simt.EventSink // nil: no event sink
+		stride int64
+		sched  simt.SchedPolicy
 	}
-	noSink := func() func(sm int) simt.EventSink { return nil }
 	cases := []guardCase{
-		{name: "bare", smEvents: noSink},
-		{name: "profile", smEvents: profSink},
-		{name: "sampler", smEvents: noSink, stride: 1},
-		{name: "profile+sampler", smEvents: profSink, stride: 1},
-		// The launch-wide sinks of a serial launch (Workers 1) are handed
-		// to the SM as they are, so a counting sink on Events and a
-		// fixed-state one on Samples must keep the pass allocation-free
-		// exactly like their per-SM counterparts.
-		{name: "events", launchWide: true},
-		{name: "events+samples", stride: 1, launchWide: true},
+		{name: "bare"},
+		{name: "profile", events: profSink},
+		{name: "sampler", stride: 1},
+		{name: "profile+sampler", events: profSink, stride: 1},
+		{name: "events", events: countSink},
+		{name: "events+samples", events: countSink, stride: 1},
 	}
 	// Re-pin the guard under every non-greedy scheduler policy in the
 	// most demanding shape: profiler attached, sampler at stride 1 and
@@ -139,7 +129,7 @@ func TestSteadyStateIssueAllocFreeGrid(t *testing.T) {
 		if sp == simt.SchedGreedyConverge {
 			continue
 		}
-		cases = append(cases, guardCase{name: "sched-" + sp.String(), smEvents: profSink, stride: 1, sched: sp})
+		cases = append(cases, guardCase{name: "sched-" + sp.String(), events: profSink, stride: 1, sched: sp})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,16 +142,11 @@ func TestSteadyStateIssueAllocFreeGrid(t *testing.T) {
 				cfg.SchedSeed = 7
 				cfg.StarveLimit = 1 << 30
 			}
-			cfg.SampleStride = tc.stride
-			if tc.launchWide {
-				var counts [16]int64
-				cfg.Events = simt.SinkFunc(func(ev simt.Event) { counts[ev.Kind&15]++ })
+			if tc.events != nil {
+				cfg.Events = tc.events()
+			}
+			if cfg.SampleStride = tc.stride; tc.stride > 0 {
 				cfg.Samples = &obs.OccupancyStats{}
-			} else {
-				cfg.SMEvents = tc.smEvents()
-				if tc.stride > 0 {
-					cfg.SMSamples = statsSink()
-				}
 			}
 			h, err := simt.NewHandSimGPU(mod, cfg)
 			if err != nil {

@@ -92,18 +92,16 @@ func (e *DeadlockError) BlockedMask() uint32 {
 	return m
 }
 
-// BudgetError reports that a launch exhausted its issue or cycle budget
-// before every lane exited — the simulator's livelock guard.
+// BudgetError reports that a launch exhausted its issue budget before
+// every lane exited — the simulator's livelock guard.
 type BudgetError struct {
 	Warp int
 	// SM and CTA locate the warp that hit the budget on a grid launch
 	// (budgets apply per SM there); both are -1 on a flat launch.
 	SM  int
 	CTA int
-	// MaxIssues/MaxCycles are the configured limits (a zero MaxCycles
-	// means the cycle budget was unlimited and the issue budget fired).
+	// MaxIssues is the configured limit.
 	MaxIssues int64
-	MaxCycles int64
 	// Issues/Cycles are the counters at exhaustion.
 	Issues int64
 	Cycles int64
@@ -115,16 +113,12 @@ type BudgetError struct {
 }
 
 func (e *BudgetError) Error() string {
-	kind, limit := "issue", e.MaxIssues
-	if e.MaxCycles > 0 && e.Cycles >= e.MaxCycles {
-		kind, limit = "cycle", e.MaxCycles
-	}
 	where := ""
 	if e.SM >= 0 {
 		where = fmt.Sprintf("sm%d cta%d: ", e.SM, e.CTA)
 	}
-	return fmt.Sprintf("%s%s budget exhausted (%d); likely livelock (issues=%d cycles=%d last-progress-cycle=%d)",
-		where, kind, limit, e.Issues, e.Cycles, e.LastProgressCycle)
+	return fmt.Sprintf("%sissue budget exhausted (%d); likely livelock (issues=%d cycles=%d last-progress-cycle=%d)",
+		where, e.MaxIssues, e.Issues, e.Cycles, e.LastProgressCycle)
 }
 
 // StarvationError reports that the configured scheduling policy left a

@@ -187,9 +187,8 @@ func NewHandSimGPU(m *ir.Module, cfg Config) (*HandSimGPU, error) {
 		return nil, fmt.Errorf("NewHandSimGPU requires a grid config (Grid > 0)")
 	}
 	warpsPerCTA := (s.cfg.CTASize + ir.WarpWidth - 1) / ir.WarpWidth
-	// The sinks a serial runGrid gives SM 0: per-SM ones if configured,
-	// else the launch-wide Events/Samples in place.
-	sink, samples := s.smSinks(0, nil, nil)
+	// The sinks a serial runGrid gives SM 0: Events/Samples in place.
+	sink, samples := s.smSinks(0, nil)
 	sm := s.forkSM(0, sink, samples)
 	occ := sm.occupancy(warpsPerCTA)
 	var warps []*warpState
@@ -215,7 +214,7 @@ func NewHandSimFlat(m *ir.Module, cfg Config) (*HandSimGPU, error) {
 	if s.gridMode {
 		return nil, fmt.Errorf("NewHandSimFlat requires a flat config (Grid == 0)")
 	}
-	_, s.sampleSink = s.smSinks(0, nil, nil)
+	_, s.sampleSink = s.smSinks(0, nil)
 	cta := s.ctas[0]
 	for w := 0; w*ir.WarpWidth < s.cfg.Threads; w++ {
 		s.newCTAWarp(cta, w)
@@ -280,8 +279,10 @@ func (h *HandSimGPU) LaneScanSample() Sample {
 //     otherwise — equals an eager per-lane shadow (pcShadow) that is
 //     driven by the event stream alone and knows nothing of the table.
 //
-// Grid launches call it from every SM goroutine, hence the lock; each SM
-// feeds and reads only its own shadow.
+// Grid launches call it from every SM goroutine, hence the lock. The
+// shadow consumes events inside the issue loop, so it exists only where
+// they are delivered there: a Workers > 1 launch, whose events arrive
+// after every SM has retired, is held to the first half alone.
 type TableCheck struct {
 	mu sync.Mutex
 	// Checked counts tables compared against a scan; Stale counts tables
@@ -295,22 +296,19 @@ type TableCheck struct {
 	shadows []*pcShadow
 }
 
-// Attach returns cfg with the check's PC shadows installed as the
-// launch's event sinks (one per SM on a grid launch), reset for a new
-// launch of m.
+// Attach returns cfg with the check's PC shadows, one per SM and reset
+// for a new launch of m, installed as the launch's event sink when the
+// launch delivers events in place (Workers <= 1): the sink hands each
+// event to the shadow of the SM it names.
 func (tc *TableCheck) Attach(m *ir.Module, cfg Config) Config {
 	tc.shadows = tc.shadows[:0]
-	shadow := func(sm int) EventSink {
-		for len(tc.shadows) <= sm {
-			tc.shadows = append(tc.shadows, newPCShadow(m, cfg.Kernel))
-		}
-		return tc.shadows[sm]
+	if cfg.Workers > 1 {
+		return cfg
 	}
-	if cfg.Grid > 0 {
-		cfg.SMEvents = shadow
-	} else {
-		cfg.Events = shadow(0)
+	for sm := 0; sm < max(cfg.SMs, 1); sm++ {
+		tc.shadows = append(tc.shadows, newPCShadow(m, cfg.Kernel))
 	}
+	cfg.Events = SinkFunc(func(ev Event) { tc.shadows[ev.SM].Event(&ev) })
 	return cfg
 }
 
@@ -676,10 +674,10 @@ func IssuePCMismatch(m *ir.Module, cfg Config) (int64, error) {
 	}
 }
 
-// ReplayBuffer is the per-SM event buffer of a Workers > 1 launch into a
-// launch-wide sink, for TestSinksDoNotRetainEvent.
-type ReplayBuffer = bufferSink
+// ReplayBuffer is the per-SM replay record of a Workers > 1 launch, for
+// TestSinksDoNotRetainEvent.
+type ReplayBuffer = smReplay
 
-// Replay delivers the buffered stream to sink, as runGrid does once every
-// SM has retired.
-func (b *bufferSink) Replay(sink EventSink) { b.events.Each(sink.Event) }
+// Replay delivers the held event stream to sink, as runGrid does once
+// every SM has retired.
+func (r *smReplay) Replay(sink EventSink) { r.events.Each(sink.Event) }

@@ -193,94 +193,67 @@ func (s *sim) occupancy(warpsPerCTA int) int {
 	return occ
 }
 
-// bufferSink records one SM's event stream — a copy of each Event, in a
-// Log — for in-order replay after the launch. It exists only for
-// launches that run SMs concurrently (Workers > 1) into a launch-wide
-// Config.Events sink, where replaying the per-SM buffers in SM order is
-// what makes the delivered stream deterministic; a serial launch hands
-// Config.Events to the SM forks themselves and Config.SMEvents never
-// buffers (see smSinks).
-type bufferSink struct {
-	events Log[Event]
+// smReplay holds one SM's event and sample streams — a copy of each
+// record, in a Log — until every SM of a Workers > 1 launch has retired;
+// replaying the SMs' logs in SM order is what makes the delivered streams
+// deterministic there (see Config.Events for the rule).
+type smReplay struct {
+	events  Log[Event]
+	samples Log[Sample]
 }
 
-func (b *bufferSink) Event(ev *Event) { b.events.Append(*ev) }
+func (r *smReplay) Event(ev *Event) { r.events.Append(*ev) }
+func (r *smReplay) Sample(s Sample) { r.samples.Append(s) }
 
-// smSinks picks the sinks SM i's fork reports to. Per-SM sinks
-// (SMEvents, SMSamples) win. Otherwise the launch-wide sinks are used:
-// through SM i's replay buffer, emptied here, when the launch has them
-// (events, samples non-nil: SMs run concurrently), else in place —
-// forEachSM with Workers <= 1 runs SM 0..n-1 to completion in index
-// order, so handing Config.Events and Config.Samples to each fork in
-// turn is already SM-order delivery, with nothing stored in between.
-func (s *sim) smSinks(i int, events []bufferSink, samples []sampleBuffer) (EventSink, SampleSink) {
-	cfg := &s.cfg
-	sink := cfg.Events
-	switch {
-	case cfg.SMEvents != nil:
-		sink = cfg.SMEvents(i)
-	case events != nil:
-		events[i].events.Rewind()
-		sink = &events[i]
+// smSinks picks the sinks SM i's fork reports to: the launch's own when
+// the SMs run one after another (replay nil) — forEachSM with Workers <=
+// 1 runs SM 0..n-1 to completion in index order, so handing Config.Events
+// and Config.Samples to each fork in turn is already SM-order delivery —
+// and SM i's replay logs, emptied here, when they run concurrently.
+func (s *sim) smSinks(i int, replay []smReplay) (events EventSink, samples SampleSink) {
+	events = s.cfg.Events
+	if s.cfg.samplerEnabled() {
+		samples = s.cfg.Samples
 	}
-	if !cfg.samplerEnabled() {
-		return sink, nil
+	if replay != nil {
+		r := &replay[i]
+		r.events.Rewind()
+		r.samples.Rewind()
+		if events != nil {
+			events = r
+		}
+		if samples != nil {
+			samples = r
+		}
 	}
-	sampleSink := cfg.Samples
-	switch {
-	case cfg.SMSamples != nil:
-		sampleSink = cfg.SMSamples(i)
-	case samples != nil:
-		samples[i].samples.Rewind()
-		sampleSink = &samples[i]
-	}
-	return sink, sampleSink
+	return events, samples
 }
 
 // runGrid executes a grid launch: fork one sim per SM, run the SMs
 // (serially or over Workers goroutines), then merge memory and metrics
-// in SM order. Events and samples bound for a launch-wide sink are
-// delivered in SM order too: in place on a serial launch, by replaying
-// per-SM buffers after a concurrent one.
+// in SM order. Events and samples are delivered in SM order too: in
+// place on a serial launch, from the replay logs after a concurrent one.
 func (s *sim) runGrid() (*Result, error) {
 	cfg := s.cfg
 	warpsPerCTA := (cfg.CTASize + ir.WarpWidth - 1) / ir.WarpWidth
 	occ := s.occupancy(warpsPerCTA)
 
-	// Replay buffers front the launch-wide sinks only when SMs run
-	// concurrently. A Machine keeps them across launches (Workers may
-	// change from one launch to the next).
-	var buffers []bufferSink
-	var sampleBufs []sampleBuffer
-	if cfg.Workers > 1 {
-		if cfg.Events != nil && cfg.SMEvents == nil {
-			if buffers = s.bufPool; buffers == nil {
-				buffers = make([]bufferSink, cfg.SMs)
-				if s.reuse {
-					s.bufPool = buffers
-				}
-			}
+	// Workers may change from one launch of a Machine to the next.
+	var replay []smReplay
+	if cfg.Workers > 1 && (cfg.Events != nil || cfg.samplerEnabled()) {
+		if s.replay == nil {
+			s.replay = make([]smReplay, cfg.SMs)
 		}
-		if cfg.samplerEnabled() && cfg.SMSamples == nil {
-			if sampleBufs = s.sampleBufPool; sampleBufs == nil {
-				sampleBufs = make([]sampleBuffer, cfg.SMs)
-				if s.reuse {
-					s.sampleBufPool = sampleBufs
-				}
-			}
-		}
+		replay = s.replay
 	}
 
-	sms := s.smPool
-	fresh := sms == nil
+	fresh := s.smPool == nil
 	if fresh {
-		sms = make([]*sim, cfg.SMs)
-		if s.reuse {
-			s.smPool = sms
-		}
+		s.smPool = make([]*sim, cfg.SMs)
 	}
+	sms := s.smPool
 	for i := range sms {
-		sink, samples := s.smSinks(i, buffers, sampleBufs)
+		sink, samples := s.smSinks(i, replay)
 		if fresh {
 			sms[i] = s.forkSM(i, sink, samples)
 		} else {
@@ -288,27 +261,22 @@ func (s *sim) runGrid() (*Result, error) {
 		}
 	}
 
-	var shared [][]uint64
-	if s.mod.SharedWords > 0 {
-		if s.sharedBuf != nil {
-			shared = s.sharedBuf[:cfg.Grid]
-		} else {
-			shared = make([][]uint64, cfg.Grid)
-			if s.reuse {
-				s.sharedBuf = shared
-			}
-		}
+	if s.mod.SharedWords > 0 && s.sharedBuf == nil {
+		s.sharedBuf = make([][]uint64, cfg.Grid)
 	}
+	shared := s.sharedBuf
 	err := forEachSM(cfg.Workers, cfg.SMs, func(i int) error {
 		return sms[i].runSM(occ, warpsPerCTA, shared)
 	})
 	// Every SM ran to completion even if one errored, so observers see
 	// the same deterministic prefix on either delivery path.
-	for i := range buffers {
-		buffers[i].events.Each(cfg.Events.Event)
+	if cfg.Events != nil {
+		for i := range replay {
+			replay[i].events.Each(cfg.Events.Event)
+		}
 	}
-	for i := range sampleBufs {
-		sampleBufs[i].samples.Each(func(s *Sample) { cfg.Samples.Sample(*s) })
+	for i := range replay {
+		replay[i].samples.Each(func(smp *Sample) { cfg.Samples.Sample(*smp) })
 	}
 	if err != nil {
 		return nil, err
@@ -440,24 +408,12 @@ func (s *sim) smDeadlock(warps []*warpState) error {
 // max over SMs.
 func (s *sim) mergeSMs(sms []*sim, warpsPerCTA int, shared [][]uint64) *Result {
 	final := s.mem // the template's untouched initial image
-	written := s.writtenBuf
-	if written == nil {
-		written = make([]uint64, (len(final)+63)/64)
-		if s.reuse {
-			s.writtenBuf = written
-		}
-	} else {
-		for i := range written {
-			written[i] = 0
-		}
+	if s.writtenBuf == nil {
+		s.writtenBuf = make([]uint64, (len(final)+63)/64)
+		s.perSMBuf = make([]Metrics, len(sms))
 	}
-	perSM := s.perSMBuf
-	if perSM == nil {
-		perSM = make([]Metrics, len(sms))
-		if s.reuse {
-			s.perSMBuf = perSM
-		}
-	}
+	written, perSM := s.writtenBuf, s.perSMBuf
+	clear(written)
 	for i, sm := range sms {
 		s.metrics.merge(&sm.metrics)
 		sm.cow.mergeInto(final, written, &s.metrics)

@@ -8,9 +8,8 @@ import (
 
 // Machine is a reusable launch arena: one simulator instance whose warp
 // scratch, decode side tables, CTA state, per-SM forks, metrics tables,
-// memory views and (for Workers > 1 launches into a launch-wide sink)
-// event and sample replay buffers stay alive across launches
-// of the same module. A harness loop that re-runs one compilation over
+// memory views and (for Workers > 1 launches with a sink attached) replay
+// logs stay alive across launches of the same module. A harness loop that re-runs one compilation over
 // many inputs (threshold sweeps, funnel stages, differential checks)
 // pays the full construction cost once; every later Run rewinds the
 // arena in place, driving steady-state allocations per launch to near
@@ -21,7 +20,7 @@ import (
 // geometry, SM count, scheduling policy, divergence model and cache
 // configuration of the Config it was built with, plus the derived
 // memory-image size.
-// Per-launch inputs — Seed, Memory contents, issue/cycle/wall budgets,
+// Per-launch inputs — Seed, Memory contents, issue and wall budgets,
 // Strict, SkipReleaseN, Workers, event sinks and the scheduler policy
 // (Sched, SchedSeed, StarveLimit) — may differ freely between runs. Run
 // rejects a shape-incompatible Config rather than silently rebuilding.
@@ -43,14 +42,13 @@ func NewMachine(m *ir.Module, cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.reuse = true
 	return &Machine{s: s}, nil
 }
 
 // Run launches the machine's kernel under cfg, reusing the arena. cfg
 // must be shape-compatible with the Config the Machine was built with;
 // per-launch inputs (Seed, Memory, budgets, Strict, SkipReleaseN,
-// Workers, Events/SMEvents) may vary. The returned Result's buffers are
+// Workers, Events/Samples) may vary. The returned Result's buffers are
 // valid until the next Run.
 func (mc *Machine) Run(cfg Config) (*Result, error) {
 	s := mc.s

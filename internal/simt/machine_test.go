@@ -144,7 +144,7 @@ done:
 	r := rng.New(2020)
 	var conflicts, launches int64
 	for sms := 1; sms <= 4; sms++ {
-		cfg := simt.Config{Grid: grid, CTASize: ctaSize, SMs: sms, Workers: sms, MemWords: memWords}
+		cfg := simt.Config{Grid: grid, CTASize: ctaSize, SMs: sms, Workers: sms, Memory: make([]uint64, memWords)}
 		machine, err := simt.NewMachine(mod, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -257,8 +257,8 @@ func TestMachineMatchesFreshRun(t *testing.T) {
 	}{
 		{"flat", cowMod, simt.Config{Threads: 96}},
 		{"grid", cowMod, simt.Config{Grid: 8, CTASize: 64, SMs: 4, Workers: 2}},
-		{"grid-shared", reduceMod, simt.Config{Grid: 4, CTASize: 48, SMs: 2, MemWords: 256}},
-		{"grid-shared-stack", reduceMod, simt.Config{Grid: 4, CTASize: 48, SMs: 2, MemWords: 256, Model: simt.ModelStack}},
+		{"grid-shared", reduceMod, simt.Config{Grid: 4, CTASize: 48, SMs: 2, Memory: make([]uint64, 256)}},
+		{"grid-shared-stack", reduceMod, simt.Config{Grid: 4, CTASize: 48, SMs: 2, Memory: make([]uint64, 256), Model: simt.ModelStack}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -313,11 +313,11 @@ func TestMachineRejectsShapeChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []simt.Config{
-		{Grid: 8, CTASize: 64, SMs: 2},                 // grid size
-		{Grid: 4, CTASize: 32, SMs: 2},                 // CTA size
-		{Grid: 4, CTASize: 64, SMs: 4},                 // SM count
-		{Threads: 96},                                  // flat vs grid
-		{Grid: 4, CTASize: 64, SMs: 2, MemWords: 8192}, // memory image size
+		{Grid: 8, CTASize: 64, SMs: 2},                               // grid size
+		{Grid: 4, CTASize: 32, SMs: 2},                               // CTA size
+		{Grid: 4, CTASize: 64, SMs: 4},                               // SM count
+		{Threads: 96},                                                // flat vs grid
+		{Grid: 4, CTASize: 64, SMs: 2, Memory: make([]uint64, 8192)}, // memory image size
 	}
 	for i, cfg := range bad {
 		if _, err := machine.Run(cfg); err == nil {

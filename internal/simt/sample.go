@@ -23,13 +23,11 @@ package simt
 // no sink and records nothing.
 //
 // Determinism and cost mirror the event stream (events.go): samples
-// reach Config.Samples in SM order — in place on a serial launch,
-// buffered per SM and replayed after a Workers > 1 launch — or are
-// delivered lock-free through Config.SMSamples; with sampling disabled
-// the issue path pays one nil check per pass, and with it enabled the
-// recording itself allocates nothing — a fixed-state sink such as
-// obs.OccupancyStats keeps the 0-allocs/issue guarantee (pinned by the
-// sampler cases of TestSteadyStateIssueAllocFree*).
+// reach Config.Samples under the delivery rule stated at Config.Events;
+// with sampling disabled the issue path pays one nil check per pass, and
+// with it enabled the recording itself allocates nothing — a fixed-state
+// sink such as obs.OccupancyStats keeps the 0-allocs/issue guarantee
+// (pinned by the sampler cases of TestSteadyStateIssueAllocFree*).
 
 // Sample is one occupancy/stall observation of one SM.
 type Sample struct {
@@ -62,9 +60,9 @@ type Sample struct {
 	MemStallCycles int64
 }
 
-// SampleSink receives occupancy samples. Implementations attached via
-// Config.SMSamples run on the simulating goroutine and must not
-// allocate if the caller relies on the 0-allocs/issue property.
+// SampleSink receives occupancy samples. On a Workers <= 1 launch it runs
+// inside the wave loop and must not allocate if the caller relies on the
+// 0-allocs/issue property.
 type SampleSink interface {
 	Sample(Sample)
 }
@@ -100,17 +98,9 @@ func (t teeSampleSink) Sample(s Sample) {
 	}
 }
 
-// sampleBuffer records one SM's sample stream for in-order replay after
-// a Workers > 1 launch, mirroring bufferSink for events.
-type sampleBuffer struct {
-	samples Log[Sample]
-}
-
-func (b *sampleBuffer) Sample(s Sample) { b.samples.Append(s) }
-
 // samplerEnabled reports whether this launch wants samples at all.
 func (cfg *Config) samplerEnabled() bool {
-	return cfg.SampleStride > 0 && (cfg.Samples != nil || cfg.SMSamples != nil)
+	return cfg.SampleStride > 0 && cfg.Samples != nil
 }
 
 // samplePass is called once per pass over a wave. It records a sample

@@ -156,41 +156,6 @@ func TestSamplerDisabled(t *testing.T) {
 	}
 }
 
-// TestSamplerSMSamplesPath: the lock-free per-SM sink path delivers
-// each SM's samples to its own sink, and the concatenation in SM order
-// equals the buffered Samples stream.
-func TestSamplerSMSamplesPath(t *testing.T) {
-	mod, err := ir.Parse(reduceKernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := simt.Config{
-		Grid: 8, CTASize: 2 * ir.WarpWidth, SMs: 4, Workers: 4,
-		Seed: 7, SampleStride: 16,
-	}
-	perSM := make([][]simt.Sample, 4)
-	smCfg := cfg
-	smCfg.SMSamples = func(sm int) simt.SampleSink {
-		return simt.SampleSinkFunc(func(s simt.Sample) { perSM[sm] = append(perSM[sm], s) })
-	}
-	if _, err := simt.Run(mod, smCfg); err != nil {
-		t.Fatal(err)
-	}
-	var concat []simt.Sample
-	for sm, ss := range perSM {
-		for _, s := range ss {
-			if int(s.SM) != sm {
-				t.Fatalf("sm %d sink received sample for sm %d", sm, s.SM)
-			}
-		}
-		concat = append(concat, ss...)
-	}
-	buffered := collectSamples(t, cfg)
-	if !reflect.DeepEqual(concat, buffered) {
-		t.Fatalf("SMSamples concat (%d) != buffered stream (%d)", len(concat), len(buffered))
-	}
-}
-
 // TestSamplerFlatInterleave: a flat InterleaveWarps launch samples as
 // SM 0; a run-to-completion flat launch (waves of one warp) records
 // nothing.

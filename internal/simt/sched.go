@@ -39,8 +39,8 @@ import (
 // (Config.StarveLimit) fails the launch with a typed StarvationError
 // when a warp with runnable lanes has not issued for more than the
 // limit in modeled cycles. The wall-clock watchdog (Config.WallBudget)
-// bounds real time beside the modeled MaxIssues/MaxCycles budgets and
-// fires a typed WatchdogError; it applies to every launch shape and
+// bounds real time beside the modeled MaxIssues budget and fires a
+// typed WatchdogError; it applies to every launch shape and
 // policy.
 
 // SchedPolicy selects how the wave loop picks the next warp to issue

@@ -153,7 +153,7 @@ type Config struct {
 	// deadlock and budget detection own those.
 	StarveLimit int64
 	// WallBudget, when positive, bounds the launch's wall-clock time
-	// beside the modeled MaxIssues/MaxCycles budgets; a typed
+	// beside the modeled MaxIssues budget; a typed
 	// WatchdogError fires once it is exceeded (checked per SM on grid
 	// launches, amortized over issues).
 	WallBudget time.Duration
@@ -170,12 +170,6 @@ type Config struct {
 	// are merged in SM order, so any worker count produces byte-identical
 	// metrics, memory, profiles and event streams.
 	Workers int
-	// SMEvents, when non-nil on a grid launch, supplies one EventSink per
-	// SM so runs sharded over Workers > 1 keep a lock-free, unbuffered,
-	// allocation-free issue path; it is called once per SM index before
-	// simulation starts, and takes precedence over Events. Each sink is
-	// called only from the goroutine simulating its SM.
-	SMEvents func(sm int) EventSink
 	// Model selects the divergence model — which lanes of a warp issue
 	// next and where they go: Volta-style independent thread scheduling
 	// with convergence barriers (default) or the pre-Volta reconvergence
@@ -196,10 +190,6 @@ type Config struct {
 	// MaxIssues bounds total issued warp instructions (default
 	// DefaultMaxIssues).
 	MaxIssues int64
-	// MaxCycles, when positive, additionally bounds the modeled cycle
-	// count. The differential checker uses it to bound wall-clock per
-	// kernel independently of the per-instruction cost model.
-	MaxCycles int64
 	// SkipReleaseN, when positive, makes the simulator silently skip the
 	// Nth barrier-cohort release (1-based, counted launch-wide): the
 	// cohort's lanes stay blocked and the barrier's participation mask is
@@ -209,27 +199,28 @@ type Config struct {
 	// only (the stack model has no barrier releases to skip).
 	SkipReleaseN int64
 	// Memory is the initial global memory image; it is copied, and the
-	// final memory is returned in Result.Memory.
+	// final memory is returned in Result.Memory. The image is as long as
+	// the longer of Memory and the module's MemWords.
 	Memory []uint64
-	// MemWords, if larger than len(Memory) and the module's MemWords,
-	// grows the memory.
-	MemWords int
-	Cache    CacheConfig
+	Cache  CacheConfig
 	// Events, when non-nil, receives the generalized simulator event
 	// stream (issues, branch resolutions, barrier waits and releases,
 	// cache accesses, calls and returns) under either divergence model.
-	// See events.go; combine several observers with TeeSinks. The sink
-	// is always called from one goroutine at a time and, on a grid
-	// launch, sees SM 0's whole stream, then SM 1's, and so on, for any
-	// Workers count — including every SM's stream up to its own end when
-	// the launch fails. With Workers <= 1 (the default) the SMs run one
-	// after another and each event is delivered as it happens, nothing
-	// stored; only with Workers > 1 is each SM's stream buffered (a copy
-	// of every Event in a per-SM Log, so the launch allocates the stream's
-	// bytes plus at most one chunk per SM) and replayed into the sink in
-	// SM order once every SM has retired. SMEvents avoids that buffer.
-	// Either way the sink is handed a pointer that is good for the call
-	// only (see EventSink).
+	// See events.go; combine several observers with TeeSinks.
+	//
+	// Delivery rule, for Events and Samples alike: the sink is called from
+	// one goroutine at a time and, on a grid launch, sees SM 0's whole
+	// stream, then SM 1's, and so on, for any Workers count — including
+	// every SM's stream up to its own end when the launch fails. With
+	// Workers <= 1 (the default) the SMs run one after another and each
+	// record is delivered as it happens, nothing stored; with Workers > 1
+	// each SM's streams are kept in per-SM Logs (the launch allocates
+	// their bytes plus at most one chunk per stream and SM) and replayed
+	// in SM order once every SM has retired, every event before the first
+	// sample. A sink on both fields therefore sees the same two streams
+	// for any worker count but may see them interleaved differently, and
+	// must not depend on that. An Event pointer is good for the call only
+	// (see EventSink).
 	Events EventSink
 	// SampleStride, when positive, enables the per-SM occupancy/stall
 	// sampler: one Sample per stride of modeled cycles, recorded at the
@@ -238,17 +229,9 @@ type Config struct {
 	// InterleaveWarps or a non-greedy Sched (as SM 0) — and not the
 	// one-warp waves of a run-to-completion flat launch; see sample.go.
 	SampleStride int64
-	// Samples receives occupancy samples, by value, SM by SM like Events:
-	// in place as they are taken when Workers <= 1, buffered in a per-SM
-	// Log and replayed in SM order after the launch (after the buffered
-	// events) when Workers > 1. A sink attached to both Events and Samples
-	// therefore sees the same two streams for any worker count but may see
-	// them interleaved differently, and must not depend on that.
+	// Samples receives the occupancy samples, by value, under the delivery
+	// rule stated at Events.
 	Samples SampleSink
-	// SMSamples, when non-nil on a grid launch, supplies one SampleSink
-	// per SM for a lock-free, allocation-free delivery path, mirroring
-	// SMEvents. It takes precedence over Samples.
-	SMSamples func(sm int) SampleSink
 }
 
 // Result is the outcome of a launch.
@@ -428,17 +411,14 @@ type sim struct {
 	ctaPool  []*ctaState
 	poolWarp int
 	poolCTA  int
-	// reuse marks a Machine-owned sim: runGrid stashes its per-SM forks,
-	// merge scratch and (for Workers > 1 launches only) event and sample
-	// replay buffers on the fields below and resets them on the next
-	// launch instead of reallocating.
-	reuse         bool
-	smPool        []*sim
-	bufPool       []bufferSink
-	sampleBufPool []sampleBuffer
-	sharedBuf     [][]uint64
-	perSMBuf      []Metrics
-	writtenBuf    []uint64
+	// runGrid keeps its per-SM forks, merge scratch and (for Workers > 1
+	// launches only) replay logs on the fields below, so a Machine's next
+	// launch resets them instead of reallocating.
+	smPool     []*sim
+	replay     []smReplay
+	sharedBuf  [][]uint64
+	perSMBuf   []Metrics
+	writtenBuf []uint64
 }
 
 // normalizeConfig validates cfg against m and fills in every default
@@ -513,14 +493,7 @@ func normalizeConfig(m *ir.Module, cfg Config) (Config, int, error) {
 		return cfg, 0, fmt.Errorf("simt: cache Ways %d exceeds %d", c.Ways, maxCacheWays)
 	}
 
-	memWords := m.MemWords
-	if cfg.MemWords > memWords {
-		memWords = cfg.MemWords
-	}
-	if len(cfg.Memory) > memWords {
-		memWords = len(cfg.Memory)
-	}
-	return cfg, memWords, nil
+	return cfg, max(m.MemWords, len(cfg.Memory)), nil
 }
 
 // newSim validates the module and configuration and builds the
@@ -726,7 +699,7 @@ func (s *sim) launch() (*Result, error) {
 		// The shared wave samples as SM 0; a wave of one warp has no
 		// occupancy to sample.
 		wave = nwarps
-		_, s.sampleSink = s.smSinks(0, nil, nil)
+		_, s.sampleSink = s.smSinks(0, nil)
 	}
 	for w := 0; w < nwarps; w += wave {
 		if err := s.runWave(cta.warps[w : w+wave]); err != nil {
@@ -815,7 +788,7 @@ func (ws *warpState) tryStep() (issued bool, err error) {
 		gi = ws.pick(groups)
 		g = groups[gi]
 	}
-	if s.issues >= s.cfg.MaxIssues || (s.cfg.MaxCycles > 0 && s.metrics.Cycles >= s.cfg.MaxCycles) {
+	if s.issues >= s.cfg.MaxIssues {
 		return false, s.budgetError(ws)
 	}
 	if s.issues&watchdogCheckMask == 0 && s.watchdogExpired() {
@@ -992,7 +965,6 @@ func (s *sim) budgetError(ws *warpState) error {
 	e := &BudgetError{
 		Warp:              ws.index,
 		MaxIssues:         s.cfg.MaxIssues,
-		MaxCycles:         s.cfg.MaxCycles,
 		Issues:            s.issues,
 		Cycles:            s.metrics.Cycles,
 		LastProgressCycle: s.lastProgressCycle,

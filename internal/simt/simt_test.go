@@ -549,7 +549,7 @@ done:
 				}
 			}
 		}
-		grid := run(t, m, Config{Seed: 3, Grid: 3, CTASize: 2 * 32, SMs: 2, MemWords: 256, Sched: sp, SchedSeed: 11, StarveLimit: 1 << 30, Strict: true})
+		grid := run(t, m, Config{Seed: 3, Grid: 3, CTASize: 2 * 32, SMs: 2, Memory: make([]uint64, 256), Sched: sp, SchedSeed: 11, StarveLimit: 1 << 30, Strict: true})
 		if gridRef == nil {
 			gridRef = append([]uint64(nil), grid.Memory...)
 		} else {
