@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check loc bench bench-e2e bench-compare bench-pairs perf-gate perf-baseline cache-smoke fmt figures profile-smoke scale-smoke fuzz-smoke diffcheck-smoke vet-corpus telemetry-smoke sched-smoke repair-smoke
+.PHONY: all build test vet race check loc bench bench-e2e bench-compare bench-pairs perf-gate perf-baseline cache-smoke fmt figures profile-smoke scale-smoke fuzz-smoke diffcheck-smoke vet-corpus telemetry-smoke sched-smoke repair-smoke arm64-unfused
 
 all: build
 
@@ -28,6 +28,7 @@ race:
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) arm64-unfused
 	$(GO) test -race -count=1 ./...
 	$(MAKE) scale-smoke
 	$(MAKE) fuzz-smoke
@@ -52,14 +53,40 @@ loc:
 			$$(cat $$f | wc -l) $$d; \
 	done | awk '{print; c += $$1; l += $$3} END {printf "%7d code %7d lines  total\n", c, l}'
 
+# arm64-unfused holds every host to amd64's float arithmetic. Go lets a
+# compiler fuse x*y + z into one rounding; arm64's does (FMADDD and kin),
+# amd64's never does, so a fused line would move a lane result, an
+# estimate or a workload table on an arm64 host. This cross-builds every
+# binary for arm64 (offline, the local toolchain) with the compiler's
+# own listing of this module's packages — full source paths, so standard
+# library code inlined into ours is told apart — and fails naming each
+# module line a fused instruction came from. The fix is an explicit
+# float64(x*y), Go's spelling of "round here". The build cache replays
+# the listing, so a warm run takes a second.
+ARM64_OUT = /tmp/specrecon-arm64-unfused
+arm64-unfused:
+	rm -rf $(ARM64_OUT)
+	mkdir -p $(ARM64_OUT)/bin
+	GOTOOLCHAIN=local GOARCH=arm64 $(GO) build -gcflags='specrecon/...=-S' \
+		-o $(ARM64_OUT)/bin/ ./... 2>$(ARM64_OUT)/asm.txt \
+		|| { tail -20 $(ARM64_OUT)/asm.txt; exit 1; }
+	@grep -E '\($(CURDIR)/[^)]*\.go:[0-9]+\)[[:space:]]+F(N)?M(ADD|SUB)D[[:space:]]' $(ARM64_OUT)/asm.txt \
+		| sed -E 's/.*\(([^)]*)\).*/\1/' | sort -u > $(ARM64_OUT)/fused.txt
+	@if [ -s $(ARM64_OUT)/fused.txt ]; then \
+		echo "arm64 fuses a multiply into an add at:"; cat $(ARM64_OUT)/fused.txt; \
+		rm -rf $(ARM64_OUT); exit 1; fi
+	rm -rf $(ARM64_OUT)
+
 # fuzz-smoke gives each fuzz target a short budget on top of the checked-in
 # seed corpus: enough to catch shallow parser/pipeline regressions without
-# holding up the gate.
+# holding up the gate. FuzzMulSoft holds the simulator's integer multiply
+# to the host's, bit for bit.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s .
 	$(GO) test -fuzz FuzzAnalyze -fuzztime 30s .
 	$(GO) test -fuzz FuzzRepair -fuzztime 30s .
 	$(GO) test -fuzz FuzzPipeline -fuzztime 30s .
+	$(GO) test -run '^FuzzMulSoft$$' -fuzz FuzzMulSoft -fuzztime 10s ./internal/simt
 
 # diffcheck-smoke is the seeded differential campaign on the driver's
 # default (spec) axis: 500 corpus kernels compiled under both pipelines

@@ -100,12 +100,12 @@ func parseResult(out []byte) (sample, error) {
 
 // quantile returns the q-quantile of sorted xs by linear interpolation.
 func quantile(xs []float64, q float64) float64 {
-	pos := q * float64(len(xs)-1)
+	pos := float64(q * float64(len(xs)-1))
 	lo := int(pos)
 	if lo+1 >= len(xs) {
 		return xs[len(xs)-1]
 	}
-	return xs[lo] + (pos-float64(lo))*(xs[lo+1]-xs[lo])
+	return xs[lo] + float64((pos-float64(lo))*(xs[lo+1]-xs[lo])) // unfused on every host
 }
 
 // verdict applies the claim rule to the paired samples (lower is

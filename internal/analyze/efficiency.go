@@ -110,12 +110,14 @@ func (e *effEstimator) fold(name string) funcCost {
 				// The callee runs with the caller's lane population at
 				// the call site; its internal divergence is already in
 				// its activeCost ratio.
-				fc.cost += issued * callee.cost
-				fc.activeCost += issued * lanes[b.Index] * callee.activeCost
+				// float64(…) forbids fusing the product into the sum
+				// (arm64 would), so every host rounds the same.
+				fc.cost += float64(issued * callee.cost)
+				fc.activeCost += float64(issued * lanes[b.Index] * callee.activeCost)
 			}
 		}
-		fc.cost += issued * cost
-		fc.activeCost += issued * lanes[b.Index] * cost
+		fc.cost += float64(issued * cost)
+		fc.activeCost += float64(issued * lanes[b.Index] * cost)
 	}
 	e.memo[name] = fc
 	return fc
@@ -157,10 +159,10 @@ func blockFreqs(f *ir.Function, info *cfg.Info, div *divergence.Info) []float64 
 				w0, w1 = 1, 1
 			}
 			if !isBackEdge(b, b.Succs[0]) {
-				freq[b.Succs[0].Index] += fb * w0
+				freq[b.Succs[0].Index] += float64(fb * w0) // unfused, as above
 			}
 			if !isBackEdge(b, b.Succs[1]) {
-				freq[b.Succs[1].Index] += fb * w1
+				freq[b.Succs[1].Index] += float64(fb * w1)
 			}
 			continue
 		}

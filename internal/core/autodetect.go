@@ -401,11 +401,12 @@ func profileCosts(f *ir.Function, common, overhead []*ir.Block, opts AutoDetectO
 		}
 		return 1
 	}
+	// float64(…) keeps arm64 from fusing the product into the sum.
 	for _, b := range common {
-		c += blockCost(f, b, opts) * weight(b)
+		c += float64(blockCost(f, b, opts) * weight(b))
 	}
 	for _, b := range overhead {
-		o += blockCost(f, b, opts) * weight(b)
+		o += float64(blockCost(f, b, opts) * weight(b))
 	}
 	return c, o
 }

@@ -130,6 +130,12 @@ func generateApp(i int, kind Kind, r *rng.Source) *App {
 		genDivergentCond(f, b, r)
 	}
 
+	// The input words are 16-bit integers, so every fld of one reads a
+	// float64 subnormal (or zero), and the streaming, stencil and
+	// reduction kernels multiply subnormals. That is a property of the
+	// population, kept because every digest and golden depends on it;
+	// the simulator multiplies them without the host's assist
+	// (DESIGN.md §8, "Lane arithmetic the host penalises").
 	mem := make([]uint64, m.MemWords)
 	for w := threads; w < m.MemWords; w++ {
 		mem[w] = uint64(r.Intn(1 << 16))
@@ -353,7 +359,7 @@ func genDivergentCond(f *ir.Function, b *ir.Builder, r *rng.Source) {
 	done := f.NewBlock("done")
 
 	weight := 4 + r.Intn(20)
-	takeP := 0.1 + 0.3*r.Float64()
+	takeP := 0.1 + float64(0.3*r.Float64()) // unfused on every host
 
 	b.SetBlock(entry)
 	tid := b.Tid()

@@ -58,7 +58,7 @@ func CompareAveraged(w *workloads.Workload, cfg workloads.BuildConfig, threshold
 	var varSum float64
 	for _, s := range speeds {
 		d := s - out.MeanSpeed
-		varSum += d * d
+		varSum += float64(d * d) // unfused on every host
 	}
 	if len(speeds) > 1 {
 		out.StdevSpeed = math.Sqrt(varSum / (n - 1))

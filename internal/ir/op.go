@@ -59,7 +59,7 @@ const (
 	OpFLog
 	OpFSin
 	OpFCos
-	OpFMA // dst = a*b + c
+	OpFMA // dst = a*b + c, the product rounded before the add (not a fused FFMA)
 	OpFSetEQ
 	OpFSetNE
 	OpFSetLT
@@ -67,7 +67,10 @@ const (
 	OpFSetGT
 	OpFSetGE
 	OpItoF // fdst = float64(a)
-	OpFtoI // dst = int64(fa), truncated
+	// OpFtoI: dst = int64(fa) truncated toward zero; NaN, ±Inf and values
+	// outside int64's range give math.MinInt64 on every host (Go leaves
+	// that conversion implementation-dependent; this is amd64's answer).
+	OpFtoI
 
 	// Divergence sources and thread identity.
 	OpTid        // dst = global thread id

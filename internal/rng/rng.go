@@ -79,9 +79,11 @@ func (s *Source) Range(lo, hi int) int {
 	return lo + s.Intn(hi-lo+1)
 }
 
-// Float64 returns a value in [0, 1) with 53 bits of precision.
+// Float64 returns a value in [0, 1) with 53 bits of precision. The
+// outer float64(…) keeps an arm64 caller from fusing this product into
+// its own sum once Float64 is inlined.
 func (s *Source) Float64() float64 {
-	return float64(s.Uint64()>>11) * (1.0 / (1 << 53))
+	return float64(float64(s.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // Exp returns an exponentially distributed value with the given mean.

@@ -417,7 +417,18 @@ func (ws *warpState) execData(in *ir.Instr, mask uint32) (int, error) {
 		}
 	case ir.OpMod:
 		rd, ra := ws.icol(d), ws.icol(a)
-		if in.BImm {
+		if in.BImm && imm > 0 && imm&(imm-1) == 0 {
+			// Go's truncated % by a power of two, without a 64-bit IDIV.
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & laneMask
+				x := ra[l]
+				r := x & (imm - 1)
+				if x < 0 && r != 0 {
+					r -= imm
+				}
+				rd[l] = r
+			}
+		} else if in.BImm {
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros32(m) & laneMask
 				if y := imm; y != 0 {
@@ -683,17 +694,28 @@ func (ws *warpState) execData(in *ir.Instr, mask uint32) (int, error) {
 			}
 		}
 	case ir.OpFMul:
+		// A lane the host would multiply through a microcode assist goes
+		// to mulSoft, which gives the same bits (lanemath.go).
 		fd, fa := ws.fcol(d), ws.fcol(a)
 		if in.BImm {
+			eimm := fexp(fimm)
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros32(m) & laneMask
-				fd[l] = fa[l] * fimm
+				if x := fa[l]; assisted(fexp(x), eimm) {
+					fd[l] = mulSoft(x, fimm)
+				} else {
+					fd[l] = x * fimm
+				}
 			}
 		} else {
 			fb := ws.fcol(b)
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros32(m) & laneMask
-				fd[l] = fa[l] * fb[l]
+				if x, y := fa[l], fb[l]; assisted(fexp(x), fexp(y)) {
+					fd[l] = mulSoft(x, y)
+				} else {
+					fd[l] = x * y
+				}
 			}
 		}
 	case ir.OpFDiv:
@@ -783,8 +805,14 @@ func (ws *warpState) execData(in *ir.Instr, mask uint32) (int, error) {
 	case ir.OpFMA:
 		fd, fa, fb, fc := ws.fcol(d), ws.fcol(a), ws.fcol(b), ws.fcol(c)
 		for m := mask; m != 0; m &= m - 1 {
+			// A rounded product, then a rounded sum: float64(…) keeps
+			// the compiler from fusing them on a host that could.
 			l := bits.TrailingZeros32(m) & laneMask
-			fd[l] = fa[l]*fb[l] + fc[l]
+			if x, y := fa[l], fb[l]; assisted(fexp(x), fexp(y)) {
+				fd[l] = mulSoft(x, y) + fc[l]
+			} else {
+				fd[l] = float64(x*y) + fc[l]
+			}
 		}
 	case ir.OpFSetEQ:
 		rd, fa := ws.icol(d), ws.fcol(a)
@@ -880,7 +908,7 @@ func (ws *warpState) execData(in *ir.Instr, mask uint32) (int, error) {
 		rd, fa := ws.icol(d), ws.fcol(a)
 		for m := mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m) & laneMask
-			rd[l] = int64(fa[l])
+			rd[l] = ftoi(fa[l])
 		}
 
 	case ir.OpTid:

@@ -166,7 +166,7 @@ func (ws *warpState) refExecScalar(ln *refLane, in *ir.Instr) error {
 	case ir.OpFCos:
 		ln.fregs[in.Dst] = math.Cos(ln.fregs[in.A])
 	case ir.OpFMA:
-		ln.fregs[in.Dst] = ln.fregs[in.A]*ln.fregs[in.B] + ln.fregs[in.C]
+		ln.fregs[in.Dst] = float64(ln.fregs[in.A]*ln.fregs[in.B]) + ln.fregs[in.C]
 	case ir.OpFSetEQ:
 		ln.regs[in.Dst] = boolToInt(ln.fregs[in.A] == fb())
 	case ir.OpFSetNE:
@@ -182,7 +182,12 @@ func (ws *warpState) refExecScalar(ln *refLane, in *ir.Instr) error {
 	case ir.OpItoF:
 		ln.fregs[in.Dst] = float64(ln.regs[in.A])
 	case ir.OpFtoI:
-		ln.regs[in.Dst] = int64(ln.fregs[in.A])
+		// NaN, ±Inf and out of range are MinInt64 on every host.
+		if x := ln.fregs[in.A]; math.IsNaN(x) || math.Abs(x) >= 1<<63 && x != -1<<63 {
+			ln.regs[in.Dst] = math.MinInt64
+		} else {
+			ln.regs[in.Dst] = int64(x)
+		}
 
 	case ir.OpTid:
 		ln.regs[in.Dst] = int64(ln.id)
@@ -305,22 +310,25 @@ type execCase struct {
 
 // execCases builds the instruction forms for op: register and (where
 // the opcode takes one) immediate B, with the immediates that hit the
-// edge cases — zero divisors, shift counts >= 64, NaN — and in-bounds
-// and out-of-bounds address forms for the memory opcodes.
+// edge cases — zero divisors, powers of two (the masked mod), shift
+// counts >= 64, NaN, a subnormal — and in-bounds and out-of-bounds
+// address forms for the memory opcodes.
 func execCases(op ir.Opcode) []execCase {
 	sig := ir.OperandFiles(op)
 	base := ir.Instr{Op: op, Dst: 1, A: 2, B: 3, C: 4, Bar: 0, Imm: 3, FImm: 0.5}
 	cases := []execCase{{name: "reg", in: base}}
 	if sig.BMayImm {
-		for _, imm := range []int64{0, 1, -1, 7, 64, 70, math.MinInt64} {
+		for _, imm := range []int64{0, 1, -1, 7, 64, 70, 256, 1 << 62, math.MinInt64} {
 			in := base
 			in.B, in.BImm, in.Imm = ir.NoReg, true, imm
 			in.FImm = float64(imm) / 4
 			cases = append(cases, execCase{name: fmt.Sprintf("imm%d", imm), in: in})
 		}
-		in := base
-		in.B, in.BImm, in.FImm = ir.NoReg, true, math.NaN()
-		cases = append(cases, execCase{name: "immNaN", in: in})
+		for _, fimm := range []float64{math.NaN(), 0x1p-1060} {
+			in := base
+			in.B, in.BImm, in.FImm = ir.NoReg, true, fimm
+			cases = append(cases, execCase{name: fmt.Sprintf("imm%g", fimm), in: in})
+		}
 	}
 	if op.IsMemory() || op.IsSharedMemory() {
 		cases = append(cases, execCase{name: "oob", in: base, oob: true})
@@ -365,9 +373,12 @@ e:
 	}
 
 	// Interesting operand values: zero divisors, shift counts at and
-	// past the word size, extremes, and the float specials.
+	// past the word size, extremes, the float specials, and the
+	// subnormals, least normal and tiny values whose products take
+	// mulSoft.
 	ints := []int64{0, 1, -1, 2, 63, 64, 65, 127, -64, 1 << 40, math.MaxInt64, math.MinInt64}
-	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 1e300, -1e300, math.Inf(1), math.Inf(-1), math.NaN(), 3.75}
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 1e300, -1e300, math.Inf(1), math.Inf(-1), math.NaN(), 3.75,
+		5e-324, -0x1p-1060, math.Float64frombits(1<<52 - 1), 0x1p-1022, 1e-200, -1e-200}
 	state := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 {
 		state ^= state << 13
@@ -467,9 +478,11 @@ e:
 			}
 		}
 	}
-	// Every data opcode of the ISA: if this count drops, the reference
-	// stopped covering something and the test went vacuous for it.
-	if handled < 60*4 {
+	// Every form of every data opcode of the ISA under four masks (1598
+	// since the power-of-two and subnormal immediates): if this count
+	// drops, the reference stopped covering something and the test went
+	// vacuous for it.
+	if handled < 1598 {
 		t.Fatalf("only %d passing (opcode form, mask) cases ran", handled)
 	}
 }

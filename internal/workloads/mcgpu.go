@@ -92,7 +92,7 @@ func buildMCGPU(cfg BuildConfig) *Instance {
 	mem := make([]uint64, m.MemWords)
 	r := newTableRNG(cfg.Seed)
 	tableRand(mem, int(voxBase), mcgpuVoxels, func(i int) uint64 {
-		return floatBits(0.02 + r.Float64()*0.4)
+		return floatBits(0.02 + float64(r.Float64()*0.4)) // unfused on every host
 	})
 	return &Instance{Module: m, Kernel: f.Name, Threads: cfg.Threads, Memory: mem, Seed: cfg.Seed}
 }

@@ -115,10 +115,11 @@ func buildPathTracer(cfg BuildConfig) *Instance {
 	r := newTableRNG(cfg.Seed)
 	for i := 0; i < pathNSpheres; i++ {
 		base := int(sphBase) + 4*i
-		mem[base+0] = floatBits(r.Float64()*2 - 1)    // cx
-		mem[base+1] = floatBits(r.Float64()*2 - 1)    // cy
-		mem[base+2] = floatBits(r.Float64()*2 - 1)    // cz
-		mem[base+3] = floatBits(0.04 + r.Float64()/4) // r^2
+		// float64(…) keeps arm64 from fusing each product into its sum.
+		mem[base+0] = floatBits(float64(r.Float64()*2) - 1)    // cx
+		mem[base+1] = floatBits(float64(r.Float64()*2) - 1)    // cy
+		mem[base+2] = floatBits(float64(r.Float64()*2) - 1)    // cz
+		mem[base+3] = floatBits(0.04 + float64(r.Float64()/4)) // r^2
 	}
 	return &Instance{Module: m, Kernel: f.Name, Threads: cfg.Threads, Memory: mem, Seed: cfg.Seed}
 }

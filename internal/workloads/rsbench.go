@@ -125,7 +125,7 @@ func buildRSBench(cfg BuildConfig) *Instance {
 		return uint64(r.Range(192, rsbenchMaxNuc) / scale)
 	})
 	tableRand(mem, int(poleBase), rsbenchNPole, func(i int) uint64 {
-		return floatBits(0.25 + 1.5*r.Float64())
+		return floatBits(0.25 + float64(1.5*r.Float64())) // unfused on every host
 	})
 	return &Instance{Module: m, Kernel: f.Name, Threads: cfg.Threads, Memory: mem, Seed: cfg.Seed}
 }
