@@ -210,32 +210,28 @@ cache-smoke:
 	$(GO) run ./cmd/perf json /tmp/specrecon-cache-smoke/stats.json
 	rm -rf /tmp/specrecon-cache-smoke
 
-# telemetry-smoke exercises the fleet-telemetry layer end to end. A grid
-# workload runs with the per-SM occupancy sampler, the compile cache and
-# the telemetry snapshot attached; the snapshot and the trace (carrying
-# SM occupancy counter tracks) must be well-formed JSON. Then the
-# registry's other reader: figures -fig 7 appends two run records,
-# registry series included, to a scratch ledger, and perf ledger holds
-# the second's compile-cache misses to the first's (16 -> 16; exit 2 if
-# the record lacks the registry's series). The Go-side coverage —
-# registry and snapshot, worker-pool instrumentation, sampler
-# attribution — runs under -race. That the sampler adds zero allocations
-# to the issue loop is pinned by TestSteadyStateIssueAllocFreeGrid, and
-# that the observers allocate what they keep, a chunk at a time and never
-# per event, by TestTraceRecorderAllocsPerEvent,
-# TestRecordersAllocateWhatTheyHold and perf-gate's observed_grid
-# allocation metrics.
+# telemetry-smoke exercises occupancy sampling and the run ledger end to
+# end. A grid workload runs with the per-SM occupancy sampler and the
+# compile cache attached, and its trace (carrying SM occupancy counter
+# tracks) must be well-formed JSON. Then figures -fig 7 appends two run
+# records to a scratch ledger, and perf ledger holds the second's
+# compile-cache misses to the first's (16 -> 16; exit 2 if the record
+# lacks them). A record's ccache_* series are the cache's own Stats(),
+# written by cli.App.Record; the per-SM occupancy series are the table
+# the sampled run prints. The ledger's Go tests run under -race. That the
+# sampler adds zero allocations to the issue loop is pinned by
+# TestSteadyStateIssueAllocFreeGrid, and that the observers allocate what
+# they keep, a chunk at a time and never per event, by
+# TestTraceRecorderAllocsPerEvent, TestRecordersAllocateWhatTheyHold and
+# perf-gate's observed_grid allocation metrics.
 telemetry-smoke:
 	rm -rf /tmp/specrecon-telemetry-smoke
 	mkdir -p /tmp/specrecon-telemetry-smoke
 	$(GO) run ./cmd/specrecon -kernel rsbench -mode spec \
 		-grid 8 -ctasize 64 -sms 4 -workers 2 \
 		-sample-stride 64 -compile-cache \
-		-telemetry-json /tmp/specrecon-telemetry-smoke/metrics.json \
 		-trace-out /tmp/specrecon-telemetry-smoke/trace.json
-	$(GO) run ./cmd/perf json \
-		/tmp/specrecon-telemetry-smoke/metrics.json \
-		/tmp/specrecon-telemetry-smoke/trace.json
+	$(GO) run ./cmd/perf json /tmp/specrecon-telemetry-smoke/trace.json
 	$(GO) run ./cmd/figures -fig 7 -compile-cache \
 		-ledger /tmp/specrecon-telemetry-smoke/runs.jsonl >/dev/null
 	$(GO) run ./cmd/figures -fig 7 -compile-cache \
@@ -243,8 +239,6 @@ telemetry-smoke:
 	$(GO) run ./cmd/perf ledger -ledger /tmp/specrecon-telemetry-smoke/runs.jsonl \
 		-tool figures -gate "ccache_misses_total <= 1"
 	$(GO) test -race -count=1 ./internal/telemetry
-	$(GO) test -race -count=1 -run 'Telemetry|Occupancy|Sampler' \
-		./internal/simt ./internal/obs ./internal/harness
 	rm -rf /tmp/specrecon-telemetry-smoke
 
 # sched-smoke exercises the campaign driver's schedule axis end to end.

@@ -59,7 +59,7 @@ var check = diffcheck.Check
 // minimize → repro. Every cell is checked whatever the others do: a
 // check that panics is one PANIC line with an unminimized repro
 // (re-checking to minimize could panic again).
-func (c *campaign) run(name string, ax axis, st *Stats) {
+func (c *campaign) run(ax axis, st *Stats) {
 	apps := corpus.Generate(c.n, c.seed)
 	var cells []cell
 	for _, app := range apps {
@@ -69,7 +69,7 @@ func (c *campaign) run(name string, ax axis, st *Stats) {
 		})...)
 	}
 	results := make([]diffcheck.Result, len(cells))
-	errs := harness.RunTasks("diffhunt-"+name, c.jobs, len(cells), func(i int) error {
+	errs := harness.RunTasks(c.jobs, len(cells), func(i int) error {
 		results[i] = check(cells[i].k, cells[i].opts)
 		return nil
 	})

@@ -47,7 +47,6 @@ import (
 	"strings"
 
 	"specrecon/internal/cli"
-	"specrecon/internal/harness"
 	"specrecon/internal/simt"
 )
 
@@ -102,14 +101,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if c.seeds, err = parseList(*seeds, "seeds", parseSeed); err != nil {
 		return app.Fail(cli.Usage, err)
 	}
-	defer harness.UseTelemetry(harness.UseTelemetry(app.Reg))
 
 	st := &Stats{PerPolicy: map[string]int{}, PerLayer: map[string]int{}, Buckets: map[string]int{}, Rates: map[string]float64{}}
 	failures := 0
 	if *matrix {
 		failures += ax.matrix(c, st)
 	}
-	c.run(*axisName, ax, st)
+	c.run(ax, st)
 	failures += st.Findings + st.Panics + ax.summary(c, st)
 
 	if *stats != "" {

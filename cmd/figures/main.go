@@ -44,10 +44,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	defer app.Close(&code)
 	cfg := app.Launch
-	// The drivers compile and report through the harness's process-wide
-	// cache and registry; both are put back on the way out.
+	// The drivers compile through the harness's process-wide cache; it is
+	// put back on the way out.
 	defer harness.UseCompileCache(harness.UseCompileCache(app.Cache))
-	defer harness.UseTelemetry(harness.UseTelemetry(app.Reg))
 
 	if *markdown {
 		if err := harness.WriteMarkdownReport(stdout, cfg, *apps, *jobs); err != nil {

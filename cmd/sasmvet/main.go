@@ -418,9 +418,10 @@ func vet(vm vetModule, compiled bool, effBelow float64, cache *ccache.Cache, fix
 	if !inject.Zero() {
 		opts.Faults = inject
 	}
-	// core.Diagnose's pipeline (DiagnoseRepaired's in fix mode) with the
-	// note threshold handed to the analyze pass: the default pipeline's
-	// spec with the reporting passes put in front of register allocation.
+	// core.Diagnose's pipeline (with the repair pass ahead of the analysis
+	// in fix mode) and the note threshold handed to the analyze pass: the
+	// default pipeline's spec with the reporting passes put in front of
+	// register allocation.
 	passes := fmt.Sprintf("analyze=%g,alloc", effBelow)
 	if fixMode {
 		passes = "repair," + passes

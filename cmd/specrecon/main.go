@@ -82,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	app.LivenessFlags()
 	app.CacheFlags()
 	app.ProfileFlags()
-	app.TelemetryJSONFlag()
 	if code, done := app.Parse(args); done {
 		return code
 	}
@@ -314,9 +313,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stdout, "\n%s occupancy (stride %d, %d samples):\n\n", mo, *sampleStride, occ.Len())
 			if err := occ.WriteMarkdown(stdout); err != nil {
 				return fail(err)
-			}
-			if app.Reg != nil {
-				harness.PublishOccupancy(app.Reg, *kernel+"/"+mo, occ.PerSM())
 			}
 		}
 		if *profileJSON != "" {

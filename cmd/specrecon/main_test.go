@@ -37,6 +37,7 @@ func TestCLI(t *testing.T) {
 		{Name: "threshold-out-of-range", Args: []string{"-kernel", "rsbench", "-threshold", "99"}, Code: 2, Stderr: "-threshold 99"},
 		{Name: "negative-sample-stride", Args: []string{"-kernel", "rsbench", "-sample-stride", "-5"}, Code: 2, Stderr: "-sample-stride -5"},
 		{Name: "interleave-grid", Args: []string{"-kernel", "rsbench", "-interleave", "-grid", "4"}, Code: 2, Stderr: "-interleave makes a flat launch one wave and cannot be combined with -grid"},
+		{Name: "no-telemetry-json", Args: []string{"-kernel", "rsbench", "-telemetry-json", "x"}, Code: 2, Stderr: "flag provided but not defined: -telemetry-json"},
 	})
 }
 
@@ -64,13 +65,12 @@ func TestPassStatsColumnsAlign(t *testing.T) {
 }
 
 // TestFinishersRunOnFailure: a -diffcheck finding exits 1 and still
-// writes the cache statistics and the metrics snapshot, and asking for
-// the statistics alone got a cache to take them from.
+// writes the cache statistics, and asking for the statistics alone got a
+// cache to take them from.
 func TestFinishersRunOnFailure(t *testing.T) {
-	dir := t.TempDir()
-	stats, snapshot := filepath.Join(dir, "stats.json"), filepath.Join(dir, "metrics.json")
+	stats := filepath.Join(t.TempDir(), "stats.json")
 	code, _, stderr := clitest.Exec(t, run, "-kernel", "rsbench", "-diffcheck", "-inject", "skip-release@1",
-		"-cache-stats", stats, "-telemetry-json", snapshot)
+		"-cache-stats", stats)
 	if code != 1 {
 		t.Errorf("exit %d, want 1\nstderr: %s", code, stderr)
 	}
@@ -78,10 +78,6 @@ func TestFinishersRunOnFailure(t *testing.T) {
 	clitest.ReadJSON(t, stats, &st)
 	if st.Misses == 0 {
 		t.Errorf("-cache-stats without -compile-cache recorded no lookup: %+v", st)
-	}
-	var metrics struct{ Metrics []any }
-	if clitest.ReadJSON(t, snapshot, &metrics); len(metrics.Metrics) == 0 {
-		t.Error("-telemetry-json snapshot carries no metric")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package cli is the command-line surface the binaries share, declared
 // once: the exit contract, and the flag groups — launch shape, warp
-// scheduling, compile cache, profiles, telemetry and run ledger — each
+// scheduling, compile cache, profiles and run ledger — each
 // registered by the binaries that have it, parsed into the values the
 // simulator takes, started after parsing and finished on every exit
 // path of run. A binary's main is
@@ -50,16 +50,12 @@ type App struct {
 	// -cache-stats asked for one (CacheFlags) or EnableCache was called;
 	// a nil cache compiles directly.
 	Cache *ccache.Cache
-	// Reg is the metrics registry, nil unless a telemetry or ledger flag
-	// was given.
-	Reg *telemetry.Registry
 
-	policy, sched                      string
-	cacheOn                            bool
-	cacheStats, cpuProfile, memProfile string
-	telemetryJSON, ledger              string
-	started                            time.Time
-	finishers                          []func() error
+	policy, sched                              string
+	cacheOn                                    bool
+	cacheStats, cpuProfile, memProfile, ledger string
+	started                                    time.Time
+	finishers                                  []func() error
 }
 
 // New returns the App of the command called name.
@@ -112,14 +108,9 @@ func (a *App) ProfileFlags() {
 	a.StringVar(&a.memProfile, "memprofile", "", "write a heap profile to this file")
 }
 
-// TelemetryJSONFlag registers the final metrics snapshot.
-func (a *App) TelemetryJSONFlag() {
-	a.StringVar(&a.telemetryJSON, "telemetry-json", "", "write the final telemetry snapshot as JSON to this file (\"-\" for stderr)")
-}
-
 // LedgerFlag registers the run ledger Record appends to.
 func (a *App) LedgerFlag() {
-	a.StringVar(&a.ledger, "ledger", "", "append a run record (wall time, cache hit rate, registry and run metrics) to this JSONL ledger")
+	a.StringVar(&a.ledger, "ledger", "", "append a run record (wall time, compile-cache counts and run metrics) to this JSONL ledger")
 }
 
 // Parse parses args and starts what the registered groups were asked
@@ -167,36 +158,26 @@ func (a *App) start() (err error) {
 		}
 		a.finishers = append(a.finishers, func() error { pprof.StopCPUProfile(); return f.Close() })
 	}
-	if a.telemetryJSON != "" || a.ledger != "" {
-		a.Reg = telemetry.New()
-	}
 	if a.cacheOn || a.cacheStats != "" {
 		a.EnableCache()
 	}
 	if a.cacheStats != "" {
 		a.finishers = append(a.finishers, func() error { return WriteTo(a.cacheStats, a.Stderr, a.Cache.WriteStatsJSON) })
 	}
-	if a.telemetryJSON != "" {
-		a.finishers = append(a.finishers, func() error { return WriteTo(a.telemetryJSON, a.Stderr, a.Reg.WriteJSON) })
-	}
 	return nil
 }
 
 // EnableCache turns the compile cache on, as -compile-cache does.
 func (a *App) EnableCache() {
-	if a.Cache != nil {
-		return
-	}
-	a.Cache = ccache.New(0)
-	if a.Reg != nil {
-		a.Cache.RegisterMetrics(a.Reg)
+	if a.Cache == nil {
+		a.Cache = ccache.New(0)
 	}
 }
 
-// Close finishes what Parse started, last started first: the metrics
-// snapshot, the cache statistics, the profiles. run defers
-// it with the address of its named result, so every exit path finishes;
-// a finisher that fails is reported and turns an OK status into Usage.
+// Close finishes what Parse started, last started first: the cache
+// statistics, the profiles. run defers it with the address of its named
+// result, so every exit path finishes; a finisher that fails is reported
+// and turns an OK status into Usage.
 func (a *App) Close(code *int) {
 	for i := len(a.finishers) - 1; i >= 0; i-- {
 		if err := a.finishers[i](); err != nil {
@@ -216,9 +197,10 @@ func (a *App) Fail(code int, err error) int {
 }
 
 // Record appends the run's ledger record when -ledger was given: the
-// time, the git revision, config's fingerprint, and as metrics the
-// registry's series, the run's own, wall_seconds since Parse and the
-// cache's ccache_hit_rate.
+// time, the git revision, config's fingerprint, and as metrics the run's
+// own, wall_seconds since Parse and, once the compile cache has been
+// looked up, its ccache_hits_total, ccache_misses_total and
+// ccache_hit_rate.
 func (a *App) Record(tool string, config any, metrics map[string]float64) error {
 	if a.ledger == "" {
 		return nil
@@ -228,13 +210,14 @@ func (a *App) Record(tool string, config any, metrics map[string]float64) error 
 		Tool:    tool,
 		GitRev:  telemetry.GitRev(),
 		Config:  telemetry.Fingerprint(config),
-		Metrics: a.Reg.LedgerMetrics(),
+		Metrics: map[string]float64{"wall_seconds": time.Since(a.started).Seconds()},
 	}
 	for name, v := range metrics {
 		rec.Metrics[name] = v
 	}
-	rec.Metrics["wall_seconds"] = time.Since(a.started).Seconds()
 	if s := a.Cache.Stats(); s.Hits+s.Misses > 0 {
+		rec.Metrics["ccache_hits_total"] = float64(s.Hits)
+		rec.Metrics["ccache_misses_total"] = float64(s.Misses)
 		rec.Metrics["ccache_hit_rate"] = float64(s.Hits) / float64(s.Hits+s.Misses)
 	}
 	if err := telemetry.AppendRecord(a.ledger, rec); err != nil {

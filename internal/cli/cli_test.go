@@ -23,7 +23,6 @@ func full(name string) (*App, *bytes.Buffer) {
 	a.LivenessFlags()
 	a.CacheFlags()
 	a.ProfileFlags()
-	a.TelemetryJSONFlag()
 	a.LedgerFlag()
 	return a, &stderr
 }
@@ -77,15 +76,16 @@ func TestGroupsRegisterOnlyTheirFlags(t *testing.T) {
 
 // TestCloseFinishesAndRecord: the finishers write their files when Close
 // runs, one that cannot turns an OK status into Usage, and Record builds
-// the whole ledger line.
+// the whole ledger line, its compile-cache counts taken from the cache's
+// own statistics and left out of a run that looked nothing up.
 func TestCloseFinishesAndRecord(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
 	a, stderr := full("tool")
-	code, done := a.Parse([]string{"-cache-stats", path("stats.json"), "-telemetry-json", path("metrics.json"),
+	code, done := a.Parse([]string{"-cache-stats", path("stats.json"),
 		"-cpuprofile", path("cpu.pprof"), "-memprofile", path("mem.pprof"), "-ledger", path("runs.jsonl")})
-	if done || a.Cache == nil || a.Reg == nil {
-		t.Fatalf("Parse: code %d done %v cache %v reg %v\n%s", code, done, a.Cache, a.Reg, stderr)
+	if done || a.Cache == nil {
+		t.Fatalf("Parse: code %d done %v cache %v\n%s", code, done, a.Cache, stderr)
 	}
 	m := workloads.All()[0].Build(workloads.BuildConfig{}).Module
 	for range 2 {
@@ -100,7 +100,7 @@ func TestCloseFinishesAndRecord(t *testing.T) {
 	if code != OK {
 		t.Errorf("Close: code %d\n%s", code, stderr)
 	}
-	for _, name := range []string{"stats.json", "metrics.json", "cpu.pprof", "mem.pprof"} {
+	for _, name := range []string{"stats.json", "cpu.pprof", "mem.pprof"} {
 		if st, err := os.Stat(path(name)); err != nil || st.Size() == 0 {
 			t.Errorf("%s: not written (%v)", name, err)
 		}
@@ -113,8 +113,26 @@ func TestCloseFinishesAndRecord(t *testing.T) {
 	if r.Tool != "tool-x" || r.Time == "" || r.GitRev == "" || r.Config != telemetry.Fingerprint(map[string]int{"n": 1}) {
 		t.Errorf("record identity: %+v", r)
 	}
-	if r.Metrics["checks"] != 7 || r.Metrics["ccache_hit_rate"] != 0.5 || r.Metrics["wall_seconds"] <= 0 || r.Metrics["ccache_hits_total"] != 1 {
-		t.Errorf("record metrics: %v", r.Metrics)
+	st := a.Cache.Stats()
+	if r.Metrics["checks"] != 7 || r.Metrics["wall_seconds"] <= 0 || r.Metrics["ccache_hit_rate"] != 0.5 ||
+		st.Hits != 1 || st.Misses != 1 || r.Metrics["ccache_hits_total"] != float64(st.Hits) || r.Metrics["ccache_misses_total"] != float64(st.Misses) {
+		t.Errorf("record metrics: %v, cache stats %+v", r.Metrics, st)
+	}
+
+	a, stderr = full("tool")
+	if code, done = a.Parse([]string{"-compile-cache", "-ledger", path("idle.jsonl")}); done {
+		t.Fatalf("Parse: code %d\n%s", code, stderr)
+	}
+	if err := a.Record("tool-x", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err = telemetry.ReadLedger(path("idle.jsonl")); err != nil || len(recs) != 1 {
+		t.Fatalf("ledger: %v, %d records", err, len(recs))
+	}
+	for name := range recs[0].Metrics {
+		if strings.HasPrefix(name, "ccache_") {
+			t.Errorf("a run with no cache lookups records %s: %v", name, recs[0].Metrics)
+		}
 	}
 
 	a, stderr = full("tool")

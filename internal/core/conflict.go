@@ -30,7 +30,7 @@ func init() {
 						c.deconflict(fw.f, fw.waits, mode)
 					}
 					if n := c.Opts.Faults.SkipConflict; n > 0 && c.conflictSeen < n {
-						return fmt.Errorf("fault skip-conflict@%d: only %d conflicts found", n, c.conflictSeen)
+						return fmt.Errorf("fault skip-conflict@%d: %w such target: only %d conflicts found", n, ErrNoFaultTarget, c.conflictSeen)
 					}
 					return nil
 				},

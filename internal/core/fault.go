@@ -183,9 +183,10 @@ func findNth(m *ir.Module, n int, pred func(in, prev *ir.Instr) bool) (instrRef,
 	return instrRef{}, false
 }
 
-// ErrNoFaultTarget is what inject wraps when a fault's target instruction
-// does not exist in the module: nothing was planted, which campaigns
-// count as a skip and never as the verifier rejecting the build.
+// ErrNoFaultTarget is what every fault wraps when its target does not
+// exist in the module — the inject pass's instruction, deconflict's Nth
+// conflict: nothing was planted, which campaigns count as a skip and
+// never as the verifier rejecting the build.
 var ErrNoFaultTarget = errors.New("module has no")
 
 // inject applies the plan's inject-layer faults to the module. A fault

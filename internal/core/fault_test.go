@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -65,9 +66,8 @@ func TestInjectDropCancelRemovesOneCancel(t *testing.T) {
 	}
 }
 
-func TestInjectMissingTargetIsError(t *testing.T) {
-	// The baseline build of a straight-line kernel has no cancels at
-	// all; asking to drop one must fail loudly, not silently no-op.
+// straightLine is a one-block kernel with no branch, hence no barrier.
+func straightLine() *ir.Module {
 	m := ir.NewModule("plain")
 	m.MemWords = 64
 	f := m.NewFunction("k")
@@ -75,6 +75,13 @@ func TestInjectMissingTargetIsError(t *testing.T) {
 	b.SetBlock(f.NewBlock("e"))
 	b.Store(b.Tid(), 0, b.Const(1))
 	b.Exit()
+	return m
+}
+
+func TestInjectMissingTargetIsError(t *testing.T) {
+	// The baseline build of a straight-line kernel has no cancels at
+	// all; asking to drop one must fail loudly, not silently no-op.
+	m := straightLine()
 
 	opts := BaselineOptions()
 	opts.Faults = FaultPlan{DropCancel: 1}
@@ -94,6 +101,32 @@ func TestInjectMissingTargetIsError(t *testing.T) {
 	_, err = Compile(ir.NewModule("empty"), opts)
 	if err == nil || !strings.Contains(err.Error(), "module has no functions") || errors.Is(err, ErrNoFaultTarget) {
 		t.Errorf("empty module: got %v, want an invalid-module error that is not ErrNoFaultTarget", err)
+	}
+}
+
+// TestEveryFaultWithoutTargetIsNoFaultTarget: each FaultPlan kind — one
+// row per field, so a new kind is a new row — planted on a straight-line
+// kernel, which has no barrier, wait or conflict to perturb, fails with
+// ErrNoFaultTarget: campaigns count it as nothing planted.
+func TestEveryFaultWithoutTargetIsNoFaultTarget(t *testing.T) {
+	m := straightLine()
+
+	kinds := reflect.TypeFor[FaultPlan]()
+	for i := range kinds.NumField() {
+		var plan FaultPlan
+		switch v := reflect.ValueOf(&plan).Elem().Field(i); v.Kind() {
+		case reflect.Int:
+			v.SetInt(1)
+		case reflect.Bool:
+			v.SetBool(true)
+		default:
+			t.Fatalf("FaultPlan.%s: no row for a %s field", kinds.Field(i).Name, v.Kind())
+		}
+		opts := SpecReconOptions()
+		opts.Faults = plan
+		if _, err := Compile(m, opts); !errors.Is(err, ErrNoFaultTarget) {
+			t.Errorf("%s: got %v, want an error wrapping ErrNoFaultTarget", plan, err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"specrecon/internal/ir"
 	"specrecon/internal/repair"
 )
 
@@ -52,15 +51,4 @@ func init() {
 // a plain SafePipelineFor build is rejected.
 func RepairPipelineFor(opts Options) *Pipeline {
 	return pipelineWith(opts, "repair", "barrier-safety").own()
-}
-
-// DiagnoseRepaired is Diagnose with the repair pass ahead of the
-// analysis: the module is repaired to fixpoint, then the analyzer
-// reports on the repaired module. Diagnostics are the post-repair
-// findings; RepairReport records what was applied (including the
-// pre-repair findings as Report.Before). Like Diagnose, remaining
-// diagnostics do not fail the build. cmd/sasmvet -compiled -fix sits on
-// top of this.
-func DiagnoseRepaired(m *ir.Module, opts Options) (*Compilation, error) {
-	return CompilePipeline(m, opts, pipelineWith(opts, "repair", "analyze"))
 }

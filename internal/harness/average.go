@@ -29,7 +29,7 @@ type AveragedComparison struct {
 // serial run.
 func CompareAveraged(w *workloads.Workload, cfg workloads.BuildConfig, thresholdOverride int, seeds []uint64, parallelism int) (AveragedComparison, error) {
 	out := AveragedComparison{Name: w.Name, Seeds: len(seeds), MinSpeed: math.Inf(1), MaxSpeed: math.Inf(-1)}
-	cmps, err := collect("averaged", parallelism, len(seeds), func(i int) (Comparison, error) {
+	cmps, err := collect(parallelism, len(seeds), func(i int) (Comparison, error) {
 		c := cfg
 		c.Seed = seeds[i]
 		return Compare(w, c, thresholdOverride)

@@ -66,7 +66,7 @@ func RunFunnel(n int, seed uint64, parallelism int) (*FunnelResult, error) {
 	apps := corpus.Generate(n, seed)
 	res := &FunnelResult{Studied: len(apps)}
 	outcomes := make([]funnelOutcome, len(apps))
-	err := forEach("funnel", parallelism, len(apps), func(i int) error {
+	err := forEach(parallelism, len(apps), func(i int) error {
 		app := apps[i]
 		inst := &workloads.Instance{Module: app.Module, Kernel: app.Kernel, Threads: app.Threads, Seed: app.Seed, Memory: app.Memory}
 		base, err := measureBaseline(inst, nil)
@@ -148,7 +148,7 @@ func AutoComparison(w *workloads.Workload, cfg workloads.BuildConfig) (Compariso
 // per-kernel jobs run on the worker pool.
 func Figure10(cfg workloads.BuildConfig, parallelism int) ([]Comparison, error) {
 	names := []string{"optix-ao", "optix-path", "optix-shadow", "meiyamd5"}
-	return collect("figure10", parallelism, len(names), func(i int) (Comparison, error) {
+	return collect(parallelism, len(names), func(i int) (Comparison, error) {
 		w, err := workloads.Get(names[i])
 		if err != nil {
 			return Comparison{}, err

@@ -282,7 +282,7 @@ func VerifySameResults(a, b []uint64) error {
 // pool.go); parallelism 0 selects GOMAXPROCS, 1 runs serially.
 func Figure7(cfg workloads.BuildConfig, parallelism int) ([]Comparison, error) {
 	ws := workloads.Annotated()
-	return collect("figure7", parallelism, len(ws), func(i int) (Comparison, error) {
+	return collect(parallelism, len(ws), func(i int) (Comparison, error) {
 		return Compare(ws[i], cfg, -1)
 	})
 }
@@ -342,7 +342,7 @@ func ThresholdSweep(inst *workloads.Instance, specOpts core.Options, thresholds 
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	specOpts.AssumeVerified = true
-	return collect("figure9", parallelism, len(thresholds), func(i int) (Comparison, error) {
+	return collect(parallelism, len(thresholds), func(i int) (Comparison, error) {
 		opts := specOpts
 		opts.ThresholdOverride = thresholds[i]
 		c, err := base.versus(name, "", inst.Module, opts, false)

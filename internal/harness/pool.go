@@ -61,12 +61,8 @@ func safeCall(i int, fn func(i int) error) (err error) {
 // parallelism workers, each call contained by safeCall, every task's
 // error (nil on success) returned in its slot. With stopOnErr, workers
 // pick up no new task once one has failed; tasks in flight still
-// complete. driver labels the fan-out in the installed telemetry
-// registry (see UseTelemetry); with no registry installed the
-// instrumentation is a nil pointer no-op.
-func runPool(driver string, parallelism, n int, stopOnErr bool, fn func(i int) error) []error {
-	pm := poolStart(driver, n)
-	defer pm.finish()
+// complete.
+func runPool(parallelism, n int, stopOnErr bool, fn func(i int) error) []error {
 	errs := make([]error, n)
 	var (
 		next   atomic.Int64
@@ -81,7 +77,6 @@ func runPool(driver string, parallelism, n int, stopOnErr bool, fn func(i int) e
 			if errs[i] = safeCall(i, fn); errs[i] != nil {
 				failed.Store(true)
 			}
-			pm.jobDone()
 		}
 	}
 	workers := min(effectiveParallelism(parallelism), n)
@@ -104,8 +99,8 @@ func runPool(driver string, parallelism, n int, stopOnErr bool, fn func(i int) e
 // forEach runs the fan-out until a task fails and returns the
 // lowest-index error, matching what the serial loop would have reported.
 // A panicking job is a typed *TaskPanicError, not a crashed pool.
-func forEach(driver string, parallelism, n int, fn func(i int) error) error {
-	for _, err := range runPool(driver, parallelism, n, true, fn) {
+func forEach(parallelism, n int, fn func(i int) error) error {
+	for _, err := range runPool(parallelism, n, true, fn) {
 		if err != nil {
 			return err
 		}
@@ -115,9 +110,9 @@ func forEach(driver string, parallelism, n int, fn func(i int) error) error {
 
 // collect is forEach for the common driver shape — job i produces row i —
 // returning the rows in job order, or the lowest-index error and no rows.
-func collect[T any](driver string, parallelism, n int, job func(i int) (T, error)) ([]T, error) {
+func collect[T any](parallelism, n int, job func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := forEach(driver, parallelism, n, func(i int) (err error) {
+	err := forEach(parallelism, n, func(i int) (err error) {
 		out[i], err = job(i)
 		return err
 	})
@@ -132,6 +127,6 @@ func collect[T any](driver string, parallelism, n int, job func(i int) (T, error
 // panic, contained to a typed *TaskPanicError — does NOT stop the
 // fan-out. The campaign driver (cmd/diffhunt) uses it so one
 // pathological cell yields one typed finding while the sweep finishes.
-func RunTasks(driver string, parallelism, n int, fn func(i int) error) []error {
-	return runPool(driver, parallelism, n, false, fn)
+func RunTasks(parallelism, n int, fn func(i int) error) []error {
+	return runPool(parallelism, n, false, fn)
 }

@@ -13,7 +13,7 @@ import (
 // — instead of crashing the process.
 func TestForEachPanicContainment(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
-		err := forEach("test", parallelism, 8, func(i int) error {
+		err := forEach(parallelism, 8, func(i int) error {
 			if i == 3 {
 				panic("poisoned task")
 			}
@@ -38,7 +38,7 @@ func TestRunTasksCompletesSweep(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		var ran atomic.Int64
 		boom := errors.New("boom")
-		errs := RunTasks("test", parallelism, 16, func(i int) error {
+		errs := RunTasks(parallelism, 16, func(i int) error {
 			ran.Add(1)
 			switch i {
 			case 5:

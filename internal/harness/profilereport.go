@@ -37,7 +37,7 @@ func runProfiled(inst *workloads.Instance, opts core.Options) (p *obs.Profile, e
 // parallelism (0 = GOMAXPROCS) does not affect the result.
 func CollectProfiles(cfg workloads.BuildConfig, parallelism int) ([]WorkloadProfile, error) {
 	ws := workloads.Annotated()
-	return collect("profiles", parallelism, len(ws), func(i int) (WorkloadProfile, error) {
+	return collect(parallelism, len(ws), func(i int) (WorkloadProfile, error) {
 		inst := ws[i].Build(cfg)
 		base, err := runProfiled(inst, core.BaselineOptions())
 		if err != nil {
@@ -91,7 +91,7 @@ func DumpTraces(dir string, cfg workloads.BuildConfig, parallelism int) ([]strin
 	}
 	ws := workloads.Annotated()
 	paths := make([][]string, len(ws))
-	err := forEach("traces", parallelism, len(ws), func(i int) error {
+	err := forEach(parallelism, len(ws), func(i int) error {
 		inst := ws[i].Build(cfg)
 		for _, build := range []struct {
 			tag  string

@@ -18,10 +18,9 @@ import (
 // sweeps warp-scheduling policies × soft-barrier thresholds for one
 // workload, checks every point's final memory against the greedy
 // baseline, arms the starvation monitor so a schedule-dependent hang
-// surfaces as a typed liveness failure instead of a stuck sweep, and —
-// when a telemetry registry is installed (UseTelemetry) — publishes
-// per-policy occupancy and issue-efficiency gauges plus starvation
-// counters.
+// surfaces as a typed liveness failure instead of a stuck sweep, and
+// samples each point's occupancy: WriteSchedSensitivity's rows carry its
+// resident warps, issue efficiency and starvation outcome per policy.
 
 // SchedSweepStarveLimit is the starvation budget armed on every
 // policy-scheduled sweep run: generous enough that no fair schedule of
@@ -37,11 +36,10 @@ type SchedPoint struct {
 	Eff       float64
 	Speedup   float64 // greedy-baseline cycles / this point's cycles
 	Cycles    int64
-	// AvgResident/IssueEff/NoEligibleFrac aggregate the occupancy
-	// sampler over the run (all SMs).
-	AvgResident    float64
-	IssueEff       float64
-	NoEligibleFrac float64
+	// AvgResident/IssueEff aggregate the occupancy sampler over the run
+	// (all SMs).
+	AvgResident float64
+	IssueEff    float64
 	// Starved is set when the point failed with a StarvationError
 	// instead of completing; Err carries the message. A starving policy
 	// is a reportable property of the schedule, not a sweep abort.
@@ -70,15 +68,13 @@ func SchedSensitivity(name string, cfg workloads.BuildConfig, policies []simt.Sc
 	}
 
 	points := make([]SchedPoint, len(policies)*len(thresholds))
-	recs := make([]*obs.OccupancyRecorder, len(points))
-	err = forEach("schedsweep", parallelism, len(points), func(i int) error {
+	err = forEach(parallelism, len(points), func(i int) error {
 		pol := policies[i/len(thresholds)]
 		thr := thresholds[i%len(thresholds)]
 		specOpts := core.SpecReconOptions()
 		specOpts.ThresholdOverride = thr
 		specOpts.AssumeVerified = true
 		rec := obs.NewOccupancyRecorder()
-		recs[i] = rec
 		pt := SchedPoint{Policy: pol, Threshold: thr}
 		_, res, err := launch(inst, inst.Module, specOpts, false, func(_ *ir.Module, runCfg simt.Config) simt.Config {
 			runCfg.Sched = pol
@@ -108,12 +104,12 @@ func SchedSensitivity(name string, cfg workloads.BuildConfig, policies []simt.Sc
 		pt.Eff = res.Metrics.SIMTEfficiency()
 		pt.Speedup = float64(base.Metrics.Cycles) / float64(res.Metrics.Cycles)
 		pt.Cycles = res.Metrics.Cycles
+		var agg obs.OccupancyStats
 		for _, o := range rec.PerSM() {
 			pt.AvgResident += o.AvgResident()
+			agg.Merge(&o)
 		}
-		agg := aggregateOccupancy(rec)
 		pt.IssueEff = agg.IssueEfficiency()
-		pt.NoEligibleFrac = agg.NoEligibleFrac()
 		points[i] = pt
 		return nil
 	})
@@ -123,62 +119,9 @@ func SchedSensitivity(name string, cfg workloads.BuildConfig, policies []simt.Sc
 
 	out := make(map[string][]SchedPoint, len(policies))
 	for pi, pol := range policies {
-		rows := points[pi*len(thresholds) : (pi+1)*len(thresholds) : (pi+1)*len(thresholds)]
-		out[pol.String()] = rows
-		publishSchedPolicy(name, pol, rows, recs[pi*len(thresholds):(pi+1)*len(thresholds)])
+		out[pol.String()] = points[pi*len(thresholds) : (pi+1)*len(thresholds) : (pi+1)*len(thresholds)]
 	}
 	return out, nil
-}
-
-// aggregateOccupancy folds a recorder's per-SM streams into one stat.
-func aggregateOccupancy(rec *obs.OccupancyRecorder) obs.OccupancyStats {
-	var agg obs.OccupancyStats
-	for _, o := range rec.PerSM() {
-		agg.Merge(&o)
-	}
-	return agg
-}
-
-// publishSchedPolicy reports one policy's aggregate occupancy and
-// starvation outcomes to the installed telemetry registry, labeled
-// {workload, policy}.
-func publishSchedPolicy(workload string, pol simt.SchedPolicy, rows []SchedPoint, recs []*obs.OccupancyRecorder) {
-	reg := Telemetry()
-	if reg == nil {
-		return
-	}
-	var agg obs.OccupancyStats
-	for _, rec := range recs {
-		if rec == nil {
-			continue
-		}
-		a := aggregateOccupancy(rec)
-		agg.Merge(&a)
-	}
-	starved := 0
-	for _, r := range rows {
-		if r.Starved {
-			starved++
-		}
-	}
-	l := pol.String()
-	reg.Counter("harness_sched_points_total",
-		"Scheduler-sensitivity sweep points measured, per workload and policy.",
-		"workload", "policy").With(workload, l).Add(int64(len(rows)))
-	reg.Counter("harness_sched_starvation_total",
-		"Sweep points that failed with a StarvationError, per workload and policy.",
-		"workload", "policy").With(workload, l).Add(int64(starved))
-	if agg.Samples > 0 {
-		reg.Gauge("simt_sched_avg_resident",
-			"Mean resident warps per occupancy sample across the policy's sweep points.",
-			"workload", "policy").With(workload, l).Set(agg.AvgResident())
-		reg.Gauge("simt_sched_issue_efficiency",
-			"Issued warps as a fraction of resident warp-samples across the policy's sweep points.",
-			"workload", "policy").With(workload, l).Set(agg.IssueEfficiency())
-		reg.Gauge("simt_sched_no_eligible_frac",
-			"Fraction of samples with resident warps but nothing eligible, across the policy's sweep points.",
-			"workload", "policy").With(workload, l).Set(agg.NoEligibleFrac())
-	}
 }
 
 // WriteSchedSensitivity renders the sweep as one markdown table per

@@ -61,7 +61,7 @@ func CompareWithCache(w *workloads.Workload, cfg workloads.BuildConfig, cache si
 // a serial run exactly.
 func Sensitivity(names []string, cfg workloads.BuildConfig, parallelism int) (map[string][]Comparison, error) {
 	variants := ModelVariants()
-	results, err := collect("sensitivity", parallelism, len(variants)*len(names), func(i int) (Comparison, error) {
+	results, err := collect(parallelism, len(variants)*len(names), func(i int) (Comparison, error) {
 		v := variants[i/len(names)]
 		w, err := workloads.Get(names[i%len(names)])
 		if err != nil {

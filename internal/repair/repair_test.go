@@ -85,13 +85,20 @@ func TestUnrepairableGivesUpNoEdit(t *testing.T) {
 	k := diffcheck.MatrixKernel()
 	opts := core.SpecReconOptions()
 	opts.Faults = matrixFault(t, "drop-wait@1").Plan
-	comp, err := core.DiagnoseRepaired(k.Module, opts)
+	// The default pipeline with repair and the analyzer ahead of
+	// allocation, as sasmvet -compiled -fix builds it: remaining
+	// diagnostics do not fail the compile.
+	pipe, err := core.ParsePipeline(strings.TrimSuffix(core.PipelineFor(opts).Spec(), "alloc") + "repair,analyze,alloc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := core.CompilePipeline(k.Module, opts, pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := comp.RepairReport
 	if rep == nil {
-		t.Fatal("DiagnoseRepaired produced no repair report")
+		t.Fatal("the repair pipeline produced no repair report")
 	}
 	if rep.GaveUp != repair.GaveUpNoEdit {
 		t.Errorf("gave up %q, want %q", rep.GaveUp, repair.GaveUpNoEdit)

@@ -1,3 +1,11 @@
+// Package telemetry is the run ledger: one JSON record per invocation
+// of figures, sasmvet or diffhunt (cli.App.Record behind the -ledger
+// flags), appended to a JSONL file that `perf ledger` (cmd/perf) gates
+// regressions on. A record carries enough identity to compare runs
+// across commits — the git revision, a fingerprint of the run's
+// configuration — plus a flat map of what the run itself counted: wall
+// time, compile-cache hits and misses, campaign counts. Appends are
+// O_APPEND single writes, so concurrent tools interleave whole records.
 package telemetry
 
 import (
@@ -7,18 +15,9 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"sort"
 	"strings"
 	"time"
 )
-
-// The run ledger: one JSON object per line appended to runs.jsonl by
-// figures/sasmvet/diffhunt invocations (cli.App.Record behind the
-// -ledger flags), diffed by `perf ledger` (cmd/perf). A record carries
-// enough identity to compare runs across commits — the git revision, a
-// fingerprint of the run's configuration — plus a flat metric map (wall
-// times, cache hit rates, campaign counts). Appends are O_APPEND single writes, so concurrent
-// tools interleave whole records.
 
 // RunRecord is one ledger line.
 type RunRecord struct {
@@ -112,33 +111,4 @@ func ReadLedger(path string) ([]RunRecord, error) {
 		return nil, fmt.Errorf("telemetry: reading ledger: %w", err)
 	}
 	return recs, nil
-}
-
-// LedgerMetrics flattens the registry into a RunRecord metric map:
-// "name" for unlabeled series, "name{k=v,...}" for labeled ones,
-// histograms contributing name_count and name_sum. Keys are sorted-
-// label deterministic, so two runs of the same workload produce the
-// same key set.
-func (r *Registry) LedgerMetrics() map[string]float64 {
-	out := map[string]float64{}
-	for _, m := range r.Snapshot().Metrics {
-		for _, se := range m.Series {
-			key := m.Name
-			if len(se.Labels) > 0 {
-				parts := make([]string, len(se.Labels))
-				for i, l := range se.Labels {
-					parts[i] = l.Name + "=" + l.Value
-				}
-				sort.Strings(parts)
-				key += "{" + strings.Join(parts, ",") + "}"
-			}
-			if m.Type == string(KindHistogram) {
-				out[key+"_count"] = float64(se.Count)
-				out[key+"_sum"] = se.Sum
-			} else {
-				out[key] = se.Value
-			}
-		}
-	}
-	return out
 }

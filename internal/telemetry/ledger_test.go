@@ -63,20 +63,3 @@ func TestFingerprintStable(t *testing.T) {
 		t.Fatalf("fingerprint length %d, want 12", len(a))
 	}
 }
-
-func TestLedgerMetricsFlattening(t *testing.T) {
-	r := New()
-	r.Counter("tasks_total", "t", "driver").With("fig7").Add(5)
-	r.Gauge("depth", "d").With().Set(2)
-	r.Histogram("wall", "w", []float64{1}).With().Observe(0.5)
-	m := r.LedgerMetrics()
-	if m["tasks_total{driver=fig7}"] != 5 {
-		t.Fatalf("labeled counter key missing: %v", m)
-	}
-	if m["depth"] != 2 {
-		t.Fatalf("gauge key missing: %v", m)
-	}
-	if m["wall_count"] != 1 || m["wall_sum"] != 0.5 {
-		t.Fatalf("histogram keys missing: %v", m)
-	}
-}

@@ -9,7 +9,7 @@
 //
 // It is deliberately no wider than that. The static analyzer, automated
 // repair, the differential checker, the profiler and trace exporter, the
-// metrics registry and fault injection are reached through the commands
+// run ledger and fault injection are reached through the commands
 // under cmd/ (specrecon, figures, sasmvet, diffhunt, simtviz), which
 // import the internal packages directly. A name is added here when a
 // program under examples/ needs it; testdata/facade.golden pins the set.
