@@ -65,7 +65,7 @@ func TestSteadyStateIssueAllocFree(t *testing.T) {
 				Sched: sp, SchedSeed: 7, StarveLimit: 1 << 30,
 				Events: obs.NewProfile(mod),
 			}
-			h, err := simt.NewHandSimFlat(mod, cfg)
+			h, err := simt.NewHandWave(mod, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,14 +89,15 @@ func TestSteadyStateIssueAllocFree(t *testing.T) {
 }
 
 // TestSteadyStateIssueAllocFreeGrid extends the allocation guard to the
-// GPU hierarchy: a multi-CTA wave resident on one SM, with shared-memory
+// GPU hierarchy: a multi-CTA wave resident on one SM (in place on a
+// one-SM grid, on a copy-on-write fork on a two-SM one), with shared-memory
 // traffic and a workgroup barrier in the hot loop, still issues with
 // zero heap allocations per round-robin pass — bare, with the profiler
 // and with a counting sink on Config.Events, and with the occupancy
 // sampler recording every pass (stride 1) into a fixed-state
 // obs.OccupancyStats on Config.Samples. A serial launch (Workers 1)
-// delivers to both in place (NewHandSimGPU picks SM 0's sinks the way
-// runGrid does).
+// delivers to both in place (NewHandWave picks SM 0's sinks the way
+// launch does).
 func TestSteadyStateIssueAllocFreeGrid(t *testing.T) {
 	mod, err := ir.Parse(simt.AllocTestKernelGrid)
 	if err != nil {
@@ -131,41 +132,55 @@ func TestSteadyStateIssueAllocFreeGrid(t *testing.T) {
 		}
 		cases = append(cases, guardCase{name: "sched-" + sp.String(), events: profSink, stride: 1, sched: sp})
 	}
+	// Each case runs on both memory paths: a one-SM grid issues in place
+	// on the root sim's image, and SM 0 of a two-SM grid issues through
+	// its copy-on-write fork. SM 0 gets a two-CTA wave either way.
+	shapes := []struct {
+		name      string
+		grid, sms int
+	}{
+		{"root", 2, 1},
+		{"fork", 4, 2},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := simt.Config{
-				Grid: 2, CTASize: 2 * ir.WarpWidth, SMs: 1, Workers: 1,
-				Seed: 1, Strict: true,
-			}
-			if tc.sched != simt.SchedGreedyConverge {
-				cfg.Sched = tc.sched
-				cfg.SchedSeed = 7
-				cfg.StarveLimit = 1 << 30
-			}
-			if tc.events != nil {
-				cfg.Events = tc.events()
-			}
-			if cfg.SampleStride = tc.stride; tc.stride > 0 {
-				cfg.Samples = &obs.OccupancyStats{}
-			}
-			h, err := simt.NewHandSimGPU(mod, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stepOnce := func() {
-				progress, err := h.Step()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !progress {
-					t.Fatal("wave retired during measurement; extend the loop bound")
-				}
-			}
-			for i := 0; i < 2000; i++ {
-				stepOnce()
-			}
-			if avg := testing.AllocsPerRun(500, stepOnce); avg != 0 {
-				t.Fatalf("steady-state allocations per issue pass = %v, want 0", avg)
+			for _, shape := range shapes {
+				t.Run(shape.name, func(t *testing.T) {
+					cfg := simt.Config{
+						Grid: shape.grid, CTASize: 2 * ir.WarpWidth, SMs: shape.sms, Workers: 1,
+						Seed: 1, Strict: true,
+					}
+					if tc.sched != simt.SchedGreedyConverge {
+						cfg.Sched = tc.sched
+						cfg.SchedSeed = 7
+						cfg.StarveLimit = 1 << 30
+					}
+					if tc.events != nil {
+						cfg.Events = tc.events()
+					}
+					if cfg.SampleStride = tc.stride; tc.stride > 0 {
+						cfg.Samples = &obs.OccupancyStats{}
+					}
+					h, err := simt.NewHandWave(mod, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stepOnce := func() {
+						progress, err := h.Step()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !progress {
+							t.Fatal("wave retired during measurement; extend the loop bound")
+						}
+					}
+					for i := 0; i < 2000; i++ {
+						stepOnce()
+					}
+					if avg := testing.AllocsPerRun(500, stepOnce); avg != 0 {
+						t.Fatalf("steady-state allocations per issue pass = %v, want 0", avg)
+					}
+				})
 			}
 		})
 	}

@@ -2,8 +2,9 @@ package simt
 
 import "math/bits"
 
-// Copy-on-write SM memory. A grid launch gives every SM a private view
-// of global memory. A full copy of the initial image per SM would make
+// Copy-on-write SM memory. A multi-SM launch gives every SM a private
+// view of global memory (a one-SM launch runs over the root's image in
+// place and has none). A full copy of the initial image per SM would make
 // the fixed cost of a launch scale with memWords × SMs no matter how
 // little the kernel wrote; a cowMem instead shares the launch template's
 // image read-only and materializes a private 4 KiB page on the first

@@ -51,9 +51,10 @@ type DeadlockError struct {
 	// Lanes lists the blocked lanes with their per-lane PCs.
 	Lanes []BlockedLane
 	// Cycles is the modeled cycle count at detection;
-	// CyclesSinceProgress measures how long the warp has been stuck
-	// (nonzero only under InterleaveWarps, where other warps keep the
-	// clock running after this warp's last issue).
+	// CyclesSinceProgress is how long the SM has gone since its last
+	// forward progress (a barrier or warpsync release, or a lane exit, by
+	// any warp): nonzero whenever anything issued after it — this warp on
+	// its way to the stall, or other warps before it on the same SM.
 	Cycles              int64
 	CyclesSinceProgress int64
 }

@@ -934,7 +934,7 @@ func (ws *warpState) execData(in *ir.Instr, mask uint32) (int, error) {
 			rd[l] = int64(ws.ctatidBase + l)
 		}
 	case ir.OpCTASize:
-		ws.broadcast(d, mask, int64(s.ctaSize))
+		ws.broadcast(d, mask, int64(s.cfg.CTASize))
 	case ir.OpRand:
 		rd := ws.icol(d)
 		for m := mask; m != 0; m &= m - 1 {
@@ -1022,7 +1022,7 @@ const oobWord = ^uint64(0)
 
 // at returns the index in w.words of global-memory word adr. The memory
 // is picked per instruction, not per word: only an address outside the
-// span asks for the memory behind it (window) — once on a flat launch,
+// span asks for the memory behind it (window) — once on the root sim,
 // whose span is the whole image, so the span test is also the bounds
 // check, and once per page on a CoW fork, where the 32 lanes of a
 // coalesced access share one page-table lookup.
@@ -1042,7 +1042,7 @@ func (w *memWin) mark(off uint64) {
 
 // window moves w to the span that holds word adr and returns its index
 // there, or oobWord. This is where the launch's memory representation is
-// told apart: a flat launch's span is its whole image; a CoW fork's is
+// told apart: the root's span is its whole image; a CoW fork's is
 // the page of adr — for a load of a page the SM has not stored to, the
 // template's words, else the SM's private copy, faulted in first if need
 // be.

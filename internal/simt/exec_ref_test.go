@@ -200,7 +200,7 @@ func (ws *warpState) refExecScalar(ln *refLane, in *ir.Instr) error {
 	case ir.OpCTATid:
 		ln.regs[in.Dst] = int64(ln.ctatid)
 	case ir.OpCTASize:
-		ln.regs[in.Dst] = int64(s.ctaSize)
+		ln.regs[in.Dst] = int64(s.cfg.CTASize)
 	case ir.OpRand:
 		ln.regs[in.Dst] = ln.rng.Int63()
 	case ir.OpFRand:
@@ -360,7 +360,7 @@ e:
 		if err != nil {
 			t.Fatal(err)
 		}
-		cta := s.newCTA(1, s.ctaSize)
+		cta := s.newCTA(1)
 		return s.newCTAWarp(cta, 1)
 	}
 	got, want := newWarp(), newWarp()

@@ -93,12 +93,28 @@ done:
 }
 `
 
+// firstWave makes resident the CTAs runSM admits first on SM 0 — a flat
+// launch's implicit CTA 0 — on s itself when the launch has one SM, else
+// on a fork of SM 0, with the sinks a serial launch gives SM 0. It
+// returns that SM and the wave.
+func (s *sim) firstWave() (*sim, []*warpState) {
+	events, samples := s.smSinks(0, nil)
+	sm := s
+	if s.cfg.SMs > 1 {
+		sm = s.forkSM(0, events, samples)
+	}
+	sm.sampleSink = samples
+	wave, _ := sm.admit(0, sm.occupancy(), nil)
+	return sm, wave
+}
+
 // HandSim steps a single warp one issue slot at a time, so tests can
 // measure per-step behavior directly: Step is one pass of the production
 // wave loop over the one-warp wave a flat run-to-completion launch makes
 // of warp 0.
 type HandSim struct {
-	s *sim
+	s    *sim
+	warp []*warpState
 }
 
 // NewHandSim builds a simulator over m and wires up warp 0.
@@ -107,14 +123,14 @@ func NewHandSim(m *ir.Module, cfg Config) (*HandSim, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.newCTAWarp(s.ctas[0], 0)
-	return &HandSim{s: s}, nil
+	sm, wave := s.firstWave()
+	return &HandSim{s: sm, warp: wave[:1]}, nil
 }
 
 // Step issues one slot on warp 0; done reports that nothing issued (the
 // warp completed, or is stalled).
 func (h *HandSim) Step() (done bool, err error) {
-	issued, err := h.s.passes(h.s.ctas[0].warps, 1)
+	issued, err := h.s.passes(h.warp, 1)
 	return issued == 0, err
 }
 
@@ -159,72 +175,33 @@ e:
 }
 `
 
-// HandSimGPU steps one wave by hand: Step is one pass of the production
+// HandWave steps one wave by hand: Step is one pass of the production
 // wave loop (a greedy round-robin sweep, or one policy slot with its
 // periodic starvation scan, then the sampler hook) without the loop's
 // retire and deadlock handling.
-type HandSimGPU struct {
+type HandWave struct {
 	sm    *sim
 	warps []*warpState
 }
 
-// newHandWave makes warps resident on sm the way runWave does.
-func newHandWave(sm *sim, warps []*warpState) *HandSimGPU {
+// NewHandWave builds a simulator over m and makes its first wave
+// resident (firstWave): SM 0's first CTAs on a grid, every warp of a flat
+// launch.
+func NewHandWave(m *ir.Module, cfg Config) (*HandWave, error) {
+	s, err := newSim(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sm, wave := s.firstWave()
 	if sm.cfg.Sched != SchedGreedyConverge {
-		sm.schedInit(warps)
+		sm.schedInit(wave)
 	}
-	return &HandSimGPU{sm: sm, warps: warps}
-}
-
-// NewHandSimGPU builds a grid simulator over m and makes SM 0's first
-// CTA wave resident. cfg must be a grid config (Grid > 0).
-func NewHandSimGPU(m *ir.Module, cfg Config) (*HandSimGPU, error) {
-	s, err := newSim(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if !s.gridMode {
-		return nil, fmt.Errorf("NewHandSimGPU requires a grid config (Grid > 0)")
-	}
-	warpsPerCTA := (s.cfg.CTASize + ir.WarpWidth - 1) / ir.WarpWidth
-	// The sinks a serial runGrid gives SM 0: Events/Samples in place.
-	sink, samples := s.smSinks(0, nil)
-	sm := s.forkSM(0, sink, samples)
-	occ := sm.occupancy(warpsPerCTA)
-	var warps []*warpState
-	for c := 0; c < s.cfg.Grid && len(warps)/warpsPerCTA < occ; c += s.cfg.SMs {
-		cta := sm.newCTA(c, sm.ctaSize)
-		sm.ctas = append(sm.ctas, cta)
-		for wi := 0; wi < warpsPerCTA; wi++ {
-			warps = append(warps, sm.newCTAWarp(cta, wi))
-		}
-	}
-	return newHandWave(sm, warps), nil
-}
-
-// NewHandSimFlat builds the flat-launch counterpart of NewHandSimGPU:
-// every warp of the launch forms one resident wave stepped by Step, as
-// under InterleaveWarps or a non-greedy Config.Sched. cfg must be flat
-// (Grid == 0).
-func NewHandSimFlat(m *ir.Module, cfg Config) (*HandSimGPU, error) {
-	s, err := newSim(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if s.gridMode {
-		return nil, fmt.Errorf("NewHandSimFlat requires a flat config (Grid == 0)")
-	}
-	_, s.sampleSink = s.smSinks(0, nil)
-	cta := s.ctas[0]
-	for w := 0; w*ir.WarpWidth < s.cfg.Threads; w++ {
-		s.newCTAWarp(cta, w)
-	}
-	return newHandWave(s, cta.warps), nil
+	return &HandWave{sm: sm, warps: wave}, nil
 }
 
 // Step runs one pass over the resident warps; progress=false means the
 // wave retired (or stalled).
-func (h *HandSimGPU) Step() (progress bool, err error) {
+func (h *HandWave) Step() (progress bool, err error) {
 	issued, err := h.sm.passes(h.warps, 1)
 	return issued > 0, err
 }
@@ -232,7 +209,7 @@ func (h *HandSimGPU) Step() (progress bool, err error) {
 // LaneScanSample classifies the resident warps the way the sampler did
 // before it trusted a current group table: by walking every lane status
 // of every warp. Only the four warp counts are filled in.
-func (h *HandSimGPU) LaneScanSample() Sample {
+func (h *HandWave) LaneScanSample() Sample {
 	var smp Sample
 	for _, ws := range h.warps {
 		if ws.done {
@@ -653,7 +630,8 @@ func IssuePCMismatch(m *ir.Module, cfg Config) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ws := s.newCTAWarp(s.ctas[0], 0)
+	s, wave := s.firstWave()
+	ws := wave[0]
 	for {
 		var from group
 		if groups, _ := ws.groups(); len(groups) > 0 {

@@ -1,7 +1,6 @@
 package simt
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 
@@ -11,31 +10,36 @@ import (
 // GPU-scale execution: the GPU → SM → CTA → warp hierarchy, and the wave
 // loop every launch runs on.
 //
-// One loop steps warps (passes, driven by runWave): it takes a wave — the
-// warps resident on a machine together — and gives it scheduling passes
-// until every warp has retired. Each launch shape is a way of cutting a
-// launch into waves. A grid launch (Config.Grid > 0) distributes Grid
-// CTAs round-robin over Config.SMs streaming multiprocessors: CTA c
-// runs on SM c%SMs. Each SM is an independent machine — its own
-// global-memory view, cache, metrics, issue budget and event sink —
-// whose waves are its CTAs, as many at a time as its occupancy limits
-// allow (runSM); the warps of co-resident CTAs contend for the SM's
-// cache. A flat launch runs on the root sim and is either one wave of
-// all its warps or one wave per warp (launch in simt.go). A CTA owns a
-// shared-memory segment (ir.Module.SharedWords words) and up to
+// Every launch is the same sequence: launch (simt.go) → runSM → runWave.
+// A launch's CTAs are distributed round-robin over Config.SMs streaming
+// multiprocessors — CTA c runs on SM c%SMs; a flat launch is the implicit
+// CTA 0 on SM 0. Each SM is an independent machine — its own
+// global-memory view, cache, metrics, issue budget and event sink — that
+// runs its CTAs in waves, as many at a time as its occupancy limits allow
+// (runSM); the warps of co-resident CTAs contend for the SM's cache. One
+// loop steps warps (passes, driven by runWave): it takes a wave — the
+// warps resident on the SM together — and gives it scheduling passes
+// until every warp has retired. What a wave is, a set of CTAs or a single
+// warp, is the one thing the launch shape decides (oneWarpWaves). A CTA
+// owns a shared-memory segment (ir.Module.SharedWords words) and up to
 // NumCTABarriers ctabar workgroup barriers scoped to its warps.
 //
-// Determinism under sharding. SMs never share mutable state: each runs
-// over a private copy-on-write view of the initial global memory
-// (cow.go), which records the words it stores. After every SM retires,
-// the final memory is the initial image overwritten by each SM's stored
-// words in SM-index order, per-SM metrics are merged in SM order
-// (counters add, the launch cycle count is the slowest SM's), and per-SM
-// event streams are delivered in SM order (as they happen when the SMs
-// run serially, from per-SM replay buffers when they run concurrently) —
-// so a run sharded over any number of worker goroutines is byte-identical
-// to the serial run. Words written by several SMs with disagreeing values are
-// counted as Metrics.CrossSMConflicts, mirroring real GPUs' lack of
+// Where the SMs run. A one-SM launch (every flat launch and every one-SM
+// grid) runs on the root sim, over its own memory image: there is nothing
+// to fork or merge. Only a multi-SM launch forks a sim per SM (runGrid).
+//
+// Determinism under sharding. The SMs of a multi-SM launch never share
+// mutable state: each runs over a private copy-on-write view of the
+// initial global memory (cow.go), which records the words it stores.
+// After every SM retires, the final memory is the initial image
+// overwritten by each SM's stored words in SM-index order, per-SM metrics
+// are merged in SM order (counters add, the launch cycle count is the
+// slowest SM's), and per-SM event streams are delivered in SM order (as
+// they happen when the SMs run serially, from per-SM replay buffers when
+// they run concurrently) — so a run sharded over any number of worker
+// goroutines is byte-identical to the serial run. Words written by
+// several SMs with disagreeing values are counted as
+// Metrics.CrossSMConflicts, mirroring real GPUs' lack of
 // inter-CTA write coherence within a launch: kernels must communicate
 // across CTAs through disjoint addresses (and atomics are atomic only
 // within an SM).
@@ -71,10 +75,6 @@ type ctaState struct {
 	// arrived[b] counts lanes currently blocked at workgroup barrier b;
 	// the barrier opens when every live lane of the CTA has arrived.
 	arrived [NumCTABarriers]int32
-}
-
-func newCTAState(index, size, sharedWords int) *ctaState {
-	return &ctaState{index: index, live: size, shared: make([]uint64, sharedWords)}
 }
 
 // blockOnBar records that count lanes blocked on workgroup barrier b.
@@ -146,8 +146,6 @@ func (s *sim) forkSM(i int, sink EventSink, samples SampleSink) *sim {
 		nregs:       s.nregs,
 		nfregs:      s.nfregs,
 		smIndex:     int32(i),
-		gridMode:    true,
-		ctaSize:     s.ctaSize,
 		memLen:      s.memLen,
 		cow:         newCowMem(s.mem),
 		cache:       newCache(s.cfg.Cache.withDefaults()),
@@ -174,12 +172,26 @@ func (sm *sim) resetSM(tpl *sim, sink EventSink, samples SampleSink) {
 	sm.rewind()
 }
 
+// ctas is the launch's CTA count: Grid, or a flat launch's one CTA.
+func (cfg *Config) ctas() int { return max(cfg.Grid, 1) }
+
+// warpsPerCTA is the warp count of one CTA, a partial last warp included.
+func (cfg *Config) warpsPerCTA() int { return (cfg.CTASize + ir.WarpWidth - 1) / ir.WarpWidth }
+
+// oneWarpWaves is the wave-size rule: a greedy flat launch without
+// InterleaveWarps runs its warps to completion one at a time, each a wave
+// of its own (with no occupancy to sample); every other launch makes a
+// wave of each occupancy-limited set of an SM's CTAs.
+func (cfg *Config) oneWarpWaves() bool {
+	return cfg.Grid == 0 && !cfg.InterleaveWarps && cfg.Sched == SchedGreedyConverge
+}
+
 // occupancy returns how many CTAs fit on one SM at once, limited by the
 // CTA slot count, the resident-warp budget and the shared-memory
 // capacity.
-func (s *sim) occupancy(warpsPerCTA int) int {
+func (s *sim) occupancy() int {
 	occ := MaxCTAsPerSM
-	if w := MaxWarpsPerSM / warpsPerCTA; w < occ {
+	if w := MaxWarpsPerSM / s.cfg.warpsPerCTA(); w < occ {
 		occ = w
 	}
 	if sw := s.mod.SharedWords; sw > 0 {
@@ -205,14 +217,14 @@ type smReplay struct {
 func (r *smReplay) Event(ev *Event) { r.events.Append(*ev) }
 func (r *smReplay) Sample(s Sample) { r.samples.Append(s) }
 
-// smSinks picks the sinks SM i's fork reports to: the launch's own when
-// the SMs run one after another (replay nil) — forEachSM with Workers <=
-// 1 runs SM 0..n-1 to completion in index order, so handing Config.Events
-// and Config.Samples to each fork in turn is already SM-order delivery —
-// and SM i's replay logs, emptied here, when they run concurrently.
+// smSinks picks the sinks SM i reports to: the launch's own when the SMs
+// run one after another (replay nil) — forEachSM with Workers <= 1 runs
+// SM 0..n-1 to completion in index order, so handing Config.Events and
+// Config.Samples to each SM in turn is already SM-order delivery — and SM
+// i's replay logs, emptied here, when they run concurrently.
 func (s *sim) smSinks(i int, replay []smReplay) (events EventSink, samples SampleSink) {
 	events = s.cfg.Events
-	if s.cfg.samplerEnabled() {
+	if s.cfg.samplerEnabled() && !s.cfg.oneWarpWaves() {
 		samples = s.cfg.Samples
 	}
 	if replay != nil {
@@ -229,15 +241,16 @@ func (s *sim) smSinks(i int, replay []smReplay) (events EventSink, samples Sampl
 	return events, samples
 }
 
-// runGrid executes a grid launch: fork one sim per SM, run the SMs
+// runGrid executes a multi-SM launch: fork one sim per SM, run the SMs
 // (serially or over Workers goroutines), then merge memory and metrics
-// in SM order. Events and samples are delivered in SM order too: in
-// place on a serial launch, from the replay logs after a concurrent one.
-func (s *sim) runGrid() (*Result, error) {
+// into s in SM order: stored global-memory words overwrite the initial
+// image in ascending address order (words several SMs wrote with
+// disagreeing values count as cross-SM conflicts), and metrics merge with
+// Cycles = max over SMs. Events and samples are delivered in SM order
+// too: in place on a serial launch, from the replay logs after a
+// concurrent one.
+func (s *sim) runGrid() error {
 	cfg := s.cfg
-	warpsPerCTA := (cfg.CTASize + ir.WarpWidth - 1) / ir.WarpWidth
-	occ := s.occupancy(warpsPerCTA)
-
 	// Workers may change from one launch of a Machine to the next.
 	var replay []smReplay
 	if cfg.Workers > 1 && (cfg.Events != nil || cfg.samplerEnabled()) {
@@ -261,12 +274,8 @@ func (s *sim) runGrid() (*Result, error) {
 		}
 	}
 
-	if s.mod.SharedWords > 0 && s.sharedBuf == nil {
-		s.sharedBuf = make([][]uint64, cfg.Grid)
-	}
-	shared := s.sharedBuf
 	err := forEachSM(cfg.Workers, cfg.SMs, func(i int) error {
-		return sms[i].runSM(occ, warpsPerCTA, shared)
+		return sms[i].runSM(s.sharedBuf)
 	})
 	// Every SM ran to completion even if one errored, so observers see
 	// the same deterministic prefix on either delivery path.
@@ -279,44 +288,56 @@ func (s *sim) runGrid() (*Result, error) {
 		replay[i].samples.Each(func(smp *Sample) { cfg.Samples.Sample(*smp) })
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return s.mergeSMs(sms, warpsPerCTA, shared), nil
+	if s.writtenBuf == nil {
+		s.writtenBuf = make([]uint64, (len(s.mem)+63)/64)
+	}
+	clear(s.writtenBuf)
+	for _, sm := range sms {
+		s.metrics.merge(&sm.metrics)
+		sm.cow.mergeInto(s.mem, s.writtenBuf, &s.metrics)
+	}
+	return nil
 }
 
-// runSM executes every CTA assigned to this SM, in occupancy-limited
-// waves; shared collects each retired CTA's final shared segment (SMs
-// write disjoint grid indices).
-func (s *sim) runSM(occ, warpsPerCTA int, shared [][]uint64) error {
-	cfg := s.cfg
-	var mine []int
-	for c := int(s.smIndex); c < cfg.Grid; c += cfg.SMs {
-		mine = append(mine, c)
-	}
-	resident := make([]*warpState, 0, occ*warpsPerCTA)
-	for start := 0; start < len(mine); start += occ {
-		end := min(start+occ, len(mine))
-		resident = resident[:0]
-		for _, c := range mine[start:end] {
-			cta := s.newCTA(c, s.ctaSize)
-			s.ctas = append(s.ctas, cta)
-			if shared != nil {
-				shared[c] = cta.shared
-			}
-			for wi := 0; wi < warpsPerCTA; wi++ {
-				resident = append(resident, s.newCTAWarp(cta, wi))
+// runSM runs this SM's CTAs — smIndex, smIndex+SMs, … — in
+// occupancy-limited waves, each handed to runWave whole or, under
+// oneWarpWaves, one warp at a time; shared collects each CTA's shared
+// segment (SMs write disjoint CTA indices).
+func (s *sim) runSM(shared [][]uint64) error {
+	occ := s.occupancy()
+	for c := int(s.smIndex); c < s.cfg.ctas(); {
+		var wave []*warpState
+		wave, c = s.admit(c, occ, shared)
+		size := len(wave)
+		if s.cfg.oneWarpWaves() {
+			size = 1
+		}
+		for ; len(wave) > 0; wave = wave[size:] {
+			if err := s.runWave(wave[:size]); err != nil {
+				return err
 			}
 		}
-		if err := s.runWave(resident); err != nil {
-			return err
-		}
 	}
-	s.metrics.Threads = len(mine) * s.ctaSize
-	s.metrics.Warps = len(mine) * warpsPerCTA
-	s.metrics.CTAs = len(mine)
-	s.metrics.SMs = 1
-	s.metrics.TotalSMCycles = s.metrics.Cycles
 	return nil
+}
+
+// admit makes a wave resident: CTAs c, c+SMs, … — at most occ of them —
+// with their warps, taken from the arena. The wave is the warps it took,
+// warpPool[first:poolWarp]; next is the first CTA left for a later wave.
+func (s *sim) admit(c, occ int, shared [][]uint64) (wave []*warpState, next int) {
+	first := s.poolWarp
+	for n := 0; n < occ && c < s.cfg.ctas(); n, c = n+1, c+s.cfg.SMs {
+		cta := s.newCTA(c)
+		if shared != nil {
+			shared[c] = cta.shared
+		}
+		for wi := 0; wi < s.cfg.warpsPerCTA(); wi++ {
+			s.newCTAWarp(cta, wi)
+		}
+	}
+	return s.warpPool[first:s.poolWarp], c
 }
 
 // runWave runs one wave — the warps resident on the machine together —
@@ -332,9 +353,13 @@ func (s *sim) runWave(warps []*warpState) error {
 	if _, err := s.passes(warps, -1); err != nil {
 		return err
 	}
+	// The last pass tried every warp not done, and tryStep marks a warp
+	// done exactly when none of its lanes is live: one left is stalled,
+	// and its diagnostic (blocked lanes, barrier snapshots) reports the
+	// deadlock.
 	for _, ws := range warps {
 		if !ws.done {
-			return s.smDeadlock(warps)
+			return s.warpErr(ws, ws.deadlockError())
 		}
 	}
 	return nil
@@ -382,52 +407,6 @@ func (s *sim) passes(warps []*warpState, n int) (int, error) {
 			return issued, nil
 		}
 	}
-}
-
-// smDeadlock reports the wave's deadlock through the first stalled
-// warp's diagnostic (its blocked lanes and barrier snapshots).
-func (s *sim) smDeadlock(warps []*warpState) error {
-	for _, ws := range warps {
-		if ws.done {
-			continue
-		}
-		if _, live := ws.ready(); live {
-			return s.warpErr(ws, ws.deadlockError())
-		}
-	}
-	if s.gridMode {
-		return fmt.Errorf("simt: sm %d: deadlock with no live warps", s.smIndex)
-	}
-	return fmt.Errorf("simt: deadlock with no live warps")
-}
-
-// mergeSMs folds the per-SM machines into the launch result, in SM
-// order: stored global-memory words overwrite the initial image in
-// ascending address order (words several SMs wrote with disagreeing
-// values count as cross-SM conflicts), and metrics merge with Cycles =
-// max over SMs.
-func (s *sim) mergeSMs(sms []*sim, warpsPerCTA int, shared [][]uint64) *Result {
-	final := s.mem // the template's untouched initial image
-	if s.writtenBuf == nil {
-		s.writtenBuf = make([]uint64, (len(final)+63)/64)
-		s.perSMBuf = make([]Metrics, len(sms))
-	}
-	written, perSM := s.writtenBuf, s.perSMBuf
-	clear(written)
-	for i, sm := range sms {
-		s.metrics.merge(&sm.metrics)
-		sm.cow.mergeInto(final, written, &s.metrics)
-		perSM[i] = sm.metrics
-		perSM[i].finalize()
-	}
-	s.metrics.Threads = s.cfg.Threads
-	s.metrics.Warps = s.cfg.Grid * warpsPerCTA
-	s.metrics.CTAs = s.cfg.Grid
-	s.metrics.SMs = s.cfg.SMs
-	s.metrics.finalize()
-	res := &Result{Metrics: s.metrics, Memory: final, Shared: shared, PerSM: perSM}
-	res.Metrics.detach()
-	return res
 }
 
 // forEachSM runs fn(0..n-1) over at most workers goroutines. Jobs are

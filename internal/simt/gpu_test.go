@@ -57,7 +57,15 @@ func TestGridSharedReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	const grid, ctaSize = 4, 48
-	res, err := simt.Run(mod, simt.Config{Grid: grid, CTASize: ctaSize, SMs: 2, Seed: 1})
+	// An SM's cycle count is the sum of its issues' costs, so the event
+	// stream gives each SM's cycles without the merged metrics.
+	var smCycles [2]int64
+	issueCosts := simt.SinkFunc(func(ev simt.Event) {
+		if ev.Kind == simt.EvIssue {
+			smCycles[ev.SM] += ev.Cost
+		}
+	})
+	res, err := simt.Run(mod, simt.Config{Grid: grid, CTASize: ctaSize, SMs: 2, Seed: 1, Events: issueCosts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +97,11 @@ func TestGridSharedReduction(t *testing.T) {
 	if m.SharedAccesses == 0 {
 		t.Error("SharedAccesses = 0, want > 0")
 	}
-	if len(res.PerSM) != 2 {
-		t.Fatalf("len(PerSM) = %d, want 2", len(res.PerSM))
+	if smCycles[0] == 0 || smCycles[1] == 0 {
+		t.Errorf("SM cycles = %v, want both SMs busy", smCycles)
 	}
-	if got := res.PerSM[0].CTAs + res.PerSM[1].CTAs; got != grid {
-		t.Errorf("per-SM CTA counts sum to %d, want %d", got, grid)
-	}
-	if want := res.PerSM[0].Cycles + res.PerSM[1].Cycles; m.TotalSMCycles != want {
-		t.Errorf("TotalSMCycles = %d, want %d", m.TotalSMCycles, want)
+	if m.TotalSMCycles != smCycles[0]+smCycles[1] || m.Cycles != max(smCycles[0], smCycles[1]) {
+		t.Errorf("TotalSMCycles %d, Cycles %d; want the SMs' sum and max of %v", m.TotalSMCycles, m.Cycles, smCycles)
 	}
 }
 
@@ -172,14 +177,11 @@ func sameGridRun(t *testing.T, label string, got, serial gridRun) {
 	if !reflect.DeepEqual(got.res.Shared, serial.res.Shared) {
 		t.Errorf("%s: shared segments diverge from serial", label)
 	}
-	if !reflect.DeepEqual(got.res.PerSM, serial.res.PerSM) {
-		t.Errorf("%s: per-SM metrics diverge from serial", label)
-	}
 }
 
 // TestGridShardingDeterministic pins the sharding contract: a grid run
 // over several worker goroutines is byte-identical — metrics, final
-// memory, shared segments, per-SM metrics, the delivered event stream,
+// memory, shared segments, the delivered event stream,
 // the rendered profile and the occupancy sample stream — to the serial
 // run. The serial run delivers events and samples in place and the
 // sharded ones from per-SM replay buffers, so this is also what holds
@@ -201,11 +203,13 @@ func TestGridShardingDeterministic(t *testing.T) {
 	// the others one; a budget between the two fails SM 0 alone.
 	failing := complete
 	failing.Grid = 5
-	probe, err := simt.Run(mod, failing)
+	one := failing
+	one.Grid, one.SMs = 1, 1
+	probe, err := simt.Run(mod, one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	failing.MaxIssues = (probe.PerSM[0].Issues + probe.PerSM[1].Issues) / 2
+	failing.MaxIssues = probe.Metrics.Issues * 3 / 2
 
 	for _, shape := range []struct {
 		name string
@@ -248,51 +252,69 @@ func TestGridShardingDeterministic(t *testing.T) {
 	}
 }
 
-// TestGridDegenerateMatchesFlat pins what it means that every launch
-// shape is waves through one loop: a 1-CTA/1-SM grid produces the same
-// metrics, memory and event stream as the flat launch that makes the
-// same waves of the same warps — one warp either way, and four warps as
-// one InterleaveWarps wave against one 128-thread CTA.
+// TestGridDegenerateMatchesFlat pins what it means that a flat launch is
+// CTA 0 on SM 0: a 1-CTA/1-SM grid produces the same result — metrics,
+// memory and shared segments — and event stream as the flat launch that
+// makes the same waves of the same warps (one warp either way; two warps
+// as one InterleaveWarps wave, under either divergence model, or under a
+// non-greedy Sched, against one 64-thread CTA), on a shared-memory
+// reduction behind a ctabar and on divergent control flow with calls.
+// Both run on the root sim in place, so a fresh launch of either
+// allocates the same.
 func TestGridDegenerateMatchesFlat(t *testing.T) {
-	mod, err := ir.Parse(simt.AllocTestKernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(cfg simt.Config) (*simt.Result, []simt.Event) {
-		var events []simt.Event
-		cfg.Seed = 3
-		cfg.MaxIssues = 20000
-		cfg.Events = simt.SinkFunc(func(ev simt.Event) { events = append(events, ev) })
-		res, err := simt.Run(mod, cfg)
-		var be *simt.BudgetError
-		if err != nil && !errors.As(err, &be) {
-			t.Fatal(err)
-		}
-		return res, events
-	}
+	kernels := []struct{ name, src string }{{"reduce", reduceKernel}, {"control-flow", simt.RandomControlFlowKernel}}
 	for _, tc := range []struct {
 		name       string
 		flat, grid simt.Config
 	}{
 		{"one warp", simt.Config{Threads: ir.WarpWidth}, simt.Config{Grid: 1, CTASize: ir.WarpWidth, SMs: 1}},
-		{"four warps", simt.Config{Threads: 4 * ir.WarpWidth, InterleaveWarps: true}, simt.Config{Grid: 1, CTASize: 4 * ir.WarpWidth}},
+		{"two warps", simt.Config{Threads: 2 * ir.WarpWidth, InterleaveWarps: true}, simt.Config{Grid: 1, CTASize: 2 * ir.WarpWidth}},
+		{"stack", simt.Config{Threads: 2 * ir.WarpWidth, InterleaveWarps: true, Model: simt.ModelStack},
+			simt.Config{Grid: 1, CTASize: 2 * ir.WarpWidth, Model: simt.ModelStack}},
+		{"oldest", simt.Config{Threads: 2 * ir.WarpWidth, Sched: simt.SchedOldestFirst},
+			simt.Config{Grid: 1, CTASize: 2 * ir.WarpWidth, Sched: simt.SchedOldestFirst}},
 	} {
-		flatRes, flatEvents := run(tc.flat)
-		gridRes, gridEvents := run(tc.grid)
-		if flatRes != nil && gridRes != nil {
-			if flatRes.Metrics.Issues != gridRes.Metrics.Issues ||
-				flatRes.Metrics.Cycles != gridRes.Metrics.Cycles {
-				t.Errorf("%s: issue/cycle counts diverge: flat %d/%d, grid %d/%d", tc.name,
-					flatRes.Metrics.Issues, flatRes.Metrics.Cycles,
-					gridRes.Metrics.Issues, gridRes.Metrics.Cycles)
+		for _, k := range kernels {
+			mod, err := ir.Parse(k.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := tc.name + "/" + k.name
+			run := func(cfg simt.Config) (*simt.Result, []simt.Event) {
+				var events []simt.Event
+				cfg.Seed = 3
+				cfg.Events = simt.SinkFunc(func(ev simt.Event) { events = append(events, ev) })
+				res, err := simt.Run(mod, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return res, events
+			}
+			flatRes, flatEvents := run(tc.flat)
+			gridRes, gridEvents := run(tc.grid)
+			if !reflect.DeepEqual(flatRes.Metrics, gridRes.Metrics) {
+				t.Errorf("%s: metrics diverge:\n  flat: %+v\n  grid: %+v", name, flatRes.Metrics, gridRes.Metrics)
 			}
 			if !reflect.DeepEqual(flatRes.Memory, gridRes.Memory) {
-				t.Errorf("%s: final memory diverges between flat and degenerate grid", tc.name)
+				t.Errorf("%s: final memory diverges between flat and degenerate grid", name)
 			}
-		}
-		if !reflect.DeepEqual(flatEvents, gridEvents) {
-			t.Errorf("%s: event streams diverge: flat %d events, grid %d events",
-				tc.name, len(flatEvents), len(gridEvents))
+			if !reflect.DeepEqual(flatRes.Shared, gridRes.Shared) {
+				t.Errorf("%s: shared segments diverge between flat and degenerate grid", name)
+			}
+			if !reflect.DeepEqual(flatEvents, gridEvents) {
+				t.Errorf("%s: event streams diverge: flat %d events, grid %d events",
+					name, len(flatEvents), len(gridEvents))
+			}
+			allocs := func(cfg simt.Config) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if _, err := simt.Run(mod, cfg); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if f, g := allocs(tc.flat), allocs(tc.grid); f != g {
+				t.Errorf("%s: a fresh launch allocates %v objects flat, %v as a one-CTA grid", name, f, g)
+			}
 		}
 	}
 }
@@ -382,7 +404,7 @@ done:
 
 // TestGridBudgetErrorCarriesSM: an infinite loop on a grid launch must
 // surface a BudgetError stamped with the SM and CTA that exhausted its
-// budget.
+// budget; the same loop on a flat launch names no SM or CTA.
 func TestGridBudgetErrorCarriesSM(t *testing.T) {
 	const src = `module spin memwords=8
 func @k nregs=4 nfregs=0 {
@@ -394,18 +416,33 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = simt.Run(mod, simt.Config{
-		Grid: 1, CTASize: ir.WarpWidth, SMs: 1, Seed: 1, MaxIssues: 100,
-	})
-	var be *simt.BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("error is %T (%v), want BudgetError", err, err)
-	}
-	if be.SM != 0 || be.CTA != 0 {
-		t.Errorf("BudgetError placement = sm%d cta%d, want sm0 cta0", be.SM, be.CTA)
-	}
-	if !strings.Contains(err.Error(), "sm0 cta0") {
-		t.Errorf("message %q missing sm0 cta0", err.Error())
+	for _, tc := range []struct {
+		name    string
+		cfg     simt.Config
+		prefix  string
+		sm, cta int
+		placed  bool
+	}{
+		{"grid", simt.Config{Grid: 1, CTASize: ir.WarpWidth, SMs: 1}, "simt: sm 0: warp 0: ", 0, 0, true},
+		{"flat", simt.Config{Threads: ir.WarpWidth}, "simt: warp 0: ", -1, -1, false},
+	} {
+		cfg := tc.cfg
+		cfg.Seed, cfg.MaxIssues = 1, 100
+		_, err = simt.Run(mod, cfg)
+		var be *simt.BudgetError
+		if !errors.As(err, &be) {
+			t.Fatalf("%s: error is %T (%v), want BudgetError", tc.name, err, err)
+		}
+		if be.SM != tc.sm || be.CTA != tc.cta {
+			t.Errorf("%s: BudgetError placement = sm %d cta %d, want %d/%d", tc.name, be.SM, be.CTA, tc.sm, tc.cta)
+		}
+		msg := err.Error()
+		if !strings.HasPrefix(msg, tc.prefix) {
+			t.Errorf("%s: message %q does not start %q", tc.name, msg, tc.prefix)
+		}
+		if strings.Contains(msg, "sm0 cta0") != tc.placed {
+			t.Errorf("%s: message %q: mentions sm0 cta0 = %v, want %v", tc.name, msg, !tc.placed, tc.placed)
+		}
 	}
 }
 

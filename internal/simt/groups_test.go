@@ -19,7 +19,8 @@ func TestGroupsMatchesMapAndSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := s.newCTAWarp(s.ctas[0], 0)
+	_, wave := s.firstWave()
+	ws := wave[0]
 	// A tiny deterministic generator keeps the case table reproducible.
 	state := uint64(0x9e3779b97f4a7c15)
 	next := func(n int) int {

@@ -18,11 +18,12 @@ func TestFreshWarpAllocs(t *testing.T) {
 	}
 	// The arena's own bookkeeping slices grow amortized; give them their
 	// final capacity so only the warp's objects are counted.
+	cta := s.newCTA(0)
 	s.warpPool = make([]*warpState, 0, runs+2)
-	s.ctas[0].warps = make([]*warpState, 0, runs+2)
+	cta.warps = make([]*warpState, 0, runs+2)
 	w := 0
 	take := func() {
-		s.newCTAWarp(s.ctas[0], w)
+		s.newCTAWarp(cta, w)
 		w++
 	}
 	if got := testing.AllocsPerRun(runs, take); got > 4 {
@@ -33,7 +34,7 @@ func TestFreshWarpAllocs(t *testing.T) {
 	}
 	rewind := func() {
 		s.poolWarp, w = 0, 0
-		s.ctas[0].warps = s.ctas[0].warps[:0]
+		cta.warps = cta.warps[:0]
 	}
 	rewind()
 	if got := testing.AllocsPerRun(runs, take); got != 0 {
@@ -44,7 +45,7 @@ func TestFreshWarpAllocs(t *testing.T) {
 	ws.regs[3*ir.WarpWidth+5], ws.fregs[7], ws.pcs[9], ws.status[9] = 42, 1.5, 17, laneWaiting
 	ws.stacks[9] = append(ws.stacks[9], frame{ret: 3})
 	rewind()
-	if got := s.newCTAWarp(s.ctas[0], 0); got != ws {
+	if got := s.newCTAWarp(cta, 0); got != ws {
 		t.Fatal("relaunch did not hand back the pooled warp")
 	}
 	if ws.regs[3*ir.WarpWidth+5] != 0 || ws.fregs[7] != 0 || ws.pcs[9] != s.entryPC ||
@@ -62,7 +63,8 @@ func TestInvalidateTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := s.newCTAWarp(s.ctas[0], 0)
+	_, wave := s.firstWave()
+	ws := wave[0]
 	// Step until the table is current and holds diverged groups.
 	for ws.stale || ws.ngroups < 2 {
 		if issued, err := ws.tryStep(); !issued {

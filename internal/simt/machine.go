@@ -21,13 +21,14 @@ import (
 // configuration of the Config it was built with, plus the derived
 // memory-image size.
 // Per-launch inputs — Seed, Memory contents, issue and wall budgets,
-// Strict, SkipReleaseN, Workers, event sinks and the scheduler policy
-// (Sched, SchedSeed, StarveLimit) — may differ freely between runs. Run
-// rejects a shape-incompatible Config rather than silently rebuilding.
+// Strict, SkipReleaseN, Workers, event sinks, the scheduler policy
+// (Sched, SchedSeed, StarveLimit) and InterleaveWarps — may differ freely
+// between runs. Run rejects a shape-incompatible Config rather than
+// silently rebuilding.
 //
-// Result buffers alias the arena: Result.Memory, Result.Shared and
-// Result.PerSM are valid until the next Run on the same Machine. Copy
-// them out to keep them. A Machine is not safe for concurrent Runs
+// Result buffers alias the arena: Result.Memory and Result.Shared are
+// valid until the next Run on the same Machine. Copy them out to keep
+// them. A Machine is not safe for concurrent Runs
 // (each Run may still shard its SMs over Config.Workers goroutines
 // internally).
 type Machine struct {
@@ -47,9 +48,8 @@ func NewMachine(m *ir.Module, cfg Config) (*Machine, error) {
 
 // Run launches the machine's kernel under cfg, reusing the arena. cfg
 // must be shape-compatible with the Config the Machine was built with;
-// per-launch inputs (Seed, Memory, budgets, Strict, SkipReleaseN,
-// Workers, Events/Samples) may vary. The returned Result's buffers are
-// valid until the next Run.
+// the per-launch inputs listed on Machine may vary. The returned Result's
+// buffers are valid until the next Run.
 func (mc *Machine) Run(cfg Config) (*Result, error) {
 	s := mc.s
 	cfg, memWords, err := normalizeConfig(s.mod, cfg)
@@ -80,8 +80,6 @@ func (s *sim) compatible(cfg Config, memWords int) error {
 		return fmt.Errorf("simt: machine built for policy %v, got %v", base.Policy, cfg.Policy)
 	case cfg.Model != base.Model:
 		return fmt.Errorf("simt: machine built for model %v, got %v", base.Model, cfg.Model)
-	case cfg.InterleaveWarps != base.InterleaveWarps:
-		return fmt.Errorf("simt: machine InterleaveWarps mismatch")
 	case cfg.Cache.withDefaults() != base.Cache.withDefaults():
 		return fmt.Errorf("simt: machine cache configuration mismatch")
 	case memWords != s.memLen:

@@ -38,17 +38,19 @@ entry:
 }
 `
 
-// runOnceFn runs one launch and captures the full observable surface:
-// result plus the replayed event stream.
-func captureRun(t *testing.T, run func(simt.Config) (*simt.Result, error), cfg simt.Config) (*simt.Result, []simt.Event) {
+// captureRun runs one launch and captures the full observable surface:
+// result plus the delivered event and sample streams.
+func captureRun(t *testing.T, run func(simt.Config) (*simt.Result, error), cfg simt.Config) (*simt.Result, []simt.Event, []simt.Sample) {
 	t.Helper()
 	var events []simt.Event
+	var samples []simt.Sample
 	cfg.Events = simt.SinkFunc(func(ev simt.Event) { events = append(events, ev) })
+	cfg.Samples = simt.SampleSinkFunc(func(s simt.Sample) { samples = append(samples, s) })
 	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, events
+	return res, events, samples
 }
 
 // plainSM is the model the copy-on-write fork is held to: one SM's
@@ -236,11 +238,12 @@ done:
 	}
 }
 
-// TestMachineMatchesFreshRun pins the launch-arena contract: three
-// consecutive Machine.Run launches with different seeds and memory
-// images each produce exactly the result — metrics, memory, shared
-// segments, per-SM metrics and event stream — of a fresh simt.Run under
-// the same config.
+// TestMachineMatchesFreshRun pins the launch-arena contract: consecutive
+// Machine.Run launches with different seeds and memory images each
+// produce exactly the result — metrics, memory, shared segments, event
+// and sample streams — of a fresh simt.Run under the same config. One
+// flat Machine also changes its per-launch wave shape: InterleaveWarps
+// off, on, off under the greedy scheduler, then oldest-first.
 func TestMachineMatchesFreshRun(t *testing.T) {
 	cowMod, err := ir.Parse(cowTestKernel)
 	if err != nil {
@@ -250,15 +253,22 @@ func TestMachineMatchesFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	same := func(*simt.Config) {}
+	interleave := func(c *simt.Config) { c.InterleaveWarps = true }
+	oldest := func(c *simt.Config) { c.Sched = simt.SchedOldestFirst }
+	thrice := []func(*simt.Config){same, same, same}
 	cases := []struct {
-		name string
-		mod  *ir.Module
-		base simt.Config
+		name     string
+		mod      *ir.Module
+		base     simt.Config
+		launches []func(*simt.Config)
 	}{
-		{"flat", cowMod, simt.Config{Threads: 96}},
-		{"grid", cowMod, simt.Config{Grid: 8, CTASize: 64, SMs: 4, Workers: 2}},
-		{"grid-shared", reduceMod, simt.Config{Grid: 4, CTASize: 48, SMs: 2, Memory: make([]uint64, 256)}},
-		{"grid-shared-stack", reduceMod, simt.Config{Grid: 4, CTASize: 48, SMs: 2, Memory: make([]uint64, 256), Model: simt.ModelStack}},
+		{"flat", cowMod, simt.Config{Threads: 96}, thrice},
+		{"flat-waves", cowMod, simt.Config{Threads: 96, SampleStride: 16}, []func(*simt.Config){same, interleave, same, oldest}},
+		{"grid", cowMod, simt.Config{Grid: 8, CTASize: 64, SMs: 4, Workers: 2}, thrice},
+		{"grid-one-sm", cowMod, simt.Config{Grid: 8, CTASize: 64, SampleStride: 16}, thrice},
+		{"grid-shared", reduceMod, simt.Config{Grid: 4, CTASize: 48, SMs: 2, Memory: make([]uint64, 256)}, thrice},
+		{"grid-shared-stack", reduceMod, simt.Config{Grid: 4, CTASize: 48, SMs: 2, Memory: make([]uint64, 256), Model: simt.ModelStack}, thrice},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -266,18 +276,19 @@ func TestMachineMatchesFreshRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for launch := 0; launch < 3; launch++ {
+			for launch, vary := range tc.launches {
 				cfg := tc.base
+				vary(&cfg)
 				cfg.Seed = uint64(100 + launch)
 				mem := make([]uint64, 256)
 				for i := range mem {
 					mem[i] = uint64(launch*1000 + i)
 				}
 				cfg.Memory = mem
-				freshRes, freshEvents := captureRun(t, func(c simt.Config) (*simt.Result, error) {
+				freshRes, freshEvents, freshSamples := captureRun(t, func(c simt.Config) (*simt.Result, error) {
 					return simt.Run(tc.mod, c)
 				}, cfg)
-				machRes, machEvents := captureRun(t, machine.Run, cfg)
+				machRes, machEvents, machSamples := captureRun(t, machine.Run, cfg)
 				if !reflect.DeepEqual(machRes.Metrics, freshRes.Metrics) {
 					t.Errorf("launch %d: metrics diverge:\n  fresh:   %+v\n  machine: %+v",
 						launch, freshRes.Metrics, machRes.Metrics)
@@ -288,12 +299,13 @@ func TestMachineMatchesFreshRun(t *testing.T) {
 				if !reflect.DeepEqual(machRes.Shared, freshRes.Shared) {
 					t.Errorf("launch %d: shared segments diverge from fresh run", launch)
 				}
-				if !reflect.DeepEqual(machRes.PerSM, freshRes.PerSM) {
-					t.Errorf("launch %d: per-SM metrics diverge from fresh run", launch)
-				}
 				if !reflect.DeepEqual(machEvents, freshEvents) {
 					t.Errorf("launch %d: event streams diverge (%d fresh vs %d machine events)",
 						launch, len(freshEvents), len(machEvents))
+				}
+				if !reflect.DeepEqual(machSamples, freshSamples) {
+					t.Errorf("launch %d: sample streams diverge (%d fresh vs %d machine samples)",
+						launch, len(freshSamples), len(machSamples))
 				}
 			}
 		})
@@ -383,9 +395,7 @@ func TestMachineRelaunchResultIsolation(t *testing.T) {
 		classes1[k] = v
 	}
 	// A relaunch with triple the trip count rewrites the arena's
-	// accumulators with different numbers. (Result.PerSM stays
-	// arena-aliased by documented contract — valid until the next Run —
-	// so only the launch-wide Metrics is asserted stable.)
+	// accumulators with different numbers.
 	cfg2 := cfg
 	cfg2.Memory = []uint64{9}
 	res2, err := m.Run(cfg2)

@@ -146,9 +146,9 @@ func (m *Metrics) merge(o *Metrics) {
 // accumulator; without detaching, its blockVisits table and (after
 // finalize) OpClassIssues map stay aliased to the accumulator, so a
 // later Machine relaunch — which resets and re-merges them in place —
-// would silently rewrite the escaped Result's profile.
-// Result.PerSM stays arena-aliased by documented contract (valid until
-// the next Run); only the launch-wide Metrics copy detaches.
+// would silently rewrite the escaped Result's profile. (Result.Memory
+// and Result.Shared stay arena-aliased by documented contract, valid
+// until the next Run.)
 func (m *Metrics) detach() {
 	m.blockVisits = append([]int64(nil), m.blockVisits...)
 	if m.OpClassIssues != nil {

@@ -15,12 +15,10 @@ package simt
 // resident warps but nothing to issue).
 //
 // The hook sits in the one wave loop, so it sees every launch shape,
-// warp scheduler and divergence model alike. A sink is attached wherever
-// warps genuinely share a machine: on every SM of a grid launch, and on
-// a flat launch that is one wave of all its warps (InterleaveWarps or a
-// non-greedy Sched), reported as SM 0. A run-to-completion flat launch
-// makes a wave of each warp; occupancy of one is meaningless, so it gets
-// no sink and records nothing.
+// warp scheduler and divergence model alike. Every SM gets a sink (a
+// flat launch's is SM 0) except where the waves are single warps
+// (Config.oneWarpWaves, the run-to-completion flat launch): occupancy of
+// one warp is meaningless, so that launch records nothing.
 //
 // Determinism and cost mirror the event stream (events.go): samples
 // reach Config.Samples under the delivery rule stated at Config.Events;

@@ -269,7 +269,7 @@ func TestSamplerMatchesLaneScan(t *testing.T) {
 	for _, model := range []simt.Model{simt.ModelITS, simt.ModelStack} {
 		for _, sp := range simt.SchedPolicies() {
 			var got *simt.Sample
-			h, err := simt.NewHandSimGPU(mod, simt.Config{
+			h, err := simt.NewHandWave(mod, simt.Config{
 				Grid: 4, CTASize: 2 * ir.WarpWidth, Seed: 5, Model: model, Sched: sp, SchedSeed: 3,
 				SampleStride: 1, Samples: simt.SampleSinkFunc(func(s simt.Sample) { got = &s }),
 			})

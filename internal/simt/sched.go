@@ -142,8 +142,8 @@ const watchdogCheckMask = 1<<10 - 1
 // "simt: sm S: warp W:" on grid launches, "simt: warp W:" on flat ones.
 // errors.As sees through both.
 func (s *sim) warpErr(ws *warpState, err error) error {
-	if s.gridMode {
-		return fmt.Errorf("simt: sm %d: warp %d: %w", s.smIndex, ws.index, err)
+	if sm, _ := ws.place(); sm >= 0 {
+		return fmt.Errorf("simt: sm %d: warp %d: %w", sm, ws.index, err)
 	}
 	return fmt.Errorf("simt: warp %d: %w", ws.index, err)
 }

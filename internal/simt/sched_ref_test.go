@@ -142,26 +142,16 @@ func SchedSlotMismatch(m *ir.Module, cfg Config) (SchedLockstep, error) {
 	if err != nil {
 		return st, err
 	}
-	if !a.gridMode {
-		for w := 0; w*ir.WarpWidth < a.cfg.Threads; w++ {
-			a.newCTAWarp(a.ctas[0], w)
-			b.newCTAWarp(b.ctas[0], w)
-		}
-		return st, st.wave(a, a.ctas[0].warps, b, b.ctas[0].warps)
-	}
-	warpsPerCTA := (a.cfg.CTASize + ir.WarpWidth - 1) / ir.WarpWidth
-	occ := a.occupancy(warpsPerCTA)
+	occ := a.occupancy()
 	for i := 0; i < a.cfg.SMs; i++ {
-		sa, sb := a.forkSM(i, nil, nil), b.forkSM(i, nil, nil)
-		for c := i; c < a.cfg.Grid; c += occ * a.cfg.SMs {
-			var wa, wb []*warpState
-			for k := 0; k < occ && c+k*a.cfg.SMs < a.cfg.Grid; k++ {
-				ca, cb := sa.newCTA(c+k*a.cfg.SMs, sa.ctaSize), sb.newCTA(c+k*a.cfg.SMs, sb.ctaSize)
-				for wi := 0; wi < warpsPerCTA; wi++ {
-					wa = append(wa, sa.newCTAWarp(ca, wi))
-					wb = append(wb, sb.newCTAWarp(cb, wi))
-				}
-			}
+		sa, sb := a, b
+		if a.cfg.SMs > 1 {
+			sa, sb = a.forkSM(i, nil, nil), b.forkSM(i, nil, nil)
+		}
+		for c := i; c < a.cfg.ctas(); {
+			wa, next := sa.admit(c, occ, nil)
+			wb, _ := sb.admit(c, occ, nil)
+			c = next
 			if err := st.wave(sa, wa, sb, wb); err != nil {
 				return st, fmt.Errorf("sm %d: %w", i, err)
 			}

@@ -234,7 +234,7 @@ func TestSchedInitReusesArena(t *testing.T) {
 			t.Fatal(err)
 		}
 		mc.Run(cfg) // OBE starves the consumer; the arena is sized either way
-		sm := mc.s.smPool[0]
+		sm := mc.s  // one SM: the launch runs on the root
 		warps := sm.warpPool[:sm.poolWarp]
 		if len(warps) != 8 {
 			t.Fatalf("%v: %d warps in the arena, want 8", sp, len(warps))

@@ -106,28 +106,28 @@ const DefaultMaxIssues = 1 << 28
 
 // Config controls one kernel launch.
 //
-// Launch shapes. Every launch is a sequence of waves — sets of warps
-// resident on a machine together — run one after another by the same
-// loop (runWave); within a wave the warps take turns issuing, so they
-// contend for the cache and can meet at a ctabar. The shapes differ only
-// in what a wave is:
+// Launch shapes. Every launch is CTAs on SMs, and every SM runs its CTAs
+// as a sequence of waves — sets of warps resident on it together — through
+// one loop (runWave); within a wave the warps take turns issuing, so they
+// contend for the cache and can meet at a ctabar.
 //
-//   - A flat launch (Grid == 0) is Threads threads in one implicit CTA on
-//     one SM. By default it runs to completion one warp at a time: every
-//     warp is a wave of its own.
-//   - A flat launch with InterleaveWarps, or under a non-greedy Sched,
-//     is one wave of all its warps.
 //   - A grid launch (Grid > 0) runs Grid CTAs of CTASize threads over SMs
 //     streaming multiprocessors: CTAs are assigned round-robin (CTA c
 //     runs on SM c%SMs), each SM is a machine of its own, and an SM's
 //     waves are as many of its CTAs as fit on it at once. Each CTA owns a
 //     shared-memory segment and its ctabar workgroup barriers.
+//   - A flat launch (Grid == 0) is the implicit CTA 0 of Threads threads
+//     on SM 0. By default it runs to completion one warp at a time: every
+//     warp is a wave of its own. With InterleaveWarps, or under a
+//     non-greedy Sched, its one CTA is one wave, as on a grid.
 //
-// Model, Sched, the sampler, the starvation monitor and the budgets act
-// inside the loop, so each applies to every shape. A ctabar only collects
-// warps that share a wave: a kernel whose warps must meet at one needs
-// InterleaveWarps, a non-greedy Sched or a grid launch, and the default
-// flat launch reports the first warp to reach it as deadlocked.
+// Beyond the wave size the shapes differ only in error placement: a flat
+// launch's errors name no SM or CTA. Model, Sched, the sampler, the
+// starvation monitor and the budgets act inside the loop, so each applies
+// to every shape. A ctabar only collects warps that share a wave: a kernel
+// whose warps must meet at one needs InterleaveWarps, a non-greedy Sched
+// or a grid launch, and the default flat launch reports the first warp to
+// reach it as deadlocked.
 type Config struct {
 	Kernel  string // entry function (default: first function)
 	Threads int    // total threads (default: one warp; grid launches derive it)
@@ -224,10 +224,9 @@ type Config struct {
 	Events EventSink
 	// SampleStride, when positive, enables the per-SM occupancy/stall
 	// sampler: one Sample per stride of modeled cycles, recorded at the
-	// end of a pass over the wave. It samples the waves that warps share
-	// — an SM's on a grid launch, a flat launch's one wave under
-	// InterleaveWarps or a non-greedy Sched (as SM 0) — and not the
-	// one-warp waves of a run-to-completion flat launch; see sample.go.
+	// end of a pass over the wave. It samples every SM's waves, a flat
+	// launch's as SM 0, except the one-warp waves of a run-to-completion
+	// flat launch; see sample.go.
 	SampleStride int64
 	// Samples receives the occupancy samples, by value, under the delivery
 	// rule stated at Events.
@@ -242,9 +241,6 @@ type Result struct {
 	// when the module declares a shared segment (nil otherwise). A flat
 	// launch with shared memory reports its single implicit CTA.
 	Shared [][]uint64
-	// PerSM holds each SM's own metrics on a grid launch (nil on flat
-	// launches); Metrics is their deterministic merge.
-	PerSM []Metrics
 }
 
 type laneStatus uint8
@@ -323,10 +319,11 @@ type warpState struct {
 }
 
 // sim is one SM's machine state plus the launch-wide immutable decode
-// tables. A flat launch runs its waves on a single sim, with its own
-// memory image; a grid launch forks one sim per SM (sharing the
-// module, config and decode tables, with private memory, cache, metrics
-// and budgets) and merges them deterministically in SM order.
+// tables. A launch on one SM — every flat launch and every one-SM grid —
+// runs on the root sim itself, over its own memory image; a multi-SM grid
+// forks one sim per SM (sharing the module, config and decode tables,
+// with private memory, cache, metrics and budgets) and merges them
+// deterministically in SM order.
 type sim struct {
 	mod *ir.Module
 	cfg Config
@@ -337,11 +334,12 @@ type sim struct {
 	// (nil under ModelITS, which never reads it); SM forks share it.
 	ipdom [][]int
 	// Global memory has two representations, fixed when the sim is built:
-	// a flat launch's sim owns the image in mem; a grid launch's root sim
-	// holds the initial template there, and each SM fork reaches it through
-	// cow, its copy-on-write view (mem nil on a fork, cow nil elsewhere).
-	// memLen is the image length in words on every sim — the bounds check
-	// the hot path uses.
+	// the root sim owns the image in mem — the memory a one-SM launch runs
+	// over in place, and on a multi-SM launch the initial template its SM
+	// forks read through cow, their copy-on-write view, and then the
+	// merge's target (mem nil on a fork, cow nil on the root). memLen is
+	// the image length in words on every sim — the bounds check the hot
+	// path uses.
 	mem     []uint64
 	memLen  int
 	cow     *cowMem
@@ -351,16 +349,9 @@ type sim struct {
 	// evs is where this SM builds the events it reports; its first event
 	// allocates it, so a launch nobody observes carries a nil pointer.
 	evs *eventScratch
-	// smIndex is this SM's index (0 on flat launches); gridMode marks a
-	// grid launch, where errors carry SM/CTA identity.
-	smIndex  int32
-	gridMode bool
-	// ctaSize is the thread count of one CTA (the whole launch on flat
-	// launches); it backs the ctasize opcode.
-	ctaSize int
-	// ctas are the CTAs that ran on this SM, in launch order (flat
-	// launches hold the single implicit CTA).
-	ctas []*ctaState
+	// smIndex is this SM's index (0 on the root, which runs SM 0 of a
+	// one-SM launch).
+	smIndex int32
 	// releases counts barrier-cohort release events launch-wide; the
 	// SkipReleaseN fault injector compares against it.
 	releases int64
@@ -403,21 +394,22 @@ type sim struct {
 
 	// Launch-arena pools. Warp and CTA state objects are always recorded
 	// in these pools as they are built; poolWarp/poolCTA are the cursors
-	// into them. A fresh launch allocates through the pool (one append
-	// per object); a Machine relaunch rewinds the cursors and takeWarp/
-	// newCTA hand back the existing objects reset in place, so
-	// steady-state launches allocate (almost) nothing.
+	// into them, and the CTAs that ran on this SM are ctaPool[:poolCTA].
+	// A fresh launch allocates through the pool (one append per object);
+	// a Machine relaunch rewinds the cursors and takeWarp/newCTA hand back
+	// the existing objects reset in place, so steady-state launches
+	// allocate (almost) nothing.
 	warpPool []*warpState
 	ctaPool  []*ctaState
 	poolWarp int
 	poolCTA  int
-	// runGrid keeps its per-SM forks, merge scratch and (for Workers > 1
-	// launches only) replay logs on the fields below, so a Machine's next
-	// launch resets them instead of reallocating.
+	// The launch's per-CTA shared segments, and runGrid's per-SM forks,
+	// merge scratch and (for Workers > 1 launches only) replay logs, are
+	// kept on the fields below, so a Machine's next launch resets them
+	// instead of reallocating.
+	sharedBuf  [][]uint64
 	smPool     []*sim
 	replay     []smReplay
-	sharedBuf  [][]uint64
-	perSMBuf   []Metrics
 	writtenBuf []uint64
 }
 
@@ -470,6 +462,10 @@ func normalizeConfig(m *ir.Module, cfg Config) (Config, int, error) {
 	if cfg.Threads < 0 {
 		return cfg, 0, fmt.Errorf("simt: negative thread count %d", cfg.Threads)
 	}
+	if cfg.Grid == 0 {
+		// The implicit CTA 0 of Threads threads on SM 0.
+		cfg.CTASize, cfg.SMs = cfg.Threads, 1
+	}
 	if cfg.MaxIssues == 0 {
 		cfg.MaxIssues = DefaultMaxIssues
 	}
@@ -518,8 +514,6 @@ func newSim(m *ir.Module, cfg Config) (*sim, error) {
 		mem:         mem,
 		memLen:      memWords,
 		cache:       newCache(cfg.Cache.withDefaults()),
-		gridMode:    cfg.Grid > 0,
-		ctaSize:     cfg.Threads,
 	}
 	s.metrics = newMetrics(s.decodeTable)
 	if cfg.Model == ModelStack {
@@ -543,13 +537,6 @@ func newSim(m *ir.Module, cfg Config) (*sim, error) {
 	}
 	if s.nfregs < 1 {
 		s.nfregs = 1
-	}
-	if s.gridMode {
-		s.ctaSize = cfg.CTASize
-	} else {
-		// Flat launch: the whole launch acts as one implicit CTA, which
-		// gives ctabar and shared memory their degenerate-case meaning.
-		s.ctas = append(s.ctas, s.newCTA(0, cfg.Threads))
 	}
 	return s, nil
 }
@@ -620,25 +607,17 @@ func (ws *warpState) fcol(r ir.Reg) *[ir.WarpWidth]float64 {
 	return (*[ir.WarpWidth]float64)(ws.fregs[int(r)*ir.WarpWidth:])
 }
 
-// newCTA hands out the next ctaState from the launch arena, mirroring
+// newCTA hands out CTA index's state from the launch arena, mirroring
 // takeWarp: fresh launches allocate through the pool, Machine relaunches
 // reuse the pooled object with its shared segment zeroed in place.
-func (s *sim) newCTA(index, size int) *ctaState {
-	if s.poolCTA < len(s.ctaPool) {
-		c := s.ctaPool[s.poolCTA]
-		s.poolCTA++
-		c.index = index
-		c.live = size
-		for i := range c.shared {
-			c.shared[i] = 0
-		}
-		c.warps = c.warps[:0]
-		c.arrived = [NumCTABarriers]int32{}
-		return c
+func (s *sim) newCTA(index int) *ctaState {
+	if s.poolCTA == len(s.ctaPool) {
+		s.ctaPool = append(s.ctaPool, &ctaState{shared: make([]uint64, s.mod.SharedWords)})
 	}
-	c := newCTAState(index, size, s.mod.SharedWords)
-	s.ctaPool = append(s.ctaPool, c)
+	c := s.ctaPool[s.poolCTA]
 	s.poolCTA++
+	clear(c.shared)
+	*c = ctaState{index: index, live: s.cfg.CTASize, shared: c.shared, warps: c.warps[:0]}
 	return c
 }
 
@@ -648,15 +627,15 @@ func (s *sim) newCTA(index, size int) *ctaState {
 // the one implicit CTA 0 of Threads threads, so there tid == ctatid and
 // the warp's launch-wide index is wi.
 func (s *sim) newCTAWarp(cta *ctaState, wi int) *warpState {
-	warpsPerCTA := (s.ctaSize + ir.WarpWidth - 1) / ir.WarpWidth
+	ctaSize := s.cfg.CTASize
 	ws := s.takeWarp()
-	ws.index = cta.index*warpsPerCTA + wi
+	ws.index = cta.index*s.cfg.warpsPerCTA() + wi
 	ws.cta = cta
 	ws.ctaIndex = int32(cta.index)
 	ws.ctatidBase = wi * ir.WarpWidth
-	ws.tidBase = cta.index*s.ctaSize + ws.ctatidBase
+	ws.tidBase = cta.index*ctaSize + ws.ctatidBase
 	for l := 0; l < ir.WarpWidth; l++ {
-		ws.resetLane(l, ws.ctatidBase+l >= s.ctaSize)
+		ws.resetLane(l, ws.ctatidBase+l >= ctaSize)
 	}
 	if s.cfg.Model == ModelStack {
 		ws.stack = append(ws.stack, stackEntry{pc: s.entryPC, mask: ws.liveMask(), rpc: noPC})
@@ -676,47 +655,37 @@ func Run(m *ir.Module, cfg Config) (*Result, error) {
 	return s.launch()
 }
 
-// launch drives one launch over s's (fresh or arena-reset) state. A
-// grid launch forks its SMs, which run their occupancy-limited waves; a
-// flat launch runs its warps on s itself, as one wave of them all when
-// they share the machine (InterleaveWarps or a non-greedy Sched) and
-// else as one wave per warp.
+// launch drives one launch over s's (fresh or arena-reset) state. Every
+// shape is the same sequence, launch → runSM → runWave: a launch on one
+// SM — every flat launch and every one-SM grid — runs SM 0 on s itself,
+// over its own memory image, and a multi-SM grid forks its SMs and merges
+// them (runGrid).
 func (s *sim) launch() (*Result, error) {
-	if s.cfg.WallBudget > 0 {
-		s.wallDeadline = time.Now().Add(s.cfg.WallBudget)
-	}
-	if s.gridMode {
-		return s.runGrid()
-	}
 	cfg := s.cfg
-	cta := s.ctas[0]
-	nwarps := (cfg.Threads + ir.WarpWidth - 1) / ir.WarpWidth
-	for w := 0; w < nwarps; w++ {
-		s.newCTAWarp(cta, w)
+	if cfg.WallBudget > 0 {
+		s.wallDeadline = time.Now().Add(cfg.WallBudget)
 	}
-	wave := 1
-	if cfg.InterleaveWarps || cfg.Sched != SchedGreedyConverge {
-		// The shared wave samples as SM 0; a wave of one warp has no
-		// occupancy to sample.
-		wave = nwarps
+	if s.mod.SharedWords > 0 && s.sharedBuf == nil {
+		s.sharedBuf = make([][]uint64, cfg.ctas())
+	}
+	var err error
+	if cfg.SMs == 1 {
 		_, s.sampleSink = s.smSinks(0, nil)
+		err = s.runSM(s.sharedBuf)
+		s.metrics.TotalSMCycles = s.metrics.Cycles
+	} else {
+		err = s.runGrid()
 	}
-	for w := 0; w < nwarps; w += wave {
-		if err := s.runWave(cta.warps[w : w+wave]); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	s.metrics.Threads = cfg.Threads
-	s.metrics.Warps = nwarps
-	s.metrics.CTAs = 1
-	s.metrics.SMs = 1
-	s.metrics.TotalSMCycles = s.metrics.Cycles
+	s.metrics.Warps = cfg.ctas() * cfg.warpsPerCTA()
+	s.metrics.CTAs = cfg.ctas()
+	s.metrics.SMs = cfg.SMs
 	s.metrics.finalize()
-	res := &Result{Metrics: s.metrics, Memory: s.mem}
+	res := &Result{Metrics: s.metrics, Memory: s.mem, Shared: s.sharedBuf}
 	res.Metrics.detach()
-	if s.mod.SharedWords > 0 {
-		res.Shared = [][]uint64{cta.shared}
-	}
 	return res, nil
 }
 
@@ -734,9 +703,6 @@ func (s *sim) resetForLaunch(cfg Config) {
 	s.wallDeadline = time.Time{}
 	s.sampleSink = nil
 	s.rewind()
-	if !s.gridMode {
-		s.ctas = append(s.ctas, s.newCTA(0, cfg.Threads))
-	}
 }
 
 // rewind clears what one launch leaves on a machine — the cache, the
@@ -753,7 +719,6 @@ func (s *sim) rewind() {
 	s.memStallSampled = 0
 	s.poolWarp = 0
 	s.poolCTA = 0
-	s.ctas = s.ctas[:0]
 }
 
 // tryStep issues at most one instruction of ws, the only way a warp
@@ -921,7 +886,7 @@ func (ws *warpState) pick(groups []group) int {
 // its SM and CTA on a grid launch, -1 and -1 on a flat one, which has no
 // hierarchy to name.
 func (ws *warpState) place() (sm, cta int) {
-	if !ws.sim.gridMode {
+	if ws.sim.cfg.Grid == 0 {
 		return -1, -1
 	}
 	return int(ws.sim.smIndex), int(ws.ctaIndex)
