@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check loc bench bench-e2e bench-compare bench-pairs perf-gate perf-baseline cache-smoke fmt figures profile-smoke scale-smoke fuzz-smoke diffcheck-smoke vet-corpus telemetry-smoke sched-smoke repair-smoke arm64-unfused
+.PHONY: all build test vet race check loc bench bench-e2e bench-compare bench-pairs perf-gate perf-baseline cache-smoke fmt figures scale-smoke fuzz-smoke diffcheck-smoke vet-corpus sched-smoke repair-smoke arm64-unfused
 
 all: build
 
@@ -35,7 +35,6 @@ check:
 	$(MAKE) diffcheck-smoke
 	$(MAKE) vet-corpus
 	$(MAKE) cache-smoke
-	$(MAKE) telemetry-smoke
 	$(MAKE) sched-smoke
 	$(MAKE) repair-smoke
 	$(MAKE) perf-gate
@@ -168,18 +167,24 @@ fmt:
 figures:
 	$(GO) run ./cmd/figures -fig all
 
-# scale-smoke exercises the GPU-scale engine end to end: a multi-CTA
-# workload compiled under both builds and simulated as an 8-CTA grid
-# over 4 sharded SMs with the profiler and the per-SM Perfetto trace
-# attached, every artifact validated as well-formed JSON; then the same
-# sharded grid once more on the reconvergence-stack model. The grid
-# determinism itself (sharded == serial, byte for byte) is pinned by
-# TestGridShardingDeterministic under -race above.
+# scale-smoke exercises the GPU-scale engine and its observers end to
+# end: a multi-CTA workload compiled under both builds and simulated as
+# an 8-CTA grid over 4 sharded SMs with the profiler, the per-SM
+# occupancy sampler and the per-SM Perfetto trace attached (the traces
+# carry the SM occupancy counter tracks), every artifact validated as
+# well-formed JSON; then the same sharded grid once more on the
+# reconvergence-stack model. The grid determinism itself (sharded ==
+# serial, byte for byte) is pinned by TestGridShardingDeterministic under
+# -race above. That the sampler adds zero allocations to the issue loop
+# is pinned by TestSteadyStateIssueAllocFreeGrid, and that the observers
+# allocate what they keep, a chunk at a time and never per event, by
+# TestTraceRecorderAllocsPerEvent, TestRecordersAllocateWhatTheyHold and
+# perf-gate's observed_grid allocation metrics.
 scale-smoke:
 	rm -rf /tmp/specrecon-scale-smoke
 	mkdir -p /tmp/specrecon-scale-smoke
 	$(GO) run ./cmd/specrecon -kernel xsbench -mode both \
-		-grid 8 -ctasize 64 -sms 4 -workers 2 -profile \
+		-grid 8 -ctasize 64 -sms 4 -workers 2 -profile -sample-stride 64 \
 		-profile-json /tmp/specrecon-scale-smoke/profile.json \
 		-trace-out /tmp/specrecon-scale-smoke/trace.json
 	$(GO) run ./cmd/perf json \
@@ -210,98 +215,34 @@ cache-smoke:
 	$(GO) run ./cmd/perf json /tmp/specrecon-cache-smoke/stats.json
 	rm -rf /tmp/specrecon-cache-smoke
 
-# telemetry-smoke exercises occupancy sampling and the run ledger end to
-# end. A grid workload runs with the per-SM occupancy sampler and the
-# compile cache attached, and its trace (carrying SM occupancy counter
-# tracks) must be well-formed JSON. Then figures -fig 7 appends two run
-# records to a scratch ledger, and perf ledger holds the second's
-# compile-cache misses to the first's (16 -> 16; exit 2 if the record
-# lacks them). A record's ccache_* series are the cache's own Stats(),
-# written by cli.App.Record; the per-SM occupancy series are the table
-# the sampled run prints. The ledger's Go tests run under -race. That the
-# sampler adds zero allocations to the issue loop is pinned by
-# TestSteadyStateIssueAllocFreeGrid, and that the observers allocate what
-# they keep, a chunk at a time and never per event, by
-# TestTraceRecorderAllocsPerEvent, TestRecordersAllocateWhatTheyHold and
-# perf-gate's observed_grid allocation metrics.
-telemetry-smoke:
-	rm -rf /tmp/specrecon-telemetry-smoke
-	mkdir -p /tmp/specrecon-telemetry-smoke
-	$(GO) run ./cmd/specrecon -kernel rsbench -mode spec \
-		-grid 8 -ctasize 64 -sms 4 -workers 2 \
-		-sample-stride 64 -compile-cache \
-		-trace-out /tmp/specrecon-telemetry-smoke/trace.json
-	$(GO) run ./cmd/perf json /tmp/specrecon-telemetry-smoke/trace.json
-	$(GO) run ./cmd/figures -fig 7 -compile-cache \
-		-ledger /tmp/specrecon-telemetry-smoke/runs.jsonl >/dev/null
-	$(GO) run ./cmd/figures -fig 7 -compile-cache \
-		-ledger /tmp/specrecon-telemetry-smoke/runs.jsonl >/dev/null
-	$(GO) run ./cmd/perf ledger -ledger /tmp/specrecon-telemetry-smoke/runs.jsonl \
-		-tool figures -gate "ccache_misses_total <= 1"
-	$(GO) test -race -count=1 ./internal/telemetry
-	rm -rf /tmp/specrecon-telemetry-smoke
-
 # sched-smoke exercises the campaign driver's schedule axis end to end.
 # The planted scheduler-sensitive fault matrix must catch every fault at
 # its pinned layer, then a short corpus campaign sweeps four adversarial
 # policies x two schedule seeds against the greedy reference with the
-# starvation monitor and wall-clock watchdog armed — zero findings, with
-# the stats artifact validated as well-formed JSON and the campaign
-# record appended to the run ledger (perf ledger gates: findings and
-# panics may never grow from the baseline). That schedule exploration
-# stays allocation-free under every policy is pinned by
+# starvation monitor and wall-clock watchdog armed — zero findings and
+# zero panics, enforced at exit-code level, with the stats artifact
+# validated as well-formed JSON. That schedule exploration stays
+# allocation-free under every policy is pinned by
 # TestSteadyStateIssueAllocFreeGrid.
 sched-smoke:
 	rm -rf /tmp/specrecon-sched-smoke
 	mkdir -p /tmp/specrecon-sched-smoke
 	$(GO) run ./cmd/diffhunt -axis sched -n 60 -seed 42 -matrix \
 		-policies oldest,youngest,obe,random -seeds 7,11 \
-		-stats /tmp/specrecon-sched-smoke/stats.json \
-		-ledger runs.jsonl
+		-stats /tmp/specrecon-sched-smoke/stats.json
 	$(GO) run ./cmd/perf json /tmp/specrecon-sched-smoke/stats.json
-	$(GO) run ./cmd/perf ledger -ledger runs.jsonl -tool diffhunt-sched -last 5 \
-		-gate "findings <= 1" \
-		-gate "panics <= 1" \
-		-gate "wall_seconds <= 2"
 	rm -rf /tmp/specrecon-sched-smoke
 
-# repair-smoke exercises the analysis-driven automated-repair pipeline
-# end to end. The exit contract comes first: sasmvet -fix must repair an
-# injected repairable fault on the canonical kernel and exit 0, while
-# the designated unrepairable fault (SR1003 carries no machine edit)
-# must fall through with the edits-applied count at zero and keep exit
-# 1 — the gate distinguishes "repaired" from "fell back". The campaign
-# driver's repair axis then plants every statically-visible matrix fault
-# over the matrix kernel and a 120-application corpus, pushes each
-# through repair-then-reverify, differentially checks every repaired
-# build against the un-repaired PDOM baseline, and fails unless the
-# post-repair fallback rate strictly improves on the pre-repair rate.
-# The rates land in the run ledger; perf ledger gates the fallback rate
-# and proof failures against the recent baseline.
+# repair-smoke holds the automated-repair exit contract on the built
+# binary: sasmvet -fix must repair an injected repairable fault on the
+# canonical kernel and exit 0, while the designated unrepairable fault
+# (SR1003 carries no machine edit) must fall through with the
+# edits-applied count at zero and keep exit 1 — the gate distinguishes
+# "repaired" from "fell back". The repair campaign's rate over the matrix
+# kernel and a 120-application corpus (57 planted, 41 repaired, 16
+# fallback, 100.0% -> 28.1%) is cmd/diffhunt's repair-120 golden.
 repair-smoke:
 	$(GO) run ./cmd/sasmvet -q -compiled -inject drop-cancel@1 -fix \
 		testdata/repair/listing1.sasm
 	! $(GO) run ./cmd/sasmvet -q -compiled -inject drop-wait@1 -fix \
 		testdata/repair/listing1.sasm
-	$(GO) run ./cmd/diffhunt -axis repair -n 120 -seed 42 -compile-cache \
-		-ledger runs.jsonl
-	$(GO) run ./cmd/perf ledger -ledger runs.jsonl -tool diffhunt-repair -last 5 \
-		-gate "repair_fallback_rate <= 1.05" \
-		-gate "findings <= 1" \
-		-gate "repaired >= 0.95"
-
-# profile-smoke runs one workload end to end with the profiler and the
-# trace exporter attached, then validates every emitted artifact is
-# non-empty well-formed JSON.
-profile-smoke:
-	rm -rf /tmp/specrecon-profile-smoke
-	mkdir -p /tmp/specrecon-profile-smoke
-	$(GO) run ./cmd/specrecon -kernel rsbench -mode both -profile \
-		-profile-json /tmp/specrecon-profile-smoke/profile.json \
-		-trace-out /tmp/specrecon-profile-smoke/trace.json
-	$(GO) run ./cmd/perf json \
-		/tmp/specrecon-profile-smoke/profile-baseline.json \
-		/tmp/specrecon-profile-smoke/profile-spec.json \
-		/tmp/specrecon-profile-smoke/trace-baseline.json \
-		/tmp/specrecon-profile-smoke/trace-spec.json
-	rm -rf /tmp/specrecon-profile-smoke

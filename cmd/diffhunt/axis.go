@@ -129,7 +129,7 @@ func schedFinding(x cell, res diffcheck.Result) string {
 	if len(analyze.Analyze(x.k.Module, analyze.Options{}).Errors()) == 0 {
 		verdict = "analyzer-clean kernel: indicts an engine or a progress-model reliance"
 	}
-	return fmt.Sprintf("FAIL %s at %s [%s]: %v\n     %s", x.k.Name, res.Stage, diffcheck.ClassifySchedFailure(res), res.Err, verdict)
+	return fmt.Sprintf("FAIL %s at %s [%s]: %v\n     %s", x.k.Name, res.Stage, diffcheck.ClassifyFailure(res), res.Err, verdict)
 }
 
 func schedSummary(c *campaign, st *Stats) int {

@@ -104,7 +104,7 @@ func (c *campaign) run(ax axis, st *Stats) {
 func (c *campaign) finding(st *Stats, x cell, res diffcheck.Result) {
 	st.Findings++
 	st.PerPolicy[x.opts.Sched.String()]++
-	st.PerLayer[string(diffcheck.ClassifySchedFailure(res))]++
+	st.PerLayer[string(diffcheck.ClassifyFailure(res))]++
 	small, res := diffcheck.Minimize(x.k, x.opts)
 	c.repro(st, small, x.opts, res)
 }

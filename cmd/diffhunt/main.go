@@ -21,11 +21,10 @@
 //	diffhunt -n 500 -seed 42 -matrix      # campaign + fault-injection matrix
 //	diffhunt -n 100 -mutate 2 -v -j 4     # also check structural mutants
 //	diffhunt -axis sched -n 500 -policies obe,random -seeds 1,2,3,4
-//	diffhunt -axis sched -n 60 -matrix -stats stats.json -ledger runs.jsonl
-//	diffhunt -axis repair -n 120 -compile-cache -ledger runs.jsonl
+//	diffhunt -axis sched -n 60 -matrix -stats stats.json
+//	diffhunt -axis repair -n 120 -compile-cache
 //
-// -stats writes the campaign counts as JSON and -ledger appends them as
-// a "diffhunt-<axis>" record for `perf ledger`. Cells whose baseline
+// -stats writes the campaign counts as JSON. Cells whose baseline
 // build or run fails — possible for structural mutants — are skips, not
 // findings: they indict the input, not the transform. A cell whose check
 // panics is contained as one PANIC line with an unminimized repro.
@@ -72,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	app.SchedFlags()
 	app.LivenessFlags()
 	app.CacheFlags()
-	app.LedgerFlag()
 	if code, done := app.Parse(args); done {
 		return code
 	}
@@ -114,14 +112,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err := cli.WriteTo(*stats, stdout, st.writeJSON); err != nil {
 			return app.Fail(cli.Usage, err)
 		}
-	}
-	config := map[string]any{
-		"axis": *axisName, "n": c.n, "seed": c.seed, "mutate": c.mutate, "maxIssues": c.maxIssues,
-		"policy": app.Launch.Policy, "sched": app.Launch.Sched, "starveLimit": app.StarveLimit,
-		"policies": *policies, "seeds": *seeds,
-	}
-	if err := app.Record("diffhunt-"+*axisName, config, st.metrics()); err != nil {
-		return app.Fail(cli.Usage, err)
 	}
 	if failures > 0 {
 		return cli.Fail
@@ -200,19 +190,4 @@ func (st *Stats) panics() string {
 		return ""
 	}
 	return fmt.Sprintf(", %d panics", st.Panics)
-}
-
-// metrics flattens the counts into the ledger record's metric map.
-func (st *Stats) metrics() map[string]float64 {
-	m := map[string]float64{
-		"checks": float64(st.Checks), "findings": float64(st.Findings),
-		"skips": float64(st.Skips), "panics": float64(st.Panics),
-	}
-	for name, n := range st.Buckets {
-		m[name] = float64(n)
-	}
-	for name, v := range st.Rates {
-		m[name] = v
-	}
-	return m
 }

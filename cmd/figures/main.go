@@ -38,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	app.SchedFlags()
 	app.CacheFlags()
 	app.ProfileFlags()
-	app.LedgerFlag()
 	if code, done := app.Parse(args); done {
 		return code
 	}
@@ -89,9 +88,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return app.Fail(cli.Fail, err)
 		}
 		fmt.Fprintf(stdout, "wrote %d traces to %s (open in ui.perfetto.dev)\n", len(paths), *traceDir)
-	}
-	if err := app.Record("figures", cfg, nil); err != nil {
-		return app.Fail(cli.Usage, err)
 	}
 	return cli.OK
 }

@@ -26,15 +26,17 @@ func TestCLI(t *testing.T) {
 
 func TestFlagNames(t *testing.T) { clitest.FlagNames(t, run) }
 
-// TestCacheStatsImplyCache: -cache-stats alone turns the cache on.
+// TestCacheStatsImplyCache: -cache-stats alone turns the cache on, and
+// figure 7 compiles each of its eight workloads under both builds once:
+// 16 misses, no hit.
 func TestCacheStatsImplyCache(t *testing.T) {
 	stats := filepath.Join(t.TempDir(), "stats.json")
 	if code, _, stderr := clitest.Exec(t, run, "-fig", "7", "-j", "1", "-cache-stats", stats); code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr)
 	}
 	var st ccache.Stats
-	if clitest.ReadJSON(t, stats, &st); st.Misses == 0 {
-		t.Errorf("-cache-stats without -compile-cache recorded no lookup: %+v", st)
+	if clitest.ReadJSON(t, stats, &st); st.Misses != 16 || st.Hits != 0 {
+		t.Errorf("-fig 7 -cache-stats: %+v, want 16 misses and 0 hits", st)
 	}
 }
 

@@ -1,17 +1,15 @@
-// Command perf is the repo's one performance tool: four subcommands
-// over the repo benchmark (bench/, BENCHMARK.json) and the run ledger
-// (runs.jsonl).
+// Command perf is the repo's one performance tool: three subcommands
+// over the repo benchmark (bench/, BENCHMARK.json) and the artifacts the
+// other binaries write.
 //
 //	perf gate BENCHMARK.json BASE_DIR FRESH_DIR   the make check gate (gate.go)
 //	perf pairs -a PARENT -b CHANGE [-w W] [-n N]  judge a claimed gain (pairs.go)
-//	perf ledger -ledger F [-tool T] [-last N] -gate "<metric> <op> <ratio>"...
-//	                                              gate a trend (ledger.go)
 //	perf json FILE...                             non-empty well-formed JSON (json.go)
 //
 // Exit status, every subcommand: 0 when what it checks holds, 1 when it
 // does not, 2 on a usage error or an input it cannot use (an unreadable
-// or malformed file, a gate naming an unknown metric, a workload with no
-// record) — a silently vacuous check would defeat its purpose.
+// or malformed file, a workload with no record or no usable metric) — a
+// silently vacuous check would defeat its purpose.
 package main
 
 import (
@@ -19,12 +17,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 )
 
 const usage = `usage: perf gate BENCHMARK.json BASE_DIR FRESH_DIR
        perf pairs -a <parent checkout> -b <change checkout> [-w workload] [-n pairs]
-       perf ledger [-ledger runs.jsonl] [-tool NAME] [-last N] -gate "<metric> <op> <ratio>"...
        perf json FILE...
 `
 
@@ -40,8 +36,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return gate(rest, stdout, stderr)
 		case "pairs":
 			return pairs(rest, stdout, stderr)
-		case "ledger":
-			return ledger(rest, stdout, stderr)
 		case "json":
 			return jsonCheck(rest, stdout, stderr)
 		}
@@ -78,48 +72,3 @@ func readJSON(path string, v any) (int, error) {
 	}
 	return len(raw), nil
 }
-
-// tally counts the checks that failed and words each one's verdict.
-type tally int
-
-func (t *tally) verdict(ok bool) string {
-	if ok {
-		return "pass"
-	}
-	*t++
-	return "FAIL"
-}
-
-// limit is the right-hand side of a gate: an operator and the number a
-// value (for both ledger and gate, a latest/baseline ratio) is held to.
-type limit struct {
-	op string
-	to float64
-}
-
-func parseLimit(op, to string) (limit, error) {
-	v, err := strconv.ParseFloat(to, 64)
-	if err != nil {
-		return limit{}, err
-	}
-	switch op {
-	case "<", "<=", ">", ">=":
-		return limit{op, v}, nil
-	}
-	return limit{}, fmt.Errorf("unknown operator %q (want < <= > >=)", op)
-}
-
-func (l limit) holds(v float64) bool {
-	switch l.op {
-	case "<":
-		return v < l.to
-	case "<=":
-		return v <= l.to
-	case ">":
-		return v > l.to
-	default:
-		return v >= l.to
-	}
-}
-
-func (l limit) String() string { return fmt.Sprintf("%s %g", l.op, l.to) }

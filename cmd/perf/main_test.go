@@ -1,11 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// runPerf drives the CLI the way main does and returns its exit code
+// and both streams.
+func runPerf(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
 
 // TestUsageExits: no subcommand, an unknown one, and each subcommand
 // short of its arguments print the usage and exit 2.
@@ -69,27 +78,30 @@ func TestJSONExitCodes(t *testing.T) {
 	}
 }
 
-// TestLimitOps pins the one comparator every gate goes through, at the
-// boundary of each operator.
-func TestLimitOps(t *testing.T) {
+// TestUsageAndErrorExits: perf has no ledger subcommand, so every command
+// line the retired one took, well-formed or not, is a usage error: exit
+// 2, the usage text, nothing on stdout.
+func TestUsageAndErrorExits(t *testing.T) {
 	for _, tc := range []struct {
-		op, to string
-		v      float64
-		holds  bool
+		name string
+		args []string
 	}{
-		{"<=", "100", 100, true}, {"<=", "99", 100, false},
-		{"<", "100", 100, false}, {"<", "101", 100, true},
-		{">=", "100", 100, true}, {">=", "101", 100, false},
-		{">", "100", 100, false}, {">", "99", 100, true},
+		{"check-no-gates", []string{"-ledger", "runs.jsonl"}},
+		{"stray-argument", []string{"-ledger", "runs.jsonl", "-gate", "wall_seconds <= 1", "extra"}},
+		{"retired-append-flag", []string{"-ledger", "runs.jsonl", "-append"}},
+		{"bad-gate-grammar", []string{"-ledger", "runs.jsonl", "-gate", "wall_seconds"}},
+		{"bad-gate-op", []string{"-ledger", "runs.jsonl", "-gate", "wall_seconds == 1"}},
+		{"bad-gate-ratio", []string{"-ledger", "runs.jsonl", "-gate", "wall_seconds <= fast"}},
+		{"unknown-metric", []string{"-ledger", "runs.jsonl", "-gate", "no_such <= 1"}},
+		{"missing-ledger", []string{"-ledger", "absent.jsonl", "-gate", "a <= 1"}},
+		{"malformed-ledger", []string{"-ledger", "bad.jsonl", "-gate", "a <= 1"}},
+		{"no-matching-tool", []string{"-ledger", "runs.jsonl", "-tool", "other", "-gate", "a <= 1"}},
 	} {
-		lim, err := parseLimit(tc.op, tc.to)
-		if err != nil || lim.holds(tc.v) != tc.holds {
-			t.Errorf("%g %s %s: holds %v (err %v), want %v", tc.v, tc.op, tc.to, lim.holds(tc.v), err, tc.holds)
-		}
-	}
-	for _, bad := range [][2]string{{"==", "1"}, {"=<", "1"}, {"<=", "fast"}, {"<=", ""}} {
-		if _, err := parseLimit(bad[0], bad[1]); err == nil {
-			t.Errorf("parseLimit(%q, %q) accepted", bad[0], bad[1])
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := runPerf(append([]string{"ledger"}, tc.args...)...)
+			if code != 2 || !strings.HasPrefix(stderr, "usage: perf gate") || stdout != "" {
+				t.Errorf("exit %d, stdout %q, stderr %q", code, stdout, stderr)
+			}
+		})
 	}
 }

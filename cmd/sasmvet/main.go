@@ -72,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		injectSpec   = app.String("inject", "", "with -compiled, plant this fault plan (core.ParseFaultPlan syntax, e.g. drop-cancel@1) before vetting")
 	)
 	app.CacheFlags()
-	app.LedgerFlag()
 	app.Usage = func() {
 		fmt.Fprintf(stderr, `usage: sasmvet [flags] [file.sasm | glob ...]
 
@@ -238,22 +237,6 @@ Flags:
 	} else {
 		fmt.Fprintf(stdout, "sasmvet: %d module(s): %d error(s), %d warning(s), %d note(s)\n",
 			len(mods), errors, warnings, notes)
-	}
-
-	metrics := map[string]float64{
-		"modules":  float64(len(mods)),
-		"errors":   float64(errors),
-		"warnings": float64(warnings),
-		"notes":    float64(notes),
-	}
-	if fixMode {
-		metrics["edits_applied"] = float64(editsApplied)
-		metrics["post_errors"] = float64(len(analyze.Filter(post, analyze.SeverityError)))
-	}
-	config := fmt.Sprintf("workloads=%v corpus=%d seed=%d compiled=%v repeat=%d fix=%v inject=%q args=%v",
-		*vetWorkloads, *corpusN, *corpusSeed, *compiled, *repeatN, fixMode, *injectSpec, app.Args())
-	if err := app.Record("sasmvet", config, metrics); err != nil {
-		return app.Fail(cli.Usage, err)
 	}
 
 	if len(analyze.Filter(post, failSev)) > 0 {

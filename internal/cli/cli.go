@@ -1,9 +1,9 @@
 // Package cli is the command-line surface the binaries share, declared
 // once: the exit contract, and the flag groups — launch shape, warp
-// scheduling, compile cache, profiles and run ledger — each
-// registered by the binaries that have it, parsed into the values the
-// simulator takes, started after parsing and finished on every exit
-// path of run. A binary's main is
+// scheduling, compile cache and profiles — each registered by the
+// binaries that have it, parsed into the values the simulator takes,
+// started after parsing and finished on every exit path of run. A
+// binary's main is
 //
 //	func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 //
@@ -23,7 +23,6 @@ import (
 
 	"specrecon/internal/ccache"
 	"specrecon/internal/simt"
-	"specrecon/internal/telemetry"
 	"specrecon/internal/workloads"
 )
 
@@ -51,11 +50,10 @@ type App struct {
 	// a nil cache compiles directly.
 	Cache *ccache.Cache
 
-	policy, sched                              string
-	cacheOn                                    bool
-	cacheStats, cpuProfile, memProfile, ledger string
-	started                                    time.Time
-	finishers                                  []func() error
+	policy, sched                      string
+	cacheOn                            bool
+	cacheStats, cpuProfile, memProfile string
+	finishers                          []func() error
 }
 
 // New returns the App of the command called name.
@@ -108,16 +106,10 @@ func (a *App) ProfileFlags() {
 	a.StringVar(&a.memProfile, "memprofile", "", "write a heap profile to this file")
 }
 
-// LedgerFlag registers the run ledger Record appends to.
-func (a *App) LedgerFlag() {
-	a.StringVar(&a.ledger, "ledger", "", "append a run record (wall time, compile-cache counts and run metrics) to this JSONL ledger")
-}
-
 // Parse parses args and starts what the registered groups were asked
 // for. When done, run returns code: Usage after a flag, a value or a
 // start-up failure (reported on Stderr), OK after -h.
 func (a *App) Parse(args []string) (code int, done bool) {
-	a.started = time.Now()
 	if err := a.FlagSet.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return OK, true
@@ -194,37 +186,6 @@ func (a *App) Close(code *int) {
 func (a *App) Fail(code int, err error) int {
 	fmt.Fprintf(a.Stderr, "%s: %v\n", a.Name(), err)
 	return code
-}
-
-// Record appends the run's ledger record when -ledger was given: the
-// time, the git revision, config's fingerprint, and as metrics the run's
-// own, wall_seconds since Parse and, once the compile cache has been
-// looked up, its ccache_hits_total, ccache_misses_total and
-// ccache_hit_rate.
-func (a *App) Record(tool string, config any, metrics map[string]float64) error {
-	if a.ledger == "" {
-		return nil
-	}
-	rec := telemetry.RunRecord{
-		Time:    telemetry.NowRFC3339(),
-		Tool:    tool,
-		GitRev:  telemetry.GitRev(),
-		Config:  telemetry.Fingerprint(config),
-		Metrics: map[string]float64{"wall_seconds": time.Since(a.started).Seconds()},
-	}
-	for name, v := range metrics {
-		rec.Metrics[name] = v
-	}
-	if s := a.Cache.Stats(); s.Hits+s.Misses > 0 {
-		rec.Metrics["ccache_hits_total"] = float64(s.Hits)
-		rec.Metrics["ccache_misses_total"] = float64(s.Misses)
-		rec.Metrics["ccache_hit_rate"] = float64(s.Hits) / float64(s.Hits+s.Misses)
-	}
-	if err := telemetry.AppendRecord(a.ledger, rec); err != nil {
-		return err
-	}
-	fmt.Fprintf(a.Stderr, "%s: appended run record (%d metrics) to %s\n", a.Name(), len(rec.Metrics), a.ledger)
-	return nil
 }
 
 // WriteTo streams render into the file at path, or into dash when path

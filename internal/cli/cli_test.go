@@ -2,15 +2,16 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"specrecon/internal/ccache"
 	"specrecon/internal/core"
 	"specrecon/internal/simt"
-	"specrecon/internal/telemetry"
 	"specrecon/internal/workloads"
 )
 
@@ -23,7 +24,6 @@ func full(name string) (*App, *bytes.Buffer) {
 	a.LivenessFlags()
 	a.CacheFlags()
 	a.ProfileFlags()
-	a.LedgerFlag()
 	return a, &stderr
 }
 
@@ -74,16 +74,15 @@ func TestGroupsRegisterOnlyTheirFlags(t *testing.T) {
 	}
 }
 
-// TestCloseFinishesAndRecord: the finishers write their files when Close
-// runs, one that cannot turns an OK status into Usage, and Record builds
-// the whole ledger line, its compile-cache counts taken from the cache's
-// own statistics and left out of a run that looked nothing up.
-func TestCloseFinishesAndRecord(t *testing.T) {
+// TestCloseFinishes: the finishers write their files when Close runs —
+// the cache statistics counting what the run looked up — and one that
+// cannot turns an OK status into Usage.
+func TestCloseFinishes(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
 	a, stderr := full("tool")
 	code, done := a.Parse([]string{"-cache-stats", path("stats.json"),
-		"-cpuprofile", path("cpu.pprof"), "-memprofile", path("mem.pprof"), "-ledger", path("runs.jsonl")})
+		"-cpuprofile", path("cpu.pprof"), "-memprofile", path("mem.pprof")})
 	if done || a.Cache == nil {
 		t.Fatalf("Parse: code %d done %v cache %v\n%s", code, done, a.Cache, stderr)
 	}
@@ -92,9 +91,6 @@ func TestCloseFinishesAndRecord(t *testing.T) {
 		if _, err := a.Cache.Compile(m, core.BaselineOptions()); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := a.Record("tool-x", map[string]int{"n": 1}, map[string]float64{"checks": 7}); err != nil {
-		t.Fatal(err)
 	}
 	a.Close(&code)
 	if code != OK {
@@ -105,34 +101,13 @@ func TestCloseFinishesAndRecord(t *testing.T) {
 			t.Errorf("%s: not written (%v)", name, err)
 		}
 	}
-	recs, err := telemetry.ReadLedger(path("runs.jsonl"))
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("ledger: %v, %d records", err, len(recs))
-	}
-	r := recs[0]
-	if r.Tool != "tool-x" || r.Time == "" || r.GitRev == "" || r.Config != telemetry.Fingerprint(map[string]int{"n": 1}) {
-		t.Errorf("record identity: %+v", r)
-	}
-	st := a.Cache.Stats()
-	if r.Metrics["checks"] != 7 || r.Metrics["wall_seconds"] <= 0 || r.Metrics["ccache_hit_rate"] != 0.5 ||
-		st.Hits != 1 || st.Misses != 1 || r.Metrics["ccache_hits_total"] != float64(st.Hits) || r.Metrics["ccache_misses_total"] != float64(st.Misses) {
-		t.Errorf("record metrics: %v, cache stats %+v", r.Metrics, st)
-	}
-
-	a, stderr = full("tool")
-	if code, done = a.Parse([]string{"-compile-cache", "-ledger", path("idle.jsonl")}); done {
-		t.Fatalf("Parse: code %d\n%s", code, stderr)
-	}
-	if err := a.Record("tool-x", nil, nil); err != nil {
+	raw, err := os.ReadFile(path("stats.json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if recs, err = telemetry.ReadLedger(path("idle.jsonl")); err != nil || len(recs) != 1 {
-		t.Fatalf("ledger: %v, %d records", err, len(recs))
-	}
-	for name := range recs[0].Metrics {
-		if strings.HasPrefix(name, "ccache_") {
-			t.Errorf("a run with no cache lookups records %s: %v", name, recs[0].Metrics)
-		}
+	var st ccache.Stats
+	if err := json.Unmarshal(raw, &st); err != nil || st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("stats.json: %+v (%v), want 1 hit and 1 miss", st, err)
 	}
 
 	a, stderr = full("tool")

@@ -21,34 +21,34 @@ import (
 // grant, or one of the two engines; cmd/diffhunt's sched axis uses the
 // same classification on the corpus to tell those apart.
 
-// SchedLayer identifies which liveness/equivalence layer caught (or
-// should catch) a schedule-dependent failure.
-type SchedLayer string
+// Layer identifies which liveness/equivalence layer caught (or should
+// catch) a failure; cmd/diffhunt sorts every axis's findings by it.
+type Layer string
 
 const (
 	// LayerStarvation: the per-warp starvation monitor fired
 	// (simt.StarvationError) — a runnable warp went unissued past the
 	// armed limit.
-	LayerStarvation SchedLayer = "starvation"
+	LayerStarvation Layer = "starvation"
 	// LayerDeadlock: the run wedged with no issuable warp
 	// (simt.DeadlockError) — a schedule-dependent barrier skew.
-	LayerDeadlock SchedLayer = "deadlock"
+	LayerDeadlock Layer = "deadlock"
 	// LayerMismatch: both runs terminated but final memory differs from
 	// the greedy reference (StageCompare) — a data race the schedule
 	// made visible.
-	LayerMismatch SchedLayer = "mismatch"
+	LayerMismatch Layer = "mismatch"
 	// LayerBudget: the run exhausted its issue/cycle budget — livelock
 	// indistinguishable from starvation without the monitor armed.
-	LayerBudget SchedLayer = "budget"
+	LayerBudget Layer = "budget"
 	// LayerOther: some other failure (compile error, watchdog, ...).
-	LayerOther SchedLayer = "other"
+	LayerOther Layer = "other"
 	// LayerNone: no failure.
-	LayerNone SchedLayer = "none"
+	LayerNone Layer = "none"
 )
 
-// ClassifySchedFailure maps a differential-check result onto the
+// ClassifyFailure maps a differential-check result onto the
 // detection layer that produced it.
-func ClassifySchedFailure(res Result) SchedLayer {
+func ClassifyFailure(res Result) Layer {
 	if res.OK {
 		return LayerNone
 	}
@@ -89,7 +89,7 @@ type SchedFault struct {
 	SchedSeed   uint64
 	StarveLimit int64
 	// WantLayer pins the detection layer.
-	WantLayer SchedLayer
+	WantLayer Layer
 	// StaticallyClean asserts the analyzer reports no errors on the
 	// kernel — the bug is invisible to static analysis by construction,
 	// so only the schedule explorer can see it.
@@ -251,7 +251,7 @@ type SchedMatrixOutcome struct {
 	GreedyClean bool
 	// Got is the layer that caught the fault under its policy; Result
 	// is the underlying check outcome.
-	Got    SchedLayer
+	Got    Layer
 	Result Result
 	// AnalyzerClean: the static analyzer reported no errors.
 	AnalyzerClean bool
@@ -287,7 +287,7 @@ func RunSchedMatrix() []SchedMatrixOutcome {
 		out = append(out, SchedMatrixOutcome{
 			Fault:         f,
 			GreedyClean:   greedy.OK,
-			Got:           ClassifySchedFailure(res),
+			Got:           ClassifyFailure(res),
 			Result:        res,
 			AnalyzerClean: len(rep.Errors()) == 0,
 		})

@@ -15,7 +15,7 @@ func TestSchedFaultMatrix(t *testing.T) {
 	if len(matrix) < 2 {
 		t.Fatalf("sched matrix has %d faults, want >= 2", len(matrix))
 	}
-	layers := map[SchedLayer]bool{}
+	layers := map[Layer]bool{}
 	for _, o := range RunSchedMatrix() {
 		layers[o.Fault.WantLayer] = true
 		t.Run(o.Fault.Name, func(t *testing.T) {
@@ -32,7 +32,7 @@ func TestSchedFaultMatrix(t *testing.T) {
 	}
 	// The matrix must exercise the distinct liveness layers, not three
 	// flavors of the same detector.
-	for _, want := range []SchedLayer{LayerStarvation, LayerDeadlock, LayerMismatch} {
+	for _, want := range []Layer{LayerStarvation, LayerDeadlock, LayerMismatch} {
 		if !layers[want] {
 			t.Errorf("no fault pinned to layer %s", want)
 		}
@@ -51,7 +51,7 @@ func TestSchedFaultReproRoundTrip(t *testing.T) {
 		if res.OK {
 			t.Fatalf("%s: minimized kernel no longer fails", f.Name)
 		}
-		if got := ClassifySchedFailure(res); got != f.WantLayer {
+		if got := ClassifyFailure(res); got != f.WantLayer {
 			t.Fatalf("%s: minimized failure moved to layer %s (want %s): %v", f.Name, got, f.WantLayer, res)
 		}
 		path, err := WriteRepro(dir, small, opts, res)
@@ -67,27 +67,27 @@ func TestSchedFaultReproRoundTrip(t *testing.T) {
 		}
 		recorded.MaxIssues = 1 << 17
 		replay := Check(loaded, recorded)
-		if got := ClassifySchedFailure(replay); got != f.WantLayer {
+		if got := ClassifyFailure(replay); got != f.WantLayer {
 			t.Fatalf("%s: repro replays at layer %s, want %s: %v", f.Name, got, f.WantLayer, replay)
 		}
 	}
 }
 
-// TestClassifySchedFailure covers the classifier's corners directly.
-func TestClassifySchedFailure(t *testing.T) {
-	if got := ClassifySchedFailure(Result{OK: true, Stage: StageOK}); got != LayerNone {
+// TestClassifyFailure covers the classifier's corners directly.
+func TestClassifyFailure(t *testing.T) {
+	if got := ClassifyFailure(Result{OK: true, Stage: StageOK}); got != LayerNone {
 		t.Errorf("ok result -> %s, want none", got)
 	}
-	if got := ClassifySchedFailure(Result{Stage: StageCompare}); got != LayerMismatch {
+	if got := ClassifyFailure(Result{Stage: StageCompare}); got != LayerMismatch {
 		t.Errorf("compare -> %s, want mismatch", got)
 	}
-	if got := ClassifySchedFailure(Result{Stage: StageRunSpec, Err: &simt.StarvationError{}}); got != LayerStarvation {
+	if got := ClassifyFailure(Result{Stage: StageRunSpec, Err: &simt.StarvationError{}}); got != LayerStarvation {
 		t.Errorf("starvation -> %s", got)
 	}
-	if got := ClassifySchedFailure(Result{Stage: StageRunSpec, Err: &simt.BudgetError{}}); got != LayerBudget {
+	if got := ClassifyFailure(Result{Stage: StageRunSpec, Err: &simt.BudgetError{}}); got != LayerBudget {
 		t.Errorf("budget -> %s", got)
 	}
-	if got := ClassifySchedFailure(Result{Stage: StageCompileSpec, Err: errors.New("x")}); got != LayerOther {
+	if got := ClassifyFailure(Result{Stage: StageCompileSpec, Err: errors.New("x")}); got != LayerOther {
 		t.Errorf("compile error -> %s, want other", got)
 	}
 }

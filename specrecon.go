@@ -8,10 +8,10 @@
 // workloads. The programs under examples/ use all of it.
 //
 // It is deliberately no wider than that. The static analyzer, automated
-// repair, the differential checker, the profiler and trace exporter, the
-// run ledger and fault injection are reached through the commands
-// under cmd/ (specrecon, figures, sasmvet, diffhunt, simtviz), which
-// import the internal packages directly. A name is added here when a
+// repair, the differential checker, the profiler and trace exporter and
+// fault injection are reached through the commands under cmd/
+// (specrecon, figures, sasmvet, diffhunt, simtviz), which import the
+// internal packages directly. A name is added here when a
 // program under examples/ needs it; testdata/facade.golden pins the set.
 package specrecon
 
