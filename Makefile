@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check loc bench bench-e2e bench-compare bench-pairs perf-gate perf-baseline cache-smoke fmt figures scale-smoke fuzz-smoke diffcheck-smoke vet-corpus sched-smoke repair-smoke arm64-unfused
+.PHONY: all build test vet race check loc bench-e2e bench-compare bench-pairs perf-gate perf-baseline cache-smoke fmt figures scale-smoke fuzz-smoke vet-corpus repair-smoke arm64-unfused
 
 all: build
 
@@ -21,10 +21,11 @@ race:
 # tests that only mean something there — worker-pool and SM-sharding
 # determinism, pipelines shared across goroutines — never ride a cached
 # result. The robustness smokes follow: short fuzz sessions on the
-# parser, analyzer and pipeline, the seeded 500-kernel differential
-# campaign with the fault matrix, and the static vetting sweep over the
-# corpus and workloads. perf-gate closes the gate: the repo benchmark's
-# digests and allocation metrics against the committed run.
+# parser, analyzer and pipeline, and the static vetting sweep over the
+# corpus and workloads (the seeded differential and schedule campaigns
+# are cmd/diffhunt goldens in the suite). perf-gate closes the gate: the
+# repo benchmark's digests and allocation metrics against the committed
+# run.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -32,10 +33,8 @@ check:
 	$(GO) test -race -count=1 ./...
 	$(MAKE) scale-smoke
 	$(MAKE) fuzz-smoke
-	$(MAKE) diffcheck-smoke
 	$(MAKE) vet-corpus
 	$(MAKE) cache-smoke
-	$(MAKE) sched-smoke
 	$(MAKE) repair-smoke
 	$(MAKE) perf-gate
 
@@ -87,13 +86,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzPipeline -fuzztime 30s .
 	$(GO) test -run '^FuzzMulSoft$$' -fuzz FuzzMulSoft -fuzztime 10s ./internal/simt
 
-# diffcheck-smoke is the seeded differential campaign on the driver's
-# default (spec) axis: 500 corpus kernels compiled under both pipelines
-# and compared, plus the full fault-injection matrix (every fault must be
-# detected by the expected layer).
-diffcheck-smoke:
-	$(GO) run ./cmd/diffhunt -n 500 -seed 42 -matrix
-
 # vet-corpus runs the static vetter over the seeded 500-kernel corpus
 # and every bundled workload: zero error-severity diagnostics is the
 # analyzer's false-positive budget, enforced at exit-code level. The
@@ -108,9 +100,6 @@ vet-corpus:
 		/tmp/specrecon-vet-corpus/vet.sarif \
 		internal/analyze/testdata/diagnostics.sarif
 	rm -rf /tmp/specrecon-vet-corpus
-
-bench:
-	$(GO) test -bench=. -benchmem
 
 # bench-e2e runs the repo benchmark (BENCHMARK.json, bench/README.md):
 # six workloads, end-to-end metrics untraced and per-layer metrics
@@ -214,24 +203,6 @@ cache-smoke:
 	cmp /tmp/specrecon-cache-smoke/cached.sarif /tmp/specrecon-cache-smoke/fresh.sarif
 	$(GO) run ./cmd/perf json /tmp/specrecon-cache-smoke/stats.json
 	rm -rf /tmp/specrecon-cache-smoke
-
-# sched-smoke exercises the campaign driver's schedule axis end to end.
-# The planted scheduler-sensitive fault matrix must catch every fault at
-# its pinned layer, then a short corpus campaign sweeps four adversarial
-# policies x two schedule seeds against the greedy reference with the
-# starvation monitor and wall-clock watchdog armed — zero findings and
-# zero panics, enforced at exit-code level, with the stats artifact
-# validated as well-formed JSON. That schedule exploration stays
-# allocation-free under every policy is pinned by
-# TestSteadyStateIssueAllocFreeGrid.
-sched-smoke:
-	rm -rf /tmp/specrecon-sched-smoke
-	mkdir -p /tmp/specrecon-sched-smoke
-	$(GO) run ./cmd/diffhunt -axis sched -n 60 -seed 42 -matrix \
-		-policies oldest,youngest,obe,random -seeds 7,11 \
-		-stats /tmp/specrecon-sched-smoke/stats.json
-	$(GO) run ./cmd/perf json /tmp/specrecon-sched-smoke/stats.json
-	rm -rf /tmp/specrecon-sched-smoke
 
 # repair-smoke holds the automated-repair exit contract on the built
 # binary: sasmvet -fix must repair an injected repairable fault on the

@@ -20,6 +20,12 @@ func TestCLI(t *testing.T) {
 		// default worker pool: 57 planted, 41 repaired, 16 fallback,
 		// 100.0% -> 28.1%.
 		{Name: "repair-120", Args: []string{"-axis", "repair", "-n", "120", "-seed", "42", "-compile-cache", "-repros", "$TMP"}},
+		// The reference campaigns, on the default worker pool: 500 spec
+		// checks with the fault matrix, and 60 kernels under four
+		// adversarial policies x two schedule seeds with the scheduler
+		// fault matrix and the stats record.
+		{Name: "spec-500", Args: []string{"-n", "500", "-seed", "42", "-matrix", "-repros", "$TMP"}},
+		{Name: "sched-60", Args: []string{"-axis", "sched", "-n", "60", "-seed", "42", "-matrix", "-policies", "oldest,youngest,obe,random", "-seeds", "7,11", "-repros", "$TMP", "-stats", "-"}},
 		{Name: "sched-matrix", Args: []string{"-axis", "sched", "-n", "4", "-seed", "42", "-j", "1", "-v", "-matrix", "-policies", "oldest,obe", "-seeds", "7", "-repros", "$TMP", "-stats", "-"}},
 		{Name: "sched-defaults", Args: []string{"-axis", "sched", "-n", "3", "-j", "1", "-repros", "$TMP"}},
 		{Name: "sched-greedy", Args: []string{"-axis", "sched", "-policies", "greedy"}, Code: 2, Stderr: "reference schedule"},

@@ -29,7 +29,6 @@ import (
 	"strings"
 	"time"
 
-	"specrecon/internal/analyze"
 	"specrecon/internal/cli"
 	"specrecon/internal/core"
 	"specrecon/internal/diffcheck"
@@ -53,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		interleave = app.Bool("interleave", false, "interleave a flat launch's warps issue-by-issue as one wave")
 		printIR    = app.Bool("print", false, "print the compiled IR")
 		dot        = app.Bool("dot", false, "print the compiled kernel's CFG in Graphviz dot syntax")
-		lint       = app.Bool("lint", false, "run static diagnostics on the input module (warnings and errors only; see -diagnostics)")
 		diagFlag   = app.Bool("diagnostics", false, "run the full static analyzer on the input module: coded diagnostics (SRxxxx), severities and static SIMT-efficiency estimates")
 		sweep      = app.Bool("sweep", false, "sweep the soft-barrier threshold 1..32 and report eff/speedup")
 		list       = app.Bool("list", false, "list bundled workloads")
@@ -128,11 +126,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return usage(err)
 	}
 
-	if *lint || *diagFlag {
-		// Both paths run the static analyzer as a read-only pass over a
-		// single-pass pipeline; -lint keeps the historical
-		// warnings-and-above view, -diagnostics shows the full coded
-		// report plus static efficiency estimates.
+	if *diagFlag {
+		// The static analyzer runs as a read-only pass over a single-pass
+		// pipeline: the full coded report plus static efficiency estimates.
 		dpipe, err := core.ParsePipeline("analyze")
 		if err != nil {
 			return fail(err)
@@ -141,25 +137,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(err)
 		}
-		diags := dcomp.Diagnostics
-		if !*diagFlag {
-			diags = analyze.Filter(diags, analyze.SeverityWarning)
-		}
-		if len(diags) == 0 {
+		if len(dcomp.Diagnostics) == 0 {
 			fmt.Fprintln(stdout, "diagnostics: clean")
 		}
-		for _, d := range diags {
+		for _, d := range dcomp.Diagnostics {
 			fmt.Fprintf(stdout, "%s: %s\n", d.Severity, d)
 		}
-		if *diagFlag {
-			kernels := make([]string, 0, len(dcomp.StaticEff))
-			for name := range dcomp.StaticEff {
-				kernels = append(kernels, name)
-			}
-			sort.Strings(kernels)
-			for _, name := range kernels {
-				fmt.Fprintf(stdout, "static-eff %s: %.1f%%\n", name, dcomp.StaticEff[name]*100)
-			}
+		kernels := make([]string, 0, len(dcomp.StaticEff))
+		for name := range dcomp.StaticEff {
+			kernels = append(kernels, name)
+		}
+		sort.Strings(kernels)
+		for _, name := range kernels {
+			fmt.Fprintf(stdout, "static-eff %s: %.1f%%\n", name, dcomp.StaticEff[name]*100)
 		}
 	}
 

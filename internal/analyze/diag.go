@@ -8,8 +8,8 @@
 // Every check — the barrier-safety verifier's four properties, the lint
 // checks, and the analyzer's own notes — reports through one Diagnostic
 // type with a stable code (SR1xxx errors, SR2xxx warnings, SR3xxx
-// notes), so core.Lint, the verifier, cmd/sasmvet and the SARIF emitter
-// all share a single diagnostic model.
+// notes), so the "analyze" pass, the verifier, cmd/sasmvet and the SARIF
+// emitter all share a single diagnostic model.
 package analyze
 
 import (

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"specrecon/internal/analyze"
 	"specrecon/internal/ir"
 )
 
@@ -58,7 +59,7 @@ func TestParsePipelineRoundTrip(t *testing.T) {
 		"pdom,predict,deconflict=dynamic,alloc",
 		"pdom,predict,deconflict=static,simplify,alloc",
 		"autodetect,pdom,predict,deconflict=dynamic,alloc",
-		"opt,lint,pdom",
+		"opt,analyze,pdom",
 		"unroll=kernel:header:2,inline=a:b,coarsen=kernel:4,outline=k:blk:fn",
 	} {
 		p, err := ParsePipeline(spec)
@@ -245,8 +246,8 @@ func TestVerifyEachCleanPipeline(t *testing.T) {
 	}
 }
 
-// TestLintPass checks the lint analysis pass: warnings surface as
-// remarks and the module is untouched.
+// TestLintPass checks the analyze pass as a lint: its warnings surface
+// as remarks and the module is untouched.
 func TestLintPass(t *testing.T) {
 	m := ir.NewModule("orphan")
 	f := m.NewFunction("kernel")
@@ -259,7 +260,7 @@ func TestLintPass(t *testing.T) {
 	b.Exit()
 
 	before := ir.Print(m)
-	pipe, err := ParsePipeline("lint")
+	pipe, err := ParsePipeline("analyze")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,20 +269,24 @@ func TestLintPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := ir.Print(comp.Module); got != before {
-		t.Errorf("lint (analysis) modified the module:\n%s", got)
+		t.Errorf("analyze (analysis) modified the module:\n%s", got)
 	}
 	found := false
 	for _, r := range comp.Remarks {
-		if r.Pass == "lint" && r.Fn == "kernel" && r.Block == "dead" && strings.Contains(r.Msg, "unreachable") {
+		if r.Pass == "analyze" && r.Fn == "kernel" && r.Block == "dead" && strings.Contains(r.Msg, "unreachable") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("lint pass did not report the unreachable block; remarks: %v", comp.Remarks)
+		t.Errorf("analyze pass did not report the unreachable block; remarks: %v", comp.Remarks)
 	}
-	// Lint warnings and the remarks stream agree in count.
-	if got, want := len(comp.Remarks), len(Lint(m)); got != want {
-		t.Errorf("lint pass emitted %d remarks, Lint returns %d warnings", got, want)
+	// Every diagnostic is a remark, and the warnings among them are the
+	// analyzer's own.
+	if got, want := len(comp.Remarks), len(comp.Diagnostics); got != want {
+		t.Errorf("analyze pass emitted %d remarks for %d diagnostics", got, want)
+	}
+	if got, want := len(analyze.Filter(comp.Diagnostics, analyze.SeverityWarning)), len(lintWarnings(m)); got != want {
+		t.Errorf("analyze pass reported %d warnings, the analyzer returns %d", got, want)
 	}
 }
 
@@ -293,15 +298,15 @@ func TestRegisteredPasses(t *testing.T) {
 		byName[info.Name] = info
 	}
 	for _, want := range []string{
-		"pdom", "predict", "deconflict", "alloc", "lint",
+		"pdom", "predict", "deconflict", "alloc", "analyze",
 		"simplify", "opt", "autodetect", "unroll", "inline", "outline", "coarsen",
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("pass %q not registered", want)
 		}
 	}
-	if !byName["lint"].Analysis {
-		t.Error("lint must be registered as an analysis pass")
+	if !byName["analyze"].Analysis {
+		t.Error("analyze must be registered as an analysis pass")
 	}
 	if byName["pdom"].Analysis {
 		t.Error("pdom must be registered as a transform")

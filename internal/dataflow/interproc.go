@@ -7,7 +7,7 @@ import (
 
 // Interprocedural refinements of the equation-1 analysis. Barrier
 // registers are warp state shared across the call graph, so module-level
-// consumers (lint, the barrier-safety verifier, the static analyzer)
+// consumers (the barrier-safety verifier, the static analyzer)
 // need a module-wide barrier count and a model of what a call does to
 // the joined set.
 

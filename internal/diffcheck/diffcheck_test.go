@@ -48,7 +48,7 @@ func TestCheckAnnotatedWorkloads(t *testing.T) {
 
 func TestSeededCorpusSample(t *testing.T) {
 	// A slice of the diffhunt campaign as a unit test; the 500-kernel
-	// run lives in `make diffcheck-smoke`.
+	// run is cmd/diffhunt's spec-500 golden.
 	n := 40
 	if testing.Short() {
 		n = 8

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"specrecon/internal/core"
 	"specrecon/internal/workloads"
 )
 
@@ -51,6 +52,42 @@ func TestReferenceNumbersPinned(t *testing.T) {
 		}
 		if math.Abs(r.Speedup()-w.speedup) > 0.015 {
 			t.Errorf("%s: speedup %.2fx, EXPERIMENTS.md records %.2fx", w.name, r.Speedup(), w.speedup)
+		}
+	}
+}
+
+// TestGPUScalingPinned pins the strong-scaling numbers EXPERIMENTS.md
+// records: the RSBench speculative build launched as a fixed grid of 16
+// CTAs of 64 threads while the SM count and the worker shards grow. A
+// launch takes its slowest SM's cycles, so launch cycles fall as the
+// CTAs spread over more SMs, while the cycles summed over the SMs stay
+// within 1.4 % of the one-SM launch; the worker count moves nothing.
+func TestGPUScalingPinned(t *testing.T) {
+	w, err := workloads.Get("rsbench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sms, workers          int
+		cycles, totalSMCycles int64
+	}{
+		{1, 1, 4034779, 4034779},
+		{4, 1, 1045186, 4062899},
+		{4, 4, 1045186, 4062899},
+		{8, 8, 540376, 4090335},
+	} {
+		inst := w.Build(workloads.BuildConfig{Grid: 16, CTASize: 64, SMs: tc.sms, Workers: tc.workers})
+		_, res, err := Run(inst, core.SpecReconOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := res.Metrics
+		if m.Cycles != tc.cycles || m.TotalSMCycles != tc.totalSMCycles {
+			t.Errorf("%d SMs, %d workers: %d launch / %d SM cycles, EXPERIMENTS.md records %d / %d",
+				tc.sms, tc.workers, m.Cycles, m.TotalSMCycles, tc.cycles, tc.totalSMCycles)
+		}
+		if eff := 100 * m.SIMTEfficiency(); math.Abs(eff-47.78) > 0.005 {
+			t.Errorf("%d SMs, %d workers: SIMT efficiency %.2f%%, EXPERIMENTS.md records 47.78%%", tc.sms, tc.workers, eff)
 		}
 	}
 }

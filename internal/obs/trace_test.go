@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -165,7 +164,7 @@ func TestTraceHasBarrierSpan(t *testing.T) {
 
 // rsbenchSpec builds RSBench at the given launch shape, compiles it
 // speculatively and returns the launch configuration of that build.
-func rsbenchSpec(t testing.TB, shape workloads.BuildConfig) (*ir.Module, simt.Config) {
+func rsbenchSpec(t *testing.T, shape workloads.BuildConfig) (*ir.Module, simt.Config) {
 	t.Helper()
 	w, err := workloads.Get("rsbench")
 	if err != nil {
@@ -261,30 +260,4 @@ func TestRecordersAllocateWhatTheyHold(t *testing.T) {
 	})
 	// Two logs, so two last chunks; a trace record is smaller than a sample.
 	check("TraceRecorder", got, rec.HeldBytes(), 2*simt.LogChunkCap*sampleSize)
-}
-
-// BenchmarkObservedLaunch is one launch as a person looking at a kernel
-// runs it — the RSBench speculative build as a 4x64 grid on 2 SMs with
-// the profiler and the trace recorder on the event stream and the
-// recorder on the occupancy sampler at stride 16 — followed by the
-// trace export: a quick speed and allocs/op probe. The gates are
-// TestTraceRecorderAllocsPerEvent and TestRecordersAllocateWhatTheyHold
-// above and `make perf-gate` on the observed_grid workload: the observers
-// allocate what they keep, a chunk at a time, never per event and never
-// to copy what they already hold.
-func BenchmarkObservedLaunch(b *testing.B) {
-	mod, cfg := rsbenchSpec(b, workloads.BuildConfig{Grid: 4, CTASize: 2 * ir.WarpWidth, SMs: 2})
-	cfg.SampleStride = 16
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		profile, rec := obs.NewProfile(mod), obs.NewTraceRecorder()
-		cfg.Events, cfg.Samples = simt.TeeSinks(profile, rec), rec
-		if _, err := simt.Run(mod, cfg); err != nil {
-			b.Fatal(err)
-		}
-		if err := rec.WriteTrace(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
