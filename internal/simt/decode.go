@@ -95,19 +95,27 @@ func walkPCs(m *ir.Module, visit func(ref PCRef, b *ir.Block)) {
 	}
 }
 
-// buildDecode decodes every instruction of the module. An OpCall whose
-// callee does not resolve keeps callee = -1; the issue loop then reports
-// the same runtime error the interpreter always raised, so decode stays
-// infallible.
-func buildDecode(m *ir.Module) *decodeTable {
-	d := &decodeTable{blkBase: make([]int32, len(m.Funcs)+1)}
-	fnIndex := make(map[string]int32, len(m.Funcs))
+// funcIndex returns the index of m's function called name, or -1.
+func funcIndex(m *ir.Module, name string) int32 {
 	for fi, f := range m.Funcs {
-		fnIndex[f.Name] = int32(fi)
+		if f.Name == name {
+			return int32(fi)
+		}
+	}
+	return -1
+}
+
+// build decodes every instruction of the module into d, reusing d's
+// slices where they have room. An OpCall whose callee does not resolve
+// keeps callee = -1; the issue loop then reports the same runtime error
+// the interpreter always raised, so decode stays infallible.
+func (d *decodeTable) build(m *ir.Module) {
+	d.blkBase = resize(d.blkBase, len(m.Funcs)+1)
+	for fi, f := range m.Funcs {
 		d.blkBase[fi+1] = d.blkBase[fi] + int32(len(f.Blocks))
 	}
-	d.blkPC = make([]uint32, d.blkBase[len(m.Funcs)])
-	d.meta = make([]instrMeta, m.NumInstrs())
+	d.blkPC = resize(d.blkPC, int(d.blkBase[len(m.Funcs)]))
+	d.meta = resize(d.meta, m.NumInstrs())
 	pc := uint32(0)
 	walkPCs(m, func(ref PCRef, b *ir.Block) {
 		in := &b.Instrs[ref.Ins]
@@ -128,9 +136,7 @@ func buildDecode(m *ir.Module) *decodeTable {
 			d.blkPC[d.meta[pc].blkID] = pc
 		}
 		if in.Op == ir.OpCall {
-			if idx, ok := fnIndex[in.Callee]; ok {
-				d.meta[pc].callee = idx
-			}
+			d.meta[pc].callee = funcIndex(m, in.Callee)
 		}
 		pc++
 	})
@@ -151,5 +157,4 @@ func buildDecode(m *ir.Module) *decodeTable {
 			}
 		}
 	}
-	return d
 }

@@ -93,6 +93,18 @@ done:
 }
 `
 
+// RunFresh is Run without the arena pool: the launch is built in new
+// storage (newSim), the reference a recycled Run is held to and the
+// launch whose allocations do not depend on what the pool holds (the
+// race detector drops pooled objects at random).
+func RunFresh(m *ir.Module, cfg Config) (*Result, error) {
+	s, err := newSim(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.launch()
+}
+
 // firstWave makes resident the CTAs runSM admits first on SM 0 — a flat
 // launch's implicit CTA 0 — on s itself when the launch has one SM, else
 // on a fork of SM 0, with the sinks a serial launch gives SM 0. It
@@ -574,7 +586,8 @@ func NewTableCheckedMachine(m *ir.Module, cfg Config) (*Machine, *TableCheck, er
 // names, and every br/cbr/call successor must be the PC of the first
 // instruction of the successor block or the callee's entry block.
 func DecodeMismatch(m *ir.Module) error {
-	d := buildDecode(m)
+	d := &decodeTable{}
+	d.build(m)
 	refs := BuildPCTable(m)
 	if len(d.meta) != len(refs) {
 		return fmt.Errorf("decode table has %d entries, BuildPCTable %d", len(d.meta), len(refs))

@@ -144,38 +144,38 @@ func observeGrid(t *testing.T, mod *ir.Module, cfg simt.Config, run func(simt.Co
 	return g
 }
 
-// sameGridRun reports every way got differs from the serial run.
-func sameGridRun(t *testing.T, label string, got, serial gridRun) {
+// sameGridRun reports every way got differs from want, the reference run.
+func sameGridRun(t *testing.T, label string, got, want gridRun) {
 	t.Helper()
-	if got.err != serial.err {
-		t.Errorf("%s: error diverges from serial:\n  serial:  %q\n  got:     %q", label, serial.err, got.err)
+	if got.err != want.err {
+		t.Errorf("%s: error diverges from the reference:\n  want:    %q\n  got:     %q", label, want.err, got.err)
 	}
-	if !reflect.DeepEqual(got.samples, serial.samples) {
-		t.Errorf("%s: occupancy samples diverge from serial (%d vs %d samples)",
-			label, len(got.samples), len(serial.samples))
+	if !reflect.DeepEqual(got.samples, want.samples) {
+		t.Errorf("%s: occupancy samples diverge from the reference (%d vs %d samples)",
+			label, len(got.samples), len(want.samples))
 	}
-	if !reflect.DeepEqual(got.events, serial.events) {
-		t.Errorf("%s: event stream diverges from serial (%d vs %d events)",
-			label, len(got.events), len(serial.events))
+	if !reflect.DeepEqual(got.events, want.events) {
+		t.Errorf("%s: event stream diverges from the reference (%d vs %d events)",
+			label, len(got.events), len(want.events))
 	}
-	if !bytes.Equal(got.prof, serial.prof) {
-		t.Errorf("%s: rendered profile diverges from serial", label)
+	if !bytes.Equal(got.prof, want.prof) {
+		t.Errorf("%s: rendered profile diverges from the reference", label)
 	}
-	if (got.res == nil) != (serial.res == nil) {
-		t.Fatalf("%s: result present = %v, serial = %v", label, got.res != nil, serial.res != nil)
+	if (got.res == nil) != (want.res == nil) {
+		t.Fatalf("%s: result present = %v, want = %v", label, got.res != nil, want.res != nil)
 	}
 	if got.res == nil {
 		return
 	}
-	if !reflect.DeepEqual(got.res.Metrics, serial.res.Metrics) {
-		t.Errorf("%s: metrics diverge from serial:\n  serial:  %+v\n  got:     %+v",
-			label, serial.res.Metrics, got.res.Metrics)
+	if !reflect.DeepEqual(got.res.Metrics, want.res.Metrics) {
+		t.Errorf("%s: metrics diverge from the reference:\n  want:    %+v\n  got:     %+v",
+			label, want.res.Metrics, got.res.Metrics)
 	}
-	if !reflect.DeepEqual(got.res.Memory, serial.res.Memory) {
-		t.Errorf("%s: final memory diverges from serial", label)
+	if !reflect.DeepEqual(got.res.Memory, want.res.Memory) {
+		t.Errorf("%s: final memory diverges from the reference", label)
 	}
-	if !reflect.DeepEqual(got.res.Shared, serial.res.Shared) {
-		t.Errorf("%s: shared segments diverge from serial", label)
+	if !reflect.DeepEqual(got.res.Shared, want.res.Shared) {
+		t.Errorf("%s: shared segments diverge from the reference", label)
 	}
 }
 
@@ -307,7 +307,7 @@ func TestGridDegenerateMatchesFlat(t *testing.T) {
 			}
 			allocs := func(cfg simt.Config) float64 {
 				return testing.AllocsPerRun(5, func() {
-					if _, err := simt.Run(mod, cfg); err != nil {
+					if _, err := simt.RunFresh(mod, cfg); err != nil {
 						t.Fatal(err)
 					}
 				})

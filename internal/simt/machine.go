@@ -6,15 +6,18 @@ import (
 	"specrecon/internal/ir"
 )
 
-// Machine is a reusable launch arena: one simulator instance whose warp
-// scratch, decode side tables, CTA state, per-SM forks, metrics tables,
-// memory views and (for Workers > 1 launches with a sink attached) replay
-// logs stay alive across launches of the same module. A harness loop that re-runs one compilation over
-// many inputs (threshold sweeps, funnel stages, differential checks)
-// pays the full construction cost once; every later Run rewinds the
-// arena in place, driving steady-state allocations per launch to near
-// zero while producing results byte-identical to a fresh Run (pinned by
-// TestMachineMatchesFreshRun).
+// Machine is a launch arena bound to one module: one simulator instance
+// whose warp scratch, decode side tables, CTA state, per-SM forks,
+// metrics tables, memory image and views and (for Workers > 1 launches
+// with a sink attached) replay logs stay alive across launches. Run
+// already recycles the warps, CTAs, tables and cache of finished launches
+// of any module; a Machine also keeps what Run rebuilds or hands to its
+// Result — the decode table, the memory image, the SM forks — so every
+// launch after the first rewinds the arena in place, with near-zero
+// allocations, and produces results byte-identical to a fresh Run
+// (pinned by TestMachineMatchesFreshRun). The benchmark's traced split
+// of a launch into construction and issue loop is its one caller outside
+// the tests.
 //
 // A Machine is bound to a launch shape: the kernel, thread/grid
 // geometry, SM count, scheduling policy, divergence model and cache
@@ -28,9 +31,8 @@ import (
 //
 // Result buffers alias the arena: Result.Memory and Result.Shared are
 // valid until the next Run on the same Machine. Copy them out to keep
-// them. A Machine is not safe for concurrent Runs
-// (each Run may still shard its SMs over Config.Workers goroutines
-// internally).
+// them. A Machine is not safe for concurrent Runs (each Run may still
+// shard its SMs over Config.Workers goroutines internally).
 type Machine struct {
 	s *sim
 }

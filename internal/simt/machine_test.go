@@ -2,7 +2,9 @@ package simt_test
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"specrecon/internal/ir"
@@ -309,6 +311,222 @@ func TestMachineMatchesFreshRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// shapeKernel is a kernel whose register files, barrier count and shared
+// segment are its parameters. It reads its highest integer and float
+// registers and its shared words before it writes them, so a launch that
+// inherits dirty storage from the one before shows it in its result.
+func shapeKernel(nregs, nfregs, bar, shared int) string {
+	sts := ""
+	if shared > 0 {
+		sts = "  ctatid r3\n  lds r4, [r3]\n  add r4, r4, r0\n  sts [r3], r4\n"
+	}
+	return fmt.Sprintf(`module shape memwords=256 sharedwords=%[4]d
+func @k nregs=%[1]d nfregs=%[2]d {
+entry:
+  tid r0
+  add r%[5]d, r%[5]d, r0
+  fadd f%[6]d, f%[6]d, #1.5
+  and r1, r0, #3
+  join b%[3]d
+  cbr r1, odd, even
+odd:
+  add r%[5]d, r%[5]d, #7
+  br merge
+even:
+  fadd f%[6]d, f%[6]d, #2.0
+  br merge
+merge:
+  wait b%[3]d
+%[7]s  st [r0], r%[5]d
+  ftoi r2, f%[6]d
+  st [r0+128], r2
+  exit
+}
+`, nregs, nfregs, bar, shared, nregs-1, nfregs-1, sts)
+}
+
+// TestRecycledRunMatchesFresh holds Run's arena recycling to a launch in
+// new storage: one goroutine calls Run over a shuffled sequence of
+// modules × launch shapes, so consecutive launches load into an arena
+// whose last launch had another register count, float-register count,
+// barrier count, shared segment (none or another size), divergence model,
+// cache geometry, Grid/SMs/Workers shape or sinks — and one shape fails
+// on its issue budget. Each launch must equal RunFresh in metrics, memory,
+// shared segments, error, events, profile and samples.
+func TestRecycledRunMatchesFresh(t *testing.T) {
+	var mods []*ir.Module
+	for _, src := range []string{
+		shapeKernel(6, 1, 0, 0), shapeKernel(24, 6, 5, 96), shapeKernel(9, 3, 15, 128),
+		cowTestKernel, simt.RandomControlFlowKernel,
+	} {
+		m, err := ir.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods = append(mods, m)
+	}
+	cfgs := []simt.Config{
+		{Threads: 64},
+		{Threads: 64, InterleaveWarps: true, Model: simt.ModelStack},
+		{Threads: 96, Cache: simt.CacheConfig{Sets: 32, Ways: 8}},
+		{Grid: 4, CTASize: 32},
+		{Grid: 4, CTASize: 32, SMs: 2, Workers: 2, Cache: simt.CacheConfig{Sets: 64, Ways: 2, LineWords: 8}},
+		{Grid: 2, CTASize: 64, SMs: 2, Model: simt.ModelStack, Sched: simt.SchedOldestFirst},
+		{Threads: 64, MaxIssues: 3},
+	}
+	type launch struct {
+		mod   int
+		cfg   simt.Config
+		sinks bool
+	}
+	var seq []launch
+	for mi := range mods {
+		for ci, cfg := range cfgs {
+			cfg.Seed = uint64(10*mi + ci)
+			seq = append(seq, launch{mi, cfg, false})
+			cfg.SampleStride = 8
+			seq = append(seq, launch{mi, cfg, true})
+		}
+	}
+	r := rng.New(30)
+	for i := len(seq) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		seq[i], seq[j] = seq[j], seq[i]
+	}
+	failed := 0
+	for i, l := range seq {
+		// observeGrid attaches its sinks to every launch; a sink-less one
+		// drops them again.
+		via := func(run func(*ir.Module, simt.Config) (*simt.Result, error)) func(simt.Config) (*simt.Result, error) {
+			return func(cfg simt.Config) (*simt.Result, error) {
+				if !l.sinks {
+					cfg.Events, cfg.Samples = nil, nil
+				}
+				return run(mods[l.mod], cfg)
+			}
+		}
+		want := observeGrid(t, mods[l.mod], l.cfg, via(simt.RunFresh))
+		sameGridRun(t, fmt.Sprintf("launch %d (module %d, %+v, sinks %v)", i, l.mod, l.cfg, l.sinks),
+			observeGrid(t, mods[l.mod], l.cfg, via(simt.Run)), want)
+		if want.err != "" {
+			failed++
+		}
+	}
+	if failed != 2*len(mods) {
+		t.Errorf("%d launches failed, want the %d budget-limited ones", failed, 2*len(mods))
+	}
+}
+
+// ownedKernel is a flat shared-memory kernel of two functions whose
+// call sits in divergent code, so its block-visit profile has entries in
+// both functions' blocks.
+const ownedKernel = `module owned memwords=64 sharedwords=32
+func @k nregs=4 nfregs=0 {
+entry:
+  tid r0
+  add r2, r0, #100
+  sts [r0], r2
+  and r1, r0, #1
+  cbr r1, odd, even
+odd:
+  call @bump
+  br out
+even:
+  br out
+out:
+  st [r0], r1
+  exit
+}
+func @bump nregs=4 nfregs=0 {
+e:
+  add r1, r1, #40
+  ret
+}
+`
+
+// TestRunResultOwnsItsBuffers pins what a Result owns: after a flat
+// launch with a shared segment, two Runs of other modules — one with a
+// single-block layout, one with a smaller shared segment its CTA fits in
+// — load into the retired arena, and the kept Result's memory, shared
+// segment, block-visit profile and op-class breakdown must not move.
+func TestRunResultOwnsItsBuffers(t *testing.T) {
+	var mods []*ir.Module
+	for _, src := range []string{ownedKernel, cowTestKernel, shapeKernel(5, 1, 0, 16)} {
+		m, err := ir.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods = append(mods, m)
+	}
+	kept, err := simt.Run(mods[0], simt.Config{Threads: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() (mem, shared []uint64, visits []int64, classes map[string]int64) {
+		for fi, f := range mods[0].Funcs {
+			for bi := range f.Blocks {
+				visits = append(visits, kept.Metrics.BlockVisits(fi, bi))
+			}
+		}
+		return slices.Clone(kept.Memory), slices.Clone(kept.Shared[0]), visits, maps.Clone(kept.Metrics.OpClassIssues)
+	}
+	mem, shared, visits, classes := snapshot()
+	if visits[len(visits)-1] == 0 {
+		t.Fatal("the kept launch never entered @bump")
+	}
+	for _, m := range mods[1:] {
+		if _, err := simt.Run(m, simt.Config{Threads: 16, Seed: 9}); err != nil {
+			t.Fatal(err)
+		}
+		m2, s2, v2, c2 := snapshot()
+		if !slices.Equal(m2, mem) || !slices.Equal(s2, shared) {
+			t.Errorf("a Run of %s rewrote the kept Result's memory or shared segment", m.Name)
+		}
+		if !slices.Equal(v2, visits) || !maps.Equal(c2, classes) {
+			t.Errorf("a Run of %s rewrote the kept Result's profile: visits %v -> %v, classes %v -> %v", m.Name, visits, v2, classes, c2)
+		}
+	}
+}
+
+// TestRunConcurrentModules runs four modules from four goroutines at once,
+// each Run over whatever arena the pool hands it, and holds each launch to
+// its module's fresh result (and, under -race, the arenas to never being
+// shared between two live launches).
+func TestRunConcurrentModules(t *testing.T) {
+	srcs := []string{shapeKernel(6, 1, 0, 0), shapeKernel(24, 6, 5, 96), cowTestKernel, simt.RandomControlFlowKernel}
+	cfg := simt.Config{Grid: 2, CTASize: 64, Seed: 4}
+	errs := make(chan error, len(srcs))
+	for _, src := range srcs {
+		m, err := ir.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := simt.RunFresh(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for i := 0; i < 20; i++ {
+				got, err := simt.Run(m, cfg)
+				if err == nil && (!reflect.DeepEqual(got.Metrics, want.Metrics) ||
+					!slices.Equal(got.Memory, want.Memory) || !reflect.DeepEqual(got.Shared, want.Shared)) {
+					err = fmt.Errorf("launch %d of %s diverges from its fresh run", i, m.Name)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range srcs {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ type Metrics struct {
 
 	// blockVisits accumulates active lanes entering each block, indexed
 	// by the decode table's dense block id (blkBase[fn]+blk; blkBase is
-	// the launch's shared, immutable decodeTable.blkBase). It is sized
+	// the launch's decodeTable.blkBase until detach copies it). It is sized
 	// from the module when the sim is built, so the issue loop pays one
 	// indexed add. Used as the execution profile for the profile-guided
 	// cost model and by tests.
@@ -143,14 +143,16 @@ func (m *Metrics) merge(o *Metrics) {
 
 // detach replaces the slice- and map-backed profile state with private
 // deep copies. Result.Metrics is a struct copy of the arena's live
-// accumulator; without detaching, its blockVisits table and (after
-// finalize) OpClassIssues map stay aliased to the accumulator, so a
-// later Machine relaunch — which resets and re-merges them in place —
-// would silently rewrite the escaped Result's profile. (Result.Memory
-// and Result.Shared stay arena-aliased by documented contract, valid
-// until the next Run.)
+// accumulator; without detaching, its blockVisits table, its blkBase
+// (the decode table's) and (after finalize) OpClassIssues map stay
+// aliased to the arena, so a later Machine relaunch — which resets and
+// re-merges them in place — or a load into the retired arena, which
+// rebuilds the decode table in place, would silently rewrite the escaped
+// Result's profile. (A Machine's Result.Memory and Result.Shared stay
+// arena-aliased by documented contract, valid until the next Run.)
 func (m *Metrics) detach() {
 	m.blockVisits = append([]int64(nil), m.blockVisits...)
+	m.blkBase = append([]int32(nil), m.blkBase...)
 	if m.OpClassIssues != nil {
 		oci := make(map[string]int64, len(m.OpClassIssues))
 		for k, v := range m.OpClassIssues {

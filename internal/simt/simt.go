@@ -38,6 +38,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
+	"sync"
 	"time"
 
 	"specrecon/internal/ir"
@@ -395,10 +396,10 @@ type sim struct {
 	// Launch-arena pools. Warp and CTA state objects are always recorded
 	// in these pools as they are built; poolWarp/poolCTA are the cursors
 	// into them, and the CTAs that ran on this SM are ctaPool[:poolCTA].
-	// A fresh launch allocates through the pool (one append per object);
-	// a Machine relaunch rewinds the cursors and takeWarp/newCTA hand back
-	// the existing objects reset in place, so steady-state launches
-	// allocate (almost) nothing.
+	// A new arena allocates through the pool (one append per object); a
+	// Machine relaunch or a load into a retired arena rewinds the cursors
+	// and takeWarp/newCTA hand back the existing objects reset in place,
+	// so steady-state launches allocate (almost) nothing.
 	warpPool []*warpState
 	ctaPool  []*ctaState
 	poolWarp int
@@ -406,7 +407,7 @@ type sim struct {
 	// The launch's per-CTA shared segments, and runGrid's per-SM forks,
 	// merge scratch and (for Workers > 1 launches only) replay logs, are
 	// kept on the fields below, so a Machine's next launch resets them
-	// instead of reallocating.
+	// instead of reallocating (load starts them from zero).
 	sharedBuf  [][]uint64
 	smPool     []*sim
 	replay     []smReplay
@@ -416,7 +417,7 @@ type sim struct {
 // normalizeConfig validates cfg against m and fills in every default
 // (kernel name, CTA size, SM and worker counts, derived thread count,
 // issue budget), returning the normalized config and the global-memory
-// image size in words. newSim and Machine.Run share it so a relaunch
+// image size in words. load and Machine.Run share it so a relaunch
 // config is normalized exactly like a fresh one.
 func normalizeConfig(m *ir.Module, cfg Config) (Config, int, error) {
 	if cfg.Kernel == "" {
@@ -493,10 +494,22 @@ func normalizeConfig(m *ir.Module, cfg Config) (Config, int, error) {
 }
 
 // newSim validates the module and configuration and builds the
-// launch-wide state, including the decode-time side tables the issue
-// loop runs on. Run drives it; the allocation-guard test constructs sims
-// directly to step warps by hand.
-func newSim(m *ir.Module, cfg Config) (*sim, error) {
+// launch-wide state in new storage. NewMachine drives it; tests construct
+// sims directly to step warps by hand.
+func newSim(m *ir.Module, cfg Config) (*sim, error) { return load(nil, m, cfg) }
+
+// load validates the module and configuration and builds the launch into
+// prev's storage — a retired launch arena — or, with prev nil, into new
+// storage. Everything derived from the module (the decode and block-visit
+// tables, ipdom, the entry PC, the barrier and register counts) and from
+// the launch is rebuilt; only storage is kept: the decode and metrics
+// slices grow in place, takeWarp and newCTA resize the pooled warps'
+// register files and barrier slabs and the pooled CTAs' shared segments,
+// the cache is kept (and emptied) when its configuration is unchanged,
+// and schedBuf is kept. Everything else — event scratch, afterIssue, SM forks,
+// replay logs, sharedBuf — starts from zero. The memory image is always
+// new: a Result owns the one it was handed.
+func load(prev *sim, m *ir.Module, cfg Config) (*sim, error) {
 	if err := ir.VerifyModule(m); err != nil {
 		return nil, fmt.Errorf("simt: module invalid: %w", err)
 	}
@@ -504,26 +517,34 @@ func newSim(m *ir.Module, cfg Config) (*sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	mem := make([]uint64, memWords)
-	copy(mem, cfg.Memory)
-
-	s := &sim{
+	s := prev
+	if s == nil {
+		s = &sim{decodeTable: &decodeTable{}}
+	}
+	if geom := cfg.Cache.withDefaults(); s.cache == nil || s.cache.cfg != geom {
+		s.cache = newCache(geom)
+	}
+	*s = sim{
 		mod:         m,
 		cfg:         cfg,
-		decodeTable: buildDecode(m),
-		mem:         mem,
+		decodeTable: s.decodeTable,
+		mem:         make([]uint64, memWords),
 		memLen:      memWords,
-		cache:       newCache(cfg.Cache.withDefaults()),
+		cache:       s.cache,
+		metrics:     Metrics{blockVisits: s.metrics.blockVisits, OpClassIssues: s.metrics.OpClassIssues},
+		warpPool:    s.warpPool,
+		ctaPool:     s.ctaPool,
+		schedBuf:    s.schedBuf,
 	}
-	s.metrics = newMetrics(s.decodeTable)
+	copy(s.mem, cfg.Memory)
+	s.build(m)
+	s.metrics.blockVisits = resize(s.metrics.blockVisits, len(s.blkPC))
+	s.metrics.blkBase = s.blkBase
+	s.rewind()
 	if cfg.Model == ModelStack {
 		s.ipdom = buildIpdom(m)
 	}
-	for fi, f := range m.Funcs {
-		if f.Name == cfg.Kernel {
-			s.entryPC = s.blockStart(fi, 0)
-		}
-	}
+	s.entryPC = s.blockStart(int(funcIndex(m, cfg.Kernel)), 0)
 
 	s.nbar = 1
 	for _, f := range m.Funcs {
@@ -541,42 +562,43 @@ func newSim(m *ir.Module, cfg Config) (*sim, error) {
 	return s, nil
 }
 
+// resize returns b as n zeroed elements, in b's own storage when it has
+// room for them.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
 // takeWarp hands out the next warpState from the launch arena: past the
-// pool cursor it allocates (recording the object in the pool), behind it
-// — only after a Machine relaunch rewound the cursor — it rewinds the
-// existing object's per-warp state and clears its register files in
-// place. Lane status, stacks, PCs and RNG streams are reinitialized by
-// resetLane.
+// pool cursor it allocates one (recording it in the pool), behind it — on
+// a relaunch or a recycled arena — it reuses the existing object. Either
+// way the per-warp state is rewound and the register files and barrier
+// slab are sized to this launch's module and cleared, in the object's own
+// storage when it has room. A fresh warp is four objects: the state, the
+// two register files and the barrier slab. Lane status, stacks, PCs and
+// RNG streams are reinitialized by resetLane.
 func (s *sim) takeWarp() *warpState {
-	if s.poolWarp < len(s.warpPool) {
-		ws := s.warpPool[s.poolWarp]
-		s.poolWarp++
-		ws.done = false
-		ws.stale = true
-		ws.stack = ws.stack[:0]
-		ws.rrCursor = 0
-		ws.lastIssueSlot = s.issues
-		ws.lastRunCycle = s.metrics.Cycles
-		clear(ws.regs)
-		clear(ws.fregs)
-		clear(ws.masks)
-		clear(ws.waiting)
-		return ws
+	if s.poolWarp == len(s.warpPool) {
+		s.warpPool = append(s.warpPool, &warpState{sim: s})
 	}
-	// A fresh warp is four objects: the state, the two register files and
-	// the barrier masks.
-	ws := &warpState{
-		sim:   s,
-		stale: true,
-		regs:  make([]int64, ir.WarpWidth*s.nregs),
-		fregs: make([]float64, ir.WarpWidth*s.nfregs),
-	}
-	bars := make([]uint32, 2*s.nbar)
-	ws.masks, ws.waiting = bars[:s.nbar:s.nbar], bars[s.nbar:]
+	ws := s.warpPool[s.poolWarp]
+	s.poolWarp++
+	ws.done = false
+	ws.stale = true
+	ws.stack = ws.stack[:0]
+	ws.rrCursor = 0
 	ws.lastIssueSlot = s.issues
 	ws.lastRunCycle = s.metrics.Cycles
-	s.warpPool = append(s.warpPool, ws)
-	s.poolWarp++
+	ws.regs = resize(ws.regs, ir.WarpWidth*s.nregs)
+	ws.fregs = resize(ws.fregs, ir.WarpWidth*s.nfregs)
+	// masks and waiting are the two halves of one slab, which masks spans
+	// to its capacity.
+	bars := resize(ws.masks[:cap(ws.masks)], 2*s.nbar)
+	ws.masks, ws.waiting = bars[:s.nbar], bars[s.nbar:]
 	return ws
 }
 
@@ -608,16 +630,16 @@ func (ws *warpState) fcol(r ir.Reg) *[ir.WarpWidth]float64 {
 }
 
 // newCTA hands out CTA index's state from the launch arena, mirroring
-// takeWarp: fresh launches allocate through the pool, Machine relaunches
-// reuse the pooled object with its shared segment zeroed in place.
+// takeWarp: past the cursor it allocates through the pool, behind it it
+// reuses the pooled object with its shared segment sized to the module
+// and zeroed, in place when it has room.
 func (s *sim) newCTA(index int) *ctaState {
 	if s.poolCTA == len(s.ctaPool) {
-		s.ctaPool = append(s.ctaPool, &ctaState{shared: make([]uint64, s.mod.SharedWords)})
+		s.ctaPool = append(s.ctaPool, &ctaState{})
 	}
 	c := s.ctaPool[s.poolCTA]
 	s.poolCTA++
-	clear(c.shared)
-	*c = ctaState{index: index, live: s.cfg.CTASize, shared: c.shared, warps: c.warps[:0]}
+	*c = ctaState{index: index, live: s.cfg.CTASize, shared: resize(c.shared, s.mod.SharedWords), warps: c.warps[:0]}
 	return c
 }
 
@@ -644,15 +666,40 @@ func (s *sim) newCTAWarp(cta *ctaState, wi int) *warpState {
 	return ws
 }
 
+// arenas holds retired launch arenas: the sims of finished Runs, whose
+// storage the next Run loads into.
+var arenas sync.Pool
+
 // Run launches the module's kernel under cfg and simulates it to
 // completion: every launch shape is a sequence of waves handed to the
-// one wave loop, runWave (see Config).
+// one wave loop, runWave (see Config). The launch is built into a retired
+// arena when one is pooled (load), and its sim is retired into the pool
+// once the Result owns its buffers, so back-to-back Runs — of any module
+// and shape, from any goroutine — reuse each other's warps, CTAs, decode
+// and metrics tables and cache instead of allocating them. The Result is
+// the caller's alone: its Memory, Shared and Metrics share no storage
+// with the arena.
 func Run(m *ir.Module, cfg Config) (*Result, error) {
-	s, err := newSim(m, cfg)
+	prev, _ := arenas.Get().(*sim)
+	s, err := load(prev, m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.launch()
+	res, err := s.launch()
+	s.retire()
+	arenas.Put(s)
+	return res, err
+}
+
+// retire hands the launch's Result the buffers it owns, so the next load
+// into s cannot touch them: the memory image and the CTAs' shared
+// segments (launch already detached the metrics). A multi-SM launch's
+// CTAs live on its SM forks, which load drops.
+func (s *sim) retire() {
+	for _, c := range s.ctaPool[:s.poolCTA] {
+		c.shared = nil
+	}
+	s.mem, s.sharedBuf = nil, nil
 }
 
 // launch drives one launch over s's (fresh or arena-reset) state. Every
@@ -707,7 +754,7 @@ func (s *sim) resetForLaunch(cfg Config) {
 
 // rewind clears what one launch leaves on a machine — the cache, the
 // metrics, the budgets' and the sampler's counters — in place, and
-// rewinds the arena cursors.
+// rewinds the arena cursors. A Machine relaunch and a load share it.
 func (s *sim) rewind() {
 	s.cache.reset()
 	s.metrics.reset()

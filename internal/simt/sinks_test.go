@@ -149,7 +149,7 @@ func TestReplayBuffersAllocateWhatTheyHold(t *testing.T) {
 	launch := func(workers int) uint64 {
 		cfg.Workers = workers
 		return allocated(func() {
-			if _, err := simt.Run(mod, cfg); err != nil {
+			if _, err := simt.RunFresh(mod, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
