@@ -85,58 +85,12 @@ func Analyze(m *ir.Module, opts Options) *Report { return NewFacts(m).Analyze(op
 // each function's CFG and divergence analysis from the record — the
 // same ones the efficiency estimate after the checks reads.
 func (fa *Facts) Analyze(opts Options) *Report {
-	m := fa.m
 	r := &Report{Efficiency: map[string]float64{}}
-	if m == nil || len(m.Funcs) == 0 {
+	if fa.m == nil || len(fa.m.Funcs) == 0 {
 		return r
 	}
-
-	called := calledFunctions(m)
-	entryWaits := dataflow.CalleeEntryWaits(m)
-	nb := dataflow.ModuleNumBarriers(m)
-	classed := opts.ClassOf != nil
-	classOf := opts.ClassOf
-	if classOf == nil {
-		classOf = func(int) BarrierClass { return ClassUser }
-	}
-
-	r.Diags = append(r.Diags, Pairing(m, opts.ClassOf)...)
-
-	for _, f := range m.Funcs {
-		if len(f.Blocks) == 0 {
-			continue
-		}
-		info, div := fa.CFG(f), fa.Divergence(f)
-
-		for _, b := range f.Blocks {
-			if !info.Reachable(b) {
-				r.Diags = append(r.Diags, Diagnostic{
-					Code: CodeUnreachableBlock, Severity: SeverityWarning,
-					Fn: f.Name, Block: b.Name, Msg: "unreachable block",
-				})
-			}
-		}
-		if !called[f.Name] {
-			r.Diags = append(r.Diags, uninitDiags(f, info)...)
-		}
-
-		// One interpreter fixpoint per function serves the conflict
-		// phrasing and the wait notes.
-		st := Interp(f, info, div, nb, entryWaits, !called[f.Name])
-		r.Diags = append(r.Diags, exitPathDiags(f, info, nb, entryWaits, called, classOf, classed)...)
-		if classed {
-			r.Diags = append(r.Diags, rejoinDiags(f, info, classOf)...)
-			r.Diags = append(r.Diags, conflictDiags(f, info, st, classOf)...)
-		}
-		r.Diags = append(r.Diags, waitNoteDiags(f, info, st)...)
-		r.Diags = append(r.Diags, deadJoinDiags(f, info, nb, entryWaits)...)
-	}
-
-	// Identical findings reachable via multiple interprocedural call
-	// paths (module-granularity checks over a shared call graph) are
-	// reported once.
-	r.Diags = Dedupe(r.Diags)
-
+	called := calledFunctions(fa.m)
+	r.Diags = fa.diags(opts, called, true)
 	r.Efficiency = efficiency(fa, called)
 	if opts.EffNoteBelow > 0 {
 		kernels := make([]string, 0, len(r.Efficiency))
@@ -155,6 +109,70 @@ func (fa *Facts) Analyze(opts Options) *Report {
 		}
 	}
 	return r
+}
+
+// Errors is the error view of Analyze: Filter(fa.Analyze(opts).Diags,
+// SeverityError), element for element, computed by the error layer
+// alone — pairing (SR1001, SR1003), joined-at-exit (SR1002), the rejoin
+// discipline (SR1004) and residual conflicts (SR1005) over the
+// barrier-state fixpoint — without the warnings, the notes or the
+// efficiency estimate.
+func (fa *Facts) Errors(opts Options) []Diagnostic {
+	return Filter(fa.diags(opts, calledFunctions(fa.m), false), SeverityError)
+}
+
+// diags runs the checks in report order: the error layer (and the
+// pairing warning), and with full the warnings and notes around it.
+func (fa *Facts) diags(opts Options, called map[string]bool, full bool) []Diagnostic {
+	m := fa.m
+	entryWaits := dataflow.CalleeEntryWaits(m)
+	nb := dataflow.ModuleNumBarriers(m)
+	classed := opts.ClassOf != nil
+	classOf := opts.ClassOf
+	if classOf == nil {
+		classOf = func(int) BarrierClass { return ClassUser }
+	}
+
+	out := Pairing(m, opts.ClassOf)
+
+	for _, f := range m.Funcs {
+		if len(f.Blocks) == 0 {
+			continue
+		}
+		info, div := fa.CFG(f), fa.Divergence(f)
+
+		if full {
+			for _, b := range f.Blocks {
+				if !info.Reachable(b) {
+					out = append(out, Diagnostic{
+						Code: CodeUnreachableBlock, Severity: SeverityWarning,
+						Fn: f.Name, Block: b.Name, Msg: "unreachable block",
+					})
+				}
+			}
+			if !called[f.Name] {
+				out = append(out, uninitDiags(f, info)...)
+			}
+		}
+
+		// One interpreter fixpoint per function serves the conflict
+		// phrasing and the wait notes.
+		st := Interp(f, info, div, nb, entryWaits, !called[f.Name])
+		out = append(out, exitPathDiags(f, info, nb, entryWaits, called, classOf, classed)...)
+		if classed {
+			out = append(out, rejoinDiags(f, info, classOf)...)
+			out = append(out, conflictDiags(f, info, st, classOf)...)
+		}
+		if full {
+			out = append(out, waitNoteDiags(f, info, st)...)
+			out = append(out, deadJoinDiags(f, info, nb, entryWaits)...)
+		}
+	}
+
+	// Identical findings reachable via multiple interprocedural call
+	// paths (module-granularity checks over a shared call graph) are
+	// reported once.
+	return Dedupe(out)
 }
 
 // calledFunctions returns the set of functions invoked by OpCall

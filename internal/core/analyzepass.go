@@ -38,7 +38,7 @@ func init() {
 						// barriers): run the class-gated checks too.
 						aOpts.ClassOf = c.barrierClassOf()
 					}
-					for _, d := range c.analyzed(aOpts).Diags {
+					for _, d := range c.analyzed(aOpts, true) {
 						c.Remarkf(d.Fn, d.Block, "%s %s: %s", d.Severity, d.Code, d.Msg)
 					}
 					return nil

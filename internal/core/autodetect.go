@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -143,20 +144,44 @@ func DetectOpportunities(m *ir.Module, opts AutoDetectOptions) []Candidate {
 // candidates. The module is annotated in place; pass a clone if the
 // original must stay pristine.
 func AutoAnnotate(m *ir.Module, opts AutoDetectOptions) []Candidate {
-	cands := DetectOpportunities(m, opts)
+	return annotate(profitable(m, opts), opts.Threshold)
+}
+
+// AnnotatedClone is AutoAnnotate on a clone of m, made only when some
+// candidate applies: m itself is only read. It returns the annotated
+// clone and the applied candidates on the clone's blocks, or nil and
+// none.
+func AnnotatedClone(m *ir.Module, opts AutoDetectOptions) (*ir.Module, []Candidate) {
+	applied := profitable(m, opts)
+	if len(applied) == 0 {
+		return nil, nil
+	}
+	clone := m.Clone()
+	for i, c := range applied {
+		nf := clone.Funcs[slices.Index(m.Funcs, c.Fn)]
+		applied[i].Fn, applied[i].At, applied[i].Label = nf, nf.Blocks[c.At.Index], nf.Blocks[c.Label.Index]
+	}
+	return clone, annotate(applied, opts.Threshold)
+}
+
+// profitable runs the detector and returns the candidates, best first,
+// that score at least opts.MinScore and overlap no better one's region.
+func profitable(m *ir.Module, opts AutoDetectOptions) []Candidate {
 	var applied []Candidate
 	taken := map[*ir.Block]bool{}
-	for _, c := range cands {
-		if c.Score() < opts.MinScore {
-			continue
+	for _, c := range DetectOpportunities(m, opts) {
+		if c.Score() >= opts.MinScore && !taken[c.Label] && !taken[c.At] {
+			taken[c.Label], taken[c.At] = true, true
+			applied = append(applied, c)
 		}
-		if taken[c.Label] || taken[c.At] {
-			continue
-		}
-		taken[c.Label] = true
-		taken[c.At] = true
-		c.Fn.Predictions = append(c.Fn.Predictions, ir.Prediction{At: c.At, Label: c.Label, Threshold: opts.Threshold})
-		applied = append(applied, c)
+	}
+	return applied
+}
+
+// annotate attaches a prediction for each candidate and returns them.
+func annotate(applied []Candidate, threshold int) []Candidate {
+	for _, c := range applied {
+		c.Fn.Predictions = append(c.Fn.Predictions, ir.Prediction{At: c.At, Label: c.Label, Threshold: threshold})
 	}
 	return applied
 }

@@ -170,15 +170,16 @@ type Compilation struct {
 	PassStats []PassStat
 	// Remarks is the optimization-remarks stream every pass wrote to.
 	Remarks []Remark
-	// Diagnostics is the static analyzer's full report over the compiled
-	// module — errors, warnings and notes — populated by the
-	// "barrier-safety" and "analyze" passes (nil when neither ran).
+	// Diagnostics is the static analyzer's report over the compiled
+	// module: the full report — errors, warnings and notes — from the
+	// "analyze" pass and from CompileSafe, the errors alone from any
+	// other run of "barrier-safety" (nil when neither ran).
 	Diagnostics []analyze.Diagnostic
 	// RepairReport is the automated-repair fixpoint report, populated by
 	// the "repair" pass (nil when it did not run).
 	RepairReport *repair.Report
 	// StaticEff maps each kernel to its static SIMT-efficiency estimate,
-	// populated alongside Diagnostics.
+	// populated alongside a full report.
 	StaticEff map[string]float64
 	// CompileTime is the total wall time of the compilation, including
 	// verification and cloning around the pass pipeline.
@@ -242,6 +243,12 @@ func Compile(m *ir.Module, opts Options) (*Compilation, error) {
 // pass and the output module after the last one regardless of
 // pipe.VerifyEach.
 func CompilePipeline(m *ir.Module, opts Options, pipe *Pipeline) (*Compilation, error) {
+	return compilePipeline(m, opts, pipe, false)
+}
+
+// compilePipeline is CompilePipeline; fullReport has the barrier-safety
+// pass keep the analyzer's full report instead of its error view.
+func compilePipeline(m *ir.Module, opts Options, pipe *Pipeline, fullReport bool) (*Compilation, error) {
 	start := time.Now()
 	if t := opts.ThresholdOverride; t < -1 || t > ir.WarpWidth {
 		return nil, fmt.Errorf("core: options: ThresholdOverride %d outside [-1,%d]", t, ir.WarpWidth)
@@ -252,7 +259,7 @@ func CompilePipeline(m *ir.Module, opts Options, pipe *Pipeline) (*Compilation, 
 		}
 	}
 	mod := m.Clone()
-	c := &PassContext{Mod: mod, Opts: opts, facts: analyze.NewFacts(mod)}
+	c := &PassContext{Mod: mod, Opts: opts, facts: analyze.NewFacts(mod), fullReport: fullReport}
 	c.result = &Compilation{
 		Module:            mod,
 		Options:           opts,

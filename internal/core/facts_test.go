@@ -101,30 +101,30 @@ func everyDefaultPipeline(opts Options) []*Pipeline {
 	}
 }
 
-// TestAnalysisRecordIsTheRecompute is the validity rule's shadow test:
-// over the 500-kernel corpus (auto-annotated, so the speculative passes
-// have work) and the bundled workloads, through every default pipeline
-// shape under every deconfliction mode, through the fault-injected
-// verifying and repairing pipelines, and through a parsed pipeline that
-// reshapes the graph and rewrites registers between reads (simplify,
-// opt, unroll), what the record hands out after each pass is what a
-// recompute gives. It also holds the point of the record: on the
-// default shapes nearly every read is a reuse.
-func TestAnalysisRecordIsTheRecompute(t *testing.T) {
-	type kernel struct {
-		name string
-		mod  *ir.Module
-	}
-	var kernels []kernel
+// recordKernel is one kernel of the record's tests with the options it
+// is compiled under.
+type recordKernel struct {
+	name     string
+	mod      *ir.Module
+	variants []Options
+}
+
+// recordKernels is the 500-kernel corpus (auto-annotated with no score
+// screen, so the speculative passes have work) and the bundled
+// workloads. Each is compiled as the baseline and, when annotated, as
+// the speculative build under every deconfliction mode and under each
+// fault plan with dynamic deconfliction.
+func recordKernels() []recordKernel {
+	var kernels []recordKernel
 	for _, app := range corpus.Generate(500, 42) {
 		mod := app.Module.Clone()
 		auto := DefaultAutoDetectOptions()
 		auto.MinScore = 0
 		AutoAnnotate(mod, auto)
-		kernels = append(kernels, kernel{app.Name, mod})
+		kernels = append(kernels, recordKernel{name: app.Name, mod: mod})
 	}
 	for _, w := range workloads.All() {
-		kernels = append(kernels, kernel{w.Name, w.Build(workloads.BuildConfig{}).Module})
+		kernels = append(kernels, recordKernel{name: w.Name, mod: w.Build(workloads.BuildConfig{}).Module})
 	}
 
 	spec := func(mode DeconflictMode, faults FaultPlan) Options {
@@ -136,25 +136,41 @@ func TestAnalysisRecordIsTheRecompute(t *testing.T) {
 		{DropCancel: 1}, {DropCancel: 2}, {DropWait: 1}, {DropJoin: 1}, {DropRejoin: 1},
 		{SwapWaits: true}, {SkipConflict: 1},
 	}
+	for i := range kernels {
+		k := &kernels[i]
+		k.variants = []Options{BaselineOptions()}
+		annotated := false
+		for _, f := range k.mod.Funcs {
+			annotated = annotated || len(f.Predictions) > 0
+		}
+		if annotated {
+			k.variants = append(k.variants, spec(DeconflictDynamic, FaultPlan{}), spec(DeconflictStatic, FaultPlan{}), spec(DeconflictNone, FaultPlan{}))
+			for _, fp := range faults {
+				k.variants = append(k.variants, spec(DeconflictDynamic, fp))
+			}
+		}
+	}
+	return kernels
+}
+
+// TestAnalysisRecordIsTheRecompute is the validity rule's shadow test:
+// over the 500-kernel corpus (auto-annotated, so the speculative passes
+// have work) and the bundled workloads, through every default pipeline
+// shape under every deconfliction mode, through the fault-injected
+// verifying and repairing pipelines, and through a parsed pipeline that
+// reshapes the graph and rewrites registers between reads (simplify,
+// opt, unroll), what the record hands out after each pass is what a
+// recompute gives. It also holds the point of the record: on the
+// default shapes nearly every read is a reuse.
+func TestAnalysisRecordIsTheRecompute(t *testing.T) {
 	reshaping, err := ParsePipeline("barrier-safety,simplify,opt,pdom,predict,deconflict=dynamic,analyze,alloc")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var defaults, reshaped shadow
-	for _, k := range kernels {
-		annotated := false
-		for _, f := range k.mod.Funcs {
-			annotated = annotated || len(f.Predictions) > 0
-		}
-		variants := []Options{BaselineOptions()}
-		if annotated {
-			variants = append(variants, spec(DeconflictDynamic, FaultPlan{}), spec(DeconflictStatic, FaultPlan{}), spec(DeconflictNone, FaultPlan{}))
-			for _, fp := range faults {
-				variants = append(variants, spec(DeconflictDynamic, fp))
-			}
-		}
-		for _, opts := range variants {
+	for _, k := range recordKernels() {
+		for _, opts := range k.variants {
 			for _, p := range everyDefaultPipeline(opts) {
 				defaults.run(t, k.name, k.mod, opts, p)
 			}

@@ -101,6 +101,10 @@ type PassContext struct {
 	// what a pass's declared Effect does not preserve. It is reachable
 	// from the context only, never from the Compilation.
 	facts *analyze.Facts
+
+	// fullReport has barrier-safety keep the analyzer's full report,
+	// not only its errors (CompileSafe).
+	fullReport bool
 }
 
 // funcWaits pairs a function with the speculative waits lowered into it.

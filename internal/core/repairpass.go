@@ -48,7 +48,8 @@ func init() {
 // RepairPipelineFor derives the fail-safe pipeline with the repair pass
 // in front of the verifier: ... deconflict [inject] repair
 // barrier-safety alloc. CompileSafe runs it as the second attempt after
-// a plain SafePipelineFor build is rejected.
+// a plain SafePipelineFor build is rejected. Like SafePipelineFor, a
+// CompilePipeline run of it keeps only the errors as Diagnostics.
 func RepairPipelineFor(opts Options) *Pipeline {
 	return pipelineWith(opts, "repair", "barrier-safety").own()
 }

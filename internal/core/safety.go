@@ -40,9 +40,12 @@ import (
 //
 // The verifier runs as the read-only "barrier-safety" pass, placed
 // before register allocation so violations are reported in virtual
-// barrier ids with their kinds. The analyzer's full report — warnings,
-// notes and static efficiency estimates included — is stored on the
-// Compilation as Diagnostics/StaticEff.
+// barrier ids with their kinds. It runs only the analyzer's error view
+// (analyze.Facts.Errors) and stores those errors on the Compilation as
+// Diagnostics, with a nil StaticEff. CompileSafe, whose callers print
+// the report, is the exception: there the pass runs the analyzer's full
+// report — warnings, notes and static efficiency estimates included —
+// and stores it as Diagnostics/StaticEff.
 
 // SafetyViolation is one property violation found by the verifier — the
 // unified diagnostic type of internal/analyze, always error severity
@@ -84,19 +87,24 @@ func (c *PassContext) barrierClassOf() func(int) analyze.BarrierClass {
 }
 
 // analyzed runs the static analyzer over the compile's analysis record
-// and keeps its full report on the result: the "barrier-safety" and
-// "analyze" passes are its error layer and its whole.
-func (c *PassContext) analyzed(opts analyze.Options) *analyze.Report {
-	rep := c.facts.Analyze(opts)
-	c.result.Diagnostics, c.result.StaticEff = rep.Diags, rep.Efficiency
-	return rep
+// and keeps its report on the result: the full one, or else only its
+// error view and no efficiency estimates.
+func (c *PassContext) analyzed(opts analyze.Options, full bool) []analyze.Diagnostic {
+	if full {
+		rep := c.facts.Analyze(opts)
+		c.result.Diagnostics, c.result.StaticEff = rep.Diags, rep.Efficiency
+	} else {
+		c.result.Diagnostics, c.result.StaticEff = c.facts.Errors(opts), nil
+	}
+	return c.result.Diagnostics
 }
 
-// verifyBarrierSafety runs the static analyzer with barrier provenance
-// and returns a *SafetyError when any error-severity diagnostic is
-// found, remarking each one. The full report is kept on the result.
+// verifyBarrierSafety runs the static analyzer's error view with barrier
+// provenance and returns a *SafetyError when it finds anything,
+// remarking each finding. The errors are kept on the result; a compile
+// that asked for the full report keeps that instead.
 func (c *PassContext) verifyBarrierSafety() error {
-	vs := c.analyzed(analyze.Options{ClassOf: c.barrierClassOf()}).Errors()
+	vs := analyze.Filter(c.analyzed(analyze.Options{ClassOf: c.barrierClassOf()}, c.fullReport), analyze.SeverityError)
 	if len(vs) == 0 {
 		return nil
 	}
@@ -107,7 +115,9 @@ func (c *PassContext) verifyBarrierSafety() error {
 }
 
 // SafePipelineFor derives the default pipeline like PipelineFor but with
-// the barrier-safety verifier inserted before register allocation.
+// the barrier-safety verifier inserted before register allocation. A
+// CompilePipeline run of it verifies only: its Diagnostics are the
+// errors, its StaticEff nil (CompileSafe keeps the full report).
 func SafePipelineFor(opts Options) *Pipeline {
 	return pipelineWith(opts, "barrier-safety", "").own()
 }
@@ -152,9 +162,10 @@ type SafeCompilation struct {
 // before repair is CompilePipeline(m, opts, SafePipelineFor(opts))
 // returning the *SafetyError.) The error return is non-nil only when
 // the baseline itself cannot be built, i.e. the input module is unusable
-// regardless of speculation.
+// regardless of speculation. It is the one compile whose barrier-safety
+// pass keeps the analyzer's full report as Diagnostics/StaticEff.
 func CompileSafe(m *ir.Module, opts Options) (*SafeCompilation, error) {
-	comp, err := CompilePipeline(m, opts, pipelineWith(opts, "barrier-safety", ""))
+	comp, err := compilePipeline(m, opts, pipelineWith(opts, "barrier-safety", ""), true)
 	if err == nil {
 		return &SafeCompilation{Compilation: comp}, nil
 	}
@@ -164,7 +175,7 @@ func CompileSafe(m *ir.Module, opts Options) (*SafeCompilation, error) {
 	// prediction that does not lower — has no diagnostics to drive it).
 	var se *SafetyError
 	if errors.As(err, &se) {
-		rcomp, rerr := CompilePipeline(m, opts, pipelineWith(opts, "repair", "barrier-safety"))
+		rcomp, rerr := compilePipeline(m, opts, pipelineWith(opts, "repair", "barrier-safety"), true)
 		if rerr == nil && rcomp.RepairReport != nil && len(rcomp.RepairReport.Edits) > 0 {
 			return &SafeCompilation{
 				Compilation: rcomp,
@@ -179,7 +190,7 @@ func CompileSafe(m *ir.Module, opts Options) (*SafeCompilation, error) {
 		SkipAllocation:    opts.SkipAllocation,
 		AssumeVerified:    opts.AssumeVerified,
 	}
-	base, berr := CompilePipeline(m, fb, pipelineWith(fb, "barrier-safety", ""))
+	base, berr := compilePipeline(m, fb, pipelineWith(fb, "barrier-safety", ""), true)
 	if berr != nil {
 		return nil, fmt.Errorf("core: speculative build failed (%v); baseline fallback also failed: %w", err, berr)
 	}

@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"specrecon/internal/analyze"
 	"specrecon/internal/workloads"
 )
 
@@ -169,5 +172,95 @@ func TestCompileSafeBrokenInputStillErrors(t *testing.T) {
 	m.Funcs[0].Blocks[0].Instrs = nil // no terminator: invalid either way
 	if _, err := CompileSafe(m, SpecReconOptions()); err == nil {
 		t.Fatal("unusable input should not be silently 'fixed' by fallback")
+	}
+}
+
+// viewMismatch is the error-view probe's finding.
+type viewMismatch struct{ msg string }
+
+func (e *viewMismatch) Error() string { return e.msg }
+
+// TestErrorViewIsTheReportsErrors holds barrier-safety's error view to
+// the analyzer's full report over the record's kernels and options:
+//   - through every default pipeline shape, a probe in the verifier's
+//     slot finds Facts.Errors equal to the full report's errors, element
+//     for element, with barrier provenance and without;
+//   - a verifying or repairing CompilePipeline is rejected with the text
+//     the full report gives, and otherwise keeps that report's errors
+//     and no efficiency estimate.
+//
+// Every error code shows up in the view, so dropping one check from the
+// error layer fails the test even though the full report drops it too.
+func TestErrorViewIsTheReportsErrors(t *testing.T) {
+	seen := map[analyze.Code]int{}
+	probe := &pass{name: "view", spec: "view", effect: ReadsOnly, run: func(c *PassContext) error {
+		for _, classOf := range []func(int) analyze.BarrierClass{nil, c.barrierClassOf()} {
+			opts := analyze.Options{ClassOf: classOf}
+			view, want := c.facts.Errors(opts), analyze.Filter(c.facts.Analyze(opts).Diags, analyze.SeverityError)
+			if !reflect.DeepEqual(view, want) {
+				return &viewMismatch{fmt.Sprintf("with provenance %v: error view %v, want %v", classOf != nil, view, want)}
+			}
+			for _, d := range view {
+				seen[d.Code]++
+			}
+		}
+		return nil
+	}}
+	// probed puts the probe in front of the verifier, or of allocation
+	// where no verifier runs.
+	probed := func(p *Pipeline) *Pipeline {
+		at := len(p.passes)
+		for i, ps := range p.passes {
+			if ps.Name() == "barrier-safety" || ps.Name() == "alloc" {
+				at = i
+				break
+			}
+		}
+		return newPipeline(append(append(append([]Pass(nil), p.passes[:at]...), probe), p.passes[at:]...))
+	}
+
+	for _, k := range recordKernels() {
+		for _, opts := range k.variants {
+			for _, p := range everyDefaultPipeline(opts) {
+				var vm *viewMismatch
+				if _, err := CompilePipeline(k.mod, opts, probed(p)); errors.As(err, &vm) {
+					t.Fatalf("%s under %q: %v", k.name, p.Spec(), vm)
+				}
+			}
+			for _, p := range []*Pipeline{SafePipelineFor(opts), RepairPipelineFor(opts)} {
+				view, verr := CompilePipeline(k.mod, opts, p)
+				full, ferr := compilePipeline(k.mod, opts, p, true)
+				if fmt.Sprint(verr) != fmt.Sprint(ferr) {
+					t.Fatalf("%s under %q: rejected with %v, the full report with %v", k.name, p.Spec(), verr, ferr)
+				}
+				if verr != nil {
+					continue
+				}
+				if want := analyze.Filter(full.Diagnostics, analyze.SeverityError); !reflect.DeepEqual(view.Diagnostics, want) {
+					t.Fatalf("%s under %q: Diagnostics %v, want the full report's errors %v", k.name, p.Spec(), view.Diagnostics, want)
+				}
+				if view.StaticEff != nil || full.StaticEff == nil {
+					t.Fatalf("%s under %q: StaticEff %v, full report's %v; want nil and set", k.name, p.Spec(), view.StaticEff, full.StaticEff)
+				}
+			}
+		}
+	}
+	t.Logf("error codes in the view: %v", seen)
+	for _, code := range []analyze.Code{analyze.CodeWaitNeverJoined, analyze.CodeJoinedAtExit, analyze.CodeLostWait, analyze.CodeLostRejoin, analyze.CodeResidualConflict} {
+		if seen[code] == 0 {
+			t.Errorf("no error view holds %s: its check is not in the error layer", code)
+		}
+	}
+
+	rs, err := workloads.Get("rsbench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SpecReconOptions()
+	opts.Faults = FaultPlan{DropWait: 1}
+	_, err = CompilePipeline(rs.Build(workloads.BuildConfig{}).Module, opts, SafePipelineFor(opts))
+	const want = `core: pass "barrier-safety": barrier safety: 1 violation(s): SR1003: rsbench_lookup_kernel.inner_body: spec barrier b1 is joined but never waited (lost WaitBarrier; joined at rsbench_lookup_kernel.inner_body)`
+	if fmt.Sprint(err) != want {
+		t.Errorf("rsbench under drop-wait@1: %v\nwant %s", err, want)
 	}
 }

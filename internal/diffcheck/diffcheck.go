@@ -68,7 +68,8 @@ type Options struct {
 	// kernel's results.
 	Repair bool
 	// AutoAnnotate runs the §4.5 detector when the module carries no
-	// predictions (corpus kernels arrive bare), annotating a clone.
+	// predictions (corpus kernels arrive bare), annotating a clone made
+	// only when a candidate applies; the input is only read.
 	AutoAnnotate bool
 	// Faults injects compile-layer barrier perturbations into the
 	// speculative build (the baseline is never faulted — it is the
@@ -175,10 +176,8 @@ func Check(k Kernel, opts Options) Result {
 	mod := k.Module
 	annotated := false
 	if opts.AutoAnnotate && !hasPredictions(mod) {
-		clone := mod.Clone()
-		if applied := core.AutoAnnotate(clone, core.DefaultAutoDetectOptions()); len(applied) > 0 {
-			mod = clone
-			annotated = true
+		if clone, _ := core.AnnotatedClone(mod, core.DefaultAutoDetectOptions()); clone != nil {
+			mod, annotated = clone, true
 		}
 	}
 

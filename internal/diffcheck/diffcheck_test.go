@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"specrecon/internal/core"
@@ -61,6 +62,68 @@ func TestSeededCorpusSample(t *testing.T) {
 		res := Check(k, Options{AutoAnnotate: true, Verify: true})
 		if !res.OK {
 			t.Errorf("%s: %v", app.Name, res)
+		}
+	}
+}
+
+// TestCheckSharesItsInput runs Check from four goroutines over one
+// annotated corpus module and one bare one, the way diffhunt -j shares
+// a kernel across cells. The detector reads a bare input in place, so
+// any write to it is a data race under -race. Every result equals the
+// serial one, and neither input prints differently afterwards.
+func TestCheckSharesItsInput(t *testing.T) {
+	var kernels []Kernel
+	for _, app := range corpus.Generate(40, 42) {
+		annotated, _ := core.AnnotatedClone(app.Module, core.DefaultAutoDetectOptions())
+		if annotated == nil {
+			continue
+		}
+		bare := Kernel{
+			Name: app.Name, Module: app.Module, Entry: app.Kernel,
+			Threads: app.Threads, Memory: app.Memory, Seed: app.Seed,
+		}
+		pre := bare
+		pre.Module = annotated
+		kernels = []Kernel{pre, bare}
+		break
+	}
+	if kernels == nil {
+		t.Fatal("no kernel among the first 40 of the corpus takes a prediction")
+	}
+	opts := Options{AutoAnnotate: true, Verify: true}
+	printed := make([]string, len(kernels))
+	want := make([]Result, len(kernels))
+	for i, k := range kernels {
+		printed[i] = ir.Print(k.Module)
+		want[i] = Check(k, opts)
+	}
+	if !want[0].OK || !want[1].OK || want[0].Annotated || !want[1].Annotated {
+		t.Fatalf("serial checks: %v (annotated %v), %v (annotated %v); want both ok, the bare one annotated by Check",
+			want[0], want[0].Annotated, want[1], want[1].Annotated)
+	}
+
+	got := make([][]Result, 4)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range kernels {
+				got[w] = append(got[w], Check(k, opts))
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		for i, k := range kernels {
+			if !reflect.DeepEqual(got[w][i], want[i]) {
+				t.Errorf("goroutine %d, %s: %+v, want the serial %+v", w, k.Name, got[w][i], want[i])
+			}
+		}
+	}
+	for i, k := range kernels {
+		if ir.Print(k.Module) != printed[i] {
+			t.Errorf("input %d (%s) prints differently after the checks", i, k.Name)
 		}
 	}
 }

@@ -79,9 +79,8 @@ func RunFunnel(n int, seed uint64, parallelism int) (*FunnelResult, error) {
 		if !outcomes[i].lowEff {
 			return nil
 		}
-		annotated := app.Module.Clone()
-		applied := core.AutoAnnotate(annotated, core.DefaultAutoDetectOptions())
-		if len(applied) == 0 {
+		annotated, applied := core.AnnotatedClone(app.Module, core.DefaultAutoDetectOptions())
+		if annotated == nil {
 			return nil
 		}
 		outcomes[i].detected = true

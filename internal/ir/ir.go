@@ -123,9 +123,14 @@ func (f *Function) NewBlock(name string) *Block {
 }
 
 // Reindex re-establishes Block.Index after blocks were inserted or removed.
+// It writes only the indexes that are wrong, so reading a function whose
+// indexes already hold (an analysis of a module shared between
+// goroutines) writes nothing.
 func (f *Function) Reindex() {
 	for i, b := range f.Blocks {
-		b.Index = i
+		if b.Index != i {
+			b.Index = i
+		}
 	}
 }
 
