@@ -16,8 +16,8 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is the pre-commit gate: everything must build, vet clean, and
-# pass the full suite under the race detector, uncached (-count=1) so the
+# check is the pre-commit gate: everything must build, vet clean, be
+# gofmt-clean, and pass the full suite under the race detector, uncached (-count=1) so the
 # tests that only mean something there — worker-pool and SM-sharding
 # determinism, pipelines shared across goroutines — never ride a cached
 # result. The robustness smokes follow: short fuzz sessions on the
@@ -29,6 +29,7 @@ race:
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	$(MAKE) arm64-unfused
 	$(GO) test -race -count=1 ./...
 	$(MAKE) scale-smoke

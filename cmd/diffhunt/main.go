@@ -80,6 +80,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if !ok {
 		return app.Fail(cli.Usage, fmt.Errorf("unknown axis %q (spec|sched|repair)", *axisName))
 	}
+	if c.n < 0 {
+		return app.Fail(cli.Usage, fmt.Errorf("-n %d: the corpus size cannot be negative", c.n))
+	}
 	// The axis's own defaults stand in for every flag the command line
 	// left alone.
 	given := map[string]bool{}

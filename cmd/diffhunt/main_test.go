@@ -31,6 +31,7 @@ func TestCLI(t *testing.T) {
 		{Name: "sched-greedy", Args: []string{"-axis", "sched", "-policies", "greedy"}, Code: 2, Stderr: "reference schedule"},
 		{Name: "sched-bad-seeds", Args: []string{"-axis", "sched", "-seeds", "1,x"}, Code: 2, Stderr: `seed "x"`},
 		{Name: "bad-axis", Args: []string{"-axis", "model"}, Code: 2, Stderr: `unknown axis "model"`},
+		{Name: "negative-n", Args: []string{"-n", "-5"}, Code: 2, Stderr: "-n -5: the corpus size cannot be negative"},
 		{Name: "bad-policy", Args: []string{"-policy", "bad"}, Code: 2, Stderr: "unknown policy"},
 		{Name: "bad-sched", Args: []string{"-sched", "bad"}, Code: 2, Stderr: "unknown sched policy"},
 		{Name: "bad-flag", Args: []string{"-bogus"}, Code: 2, Stderr: "flag provided but not defined"},

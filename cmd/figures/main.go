@@ -42,6 +42,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return code
 	}
 	defer app.Close(&code)
+	if *apps < 0 {
+		return app.Fail(cli.Usage, fmt.Errorf("-apps %d: the corpus size cannot be negative", *apps))
+	}
 	cfg := app.Launch
 	// The drivers compile through the harness's process-wide cache; it is
 	// put back on the way out.

@@ -21,6 +21,8 @@ func TestCLI(t *testing.T) {
 		{Name: "fig7-grid-oldest", Args: []string{"-fig", "7", "-grid", "4", "-ctasize", "64", "-sms", "2", "-sched", "oldest", "-j", "1"}},
 		{Name: "bad-policy", Args: []string{"-fig", "7", "-policy", "bad"}, Code: 2, Stderr: "unknown policy"},
 		{Name: "bad-sched", Args: []string{"-fig", "7", "-sched", "bad"}, Code: 2, Stderr: "unknown sched policy"},
+		{Name: "negative-apps", Args: []string{"-fig", "10", "-apps", "-4"}, Code: 2, Stderr: "-apps -4: the corpus size cannot be negative"},
+		{Name: "negative-sms", Args: []string{"-fig", "7", "-grid", "2", "-sms", "-1"}, Code: 2, Stderr: "-sms -1: the count cannot be negative"},
 	})
 }
 

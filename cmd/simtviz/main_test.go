@@ -12,6 +12,7 @@ func TestCLI(t *testing.T) {
 		{Name: "baseline", Args: []string{"-kernel", "rsbench", "-rows", "12"}},
 		{Name: "spec-hist-grid", Args: []string{"-kernel", "rsbench", "-mode", "spec", "-rows", "12", "-hist", "-grid", "2", "-ctasize", "32", "-sms", "2"}},
 		{Name: "unknown-kernel", Args: []string{"-kernel", "nope"}, Code: 2, Stderr: "unknown workload"},
+		{Name: "negative-tasks", Args: []string{"-kernel", "rsbench", "-tasks", "-2"}, Code: 2, Stderr: "-tasks -2: the count cannot be negative"},
 	})
 }
 

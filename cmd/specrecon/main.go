@@ -121,6 +121,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *interleave && app.Launch.Grid > 0 {
 		return usage(errors.New("-interleave makes a flat launch one wave and cannot be combined with -grid: an SM always interleaves its resident warps"))
 	}
+	eng, err := parseNamed("model", *model, simt.ModelITS, simt.ModelStack)
+	if err != nil {
+		return usage(err)
+	}
+	faultPlan, skipRelease, err := diffcheck.ParseFault(*inject)
+	if err != nil {
+		return usage(err)
+	}
+	if skipRelease > 0 && eng == simt.ModelStack {
+		return usage(errors.New("-inject skip-release cannot be combined with -model stack: the stack model has no barrier releases to skip"))
+	}
 	inst, err := loadInstance(*kernel, app.Launch)
 	if err != nil {
 		return usage(err)
@@ -154,14 +165,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	dec, err := parseNamed("deconfliction mode", *deconf, core.DeconflictDynamic, core.DeconflictStatic, core.DeconflictNone)
-	if err != nil {
-		return usage(err)
-	}
-	eng, err := parseNamed("model", *model, simt.ModelITS, simt.ModelStack)
-	if err != nil {
-		return usage(err)
-	}
-	faultPlan, skipRelease, err := diffcheck.ParseFault(*inject)
 	if err != nil {
 		return usage(err)
 	}

@@ -37,6 +37,9 @@ func TestCLI(t *testing.T) {
 		{Name: "threshold-out-of-range", Args: []string{"-kernel", "rsbench", "-threshold", "99"}, Code: 2, Stderr: "-threshold 99"},
 		{Name: "negative-sample-stride", Args: []string{"-kernel", "rsbench", "-sample-stride", "-5"}, Code: 2, Stderr: "-sample-stride -5"},
 		{Name: "interleave-grid", Args: []string{"-kernel", "rsbench", "-interleave", "-grid", "4"}, Code: 2, Stderr: "-interleave makes a flat launch one wave and cannot be combined with -grid"},
+		{Name: "negative-threads", Args: []string{"-kernel", "rsbench", "-threads", "-3"}, Code: 2, Stderr: "-threads -3: the count cannot be negative"},
+		{Name: "negative-ctasize", Args: []string{"-kernel", "rsbench", "-grid", "2", "-ctasize", "-5"}, Code: 2, Stderr: "-ctasize -5: the count cannot be negative"},
+		{Name: "skip-release-stack", Args: []string{"-kernel", "rsbench", "-mode", "spec", "-model", "stack", "-inject", "skip-release@1"}, Code: 2, Stderr: "-inject skip-release cannot be combined with -model stack"},
 		{Name: "no-telemetry-json", Args: []string{"-kernel", "rsbench", "-telemetry-json", "x"}, Code: 2, Stderr: "flag provided but not defined: -telemetry-json"},
 	})
 }

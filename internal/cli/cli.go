@@ -124,6 +124,17 @@ func (a *App) Parse(args []string) (code int, done bool) {
 }
 
 func (a *App) start() (err error) {
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{
+		{"threads", a.Launch.Threads}, {"tasks", a.Launch.Tasks}, {"grid", a.Launch.Grid},
+		{"ctasize", a.Launch.CTASize}, {"sms", a.Launch.SMs}, {"workers", a.Launch.Workers},
+	} {
+		if c.n < 0 {
+			return fmt.Errorf("-%s %d: the count cannot be negative", c.flag, c.n)
+		}
+	}
 	if a.policy != "" {
 		if a.Launch.Policy, err = simt.ParsePolicy(a.policy); err != nil {
 			return err

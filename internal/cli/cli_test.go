@@ -40,6 +40,7 @@ func TestParseStatuses(t *testing.T) {
 	}{
 		{[]string{"-bogus"}, Usage, true, "flag provided but not defined"},
 		{[]string{"-grid", "many"}, Usage, true, "invalid value"},
+		{[]string{"-grid", "2", "-ctasize", "-5"}, Usage, true, "tool: -ctasize -5: the count cannot be negative"},
 		{[]string{"-policy", "bad"}, Usage, true, "tool: simt: unknown policy"},
 		{[]string{"-sched", "bad"}, Usage, true, "tool: simt: unknown sched policy"},
 		{[]string{"-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir", "cpu")}, Usage, true, "tool: open"},

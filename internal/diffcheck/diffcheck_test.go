@@ -160,11 +160,16 @@ func TestParseFaultBothLayers(t *testing.T) {
 	if plan != (core.FaultPlan{DropCancel: 2}) || rel != 3 {
 		t.Fatalf("got plan=%v skip-release=%d", plan, rel)
 	}
-	if _, _, err := ParseFault("skip-release@0"); err == nil {
-		t.Error("zero ordinal should be rejected")
-	}
-	if _, _, err := ParseFault("drop-everything"); err == nil {
-		t.Error("unknown fault should be rejected")
+	for _, bad := range []string{
+		"skip-release@0",   // a zero ordinal
+		"skip-release@1x",  // trailing junk after the ordinal
+		"skip-release@2.5", // a fractional ordinal
+		"drop-cancel@1x",
+		"drop-everything", // an unknown fault
+	} {
+		if _, _, err := ParseFault(bad); err == nil {
+			t.Errorf("ParseFault(%q) succeeded, want an error", bad)
+		}
 	}
 }
 

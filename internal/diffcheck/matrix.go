@@ -2,6 +2,7 @@ package diffcheck
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"specrecon/internal/core"
@@ -166,18 +167,20 @@ func ParseFault(spec string) (core.FaultPlan, int64, error) {
 	var compileTerms []string
 	for _, term := range strings.Split(spec, "+") {
 		term = strings.TrimSpace(term)
-		name, n := term, int64(1)
+		name, n := term, 1
 		if at := strings.IndexByte(term, '@'); at >= 0 {
 			name = term[:at]
-			if _, err := fmt.Sscanf(term[at+1:], "%d", &n); err != nil || n < 1 {
+			v, err := strconv.Atoi(term[at+1:])
+			if err != nil || v < 1 {
 				return core.FaultPlan{}, 0, fmt.Errorf("fault %q: ordinal must be a positive integer", term)
 			}
+			n = v
 		}
 		if name == "skip-release" {
 			if skipRelease != 0 {
 				return core.FaultPlan{}, 0, fmt.Errorf("fault %q: skip-release given twice", spec)
 			}
-			skipRelease = n
+			skipRelease = int64(n)
 			continue
 		}
 		compileTerms = append(compileTerms, term)

@@ -36,11 +36,6 @@ type cowPage struct {
 type cowMem struct {
 	base  []uint64
 	pages []cowPage
-	// touched lists materialized page indices in fault order (merge does
-	// NOT iterate it — address order matters there); reset returns their
-	// buffers to free so arena reuse materializes without allocating.
-	touched []int32
-	free    []cowPage
 }
 
 func newCowMem(base []uint64) *cowMem {
@@ -50,29 +45,16 @@ func newCowMem(base []uint64) *cowMem {
 	}
 }
 
-// materialize faults page pi in: its buffer comes from the free list
-// when the arena has one (dirty bitmap cleared), else is allocated, and
-// the base page is copied over it. The last page may be partial; its
-// tail words are never addressable (addr() bounds-checks against the
-// image length) so stale free-list content there is unreachable.
+// materialize faults page pi in: its buffer and dirty bitmap are
+// allocated and the base page is copied over it. The last page may be
+// partial; its tail words are never addressable (addr() bounds-checks
+// against the image length).
 func (c *cowMem) materialize(p *cowPage, pi int) {
-	if n := len(c.free); n > 0 {
-		*p = c.free[n-1]
-		c.free = c.free[:n-1]
-		for i := range p.dirty {
-			p.dirty[i] = 0
-		}
-	} else {
-		p.words = make([]uint64, cowPageWords)
-		p.dirty = make([]uint64, cowPageWords/64)
-	}
+	p.words = make([]uint64, cowPageWords)
+	p.dirty = make([]uint64, cowPageWords/64)
 	start := pi << cowPageShift
-	end := start + cowPageWords
-	if end > len(c.base) {
-		end = len(c.base)
-	}
+	end := min(start+cowPageWords, len(c.base))
 	copy(p.words[:end-start], c.base[start:end])
-	c.touched = append(c.touched, int32(pi))
 }
 
 // mergeInto folds this SM's stored words into the final image in
@@ -100,15 +82,4 @@ func (c *cowMem) mergeInto(final, written []uint64, m *Metrics) {
 			}
 		}
 	}
-}
-
-// reset drops every materialized page back to the clean shared view,
-// parking the buffers on the free list for the next launch.
-func (c *cowMem) reset() {
-	for _, pi := range c.touched {
-		p := &c.pages[pi]
-		c.free = append(c.free, *p)
-		p.words, p.dirty = nil, nil
-	}
-	c.touched = c.touched[:0]
 }

@@ -93,17 +93,45 @@ done:
 }
 `
 
-// RunFresh is Run without the arena pool: the launch is built in new
-// storage (newSim), the reference a recycled Run is held to and the
-// launch whose allocations do not depend on what the pool holds (the
-// race detector drops pooled objects at random).
-func RunFresh(m *ir.Module, cfg Config) (*Result, error) {
-	s, err := newSim(m, cfg)
+// newSim validates the module and configuration and builds the
+// launch-wide state in new storage, for tests that step warps by hand.
+func newSim(m *ir.Module, cfg Config) (*sim, error) { return load(nil, m, cfg) }
+
+// Arena is a launch arena a test keeps: each Run loads the launch into
+// the arena's retired sim (load(prev, …)) — into new storage the first
+// time — launches it and retires it again, the path Run takes with a
+// pooled arena. Consecutive Runs of one Arena therefore recycle the same
+// storage every time, which Run's sync.Pool does not promise: the race
+// detector drops pooled objects at random. With Check set, every launch
+// runs under the group-table invariant check (its Config passed through
+// Check.Attach).
+type Arena struct {
+	Check *TableCheck
+	s     *sim
+}
+
+// Run launches m's kernel under cfg in the arena.
+func (a *Arena) Run(m *ir.Module, cfg Config) (*Result, error) {
+	if a.Check != nil {
+		cfg = a.Check.Attach(m, cfg)
+	}
+	s, err := load(a.s, m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.launch()
+	a.s = s
+	if a.Check != nil {
+		s.afterIssue = a.Check.afterIssue
+	}
+	res, err := s.launch()
+	s.retire()
+	return res, err
 }
+
+// RunFresh is Run without the arena pool: the launch is built in new
+// storage, the reference a recycled Run is held to and the launch whose
+// allocations do not depend on what the pool holds.
+func RunFresh(m *ir.Module, cfg Config) (*Result, error) { return new(Arena).Run(m, cfg) }
 
 // firstWave makes resident the CTAs runSM admits first on SM 0 — a flat
 // launch's implicit CTA 0 — on s itself when the launch has one SM, else
@@ -555,30 +583,12 @@ func (sh *pcShadow) Event(ev *Event) {
 	}
 }
 
-// RunTableChecked is Run with the group-table invariant checked after
-// every issue.
+// RunTableChecked is RunFresh with the group-table invariant checked
+// after every issue.
 func RunTableChecked(m *ir.Module, cfg Config) (*Result, *TableCheck, error) {
-	tc := &TableCheck{}
-	s, err := newSim(m, tc.Attach(m, cfg))
-	if err != nil {
-		return nil, nil, err
-	}
-	s.afterIssue = tc.afterIssue
-	res, err := s.launch()
-	return res, tc, err
-}
-
-// NewTableCheckedMachine is NewMachine with the group-table invariant
-// checked after every issue of every launch; pass each launch's Config
-// through the check's Attach.
-func NewTableCheckedMachine(m *ir.Module, cfg Config) (*Machine, *TableCheck, error) {
-	mc, err := NewMachine(m, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	tc := &TableCheck{}
-	mc.s.afterIssue = tc.afterIssue
-	return mc, tc, nil
+	a := &Arena{Check: &TableCheck{}}
+	res, err := a.Run(m, cfg)
+	return res, a.Check, err
 }
 
 // DecodeMismatch reports how the decode table of m departs from

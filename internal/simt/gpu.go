@@ -158,20 +158,6 @@ func (s *sim) forkSM(i int, sink EventSink, samples SampleSink) *sim {
 	return sm
 }
 
-// resetSM rewinds a pooled SM fork for the next launch of the same
-// Machine: the memory view is restored to the template image (its CoW
-// pages dropped), the cache, metrics and budgets clear in place, and the
-// arena cursors rewind.
-func (sm *sim) resetSM(tpl *sim, sink EventSink, samples SampleSink) {
-	sm.cfg = tpl.cfg
-	sm.cfg.Events = sink
-	sm.sampleSink = samples
-	sm.afterIssue = tpl.afterIssue
-	sm.wallDeadline = tpl.wallDeadline
-	sm.cow.reset()
-	sm.rewind()
-}
-
 // ctas is the launch's CTA count: Grid, or a flat launch's one CTA.
 func (cfg *Config) ctas() int { return max(cfg.Grid, 1) }
 
@@ -221,7 +207,7 @@ func (r *smReplay) Sample(s Sample) { r.samples.Append(s) }
 // run one after another (replay nil) — forEachSM with Workers <= 1 runs
 // SM 0..n-1 to completion in index order, so handing Config.Events and
 // Config.Samples to each SM in turn is already SM-order delivery — and SM
-// i's replay logs, emptied here, when they run concurrently.
+// i's replay logs when they run concurrently.
 func (s *sim) smSinks(i int, replay []smReplay) (events EventSink, samples SampleSink) {
 	events = s.cfg.Events
 	if s.cfg.samplerEnabled() && !s.cfg.oneWarpWaves() {
@@ -229,8 +215,6 @@ func (s *sim) smSinks(i int, replay []smReplay) (events EventSink, samples Sampl
 	}
 	if replay != nil {
 		r := &replay[i]
-		r.events.Rewind()
-		r.samples.Rewind()
 		if events != nil {
 			events = r
 		}
@@ -249,33 +233,20 @@ func (s *sim) smSinks(i int, replay []smReplay) (events EventSink, samples Sampl
 // Cycles = max over SMs. Events and samples are delivered in SM order
 // too: in place on a serial launch, from the replay logs after a
 // concurrent one.
-func (s *sim) runGrid() error {
+func (s *sim) runGrid(shared [][]uint64) error {
 	cfg := s.cfg
-	// Workers may change from one launch of a Machine to the next.
 	var replay []smReplay
 	if cfg.Workers > 1 && (cfg.Events != nil || cfg.samplerEnabled()) {
-		if s.replay == nil {
-			s.replay = make([]smReplay, cfg.SMs)
-		}
-		replay = s.replay
+		replay = make([]smReplay, cfg.SMs)
 	}
-
-	fresh := s.smPool == nil
-	if fresh {
-		s.smPool = make([]*sim, cfg.SMs)
-	}
-	sms := s.smPool
+	sms := make([]*sim, cfg.SMs)
 	for i := range sms {
 		sink, samples := s.smSinks(i, replay)
-		if fresh {
-			sms[i] = s.forkSM(i, sink, samples)
-		} else {
-			sms[i].resetSM(s, sink, samples)
-		}
+		sms[i] = s.forkSM(i, sink, samples)
 	}
 
 	err := forEachSM(cfg.Workers, cfg.SMs, func(i int) error {
-		return sms[i].runSM(s.sharedBuf)
+		return sms[i].runSM(shared)
 	})
 	// Every SM ran to completion even if one errored, so observers see
 	// the same deterministic prefix on either delivery path.
@@ -290,13 +261,10 @@ func (s *sim) runGrid() error {
 	if err != nil {
 		return err
 	}
-	if s.writtenBuf == nil {
-		s.writtenBuf = make([]uint64, (len(s.mem)+63)/64)
-	}
-	clear(s.writtenBuf)
+	written := make([]uint64, (len(s.mem)+63)/64)
 	for _, sm := range sms {
 		s.metrics.merge(&sm.metrics)
-		sm.cow.mergeInto(s.mem, s.writtenBuf, &s.metrics)
+		sm.cow.mergeInto(s.mem, written, &s.metrics)
 	}
 	return nil
 }

@@ -106,8 +106,7 @@ func TestGridSharedReduction(t *testing.T) {
 }
 
 // gridRun is everything one observed grid launch produced: the result
-// (nil on error; a Machine's is valid until its next launch) and error
-// text, the full event stream as delivered to
+// (nil on error) and error text, the full event stream as delivered to
 // Config.Events, a profile rendered from it, and the occupancy sample
 // stream delivered to Config.Samples (telemetry on — the sampler must
 // not perturb determinism).
@@ -120,7 +119,7 @@ type gridRun struct {
 }
 
 // observeGrid attaches fresh sinks to cfg, launches it through run (a
-// fresh simt.Run or a Machine relaunch) and gathers the outcome.
+// simt.Run, or a relaunch into a kept arena) and gathers the outcome.
 func observeGrid(t *testing.T, mod *ir.Module, cfg simt.Config, run func(simt.Config) (*simt.Result, error)) gridRun {
 	t.Helper()
 	var g gridRun
@@ -188,8 +187,8 @@ func sameGridRun(t *testing.T, label string, got, want gridRun) {
 // the two delivery paths equal: on a launch that completes, on one that
 // fails (SM 0 runs out of issues while SMs 1-3 finish: observers must
 // still get SM 0's stream up to the error and the other SMs' whole), and
-// on a Machine relaunched under changing worker counts, whose pooled
-// replay buffers from a sharded launch must not leak into a serial one.
+// on relaunches into one kept arena under changing worker counts, where
+// a sharded launch must leave nothing behind for a serial one.
 func TestGridShardingDeterministic(t *testing.T) {
 	mod, err := ir.Parse(reduceKernel)
 	if err != nil {
@@ -239,14 +238,12 @@ func TestGridShardingDeterministic(t *testing.T) {
 				cfg.Workers = workers
 				sameGridRun(t, fmt.Sprintf("workers=%d", workers), observeGrid(t, mod, cfg, fresh), serial)
 			}
-			mc, err := simt.NewMachine(mod, shape.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := new(simt.Arena)
+			relaunch := func(cfg simt.Config) (*simt.Result, error) { return a.Run(mod, cfg) }
 			for i, workers := range []int{2, 1, 4, 1} {
 				cfg := shape.cfg
 				cfg.Workers = workers
-				sameGridRun(t, fmt.Sprintf("machine launch %d, workers=%d", i, workers), observeGrid(t, mod, cfg, mc.Run), serial)
+				sameGridRun(t, fmt.Sprintf("arena launch %d, workers=%d", i, workers), observeGrid(t, mod, cfg, relaunch), serial)
 			}
 		})
 	}
@@ -446,7 +443,8 @@ entry:
 	}
 }
 
-// TestGridConfigValidation pins the launch-shape error surface.
+// TestGridConfigValidation pins the launch-shape error surface, and a
+// fault the launch's divergence model cannot fire.
 func TestGridConfigValidation(t *testing.T) {
 	mod, err := ir.Parse(reduceKernel)
 	if err != nil {
@@ -460,6 +458,7 @@ func TestGridConfigValidation(t *testing.T) {
 		{"interleave", simt.Config{Grid: 1, InterleaveWarps: true}, "InterleaveWarps"},
 		{"cta too big", simt.Config{Grid: 1, CTASize: simt.MaxThreadsPerCTA + 1}, "CTA size"},
 		{"too many sms", simt.Config{Grid: 1, SMs: simt.MaxSMs + 1}, "SM count"},
+		{"skip-release under stack", simt.Config{Grid: 1, Model: simt.ModelStack, SkipReleaseN: 1}, "SkipReleaseN 1 under ModelStack"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 // TestFreshWarpAllocs pins what the warp-major layout costs the arena: a
 // fresh warp is at most four heap objects (the state with its inline
 // lane arrays, the two register files, the barrier masks), and re-taking
-// a pooled warp on a Machine relaunch allocates nothing.
+// a pooled warp in a retired arena allocates nothing.
 func TestFreshWarpAllocs(t *testing.T) {
 	const runs = 64
 	s, err := newSim(asm(t, AllocTestKernel), Config{Threads: (runs + 2) * ir.WarpWidth, Seed: 7})

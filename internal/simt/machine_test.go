@@ -98,8 +98,8 @@ func mergePlain(final []uint64, sms []*plainSM) (conflicts int64) {
 // boundaries and the partial last page, repeat within a thread, overlap
 // between SMs (with equal and unequal values) and are disjoint elsewhere;
 // within an SM one thread owns an address, so the outcome does not depend
-// on the warp schedule. One Machine per SM count runs three launches, so
-// pages come off the free list, sharded over as many workers as SMs. The
+// on the warp schedule. Each SM count runs three launches into one kept
+// arena, sharded over as many workers as SMs. The
 // order the merge visits SMs in shows in both compared results: the last
 // writer's value stays, and a conflict is counted against the value the
 // SM before left.
@@ -149,10 +149,7 @@ done:
 	var conflicts, launches int64
 	for sms := 1; sms <= 4; sms++ {
 		cfg := simt.Config{Grid: grid, CTASize: ctaSize, SMs: sms, Workers: sms, Memory: make([]uint64, memWords)}
-		machine, err := simt.NewMachine(mod, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		arena := new(simt.Arena)
 		for launch := 0; launch < 3; launch++ {
 			initial := make([]uint64, memWords)
 			for i := target; i < memWords; i++ {
@@ -219,7 +216,7 @@ done:
 			wantConflicts := mergePlain(want, models)
 
 			cfg.Memory = initial
-			res, err := machine.Run(cfg)
+			res, err := arena.Run(mod, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,12 +237,18 @@ done:
 	}
 }
 
-// TestMachineMatchesFreshRun pins the launch-arena contract: consecutive
-// Machine.Run launches with different seeds and memory images each
-// produce exactly the result — metrics, memory, shared segments, event
-// and sample streams — of a fresh simt.Run under the same config. One
-// flat Machine also changes its per-launch wave shape: InterleaveWarps
-// off, on, off under the greedy scheduler, then oldest-first.
+// TestMachineMatchesFreshRun pins what a Machine is: Run bound to its
+// module. Consecutive Machine.Run launches with different seeds and
+// memory images each produce exactly the result — metrics, memory,
+// shared segments, event and sample streams — of a simt.Run under the
+// same config; one flat Machine also changes its per-launch wave shape
+// (InterleaveWarps off, on, off under the greedy scheduler, then
+// oldest-first), and a Machine is bound to no launch shape: one changes
+// its CTA size, so its CTAs' shared segments hold other values. The
+// Result of each case's first launch is kept, and the launches after it
+// must leave it equal to a launch in new storage. The "profile" case
+// loops a memory-loaded trip count, so every launch has another
+// block-visit profile than the kept one.
 func TestMachineMatchesFreshRun(t *testing.T) {
 	cowMod, err := ir.Parse(cowTestKernel)
 	if err != nil {
@@ -255,9 +258,14 @@ func TestMachineMatchesFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loopMod, err := ir.Parse(loopKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	same := func(*simt.Config) {}
 	interleave := func(c *simt.Config) { c.InterleaveWarps = true }
 	oldest := func(c *simt.Config) { c.Sched = simt.SchedOldestFirst }
+	narrow := func(c *simt.Config) { c.CTASize = 32 }
 	thrice := []func(*simt.Config){same, same, same}
 	cases := []struct {
 		name     string
@@ -271,6 +279,8 @@ func TestMachineMatchesFreshRun(t *testing.T) {
 		{"grid-one-sm", cowMod, simt.Config{Grid: 8, CTASize: 64, SampleStride: 16}, thrice},
 		{"grid-shared", reduceMod, simt.Config{Grid: 4, CTASize: 48, SMs: 2, Memory: make([]uint64, 256)}, thrice},
 		{"grid-shared-stack", reduceMod, simt.Config{Grid: 4, CTASize: 48, SMs: 2, Memory: make([]uint64, 256), Model: simt.ModelStack}, thrice},
+		{"shared-reshaped", reduceMod, simt.Config{Grid: 4, CTASize: 48}, []func(*simt.Config){same, narrow, same}},
+		{"profile", loopMod, simt.Config{Grid: 2, CTASize: ir.WarpWidth, SMs: 2}, thrice},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -278,41 +288,71 @@ func TestMachineMatchesFreshRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var kept, keptWant *simt.Result
 			for launch, vary := range tc.launches {
 				cfg := tc.base
 				vary(&cfg)
 				cfg.Seed = uint64(100 + launch)
 				mem := make([]uint64, 256)
 				for i := range mem {
-					mem[i] = uint64(launch*1000 + i)
+					mem[i] = uint64((launch+1)*1000 + i)
 				}
 				cfg.Memory = mem
-				freshRes, freshEvents, freshSamples := captureRun(t, func(c simt.Config) (*simt.Result, error) {
+				runRes, runEvents, runSamples := captureRun(t, func(c simt.Config) (*simt.Result, error) {
 					return simt.Run(tc.mod, c)
 				}, cfg)
 				machRes, machEvents, machSamples := captureRun(t, machine.Run, cfg)
-				if !reflect.DeepEqual(machRes.Metrics, freshRes.Metrics) {
-					t.Errorf("launch %d: metrics diverge:\n  fresh:   %+v\n  machine: %+v",
-						launch, freshRes.Metrics, machRes.Metrics)
+				if launch == 0 {
+					kept = machRes
+					if keptWant, err = simt.RunFresh(tc.mod, cfg); err != nil {
+						t.Fatal(err)
+					}
+				} else if !reflect.DeepEqual(kept.Metrics, keptWant.Metrics) || !reflect.DeepEqual(kept.Memory, keptWant.Memory) ||
+					!reflect.DeepEqual(kept.Shared, keptWant.Shared) {
+					t.Errorf("launch %d rewrote the first launch's kept Result", launch)
 				}
-				if !reflect.DeepEqual(machRes.Memory, freshRes.Memory) {
-					t.Errorf("launch %d: final memory diverges from fresh run", launch)
+				if !reflect.DeepEqual(machRes.Metrics, runRes.Metrics) {
+					t.Errorf("launch %d: metrics diverge:\n  Run:     %+v\n  machine: %+v",
+						launch, runRes.Metrics, machRes.Metrics)
 				}
-				if !reflect.DeepEqual(machRes.Shared, freshRes.Shared) {
-					t.Errorf("launch %d: shared segments diverge from fresh run", launch)
+				if !reflect.DeepEqual(machRes.Memory, runRes.Memory) {
+					t.Errorf("launch %d: final memory diverges from Run", launch)
 				}
-				if !reflect.DeepEqual(machEvents, freshEvents) {
-					t.Errorf("launch %d: event streams diverge (%d fresh vs %d machine events)",
-						launch, len(freshEvents), len(machEvents))
+				if !reflect.DeepEqual(machRes.Shared, runRes.Shared) {
+					t.Errorf("launch %d: shared segments diverge from Run", launch)
 				}
-				if !reflect.DeepEqual(machSamples, freshSamples) {
-					t.Errorf("launch %d: sample streams diverge (%d fresh vs %d machine samples)",
-						launch, len(freshSamples), len(machSamples))
+				if !reflect.DeepEqual(machEvents, runEvents) {
+					t.Errorf("launch %d: event streams diverge (%d Run vs %d machine events)",
+						launch, len(runEvents), len(machEvents))
+				}
+				if !reflect.DeepEqual(machSamples, runSamples) {
+					t.Errorf("launch %d: sample streams diverge (%d Run vs %d machine samples)",
+						launch, len(runSamples), len(machSamples))
 				}
 			}
 		})
 	}
 }
+
+// loopKernel loops a memory-loaded trip count, so launches with
+// different memory images have different block-visit profiles.
+const loopKernel = `module looptest memwords=8
+func @k nregs=8 nfregs=0 {
+entry:
+  const r0, #0
+  ld r1, [r0]
+  const r2, #0
+  br loop
+loop:
+  setlt r3, r2, r1
+  cbr r3, body, done
+body:
+  add r2, r2, #1
+  br loop
+done:
+  exit
+}
+`
 
 // shapeKernel is a kernel whose register files, barrier count and shared
 // segment are its parameters. It reads its highest integer and float
@@ -527,118 +567,5 @@ func TestRunConcurrentModules(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
-	}
-}
-
-// TestMachineRejectsShapeChange pins Run's compatibility check: a
-// Machine refuses configs that change the launch shape it was built
-// for, instead of silently rebuilding its arena.
-func TestMachineRejectsShapeChange(t *testing.T) {
-	mod, err := ir.Parse(cowTestKernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	machine, err := simt.NewMachine(mod, simt.Config{Grid: 4, CTASize: 64, SMs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := []simt.Config{
-		{Grid: 8, CTASize: 64, SMs: 2},                               // grid size
-		{Grid: 4, CTASize: 32, SMs: 2},                               // CTA size
-		{Grid: 4, CTASize: 64, SMs: 4},                               // SM count
-		{Threads: 96},                                                // flat vs grid
-		{Grid: 4, CTASize: 64, SMs: 2, Memory: make([]uint64, 8192)}, // memory image size
-	}
-	for i, cfg := range bad {
-		if _, err := machine.Run(cfg); err == nil {
-			t.Errorf("config %d: shape-changing Run succeeded, want error", i)
-		}
-	}
-	// And the good shape still runs after the rejections.
-	if _, err := machine.Run(simt.Config{Grid: 4, CTASize: 64, SMs: 2, Seed: 5}); err != nil {
-		t.Errorf("shape-compatible Run failed after rejections: %v", err)
-	}
-}
-
-// isolationKernel loops a memory-loaded trip count, so two launches of
-// the same Machine with different Memory images produce different
-// block-visit profiles — which is what makes profile-map aliasing
-// between an escaped Result and the reused arena observable.
-const isolationKernel = `module isoltest memwords=8
-func @k nregs=8 nfregs=0 {
-entry:
-  const r0, #0
-  ld r1, [r0]
-  const r2, #0
-  br loop
-loop:
-  setlt r3, r2, r1
-  cbr r3, body, done
-body:
-  add r2, r2, #1
-  br loop
-done:
-  exit
-}
-`
-
-// TestMachineRelaunchResultIsolation pins the detach guard on the fork
-// path: a Result returned by one launch owns its profile maps, so a
-// later relaunch of the same Machine — whose arena resets the hot-path
-// accumulators in place and re-merges fresh counts — must not mutate
-// the escaped Result's block-visit profile or op-class breakdown, and
-// re-finalizing across launches must not double-count.
-func TestMachineRelaunchResultIsolation(t *testing.T) {
-	mod, err := ir.Parse(isolationKernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := mod.Funcs[0].BlockByName("body").Index
-	cfg := simt.Config{Grid: 2, CTASize: ir.WarpWidth, SMs: 2, Seed: 1}
-	cfg.Memory = []uint64{3}
-	m, err := simt.NewMachine(mod, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, err := m.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	visits1 := res1.Metrics.BlockVisits(0, body)
-	if visits1 == 0 {
-		t.Fatal("first launch recorded no body-block visits")
-	}
-	classes1 := make(map[string]int64, len(res1.Metrics.OpClassIssues))
-	for k, v := range res1.Metrics.OpClassIssues {
-		classes1[k] = v
-	}
-	// A relaunch with triple the trip count rewrites the arena's
-	// accumulators with different numbers.
-	cfg2 := cfg
-	cfg2.Memory = []uint64{9}
-	res2, err := m.Run(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Metrics.BlockVisits(0, body) == visits1 {
-		t.Fatal("second launch should visit the loop body a different number of times")
-	}
-	if got := res1.Metrics.BlockVisits(0, body); got != visits1 {
-		t.Errorf("relaunch mutated first result's block visits: %d -> %d", visits1, got)
-	}
-	if !reflect.DeepEqual(res1.Metrics.OpClassIssues, classes1) {
-		t.Errorf("relaunch mutated first result's op-class issues: %v -> %v",
-			classes1, res1.Metrics.OpClassIssues)
-	}
-	// A third launch identical to the first reports the identical
-	// profile — a double finalize anywhere on the reuse path would
-	// double the op-class counts.
-	res3, err := m.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res3.Metrics.OpClassIssues, classes1) {
-		t.Errorf("repeat launch op-class issues diverge: %v vs %v",
-			res3.Metrics.OpClassIssues, classes1)
 	}
 }

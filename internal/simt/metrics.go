@@ -145,11 +145,9 @@ func (m *Metrics) merge(o *Metrics) {
 // deep copies. Result.Metrics is a struct copy of the arena's live
 // accumulator; without detaching, its blockVisits table, its blkBase
 // (the decode table's) and (after finalize) OpClassIssues map stay
-// aliased to the arena, so a later Machine relaunch — which resets and
-// re-merges them in place — or a load into the retired arena, which
-// rebuilds the decode table in place, would silently rewrite the escaped
-// Result's profile. (A Machine's Result.Memory and Result.Shared stay
-// arena-aliased by documented contract, valid until the next Run.)
+// aliased to the arena, and the next load into the retired arena, which
+// rebuilds those tables in place, would silently rewrite the escaped
+// Result's profile.
 func (m *Metrics) detach() {
 	m.blockVisits = append([]int64(nil), m.blockVisits...)
 	m.blkBase = append([]int32(nil), m.blkBase...)
@@ -160,21 +158,6 @@ func (m *Metrics) detach() {
 		}
 		m.OpClassIssues = oci
 	}
-}
-
-// reset zeroes every counter while keeping the storage behind
-// blockVisits and OpClassIssues alive, so a reused launch arena records
-// a fresh run without reallocating the profile tables.
-func (m *Metrics) reset() {
-	bv, base := m.blockVisits, m.blkBase
-	oci := m.OpClassIssues
-	*m = Metrics{}
-	clear(bv)
-	m.blockVisits, m.blkBase = bv, base
-	for k := range oci {
-		delete(oci, k)
-	}
-	m.OpClassIssues = oci
 }
 
 // finalize materializes the exported views of the hot-path accumulators.

@@ -191,26 +191,23 @@ func TestSamplerFlatInterleave(t *testing.T) {
 	}
 }
 
-// TestSamplerMachineReuse: a Machine relaunch resets the sampler
-// window, so every launch yields the identical sample stream, and the
-// sampler can be turned off per launch.
+// TestSamplerMachineReuse: a relaunch into a kept arena starts a fresh
+// sampler window, so every launch yields the identical sample stream, and
+// the sampler can be turned off per launch.
 func TestSamplerMachineReuse(t *testing.T) {
 	mod, err := ir.Parse(reduceKernel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := simt.Config{Grid: 8, CTASize: 2 * ir.WarpWidth, SMs: 2, Seed: 7}
-	m, err := simt.NewMachine(mod, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := new(simt.Arena)
 	var first []simt.Sample
 	for launch := 0; launch < 3; launch++ {
 		var samples []simt.Sample
 		run := cfg
 		run.SampleStride = 16
 		run.Samples = simt.SampleSinkFunc(func(s simt.Sample) { samples = append(samples, s) })
-		if _, err := m.Run(run); err != nil {
+		if _, err := a.Run(mod, run); err != nil {
 			t.Fatal(err)
 		}
 		if launch == 0 {
@@ -225,11 +222,11 @@ func TestSamplerMachineReuse(t *testing.T) {
 				launch, len(samples), len(first))
 		}
 	}
-	// Sampler off on a later launch of the same machine: silence.
+	// Sampler off on a later launch into the same arena: silence.
 	var off []simt.Sample
 	run := cfg
 	run.Samples = simt.SampleSinkFunc(func(s simt.Sample) { off = append(off, s) })
-	if _, err := m.Run(run); err != nil {
+	if _, err := a.Run(mod, run); err != nil {
 		t.Fatal(err)
 	}
 	if len(off) != 0 {

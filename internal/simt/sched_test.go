@@ -223,24 +223,21 @@ e:
 }
 
 // TestSchedInitReusesArena: the scheduler's selection state is arena
-// scratch — once a Machine's first launch has sized it, making a wave
-// resident allocates nothing under any policy.
+// scratch — once a launch has sized it, making a wave of the retired
+// arena's warps resident allocates nothing under any policy.
 func TestSchedInitReusesArena(t *testing.T) {
 	m := asm(t, spinFlagKernel)
 	for _, sp := range SchedPolicies()[1:] {
 		cfg := Config{Grid: 4, CTASize: 64, Seed: 1, Sched: sp, SchedSeed: 9, MaxIssues: 1 << 16}
-		mc, err := NewMachine(m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mc.Run(cfg) // OBE starves the consumer; the arena is sized either way
-		sm := mc.s  // one SM: the launch runs on the root
+		a := new(Arena)
+		a.Run(m, cfg) // OBE starves the consumer; the arena is sized either way
+		sm := a.s     // one SM: the launch runs on the root
 		warps := sm.warpPool[:sm.poolWarp]
 		if len(warps) != 8 {
 			t.Fatalf("%v: %d warps in the arena, want 8", sp, len(warps))
 		}
 		if allocs := testing.AllocsPerRun(20, func() { sm.schedInit(warps) }); allocs != 0 {
-			t.Errorf("%v: schedInit on a reused machine allocates %.0f objects, want 0", sp, allocs)
+			t.Errorf("%v: schedInit on a retired arena allocates %.0f objects, want 0", sp, allocs)
 		}
 	}
 }
@@ -289,35 +286,32 @@ e:
 }
 
 // TestSchedMachineRelaunch: Sched, SchedSeed, StarveLimit and
-// WallBudget are per-launch inputs — one Machine replays the same
-// kernel under different policies with identical results to fresh runs.
+// WallBudget are per-launch inputs — one kept arena replays the same
+// kernel under different policies with results identical to fresh runs.
 func TestSchedMachineRelaunch(t *testing.T) {
 	m := asm(t, spinFlagKernel)
-	mc, err := NewMachine(m, Config{Threads: 64, Seed: 1, Strict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := new(Arena)
 	for _, sp := range []SchedPolicy{SchedOldestFirst, SchedRandom} {
 		cfg := Config{Threads: 64, Seed: 1, Sched: sp, SchedSeed: 9, Strict: true}
-		got, err := mc.Run(cfg)
+		got, err := a.Run(m, cfg)
 		if err != nil {
-			t.Fatalf("machine run under %v: %v", sp, err)
+			t.Fatalf("relaunch under %v: %v", sp, err)
 		}
-		want, err := Run(m, cfg)
+		want, err := RunFresh(m, cfg)
 		if err != nil {
 			t.Fatalf("fresh run under %v: %v", sp, err)
 		}
 		for i := range want.Memory {
 			if got.Memory[i] != want.Memory[i] {
-				t.Fatalf("%v: machine relaunch diverges from fresh run at word %d", sp, i)
+				t.Fatalf("%v: relaunch diverges from fresh run at word %d", sp, i)
 			}
 		}
 	}
 	// A starvation failure must not poison the arena for the next launch.
-	if _, err := mc.Run(Config{Threads: 64, Seed: 1, Sched: SchedLooseFair, StarveLimit: 2000, Strict: true}); err == nil {
+	if _, err := a.Run(m, Config{Threads: 64, Seed: 1, Sched: SchedLooseFair, StarveLimit: 2000, Strict: true}); err == nil {
 		t.Fatal("OBE relaunch unexpectedly survived")
 	}
-	if _, err := mc.Run(Config{Threads: 64, Seed: 1, Sched: SchedOldestFirst, Strict: true}); err != nil {
+	if _, err := a.Run(m, Config{Threads: 64, Seed: 1, Sched: SchedOldestFirst, Strict: true}); err != nil {
 		t.Fatalf("relaunch after starvation failure: %v", err)
 	}
 }

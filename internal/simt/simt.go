@@ -197,7 +197,8 @@ type Config struct {
 	// still cleared, so no later wait can release them. This models a
 	// hardware/runtime fault losing a release and exists to prove the
 	// deadlock detector and differential checker catch it. ModelITS
-	// only (the stack model has no barrier releases to skip).
+	// only: the stack model has no barrier releases to skip, and Run
+	// rejects it there.
 	SkipReleaseN int64
 	// Memory is the initial global memory image; it is copied, and the
 	// final memory is returned in Result.Memory. The image is as long as
@@ -397,29 +398,24 @@ type sim struct {
 	// in these pools as they are built; poolWarp/poolCTA are the cursors
 	// into them, and the CTAs that ran on this SM are ctaPool[:poolCTA].
 	// A new arena allocates through the pool (one append per object); a
-	// Machine relaunch or a load into a retired arena rewinds the cursors
-	// and takeWarp/newCTA hand back the existing objects reset in place,
-	// so steady-state launches allocate (almost) nothing.
+	// load into a retired arena starts the cursors from zero and
+	// takeWarp/newCTA hand back the existing objects reset in place, so
+	// steady-state launches allocate (almost) nothing.
 	warpPool []*warpState
 	ctaPool  []*ctaState
 	poolWarp int
 	poolCTA  int
-	// The launch's per-CTA shared segments, and runGrid's per-SM forks,
-	// merge scratch and (for Workers > 1 launches only) replay logs, are
-	// kept on the fields below, so a Machine's next launch resets them
-	// instead of reallocating (load starts them from zero).
-	sharedBuf  [][]uint64
-	smPool     []*sim
-	replay     []smReplay
-	writtenBuf []uint64
 }
 
-// normalizeConfig validates cfg against m and fills in every default
-// (kernel name, CTA size, SM and worker counts, derived thread count,
-// issue budget), returning the normalized config and the global-memory
-// image size in words. load and Machine.Run share it so a relaunch
-// config is normalized exactly like a fresh one.
+// normalizeConfig validates m and cfg and fills in every default (kernel
+// name, CTA size, SM and worker counts, derived thread count, issue
+// budget), returning the normalized config and the global-memory image
+// size in words. load and NewMachine share it, so a Machine accepts
+// exactly what Run does.
 func normalizeConfig(m *ir.Module, cfg Config) (Config, int, error) {
+	if err := ir.VerifyModule(m); err != nil {
+		return cfg, 0, fmt.Errorf("simt: module invalid: %w", err)
+	}
 	if cfg.Kernel == "" {
 		cfg.Kernel = m.Funcs[0].Name
 	}
@@ -482,6 +478,9 @@ func normalizeConfig(m *ir.Module, cfg Config) (Config, int, error) {
 	if cfg.SampleStride < 0 {
 		return cfg, 0, fmt.Errorf("simt: negative sample stride %d", cfg.SampleStride)
 	}
+	if cfg.SkipReleaseN > 0 && cfg.Model == ModelStack {
+		return cfg, 0, fmt.Errorf("simt: SkipReleaseN %d under ModelStack, which has no barrier releases to skip", cfg.SkipReleaseN)
+	}
 	// A negative cache geometry or cost cannot be built or priced with
 	// (zero selects the default), and a set's fill count holds maxCacheWays.
 	if c := cfg.Cache; min(c.Sets, c.Ways, c.LineWords, c.HitCost, c.MissCost, c.TxThroughput) < 0 {
@@ -493,11 +492,6 @@ func normalizeConfig(m *ir.Module, cfg Config) (Config, int, error) {
 	return cfg, max(m.MemWords, len(cfg.Memory)), nil
 }
 
-// newSim validates the module and configuration and builds the
-// launch-wide state in new storage. NewMachine drives it; tests construct
-// sims directly to step warps by hand.
-func newSim(m *ir.Module, cfg Config) (*sim, error) { return load(nil, m, cfg) }
-
 // load validates the module and configuration and builds the launch into
 // prev's storage — a retired launch arena — or, with prev nil, into new
 // storage. Everything derived from the module (the decode and block-visit
@@ -506,13 +500,11 @@ func newSim(m *ir.Module, cfg Config) (*sim, error) { return load(nil, m, cfg) }
 // slices grow in place, takeWarp and newCTA resize the pooled warps'
 // register files and barrier slabs and the pooled CTAs' shared segments,
 // the cache is kept (and emptied) when its configuration is unchanged,
-// and schedBuf is kept. Everything else — event scratch, afterIssue, SM forks,
-// replay logs, sharedBuf — starts from zero. The memory image is always
-// new: a Result owns the one it was handed.
+// the op-class map is kept (and emptied), and schedBuf is kept. Everything
+// else — counters, budgets, event scratch, afterIssue — starts from zero.
+// It is the one place that decides what an arena keeps. The memory image
+// is always new: a Result owns the one it was handed.
 func load(prev *sim, m *ir.Module, cfg Config) (*sim, error) {
-	if err := ir.VerifyModule(m); err != nil {
-		return nil, fmt.Errorf("simt: module invalid: %w", err)
-	}
 	cfg, memWords, err := normalizeConfig(m, cfg)
 	if err != nil {
 		return nil, err
@@ -523,7 +515,10 @@ func load(prev *sim, m *ir.Module, cfg Config) (*sim, error) {
 	}
 	if geom := cfg.Cache.withDefaults(); s.cache == nil || s.cache.cfg != geom {
 		s.cache = newCache(geom)
+	} else {
+		s.cache.reset()
 	}
+	clear(s.metrics.OpClassIssues)
 	*s = sim{
 		mod:         m,
 		cfg:         cfg,
@@ -540,7 +535,6 @@ func load(prev *sim, m *ir.Module, cfg Config) (*sim, error) {
 	s.build(m)
 	s.metrics.blockVisits = resize(s.metrics.blockVisits, len(s.blkPC))
 	s.metrics.blkBase = s.blkBase
-	s.rewind()
 	if cfg.Model == ModelStack {
 		s.ipdom = buildIpdom(m)
 	}
@@ -694,34 +688,35 @@ func Run(m *ir.Module, cfg Config) (*Result, error) {
 // retire hands the launch's Result the buffers it owns, so the next load
 // into s cannot touch them: the memory image and the CTAs' shared
 // segments (launch already detached the metrics). A multi-SM launch's
-// CTAs live on its SM forks, which load drops.
+// CTAs live on its SM forks, which are dropped with the launch.
 func (s *sim) retire() {
 	for _, c := range s.ctaPool[:s.poolCTA] {
 		c.shared = nil
 	}
-	s.mem, s.sharedBuf = nil, nil
+	s.mem = nil
 }
 
-// launch drives one launch over s's (fresh or arena-reset) state. Every
-// shape is the same sequence, launch → runSM → runWave: a launch on one
-// SM — every flat launch and every one-SM grid — runs SM 0 on s itself,
-// over its own memory image, and a multi-SM grid forks its SMs and merges
-// them (runGrid).
+// launch drives one launch over s's freshly loaded state. Every shape is
+// the same sequence, launch → runSM → runWave: a launch on one SM — every
+// flat launch and every one-SM grid — runs SM 0 on s itself, over its own
+// memory image, and a multi-SM grid forks its SMs and merges them
+// (runGrid). shared collects the CTAs' shared segments for the Result.
 func (s *sim) launch() (*Result, error) {
 	cfg := s.cfg
 	if cfg.WallBudget > 0 {
 		s.wallDeadline = time.Now().Add(cfg.WallBudget)
 	}
-	if s.mod.SharedWords > 0 && s.sharedBuf == nil {
-		s.sharedBuf = make([][]uint64, cfg.ctas())
+	var shared [][]uint64
+	if s.mod.SharedWords > 0 {
+		shared = make([][]uint64, cfg.ctas())
 	}
 	var err error
 	if cfg.SMs == 1 {
 		_, s.sampleSink = s.smSinks(0, nil)
-		err = s.runSM(s.sharedBuf)
+		err = s.runSM(shared)
 		s.metrics.TotalSMCycles = s.metrics.Cycles
 	} else {
-		err = s.runGrid()
+		err = s.runGrid(shared)
 	}
 	if err != nil {
 		return nil, err
@@ -731,41 +726,9 @@ func (s *sim) launch() (*Result, error) {
 	s.metrics.CTAs = cfg.ctas()
 	s.metrics.SMs = cfg.SMs
 	s.metrics.finalize()
-	res := &Result{Metrics: s.metrics, Memory: s.mem, Shared: s.sharedBuf}
+	res := &Result{Metrics: s.metrics, Memory: s.mem, Shared: shared}
 	res.Metrics.detach()
 	return res, nil
-}
-
-// resetForLaunch rewinds a Machine-owned sim to launch cfg: the memory
-// image is rebuilt from cfg.Memory, the cache, metrics and budgets are
-// cleared in place, and the arena cursors rewind so warp/CTA state is
-// reused instead of reallocated. cfg must already be normalized and
-// shape-compatible (Machine.Run checks).
-func (s *sim) resetForLaunch(cfg Config) {
-	s.cfg = cfg
-	n := copy(s.mem, cfg.Memory)
-	for i := n; i < len(s.mem); i++ {
-		s.mem[i] = 0
-	}
-	s.wallDeadline = time.Time{}
-	s.sampleSink = nil
-	s.rewind()
-}
-
-// rewind clears what one launch leaves on a machine — the cache, the
-// metrics, the budgets' and the sampler's counters — in place, and
-// rewinds the arena cursors. A Machine relaunch and a load share it.
-func (s *sim) rewind() {
-	s.cache.reset()
-	s.metrics.reset()
-	s.issues = 0
-	s.releases = 0
-	s.lastProgressCycle = 0
-	s.lastSampleCycle = 0
-	s.memStallAcc = 0
-	s.memStallSampled = 0
-	s.poolWarp = 0
-	s.poolCTA = 0
 }
 
 // tryStep issues at most one instruction of ws, the only way a warp

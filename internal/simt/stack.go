@@ -27,9 +27,9 @@ import (
 // where do they go": a stack warp is an ordinary warpState stepped by the
 // same tryStep, so it runs in every launch shape, under every warp
 // scheduler, with the sampler, the starvation monitor, sharded SMs and
-// Machine reuse. Sharing waves, its ctabar is the real CTA-wide barrier:
-// the top entry's lanes arrive and the warp stalls until the whole CTA
-// has. Below the top nothing can run, so a ctabar inside divergent code
+// recycled launch arenas. Sharing waves, its ctabar is the real CTA-wide
+// barrier: the top entry's lanes arrive and the warp stalls until the
+// whole CTA has. Below the top nothing can run, so a ctabar inside divergent code
 // can never collect the lanes parked under it — it deadlocks, as on
 // pre-Volta hardware, and is reported as a DeadlockError.
 //

@@ -238,7 +238,8 @@ done:
 
 // TestGroupTableIsTheScanSpecialCases pins the invalidating events that
 // workloads rarely reach: the SkipReleaseN fault, soft barriers,
-// warpsync, a ctabar released from another warp, and Machine relaunch.
+// warpsync, a ctabar released from another warp, and a relaunch into a
+// kept arena.
 func TestGroupTableIsTheScanSpecialCases(t *testing.T) {
 	parse := func(src string) *ir.Module { return parseKernel(t, src) }
 	barrier := parse(tableBarrierKernel)
@@ -293,21 +294,19 @@ done:
 	}
 	checkTable(t, "ctabar/flat", grid, simt.Config{Threads: 2 * ir.WarpWidth, Seed: 1, InterleaveWarps: true})
 
-	// Machine relaunch: pooled warps must come back stale, not with the
-	// previous launch's table. The sharded grid is held to the table scan
-	// alone (see checkTable), the serial one to the shadow too.
+	// Relaunch into a kept arena: pooled warps must come back stale, not
+	// with the previous launch's table. The sharded grid is held to the
+	// table scan alone (see checkTable), the serial one to the shadow too.
 	for _, cfg := range []simt.Config{
 		{Threads: 2 * ir.WarpWidth, Seed: 1, InterleaveWarps: true},
 		{Grid: 4, CTASize: 2 * ir.WarpWidth, SMs: 2, Workers: 2, Seed: 1},
 		{Grid: 4, CTASize: 2 * ir.WarpWidth, SMs: 2, Seed: 1},
 	} {
-		mc, tc, err := simt.NewTableCheckedMachine(grid, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := &simt.Arena{Check: &simt.TableCheck{}}
+		tc := a.Check
 		for launch := 0; launch < 3; launch++ {
 			cfg.Seed = uint64(launch + 1)
-			if _, err := mc.Run(tc.Attach(grid, cfg)); err != nil {
+			if _, err := a.Run(grid, cfg); err != nil {
 				t.Fatalf("relaunch %d: %v", launch, err)
 			}
 			if tc.Err != nil {
