@@ -79,7 +79,11 @@ func (r *Report) Errors() []Diagnostic { return Filter(r.Diags, SeverityError) }
 // diagnostics, and a module too malformed to analyze (no functions, no
 // blocks) yields an empty report. The input is not modified beyond
 // Reindex.
-func Analyze(m *ir.Module, opts Options) *Report { return NewFacts(m).Analyze(opts) }
+func Analyze(m *ir.Module, opts Options) *Report {
+	fa := NewFacts(m)
+	defer fa.Retire()
+	return fa.Analyze(opts)
+}
 
 // Analyze is the package-level Analyze over the record's module, reading
 // each function's CFG and divergence analysis from the record — the
@@ -133,7 +137,7 @@ func (fa *Facts) diags(opts Options, called map[string]bool, full bool) []Diagno
 		classOf = func(int) BarrierClass { return ClassUser }
 	}
 
-	out := Pairing(m, opts.ClassOf)
+	out := fa.pairing(opts.ClassOf)
 
 	for _, f := range m.Funcs {
 		if len(f.Blocks) == 0 {
@@ -151,21 +155,22 @@ func (fa *Facts) diags(opts Options, called map[string]bool, full bool) []Diagno
 				}
 			}
 			if !called[f.Name] {
-				out = append(out, uninitDiags(f, info)...)
+				out = append(out, uninitDiags(fa.Scratch(), f, info)...)
 			}
 		}
 
 		// One interpreter fixpoint per function serves the conflict
 		// phrasing and the wait notes.
-		st := Interp(f, info, div, nb, entryWaits, !called[f.Name])
-		out = append(out, exitPathDiags(f, info, nb, entryWaits, called, classOf, classed)...)
+		st := &fa.states
+		st.Interp(f, info, div, nb, entryWaits, !called[f.Name])
+		out = append(out, exitPathDiags(fa.Scratch(), f, info, nb, entryWaits, called, classOf, classed)...)
 		if classed {
 			out = append(out, rejoinDiags(f, info, classOf)...)
-			out = append(out, conflictDiags(f, info, st, classOf)...)
+			out = append(out, conflictDiags(fa.Scratch(), f, info, st, classOf)...)
 		}
 		if full {
 			out = append(out, waitNoteDiags(f, info, st)...)
-			out = append(out, deadJoinDiags(f, info, nb, entryWaits)...)
+			out = append(out, deadJoinDiags(fa.Scratch(), f, info, nb, entryWaits)...)
 		}
 	}
 
@@ -199,20 +204,32 @@ func calledFunctions(m *ir.Module) map[string]bool {
 // classOf may be nil; the lost-wait rule for compiler-minted barriers
 // needs it and is skipped otherwise.
 func Pairing(m *ir.Module, classOf func(int) BarrierClass) []Diagnostic {
+	fa := NewFacts(m)
+	defer fa.Retire()
+	return fa.pairing(classOf)
+}
+
+// barUse is what pairing gathers about one barrier register: whether a
+// join, a wait, and a wait or cancel name it, and its last join, which
+// SR1003 anchors at.
+type barUse struct {
+	joined, waited, cleared bool
+	join                    barPos
+}
+
+// barPos is an instruction that names barrier bar.
+type barPos struct {
+	fn, block string
+	idx, bar  int
+}
+
+// pairing is Pairing over the record's module, in its tables.
+func (fa *Facts) pairing(classOf func(int) BarrierClass) []Diagnostic {
+	m := fa.m
 	nb := dataflow.ModuleNumBarriers(m)
-	joins := make([]bool, nb)
-	waits := make([]bool, nb)
-	clears := make([]bool, nb) // wait or cancel
-	where := make([]string, nb)
-	// joinPos anchors SR1003 at the (last) join; waitPos collects every
-	// wait so SR1001 can anchor at the first one and carry delete edits
-	// for all of them.
-	type pos struct {
-		fn, block string
-		idx       int
-	}
-	joinPos := make([]pos, nb)
-	waitPos := make([][]pos, nb)
+	// waits lists every wait in module order: SR1001 anchors at a
+	// barrier's first and deletes them all.
+	uses, waits := cfg.Reuse(fa.uses, nb), fa.waits[:0]
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
@@ -220,31 +237,36 @@ func Pairing(m *ir.Module, classOf func(int) BarrierClass) []Diagnostic {
 				if !in.Op.IsBarrierOp() || in.Bar >= nb {
 					continue
 				}
+				u, at := &uses[in.Bar], barPos{f.Name, b.Name, i, in.Bar}
 				switch in.Op {
 				case ir.OpJoin:
-					joins[in.Bar] = true
-					where[in.Bar] = f.Name + "." + b.Name
-					joinPos[in.Bar] = pos{f.Name, b.Name, i}
+					u.joined, u.join = true, at
 				case ir.OpWait, ir.OpWaitN:
-					waits[in.Bar] = true
-					clears[in.Bar] = true
-					waitPos[in.Bar] = append(waitPos[in.Bar], pos{f.Name, b.Name, i})
+					u.waited, u.cleared = true, true
+					waits = append(waits, at)
 				case ir.OpCancel:
-					clears[in.Bar] = true
+					u.cleared = true
 				}
 			}
 		}
 	}
+	fa.uses, fa.waits = uses, waits
 	var out []Diagnostic
-	for bar := 0; bar < nb; bar++ {
-		if waits[bar] && !joins[bar] {
+	for bar, u := range uses {
+		if u.waited && !u.joined {
 			// No join exists module-wide, so each wait releases an empty
 			// cohort immediately — deleting the orphaned waits is a
 			// behavior-preserving repair (restoring the lost join would
 			// need the original reconvergence intent, which is gone).
-			first := waitPos[bar][0]
+			var first barPos
 			var edits []Edit
-			for _, wp := range waitPos[bar] {
+			for _, wp := range waits {
+				if wp.bar != bar {
+					continue
+				}
+				if edits == nil {
+					first = wp
+				}
 				edits = append(edits, Edit{Kind: EditDelete, Fn: wp.fn, Block: wp.block, Index: wp.idx})
 			}
 			out = append(out, Diagnostic{
@@ -255,21 +277,21 @@ func Pairing(m *ir.Module, classOf func(int) BarrierClass) []Diagnostic {
 				Edits: edits,
 			})
 		}
-		if classOf != nil && joins[bar] && !waits[bar] && classOf(bar) != ClassUser {
-			jp := joinPos[bar]
+		jp := u.join
+		if classOf != nil && u.joined && !u.waited && classOf(bar) != ClassUser {
 			out = append(out, Diagnostic{
 				Code: CodeLostWait, Severity: SeverityError,
 				Fn: jp.fn, Block: jp.block, Instr: jp.idx + 1,
-				Msg: fmt.Sprintf("%s barrier b%d is joined but never waited (lost WaitBarrier; joined at %s)", classOf(bar), bar, where[bar]),
+				Msg: fmt.Sprintf("%s barrier b%d is joined but never waited (lost WaitBarrier; joined at %s.%s)", classOf(bar), bar, jp.fn, jp.block),
 				// Deliberately no Edits: the sound position of the lost
 				// wait (the reconvergence point) cannot be reconstructed
 				// from the diagnostic, so SR1003 is unrepairable by design
 				// and the kernel falls back to PDOM.
 			})
 		}
-		if joins[bar] && !clears[bar] {
+		if u.joined && !u.cleared {
 			out = append(out, Diagnostic{
-				Code: CodeJoinedNeverCleared, Severity: SeverityWarning, Fn: m.Name, Block: where[bar],
+				Code: CodeJoinedNeverCleared, Severity: SeverityWarning, Fn: m.Name, Block: jp.fn + "." + jp.block,
 				Msg: fmt.Sprintf("b%d is joined but never waited or cancelled", bar),
 				Fix: fmt.Sprintf("wait on b%d at the reconvergence point, or cancel it where lanes leave", bar),
 			})
@@ -281,8 +303,8 @@ func Pairing(m *ir.Module, classOf func(int) BarrierClass) []Diagnostic {
 // uninitDiags reports registers that are live into the entry block:
 // some path reads them before any write. Called functions are exempt
 // (their low registers are parameters by convention).
-func uninitDiags(f *ir.Function, info *cfg.Info) []Diagnostic {
-	ints, floats := dataflow.RegLiveness(f, info)
+func uninitDiags(s *dataflow.Scratch, f *ir.Function, info *cfg.Info) []Diagnostic {
+	ints, floats := dataflow.RegLiveness(s, f, info)
 	entry := f.Entry().Index
 	var regs []string
 	ints.In(entry).ForEach(func(r int) {
@@ -306,9 +328,9 @@ func uninitDiags(f *ir.Function, info *cfg.Info) []Diagnostic {
 // terminator on some path — the equation-1 joined set (cancels as
 // clears, calls clearing callee entry waits) must be empty wherever a
 // lane can leave the kernel.
-func exitPathDiags(f *ir.Function, info *cfg.Info, nb int, entryWaits map[string][]int, called map[string]bool, classOf func(int) BarrierClass, classed bool) []Diagnostic {
+func exitPathDiags(s *dataflow.Scratch, f *ir.Function, info *cfg.Info, nb int, entryWaits map[string][]int, called map[string]bool, classOf func(int) BarrierClass, classed bool) []Diagnostic {
 	var out []Diagnostic
-	at := dataflow.JoinedAtWithCalls(f, info, nb, entryWaits)
+	at := dataflow.JoinedAtWithCalls(s, f, info, nb, entryWaits)
 	for _, b := range f.Blocks {
 		if !info.Reachable(b) || len(b.Instrs) == 0 {
 			continue
@@ -389,7 +411,7 @@ func rejoinDiags(f *ir.Function, info *cfg.Info, classOf func(int) BarrierClass)
 // blocked at its wait while still holding the other's barrier joined.
 // Interprocedural (ClassSpecCall) barriers are excluded, as in the
 // deconflict pass.
-func conflictDiags(f *ir.Function, info *cfg.Info, st *FuncStates, classOf func(int) BarrierClass) []Diagnostic {
+func conflictDiags(s *dataflow.Scratch, f *ir.Function, info *cfg.Info, st *FuncStates, classOf func(int) BarrierClass) []Diagnostic {
 	specBars := map[int]bool{}
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
@@ -405,7 +427,7 @@ func conflictDiags(f *ir.Function, info *cfg.Info, st *FuncStates, classOf func(
 	if len(specBars) == 0 {
 		return nil
 	}
-	conflicts := dataflow.FindConflicts(f, info, specBars)
+	conflicts := dataflow.FindConflicts(s, f, info, specBars)
 	if len(conflicts) == 0 {
 		return nil
 	}
@@ -485,16 +507,17 @@ func waitNoteDiags(f *ir.Function, info *cfg.Info, st *FuncStates) []Diagnostic 
 // deadJoinDiags emits the dead-join note: a join after which no path
 // releases the barrier — no wait, no cancel, no call whose callee entry
 // waits on it (dataflow.ReleasedAhead).
-func deadJoinDiags(f *ir.Function, info *cfg.Info, nb int, entryWaits map[string][]int) []Diagnostic {
-	res := dataflow.ReleasedAhead(f, info, nb, entryWaits)
+func deadJoinDiags(s *dataflow.Scratch, f *ir.Function, info *cfg.Info, nb int, entryWaits map[string][]int) []Diagnostic {
+	res := dataflow.ReleasedAhead(s, f, info, nb, entryWaits)
 
 	var out []Diagnostic
+	ahead := dataflow.NewBits(nb)
 	for _, b := range f.Blocks {
 		if !info.Reachable(b) {
 			continue
 		}
 		// ahead[i] = releases on some path strictly after instruction i.
-		ahead := res.Out(b.Index).Clone()
+		ahead.Copy(res.Out(b.Index))
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			if in.Op == ir.OpJoin && in.Bar < nb && !ahead.Has(in.Bar) {

@@ -35,7 +35,9 @@ const maxTrip = 64
 // Efficiency returns the static SIMT-efficiency estimate of every
 // kernel (function not called from anywhere) in m, in (0, 1].
 func Efficiency(m *ir.Module) map[string]float64 {
-	return efficiency(NewFacts(m), calledFunctions(m))
+	fa := NewFacts(m)
+	defer fa.Retire()
+	return efficiency(fa, calledFunctions(m))
 }
 
 // efficiency is Efficiency given the module's analysis record and

@@ -88,28 +88,28 @@ type FuncStates struct {
 	Div *divergence.Info
 
 	entryWaits map[string][]int
+	// slab holds the In and Out rows, then Interp's working row and
+	// ForEachInstr's, for the next Interp into fs to reclaim.
+	slab []BarState
 }
 
-// Interp runs the abstract interpretation of f to a fixed point.
-// entryWaits is the §4.4 callee summary (dataflow.CalleeEntryWaits);
-// isKernel marks functions whose entry is a thread entry point — called
-// functions instead inherit "possibly joined by the caller" seeds so
-// their entry waits are not mistaken for empty cohorts.
-func Interp(f *ir.Function, info *cfg.Info, div *divergence.Info, nb int, entryWaits map[string][]int, isKernel bool) *FuncStates {
-	fs := &FuncStates{
-		Fn:         f,
-		NB:         nb,
-		In:         make([][]BarState, len(f.Blocks)),
-		Out:        make([][]BarState, len(f.Blocks)),
-		Div:        div,
-		entryWaits: entryWaits,
+// Interp runs the abstract interpretation of f to a fixed point into
+// fs, rebuilding every row in fs's storage (the zero FuncStates has
+// none). entryWaits is the §4.4 callee summary
+// (dataflow.CalleeEntryWaits); isKernel marks functions whose entry is a
+// thread entry point — called functions instead inherit "possibly
+// joined by the caller" seeds so their entry waits are not mistaken for
+// empty cohorts.
+func (fs *FuncStates) Interp(f *ir.Function, info *cfg.Info, div *divergence.Info, nb int, entryWaits map[string][]int, isKernel bool) {
+	n := len(f.Blocks)
+	fs.Fn, fs.NB, fs.Div, fs.entryWaits = f, nb, div, entryWaits
+	fs.In, fs.Out, fs.slab = cfg.Reuse(fs.In, n), cfg.Reuse(fs.Out, n), cfg.Reuse(fs.slab, (2*n+2)*nb)
+	row := func(i int) []BarState { return fs.slab[i*nb : (i+1)*nb : (i+1)*nb] }
+	for i := range n {
+		fs.In[i], fs.Out[i] = row(i), row(n+i)
 	}
-	for i := range f.Blocks {
-		fs.In[i] = make([]BarState, nb)
-		fs.Out[i] = make([]BarState, nb)
-	}
-	if len(f.Blocks) == 0 {
-		return fs
+	if n == 0 {
+		return
 	}
 
 	seed := StateUnjoined
@@ -121,7 +121,7 @@ func Interp(f *ir.Function, info *cfg.Info, div *divergence.Info, nb int, entryW
 	// The per-block transfer overwrites a touched barrier's set with a
 	// constant, so in → out is monotone and the union merge drives the
 	// worklist to a fixed point.
-	cur := make([]BarState, nb)
+	cur := row(2 * n)
 	changed := true
 	for changed {
 		changed = false
@@ -155,7 +155,6 @@ func Interp(f *ir.Function, info *cfg.Info, div *divergence.Info, nb int, entryW
 			}
 		}
 	}
-	return fs
 }
 
 // apply is the abstract transfer function of one instruction.
@@ -188,7 +187,7 @@ func (fs *FuncStates) apply(st []BarState, in *ir.Instr) {
 // instruction of b, in order. The pre slice is reused between calls; fn
 // must not retain it.
 func (fs *FuncStates) ForEachInstr(b *ir.Block, fn func(i int, pre []BarState)) {
-	cur := make([]BarState, fs.NB)
+	cur := fs.slab[len(fs.slab)-fs.NB:]
 	copy(cur, fs.In[b.Index])
 	for i := range b.Instrs {
 		fn(i, cur)

@@ -42,6 +42,28 @@ type Info struct {
 	// blocks and succs are the graph New saw, for Valid: the block list,
 	// and every block's successors in order, each run closed by a nil.
 	blocks, succs []*ir.Block
+
+	// The slabs every table above is cut from, each kept as an empty
+	// view for the next New into this Info to reclaim: indices, block
+	// pointers, marks, and the loop records, block sets and bodies.
+	ints    []int
+	ptrs    []*ir.Block
+	marks   []bool
+	loops   []Loop
+	sets    []bool
+	members []*ir.Block
+}
+
+// Reuse returns s resized to n zero elements, in s's own storage when it
+// has the room. It never returns nil, so that a table rebuilt into kept
+// storage is reflect.DeepEqual to one built fresh.
+func Reuse[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // virtualExit is the pseudo block index used as the sink of the reversed
@@ -81,36 +103,51 @@ func (l *Loop) Preheader(info *Info) *ir.Block {
 	return pre
 }
 
-// New computes all analyses for f. The function must verify (in
-// particular Block.Index must be consistent). Every per-block table is
-// an index array cut from one slab per element type, and so is every
-// per-loop table, so the cost in allocations grows with neither the
-// block count nor the number of loops.
-func New(f *ir.Function) *Info {
+// New computes all analyses for f into the storage of into — an Info
+// built before, for any function, and retired since (Retire) — or, with
+// into nil, into new storage; every table is rebuilt, so the result does
+// not depend on what into held. The function must verify (in particular
+// Block.Index must be consistent). Every per-block table is an index
+// array cut from one slab per element type, and so is every per-loop
+// table, so the cost in allocations grows with neither the block count
+// nor the number of loops, and is nothing when into's slabs are large
+// enough.
+func New(f *ir.Function, into *Info) *Info {
+	info := into
+	if info == nil {
+		info = new(Info)
+	}
 	n := len(f.Blocks)
-	ints := make([]int, 5*n)
+	ints := Reuse(info.ints, 5*n)
 	cut := func() []int {
 		row := ints[:n:n]
 		ints = ints[n:]
 		return row
 	}
-	info := &Info{
-		Fn:     f,
-		Preds:  make([][]*ir.Block, n),
-		rpoNum: cut(),
-		idom:   cut(),
-		ipdom:  cut(),
-		loopOf: make([]*Loop, n),
-	}
+	info.ints = ints[:0]
+	info.Fn, info.Preds, info.loopOf = f, Reuse(info.Preds, n), Reuse(info.loopOf, n)
+	info.rpoNum, info.idom, info.ipdom = cut(), cut(), cut()
 	scratch := cut()
 	info.buildPreds(scratch)
-	visited := make([]bool, 2*n)
+	visited := Reuse(info.marks, 2*n)
+	info.marks = visited[:0]
 	info.buildRPO(visited[:n], scratch[:0])
 	info.buildDominators()
 	info.buildPostDominators(visited[n:], scratch[:0], cut())
 	clear(visited[:n])
 	info.buildLoops(visited[:n], scratch[:0])
 	return info
+}
+
+// Retire drops every pointer into the function's module from the Info
+// and its slabs, leaving storage for the next New into it.
+func (info *Info) Retire() {
+	clear(info.ptrs[:cap(info.ptrs)])
+	clear(info.Preds[:cap(info.Preds)])
+	clear(info.RPO[:cap(info.RPO)])
+	clear(info.loops[:cap(info.loops)])
+	clear(info.members[:cap(info.members)])
+	info.Fn = nil
 }
 
 // buildPreds fills Preds in the order a walk over every block's
@@ -125,7 +162,8 @@ func (info *Info) buildPreds(count []int) {
 			edges++
 		}
 	}
-	slab := make([]*ir.Block, 2*(n+edges))
+	slab := Reuse(info.ptrs, 2*(n+edges))
+	info.ptrs = slab[:0]
 	info.blocks, slab = slab[:n:n], slab[n:]
 	copy(info.blocks, f.Blocks)
 	info.succs, slab = slab[:0:n+edges], slab[n+edges:]
@@ -186,7 +224,7 @@ func (info *Info) postorder(b *ir.Block, reverse bool, visited []bool, order []i
 func (info *Info) buildRPO(visited []bool, post []int) {
 	f := info.Fn
 	post = info.postorder(f.Entry(), false, visited, post)
-	info.RPO = make([]*ir.Block, len(post))
+	info.RPO = Reuse(info.RPO, len(post))
 	for i := range info.rpoNum {
 		info.rpoNum[i] = -1
 	}
@@ -468,11 +506,8 @@ func (info *Info) buildLoops(isHeader []bool, stack []int) {
 			}
 		}
 	}
-	if nl == 0 {
-		return
-	}
-	loops, sets, members := make([]Loop, 0, nl), make([]bool, nl*n), nl
-	info.Loops = make([]*Loop, 0, nl)
+	loops, sets, members := Reuse(info.loops, nl)[:0], Reuse(info.sets, nl*n), nl
+	info.loops, info.sets, info.Loops = loops, sets[:0], Reuse(info.Loops, nl)[:0]
 	for _, b := range info.RPO {
 		for _, s := range b.Succs {
 			if !backEdge(b, s) {
@@ -506,7 +541,8 @@ func (info *Info) buildLoops(isHeader []bool, stack []int) {
 			}
 		}
 	}
-	slab := make([]*ir.Block, 0, members)
+	slab := Reuse(info.members, members)[:0]
+	info.members = slab
 	for _, l := range info.Loops {
 		start := len(slab)
 		for idx, in := range l.blockSet {

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"reflect"
 	"testing"
 
 	"specrecon/internal/ir"
@@ -98,7 +99,7 @@ func brutePostDominates(f *ir.Function, a, b *ir.Block) bool {
 func TestDominatorsDiamond(t *testing.T) {
 	// 0 -> 1,2 -> 3
 	f := mkFunc(t, [][]int{{1, 2}, {3}, {3}, {}})
-	info := New(f)
+	info := New(f, nil)
 	if info.Idom(f.Blocks[3]) != f.Blocks[0] {
 		t.Errorf("idom(merge) = %v, want entry", info.Idom(f.Blocks[3]))
 	}
@@ -119,7 +120,7 @@ func TestDominatorsDiamond(t *testing.T) {
 func TestLoopDetection(t *testing.T) {
 	// 0 -> 1 (preheader) -> 2 (header) -> 3 (body) -> 2; 2 -> 4 (exit)
 	f := mkFunc(t, [][]int{{1}, {2}, {3, 4}, {2}, {}})
-	info := New(f)
+	info := New(f, nil)
 	if len(info.Loops) != 1 {
 		t.Fatalf("want 1 loop, got %d", len(info.Loops))
 	}
@@ -142,7 +143,7 @@ func TestNestedLoops(t *testing.T) {
 	// 0 -> 1(outer hdr) -> 2(inner pre) -> 3(inner hdr) -> 4(inner body) -> 3
 	// 3 -> 5(outer latch) -> 1 ; 1 -> 6(exit)
 	f := mkFunc(t, [][]int{{1}, {2, 6}, {3}, {4, 5}, {3}, {1}, {}})
-	info := New(f)
+	info := New(f, nil)
 	if len(info.Loops) != 2 {
 		t.Fatalf("want 2 loops, got %d", len(info.Loops))
 	}
@@ -207,7 +208,7 @@ func TestDominatorsAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 4 + r.Intn(10)
 		f := mkFunc(t, randomCFG(r, n))
-		info := New(f)
+		info := New(f, nil)
 		for _, a := range f.Blocks {
 			for _, b := range f.Blocks {
 				if !info.Reachable(a) || !info.Reachable(b) {
@@ -269,7 +270,7 @@ func TestIpdomIsNearest(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + r.Intn(8)
 		f := mkFunc(t, randomCFG(r, n))
-		info := New(f)
+		info := New(f, nil)
 		for _, b := range f.Blocks {
 			if !info.Reachable(b) || !canReachExit(f, b) {
 				continue
@@ -299,7 +300,7 @@ func TestIpdomIsNearest(t *testing.T) {
 
 func TestReachability(t *testing.T) {
 	f := mkFunc(t, [][]int{{1, 2}, {3}, {3}, {}})
-	info := New(f)
+	info := New(f, nil)
 	from := ReachableFrom(f, f.Blocks[1])
 	if !from[1] || !from[3] || from[0] || from[2] {
 		t.Errorf("ReachableFrom(b1) = %v", from)
@@ -313,7 +314,7 @@ func TestReachability(t *testing.T) {
 func TestCommonPostDominator(t *testing.T) {
 	// diamond into a tail: 0 -> 1,2 -> 3 -> 4
 	f := mkFunc(t, [][]int{{1, 2}, {3}, {3}, {4}, {}})
-	info := New(f)
+	info := New(f, nil)
 	got := info.CommonPostDominator([]*ir.Block{f.Blocks[1], f.Blocks[2]})
 	if got != f.Blocks[3] {
 		t.Errorf("CommonPostDominator = %v, want b03", got)
@@ -321,5 +322,44 @@ func TestCommonPostDominator(t *testing.T) {
 	got = info.CommonPostDominator([]*ir.Block{f.Blocks[0], f.Blocks[3]})
 	if got != f.Blocks[3] {
 		t.Errorf("CommonPostDominator(entry, b3) = %v, want b03", got)
+	}
+}
+
+// TestNewIntoRetiredIsNew builds random graphs of 2 to 40 blocks, each
+// into the storage of the Info retired from the one before, and holds
+// every rebuild to New into new storage field by field
+// (reflect.DeepEqual walks the unexported tables and the loop forest
+// too). Retire must leave no block of the graph in the storage it
+// keeps.
+func TestNewIntoRetiredIsNew(t *testing.T) {
+	r := rng.New(7)
+	var kept *Info
+	for trial := 0; trial < 200; trial++ {
+		f := mkFunc(t, randomCFG(r, 2+r.Intn(39)))
+		kept = New(f, kept)
+		if fresh := New(f, nil); !reflect.DeepEqual(kept, fresh) {
+			t.Fatalf("trial %d: rebuilt into retired storage, the analyses of\n%s differ from a new build", trial, ir.PrintFunction(f))
+		}
+		kept.Retire()
+		for _, blocks := range [][]*ir.Block{kept.ptrs, kept.RPO, kept.members} {
+			for _, b := range blocks[:cap(blocks)] {
+				if b != nil {
+					t.Fatalf("trial %d: a retired Info still holds block %s", trial, b.Name)
+				}
+			}
+		}
+		for _, preds := range kept.Preds[:cap(kept.Preds)] {
+			if preds != nil {
+				t.Fatalf("trial %d: a retired Info still holds a predecessor list", trial)
+			}
+		}
+		for _, l := range kept.loops[:cap(kept.loops)] {
+			if l.Header != nil || l.Blocks != nil {
+				t.Fatalf("trial %d: a retired Info still holds loop %s", trial, l.Header.Name)
+			}
+		}
+		if kept.Fn != nil {
+			t.Fatalf("trial %d: a retired Info still holds its function", trial)
+		}
 	}
 }

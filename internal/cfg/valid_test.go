@@ -90,7 +90,7 @@ func TestLoopsMatchReference(t *testing.T) {
 	withLoops := 0
 	for trial := 0; trial < 400; trial++ {
 		f := mkFunc(t, randomCFG(r, 3+r.Intn(14)))
-		info := New(f)
+		info := New(f, nil)
 		loops, loopOf := loopsByBackEdge(info)
 		if len(loops) > 0 {
 			withLoops++
@@ -128,7 +128,7 @@ func TestValidSeesEveryGraphEdit(t *testing.T) {
 	build := func() (*ir.Function, *Info) {
 		// 0 -> 1,2; 1 -> 3; 2 -> 3,4; 3 -> 1,4; 4 exit
 		f := mkFunc(t, [][]int{{1, 2}, {3}, {3, 4}, {1, 4}, {}})
-		return f, New(f)
+		return f, New(f, nil)
 	}
 	f, info := build()
 	if !info.Valid() {

@@ -82,7 +82,7 @@ func (c *PassContext) allocateBarriers() error {
 	}
 
 	for _, f := range c.Mod.Funcs {
-		intervals, fp := dataflow.JoinedIntervals(f, c.facts.CFG(f))
+		intervals, fp := dataflow.JoinedIntervals(c.facts.Scratch(), f, c.facts.CFG(f))
 
 		// Union point sets per barrier for interference within f.
 		ranges := make(map[int]dataflow.Bits)

@@ -130,6 +130,7 @@ func DefaultAutoDetectOptions() AutoDetectOptions {
 func DetectOpportunities(m *ir.Module, opts AutoDetectOptions) []Candidate {
 	var out []Candidate
 	facts := analyze.NewFacts(m)
+	defer facts.Retire()
 	for _, f := range m.Funcs {
 		out = append(out, detectInFunction(facts, f, opts)...)
 	}

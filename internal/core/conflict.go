@@ -72,7 +72,7 @@ func (c *PassContext) deconflict(f *ir.Function, waits []specWait, mode Deconfli
 	// FindConflicts returns the pairs sorted: ConflictPair and remark
 	// order, and the identity of "the Nth conflict" under fault
 	// injection, depend on it.
-	for _, pair := range dataflow.FindConflicts(f, c.facts.CFG(f), specBars) {
+	for _, pair := range dataflow.FindConflicts(c.facts.Scratch(), f, c.facts.CFG(f), specBars) {
 		spec, other := pair[0], pair[1]
 		sw := waitOf[spec]
 		if sw.waitBlock == nil {

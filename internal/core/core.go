@@ -249,6 +249,14 @@ func CompilePipeline(m *ir.Module, opts Options, pipe *Pipeline) (*Compilation, 
 // compilePipeline is CompilePipeline; fullReport has the barrier-safety
 // pass keep the analyzer's full report instead of its error view.
 func compilePipeline(m *ir.Module, opts Options, pipe *Pipeline, fullReport bool) (*Compilation, error) {
+	facts := analyze.NewFacts(nil)
+	defer facts.Retire()
+	return compileIn(facts, m, opts, pipe, fullReport)
+}
+
+// compileIn is compilePipeline with facts, reset for the clone, as its
+// analysis record.
+func compileIn(facts *analyze.Facts, m *ir.Module, opts Options, pipe *Pipeline, fullReport bool) (*Compilation, error) {
 	start := time.Now()
 	if t := opts.ThresholdOverride; t < -1 || t > ir.WarpWidth {
 		return nil, fmt.Errorf("core: options: ThresholdOverride %d outside [-1,%d]", t, ir.WarpWidth)
@@ -259,7 +267,8 @@ func compilePipeline(m *ir.Module, opts Options, pipe *Pipeline, fullReport bool
 		}
 	}
 	mod := m.Clone()
-	c := &PassContext{Mod: mod, Opts: opts, facts: analyze.NewFacts(mod), fullReport: fullReport}
+	facts.Reset(mod)
+	c := &PassContext{Mod: mod, Opts: opts, facts: facts, fullReport: fullReport}
 	c.result = &Compilation{
 		Module:            mod,
 		Options:           opts,

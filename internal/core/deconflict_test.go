@@ -158,7 +158,7 @@ func TestJoinedRangeGapAtWait(t *testing.T) {
 	b0 := barriersByKind(comp, KindSpec)[0]
 	f.Reindex()
 	info := cfgNew(t, f)
-	intervals, fp := dataflow.JoinedIntervals(f, info)
+	intervals, fp := dataflow.JoinedIntervals(new(dataflow.Scratch), f, info)
 
 	// Union the spec barrier's intervals.
 	var pts []bool = make([]bool, fp.Total)

@@ -13,6 +13,7 @@ import (
 	"specrecon/internal/analyze"
 	"specrecon/internal/cfg"
 	"specrecon/internal/corpus"
+	"specrecon/internal/dataflow"
 	"specrecon/internal/divergence"
 	"specrecon/internal/ir"
 	"specrecon/internal/repair"
@@ -48,7 +49,7 @@ func (s *shadow) pass() Pass {
 				s.kept++
 			}
 			s.seen[f] = info
-			fresh := cfg.New(f)
+			fresh := cfg.New(f, nil)
 			if !reflect.DeepEqual(info, fresh) {
 				return &staleFacts{fmt.Sprintf("after %s: cfg.Info of %s differs from a rebuild", c.lastPass(), f.Name)}
 			}
@@ -268,25 +269,62 @@ func TestShadowCatchesPlantedFaults(t *testing.T) {
 	if before.Valid() {
 		t.Error("the Info read before the planted edge still claims to be Valid")
 	}
-	if reflect.DeepEqual(before, cfg.New(comp.Module.Funcs[0])) {
+	if reflect.DeepEqual(before, cfg.New(comp.Module.Funcs[0], nil)) {
 		t.Error("the Info read before the planted edge equals a rebuild: the planted edge changed nothing")
 	}
 }
 
 // TestCompilationCannotReachTheRecord walks every type reachable from
-// core.Compilation and finds no analysis record, no CFG or divergence
-// analysis and no pass context: a Compilation is what callers keep (and
-// what ccache retains for the life of the cache), so anything it could
-// reach would live as long.
+// what a compile or a record taker returns — core.Compilation and
+// SafeCompilation, analyze.Report, repair.Report and core.Candidate —
+// and finds no analysis record, none of the storage a record recycles
+// and no pass context. Those are what callers keep (ccache retains
+// Compilations for the life of the cache), so anything they could reach
+// would live as long, and a record would be rebuilt under them by the
+// next compile that took it from the pool. The storage banned is every
+// type of an analysis package that a record holds — found by walking
+// analyze.Facts itself, so a new storage type is banned as it is added —
+// and the scratch results the dataflow analyses cut from it.
 func TestCompilationCannotReachTheRecord(t *testing.T) {
 	banned := map[reflect.Type]bool{
-		reflect.TypeOf(analyze.Facts{}):   true,
-		reflect.TypeOf(cfg.Info{}):        true,
-		reflect.TypeOf(cfg.Loop{}):        true,
-		reflect.TypeOf(divergence.Info{}): true,
-		reflect.TypeOf(PassContext{}):     true,
-		reflect.TypeOf(Pipeline{}):        true,
+		reflect.TypeOf(analyze.Facts{}):       true,
+		reflect.TypeOf(analyze.FuncStates{}):  true,
+		reflect.TypeOf(cfg.Info{}):            true,
+		reflect.TypeOf(cfg.Loop{}):            true,
+		reflect.TypeOf(divergence.Info{}):     true,
+		reflect.TypeOf(dataflow.Scratch{}):    true,
+		reflect.TypeOf(dataflow.Result{}):     true,
+		reflect.TypeOf(dataflow.PointSets{}):  true,
+		reflect.TypeOf(dataflow.FuncPoints{}): true,
+		reflect.TypeOf(dataflow.Interval{}):   true,
+		reflect.TypeOf(dataflow.Bits{}):       true,
+		reflect.TypeOf(PassContext{}):         true,
+		reflect.TypeOf(Pipeline{}):            true,
 	}
+	held := map[reflect.Type]bool{}
+	var hold func(typ reflect.Type)
+	hold = func(typ reflect.Type) {
+		if held[typ] {
+			return
+		}
+		held[typ] = true
+		if pkg := typ.PkgPath(); typ.Name() != "" && strings.HasPrefix(pkg, "specrecon/internal/") && pkg != "specrecon/internal/ir" {
+			banned[typ] = true
+		}
+		switch typ.Kind() {
+		case reflect.Ptr, reflect.Slice, reflect.Array:
+			hold(typ.Elem())
+		case reflect.Map:
+			hold(typ.Key())
+			hold(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				hold(typ.Field(i).Type)
+			}
+		}
+	}
+	hold(reflect.TypeOf(analyze.Facts{}))
+
 	seen := map[reflect.Type]bool{}
 	var walk func(typ reflect.Type, path string)
 	walk = func(typ reflect.Type, path string) {
@@ -314,10 +352,18 @@ func TestCompilationCannotReachTheRecord(t *testing.T) {
 			}
 		}
 	}
-	walk(reflect.TypeOf(Compilation{}), "Compilation")
-	walk(reflect.TypeOf(SafeCompilation{}), "SafeCompilation")
-	if !seen[reflect.TypeOf(ir.Block{})] || !seen[reflect.TypeOf(repair.Report{})] {
-		t.Error("the walk did not get as far as ir.Block and repair.Report")
+	for _, out := range []any{Compilation{}, SafeCompilation{}, analyze.Report{}, repair.Report{}, Candidate{}} {
+		walk(reflect.TypeOf(out), reflect.TypeOf(out).String())
+	}
+	if !seen[reflect.TypeOf(ir.Block{})] || !seen[reflect.TypeOf(analyze.Diagnostic{})] {
+		t.Error("the walk did not get as far as ir.Block and analyze.Diagnostic")
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(cfg.Loop{}), reflect.TypeOf(divergence.Info{}), reflect.TypeOf(dataflow.Interval{}), reflect.TypeOf(analyze.FuncStates{}),
+	} {
+		if !held[typ] {
+			t.Errorf("the walk over analyze.Facts did not find %s, which a record holds", typ)
+		}
 	}
 }
 
@@ -351,6 +397,164 @@ func TestOneAnalysisSiteInSource(t *testing.T) {
 	for what, want := range map[string]int{`\bcfg\.New\(`: 1, `\bdivergence\.Analyze\(`: 0, `\bdivergence\.AnalyzeWith\(`: 1} {
 		if n := len(regexp.MustCompile(what).FindAllString(code.String(), -1)); n != want {
 			t.Errorf("%d matches of %s in internal/core, internal/analyze and internal/repair, want %d", n, what, want)
+		}
+	}
+}
+
+// recordView prints what a compile returns that its analysis record
+// fed: the module, the barriers, conflicts and assignment, the remarks,
+// the diagnostics, the repair report and the pass statistics without
+// their wall times — or the error.
+func recordView(c *Compilation, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	var b strings.Builder
+	b.WriteString(ir.Print(c.Module))
+	for _, bi := range c.Barriers {
+		fn := ""
+		if bi.Fn != nil {
+			fn = bi.Fn.Name
+		}
+		fmt.Fprintf(&b, "barrier b%d %s %s %s\n", bi.ID, bi.Kind, fn, bi.Callee)
+	}
+	for _, cp := range c.Conflicts {
+		fmt.Fprintf(&b, "conflict %s b%d b%d\n", cp.Fn.Name, cp.A, cp.B)
+	}
+	fmt.Fprintf(&b, "assignment %v\n", c.BarrierAssignment)
+	for _, r := range c.Remarks {
+		fmt.Fprintf(&b, "remark %+v\n", r)
+	}
+	for _, d := range c.Diagnostics {
+		fmt.Fprintf(&b, "diagnostic %+v\n", d)
+	}
+	if c.RepairReport != nil {
+		fmt.Fprintf(&b, "repair %+v\n", *c.RepairReport)
+	}
+	for _, ps := range c.PassStats {
+		ps.Wall = 0
+		fmt.Fprintf(&b, "stat %+v\n", ps)
+	}
+	return b.String()
+}
+
+// calleeRootKernel branches on what a call returns: its branch is
+// divergent only because @lane_of is one of the module's callee roots.
+const calleeRootKernel = `module calleeroot memwords=8
+func @k nregs=3 nfregs=0 {
+e:
+  call @lane_of
+  cbr r0, a, z
+a:
+  add r1, r0, #1
+  br z
+z:
+  exit
+}
+func @lane_of nregs=1 nfregs=0 {
+x:
+  tid r0
+  ret
+}
+`
+
+// uniformKernel branches on a register that is uniform wherever it is
+// written, and it is written in every block of a chain: a block
+// wrongly marked divergent there makes the branch divergent.
+const uniformKernel = `module uniform memwords=8
+func @k nregs=3 nfregs=0 {
+e:
+  tid r0
+  br b1
+b1:
+  const r1, #1
+  br b2
+b2:
+  const r1, #2
+  br b3
+b3:
+  const r1, #3
+  br b4
+b4:
+  const r1, #4
+  br b5
+b5:
+  const r1, #5
+  br b6
+b6:
+  const r1, #6
+  cbr r1, d, z
+d:
+  add r2, r1, #1
+  br z
+z:
+  exit
+}
+`
+
+// TestRecycledRecordMatchesFresh holds the recycling of analysis
+// records to the rule that a retired record is a new one with dirty
+// storage: every kernel of the record's tests, one whose divergence
+// runs through a call and one with no divergence at all, under every
+// variant, verified and repaired, compiled into a record whose last
+// compile was of a larger, unrelated module, returns what a compile
+// into an empty record returns. A Compilation kept from an early
+// compile still prints as its fresh twin after every later compile has
+// rebuilt its record's storage.
+func TestRecycledRecordMatchesFresh(t *testing.T) {
+	kernels := recordKernels()
+	for _, src := range []string{calleeRootKernel, uniformKernel} {
+		m, err := ir.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels = append(kernels, recordKernel{name: m.Name, mod: m, variants: []Options{BaselineOptions()}})
+	}
+	big := kernels[0].mod
+	for _, k := range kernels {
+		if k.mod.NumInstrs() > big.NumInstrs() {
+			big = k.mod
+		}
+	}
+	// The verifying pipeline runs the analyzer's error view, and the
+	// repairing one with the analyze pass the full report: between them
+	// every pass and every check.
+	pipes := func(opts Options) []*Pipeline {
+		return []*Pipeline{SafePipelineFor(opts), pipelineWith(opts, "repair", "analyze")}
+	}
+	bigOpts := SpecReconOptions()
+	bigPipe := pipes(bigOpts)[1]
+
+	type kept struct {
+		comp *Compilation
+		want string
+	}
+	var keep []kept
+	var recycled analyze.Facts
+	n := 0
+	for _, k := range kernels {
+		for _, opts := range k.variants {
+			for _, p := range pipes(opts) {
+				want := recordView(compileInto(new(analyze.Facts), k.mod, opts, p))
+				if _, err := compileInto(&recycled, big, bigOpts, bigPipe); err != nil {
+					t.Fatalf("the larger module: %v", err)
+				}
+				comp, err := compileInto(&recycled, k.mod, opts, p)
+				if got := recordView(comp, err); got != want {
+					t.Fatalf("%s under %q: a compile into a recycled record differs from one into an empty record:\n%s\nwant:\n%s", k.name, p.Spec(), got, want)
+				}
+				if n++; err == nil && n%97 == 0 {
+					keep = append(keep, kept{comp, want})
+				}
+			}
+		}
+	}
+	if len(keep) < 10 {
+		t.Fatalf("kept %d compilations of %d, want at least 10", len(keep), n)
+	}
+	for _, c := range keep {
+		if got := recordView(c.comp, nil); got != c.want {
+			t.Fatalf("a kept Compilation changed after later compiles recycled its record:\n%s\nwant:\n%s", got, c.want)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 func cfgNew(t *testing.T, f *ir.Function) *cfg.Info {
 	t.Helper()
-	return cfg.New(f)
+	return cfg.New(f, nil)
 }
 
 // findBarrierOps returns (blockName, instrIndex) pairs of all operations

@@ -175,7 +175,7 @@ func TestLintBarriersDirectOnConflictingRanges(t *testing.T) {
 	m := buildConflictingRanges(t)
 	// Sanity: the module really holds a non-inclusive overlap.
 	f := m.Funcs[0]
-	conflicts := dataflow.FindConflicts(f, cfg.New(f), map[int]bool{0: true})
+	conflicts := dataflow.FindConflicts(new(dataflow.Scratch), f, cfg.New(f, nil), map[int]bool{0: true})
 	if len(conflicts) == 0 {
 		t.Fatal("hand-built module should have b0 conflicting with b1")
 	}

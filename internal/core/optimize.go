@@ -249,7 +249,9 @@ func tryFold(in *ir.Instr, consts map[ir.Reg]int64, fconsts map[ir.Reg]float64) 
 // sources with no destination effect beyond the register (rand advances
 // per-thread RNG state, so it is NOT pure) and terminators are preserved.
 func eliminateDeadCode(f *ir.Function) int {
-	ints, floats := dataflow.RegLiveness(f, analyze.NewFacts(nil).CFG(f))
+	facts := analyze.NewFacts(nil)
+	defer facts.Retire()
+	ints, floats := dataflow.RegLiveness(facts.Scratch(), f, facts.CFG(f))
 
 	removed := 0
 	for _, b := range f.Blocks {

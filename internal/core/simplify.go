@@ -64,7 +64,9 @@ func simplifyOnce(f *ir.Function) int {
 		}
 	}
 
-	info := analyze.NewFacts(nil).CFG(f)
+	facts := analyze.NewFacts(nil)
+	defer facts.Retire()
+	info := facts.CFG(f)
 
 	// Empty-block skip: retarget edges around blocks that are just
 	// `br X`.

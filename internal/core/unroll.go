@@ -63,7 +63,9 @@ func UnrollLoop(m *ir.Module, fnName, headerName string, factor int) ([]string, 
 	if f == nil {
 		return nil, fmt.Errorf("core: unroll: function %q missing", fnName)
 	}
-	info := analyze.NewFacts(nil).CFG(f)
+	facts := analyze.NewFacts(nil)
+	defer facts.Retire()
+	info := facts.CFG(f)
 	header := f.BlockByName(headerName)
 	if header == nil {
 		return nil, fmt.Errorf("core: unroll: block %q missing", headerName)

@@ -25,8 +25,8 @@ func NumBarriers(f *ir.Function) int {
 // which matters when the analysis is re-run for conflict detection, where
 // a live range "extends from the moment threads join the barrier until
 // the barrier is cleared either by waiting or exiting threads".
-func JoinedBarriers(f *ir.Function, info *cfg.Info, includeCancels bool) *Result {
-	return Solve(f, info, joinedProblem(NumBarriers(f), includeCancels))
+func JoinedBarriers(s *Scratch, f *ir.Function, info *cfg.Info, includeCancels bool) Result {
+	return Solve(s, f, info, joinedProblem(NumBarriers(f), includeCancels))
 }
 
 func joinedProblem(nb int, includeCancels bool) Problem {
@@ -50,8 +50,8 @@ func joinedProblem(nb int, includeCancels bool) Problem {
 // analysis where WaitBarrier generates liveness and JoinBarrier kills it.
 // A barrier is live at P if a WaitBarrier lies on some path from P to the
 // end of the program.
-func LiveBarriers(f *ir.Function, info *cfg.Info) *Result {
-	return Solve(f, info, liveProblem(NumBarriers(f)))
+func LiveBarriers(s *Scratch, f *ir.Function, info *cfg.Info) Result {
+	return Solve(s, f, info, liveProblem(NumBarriers(f)))
 }
 
 func liveProblem(nb int) Problem {
@@ -73,8 +73,8 @@ func liveProblem(nb int) Problem {
 
 // JoinedAt refines a JoinedBarriers result to instruction granularity:
 // the joined set *before* each instruction.
-func JoinedAt(f *ir.Function, res *Result, includeCancels bool) *PointSets {
-	return refine(f, res, func(set Bits, in *ir.Instr) {
+func JoinedAt(s *Scratch, f *ir.Function, res Result, includeCancels bool) PointSets {
+	return refine(s, f, res, func(set Bits, in *ir.Instr) {
 		switch in.Op {
 		case ir.OpJoin:
 			set.Set(in.Bar)
@@ -91,7 +91,7 @@ func JoinedAt(f *ir.Function, res *Result, includeCancels bool) *PointSets {
 // PointSets holds one set per instruction of a function, as rows of one
 // slab in FuncPoints order.
 type PointSets struct {
-	*FuncPoints
+	FuncPoints
 	w    int
 	slab Bits
 }
@@ -106,9 +106,9 @@ func (p *PointSets) Before(block, instr int) Bits {
 // refine walks a forward result down to instruction granularity: the
 // set before a block's first instruction is the block's IN, and before
 // each later one the previous set stepped by transfer.
-func refine(f *ir.Function, res *Result, transfer func(set Bits, in *ir.Instr)) *PointSets {
-	fp := NewFuncPoints(f)
-	p := &PointSets{FuncPoints: fp, w: res.w, slab: make(Bits, fp.Total*res.w)}
+func refine(s *Scratch, f *ir.Function, res Result, transfer func(set Bits, in *ir.Instr)) PointSets {
+	fp := NewFuncPoints(s, f)
+	p := PointSets{FuncPoints: fp, w: res.w, slab: cut(&s.words, fp.Total*res.w)}
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			row := p.Before(b.Index, i)
@@ -126,9 +126,9 @@ func refine(f *ir.Function, res *Result, transfer func(set Bits, in *ir.Instr)) 
 // RegLiveness computes backward liveness of the integer and float
 // register files (two independent problems, returned separately). It is
 // used by cost models and by sanity checks in tests.
-func RegLiveness(f *ir.Function, info *cfg.Info) (ints, floats *Result) {
-	return Solve(f, info, regLiveProblem(f.NRegs, tagInt)),
-		Solve(f, info, regLiveProblem(f.NFRegs, tagFloat))
+func RegLiveness(s *Scratch, f *ir.Function, info *cfg.Info) (ints, floats Result) {
+	return Solve(s, f, info, regLiveProblem(f.NRegs, tagInt)),
+		Solve(s, f, info, regLiveProblem(f.NFRegs, tagFloat))
 }
 
 // regLiveProblem is liveness of one register file of n registers.

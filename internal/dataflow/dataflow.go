@@ -84,6 +84,35 @@ func (b Bits) Clone() Bits {
 	return out
 }
 
+// Scratch is the storage the analyses of this package build in: every
+// working set and every result is cut from one of its slabs, which only
+// grow. Reset reclaims them whole, so what an analysis returns is valid
+// until its Scratch is next reset, and analyses run one after another
+// on one Scratch allocate only while the functions they see grow. The
+// zero Scratch is ready to use. It holds numbers only, so a kept one
+// keeps no module alive.
+type Scratch struct {
+	words     Bits
+	ints      []int
+	intervals []Interval
+}
+
+// Reset reclaims everything cut from s.
+func (s *Scratch) Reset() { s.words, s.ints, s.intervals = s.words[:0], s.ints[:0], s.intervals[:0] }
+
+// cut returns n zero elements cut from the end of *slab, which moves to
+// new storage when it is full (what was cut before stays where it was).
+func cut[S ~[]T, T any](slab *S, n int) S {
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make(S, 0, 2*cap(s)+n)
+	}
+	*slab = s[:len(s)+n]
+	out := s[len(s) : len(s)+n : len(s)+n]
+	clear(out)
+	return out
+}
+
 // Direction selects forward or backward propagation.
 type Direction int
 
@@ -105,29 +134,30 @@ type Problem struct {
 }
 
 // Result holds the per-block IN and OUT sets of a solved problem, as
-// rows of the slab Solve cut them from.
+// rows of the slab Solve cut from its Scratch.
 type Result struct {
 	n, w int // blocks, words per row
 	slab Bits
 }
 
 // In returns the IN set of the block with the given Block.Index.
-func (r *Result) In(i int) Bits { return r.row(i) }
+func (r Result) In(i int) Bits { return r.row(i) }
 
 // Out returns the OUT set of the block with the given Block.Index.
-func (r *Result) Out(i int) Bits { return r.row(r.n + i) }
+func (r Result) Out(i int) Bits { return r.row(r.n + i) }
 
-func (r *Result) row(i int) Bits { return r.slab[i*r.w : (i+1)*r.w : (i+1)*r.w] }
+func (r Result) row(i int) Bits { return r.slab[i*r.w : (i+1)*r.w : (i+1)*r.w] }
 
 // Solve iterates to a fixed point: RPO sweeps for a forward problem,
 // reverse-RPO sweeps for a backward one, until a sweep changes nothing.
 // Every row of the problem — IN, OUT, gen and kill of every block, and
-// the sweep's scratch row — is cut from one slab, so a solve costs two
-// allocations however many blocks the function has.
-func Solve(f *ir.Function, info *cfg.Info, p Problem) *Result {
+// the sweep's scratch row — is cut from one slab of s, so a solve
+// allocates nothing when s has the room, however many blocks the
+// function has.
+func Solve(s *Scratch, f *ir.Function, info *cfg.Info, p Problem) Result {
 	n := len(f.Blocks)
-	res := &Result{n: n, w: (p.NumBits + 63) / 64}
-	res.slab = make(Bits, (4*n+1)*res.w)
+	res := Result{n: n, w: (p.NumBits + 63) / 64}
+	res.slab = cut(&s.words, (4*n+1)*res.w)
 	gen := func(i int) Bits { return res.row(2*n + i) }
 	kill := func(i int) Bits { return res.row(3*n + i) }
 	tmp := res.row(4 * n)

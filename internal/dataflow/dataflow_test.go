@@ -122,7 +122,7 @@ func buildFigure4(t *testing.T) (*ir.Function, *cfg.Info) {
 	if err := ir.VerifyFunction(f); err != nil {
 		t.Fatalf("figure 4 function invalid: %v", err)
 	}
-	return f, cfg.New(f)
+	return f, cfg.New(f, nil)
 }
 
 // TestJoinedBarriersFigure4 checks equation (1) against the worked
@@ -130,7 +130,7 @@ func buildFigure4(t *testing.T) (*ir.Function, *cfg.Info) {
 // cleared at BB3" — JoinedOut is {b0} everywhere except BB3.
 func TestJoinedBarriersFigure4(t *testing.T) {
 	f, info := buildFigure4(t)
-	res := JoinedBarriers(f, info, false)
+	res := JoinedBarriers(new(Scratch), f, info, false)
 
 	wantOut := map[string]bool{
 		"BB0": true, "BB1": true, "BB2": true,
@@ -151,7 +151,7 @@ func TestJoinedBarriersFigure4(t *testing.T) {
 // liveness above it, i.e. LiveIn(BB0) is empty).
 func TestLiveBarriersFigure4(t *testing.T) {
 	f, info := buildFigure4(t)
-	res := LiveBarriers(f, info)
+	res := LiveBarriers(new(Scratch), f, info)
 
 	wantOut := map[string]bool{
 		"BB0": true, "BB1": true, "BB2": true, "BB3": true, "BB4": true,
@@ -173,8 +173,8 @@ func TestLiveBarriersFigure4(t *testing.T) {
 // (i.e. before the following branch) it is not.
 func TestJoinedAtInstructionGranularity(t *testing.T) {
 	f, info := buildFigure4(t)
-	res := JoinedBarriers(f, info, false)
-	at := JoinedAt(f, res, false)
+	res := JoinedBarriers(new(Scratch), f, info, false)
+	at := JoinedAt(new(Scratch), f, res, false)
 	bb3 := f.BlockByName("BB3")
 	if !at.Before(bb3.Index, 0).Has(0) {
 		t.Error("barrier should be joined before the wait in BB3")
@@ -198,11 +198,11 @@ func TestCancelsExtendKills(t *testing.T) {
 	// Put a cancel at the top of BB5.
 	f.BlockByName("BB5").InsertTop(ir.Instr{Op: ir.OpCancel, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Bar: 0})
 
-	without := JoinedBarriers(f, info, false)
+	without := JoinedBarriers(new(Scratch), f, info, false)
 	if !without.Out(f.BlockByName("BB5").Index).Has(0) {
 		t.Error("ignoring cancels, barrier should remain joined at BB5 exit")
 	}
-	with := JoinedBarriers(f, info, true)
+	with := JoinedBarriers(new(Scratch), f, info, true)
 	if with.Out(f.BlockByName("BB5").Index).Has(0) {
 		t.Error("with cancels, barrier should be cleared at BB5 exit")
 	}
@@ -225,8 +225,8 @@ func TestRegLiveness(t *testing.T) {
 	b.Store(z, 0, x)
 	b.Exit()
 
-	info := cfg.New(f)
-	ints, _ := RegLiveness(f, info)
+	info := cfg.New(f, nil)
+	ints, _ := RegLiveness(new(Scratch), f, info)
 	if !ints.Out(entry.Index).Has(int(x)) {
 		t.Errorf("r%d should be live out of entry", x)
 	}
@@ -246,7 +246,7 @@ func TestSolverReachesFixpointOnLoop(t *testing.T) {
 	// whole loop.
 	bb3 := f.BlockByName("BB3")
 	bb3.Instrs = bb3.Instrs[1:]
-	res := JoinedBarriers(f, info, false)
+	res := JoinedBarriers(new(Scratch), f, info, false)
 	for _, b := range f.Blocks {
 		if !res.Out(b.Index).Has(0) {
 			t.Errorf("barrier should be joined at %s with no wait anywhere", b.Name)

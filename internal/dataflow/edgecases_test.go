@@ -38,9 +38,9 @@ func TestSelfLoopBlock(t *testing.T) {
 	b.Exit()
 
 	f.Reindex()
-	info := cfg.New(f)
+	info := cfg.New(f, nil)
 
-	joined := JoinedBarriers(f, info, false)
+	joined := JoinedBarriers(new(Scratch), f, info, false)
 	// Equation 1: the join reaches the top of its own block around the
 	// self edge — without the self-edge union IN would stay empty.
 	if !joined.In(loop.Index).Has(bar) {
@@ -53,7 +53,7 @@ func TestSelfLoopBlock(t *testing.T) {
 		t.Errorf("eq1: wait did not clear b%d at exit OUT", bar)
 	}
 
-	live := LiveBarriers(f, info)
+	live := LiveBarriers(new(Scratch), f, info)
 	// Equation 2: the wait ahead makes the barrier live at the bottom of
 	// the self-loop block, but the join at its top kills liveness before
 	// the block entry.
@@ -93,12 +93,12 @@ func TestUnreachableBlockDoesNotPoison(t *testing.T) {
 	b.Br(merge)
 
 	f.Reindex()
-	info := cfg.New(f)
+	info := cfg.New(f, nil)
 	if info.Reachable(island) {
 		t.Fatal("island unexpectedly reachable")
 	}
 
-	joined := JoinedBarriers(f, info, false)
+	joined := JoinedBarriers(new(Scratch), f, info, false)
 	if joined.In(merge.Index).Has(bar) {
 		t.Errorf("eq1: unreachable join of b%d poisoned the reachable merge", bar)
 	}
@@ -145,9 +145,9 @@ func TestMultipleBackEdges(t *testing.T) {
 	b.Exit()
 
 	f.Reindex()
-	info := cfg.New(f)
+	info := cfg.New(f, nil)
 
-	joined := JoinedBarriers(f, info, false)
+	joined := JoinedBarriers(new(Scratch), f, info, false)
 	// Equation 1: joined-ness flows around the loop through BOTH
 	// latches into the header, and from there to the exit where the
 	// wait clears it.
@@ -166,7 +166,7 @@ func TestMultipleBackEdges(t *testing.T) {
 		t.Errorf("eq1: wait did not clear b%d", bar)
 	}
 
-	live := LiveBarriers(f, info)
+	live := LiveBarriers(new(Scratch), f, info)
 	// Equation 2: the wait makes the barrier live throughout the loop
 	// skeleton (header and both latches — a wait lies ahead of each),
 	// and the join kills liveness at the body's entry.

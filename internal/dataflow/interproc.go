@@ -50,8 +50,8 @@ func CalleeEntryWaits(m *ir.Module) map[string][]int {
 // (1) with cancels as clears and calls clearing their callee's
 // entry-waited barriers, refined to instruction granularity: the joined
 // set *before* each instruction.
-func JoinedAtWithCalls(f *ir.Function, info *cfg.Info, nb int, entryWaits map[string][]int) *PointSets {
-	return refine(f, Solve(f, info, joinedWithCallsProblem(nb, entryWaits)), func(set Bits, in *ir.Instr) {
+func JoinedAtWithCalls(s *Scratch, f *ir.Function, info *cfg.Info, nb int, entryWaits map[string][]int) PointSets {
+	return refine(s, f, Solve(s, f, info, joinedWithCallsProblem(nb, entryWaits)), func(set Bits, in *ir.Instr) {
 		switch in.Op {
 		case ir.OpJoin:
 			set.Set(in.Bar)
@@ -107,8 +107,8 @@ func Release(set Bits, in *ir.Instr, nb int, entryWaits map[string][]int) {
 // on the equation-2 solver with the release set extended to cancels and
 // calls (Release), and nothing killing it, OUT of a block holds the
 // barriers some path leaving the block releases.
-func ReleasedAhead(f *ir.Function, info *cfg.Info, nb int, entryWaits map[string][]int) *Result {
-	return Solve(f, info, releasedAheadProblem(nb, entryWaits))
+func ReleasedAhead(s *Scratch, f *ir.Function, info *cfg.Info, nb int, entryWaits map[string][]int) Result {
+	return Solve(s, f, info, releasedAheadProblem(nb, entryWaits))
 }
 
 func releasedAheadProblem(nb int, entryWaits map[string][]int) Problem {

@@ -30,9 +30,9 @@ type FuncPoints struct {
 	Total  int
 }
 
-// NewFuncPoints numbers every instruction of f.
-func NewFuncPoints(f *ir.Function) *FuncPoints {
-	fp := &FuncPoints{F: f, Offset: make([]int, len(f.Blocks))}
+// NewFuncPoints numbers every instruction of f, in s.
+func NewFuncPoints(s *Scratch, f *ir.Function) FuncPoints {
+	fp := FuncPoints{F: f, Offset: cut(&s.ints, len(f.Blocks))}
 	n := 0
 	for i, b := range f.Blocks {
 		fp.Offset[i] = n
@@ -51,109 +51,89 @@ type Interval struct {
 	Points Bits // over FuncPoints ids
 }
 
-// JoinedIntervals computes the live intervals of every barrier in f.
-func JoinedIntervals(f *ir.Function, info *cfg.Info) ([]Interval, *FuncPoints) {
-	at := JoinedAt(f, JoinedBarriers(f, info, true), true)
+// JoinedIntervals computes the live intervals of every barrier in f, in
+// s.
+func JoinedIntervals(s *Scratch, f *ir.Function, info *cfg.Info) ([]Interval, FuncPoints) {
+	at := JoinedAt(s, f, JoinedBarriers(s, f, info, true), true)
 	fp := at.FuncPoints
 
-	nb := NumBarriers(f)
-	joined := make([]Bits, nb)
-	for b := 0; b < nb; b++ {
-		joined[b] = NewBits(fp.Total)
-	}
+	// joined holds one row of fp.Total bits per barrier.
+	nb, w := NumBarriers(f), (fp.Total+63)/64
+	joined := cut(&s.words, nb*w)
 	for _, blk := range f.Blocks {
 		for i := range blk.Instrs {
 			at.Before(blk.Index, i).ForEach(func(b int) {
-				joined[b].Set(fp.ID(blk.Index, i))
+				joined[b*w:].Set(fp.ID(blk.Index, i))
 			})
 		}
 	}
 
-	var intervals []Interval
+	start, stack := len(s.intervals), cut(&s.ints, fp.Total)
 	for b := 0; b < nb; b++ {
-		if joined[b].Count() == 0 {
-			continue
-		}
-		intervals = append(intervals, splitComponents(f, fp, b, joined[b])...)
+		splitComponents(s, info, fp, b, joined[b*w:(b+1)*w], stack[:0])
 	}
-	return intervals, fp
+	return s.intervals[start:len(s.intervals):len(s.intervals)], fp
 }
 
-// splitComponents partitions one barrier's joined points into connected
-// components. Adjacency follows execution order: consecutive
-// instructions within a block, and a block's final point to each
-// successor's first point.
-func splitComponents(f *ir.Function, fp *FuncPoints, bar int, pts Bits) []Interval {
-	visited := NewBits(fp.Total)
-	var out []Interval
-
-	// neighbors enumerates execution-order adjacency in both directions.
-	preds := make([][]*ir.Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs {
-			preds[s.Index] = append(preds[s.Index], b)
+// splitComponents partitions one barrier's joined points, pts, into
+// connected components, appended to s.intervals in the order of their
+// lowest points, and empties pts. Adjacency follows execution order:
+// consecutive instructions within a block, and a block's final point to
+// each successor's first point (info.Preds gives the other direction).
+// stack has room for every point, since a point leaves pts as it is
+// pushed.
+func splitComponents(s *Scratch, info *cfg.Info, fp FuncPoints, bar int, pts Bits, stack []int) {
+	visit := func(q int) {
+		if pts.Has(q) {
+			pts.Clear(q)
+			stack = append(stack, q)
 		}
 	}
-	neighbors := func(p int, visit func(int)) {
-		// Locate the block containing p.
-		blk := 0
-		for blk+1 < len(fp.Offset) && fp.Offset[blk+1] <= p {
-			blk++
-		}
-		idx := p - fp.Offset[blk]
-		b := f.Blocks[blk]
-		if idx+1 < len(b.Instrs) {
-			visit(fp.ID(blk, idx+1))
-		} else {
-			for _, s := range b.Succs {
-				if len(s.Instrs) > 0 {
-					visit(fp.ID(s.Index, 0))
-				}
-			}
-		}
-		if idx > 0 {
-			visit(fp.ID(blk, idx-1))
-		} else {
-			for _, pb := range preds[blk] {
-				if len(pb.Instrs) > 0 {
-					visit(fp.ID(pb.Index, len(pb.Instrs)-1))
-				}
-			}
-		}
-	}
-
 	pts.ForEach(func(start int) {
-		if visited.Has(start) {
-			return
+		if !pts.Has(start) {
+			return // reached from a lower point
 		}
-		comp := NewBits(fp.Total)
-		stack := []int{start}
+		comp := cut(&s.words, len(pts))
+		visit(start)
 		for len(stack) > 0 {
 			p := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if visited.Has(p) || !pts.Has(p) {
-				continue
-			}
-			visited.Set(p)
 			comp.Set(p)
-			neighbors(p, func(q int) {
-				if pts.Has(q) && !visited.Has(q) {
-					stack = append(stack, q)
+			// The block holding p is the last one starting at or before it.
+			blk, _ := slices.BinarySearch(fp.Offset, p+1)
+			blk--
+			idx, b := p-fp.Offset[blk], fp.F.Blocks[blk]
+			if idx+1 < len(b.Instrs) {
+				visit(p + 1)
+			} else {
+				for _, sb := range b.Succs {
+					if len(sb.Instrs) > 0 {
+						visit(fp.ID(sb.Index, 0))
+					}
 				}
-			})
+			}
+			if idx > 0 {
+				visit(p - 1)
+			} else {
+				for _, pb := range info.Preds[blk] {
+					if len(pb.Instrs) > 0 {
+						visit(fp.ID(pb.Index, len(pb.Instrs)-1))
+					}
+				}
+			}
 		}
-		out = append(out, Interval{Bar: bar, Points: comp})
+		s.intervals = append(s.intervals, Interval{Bar: bar, Points: comp})
 	})
-	return out
 }
 
 // FindConflicts returns the conflicting barrier pairs {spec, other} in f
 // where spec is one of the given speculative barriers — each pair once,
 // sorted by spec, then other, so that what callers emit per pair never
 // depends on map iteration order. A pair of two speculative barriers
-// appears from both sides. info must be current for f.
-func FindConflicts(f *ir.Function, info *cfg.Info, specBars map[int]bool) [][2]int {
-	intervals, _ := JoinedIntervals(f, info)
+// appears from both sides. info must be current for f; the intervals are
+// built in s.
+func FindConflicts(s *Scratch, f *ir.Function, info *cfg.Info, specBars map[int]bool) [][2]int {
+	intervals, _ := JoinedIntervals(s, f, info)
 
 	var pairs [][2]int
 	for i := 0; i < len(intervals); i++ {

@@ -70,12 +70,12 @@ func TestSolveMatchesReference(t *testing.T) {
 	for _, m := range referenceSet(t) {
 		for _, f := range m.Funcs {
 			f.Reindex()
-			info := cfg.New(f)
+			info := cfg.New(f, nil)
 			for _, np := range dataflow.Problems(m, f) {
 				for _, dir := range []dataflow.Direction{np.Dir, dataflow.Forward + dataflow.Backward - np.Dir} {
 					p := np.Problem
 					p.Dir = dir
-					res := dataflow.Solve(f, info, p)
+					res := dataflow.Solve(new(dataflow.Scratch), f, info, p)
 					refIn, refOut := dataflow.SolveRef(f, info, p)
 					for _, b := range f.Blocks {
 						if !res.In(b.Index).Equal(refIn[b.Index]) || !res.Out(b.Index).Equal(refOut[b.Index]) {
@@ -114,17 +114,24 @@ func chain(t *testing.T, n int) *ir.Function {
 	return m.Funcs[0]
 }
 
-// TestSolveAllocsIndependentOfBlockCount: a solve allocates its result
-// and one slab, whether the function has 4 blocks or 256.
+// TestSolveAllocsIndependentOfBlockCount: solves in a new Scratch
+// allocate the Scratch and a slab or two, whether the function has 4
+// blocks or 256, and the same solves in a Scratch reset after them
+// allocate nothing.
 func TestSolveAllocsIndependentOfBlockCount(t *testing.T) {
 	var counts []float64
 	for _, n := range []int{4, 256} {
 		f := chain(t, n)
-		info := cfg.New(f)
-		counts = append(counts, testing.AllocsPerRun(10, func() {
-			dataflow.JoinedBarriers(f, info, true)
-			dataflow.RegLiveness(f, info)
-		}))
+		info := cfg.New(f, nil)
+		solve := func(s *dataflow.Scratch) {
+			dataflow.JoinedBarriers(s, f, info, true)
+			dataflow.RegLiveness(s, f, info)
+		}
+		counts = append(counts, testing.AllocsPerRun(10, func() { solve(new(dataflow.Scratch)) }))
+		var kept dataflow.Scratch
+		if reused := testing.AllocsPerRun(10, func() { kept.Reset(); solve(&kept) }); reused != 0 {
+			t.Errorf("%d blocks: %v allocations per solve set in a reset Scratch, want 0", n, reused)
+		}
 	}
 	if counts[0] != counts[1] || counts[0] > 12 {
 		t.Errorf("allocations per solve set: %v at 4 blocks, %v at 256; want equal and small", counts[0], counts[1])

@@ -128,6 +128,43 @@ func TestCheckSharesItsInput(t *testing.T) {
 	}
 }
 
+// TestConcurrentChecksMatchSerial runs the campaign's check over the
+// corpus from four goroutines at once — each compile and detection
+// takes its analysis record from, and retires it to, the one pool the
+// goroutines share, so records built for one goroutine's kernels are
+// rebuilt for another's — and holds every result to a serial run.
+func TestConcurrentChecksMatchSerial(t *testing.T) {
+	var kernels []Kernel
+	for _, app := range corpus.Generate(500, 42) {
+		kernels = append(kernels, Kernel{
+			Name: app.Name, Module: app.Module, Entry: app.Kernel,
+			Threads: app.Threads, Memory: app.Memory, Seed: app.Seed,
+		})
+	}
+	opts := Options{AutoAnnotate: true, Verify: true}
+	want := make([]Result, len(kernels))
+	for i, k := range kernels {
+		want[i] = Check(k, opts)
+	}
+	got := make([]Result, len(kernels))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(kernels); i += 4 {
+				got[i] = Check(kernels[i], opts)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, k := range kernels {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: %+v from four goroutines, want the serial %+v", k.Name, got[i], want[i])
+		}
+	}
+}
+
 // TestFaultMatrixDetection enumerates the full injection matrix: every
 // fault must be detected by at least one layer, and by exactly the
 // layers its entry claims — a surprise detection (or a lost one) means

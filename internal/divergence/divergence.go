@@ -47,6 +47,10 @@ type Info struct {
 	// with a partial warp (it lies between a divergent branch and that
 	// branch's post-dominator).
 	DivergentBlock []bool
+
+	// seen and stack are markUntil's storage, kept as empty views.
+	seen  []bool
+	stack []int
 }
 
 // Analyze runs the analysis. Divergence is propagated through calls by
@@ -55,19 +59,22 @@ type Info struct {
 // module no callee is. That is coarse but sound, and precise enough for
 // the kernels here.
 func Analyze(m *ir.Module, f *ir.Function, info *cfg.Info) *Info {
-	return AnalyzeWith(f, info, CalleeRoots(m))
+	return AnalyzeWith(f, info, CalleeRoots(m, nil), nil)
 }
 
 // AnalyzeWith is Analyze given the module's callee-roots set, which a
-// caller analyzing every function of a module computes once.
-func AnalyzeWith(f *ir.Function, info *cfg.Info, calleeDivergent []string) *Info {
-	d := &Info{
-		Fn:              f,
-		DivergentInt:    make([]bool, max(f.NRegs, 1)),
-		DivergentFloat:  make([]bool, max(f.NFRegs, 1)),
-		DivergentBranch: make([]bool, len(f.Blocks)),
-		DivergentBlock:  make([]bool, len(f.Blocks)),
+// caller analyzing every function of a module computes once, built into
+// the storage of into — an Info analyzed before, for any function — or,
+// with into nil, into new storage. Every table is rebuilt.
+func AnalyzeWith(f *ir.Function, info *cfg.Info, calleeDivergent []string, into *Info) *Info {
+	d := into
+	if d == nil {
+		d = new(Info)
 	}
+	d.Fn = f
+	d.DivergentInt, d.DivergentFloat = cfg.Reuse(d.DivergentInt, max(f.NRegs, 1)), cfg.Reuse(d.DivergentFloat, max(f.NFRegs, 1))
+	d.DivergentBranch, d.DivergentBlock = cfg.Reuse(d.DivergentBranch, len(f.Blocks)), cfg.Reuse(d.DivergentBlock, len(f.Blocks))
+	d.seen, d.stack = cfg.Reuse(d.seen, 0), cfg.Reuse(d.stack, 0) // never nil, as after a walk
 
 	// Fixed point over register divergence.
 	changed := true
@@ -99,7 +106,7 @@ func AnalyzeWith(f *ir.Function, info *cfg.Info, calleeDivergent []string) *Info
 		}
 		pd := info.Ipdom(b)
 		for _, s := range b.Succs {
-			markUntil(f, s, pd, d.DivergentBlock)
+			d.markUntil(s, pd)
 		}
 	}
 
@@ -134,7 +141,7 @@ func AnalyzeWith(f *ir.Function, info *cfg.Info, calleeDivergent []string) *Info
 					d.DivergentBranch[b.Index] = true
 					pd := info.Ipdom(b)
 					for _, s := range b.Succs {
-						markUntil(f, s, pd, d.DivergentBlock)
+						d.markUntil(s, pd)
 					}
 				}
 			}
@@ -221,9 +228,9 @@ func (d *Info) transfer(in *ir.Instr, calleeDivergent []string) bool {
 // divergence-root opcode or, through any chain of calls, reach one that
 // does: the least fixed point, so recursive cycles neither loop nor hide
 // a root behind them. The set is a short list (a module has a handful
-// of functions), never nil.
-func CalleeRoots(m *ir.Module) []string {
-	roots := []string{}
+// of functions) in into's storage, never nil.
+func CalleeRoots(m *ir.Module, into []string) []string {
+	roots := cfg.Reuse(into, 0)
 	for changed := m != nil; changed; {
 		changed = false
 		for _, fn := range m.Funcs {
@@ -250,28 +257,30 @@ func hasRoot(fn *ir.Function, roots []string) bool {
 	return false
 }
 
-// markUntil marks blocks reachable from start without passing through
-// stop (which may be nil, meaning mark everything reachable).
-func markUntil(f *ir.Function, start, stop *ir.Block, out []bool) {
+// markUntil marks in DivergentBlock the blocks reachable from start
+// without passing through stop (which may be nil, meaning mark
+// everything reachable).
+func (d *Info) markUntil(start, stop *ir.Block) {
 	if start == stop {
 		return
 	}
-	seen := make([]bool, len(f.Blocks))
-	stack := []*ir.Block{start}
+	seen := cfg.Reuse(d.seen, len(d.Fn.Blocks))
+	stack := append(d.stack, start.Index)
 	for len(stack) > 0 {
-		b := stack[len(stack)-1]
+		b := d.Fn.Blocks[stack[len(stack)-1]]
 		stack = stack[:len(stack)-1]
 		if seen[b.Index] {
 			continue
 		}
 		seen[b.Index] = true
-		out[b.Index] = true
+		d.DivergentBlock[b.Index] = true
 		for _, s := range b.Succs {
 			if s != stop && !seen[s.Index] {
-				stack = append(stack, s)
+				stack = append(stack, s.Index)
 			}
 		}
 	}
+	d.seen, d.stack = seen[:0], stack
 }
 
 func max(a, b int) int {

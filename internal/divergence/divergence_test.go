@@ -14,7 +14,7 @@ func analyze(t *testing.T, m *ir.Module) (*ir.Function, *Info) {
 		t.Fatalf("module invalid: %v", err)
 	}
 	f := m.Funcs[len(m.Funcs)-1]
-	info := cfg.New(f)
+	info := cfg.New(f, nil)
 	return f, Analyze(m, f, info)
 }
 
@@ -278,7 +278,7 @@ func TestCalleeRootsThroughCycles(t *testing.T) {
 	calls("k", "quiet", "ping")
 	calls("calm", "quiet")
 
-	roots := CalleeRoots(m)
+	roots := CalleeRoots(m, nil)
 	want := map[string]bool{"leaf": true, "ping": true, "pong": true, "k": true}
 	for _, f := range m.Funcs {
 		got := slices.Contains(roots, f.Name)
@@ -289,7 +289,7 @@ func TestCalleeRootsThroughCycles(t *testing.T) {
 			t.Errorf("%s in CalleeRoots: %v, the path search says %v", f.Name, got, old)
 		}
 	}
-	if len(CalleeRoots(nil)) != 0 {
+	if len(CalleeRoots(nil, nil)) != 0 {
 		t.Error("a nil module has no callee roots")
 	}
 
@@ -307,7 +307,7 @@ func TestCalleeRootsThroughCycles(t *testing.T) {
 		b.ConstTo(r0, 0)
 		b.Call(tc.callee)
 		b.Exit()
-		if d := Analyze(m, f, cfg.New(f)); d.DivergentInt[r0] != tc.divergent {
+		if d := Analyze(m, f, cfg.New(f, nil)); d.DivergentInt[r0] != tc.divergent {
 			t.Errorf("r0 after call %s: divergent = %v, want %v", tc.callee, d.DivergentInt[r0], tc.divergent)
 		}
 	}

@@ -166,7 +166,11 @@ func EditsFor(d analyze.Diagnostic) []analyze.Edit {
 // Repair drives the analyze-edit-reanalyze fixpoint over m, mutating it
 // in place (clone first to keep the original). It never fails: the
 // outcome, including every stop reason, is the Report.
-func Repair(m *ir.Module, opts Options) *Report { return RepairWith(analyze.NewFacts(m), opts) }
+func Repair(m *ir.Module, opts Options) *Report {
+	fa := analyze.NewFacts(m)
+	defer fa.Retire()
+	return RepairWith(fa, opts)
+}
 
 // RepairWith is Repair over the module of an analysis record the caller
 // already holds. Every round re-analyzes through the record: the edits

@@ -78,7 +78,7 @@ type stackEntry struct {
 func buildIpdom(m *ir.Module) [][]int {
 	ipdom := make([][]int, len(m.Funcs))
 	for fi, f := range m.Funcs {
-		info := cfg.New(f)
+		info := cfg.New(f, nil)
 		rows := make([]int, len(f.Blocks))
 		for bi, b := range f.Blocks {
 			if pd := info.Ipdom(b); pd != nil {
