@@ -4,6 +4,8 @@
 // speculative-reconvergence pipeline, runs both builds in the simulator
 // under an issue budget with strict barrier accounting, and
 // asserts that the two terminate with equivalent architectural state.
+// A speculative build that is the baseline build on the baseline launch
+// is simulated once: both sides share that run.
 // Speculative reconvergence must never change results (the paper's
 // transform only reorders when lanes execute, §4); any divergence in
 // final memory, any deadlock, budget exhaustion or leaked barrier
@@ -154,6 +156,8 @@ type Result struct {
 	Err   error
 	// BaseMetrics/SpecMetrics are populated for the runs that completed.
 	BaseMetrics simt.Metrics
+	// SpecMetrics is BaseMetrics, sharing its storage, when the launch
+	// was reused.
 	SpecMetrics simt.Metrics
 	// Annotated reports whether AutoAnnotate attached predictions.
 	Annotated bool
@@ -169,8 +173,18 @@ func (r Result) String() string {
 	return fmt.Sprintf("%s: %v", r.Stage, r.Err)
 }
 
-// Check runs the differential check for k under opts.
-func Check(k Kernel, opts Options) Result {
+// Check runs the differential check for k under opts. The speculative
+// build is simulated only when it or its launch differs from the
+// baseline's: a speculative build that is the baseline build (the
+// detector found nothing to predict) on the baseline launch (no
+// simulator fault, inter-warp policy or starvation monitor) shares the
+// baseline's run, and the memory comparisons hold it to itself.
+func Check(k Kernel, opts Options) Result { return check(k, opts, true) }
+
+// check is Check; reuse false simulates the speculative build even when
+// it is the baseline launch (the relaunch that export_test.go holds
+// reuse to).
+func check(k Kernel, opts Options, reuse bool) Result {
 	opts = opts.withDefaults()
 
 	mod := k.Module
@@ -240,7 +254,15 @@ func Check(k Kernel, opts Options) Result {
 	specCfg.Sched = opts.Sched
 	specCfg.SchedSeed = opts.SchedSeed
 	specCfg.StarveLimit = opts.StarveLimit
-	spec, err := simt.Run(specComp.Module, specCfg)
+	// A launch is a function of its module and config, so a speculative
+	// build that is the baseline build, on the baseline launch, has the
+	// baseline's result.
+	spec := base
+	if !reuse || specCfg.SkipReleaseN != cfg.SkipReleaseN || specCfg.Sched != cfg.Sched ||
+		specCfg.SchedSeed != cfg.SchedSeed || specCfg.StarveLimit != cfg.StarveLimit ||
+		!ir.SameModule(specComp.Module, baseComp.Module) {
+		spec, err = simt.Run(specComp.Module, specCfg)
+	}
 	if err != nil {
 		return Result{
 			Stage: StageRunSpec, Err: err,

@@ -2,6 +2,7 @@ package diffcheck
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -420,5 +421,63 @@ func TestLoadReproRejectsBadDirective(t *testing.T) {
 	k, opts, err := load("; repro-model: stack\n; repro-threads: 64\n; repro-err: seed: abc\n")
 	if err != nil || k.Threads != 64 || opts != (Options{}) {
 		t.Errorf("unknown repro-model directive: kernel %+v options %+v error %v, want it skipped", k, opts, err)
+	}
+}
+
+// TestReusedLaunchIsARelaunch: a check that shares the baseline's launch
+// reports what it reports when it simulates the speculative build again,
+// over the campaign's corpus under the campaign's options and under a
+// repairing check with a planted compile fault. A reused launch is
+// visible as SpecMetrics sharing BaseMetrics' storage; the campaign's
+// count of them is pinned, and so is none under the planted fault and
+// under each of the four launch fields only the speculative run sets,
+// so a change that stops (or starts) reusing shows here.
+func TestReusedLaunchIsARelaunch(t *testing.T) {
+	var kernels []Kernel
+	for _, app := range corpus.Generate(500, 42) {
+		kernels = append(kernels, Kernel{
+			Name: app.Name, Module: app.Module, Entry: app.Kernel,
+			Threads: app.Threads, Memory: app.Memory, Seed: app.Seed,
+		})
+	}
+	shares := func(r Result) bool {
+		return r.BaseMetrics.OpClassIssues != nil &&
+			reflect.ValueOf(r.BaseMetrics.OpClassIssues).UnsafePointer() == reflect.ValueOf(r.SpecMetrics.OpClassIssues).UnsafePointer()
+	}
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		reused int
+	}{
+		{"campaign", Options{AutoAnnotate: true, Verify: true}, 485},
+		{"repair-drop-cancel", Options{AutoAnnotate: true, Verify: true, Repair: true, Faults: core.FaultPlan{DropCancel: 1}}, 0},
+		{"skip-release", Options{AutoAnnotate: true, Verify: true, SkipReleaseN: 1}, 0},
+		{"sched-oldest", Options{AutoAnnotate: true, Verify: true, Sched: simt.SchedOldestFirst}, 0},
+		{"sched-seed", Options{AutoAnnotate: true, Verify: true, SchedSeed: 1}, 0},
+		{"starve-limit", Options{AutoAnnotate: true, Verify: true, StarveLimit: 1 << 20}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reused := 0
+			for _, k := range kernels {
+				got, want := Check(k, tc.opts), checkRelaunching(k, tc.opts)
+				if shares(got) {
+					reused++
+				}
+				if shares(want) {
+					t.Fatalf("%s: the relaunching check shares the baseline's metrics", k.Name)
+				}
+				if got.OK != want.OK || got.Stage != want.Stage || fmt.Sprint(got.Err) != fmt.Sprint(want.Err) ||
+					got.Annotated != want.Annotated || got.Repaired != want.Repaired ||
+					!reflect.DeepEqual(got.BaseMetrics, want.BaseMetrics) || !reflect.DeepEqual(got.SpecMetrics, want.SpecMetrics) {
+					t.Errorf("%s: %v (annotated %v, repaired %v), relaunched %v (annotated %v, repaired %v)\n  base %+v\n  want %+v\n  spec %+v\n  want %+v",
+						k.Name, got, got.Annotated, got.Repaired, want, want.Annotated, want.Repaired,
+						got.BaseMetrics, want.BaseMetrics, got.SpecMetrics, want.SpecMetrics)
+				}
+			}
+			t.Logf("%d of %d checks reused the baseline's launch", reused, len(kernels))
+			if reused != tc.reused {
+				t.Errorf("%d checks reused the baseline's launch, want %d", reused, tc.reused)
+			}
+		})
 	}
 }

@@ -5,8 +5,9 @@ import (
 )
 
 // maxShrinkChecks bounds the number of differential checks one Minimize
-// call may spend; each check is two compiles plus two simulations, so an
-// adversarial kernel must not turn shrinking into an unbounded campaign.
+// call may spend; each check is two compiles plus up to two simulations,
+// so an adversarial kernel must not turn shrinking into an unbounded
+// campaign.
 const maxShrinkChecks = 400
 
 // Minimize greedily shrinks a failing kernel while it keeps failing at

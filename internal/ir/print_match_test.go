@@ -12,12 +12,28 @@ import (
 	"specrecon/internal/workloads"
 )
 
-// referenceSet is what the printer is held to its reference on: 500
-// generated kernels from each of two seeds, every bundled workload, the
-// checked-in assembly files, and every one of those compiled under the
-// baseline and the speculative pipeline (so barrier operations, waitn
-// thresholds and renamed blocks are covered too).
+// referenceSet is what the printer is held to its reference on: the
+// sourceSet and every one of its modules compiled under the baseline and
+// the speculative pipeline (so barrier operations, waitn thresholds and
+// renamed blocks are covered too).
 func referenceSet(t *testing.T) []*ir.Module {
+	t.Helper()
+	mods := sourceSet(t)
+	for _, m := range mods { // the inputs: range has fixed its bounds before the appends below
+		for _, opts := range []core.Options{core.BaselineOptions(), core.SpecReconOptions()} {
+			c, err := core.Compile(m, opts)
+			if err != nil {
+				t.Fatalf("compile %s: %v", m.Name, err)
+			}
+			mods = append(mods, c.Module)
+		}
+	}
+	return mods
+}
+
+// sourceSet is 500 generated kernels from each of two seeds, every
+// bundled workload and the checked-in assembly files.
+func sourceSet(t *testing.T) []*ir.Module {
 	t.Helper()
 	var mods []*ir.Module
 	for _, seed := range []uint64{42, 1234567} {
@@ -43,15 +59,6 @@ func referenceSet(t *testing.T) []*ir.Module {
 			t.Fatalf("%s: %v", path, err)
 		}
 		mods = append(mods, m)
-	}
-	for _, m := range mods { // the inputs: range has fixed its bounds before the appends below
-		for _, opts := range []core.Options{core.BaselineOptions(), core.SpecReconOptions()} {
-			c, err := core.Compile(m, opts)
-			if err != nil {
-				t.Fatalf("compile %s: %v", m.Name, err)
-			}
-			mods = append(mods, c.Module)
-		}
 	}
 	return mods
 }
