@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"specrecon/internal/cfg"
@@ -89,19 +90,20 @@ func Analyze(m *ir.Module, opts Options) *Report {
 // each function's CFG and divergence analysis from the record — the
 // same ones the efficiency estimate after the checks reads.
 func (fa *Facts) Analyze(opts Options) *Report {
-	r := &Report{Efficiency: map[string]float64{}}
 	if fa.m == nil || len(fa.m.Funcs) == 0 {
-		return r
+		return &Report{Efficiency: map[string]float64{}}
 	}
+	r := &Report{}
 	called := calledFunctions(fa.m)
 	r.Diags = fa.diags(opts, called, true)
 	r.Efficiency = efficiency(fa, called)
 	if opts.EffNoteBelow > 0 {
-		kernels := make([]string, 0, len(r.Efficiency))
+		kernels := fa.kernels[:0]
 		for name := range r.Efficiency {
 			kernels = append(kernels, name)
 		}
-		sort.Strings(kernels)
+		slices.Sort(kernels)
+		fa.kernels = kernels
 		for _, name := range kernels {
 			if eff := r.Efficiency[name]; eff < opts.EffNoteBelow {
 				r.Diags = append(r.Diags, Diagnostic{
@@ -129,7 +131,8 @@ func (fa *Facts) Errors(opts Options) []Diagnostic {
 // pairing warning), and with full the warnings and notes around it.
 func (fa *Facts) diags(opts Options, called map[string]bool, full bool) []Diagnostic {
 	m := fa.m
-	entryWaits := dataflow.CalleeEntryWaits(m)
+	fa.entryWaits = dataflow.CalleeEntryWaits(m, fa.entryWaits)
+	entryWaits := fa.entryWaits
 	nb := dataflow.ModuleNumBarriers(m)
 	classed := opts.ClassOf != nil
 	classOf := opts.ClassOf
@@ -511,7 +514,7 @@ func deadJoinDiags(s *dataflow.Scratch, f *ir.Function, info *cfg.Info, nb int, 
 	res := dataflow.ReleasedAhead(s, f, info, nb, entryWaits)
 
 	var out []Diagnostic
-	ahead := dataflow.NewBits(nb)
+	ahead := s.Bits(nb)
 	for _, b := range f.Blocks {
 		if !info.Reachable(b) {
 			continue

@@ -1,7 +1,10 @@
 package analyze
 
 import (
+	"slices"
+
 	"specrecon/internal/cfg"
+	"specrecon/internal/dataflow"
 	"specrecon/internal/divergence"
 	"specrecon/internal/ir"
 )
@@ -43,13 +46,13 @@ func Efficiency(m *ir.Module) map[string]float64 {
 // efficiency is Efficiency given the module's analysis record and
 // called set.
 func efficiency(fa *Facts, called map[string]bool) map[string]float64 {
-	e := &effEstimator{facts: fa, memo: map[string]funcCost{}, active: map[string]bool{}}
+	fa.est.reset(fa.m)
 	out := map[string]float64{}
 	for _, f := range fa.m.Funcs {
 		if called[f.Name] || len(f.Blocks) == 0 {
 			continue
 		}
-		fc := e.fold(f.Name)
+		fc := fa.fold(f.Name)
 		eff := 1.0
 		if fc.cost > 0 {
 			eff = fc.activeCost / fc.cost
@@ -65,32 +68,64 @@ type funcCost struct {
 	cost, activeCost float64
 }
 
-type effEstimator struct {
-	facts  *Facts
-	memo   map[string]funcCost
-	active map[string]bool // recursion guard
+// estimator is the storage of an efficiency estimate, kept in the
+// analysis record and rebuilt by every estimate.
+type estimator struct {
+	// fns[i] is what the estimate knows of the module's i-th function.
+	fns []fnEstimate
+	// vals holds each function's block frequencies, lane fractions and
+	// side probabilities, three rows of its block count from fns[i].off:
+	// a fold reads its rows across the folds of its callees.
+	vals []float64
+	// side, stack and drained are laneFractions' scratch.
+	side    [2]dataflow.Bits
+	stack   []*ir.Block
+	drained []*cfg.Loop
+}
+
+// fnEstimate is one function's summary once done; active guards the
+// fold against recursion.
+type fnEstimate struct {
+	funcCost
+	off          int
+	active, done bool
+}
+
+// reset empties the estimator for a module and lays out its rows.
+func (e *estimator) reset(m *ir.Module) {
+	e.fns = cfg.Reuse(e.fns, len(m.Funcs))
+	n := 0
+	for i, f := range m.Funcs {
+		e.fns[i].off = n
+		n += 3 * len(f.Blocks)
+	}
+	e.vals = cfg.Reuse(e.vals, n)
 }
 
 // fold computes (and memoizes) the cost summary of one function,
 // folding callee summaries bottom-up through the call graph.
-func (e *effEstimator) fold(name string) funcCost {
-	if fc, ok := e.memo[name]; ok {
-		return fc
+func (fa *Facts) fold(name string) funcCost {
+	i := fa.m.FuncIndex(name)
+	if i < 0 || len(fa.m.Funcs[i].Blocks) == 0 {
+		return funcCost{}
 	}
-	if e.active[name] {
+	fe := &fa.est.fns[i]
+	if fe.done {
+		return fe.funcCost
+	}
+	if fe.active {
 		// Recursive cycle: account the call as its issue latency only.
 		return funcCost{cost: float64(ir.OpCall.Latency()), activeCost: float64(ir.OpCall.Latency())}
 	}
-	f := e.facts.m.FuncByName(name)
-	if f == nil || len(f.Blocks) == 0 {
-		return funcCost{}
-	}
-	e.active[name] = true
-	defer delete(e.active, name)
+	f := fa.m.Funcs[i]
+	fe.active = true
 
-	info, div := e.facts.CFG(f), e.facts.Divergence(f)
-	freq := blockFreqs(f, info, div)
-	lanes, sideProb := laneFractions(f, info, div)
+	info, div := fa.CFG(f), fa.Divergence(f)
+	n := len(f.Blocks)
+	rows := fa.est.vals[fe.off : fe.off+3*n]
+	freq, lanes, sideProb := rows[:n], rows[n:2*n], rows[2*n:]
+	blockFreqs(freq, f, info, div)
+	fa.est.laneFractions(lanes, sideProb, f, info, div)
 
 	var fc funcCost
 	for _, b := range f.Blocks {
@@ -108,7 +143,7 @@ func (e *effEstimator) fold(name string) funcCost {
 			in := &b.Instrs[i]
 			cost += float64(in.Op.Latency())
 			if in.Op == ir.OpCall {
-				callee := e.fold(in.Callee)
+				callee := fa.fold(in.Callee)
 				// The callee runs with the caller's lane population at
 				// the call site; its internal divergence is already in
 				// its activeCost ratio.
@@ -121,7 +156,7 @@ func (e *effEstimator) fold(name string) funcCost {
 		fc.cost += float64(issued * cost)
 		fc.activeCost += float64(issued * lanes[b.Index] * cost)
 	}
-	e.memo[name] = fc
+	fe.funcCost, fe.active, fe.done = fc, false, true
 	return fc
 }
 
@@ -131,11 +166,11 @@ func (e *effEstimator) fold(name string) funcCost {
 // block by the trip product of the loops containing it. A loop-exit
 // branch passes full weight to BOTH successors — iterations are modeled
 // by the trip multiplier, and the exit block should keep the loop's
-// entry frequency, not 1/trip of it.
-func blockFreqs(f *ir.Function, info *cfg.Info, div *divergence.Info) []float64 {
-	freq := make([]float64, len(f.Blocks))
+// entry frequency, not 1/trip of it. freq arrives zeroed, one entry
+// per block.
+func blockFreqs(freq []float64, f *ir.Function, info *cfg.Info, div *divergence.Info) {
 	if len(f.Blocks) == 0 {
-		return freq
+		return
 	}
 	freq[f.Entry().Index] = 1
 
@@ -190,7 +225,6 @@ func blockFreqs(f *ir.Function, info *cfg.Info, div *divergence.Info) []float64 
 			}
 		}
 	}
-	return freq
 }
 
 // divergentTripTailFactor scales a divergent-trip loop's weight from
@@ -330,23 +364,22 @@ const divergentLoopLaneFrac = 0.3
 // side before the branch's immediate post-dominator get that side's
 // probability as a multiplier, while blocks on both sides (or at/past
 // the reconvergence point) are unaffected. Lane fractions floor at one
-// lane; sideProb does not (it must mirror blockFreqs exactly).
-func laneFractions(f *ir.Function, info *cfg.Info, div *divergence.Info) (lanes, sideProb []float64) {
-	lanes = make([]float64, len(f.Blocks))
-	sideProb = make([]float64, len(f.Blocks))
+// lane; sideProb does not (it must mirror blockFreqs exactly). Both
+// rows hold one entry per block.
+func (e *estimator) laneFractions(lanes, sideProb []float64, f *ir.Function, info *cfg.Info, div *divergence.Info) {
 	for i := range lanes {
 		lanes[i] = 1
 		sideProb[i] = 1
 	}
-	drained := map[*cfg.Loop]bool{}
+	e.drained = e.drained[:0]
 	for _, b := range f.Blocks {
 		if !div.DivergentBranch[b.Index] || len(b.Succs) != 2 {
 			continue
 		}
 		if loopExitBranch(b, info) {
 			l := info.LoopOf(b)
-			if !drained[l] {
-				drained[l] = true
+			if !slices.Contains(e.drained, l) {
+				e.drained = append(e.drained, l)
 				for _, lb := range l.Blocks {
 					lanes[lb.Index] *= divergentLoopLaneFrac
 				}
@@ -355,21 +388,21 @@ func laneFractions(f *ir.Function, info *cfg.Info, div *divergence.Info) (lanes,
 		}
 		pd := info.Ipdom(b)
 		p := takenProb(b)
-		side0 := sideBlocks(b.Succs[0], pd)
-		side1 := sideBlocks(b.Succs[1], pd)
-		for idx := range side0 {
-			if side1[idx] {
-				continue // on both sides: the full warp passes through
+		side0 := e.sideBlocks(0, len(f.Blocks), b.Succs[0], pd)
+		side1 := e.sideBlocks(1, len(f.Blocks), b.Succs[1], pd)
+		// A block on both sides sees the full warp pass through.
+		side0.ForEach(func(idx int) {
+			if !side1.Has(idx) {
+				lanes[idx] *= p
+				sideProb[idx] *= p
 			}
-			lanes[idx] *= p
-			sideProb[idx] *= p
-		}
-		for idx := range side1 {
-			if !side0[idx] {
+		})
+		side1.ForEach(func(idx int) {
+			if !side0.Has(idx) {
 				lanes[idx] *= 1 - p
 				sideProb[idx] *= 1 - p
 			}
-		}
+		})
 	}
 	minLane := 1.0 / float64(ir.WarpWidth)
 	for i := range lanes {
@@ -377,29 +410,31 @@ func laneFractions(f *ir.Function, info *cfg.Info, div *divergence.Info) (lanes,
 			lanes[i] = minLane
 		}
 	}
-	return lanes, sideProb
 }
 
-// sideBlocks collects the blocks reachable from start without passing
-// through stop (the divergent region on one side of a branch).
-func sideBlocks(start, stop *ir.Block) map[int]bool {
-	out := map[int]bool{}
+// sideBlocks collects in side row k the blocks, of n, reachable from
+// start without passing through stop (the divergent region on one side
+// of a branch).
+func (e *estimator) sideBlocks(k, n int, start, stop *ir.Block) dataflow.Bits {
+	out := dataflow.Bits(cfg.Reuse(e.side[k], (n+63)/64))
+	e.side[k] = out
 	if start == stop {
 		return out
 	}
-	stack := []*ir.Block{start}
+	stack := append(e.stack[:0], start)
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if out[b.Index] || b == stop {
+		if out.Has(b.Index) || b == stop {
 			continue
 		}
-		out[b.Index] = true
+		out.Set(b.Index)
 		for _, s := range b.Succs {
-			if s != stop && !out[s.Index] {
+			if s != stop && !out.Has(s.Index) {
 				stack = append(stack, s)
 			}
 		}
 	}
+	e.stack = stack[:0]
 	return out
 }

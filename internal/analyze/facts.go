@@ -25,12 +25,13 @@ import (
 //     touches nothing but join, wait and cancel operations (the only
 //     edits that change neither the graph nor any register definition).
 //
-// A record is also the storage its analyses, and the dataflow and
-// interpreter scratch of the checks, are built in. NewFacts takes a
-// retired record from a pool and Retire clears it and puts it back, so
-// back-to-back compiles rebuild in each other's storage instead of
-// allocating their own; every rebuild zeroes what it reads, and a new
-// record is a retired one with empty storage. A Facts belongs to one
+// A record is also the storage its analyses, the dataflow and
+// interpreter scratch of the checks, the passes' own tables and the
+// efficiency estimate are built in. NewFacts takes a retired record
+// from a pool and Retire clears it and puts it back, so back-to-back
+// compiles rebuild in each other's storage instead of allocating their
+// own; every rebuild zeroes what it reads, and a new record is a
+// retired one with empty storage. A Facts belongs to one
 // goroutine from NewFacts to Retire, and nothing handed out by a
 // compile refers to it.
 type Facts struct {
@@ -42,11 +43,17 @@ type Facts struct {
 	// entries, whose storage the next functions are built in.
 	funcs []funcFacts
 
-	// scratch, states and the pairing tables are the checks' storage.
-	scratch dataflow.Scratch
-	states  FuncStates
-	uses    []barUse
-	waits   []barPos
+	// scratch, states, the pairing tables and entryWaits are the
+	// checks' storage and passes the passes'; est is the efficiency
+	// estimate's, and kernels the sort of the low-efficiency notes.
+	scratch    dataflow.Scratch
+	passes     dataflow.Scratch
+	states     FuncStates
+	uses       []barUse
+	waits      []barPos
+	entryWaits map[string][]int
+	est        estimator
+	kernels    []string
 }
 
 // funcFacts is the record of one function (info.Fn); div is its
@@ -97,6 +104,10 @@ func (fa *Facts) Reset(m *ir.Module) {
 	clear(fa.roots[:cap(fa.roots)])
 	clear(fa.uses[:cap(fa.uses)])
 	clear(fa.waits[:cap(fa.waits)])
+	clear(fa.entryWaits)
+	clear(fa.est.stack[:cap(fa.est.stack)])
+	clear(fa.est.drained[:cap(fa.est.drained)])
+	clear(fa.kernels[:cap(fa.kernels)])
 	fa.states.Fn, fa.states.Div, fa.states.entryWaits = nil, nil, nil
 	fa.m, fa.funcs, fa.rootsOK = m, fa.funcs[:0], false
 }
@@ -124,6 +135,13 @@ func (fa *Facts) Divergence(f *ir.Function) *divergence.Info {
 func (fa *Facts) Scratch() *dataflow.Scratch {
 	fa.scratch.Reset()
 	return &fa.scratch
+}
+
+// PassScratch returns the record's second dataflow storage, reset, for
+// a pass whose own tables outlive the analyses it runs in Scratch.
+func (fa *Facts) PassScratch() *dataflow.Scratch {
+	fa.passes.Reset()
+	return &fa.passes
 }
 
 // Invalidate drops everything a change to a register definition can

@@ -24,7 +24,6 @@
 package ccache
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/json"
 	"io"
@@ -49,11 +48,16 @@ type Stats struct {
 	MaxBytes  int64 `json:"max_bytes"`
 }
 
+// entry is one cached value and its links in the recency ring.
 type entry struct {
-	key  [sha256.Size]byte
-	val  any
-	size int64
+	key        [sha256.Size]byte
+	val        any
+	size       int64
+	prev, next *entry
 }
+
+// unlink takes e out of the ring.
+func (e *entry) unlink() { e.prev.next, e.next.prev = e.next, e.prev }
 
 // Cache memoizes compilations. The zero value is not usable; construct
 // with New. A nil *Cache is valid and forwards every call to core.
@@ -61,9 +65,11 @@ type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
-	lru      *list.List // front = most recent; values are *entry
-	byKey    map[[sha256.Size]byte]*list.Element
-	stats    Stats
+	// lru is the sentinel of a ring of the entries: lru.next is the most
+	// recent, lru.prev the least.
+	lru   entry
+	byKey map[[sha256.Size]byte]*entry
+	stats Stats
 }
 
 // New builds a cache holding at most maxBytes of estimated compilation
@@ -72,11 +78,18 @@ func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	return &Cache{
-		maxBytes: maxBytes,
-		lru:      list.New(),
-		byKey:    map[[sha256.Size]byte]*list.Element{},
+	c := &Cache{maxBytes: maxBytes, byKey: map[[sha256.Size]byte]*entry{}}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
+}
+
+// toFront makes e, linked or new, the most recent entry.
+func (c *Cache) toFront(e *entry) {
+	if e.prev != nil {
+		e.unlink()
 	}
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // compSize is the bytes an entry is charged against the LRU budget:
@@ -99,10 +112,10 @@ func compSize(c *core.Compilation) int64 {
 func (c *Cache) lookup(k [sha256.Size]byte) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[k]; ok {
-		c.lru.MoveToFront(el)
+	if e, ok := c.byKey[k]; ok {
+		c.toFront(e)
 		c.stats.Hits++
-		return el.Value.(*entry).val, true
+		return e.val, true
 	}
 	c.stats.Misses++
 	return nil, false
@@ -114,19 +127,19 @@ func (c *Cache) lookup(k [sha256.Size]byte) (any, bool) {
 func (c *Cache) insert(k [sha256.Size]byte, val any, size int64) any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[k]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*entry).val
+	if e, ok := c.byKey[k]; ok {
+		c.toFront(e)
+		return e.val
 	}
-	el := c.lru.PushFront(&entry{key: k, val: val, size: size})
-	c.byKey[k] = el
+	e := &entry{key: k, val: val, size: size}
+	c.toFront(e)
+	c.byKey[k] = e
 	c.bytes += size
-	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
-		back := c.lru.Back()
-		e := back.Value.(*entry)
-		c.lru.Remove(back)
-		delete(c.byKey, e.key)
-		c.bytes -= e.size
+	for c.bytes > c.maxBytes && len(c.byKey) > 1 {
+		back := c.lru.prev
+		back.unlink()
+		delete(c.byKey, back.key)
+		c.bytes -= back.size
 		c.stats.Evictions++
 	}
 	return val
@@ -198,7 +211,7 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	st.Entries = c.lru.Len()
+	st.Entries = len(c.byKey)
 	st.Bytes = c.bytes
 	st.MaxBytes = c.maxBytes
 	return st

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"specrecon/internal/dataflow"
 	"specrecon/internal/ir"
@@ -27,81 +26,65 @@ func (c *PassContext) allocateBarriers() error {
 	if n == 0 {
 		return nil
 	}
-	interf := make([]map[int]bool, n)
+	// Every set of barriers is a row of w words over the virtual ids,
+	// cut from the record's pass scratch: interf row b is what b
+	// interferes with, used row i the barriers function i names, and
+	// trans row i those of everything function i calls as well.
+	ps, w := c.facts.PassScratch(), (n+63)/64
+	rows := func(k int) bitRows { return bitRows{ps.Bits(64 * k * w), w} }
+	interf, used, trans := rows(n), rows(len(c.Mod.Funcs)), rows(len(c.Mod.Funcs))
+	allUsed := ps.Bits(n)
 	addEdge := func(a, b int) {
-		if a == b {
-			return
+		if a != b {
+			interf.row(a).Set(b)
+			interf.row(b).Set(a)
 		}
-		if interf[a] == nil {
-			interf[a] = make(map[int]bool)
-		}
-		if interf[b] == nil {
-			interf[b] = make(map[int]bool)
-		}
-		interf[a][b] = true
-		interf[b][a] = true
 	}
 
-	used := make(map[string]map[int]bool, len(c.Mod.Funcs))
-	for _, f := range c.Mod.Funcs {
-		s := make(map[int]bool)
+	for i, f := range c.Mod.Funcs {
 		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				if in := &b.Instrs[i]; in.Op.IsBarrierOp() {
-					s[in.Bar] = true
+			for k := range b.Instrs {
+				if in := &b.Instrs[k]; in.Op.IsBarrierOp() {
+					used.row(i).Set(in.Bar)
 				}
 			}
 		}
-		used[f.Name] = s
+		trans.row(i).Copy(used.row(i))
+		allUsed.UnionWith(used.row(i))
 	}
-	// usedTransitive includes barriers of everything a function calls.
-	var usedTransitive func(name string, seen map[string]bool) map[int]bool
-	usedTransitive = func(name string, seen map[string]bool) map[int]bool {
-		out := make(map[int]bool)
-		if seen[name] {
-			return out
-		}
-		seen[name] = true
-		f := c.Mod.FuncByName(name)
-		if f == nil {
-			return out
-		}
-		for b := range used[name] {
-			out[b] = true
-		}
-		for _, blk := range f.Blocks {
-			for i := range blk.Instrs {
-				if in := &blk.Instrs[i]; in.Op == ir.OpCall {
-					for b := range usedTransitive(in.Callee, seen) {
-						out[b] = true
+	// trans closes used over the call graph.
+	for changed := true; changed; {
+		changed = false
+		for i, f := range c.Mod.Funcs {
+			for _, b := range f.Blocks {
+				for k := range b.Instrs {
+					if in := &b.Instrs[k]; in.Op == ir.OpCall {
+						if j := c.Mod.FuncIndex(in.Callee); j >= 0 && trans.row(i).UnionWith(trans.row(j)) {
+							changed = true
+						}
 					}
 				}
 			}
 		}
-		return out
 	}
 
 	for _, f := range c.Mod.Funcs {
 		intervals, fp := dataflow.JoinedIntervals(c.facts.Scratch(), f, c.facts.CFG(f))
 
-		// Union point sets per barrier for interference within f.
-		ranges := make(map[int]dataflow.Bits)
+		// A barrier's range within f is the union of its intervals,
+		// which come in barrier order; ranges are unioned in place.
+		ranges := intervals[:0]
 		for _, iv := range intervals {
-			if r, ok := ranges[iv.Bar]; ok {
-				r.UnionWith(iv.Points)
+			if k := len(ranges) - 1; k >= 0 && ranges[k].Bar == iv.Bar {
+				ranges[k].Points.UnionWith(iv.Points)
 			} else {
-				ranges[iv.Bar] = iv.Points.Clone()
+				ranges = append(ranges, iv)
 			}
 		}
-		bars := make([]int, 0, len(ranges))
-		for b := range ranges {
-			bars = append(bars, b)
-		}
-		sort.Ints(bars)
-		for i := 0; i < len(bars); i++ {
-			for j := i + 1; j < len(bars); j++ {
-				if intersects(ranges[bars[i]], ranges[bars[j]]) {
-					addEdge(bars[i], bars[j])
+		for i, a := range ranges {
+			for _, b := range ranges[i+1:] {
+				if intersects(a.Points, b.Points) {
+					addEdge(a.Bar, b.Bar)
 				}
 			}
 		}
@@ -114,13 +97,10 @@ func (c *PassContext) allocateBarriers() error {
 				if in.Op != ir.OpCall {
 					continue
 				}
-				pt := fp.ID(blk.Index, i)
-				for b, r := range ranges {
-					if !r.Has(pt) {
-						continue
-					}
-					for other := range usedTransitive(in.Callee, map[string]bool{}) {
-						addEdge(b, other)
+				j, pt := c.Mod.FuncIndex(in.Callee), fp.ID(blk.Index, i)
+				for _, r := range ranges {
+					if j >= 0 && r.Points.Has(pt) {
+						trans.row(j).ForEach(func(other int) { addEdge(r.Bar, other) })
 					}
 				}
 			}
@@ -133,33 +113,26 @@ func (c *PassContext) allocateBarriers() error {
 		if bi.Kind != KindSpecCall {
 			continue
 		}
-		for other := range used[bi.Fn.Name] {
-			addEdge(bi.ID, other)
-		}
-		for other := range used[bi.Callee] {
-			addEdge(bi.ID, other)
+		for _, name := range []string{bi.Fn.Name, bi.Callee} {
+			if j := c.Mod.FuncIndex(name); j >= 0 {
+				used.row(j).ForEach(func(other int) { addEdge(bi.ID, other) })
+			}
 		}
 	}
 
 	// Greedy coloring in id order (creation order approximates program
 	// order, which colors well for these nesting-structured ranges).
 	assignment := make(map[int]int, n)
-	allUsed := make(map[int]bool)
-	for _, s := range used {
-		for b := range s {
-			allUsed[b] = true
-		}
-	}
 	for b := 0; b < n; b++ {
-		if !allUsed[b] {
+		if !allUsed.Has(b) {
 			continue
 		}
-		taken := make([]bool, ir.NumBarrierRegs)
-		for other := range interf[b] {
+		var taken [ir.NumBarrierRegs]bool
+		interf.row(b).ForEach(func(other int) {
 			if phys, ok := assignment[other]; ok {
 				taken[phys] = true
 			}
-		}
+		})
 		phys := -1
 		for r := 0; r < ir.NumBarrierRegs; r++ {
 			if !taken[r] {
@@ -186,6 +159,14 @@ func (c *PassContext) allocateBarriers() error {
 	c.result.BarrierAssignment = assignment
 	return nil
 }
+
+// bitRows is a table of sets, each a row of w words.
+type bitRows struct {
+	bits dataflow.Bits
+	w    int
+}
+
+func (t bitRows) row(i int) dataflow.Bits { return t.bits[i*t.w : (i+1)*t.w : (i+1)*t.w] }
 
 func intersects(a, b dataflow.Bits) bool {
 	for i := range a {

@@ -26,6 +26,30 @@ func TestAllocationStaysWithinBudget(t *testing.T) {
 	}
 }
 
+// TestAssignmentIsNeverNil: a build with nothing to color — no
+// barrier, or no alloc pass — still records an empty, non-nil
+// assignment.
+func TestAssignmentIsNeverNil(t *testing.T) {
+	uniform, err := ir.Parse(uniformKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skip := SpecReconOptions()
+	skip.SkipAllocation = true
+	for _, tc := range []struct {
+		m    *ir.Module
+		opts Options
+	}{{uniform, BaselineOptions()}, {buildListing1(64, 8), skip}} {
+		comp, err := Compile(tc.m, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if comp.BarrierAssignment == nil || len(comp.BarrierAssignment) != 0 {
+			t.Errorf("%s: assignment %#v, want an empty map", tc.m.Name, comp.BarrierAssignment)
+		}
+	}
+}
+
 // TestAllocationPreservesSemantics: the allocated module behaves exactly
 // like the virtual-barrier module.
 func TestAllocationPreservesSemantics(t *testing.T) {

@@ -269,12 +269,7 @@ func compileIn(facts *analyze.Facts, m *ir.Module, opts Options, pipe *Pipeline,
 	mod := m.Clone()
 	facts.Reset(mod)
 	c := &PassContext{Mod: mod, Opts: opts, facts: facts, fullReport: fullReport}
-	c.result = &Compilation{
-		Module:            mod,
-		Options:           opts,
-		BarrierAssignment: map[int]int{},
-		Pipeline:          pipe.Spec(),
-	}
+	c.result = &Compilation{Module: mod, Options: opts, Pipeline: pipe.Spec()}
 
 	// Virtual barrier ids are module-wide unique so that interprocedural
 	// barriers can span functions.
@@ -289,6 +284,9 @@ func compileIn(facts *analyze.Facts, m *ir.Module, opts Options, pipe *Pipeline,
 
 	if err := pipe.run(c); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	if c.result.BarrierAssignment == nil { // no alloc pass, or no barrier to color
+		c.result.BarrierAssignment = map[int]int{}
 	}
 
 	if err := ir.VerifyModule(mod); err != nil {

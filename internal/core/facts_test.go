@@ -365,6 +365,16 @@ func TestCompilationCannotReachTheRecord(t *testing.T) {
 			t.Errorf("the walk over analyze.Facts did not find %s, which a record holds", typ)
 		}
 	}
+	// The efficiency estimate's storage types are unexported: named.
+	for _, name := range []string{"analyze.estimator", "analyze.fnEstimate"} {
+		found := false
+		for typ := range held {
+			found = found || typ.String() == name && banned[typ]
+		}
+		if !found {
+			t.Errorf("the banned set lacks %s, the efficiency estimate's storage a record holds", name)
+		}
+	}
 }
 
 // TestOneAnalysisSiteInSource keeps the record the only way to a CFG or
@@ -422,6 +432,7 @@ func recordView(c *Compilation, err error) string {
 		fmt.Fprintf(&b, "conflict %s b%d b%d\n", cp.Fn.Name, cp.A, cp.B)
 	}
 	fmt.Fprintf(&b, "assignment %v\n", c.BarrierAssignment)
+	fmt.Fprintf(&b, "static-eff %v\n", c.StaticEff)
 	for _, r := range c.Remarks {
 		fmt.Fprintf(&b, "remark %+v\n", r)
 	}
@@ -555,6 +566,41 @@ func TestRecycledRecordMatchesFresh(t *testing.T) {
 	for _, c := range keep {
 		if got := recordView(c.comp, nil); got != c.want {
 			t.Fatalf("a kept Compilation changed after later compiles recycled its record:\n%s\nwant:\n%s", got, c.want)
+		}
+	}
+}
+
+// diagnoseAllocsMax is what an uncached Diagnose of app003 of the seed-42
+// corpus (one divergent branch, one barrier) allocates under each of the
+// threshold-study variants once the record pool is warm: the module's
+// clone, the Compilation with its report, remarks, pass statistics and
+// barrier assignment, and the pass context.
+const diagnoseAllocsMax = 35
+
+// TestDiagnoseAllocs pins diagnoseAllocsMax under the PDOM build and the
+// soft-barrier thresholds 8 and 24.
+func TestDiagnoseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	app := corpus.Generate(4, 42)[3]
+	if app.Name != "app003-divergent-cond" {
+		t.Fatalf("corpus app 3 is %s, want app003-divergent-cond", app.Name)
+	}
+	at := func(threshold int) Options {
+		o := SpecReconOptions()
+		o.ThresholdOverride = threshold
+		return o
+	}
+	for _, o := range []Options{BaselineOptions(), at(8), at(24)} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Diagnose(app.Module, o); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > diagnoseAllocsMax {
+			t.Errorf("Diagnose(%s, %s threshold %d) allocates %v objects, want at most %d",
+				app.Name, PipelineFor(o).Spec(), o.ThresholdOverride, allocs, diagnoseAllocsMax)
 		}
 	}
 }

@@ -100,6 +100,9 @@ type Scratch struct {
 // Reset reclaims everything cut from s.
 func (s *Scratch) Reset() { s.words, s.ints, s.intervals = s.words[:0], s.ints[:0], s.intervals[:0] }
 
+// Bits returns a zero set of n bits cut from s.
+func (s *Scratch) Bits(n int) Bits { return cut(&s.words, (n+63)/64) }
+
 // cut returns n zero elements cut from the end of *slab, which moves to
 // new storage when it is full (what was cut before stays where it was).
 func cut[S ~[]T, T any](slab *S, n int) S {

@@ -28,9 +28,14 @@ func ModuleNumBarriers(m *ir.Module) int {
 // waits on before any branch — the interprocedural reconvergence pattern
 // of §4.4. A call to such a function is guaranteed to clear those
 // barriers, which the joined-at-exit analysis must model or every
-// interprocedural prediction would be a false positive.
-func CalleeEntryWaits(m *ir.Module) map[string][]int {
-	out := map[string][]int{}
+// interprocedural prediction would be a false positive. The map is
+// built in into, cleared, when into is not nil.
+func CalleeEntryWaits(m *ir.Module, into map[string][]int) map[string][]int {
+	out := into
+	if out == nil {
+		out = map[string][]int{}
+	}
+	clear(out)
 	for _, f := range m.Funcs {
 		if len(f.Blocks) == 0 {
 			continue

@@ -94,7 +94,7 @@ type NamedProblem struct {
 // ranges, integer and float register liveness, and the dead-join release
 // sets.
 func Problems(m *ir.Module, f *ir.Function) []NamedProblem {
-	nb, mnb, waits := NumBarriers(f), ModuleNumBarriers(m), CalleeEntryWaits(m)
+	nb, mnb, waits := NumBarriers(f), ModuleNumBarriers(m), CalleeEntryWaits(m, nil)
 	return []NamedProblem{
 		{"joined", joinedProblem(nb, false)},
 		{"joined-cancels", joinedProblem(nb, true)},

@@ -209,12 +209,21 @@ func (m *Module) NewFunction(name string) *Function {
 
 // FuncByName returns the function with the given name, or nil.
 func (m *Module) FuncByName(name string) *Function {
-	for _, f := range m.Funcs {
-		if f.Name == name {
-			return f
-		}
+	if i := m.FuncIndex(name); i >= 0 {
+		return m.Funcs[i]
 	}
 	return nil
+}
+
+// FuncIndex returns the position in Funcs of the function with the
+// given name, or -1.
+func (m *Module) FuncIndex(name string) int {
+	for i, f := range m.Funcs {
+		if f.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // NumInstrs returns the total instruction count across all functions.

@@ -2,9 +2,10 @@ package ir
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode"
 )
 
 // Parse reads a module in the textual format produced by Print. It is the
@@ -14,7 +15,12 @@ import (
 // Every name and operand token is a slice of src, never a copy, so the
 // returned module keeps src reachable.
 func Parse(src string) (*Module, error) {
-	p := &parser{src: src}
+	p, _ := parsers.Get().(*parser)
+	if p == nil {
+		p = new(parser)
+	}
+	defer p.retire()
+	p.src, p.off, p.pos = src, 0, 0
 	m, err := p.module()
 	if err != nil {
 		return nil, fmt.Errorf("line %d: %w", p.pos, err)
@@ -25,14 +31,55 @@ func Parse(src string) (*Module, error) {
 	return m, nil
 }
 
+// parsers holds retired parsers, whose scratch the next Parse reads into.
+var parsers sync.Pool
+
 type parser struct {
 	src string
 	off int // offset in src of the first line not yet consumed
 	pos int // 1-based line number of the line most recently consumed
 
-	// instrs collects the current block's instructions; the block gets an
-	// exact-size copy when it ends, and the buffer serves the next block.
+	// The function being read collects here: its instructions in
+	// order, its blocks and its successor names. At the closing brace
+	// the function gets its slabs, and the scratch, cleared, serves the
+	// next function and the next Parse.
 	instrs []Instr
+	blocks []pendingBlock
+	succs  []pendingSuccs
+	nedges int
+	words  []string // what fields returned last
+}
+
+// clear empties the scratch, keeping its storage but no slice of src.
+func (p *parser) clear() {
+	clear(p.instrs)
+	clear(p.blocks)
+	clear(p.succs)
+	clear(p.words)
+	p.instrs, p.blocks, p.succs, p.words, p.nedges = p.instrs[:0], p.blocks[:0], p.succs[:0], p.words[:0], 0
+}
+
+// retire clears the parser and pools it for the next Parse.
+func (p *parser) retire() {
+	p.clear()
+	p.src = ""
+	parsers.Put(p)
+}
+
+// fields is strings.Fields(ln) in the parser's scratch, valid until the
+// next call.
+func (p *parser) fields(ln string) []string {
+	p.words = p.words[:0]
+	for {
+		if ln = strings.TrimLeftFunc(ln, unicode.IsSpace); ln == "" {
+			return p.words
+		}
+		i := strings.IndexFunc(ln, unicode.IsSpace)
+		if i < 0 {
+			i = len(ln)
+		}
+		p.words, ln = append(p.words, ln[:i]), ln[i:]
+	}
 }
 
 // next returns the next non-empty, non-comment line, trimmed, or ok=false
@@ -61,7 +108,7 @@ func (p *parser) module() (*Module, error) {
 	if !ok {
 		return nil, fmt.Errorf("empty input")
 	}
-	fields := strings.Fields(ln)
+	fields := p.fields(ln)
 	if len(fields) < 2 || fields[0] != "module" {
 		return nil, fmt.Errorf("expected 'module <name> ...', got %q", ln)
 	}
@@ -112,14 +159,27 @@ type pendingPred struct {
 	threshold int
 }
 
+// pendingBlock is a block read so far: its label and the end of its
+// instructions in parser.instrs, which start at the previous block's
+// end.
+type pendingBlock struct {
+	name string
+	end  int
+}
+
 // pendingSuccs records a block's successor names for the second pass.
 type pendingSuccs struct {
-	block *Block
+	block int       // index in parser.blocks
 	names [2]string // names[1] is empty for a one-way branch
 }
 
+// function reads one function into one []Block slab, one exact-size
+// []Instr slab and one edge slab, the layout Function.Clone makes. Each
+// block's instructions and successors are capped at its own end, so an
+// append or InsertAt on one block moves that block alone to new storage.
 func (p *parser) function(m *Module, header string) error {
-	fields := strings.Fields(strings.TrimSuffix(strings.TrimSpace(header), "{"))
+	defer p.clear()
+	fields := p.fields(strings.TrimSuffix(strings.TrimSpace(header), "{"))
 	if len(fields) < 2 || !strings.HasPrefix(fields[1], "@") {
 		return fmt.Errorf("malformed func header %q", header)
 	}
@@ -143,35 +203,25 @@ func (p *parser) function(m *Module, header string) error {
 		}
 	}
 
-	var cur *Block
-	var succs []pendingSuccs
 	var preds []pendingPred
-	// endBlock hands the finished block its instructions.
-	endBlock := func() {
-		if cur != nil && len(p.instrs) > 0 {
-			cur.Instrs = append([]Instr(nil), p.instrs...)
-		}
-		p.instrs = p.instrs[:0]
-	}
 	for {
 		ln, ok := p.next()
 		if !ok {
 			return fmt.Errorf("unterminated function %q", f.Name)
 		}
 		if ln == "}" {
-			endBlock()
 			break
 		}
 		if strings.HasSuffix(ln, ":") && !strings.Contains(ln, " ") {
-			endBlock()
-			cur = f.NewBlock(strings.TrimSuffix(ln, ":"))
+			p.blocks = append(p.blocks, pendingBlock{name: strings.TrimSuffix(ln, ":"), end: len(p.instrs)})
 			continue
 		}
-		if cur == nil {
+		cur := len(p.blocks) - 1
+		if cur < 0 {
 			return fmt.Errorf("instruction %q before any block label", ln)
 		}
 		if strings.HasPrefix(ln, ".predict") {
-			pp, err := parsePredict(ln, cur.Name)
+			pp, err := parsePredict(ln, p.blocks[cur].name)
 			if err != nil {
 				return err
 			}
@@ -183,25 +233,44 @@ func (p *parser) function(m *Module, header string) error {
 			return fmt.Errorf("%q: %w", ln, err)
 		}
 		p.instrs = append(p.instrs, in)
+		p.blocks[cur].end = len(p.instrs)
 		if succNames[0] != "" {
-			succs = append(succs, pendingSuccs{block: cur, names: succNames})
+			p.succs = append(p.succs, pendingSuccs{block: cur, names: succNames})
+			p.nedges += 1 + min(len(succNames[1]), 1)
 		}
 	}
 
-	// Second pass: resolve successor and prediction block names.
-	for _, ps := range succs {
-		names := ps.names[:]
-		if names[1] == "" {
-			names = names[:1]
+	blocks := make([]Block, len(p.blocks))
+	f.Blocks = make([]*Block, len(p.blocks))
+	instrs := make([]Instr, len(p.instrs))
+	copy(instrs, p.instrs)
+	lo := 0
+	for i, pb := range p.blocks {
+		blocks[i] = Block{Name: pb.name, Index: i}
+		if pb.end > lo {
+			blocks[i].Instrs = instrs[lo:pb.end:pb.end]
 		}
-		ps.block.Succs = slices.Grow(ps.block.Succs, len(names))
-		for _, name := range names {
+		f.Blocks[i], lo = &blocks[i], pb.end
+	}
+
+	// Second pass: resolve successor and prediction block names. A
+	// block's pending successors are consecutive, and so are its edges.
+	edges := make([]*Block, 0, p.nedges)
+	for i, ps := range p.succs {
+		if i == 0 || p.succs[i-1].block != ps.block {
+			lo = len(edges)
+		}
+		for _, name := range ps.names {
+			if name == "" {
+				break
+			}
 			t := f.BlockByName(name)
 			if t == nil {
 				return fmt.Errorf("func %q: undefined block %q", f.Name, name)
 			}
-			ps.block.Succs = append(ps.block.Succs, t)
+			edges = append(edges, t)
 		}
+		blocks[ps.block].Succs = edges[lo:len(edges):len(edges)]
 	}
 	for _, pp := range preds {
 		pred := Prediction{Threshold: pp.threshold, Callee: pp.callee}
@@ -214,7 +283,6 @@ func (p *parser) function(m *Module, header string) error {
 		}
 		f.Predictions = append(f.Predictions, pred)
 	}
-	f.Reindex()
 	return nil
 }
 

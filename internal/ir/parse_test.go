@@ -223,3 +223,19 @@ func TestMemoryOperandForms(t *testing.T) {
 		}
 	}
 }
+
+// TestParsedEmptyBlockHasNilInstrs: a block with no instructions gets
+// no piece of its function's instruction slab. The verifier rejects
+// such a block, so the parser is driven without it.
+func TestParsedEmptyBlockHasNilInstrs(t *testing.T) {
+	p := &parser{src: "module e\nfunc @k nregs=1 nfregs=0 {\nempty:\nlast:\n  exit\n}\n"}
+	m, err := p.module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := m.Funcs[0].Blocks
+	if bs[0].Instrs != nil || len(bs[1].Instrs) != 1 || cap(bs[1].Instrs) != 1 {
+		t.Fatalf("empty block Instrs = %#v (nil: %v); next block has len %d cap %d, want 1 and 1",
+			bs[0].Instrs, bs[0].Instrs == nil, len(bs[1].Instrs), cap(bs[1].Instrs))
+	}
+}
