@@ -12,6 +12,7 @@
 //	specrecon -kernel rsbench -mode spec -threshold 24 -print
 //	specrecon -kernel mykernel.sasm -mode auto
 //	specrecon -kernel pathtracer -mode spec -profile -trace-out pt.trace.json
+//	specrecon -kernel rsbench -timeline 40   # Figure 1/3 lane timelines of both builds
 //
 // Exit status: 0 the runs completed (with -diffcheck: the builds agree);
 // 1 a compile or a run failed, or -diffcheck has a finding; 2 a flag, a
@@ -25,6 +26,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -73,6 +75,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		traceOut    = app.String("trace-out", "", "write a Chrome trace-event JSON (open in ui.perfetto.dev) to this file")
 
 		sampleStride = app.Int64("sample-stride", 0, "sample per-SM occupancy/stall attribution every N modeled cycles (0 = off); prints the occupancy report per run and feeds counter tracks into -trace-out")
+		timeline     = app.Int("timeline", 0, "print each run's lane-occupancy timeline of warp 0 in at most N rows, then its active-lane histogram (0 = off; Figures 1 and 3)")
 	)
 	app.IntVar(&app.Launch.Tasks, "tasks", 0, "tasks per thread (0 = workload default)")
 	app.LaunchFlags()
@@ -112,8 +115,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *profileTop < 0 {
 		return usage(fmt.Errorf("-profile-top %d: the row count cannot be negative", *profileTop))
 	}
+	if *timeline < 0 {
+		return usage(fmt.Errorf("-timeline %d: the row count cannot be negative", *timeline))
+	}
 	if *threshold < -1 || *threshold > ir.WarpWidth {
 		return usage(fmt.Errorf("-threshold %d: want -1 (each annotation's own), 0 (hard) or 1..%d", *threshold, ir.WarpWidth))
+	}
+	if !slices.Contains([]string{"baseline", "spec", "auto", "both"}, *mode) {
+		return usage(fmt.Errorf("unknown mode %q", *mode))
+	}
+	dec, err := parseNamed("deconfliction mode", *deconf, core.DeconflictDynamic, core.DeconflictStatic, core.DeconflictNone)
+	if err != nil {
+		return usage(err)
 	}
 	if *sampleStride < 0 {
 		return usage(fmt.Errorf("-sample-stride %d: the stride cannot be negative", *sampleStride))
@@ -164,11 +177,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 
-	dec, err := parseNamed("deconfliction mode", *deconf, core.DeconflictDynamic, core.DeconflictStatic, core.DeconflictNone)
-	if err != nil {
-		return usage(err)
-	}
-
 	if *diffFlag {
 		return runDiffcheck(app, *kernel, inst, diffcheck.Options{
 			ThresholdOverride: *threshold, Deconflict: dec, AutoAnnotate: true,
@@ -191,10 +199,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var baseCycles int64
 	dumped := false
 	for _, mo := range modes {
-		opts, mod, err := optionsFor(stdout, mo, inst, dec, *threshold)
-		if err != nil {
-			return usage(err)
-		}
+		opts, mod := optionsFor(stdout, mo, inst, dec, *threshold)
 		if mo != "baseline" {
 			// The baseline is the reference; faults only ever perturb the
 			// speculative side.
@@ -253,6 +258,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		var pcProf *obs.Profile
 		var rec *obs.TraceRecorder
 		var occ *obs.OccupancyRecorder
+		var tl *obs.Timeline
 		if *profile || *profileJSON != "" {
 			pcProf = obs.NewProfile(comp.Module)
 			sinks = append(sinks, pcProf)
@@ -260,6 +266,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if *traceOut != "" {
 			rec = obs.NewTraceRecorder()
 			sinks = append(sinks, rec)
+		}
+		if *timeline > 0 {
+			tl = obs.NewTimeline(0)
+			sinks = append(sinks, tl)
 		}
 		if *sampleStride > 0 {
 			occ = obs.NewOccupancyRecorder()
@@ -295,6 +305,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			baseCycles = m.Cycles
 		} else if baseCycles > 0 {
 			fmt.Fprintf(stdout, "          speedup over baseline: %.2fx\n", float64(baseCycles)/float64(m.Cycles))
+		}
+		if tl != nil {
+			fmt.Fprintf(stdout, "\n%s timeline:\n\n%s\n%s", mo, tl.Render(*timeline), tl.OccupancyHistogram())
 		}
 		if *profile {
 			fmt.Fprintf(stdout, "\n%s profile:\n\n", mo)
@@ -363,7 +376,7 @@ func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, flags dif
 		if err != nil {
 			return app.Fail(cli.Usage, err)
 		}
-		k, opts.Repair = loaded, recorded.Repair
+		k, opts.Verify, opts.Repair = loaded, recorded.Verify, recorded.Repair
 		if !injected {
 			opts.Faults, opts.SkipReleaseN = recorded.Faults, recorded.SkipReleaseN
 		}
@@ -434,25 +447,22 @@ func loadInstance(kernel string, cfg workloads.BuildConfig) (*workloads.Instance
 
 // optionsFor returns the compile options and the module to compile for a
 // mode. Auto mode strips manual annotations and runs the detector.
-func optionsFor(out io.Writer, mode string, inst *workloads.Instance, dec core.DeconflictMode, threshold int) (core.Options, *ir.Module, error) {
+func optionsFor(out io.Writer, mode string, inst *workloads.Instance, dec core.DeconflictMode, threshold int) (core.Options, *ir.Module) {
 	mod := inst.Module
 	switch mode {
 	case "baseline":
-		return core.BaselineOptions(), mod, nil
-	case "spec":
+		return core.BaselineOptions(), mod
 	case "auto":
 		var applied []core.Candidate
 		mod, applied = harness.AutoAnnotated(mod, core.DefaultAutoDetectOptions())
 		for _, c := range applied {
 			fmt.Fprintf(out, "auto: %s candidate at=%s label=%s score=%.1f\n", c.Kind, c.At.Name, c.Label.Name, c.Score())
 		}
-	default:
-		return core.Options{}, nil, fmt.Errorf("unknown mode %q", mode)
 	}
 	opts := core.SpecReconOptions()
 	opts.Deconflict = dec
 	opts.ThresholdOverride = threshold
-	return opts, mod, nil
+	return opts, mod
 }
 
 // parseNamed returns the one of vals that prints as s.

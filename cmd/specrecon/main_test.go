@@ -21,6 +21,9 @@ func TestCLI(t *testing.T) {
 		{Name: "diagnostics", Args: []string{"-kernel", "rsbench", "-mode", "spec", "-diagnostics", "-sched", "oldest", "-starve-limit", "1000000"}},
 		{Name: "sweep", Args: []string{"-kernel", "xsbench", "-sweep", "-threads", "64"}},
 		{Name: "sweep-mismatch", Args: []string{"-kernel", "testdata/ballotdep.sasm", "-sweep"}, Code: 1, Stderr: "threshold 1: ballotdep: memory word 0 differs"},
+		{Name: "timeline-baseline", Args: []string{"-kernel", "rsbench", "-mode", "baseline", "-threads", "32", "-tasks", "4", "-timeline", "12"}},
+		{Name: "timeline-spec-grid", Args: []string{"-kernel", "rsbench", "-mode", "spec", "-tasks", "4", "-grid", "2", "-ctasize", "32", "-sms", "2", "-timeline", "12"}},
+		{Name: "timeline-both", Args: []string{"-kernel", "../../testdata/iterdelay.sasm", "-timeline", "8"}},
 		{Name: "diffcheck-ok", Args: []string{"-kernel", "rsbench", "-diffcheck"}},
 		{Name: "diffcheck-finding", Args: []string{"-kernel", "rsbench", "-diffcheck", "-inject", "skip-release@1"}, Code: 1},
 		{Name: "diffcheck-bad-repro", Args: []string{"-kernel", "testdata/badrepro.sasm", "-diffcheck"}, Code: 2, Stderr: "testdata/badrepro.sasm:4: repro-seed: "},
@@ -34,9 +37,14 @@ func TestCLI(t *testing.T) {
 		{Name: "safe-verify-each", Args: []string{"-kernel", "rsbench", "-safe", "-mode", "spec", "-verify-each"}, Code: 2, Stderr: "-safe compiles"},
 		{Name: "safe-dump-ir-after", Args: []string{"-kernel", "rsbench", "-safe", "-mode", "spec", "-dump-ir-after", "pdom"}, Code: 2, Stderr: "-dump-ir-after"},
 		{Name: "negative-profile-top", Args: []string{"-kernel", "rsbench", "-profile", "-profile-top", "-3"}, Code: 2, Stderr: "-profile-top -3"},
+		{Name: "negative-timeline", Args: []string{"-kernel", "rsbench", "-timeline", "-1"}, Code: 2, Stderr: "-timeline -1: the row count cannot be negative"},
+		{Name: "diffcheck-bad-mode", Args: []string{"-kernel", "rsbench", "-diffcheck", "-mode", "bogus"}, Code: 2, Stderr: `unknown mode "bogus"`},
+		{Name: "sweep-bad-mode", Args: []string{"-kernel", "rsbench", "-sweep", "-mode", "bogus"}, Code: 2, Stderr: `unknown mode "bogus"`},
+		{Name: "diagnostics-bad-deconflict", Args: []string{"-kernel", "rsbench", "-diagnostics", "-deconflict", "bogus"}, Code: 2, Stderr: `unknown deconfliction mode "bogus"`},
 		{Name: "threshold-out-of-range", Args: []string{"-kernel", "rsbench", "-threshold", "99"}, Code: 2, Stderr: "-threshold 99"},
 		{Name: "negative-sample-stride", Args: []string{"-kernel", "rsbench", "-sample-stride", "-5"}, Code: 2, Stderr: "-sample-stride -5"},
 		{Name: "interleave-grid", Args: []string{"-kernel", "rsbench", "-interleave", "-grid", "4"}, Code: 2, Stderr: "-interleave makes a flat launch one wave and cannot be combined with -grid"},
+		{Name: "negative-tasks", Args: []string{"-kernel", "rsbench", "-tasks", "-2"}, Code: 2, Stderr: "-tasks -2: the count cannot be negative"},
 		{Name: "negative-threads", Args: []string{"-kernel", "rsbench", "-threads", "-3"}, Code: 2, Stderr: "-threads -3: the count cannot be negative"},
 		{Name: "negative-ctasize", Args: []string{"-kernel", "rsbench", "-grid", "2", "-ctasize", "-5"}, Code: 2, Stderr: "-ctasize -5: the count cannot be negative"},
 		{Name: "skip-release-stack", Args: []string{"-kernel", "rsbench", "-mode", "spec", "-model", "stack", "-inject", "skip-release@1"}, Code: 2, Stderr: "-inject skip-release cannot be combined with -model stack"},

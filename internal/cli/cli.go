@@ -39,7 +39,7 @@ type App struct {
 	*flag.FlagSet
 	Stdout, Stderr io.Writer
 
-	// Launch is the launch shape (LaunchFlags, GridFlags) and, after
+	// Launch is the launch shape (LaunchFlags) and, after
 	// Parse, the scheduler selection (SchedFlags).
 	Launch workloads.BuildConfig
 	// StarveLimit and WallBudget arm the liveness monitors (LivenessFlags).
@@ -63,18 +63,13 @@ func New(name string, stdout, stderr io.Writer) *App {
 	return &App{FlagSet: fs, Stdout: stdout, Stderr: stderr}
 }
 
-// GridFlags registers the grid shape.
-func (a *App) GridFlags() {
-	a.IntVar(&a.Launch.Grid, "grid", 0, "CTAs in a grid launch (0 = flat single-SM launch; overrides -threads)")
-	a.IntVar(&a.Launch.CTASize, "ctasize", 0, "threads per CTA for -grid (0 = one warp)")
-	a.IntVar(&a.Launch.SMs, "sms", 0, "streaming multiprocessors for -grid (0 = 1)")
-}
-
 // LaunchFlags registers the whole launch shape.
 func (a *App) LaunchFlags() {
 	a.IntVar(&a.Launch.Threads, "threads", 0, "thread count (0 = workload default)")
 	a.Uint64Var(&a.Launch.Seed, "seed", 0, "seed (0 = workload default)")
-	a.GridFlags()
+	a.IntVar(&a.Launch.Grid, "grid", 0, "CTAs in a grid launch (0 = flat single-SM launch; overrides -threads)")
+	a.IntVar(&a.Launch.CTASize, "ctasize", 0, "threads per CTA for -grid (0 = one warp)")
+	a.IntVar(&a.Launch.SMs, "sms", 0, "streaming multiprocessors for -grid (0 = 1)")
 	a.IntVar(&a.Launch.Workers, "workers", 0, "goroutines simulating SMs (0 = serial; results are identical)")
 }
 

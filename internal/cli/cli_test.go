@@ -63,14 +63,15 @@ func TestParseStatuses(t *testing.T) {
 }
 
 // TestGroupsRegisterOnlyTheirFlags: a binary gets the flags of the groups
-// it registers and no others — simtviz's three, figures' no -starve-limit.
+// it registers and no others — figures' launch and scheduler flags and no
+// -starve-limit.
 func TestGroupsRegisterOnlyTheirFlags(t *testing.T) {
 	a := New("tool", &bytes.Buffer{}, &bytes.Buffer{})
-	a.GridFlags()
+	a.LaunchFlags()
 	a.SchedFlags()
 	var names []string
 	a.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got, want := strings.Join(names, " "), "ctasize grid policy sched sched-seed sms"; got != want {
+	if got, want := strings.Join(names, " "), "ctasize grid policy sched sched-seed seed sms threads workers"; got != want {
 		t.Errorf("registered %q, want %q", got, want)
 	}
 }

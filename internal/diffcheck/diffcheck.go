@@ -62,12 +62,12 @@ type Options struct {
 	// pipeline; violations surface as StageVerify findings before any
 	// simulation runs.
 	Verify bool
-	// Repair (with Verify) routes the speculative build through the
-	// automated-repair pipeline: the analyzer's machine edits are
-	// applied to fixpoint before re-verification. The baseline side is
-	// never repaired — it stays the un-repaired PDOM reference, so a
-	// passing check is the proof obligation that a repair preserved the
-	// kernel's results.
+	// Repair routes the speculative build through the automated-repair
+	// pipeline, which verifies whether or not Verify is set: the
+	// analyzer's machine edits are applied to fixpoint before
+	// re-verification. The baseline side is never repaired — it stays
+	// the un-repaired PDOM reference, so a passing check is the proof
+	// obligation that a repair preserved the kernel's results.
 	Repair bool
 	// AutoAnnotate runs the §4.5 detector when the module carries no
 	// predictions (corpus kernels arrive bare), annotating a clone made
@@ -209,7 +209,7 @@ func check(k Kernel, opts Options, reuse bool) Result {
 	}
 	repaired := false
 	var specComp *core.Compilation
-	if opts.Verify && opts.Repair {
+	if opts.Repair {
 		specComp, err = opts.Cache.CompilePipeline(mod, specOpts, core.RepairPipelineFor(specOpts))
 		if err != nil {
 			return Result{Stage: StageVerify, Err: err, Annotated: annotated}

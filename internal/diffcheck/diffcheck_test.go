@@ -3,6 +3,7 @@ package diffcheck
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +19,36 @@ import (
 	"specrecon/internal/simt"
 	"specrecon/internal/workloads"
 )
+
+// TestSameMemory: words that differ only in float rounding, and NaNs
+// with different payloads, are the same result; an integer, a large float
+// or a length that differs is not, nor is one CTA's shared word.
+func TestSameMemory(t *testing.T) {
+	a := []uint64{1, 2, math.Float64bits(1.0)}
+	b := []uint64{1, 2, math.Float64bits(1.0 + 1e-13)}
+	if err := SameMemory(a, b); err != nil {
+		t.Errorf("tiny float difference should pass: %v", err)
+	}
+	c := []uint64{1, 2, math.Float64bits(1.5)}
+	if err := SameMemory(a, c); err == nil {
+		t.Error("large float difference should fail")
+	}
+	d := []uint64{1, 3, math.Float64bits(1.0)}
+	if err := SameMemory(a, d); err == nil {
+		t.Error("integer difference should fail")
+	}
+	if err := SameMemory(a, a[:2]); err == nil {
+		t.Error("length mismatch should fail")
+	}
+	nan := []uint64{math.Float64bits(math.NaN())}
+	nan2 := []uint64{math.Float64bits(math.NaN()) ^ 1} // different NaN payload
+	if err := SameMemory(nan, nan2); err != nil {
+		t.Errorf("NaN vs NaN should pass: %v", err)
+	}
+	if err := SameShared([][]uint64{a, b}, [][]uint64{a, d}); err == nil || !strings.Contains(err.Error(), "cta 1 shared: memory word 1 differs") {
+		t.Errorf("one CTA word differing: %v, want a cta 1 shared difference", err)
+	}
+}
 
 func TestCheckCleanMatrixKernel(t *testing.T) {
 	k := MatrixKernel()
@@ -347,7 +378,7 @@ func TestEveryDirectiveRoundTrips(t *testing.T) {
 		opts Options
 	}{
 		{Kernel{Name: "flat", Module: mod, Entry: "kernel", Threads: 96, Seed: 9, Memory: image(40)},
-			Options{Faults: core.FaultPlan{DropCancel: 2, SwapWaits: true}, SkipReleaseN: 3, Repair: true,
+			Options{Faults: core.FaultPlan{DropCancel: 2, SwapWaits: true}, SkipReleaseN: 3, Verify: true, Repair: true,
 				Sched: simt.SchedRandom, SchedSeed: 77, Policy: simt.PolicyMinPC, StarveLimit: 1 << 20}},
 		// A grid launch ignores Threads, and a repro of one does not record it.
 		{Kernel{Name: "grid", Module: mod, Threads: ir.WarpWidth, Grid: 6, CTASize: 64, SMs: 3, Seed: 1 << 40},
@@ -393,6 +424,43 @@ func TestEveryDirectiveRoundTrips(t *testing.T) {
 	for _, d := range directives {
 		if !written[d.key] {
 			t.Errorf("no finding of this test writes repro-%s", d.key)
+		}
+	}
+}
+
+// TestReproReplaysItsCheck: a repro of a verified, repaired check replays
+// under the verifier and the repair pipeline, so the loaded file stops
+// where the check that wrote it stopped, repaired or not.
+func TestReproReplaysItsCheck(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		fault    string
+		stage    Stage
+		repaired bool
+	}{
+		{"drop-cancel@1", StageOK, true},
+		{"drop-wait@1", StageVerify, false},
+	} {
+		plan, skip, err := ParseFault(tc.fault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Faults: plan, SkipReleaseN: skip, Verify: true, Repair: true}
+		k := MatrixKernel()
+		res := Check(k, opts)
+		if res.Stage != tc.stage || res.Repaired != tc.repaired {
+			t.Fatalf("%s: checked %v (repaired %v), want %s (repaired %v)", tc.fault, res, res.Repaired, tc.stage, tc.repaired)
+		}
+		path, err := WriteRepro(dir, k, opts, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, recorded, err := LoadRepro(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Check(loaded, recorded); got.Stage != res.Stage || got.Repaired != res.Repaired {
+			t.Errorf("%s: replayed %v (repaired %v), checked %v (repaired %v)", tc.fault, got, got.Repaired, res, res.Repaired)
 		}
 	}
 }

@@ -69,6 +69,8 @@ var directives = []directive{
 			o.Faults, o.SkipReleaseN, err = ParseFault(v)
 			return
 		}},
+	{"verify", func(_ *Kernel, o *Options) []string { return when(o.Verify, true) },
+		func(v string, _ *Kernel, o *Options) (err error) { o.Verify, err = strconv.ParseBool(v); return }},
 	{"repair", func(_ *Kernel, o *Options) []string { return when(o.Repair, true) },
 		func(v string, _ *Kernel, o *Options) (err error) { o.Repair, err = strconv.ParseBool(v); return }},
 	{"sched", func(_ *Kernel, o *Options) []string { return when(o.Sched != simt.SchedGreedyConverge, o.Sched) },

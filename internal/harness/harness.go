@@ -59,8 +59,7 @@ func Run(inst *workloads.Instance, opts core.Options) (*core.Compilation, *simt.
 // LaunchConfig maps an instance's launch shape and scheduler selection
 // onto the simulator config: flat single-SM by default, a GPU-scale grid
 // launch when the instance was built with one. Every driver here and the
-// binaries that run one instance (cmd/specrecon, cmd/simtviz) start from
-// it.
+// binary that runs one instance (cmd/specrecon) start from it.
 func LaunchConfig(inst *workloads.Instance) simt.Config {
 	return simt.Config{
 		Kernel:    inst.Kernel,
@@ -208,15 +207,14 @@ func measureBaseline(inst *workloads.Instance, adjust adjuster) (baseline, error
 	return baseline{inst: inst, adjust: adjust, comp: comp, res: res}, err
 }
 
-// versus launches the speculative side against b, checks the two final
-// memories agree, and fills the row — the only place a Comparison is
-// built.
+// versus launches the speculative side against b, checks the two runs
+// agree, and fills the row — the only place a Comparison is built.
 func (b *baseline) versus(name, pattern string, mod *ir.Module, specOpts core.Options, safe bool) (Comparison, error) {
 	comp, spec, err := launch(b.inst, mod, specOpts, safe, b.adjust)
 	if err != nil {
 		return Comparison{}, err
 	}
-	if err := VerifySameResults(b.res.Memory, spec.Memory); err != nil {
+	if err := sameResults(b.res, spec); err != nil {
 		return Comparison{}, fmt.Errorf("%s: %w", name, err)
 	}
 	threshold := specOpts.ThresholdOverride
@@ -257,6 +255,18 @@ func (b *baseline) versus(name, pattern string, mod *ir.Module, specOpts core.Op
 	return c, nil
 }
 
+// sameResults checks that two runs left the same global memory and the
+// same CTA shared segments. The comparison (including the float
+// tolerance for kernels with floating-point atomics, such as gpu-mcml's
+// absorption grid) is the differential checker's: the experiments and
+// the robustness campaigns must agree on what "same results" means.
+func sameResults(a, b *simt.Result) error {
+	if err := diffcheck.SameMemory(a.Memory, b.Memory); err != nil {
+		return err
+	}
+	return diffcheck.SameShared(a.Shared, b.Shared)
+}
+
 func firstThreshold(m *ir.Module) int {
 	for _, f := range m.Funcs {
 		for _, p := range f.Predictions {
@@ -264,15 +274,6 @@ func firstThreshold(m *ir.Module) int {
 		}
 	}
 	return 0
-}
-
-// VerifySameResults checks that two final memory images agree. The
-// comparison (including the float tolerance for kernels with
-// floating-point atomics, such as gpu-mcml's absorption grid) is the
-// differential checker's: the experiments and the robustness campaigns
-// must agree on what "same results" means.
-func VerifySameResults(a, b []uint64) error {
-	return diffcheck.SameMemory(a, b)
 }
 
 // Figure7 measures SIMT efficiency before and after speculative

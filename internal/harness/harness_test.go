@@ -1,34 +1,28 @@
 package harness
 
 import (
-	"math"
 	"testing"
 
 	"specrecon/internal/core"
+	"specrecon/internal/simt"
 	"specrecon/internal/workloads"
 )
 
+// TestVerifySameResults: a figure row's baseline and speculative runs
+// agree only if both global memory and every CTA's shared segment do.
 func TestVerifySameResults(t *testing.T) {
-	a := []uint64{1, 2, math.Float64bits(1.0)}
-	b := []uint64{1, 2, math.Float64bits(1.0 + 1e-13)}
-	if err := VerifySameResults(a, b); err != nil {
-		t.Errorf("tiny float difference should pass: %v", err)
+	base := &simt.Result{Memory: []uint64{1, 2}, Shared: [][]uint64{{3}, {4}}}
+	same := &simt.Result{Memory: []uint64{1, 2}, Shared: [][]uint64{{3}, {4}}}
+	if err := sameResults(base, same); err != nil {
+		t.Errorf("identical runs should agree: %v", err)
 	}
-	c := []uint64{1, 2, math.Float64bits(1.5)}
-	if err := VerifySameResults(a, c); err == nil {
-		t.Error("large float difference should fail")
+	mem := &simt.Result{Memory: []uint64{1, 3}, Shared: [][]uint64{{3}, {4}}}
+	if err := sameResults(base, mem); err == nil {
+		t.Error("a differing memory word should fail")
 	}
-	d := []uint64{1, 3, math.Float64bits(1.0)}
-	if err := VerifySameResults(a, d); err == nil {
-		t.Error("integer difference should fail")
-	}
-	if err := VerifySameResults(a, a[:2]); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	nan := []uint64{math.Float64bits(math.NaN())}
-	nan2 := []uint64{math.Float64bits(math.NaN()) ^ 1} // different NaN payload
-	if err := VerifySameResults(nan, nan2); err != nil {
-		t.Errorf("NaN vs NaN should pass: %v", err)
+	shared := &simt.Result{Memory: []uint64{1, 2}, Shared: [][]uint64{{3}, {5}}}
+	if err := sameResults(base, shared); err == nil {
+		t.Error("a differing CTA shared word should fail")
 	}
 }
 

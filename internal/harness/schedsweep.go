@@ -98,7 +98,7 @@ func SchedSensitivity(name string, cfg workloads.BuildConfig, policies []simt.Sc
 			}
 			return fmt.Errorf("policy %s threshold %d: %w", pol, thr, err)
 		}
-		if err := VerifySameResults(base.Memory, res.Memory); err != nil {
+		if err := sameResults(base, res); err != nil {
 			return fmt.Errorf("policy %s threshold %d: schedule-dependent result: %w", pol, thr, err)
 		}
 		pt.Eff = res.Metrics.SIMTEfficiency()

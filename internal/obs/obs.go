@@ -1,6 +1,7 @@
 // Package obs is the observability layer of the simulator: an
-// nvprof-style profiler and a Perfetto trace exporter, both fed by the
-// generalized event stream of internal/simt (simt.Config.Events).
+// nvprof-style profiler, a Perfetto trace exporter and a lane timeline,
+// all fed by the generalized event stream of internal/simt
+// (simt.Config.Events).
 //
 // The paper's evaluation is read off nvprof hardware counters — branch
 // efficiency, warp execution efficiency, stall reasons — and DARM-style
@@ -24,6 +25,10 @@
 //     ui.perfetto.dev. It keeps a 32-byte record for each span edge and
 //     divergence (one event in six on RSBench) and every occupancy
 //     sample it is sent, never the events themselves.
+//
+//   - Timeline draws one warp's issues as ASCII lane rows, the paper's
+//     Figure 1 and 3(b) execution cartoons, with an active-lane
+//     histogram.
 //
 // Attach either (or both, via simt.TeeSinks) to a launch:
 //

@@ -1,9 +1,4 @@
-// Package viz renders ASCII lane-occupancy timelines from simulator
-// traces — the textual equivalent of the paper's Figure 1 and Figure 3(b)
-// execution cartoons. Each row is one issued warp instruction (optionally
-// downsampled); each column is a lane; the glyph is the executing block's
-// letter, with '.' for an inactive lane.
-package viz
+package obs
 
 import (
 	"fmt"
@@ -21,9 +16,13 @@ type issueRec struct {
 	mask  uint32
 }
 
-// Timeline accumulates issue events for one warp and renders them. It is
-// a simt.EventSink over the generalized event stream (simt.Config.Events)
-// and ignores every kind but EvIssue.
+// Timeline renders an ASCII lane-occupancy timeline of one warp — the
+// textual equivalent of the paper's Figure 1 and Figure 3(b) execution
+// cartoons. Each row is one issued warp instruction (optionally
+// downsampled); each column is a lane; the glyph is the executing block's
+// letter, with '.' for an inactive lane. It is a simt.EventSink over the
+// generalized event stream (simt.Config.Events) and ignores every kind
+// but EvIssue.
 type Timeline struct {
 	warp   int
 	events []issueRec

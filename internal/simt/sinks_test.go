@@ -11,7 +11,6 @@ import (
 	"specrecon/internal/ir"
 	"specrecon/internal/obs"
 	"specrecon/internal/simt"
-	"specrecon/internal/viz"
 	"specrecon/internal/workloads"
 )
 
@@ -61,7 +60,7 @@ func TestSinksDoNotRetainEvent(t *testing.T) {
 		replayed       []simt.Event
 	}
 	deliver := func(tee, reuse bool) rendering {
-		profile, trace, timeline, buffer := obs.NewProfile(mod), obs.NewTraceRecorder(), viz.NewTimeline(0), &simt.ReplayBuffer{}
+		profile, trace, timeline, buffer := obs.NewProfile(mod), obs.NewTraceRecorder(), obs.NewTimeline(0), &simt.ReplayBuffer{}
 		sinks := []simt.EventSink{profile, trace, timeline, buffer}
 		if tee {
 			sinks = []simt.EventSink{simt.TeeSinks(sinks...)}

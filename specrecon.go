@@ -9,9 +9,9 @@
 // use all of it.
 //
 // It is deliberately no wider than that. The static analyzer, automated
-// repair, the differential checker, the profiler and trace exporter and
-// fault injection are reached through the commands under cmd/
-// (specrecon, figures, sasmvet, diffhunt, simtviz), which import the
+// repair, the differential checker, the profiler, trace exporter and
+// lane timeline and fault injection are reached through the commands
+// under cmd/ (specrecon, figures, sasmvet, diffhunt), which import the
 // internal packages directly. A name is added here when a
 // program under examples/ needs it; testdata/facade.golden pins the set.
 package specrecon
