@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check loc bench-e2e bench-compare bench-pairs perf-gate perf-baseline cache-smoke fmt figures scale-smoke fuzz-smoke vet-corpus repair-smoke arm64-unfused
+.PHONY: all build test vet race check loc bench-e2e bench-compare bench-pairs perf-gate perf-baseline fmt figures scale-smoke fuzz-smoke vet-corpus repair-smoke arm64-unfused
 
 all: build
 
@@ -35,7 +35,6 @@ check:
 	$(MAKE) scale-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) vet-corpus
-	$(MAKE) cache-smoke
 	$(MAKE) repair-smoke
 	$(MAKE) perf-gate
 
@@ -185,25 +184,6 @@ scale-smoke:
 	rm -rf /tmp/specrecon-scale-smoke
 	$(GO) run ./cmd/specrecon -kernel xsbench -model stack \
 		-grid 8 -ctasize 64 -sms 4 -workers 2
-
-# cache-smoke proves the compile cache is both used and invisible: the
-# vetter walks a 120-kernel compiled corpus twice with the cache on —
-# the second pass must be pure hits (stats JSON, enforced at exit-code
-# level by -min-cache-hits) — and once more without the cache, and the
-# two SARIF reports must be byte-identical: memoized compilation may
-# never change a diagnostic.
-cache-smoke:
-	rm -rf /tmp/specrecon-cache-smoke
-	mkdir -p /tmp/specrecon-cache-smoke
-	$(GO) run ./cmd/sasmvet -q -compiled -eff-below 0.8 -corpus 120 -corpus-seed 42 \
-		-compile-cache -repeat 2 -min-cache-hits 120 \
-		-cache-stats /tmp/specrecon-cache-smoke/stats.json \
-		-sarif /tmp/specrecon-cache-smoke/cached.sarif
-	$(GO) run ./cmd/sasmvet -q -compiled -eff-below 0.8 -corpus 120 -corpus-seed 42 \
-		-sarif /tmp/specrecon-cache-smoke/fresh.sarif
-	cmp /tmp/specrecon-cache-smoke/cached.sarif /tmp/specrecon-cache-smoke/fresh.sarif
-	$(GO) run ./cmd/perf json /tmp/specrecon-cache-smoke/stats.json
-	rm -rf /tmp/specrecon-cache-smoke
 
 # repair-smoke holds the automated-repair exit contract on the built
 # binary: sasmvet -fix must repair an injected repairable fault on the

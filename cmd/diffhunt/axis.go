@@ -16,9 +16,6 @@ import (
 type axis struct {
 	// defaults are the flag defaults that differ on this axis.
 	defaults map[string]string
-	// cached turns the compile cache on: the axis checks each kernel
-	// under many options, and all of them share its baseline build.
-	cached bool
 	// cells expands one corpus kernel.
 	cells func(c *campaign, k diffcheck.Kernel) []cell
 	// verdict buckets a result that did not panic, and words its line:
@@ -42,7 +39,6 @@ var axes = map[string]axis{
 		// 1<<22 issues, 1<<21 cycles: corpus kernels retire far below
 		// both, so a cell that reaches either is stuck, not slow.
 		defaults: map[string]string{"max-issues": "4194304", "starve-limit": "2097152", "wall-budget": "1m"},
-		cached:   true,
 		cells:    schedCells, verdict: plainVerdict(schedFinding),
 		matrix: schedMatrix, summary: schedSummary,
 	},
@@ -73,7 +69,7 @@ func plainVerdict(fail func(x cell, res diffcheck.Result) string) func(cell, dif
 // verifier on, under the command line's scheduler selection.
 func specCells(c *campaign, k diffcheck.Kernel) []cell {
 	opts := diffcheck.Options{
-		MaxIssues: c.maxIssues, AutoAnnotate: true, Verify: true, Cache: c.Cache,
+		MaxIssues: c.maxIssues, AutoAnnotate: true, Verify: true,
 		Policy: c.Launch.Policy, Sched: c.Launch.Sched, SchedSeed: c.Launch.SchedSeed,
 		StarveLimit: c.StarveLimit, WallBudget: c.WallBudget,
 	}
@@ -109,7 +105,7 @@ func schedCells(c *campaign, k diffcheck.Kernel) []cell {
 	for _, pol := range c.policies {
 		for _, ss := range c.seeds {
 			x := cell{k, diffcheck.Options{
-				MaxIssues: c.maxIssues, AutoAnnotate: true, Cache: c.Cache,
+				MaxIssues: c.maxIssues, AutoAnnotate: true,
 				Sched: pol, SchedSeed: ss, StarveLimit: c.StarveLimit, WallBudget: c.WallBudget,
 			}}
 			x.k.Name = fmt.Sprintf("%s-%s-s%d", k.Name, pol, ss)
@@ -176,7 +172,7 @@ func repairCells(c *campaign, k diffcheck.Kernel) []cell {
 	for _, f := range repairPlans() {
 		cells = append(cells, cell{k, diffcheck.Options{
 			Faults: f.Plan, AutoAnnotate: true, Verify: true, Repair: true,
-			MaxIssues: c.maxIssues, Cache: c.Cache,
+			MaxIssues: c.maxIssues,
 		}})
 	}
 	return cells
@@ -315,11 +311,11 @@ func repairMatrix(c *campaign, st *Stats) int {
 			status = "POLICY MISMATCH"
 			st.Buckets[bucketMismatch]++
 		}
-		x := cell{k, diffcheck.Options{Faults: f.Plan, Verify: true, Repair: true, MaxIssues: c.maxIssues, Cache: c.Cache}}
+		x := cell{k, diffcheck.Options{Faults: f.Plan, Verify: true, Repair: true, MaxIssues: c.maxIssues}}
 		res := diffcheck.Result{OK: true}
 		if sc.Repaired != nil {
 			proof = "verified"
-			if res = check(x.k, x.opts); !res.OK {
+			if res = diffcheck.Check(x.k, x.opts); !res.OK {
 				proof, status = "REFUTED", "PROOF FAILED"
 			}
 		}

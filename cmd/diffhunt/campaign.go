@@ -8,12 +8,13 @@ import (
 	"specrecon/internal/corpus"
 	"specrecon/internal/diffcheck"
 	"specrecon/internal/harness"
+	"specrecon/internal/ir"
 	"specrecon/internal/simt"
 )
 
 // campaign is one invocation's settings: the corpus, the pool, and — on
-// the embedded App — the scheduler selection, the liveness budgets, the
-// compile cache and the streams.
+// the embedded App — the scheduler selection, the liveness budgets and
+// the streams.
 type campaign struct {
 	*cli.App
 	n         int
@@ -51,14 +52,27 @@ const (
 	bucketFinding = "finding"
 )
 
-// check is diffcheck.Check, a variable so a test can plant a panic.
-var check = diffcheck.Check
+// newBaseline and versus are a cell's two steps, variables so a test can
+// count the baselines and plant a panic in one cell.
+var newBaseline = diffcheck.NewBaseline
+var versus = func(b *diffcheck.Baseline, x cell) diffcheck.Result { return b.Versus(x.opts) }
+
+// baseKey is what a cell's baseline reads: its kernel, which the axes
+// vary only in its module (mutants) and seed (schedule seeds), and the
+// options a baseline reads. Cells with equal keys share one baseline.
+type baseKey struct {
+	mod  *ir.Module
+	seed uint64
+	opts diffcheck.Options
+}
 
 // run is the one campaign loop: corpus × the axis's cells → check on the
 // panic-contained pool → the axis's verdict → report in cell order →
-// minimize → repro. Every cell is checked whatever the others do: a
-// check that panics is one PANIC line with an unminimized repro
-// (re-checking to minimize could panic again).
+// minimize → repro. The cells that share a baseline are one pool task,
+// which makes the baseline once and checks each cell against it. Every
+// cell is checked whatever the others do: a check that panics is one
+// PANIC line with an unminimized repro (re-checking to minimize could
+// panic again).
 func (c *campaign) run(ax axis, st *Stats) {
 	apps := corpus.Generate(c.n, c.seed)
 	var cells []cell
@@ -68,9 +82,30 @@ func (c *campaign) run(ax axis, st *Stats) {
 			Threads: app.Threads, Memory: app.Memory, Seed: app.Seed,
 		})...)
 	}
+	var keys []baseKey
+	groups := map[baseKey][]int{}
+	for i, x := range cells {
+		o := x.opts
+		key := baseKey{x.k.Module, x.k.Seed, diffcheck.Options{MaxIssues: o.MaxIssues, Policy: o.Policy, WallBudget: o.WallBudget, AutoAnnotate: o.AutoAnnotate}}
+		if groups[key] == nil {
+			keys = append(keys, key)
+		}
+		groups[key] = append(groups[key], i)
+	}
 	results := make([]diffcheck.Result, len(cells))
-	errs := harness.RunTasks(c.jobs, len(cells), func(i int) error {
-		results[i] = check(cells[i].k, cells[i].opts)
+	errs := make([]error, len(cells))
+	harness.RunTasks(c.jobs, len(keys), func(g int) error {
+		var b *diffcheck.Baseline
+		for _, i := range groups[keys[g]] {
+			errs[i] = harness.SafeCall(i, func(i int) error {
+				if b == nil {
+					made := newBaseline(cells[i].k, cells[i].opts)
+					b = &made
+				}
+				results[i] = versus(b, cells[i])
+				return nil
+			})
+		}
 		return nil
 	})
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"specrecon/internal/cli/clitest"
@@ -15,13 +16,51 @@ import (
 
 // plantPanic makes the check of every cell victim picks panic.
 func plantPanic(t *testing.T, victim func(diffcheck.Kernel, diffcheck.Options) bool) {
-	check = func(k diffcheck.Kernel, opts diffcheck.Options) diffcheck.Result {
-		if victim(k, opts) {
+	orig := versus
+	versus = func(b *diffcheck.Baseline, x cell) diffcheck.Result {
+		if victim(x.k, x.opts) {
 			panic("planted")
 		}
-		return diffcheck.Check(k, opts)
+		return orig(b, x)
 	}
-	t.Cleanup(func() { check = diffcheck.Check })
+	t.Cleanup(func() { versus = orig })
+}
+
+// TestEachBaselineLaunchesOnce: the sched axis makes one baseline per
+// (kernel, schedule seed), whatever the policies and the worker count,
+// and the repair axis one per kernel for all its planted faults.
+func TestEachBaselineLaunchesOnce(t *testing.T) {
+	orig := newBaseline
+	t.Cleanup(func() { newBaseline = orig })
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-axis", "sched", "-n", "5", "-policies", "oldest,youngest,obe,random", "-seeds", "7,11"}, 5 * 2},
+		{[]string{"-axis", "repair", "-n", "5", "-matrix=false"}, 5},
+	} {
+		for _, j := range []string{"1", "4"} {
+			var mu sync.Mutex
+			made := map[string]int{}
+			newBaseline = func(k diffcheck.Kernel, opts diffcheck.Options) diffcheck.Baseline {
+				mu.Lock()
+				made[fmt.Sprintf("%s seed %d", k.Module.Name, k.Seed)]++
+				mu.Unlock()
+				return orig(k, opts)
+			}
+			if code, _, stderr := clitest.Exec(t, run, append(tc.args, "-j", j, "-repros", "$TMP")...); code != 0 {
+				t.Fatalf("%v -j %s: exit %d\n%s", tc.args, j, code, stderr)
+			}
+			if len(made) != tc.want {
+				t.Errorf("%v -j %s: %d distinct baselines, want %d", tc.args, j, len(made), tc.want)
+			}
+			for key, n := range made {
+				if n != 1 {
+					t.Errorf("%v -j %s: baseline %s made %d times", tc.args, j, key, n)
+				}
+			}
+		}
+	}
 }
 
 // TestPanickingCellIsContained: one cell whose check panics is one PANIC

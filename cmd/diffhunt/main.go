@@ -22,7 +22,7 @@
 //	diffhunt -n 100 -mutate 2 -v -j 4     # also check structural mutants
 //	diffhunt -axis sched -n 500 -policies obe,random -seeds 1,2,3,4
 //	diffhunt -axis sched -n 60 -matrix -stats stats.json
-//	diffhunt -axis repair -n 120 -compile-cache
+//	diffhunt -axis repair -n 120
 //
 // -stats writes the campaign counts as JSON. Cells whose baseline
 // build or run fails — possible for structural mutants — are skips, not
@@ -70,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	app.BoolVar(&c.verbose, "v", false, "print one line per check")
 	app.SchedFlags()
 	app.LivenessFlags()
-	app.CacheFlags()
 	if code, done := app.Parse(args); done {
 		return code
 	}
@@ -91,9 +90,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if !given[name] {
 			app.Set(name, value)
 		}
-	}
-	if ax.cached {
-		app.EnableCache()
 	}
 	var err error
 	if c.policies, err = parseList(*policies, "policies", parsePolicy); err != nil {

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"path/filepath"
 	"testing"
 
-	"specrecon/internal/ccache"
 	"specrecon/internal/cli/clitest"
 )
 
@@ -19,7 +17,7 @@ func TestCLI(t *testing.T) {
 		// The repair axis's headline number (DESIGN.md §16), on the
 		// default worker pool: 57 planted, 41 repaired, 16 fallback,
 		// 100.0% -> 28.1%.
-		{Name: "repair-120", Args: []string{"-axis", "repair", "-n", "120", "-seed", "42", "-compile-cache", "-repros", "$TMP"}},
+		{Name: "repair-120", Args: []string{"-axis", "repair", "-n", "120", "-seed", "42", "-repros", "$TMP"}},
 		// The reference campaigns, on the default worker pool: 500 spec
 		// checks with the fault matrix, and 60 kernels under four
 		// adversarial policies x two schedule seeds with the scheduler
@@ -39,15 +37,3 @@ func TestCLI(t *testing.T) {
 }
 
 func TestFlagNames(t *testing.T) { clitest.FlagNames(t, run) }
-
-// TestCacheStatsImplyCache: -cache-stats alone turns the cache on.
-func TestCacheStatsImplyCache(t *testing.T) {
-	stats := filepath.Join(t.TempDir(), "stats.json")
-	if code, _, stderr := clitest.Exec(t, run, "-n", "4", "-repros", "$TMP", "-cache-stats", stats); code != 0 {
-		t.Fatalf("exit %d\n%s", code, stderr)
-	}
-	var st ccache.Stats
-	if clitest.ReadJSON(t, stats, &st); st.Misses == 0 {
-		t.Errorf("-cache-stats without -compile-cache recorded no lookup: %+v", st)
-	}
-}

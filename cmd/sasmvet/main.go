@@ -41,7 +41,6 @@ import (
 	"strings"
 
 	"specrecon/internal/analyze"
-	"specrecon/internal/ccache"
 	"specrecon/internal/cli"
 	"specrecon/internal/core"
 	"specrecon/internal/corpus"
@@ -64,14 +63,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		effFlag      = app.Bool("eff", false, "print the static SIMT-efficiency estimate per kernel")
 		effBelow     = app.Float64("eff-below", 0, "note kernels with static efficiency below this threshold (0 disables)")
 		quiet        = app.Bool("q", false, "suppress per-diagnostic text output (summary and exit code only)")
-		repeatN      = app.Int("repeat", 1, "vet the module set this many times (cache warm-up exercise; diagnostics are reported from the last pass only)")
-		minCacheHits = app.Int64("min-cache-hits", 0, "exit 2 unless the compile cache recorded at least this many hits")
 		fix          = app.Bool("fix", false, "apply the diagnostics' machine edits to fixpoint (internal/repair); raw-mode file inputs are rewritten in place")
 		fixDryRun    = app.Bool("fix-dry-run", false, "like -fix but never writes: report the repairs and exit on the post-repair diagnostics")
 		fixDiff      = app.Bool("fix-diff", false, "with -fix/-fix-dry-run, print a line diff of each repaired module (implies -fix-dry-run when given alone)")
 		injectSpec   = app.String("inject", "", "with -compiled, plant this fault plan (core.ParseFaultPlan syntax, e.g. drop-cancel@1) before vetting")
 	)
-	app.CacheFlags()
 	app.Usage = func() {
 		fmt.Fprintf(stderr, `usage: sasmvet [flags] [file.sasm | glob ...]
 
@@ -120,81 +116,63 @@ Flags:
 		app.Usage()
 		return cli.Usage
 	}
-	if *repeatN < 1 {
-		*repeatN = 1
-	}
-	// Diagnostics and efficiencies are recorded from the last pass only,
-	// so a -repeat N warm-up run reports exactly what a single pass would
-	// — the cache-smoke check diffs the SARIF outputs to prove it. In fix
-	// mode `all` holds the pre-repair findings (what the report and SARIF
-	// show) while `post` drives the exit status.
+	// In fix mode `all` holds the pre-repair findings (what the report
+	// and SARIF show) while `post` drives the exit status.
 	var all, post []analyze.Diagnostic
 	effs := map[string]float64{}
 	editsApplied := 0
-	for pass := 0; pass < *repeatN; pass++ {
-		all, post = all[:0], post[:0]
-		clear(effs)
-		editsApplied = 0
-		last := pass == *repeatN-1
-		for _, vm := range mods {
-			vr, err := vet(vm, *compiled, *effBelow, app.Cache, fixMode, injectPlan)
-			if err != nil {
-				return app.Fail(cli.Usage, fmt.Errorf("%s: %w", vm.label, err))
+	for _, vm := range mods {
+		vr, err := vet(vm, *compiled, *effBelow, fixMode, injectPlan)
+		if err != nil {
+			return app.Fail(cli.Usage, fmt.Errorf("%s: %w", vm.label, err))
+		}
+		for _, d := range vr.diags {
+			if d.Fn == "" {
+				d.Fn = vm.label
 			}
-			for _, d := range vr.diags {
-				if d.Fn == "" {
-					d.Fn = vm.label
-				}
-				all = append(all, d)
-				if !*quiet && last {
-					fmt.Fprintf(stdout, "%s: %s\n", d.Severity, d)
-				}
+			all = append(all, d)
+			if !*quiet {
+				fmt.Fprintf(stdout, "%s: %s\n", d.Severity, d)
 			}
-			for _, d := range vr.post {
-				if d.Fn == "" {
-					d.Fn = vm.label
-				}
-				post = append(post, d)
+		}
+		for _, d := range vr.post {
+			if d.Fn == "" {
+				d.Fn = vm.label
 			}
-			for fn, e := range vr.eff {
-				effs[vm.label+"/"+fn] = e
-			}
-			if vr.report == nil || !last {
-				continue
-			}
-			editsApplied += len(vr.report.Edits)
-			if !*quiet && len(vr.report.Edits) > 0 {
-				fmt.Fprintf(stdout, "sasmvet: %s: %s\n", vm.label, vr.report.Summary())
-			}
-			if *fixDiff && len(vr.report.Edits) > 0 {
-				if vr.oldSrc != "" {
-					printDiff(stdout, vm.label, vr.oldSrc, vr.newSrc)
-				} else {
-					// Compiled artifacts have no source text to diff;
-					// list the applied edits instead.
-					for _, e := range vr.report.Edits {
-						fmt.Fprintf(stdout, "  %s\n", e.Edit)
-					}
+			post = append(post, d)
+		}
+		for fn, e := range vr.eff {
+			effs[vm.label+"/"+fn] = e
+		}
+		if vr.report == nil {
+			continue
+		}
+		editsApplied += len(vr.report.Edits)
+		if !*quiet && len(vr.report.Edits) > 0 {
+			fmt.Fprintf(stdout, "sasmvet: %s: %s\n", vm.label, vr.report.Summary())
+		}
+		if *fixDiff && len(vr.report.Edits) > 0 {
+			if vr.oldSrc != "" {
+				printDiff(stdout, vm.label, vr.oldSrc, vr.newSrc)
+			} else {
+				// Compiled artifacts have no source text to diff; list
+				// the applied edits instead.
+				for _, e := range vr.report.Edits {
+					fmt.Fprintf(stdout, "  %s\n", e.Edit)
 				}
 			}
-			if *fix && vm.path != "" && len(vr.report.Edits) > 0 && vr.newSrc != "" {
-				if err := os.WriteFile(vm.path, []byte(vr.newSrc), 0o644); err != nil {
-					return app.Fail(cli.Usage, err)
-				}
-				fmt.Fprintf(stdout, "sasmvet: %s: rewrote with %d edit(s)\n", vm.path, len(vr.report.Edits))
+		}
+		if *fix && vm.path != "" && len(vr.report.Edits) > 0 && vr.newSrc != "" {
+			if err := os.WriteFile(vm.path, []byte(vr.newSrc), 0o644); err != nil {
+				return app.Fail(cli.Usage, err)
 			}
+			fmt.Fprintf(stdout, "sasmvet: %s: rewrote with %d edit(s)\n", vm.path, len(vr.report.Edits))
 		}
 	}
 	// The -fail-on comparison follows the SR code table: a diagnostic
 	// with a known code is judged by the registry's severity for it.
 	normalizeSeverity(all)
 	normalizeSeverity(post)
-
-	if *minCacheHits > 0 {
-		if hits := app.Cache.Stats().Hits; hits < *minCacheHits {
-			return app.Fail(cli.Usage, fmt.Errorf("compile cache recorded %d hit(s), want >= %d", hits, *minCacheHits))
-		}
-	}
 
 	if *effFlag {
 		names := make([]string, 0, len(effs))
@@ -378,12 +356,11 @@ type vetResult struct {
 
 // vet analyzes one module: raw (no barrier provenance — the class-gated
 // checks are skipped) or compiled through the speculative pipeline with
-// the "analyze" pass before allocation, memoized by cache when one is
-// installed (nil runs the pipeline directly; the pipeline clones the
-// module before transforming, so vm.mod is never written either way).
+// the "analyze" pass before allocation (the pipeline clones the module
+// before transforming, so vm.mod is never written).
 // In fix mode the raw path repairs a clone and re-analyzes it, and the
 // compiled path puts the repair pass ahead of the analysis.
-func vet(vm vetModule, compiled bool, effBelow float64, cache *ccache.Cache, fixMode bool, inject core.FaultPlan) (vetResult, error) {
+func vet(vm vetModule, compiled bool, effBelow float64, fixMode bool, inject core.FaultPlan) (vetResult, error) {
 	if !compiled {
 		if fixMode {
 			clone := vm.mod.Clone()
@@ -413,7 +390,7 @@ func vet(vm vetModule, compiled bool, effBelow float64, cache *ccache.Cache, fix
 	if err != nil {
 		return vetResult{}, err
 	}
-	comp, err := cache.CompilePipeline(vm.mod, opts, pipe)
+	comp, err := core.CompilePipeline(vm.mod, opts, pipe)
 	if err != nil {
 		return vetResult{}, err
 	}

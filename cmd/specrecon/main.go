@@ -81,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	app.LaunchFlags()
 	app.SchedFlags()
 	app.LivenessFlags()
-	app.CacheFlags()
 	app.ProfileFlags()
 	if code, done := app.Parse(args); done {
 		return code
@@ -157,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(err)
 		}
-		dcomp, err := app.Cache.CompilePipeline(inst.Module, core.Options{SkipAllocation: true}, dpipe)
+		dcomp, err := core.CompilePipeline(inst.Module, core.Options{SkipAllocation: true}, dpipe)
 		if err != nil {
 			return fail(err)
 		}
@@ -182,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			ThresholdOverride: *threshold, Deconflict: dec, AutoAnnotate: true,
 			Faults: faultPlan, SkipReleaseN: skipRelease,
 			Sched: app.Launch.Sched, SchedSeed: app.Launch.SchedSeed, Policy: app.Launch.Policy, StarveLimit: app.StarveLimit,
-			WallBudget: app.WallBudget, Cache: app.Cache,
+			WallBudget: app.WallBudget,
 		}, *inject != "")
 	}
 	if *sweep {
@@ -207,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		var comp *core.Compilation
 		if *safe && mo != "baseline" {
-			sc, err := app.Cache.CompileSafe(mod, opts)
+			sc, err := core.CompileSafe(mod, opts)
 			if err != nil {
 				return fail(err)
 			}
@@ -396,13 +395,16 @@ func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, flags dif
 	return cli.OK
 }
 
+// thresholdSweep is -sweep's measurement, a variable so a test can count
+// what it builds.
+var thresholdSweep = harness.ThresholdSweep
+
 // runSweep measures the kernel across soft-barrier thresholds, each
 // point's final memory checked against the baseline's.
 func runSweep(app *cli.App, inst *workloads.Instance, dec core.DeconflictMode) error {
-	defer harness.UseCompileCache(harness.UseCompileCache(app.Cache))
 	opts := core.SpecReconOptions()
 	opts.Deconflict = dec
-	rows, err := harness.ThresholdSweep(inst, opts, []int{1, 4, 8, 12, 16, 20, 24, 28, 30, 32}, 1)
+	rows, err := thresholdSweep(inst, opts, []int{1, 4, 8, 12, 16, 20, 24, 28, 30, 32}, 1)
 	if err != nil {
 		return err
 	}

@@ -1,13 +1,16 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"unicode/utf8"
 
-	"specrecon/internal/ccache"
 	"specrecon/internal/cli/clitest"
+	"specrecon/internal/core"
+	"specrecon/internal/harness"
+	"specrecon/internal/workloads"
 )
 
 // TestCLI pins exit status and stdout of the modes make check and the
@@ -17,7 +20,7 @@ func TestCLI(t *testing.T) {
 		{Name: "run", Args: []string{"-kernel", "rsbench"}},
 		{Name: "run-sasm", Args: []string{"-kernel", "../../testdata/iterdelay.sasm"}},
 		{Name: "run-grid-stack", Args: []string{"-kernel", "xsbench", "-model", "stack", "-grid", "8", "-ctasize", "64", "-sms", "4", "-workers", "2"}},
-		{Name: "run-auto-safe", Args: []string{"-kernel", "rsbench", "-mode", "auto", "-safe", "-remarks", "-compile-cache"}},
+		{Name: "run-auto-safe", Args: []string{"-kernel", "rsbench", "-mode", "auto", "-safe", "-remarks"}},
 		{Name: "diagnostics", Args: []string{"-kernel", "rsbench", "-mode", "spec", "-diagnostics", "-sched", "oldest", "-starve-limit", "1000000"}},
 		{Name: "sweep", Args: []string{"-kernel", "xsbench", "-sweep", "-threads", "64"}},
 		{Name: "sweep-mismatch", Args: []string{"-kernel", "testdata/ballotdep.sasm", "-sweep"}, Code: 1, Stderr: "threshold 1: ballotdep: memory word 0 differs"},
@@ -76,31 +79,39 @@ func TestPassStatsColumnsAlign(t *testing.T) {
 }
 
 // TestFinishersRunOnFailure: a -diffcheck finding exits 1 and still
-// writes the cache statistics, and asking for the statistics alone got a
-// cache to take them from.
+// writes the heap profile.
 func TestFinishersRunOnFailure(t *testing.T) {
-	stats := filepath.Join(t.TempDir(), "stats.json")
+	prof := filepath.Join(t.TempDir(), "mem.pprof")
 	code, _, stderr := clitest.Exec(t, run, "-kernel", "rsbench", "-diffcheck", "-inject", "skip-release@1",
-		"-cache-stats", stats)
+		"-memprofile", prof)
 	if code != 1 {
 		t.Errorf("exit %d, want 1\nstderr: %s", code, stderr)
 	}
-	var st ccache.Stats
-	clitest.ReadJSON(t, stats, &st)
-	if st.Misses == 0 {
-		t.Errorf("-cache-stats without -compile-cache recorded no lookup: %+v", st)
+	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+		t.Errorf("heap profile not written (%v)", err)
 	}
 }
 
-// TestSweepCompilesThroughTheCache: -sweep's baseline and ten threshold
-// builds are lookups in the command's compile cache.
-func TestSweepCompilesThroughTheCache(t *testing.T) {
-	stats := filepath.Join(t.TempDir(), "stats.json")
-	if code, _, stderr := clitest.Exec(t, run, "-kernel", "xsbench", "-sweep", "-threads", "64", "-cache-stats", stats); code != 0 {
+// TestSweepBuildsTheBaselineOnce: -sweep's ten threshold points share
+// one baseline build, so the sweep is 11 builds.
+func TestSweepBuildsTheBaselineOnce(t *testing.T) {
+	var rows []harness.Comparison
+	t.Cleanup(func() { thresholdSweep = harness.ThresholdSweep })
+	thresholdSweep = func(inst *workloads.Instance, opts core.Options, thresholds []int, jobs int) ([]harness.Comparison, error) {
+		var err error
+		rows, err = harness.ThresholdSweep(inst, opts, thresholds, jobs)
+		return rows, err
+	}
+	if code, _, stderr := clitest.Exec(t, run, "-kernel", "xsbench", "-sweep", "-threads", "64"); code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr)
 	}
-	var st ccache.Stats
-	if clitest.ReadJSON(t, stats, &st); st.Misses != 11 {
-		t.Errorf("cache recorded %d misses over the sweep, want 11: %+v", st.Misses, st)
+	if len(rows) != 10 {
+		t.Fatalf("%d threshold points, want 10", len(rows))
+	}
+	for _, r := range rows {
+		if r.BaseCompile != rows[0].BaseCompile || r.SpecCompile <= 0 {
+			t.Errorf("threshold %d: baseline compile %v (point 1: %v), speculative %v; want the one baseline build and a build of its own",
+				r.Threshold, r.BaseCompile, rows[0].BaseCompile, r.SpecCompile)
+		}
 	}
 }

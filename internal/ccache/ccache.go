@@ -1,32 +1,26 @@
-// Package ccache is a content-addressed compile cache over internal/core.
+// Package ccache is a content-addressed cache of core.Diagnose.
 //
-// Sweep-style drivers — the Figure 7/8/9 harnesses, the differential
-// checker, sasmvet's corpus walk — compile the same module under the
-// same options many times: once per threshold point, per launch shape,
-// per repeat. A Cache keys each compilation by what actually determines
-// its output — a canonical binary encoding of the input module's IR,
-// the pass pipeline spec, and a fingerprint of the Options — and memoizes the
-// immutable *core.Compilation, so an N-point sweep over one kernel
-// compiles it once per distinct pipeline rather than once per point.
+// A Cache keys each compilation by what actually determines its output —
+// a canonical binary encoding of the input module's IR and a fingerprint
+// of the Options — and memoizes the immutable *core.Compilation, so a
+// sweep that diagnoses one module under the same options again compiles
+// it once. The tools no longer use it: every campaign shares each
+// baseline by construction (diffcheck.NewBaseline), which left the cache
+// nothing to save. The repo benchmark's sweep workload is its last
+// caller.
 //
 // Cached compilations are shared: callers must treat a returned
-// Compilation (module included) as immutable, which every driver in
-// this repository already does — the simulator clones nothing because
-// it never writes the module, and reports only read the result.
+// Compilation (module included) as immutable.
 //
 // Entries are evicted least-recently-used once the byte budget is
 // exceeded (an entry is charged the measured length of its printed
-// module plus a flat cost per report row). Every method is nil-safe: a
-// nil *Cache simply forwards to core, so call sites thread an optional
-// cache without conditionals. A Cache is safe for concurrent use;
-// compilation runs outside the lock, and concurrent misses on the same
-// key keep the first inserted result.
+// module plus a flat cost per report row). A Cache is safe for
+// concurrent use; compilation runs outside the lock, and concurrent
+// misses on the same key keep the first inserted result.
 package ccache
 
 import (
 	"crypto/sha256"
-	"encoding/json"
-	"io"
 	"sync"
 
 	"specrecon/internal/core"
@@ -60,7 +54,7 @@ type entry struct {
 func (e *entry) unlink() { e.prev.next, e.next.prev = e.next, e.prev }
 
 // Cache memoizes compilations. The zero value is not usable; construct
-// with New. A nil *Cache is valid and forwards every call to core.
+// with New.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -145,53 +139,8 @@ func (c *Cache) insert(k [sha256.Size]byte, val any, size int64) any {
 	return val
 }
 
-// Compile is core.Compile through the cache.
-func (c *Cache) Compile(m *ir.Module, opts core.Options) (*core.Compilation, error) {
-	if c == nil {
-		return core.Compile(m, opts)
-	}
-	return c.CompilePipeline(m, opts, core.PipelineFor(opts))
-}
-
-// CompilePipeline is core.CompilePipeline through the cache.
-func (c *Cache) CompilePipeline(m *ir.Module, opts core.Options, pipe *core.Pipeline) (*core.Compilation, error) {
-	if c == nil {
-		return core.CompilePipeline(m, opts, pipe)
-	}
-	k := key("pipeline", pipe.Spec(), opts, m)
-	if v, ok := c.lookup(k); ok {
-		return v.(*core.Compilation), nil
-	}
-	comp, err := core.CompilePipeline(m, opts, pipe)
-	if err != nil {
-		return nil, err
-	}
-	return c.insert(k, comp, compSize(comp)).(*core.Compilation), nil
-}
-
-// CompileSafe is core.CompileSafe through the cache. Fallback builds
-// cache like any other: the same (module, options) deterministically
-// falls back again.
-func (c *Cache) CompileSafe(m *ir.Module, opts core.Options) (*core.SafeCompilation, error) {
-	if c == nil {
-		return core.CompileSafe(m, opts)
-	}
-	k := key("safe", core.SafePipelineFor(opts).Spec(), opts, m)
-	if v, ok := c.lookup(k); ok {
-		return v.(*core.SafeCompilation), nil
-	}
-	comp, err := core.CompileSafe(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	return c.insert(k, comp, compSize(comp.Compilation)).(*core.SafeCompilation), nil
-}
-
 // Diagnose is core.Diagnose through the cache.
 func (c *Cache) Diagnose(m *ir.Module, opts core.Options) (*core.Compilation, error) {
-	if c == nil {
-		return core.Diagnose(m, opts)
-	}
 	k := key("diagnose", "", opts, m)
 	if v, ok := c.lookup(k); ok {
 		return v.(*core.Compilation), nil
@@ -203,11 +152,8 @@ func (c *Cache) Diagnose(m *ir.Module, opts core.Options) (*core.Compilation, er
 	return c.insert(k, comp, compSize(comp)).(*core.Compilation), nil
 }
 
-// Stats snapshots the counters. Nil-safe (zero stats).
+// Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
@@ -215,12 +161,4 @@ func (c *Cache) Stats() Stats {
 	st.Bytes = c.bytes
 	st.MaxBytes = c.maxBytes
 	return st
-}
-
-// WriteStatsJSON writes the Stats snapshot as indented JSON, the format
-// the cache-smoke make target and the -cache-stats flags consume.
-func (c *Cache) WriteStatsJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c.Stats())
 }

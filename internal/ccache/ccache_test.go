@@ -3,7 +3,6 @@ package ccache_test
 import (
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 
 	"specrecon/internal/ccache"
@@ -50,18 +49,18 @@ func TestCachedCompilationIdenticalToFresh(t *testing.T) {
 	mod := parse(t, divergentKernel)
 	for _, opts := range []core.Options{core.BaselineOptions(), core.SpecReconOptions()} {
 		cache := ccache.New(0)
-		first, err := cache.Compile(mod, opts)
+		first, err := cache.Diagnose(mod, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := cache.Compile(mod, opts)
+		second, err := cache.Diagnose(mod, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if first != second {
-			t.Error("second Compile returned a different object; want the cached one")
+			t.Error("second Diagnose returned a different object; want the cached one")
 		}
-		fresh, err := core.Compile(mod, opts)
+		fresh, err := core.Diagnose(mod, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,31 +87,24 @@ func TestCachedCompilationIdenticalToFresh(t *testing.T) {
 	}
 }
 
-// TestKeySeparation: different options, pipelines, entry points and
-// modules must not collide.
+// TestKeySeparation: different options and modules must not collide.
 func TestKeySeparation(t *testing.T) {
 	cache := ccache.New(0)
 	mod := parse(t, divergentKernel)
-	if _, err := cache.Compile(mod, core.BaselineOptions()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cache.Compile(mod, core.SpecReconOptions()); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := cache.Diagnose(mod, core.BaselineOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.CompileSafe(mod, core.BaselineOptions()); err != nil {
+	if _, err := cache.Diagnose(mod, core.SpecReconOptions()); err != nil {
 		t.Fatal(err)
 	}
 	mod2 := parse(t, divergentKernel)
 	mod2.Funcs[0].Blocks[0].Instrs[1].Imm = 7 // and r1, r0, #7
-	if _, err := cache.Compile(mod2, core.BaselineOptions()); err != nil {
+	if _, err := cache.Diagnose(mod2, core.BaselineOptions()); err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
-	if st.Hits != 0 || st.Misses != 5 || st.Entries != 5 {
-		t.Errorf("stats = %+v, want 0 hits / 5 misses / 5 entries", st)
+	if st.Hits != 0 || st.Misses != 3 || st.Entries != 3 {
+		t.Errorf("stats = %+v, want 0 hits / 3 misses / 3 entries", st)
 	}
 	// Threshold sweeps vary only ThresholdOverride; each point is its own
 	// entry, and repeats hit.
@@ -120,14 +112,14 @@ func TestKeySeparation(t *testing.T) {
 		opts := core.SpecReconOptions()
 		opts.ThresholdOverride = th
 		for i := 0; i < 2; i++ {
-			if _, err := cache.Compile(mod, opts); err != nil {
+			if _, err := cache.Diagnose(mod, opts); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	st = cache.Stats()
-	if st.Hits != 3 || st.Misses != 8 {
-		t.Errorf("after threshold sweep: stats = %+v, want 3 hits / 8 misses", st)
+	if st.Hits != 3 || st.Misses != 6 {
+		t.Errorf("after threshold sweep: stats = %+v, want 3 hits / 6 misses", st)
 	}
 }
 
@@ -297,10 +289,10 @@ func TestHitAllocatesNothing(t *testing.T) {
 func TestEviction(t *testing.T) {
 	cache := ccache.New(1) // smaller than any single entry: keep-last behavior
 	mod := parse(t, divergentKernel)
-	if _, err := cache.Compile(mod, core.BaselineOptions()); err != nil {
+	if _, err := cache.Diagnose(mod, core.BaselineOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Compile(mod, core.SpecReconOptions()); err != nil {
+	if _, err := cache.Diagnose(mod, core.SpecReconOptions()); err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
@@ -311,75 +303,10 @@ func TestEviction(t *testing.T) {
 		t.Errorf("evictions = %d, want 1", st.Evictions)
 	}
 	// The surviving entry is the most recent one.
-	if _, err := cache.Compile(mod, core.SpecReconOptions()); err != nil {
+	if _, err := cache.Diagnose(mod, core.SpecReconOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Hits != 1 {
 		t.Errorf("hits = %d, want 1 (most recent entry survived eviction)", st.Hits)
-	}
-}
-
-// TestNilCacheForwards: a nil *Cache is a transparent pass-through.
-func TestNilCacheForwards(t *testing.T) {
-	var cache *ccache.Cache
-	mod := parse(t, divergentKernel)
-	comp, err := cache.Compile(mod, core.SpecReconOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp == nil {
-		t.Fatal("nil cache returned nil compilation")
-	}
-	if st := cache.Stats(); st != (ccache.Stats{}) {
-		t.Errorf("nil cache stats = %+v, want zero", st)
-	}
-}
-
-// TestDefaultPipelinesAreNotSharedMutably: the default pipelines are
-// built once per shape, but the *Pipeline a caller is handed is its own.
-// One goroutine sets VerifyEach and an Observer on its SafePipelineFor
-// and compiles through the cache while another asks for the same shape
-// and compiles through the cache's own entry points; the second must see
-// neither hook, and the observer must hear exactly the first's passes.
-// Run under -race (make check does): a shared struct would be a write
-// in one goroutine against run's read in the other.
-func TestDefaultPipelinesAreNotSharedMutably(t *testing.T) {
-	mod := parse(t, divergentKernel)
-	opts := core.SpecReconOptions()
-	passes := len(core.SafePipelineFor(opts).Passes())
-
-	const rounds = 50
-	var wg sync.WaitGroup
-	wg.Add(2)
-	observed := 0
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			pipe := core.SafePipelineFor(opts)
-			pipe.VerifyEach = true
-			pipe.Observer = func(string, *ir.Module) { observed++ }
-			if _, err := ccache.New(0).CompilePipeline(mod, opts, pipe); err != nil {
-				t.Error(err)
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			if pipe := core.SafePipelineFor(opts); pipe.VerifyEach || pipe.Observer != nil {
-				t.Error("SafePipelineFor handed out a pipeline carrying another caller's hooks")
-			}
-			cache := ccache.New(0)
-			if _, err := cache.CompileSafe(mod, opts); err != nil {
-				t.Error(err)
-			}
-			if _, err := cache.Diagnose(mod, opts); err != nil {
-				t.Error(err)
-			}
-		}
-	}()
-	wg.Wait()
-	if observed != rounds*passes {
-		t.Errorf("the observer heard %d passes, want %d: %d compiles of %d passes", observed, rounds*passes, rounds, passes)
 	}
 }

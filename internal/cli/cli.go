@@ -1,6 +1,6 @@
 // Package cli is the command-line surface the binaries share, declared
 // once: the exit contract, and the flag groups — launch shape, warp
-// scheduling, compile cache and profiles — each registered by the
+// scheduling, liveness and profiles — each registered by the
 // binaries that have it, parsed into the values the simulator takes,
 // started after parsing and finished on every exit path of run. A
 // binary's main is
@@ -21,7 +21,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"specrecon/internal/ccache"
 	"specrecon/internal/simt"
 	"specrecon/internal/workloads"
 )
@@ -45,15 +44,10 @@ type App struct {
 	// StarveLimit and WallBudget arm the liveness monitors (LivenessFlags).
 	StarveLimit int64
 	WallBudget  time.Duration
-	// Cache is the compile cache, nil unless -compile-cache or
-	// -cache-stats asked for one (CacheFlags) or EnableCache was called;
-	// a nil cache compiles directly.
-	Cache *ccache.Cache
 
-	policy, sched                      string
-	cacheOn                            bool
-	cacheStats, cpuProfile, memProfile string
-	finishers                          []func() error
+	policy, sched          string
+	cpuProfile, memProfile string
+	finishers              []func() error
 }
 
 // New returns the App of the command called name.
@@ -85,13 +79,6 @@ func (a *App) SchedFlags() {
 func (a *App) LivenessFlags() {
 	a.Int64Var(&a.StarveLimit, "starve-limit", 0, "fail with a StarvationError when a runnable warp goes unissued this many cycles (0 = off)")
 	a.DurationVar(&a.WallBudget, "wall-budget", 0, "fail with a WatchdogError when a run exceeds this wall-clock budget (0 = off)")
-}
-
-// CacheFlags registers the compile cache; asking for its statistics
-// implies the cache.
-func (a *App) CacheFlags() {
-	a.BoolVar(&a.cacheOn, "compile-cache", false, "memoize compilations in a content-addressed compile cache")
-	a.StringVar(&a.cacheStats, "cache-stats", "", "write compile-cache hit/miss statistics as JSON to this file (\"-\" for stderr); implies -compile-cache")
 }
 
 // ProfileFlags registers the pprof profiles of the command itself: the
@@ -156,24 +143,11 @@ func (a *App) start() (err error) {
 		}
 		a.finishers = append(a.finishers, func() error { pprof.StopCPUProfile(); return f.Close() })
 	}
-	if a.cacheOn || a.cacheStats != "" {
-		a.EnableCache()
-	}
-	if a.cacheStats != "" {
-		a.finishers = append(a.finishers, func() error { return WriteTo(a.cacheStats, a.Stderr, a.Cache.WriteStatsJSON) })
-	}
 	return nil
 }
 
-// EnableCache turns the compile cache on, as -compile-cache does.
-func (a *App) EnableCache() {
-	if a.Cache == nil {
-		a.Cache = ccache.New(0)
-	}
-}
-
-// Close finishes what Parse started, last started first: the cache
-// statistics, the profiles. run defers it with the address of its named
+// Close finishes what Parse started, last started first: the
+// profiles. run defers it with the address of its named
 // result, so every exit path finishes; a finisher that fails is reported
 // and turns an OK status into Usage.
 func (a *App) Close(code *int) {

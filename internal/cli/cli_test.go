@@ -2,15 +2,12 @@ package cli
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"specrecon/internal/ccache"
-	"specrecon/internal/core"
 	"specrecon/internal/simt"
 	"specrecon/internal/workloads"
 )
@@ -22,7 +19,6 @@ func full(name string) (*App, *bytes.Buffer) {
 	a.LaunchFlags()
 	a.SchedFlags()
 	a.LivenessFlags()
-	a.CacheFlags()
 	a.ProfileFlags()
 	return a, &stderr
 }
@@ -76,45 +72,29 @@ func TestGroupsRegisterOnlyTheirFlags(t *testing.T) {
 	}
 }
 
-// TestCloseFinishes: the finishers write their files when Close runs —
-// the cache statistics counting what the run looked up — and one that
-// cannot turns an OK status into Usage.
+// TestCloseFinishes: the finishers write their files when Close runs,
+// and one that cannot turns an OK status into Usage.
 func TestCloseFinishes(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
 	a, stderr := full("tool")
-	code, done := a.Parse([]string{"-cache-stats", path("stats.json"),
-		"-cpuprofile", path("cpu.pprof"), "-memprofile", path("mem.pprof")})
-	if done || a.Cache == nil {
-		t.Fatalf("Parse: code %d done %v cache %v\n%s", code, done, a.Cache, stderr)
-	}
-	m := workloads.All()[0].Build(workloads.BuildConfig{}).Module
-	for range 2 {
-		if _, err := a.Cache.Compile(m, core.BaselineOptions()); err != nil {
-			t.Fatal(err)
-		}
+	code, done := a.Parse([]string{"-cpuprofile", path("cpu.pprof"), "-memprofile", path("mem.pprof")})
+	if done {
+		t.Fatalf("Parse: code %d\n%s", code, stderr)
 	}
 	a.Close(&code)
 	if code != OK {
 		t.Errorf("Close: code %d\n%s", code, stderr)
 	}
-	for _, name := range []string{"stats.json", "cpu.pprof", "mem.pprof"} {
+	for _, name := range []string{"cpu.pprof", "mem.pprof"} {
 		if st, err := os.Stat(path(name)); err != nil || st.Size() == 0 {
 			t.Errorf("%s: not written (%v)", name, err)
 		}
 	}
-	raw, err := os.ReadFile(path("stats.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st ccache.Stats
-	if err := json.Unmarshal(raw, &st); err != nil || st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats.json: %+v (%v), want 1 hit and 1 miss", st, err)
-	}
 
 	a, stderr = full("tool")
-	code, _ = a.Parse([]string{"-cache-stats", filepath.Join(dir, "no", "such", "dir", "stats.json")})
+	code, _ = a.Parse([]string{"-memprofile", filepath.Join(dir, "no", "such", "dir", "mem.pprof")})
 	if a.Close(&code); code != Usage || !strings.Contains(stderr.String(), "tool: open") {
-		t.Errorf("unwritable -cache-stats: code %d stderr %q, want Usage and the reason", code, stderr)
+		t.Errorf("unwritable -memprofile: code %d stderr %q, want Usage and the reason", code, stderr)
 	}
 }

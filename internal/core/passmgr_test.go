@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"specrecon/internal/analyze"
@@ -361,5 +362,54 @@ func TestDefaultPipelinesAreBuiltOnce(t *testing.T) {
 	}
 	if a.Spec() != b.Spec() || len(a.passes) == 0 || &a.passes[0] != &b.passes[0] {
 		t.Error("two SafePipelineFor results do not share one pass list")
+	}
+}
+
+// TestDefaultPipelinesAreNotSharedMutably: the default pipelines are
+// built once per shape, but the *Pipeline a caller is handed is its own.
+// One goroutine sets VerifyEach and an Observer on its SafePipelineFor
+// and compiles through it while another asks for the same shape and
+// compiles through the entry points that use the shared pipelines
+// (CompileSafe, Diagnose); the second must see neither hook, and the
+// observer must hear exactly the first's passes. Run under -race (make
+// check does): a shared struct would be a write in one goroutine against
+// run's read in the other.
+func TestDefaultPipelinesAreNotSharedMutably(t *testing.T) {
+	mod := buildListing1(64, 8)
+	opts := SpecReconOptions()
+	passes := len(SafePipelineFor(opts).Passes())
+
+	const rounds = 50
+	var wg sync.WaitGroup
+	wg.Add(2)
+	observed := 0
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			pipe := SafePipelineFor(opts)
+			pipe.VerifyEach = true
+			pipe.Observer = func(string, *ir.Module) { observed++ }
+			if _, err := CompilePipeline(mod, opts, pipe); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if pipe := SafePipelineFor(opts); pipe.VerifyEach || pipe.Observer != nil {
+				t.Error("SafePipelineFor handed out a pipeline carrying another caller's hooks")
+			}
+			if _, err := CompileSafe(mod, opts); err != nil {
+				t.Error(err)
+			}
+			if _, err := Diagnose(mod, opts); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	if observed != rounds*passes {
+		t.Errorf("the observer heard %d passes, want %d: %d compiles of %d passes", observed, rounds*passes, rounds, passes)
 	}
 }

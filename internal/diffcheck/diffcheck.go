@@ -4,8 +4,10 @@
 // speculative-reconvergence pipeline, runs both builds in the simulator
 // under an issue budget with strict barrier accounting, and
 // asserts that the two terminate with equivalent architectural state.
-// A speculative build that is the baseline build on the baseline launch
-// is simulated once: both sides share that run.
+// The baseline side is its own step (NewBaseline), so a campaign that
+// checks one kernel under many speculative options launches its
+// baseline once; a speculative build that is the baseline build on the
+// baseline launch is simulated once: both sides share that run.
 // Speculative reconvergence must never change results (the paper's
 // transform only reorders when lanes execute, §4); any divergence in
 // final memory, any deadlock, budget exhaustion or leaked barrier
@@ -21,7 +23,6 @@ import (
 	"math"
 	"time"
 
-	"specrecon/internal/ccache"
 	"specrecon/internal/core"
 	"specrecon/internal/ir"
 	"specrecon/internal/simt"
@@ -47,7 +48,8 @@ type Kernel struct {
 	Workers int
 }
 
-// Options configures one differential check.
+// Options configures one differential check. NewBaseline reads
+// AutoAnnotate, MaxIssues, Policy and WallBudget; Versus reads the rest.
 type Options struct {
 	// MaxIssues budgets each simulator run (default 1<<24 issues). A
 	// speculative build that exceeds the budget the baseline met is a
@@ -101,12 +103,6 @@ type Options struct {
 	// (simt.Config.WallBudget semantics); it applies to both runs so a
 	// pathological kernel cannot hang a campaign worker.
 	WallBudget time.Duration
-	// Cache, when non-nil, memoizes the baseline and speculative
-	// compilations: a campaign re-checking one kernel under many
-	// thresholds or fault plans compiles each distinct build once.
-	// AutoAnnotate results are keyed by the annotated module's content,
-	// so cached and fresh campaigns report identically.
-	Cache *ccache.Cache
 }
 
 func (o Options) withDefaults() Options {
@@ -173,61 +169,41 @@ func (r Result) String() string {
 	return fmt.Sprintf("%s: %v", r.Stage, r.Err)
 }
 
-// Check runs the differential check for k under opts. The speculative
-// build is simulated only when it or its launch differs from the
-// baseline's: a speculative build that is the baseline build (the
-// detector found nothing to predict) on the baseline launch (no
-// simulator fault, inter-warp policy or starvation monitor) shares the
-// baseline's run, and the memory comparisons hold it to itself.
-func Check(k Kernel, opts Options) Result { return check(k, opts, true) }
+// Baseline is the reference side of a check: the kernel's PDOM build,
+// launched once. Any number of speculative builds of the kernel are
+// compared with it (Versus); it is only read once made.
+type Baseline struct {
+	// mod is what both sides compile: the kernel's module, or the clone
+	// AutoAnnotate annotated.
+	mod       *ir.Module
+	annotated bool
+	comp      *core.Compilation
+	cfg       simt.Config
+	run       *simt.Result
+	// fail is every check's result when the baseline build (comp nil)
+	// or its run (run nil) failed.
+	fail Result
+	// relaunch simulates the speculative build even when it is the
+	// baseline launch (the relaunch that export_test.go holds reuse to).
+	relaunch bool
+}
 
-// check is Check; reuse false simulates the speculative build even when
-// it is the baseline launch (the relaunch that export_test.go holds
-// reuse to).
-func check(k Kernel, opts Options, reuse bool) Result {
+// NewBaseline compiles and launches k's baseline under the options a
+// baseline reads: AutoAnnotate, MaxIssues, Policy and WallBudget.
+func NewBaseline(k Kernel, opts Options) Baseline {
 	opts = opts.withDefaults()
-
-	mod := k.Module
-	annotated := false
-	if opts.AutoAnnotate && !hasPredictions(mod) {
-		if clone, _ := core.AnnotatedClone(mod, core.DefaultAutoDetectOptions()); clone != nil {
-			mod, annotated = clone, true
+	b := Baseline{mod: k.Module}
+	if opts.AutoAnnotate && !hasPredictions(b.mod) {
+		if clone, _ := core.AnnotatedClone(b.mod, core.DefaultAutoDetectOptions()); clone != nil {
+			b.mod, b.annotated = clone, true
 		}
 	}
-
-	baseComp, err := opts.Cache.Compile(mod, core.BaselineOptions())
-	if err != nil {
-		return Result{Stage: StageCompileBase, Err: err, Annotated: annotated}
+	var err error
+	if b.comp, err = core.Compile(b.mod, core.BaselineOptions()); err != nil {
+		b.fail = Result{Stage: StageCompileBase, Err: err, Annotated: b.annotated}
+		return b
 	}
-
-	specOpts := core.Options{
-		InsertPDOM:        true,
-		ApplyPredictions:  true,
-		Deconflict:        opts.Deconflict,
-		ThresholdOverride: opts.ThresholdOverride,
-		Faults:            opts.Faults,
-	}
-	repaired := false
-	var specComp *core.Compilation
-	if opts.Repair {
-		specComp, err = opts.Cache.CompilePipeline(mod, specOpts, core.RepairPipelineFor(specOpts))
-		if err != nil {
-			return Result{Stage: StageVerify, Err: err, Annotated: annotated}
-		}
-		repaired = specComp.RepairReport != nil && len(specComp.RepairReport.Edits) > 0
-	} else if opts.Verify {
-		specComp, err = opts.Cache.CompilePipeline(mod, specOpts, core.SafePipelineFor(specOpts))
-		if err != nil {
-			return Result{Stage: StageVerify, Err: err, Annotated: annotated}
-		}
-	} else {
-		specComp, err = opts.Cache.Compile(mod, specOpts)
-		if err != nil {
-			return Result{Stage: StageCompileSpec, Err: err, Annotated: annotated}
-		}
-	}
-
-	cfg := simt.Config{
+	b.cfg = simt.Config{
 		Kernel:     k.Entry,
 		Threads:    k.Threads,
 		Seed:       k.Seed,
@@ -241,14 +217,62 @@ func check(k Kernel, opts Options, reuse bool) Result {
 		Policy:     opts.Policy,
 		WallBudget: opts.WallBudget,
 	}
-	base, err := simt.Run(baseComp.Module, cfg)
-	if err != nil {
-		return Result{Stage: StageRunBase, Err: err, Annotated: annotated}
+	if b.run, err = simt.Run(b.comp.Module, b.cfg); err != nil {
+		b.fail = Result{Stage: StageRunBase, Err: err, Annotated: b.annotated}
 	}
+	return b
+}
+
+// Check runs the differential check for k under opts: NewBaseline, then
+// Versus.
+func Check(k Kernel, opts Options) Result { b := NewBaseline(k, opts); return b.Versus(opts) }
+
+// Versus checks the speculative build that opts' other fields ask for
+// against b. The speculative build is simulated only when it or its
+// launch differs from the baseline's: a speculative build that is the
+// baseline build (the detector found nothing to predict) on the
+// baseline launch (no simulator fault, inter-warp policy or starvation
+// monitor) shares the baseline's run, and the memory comparisons hold
+// it to itself.
+func (b *Baseline) Versus(opts Options) Result {
+	if b.comp == nil {
+		return b.fail
+	}
+	opts = opts.withDefaults()
+	specOpts := core.Options{
+		InsertPDOM:        true,
+		ApplyPredictions:  true,
+		Deconflict:        opts.Deconflict,
+		ThresholdOverride: opts.ThresholdOverride,
+		Faults:            opts.Faults,
+	}
+	var specComp *core.Compilation
+	var err error
+	if opts.Repair {
+		specComp, err = core.CompilePipeline(b.mod, specOpts, core.RepairPipelineFor(specOpts))
+		if err != nil {
+			return Result{Stage: StageVerify, Err: err, Annotated: b.annotated}
+		}
+	} else if opts.Verify {
+		specComp, err = core.CompilePipeline(b.mod, specOpts, core.SafePipelineFor(specOpts))
+		if err != nil {
+			return Result{Stage: StageVerify, Err: err, Annotated: b.annotated}
+		}
+	} else {
+		specComp, err = core.Compile(b.mod, specOpts)
+		if err != nil {
+			return Result{Stage: StageCompileSpec, Err: err, Annotated: b.annotated}
+		}
+	}
+	if b.run == nil {
+		return b.fail
+	}
+	repaired := specComp.RepairReport != nil && len(specComp.RepairReport.Edits) > 0
+	base, cfg := b.run, b.cfg
 
 	// The speculative run carries the injected faults AND the scheduling
-	// policy under exploration; the baseline above stays the greedy
-	// reference schedule.
+	// policy under exploration; the baseline stays the greedy reference
+	// schedule.
 	specCfg := cfg
 	specCfg.SkipReleaseN = opts.SkipReleaseN
 	specCfg.Sched = opts.Sched
@@ -258,33 +282,33 @@ func check(k Kernel, opts Options, reuse bool) Result {
 	// build that is the baseline build, on the baseline launch, has the
 	// baseline's result.
 	spec := base
-	if !reuse || specCfg.SkipReleaseN != cfg.SkipReleaseN || specCfg.Sched != cfg.Sched ||
+	if b.relaunch || specCfg.SkipReleaseN != cfg.SkipReleaseN || specCfg.Sched != cfg.Sched ||
 		specCfg.SchedSeed != cfg.SchedSeed || specCfg.StarveLimit != cfg.StarveLimit ||
-		!ir.SameModule(specComp.Module, baseComp.Module) {
+		!ir.SameModule(specComp.Module, b.comp.Module) {
 		spec, err = simt.Run(specComp.Module, specCfg)
 	}
 	if err != nil {
 		return Result{
 			Stage: StageRunSpec, Err: err,
-			BaseMetrics: base.Metrics, Annotated: annotated, Repaired: repaired,
+			BaseMetrics: base.Metrics, Annotated: b.annotated, Repaired: repaired,
 		}
 	}
 
 	if err := SameMemory(base.Memory, spec.Memory); err != nil {
 		return Result{
 			Stage: StageCompare, Err: err,
-			BaseMetrics: base.Metrics, SpecMetrics: spec.Metrics, Annotated: annotated, Repaired: repaired,
+			BaseMetrics: base.Metrics, SpecMetrics: spec.Metrics, Annotated: b.annotated, Repaired: repaired,
 		}
 	}
 	if err := SameShared(base.Shared, spec.Shared); err != nil {
 		return Result{
 			Stage: StageCompare, Err: err,
-			BaseMetrics: base.Metrics, SpecMetrics: spec.Metrics, Annotated: annotated, Repaired: repaired,
+			BaseMetrics: base.Metrics, SpecMetrics: spec.Metrics, Annotated: b.annotated, Repaired: repaired,
 		}
 	}
 	return Result{
 		OK: true, Stage: StageOK,
-		BaseMetrics: base.Metrics, SpecMetrics: spec.Metrics, Annotated: annotated, Repaired: repaired,
+		BaseMetrics: base.Metrics, SpecMetrics: spec.Metrics, Annotated: b.annotated, Repaired: repaired,
 	}
 }
 

@@ -20,10 +20,10 @@ import (
 
 // launch is the one place the harness reaches the simulator: every
 // driver's "compile, configure, run" goes through it. mod — inst.Module
-// or a re-annotated clone of it — is compiled under opts through the
-// installed cache, fail-safe when safe is set (a build the static
-// barrier verifier rejects comes back repaired or as its PDOM fallback,
-// flagged on the compilation, instead of failing the figure). The config
+// or a re-annotated clone of it — is compiled under opts, fail-safe when
+// safe is set (a build the static barrier verifier rejects comes back
+// repaired or as its PDOM fallback, flagged on the compilation, instead
+// of failing the figure). The config
 // starts from LaunchConfig(inst); adjust, when non-nil, edits it with the
 // compiled module in hand (cache geometry, scheduler, sampler, event
 // sink, InterleaveWarps).
@@ -41,6 +41,23 @@ func launch(inst *workloads.Instance, mod *ir.Module, opts core.Options, safe bo
 		return comp, nil, fmt.Errorf("run %s: %w", mod.Name, err)
 	}
 	return comp, res, nil
+}
+
+// compile builds m under opts: plainly, or — safe — through CompileSafe's
+// verifier, repair and PDOM fallback. A plain build comes back in the
+// same wrapper with nothing flagged, so a caller reads either kind one
+// way; the wrapper travels by value so the plain path allocates nothing
+// for it.
+func compile(m *ir.Module, opts core.Options, safe bool) (core.SafeCompilation, error) {
+	if !safe {
+		comp, err := core.Compile(m, opts)
+		return core.SafeCompilation{Compilation: comp}, err
+	}
+	sc, err := core.CompileSafe(m, opts)
+	if err != nil {
+		return core.SafeCompilation{}, err
+	}
+	return *sc, nil
 }
 
 // adjuster edits a launch's config once its module is compiled. Config

@@ -47,8 +47,10 @@ func (e *TaskPanicError) Error() string {
 	return fmt.Sprintf("task %d panicked: %v", e.Index, e.Value)
 }
 
-// safeCall runs fn(i), converting a panic into a *TaskPanicError.
-func safeCall(i int, fn func(i int) error) (err error) {
+// SafeCall runs fn(i), converting a panic into a *TaskPanicError: the
+// containment of one pool task, for a caller that runs several of its
+// own items in one task and contains each.
+func SafeCall(i int, fn func(i int) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &TaskPanicError{Index: i, Value: v, Stack: debug.Stack()}
@@ -58,7 +60,7 @@ func safeCall(i int, fn func(i int) error) (err error) {
 }
 
 // runPool is the one worker loop: fn(i) for every i in [0, n) on at most
-// parallelism workers, each call contained by safeCall, every task's
+// parallelism workers, each call contained by SafeCall, every task's
 // error (nil on success) returned in its slot. With stopOnErr, workers
 // pick up no new task once one has failed; tasks in flight still
 // complete.
@@ -74,7 +76,7 @@ func runPool(parallelism, n int, stopOnErr bool, fn func(i int) error) []error {
 			if i >= n || (stopOnErr && failed.Load()) {
 				return
 			}
-			if errs[i] = safeCall(i, fn); errs[i] != nil {
+			if errs[i] = SafeCall(i, fn); errs[i] != nil {
 				failed.Store(true)
 			}
 		}
