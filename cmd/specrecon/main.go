@@ -22,6 +22,7 @@ package main
 import (
 	"cmp"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -144,6 +145,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if skipRelease > 0 && eng == simt.ModelStack {
 		return usage(errors.New("-inject skip-release cannot be combined with -model stack: the stack model has no barrier releases to skip"))
 	}
+	if err := refuseUnread(app, *diffFlag, *sweep); err != nil {
+		return usage(err)
+	}
 	inst, err := loadInstance(*kernel, app.Launch)
 	if err != nil {
 		return usage(err)
@@ -179,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *diffFlag {
 		return runDiffcheck(app, *kernel, inst, diffcheck.Options{
 			ThresholdOverride: *threshold, Deconflict: dec, AutoAnnotate: true,
-			Faults: faultPlan, SkipReleaseN: skipRelease,
+			Faults: faultPlan, SkipReleaseN: skipRelease, Verify: *safe,
 			Sched: app.Launch.Sched, SchedSeed: app.Launch.SchedSeed, Policy: app.Launch.Policy, StarveLimit: app.StarveLimit,
 			WallBudget: app.WallBudget,
 		}, *inject != "")
@@ -337,6 +341,35 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	return cli.OK
 }
 
+// modeReads lists the flags each mode that returns before the per-run
+// loop reads, beside the launch shape, the scheduler and the profiles
+// every mode reads. The sweep sets the threshold itself.
+var modeReads = map[string]string{
+	"diffcheck": "diffcheck threshold deconflict inject safe starve-limit wall-budget",
+	"sweep":     "sweep deconflict",
+}
+
+// refuseUnread names the first flag the command line set that the
+// -diffcheck or -sweep mode it asked for does not read.
+func refuseUnread(app *cli.App, diffcheck, sweep bool) (err error) {
+	var mode string
+	switch {
+	case diffcheck:
+		mode = "diffcheck"
+	case sweep:
+		mode = "sweep"
+	default:
+		return nil
+	}
+	reads := strings.Fields(modeReads[mode] + " kernel diagnostics tasks threads seed grid ctasize sms workers policy sched sched-seed cpuprofile memprofile")
+	app.Visit(func(f *flag.Flag) {
+		if err == nil && !slices.Contains(reads, f.Name) {
+			err = fmt.Errorf("-%s is not read by -%s", f.Name, mode)
+		}
+	})
+	return err
+}
+
 // modeSuffixed inserts "-<mode>" before path's extension when a run
 // covers several modes, so -mode both writes distinct artifacts.
 func modeSuffixed(path, mode string, multi bool) string {
@@ -375,7 +408,7 @@ func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, flags dif
 		if err != nil {
 			return app.Fail(cli.Usage, err)
 		}
-		k, opts.Verify, opts.Repair = loaded, recorded.Verify, recorded.Repair
+		k, opts.Verify, opts.Repair = loaded, flags.Verify || recorded.Verify, recorded.Repair
 		if !injected {
 			opts.Faults, opts.SkipReleaseN = recorded.Faults, recorded.SkipReleaseN
 		}

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -112,6 +114,84 @@ func TestSweepBuildsTheBaselineOnce(t *testing.T) {
 		if r.BaseCompile != rows[0].BaseCompile || r.SpecCompile <= 0 {
 			t.Errorf("threshold %d: baseline compile %v (point 1: %v), speculative %v; want the one baseline build and a build of its own",
 				r.Threshold, r.BaseCompile, rows[0].BaseCompile, r.SpecCompile)
+		}
+	}
+}
+
+// TestDiffcheckSafeVerifies: -safe puts the verifier into -diffcheck's
+// speculative build, so a dropped wait that every run survives is a
+// verify finding.
+func TestDiffcheckSafeVerifies(t *testing.T) {
+	for _, tc := range []struct {
+		safe   bool
+		code   int
+		stdout string
+	}{{false, 0, "diffcheck: ok"}, {true, 1, "diffcheck: FAIL at verify: "}} {
+		args := []string{"-kernel", "rsbench", "-tasks", "2", "-diffcheck", "-inject", "drop-wait@1", fmt.Sprintf("-safe=%v", tc.safe)}
+		if code, stdout, stderr := clitest.Exec(t, run, args...); code != tc.code || !strings.HasPrefix(stdout, tc.stdout) {
+			t.Errorf("-safe=%v: exit %d, stdout %q, want %d and %q\n%s", tc.safe, code, stdout, tc.code, tc.stdout, stderr)
+		}
+	}
+}
+
+// TestModesReadOrRefuseEveryFlag: -diffcheck and -sweep return before
+// the per-run loop, so for each flag the binary has, a mode either reads
+// it (the run exits 0, or 1 on the finding -inject plants) or exits 2
+// naming the flag and the mode. -list and -list-passes are modes of
+// their own and come first.
+func TestModesReadOrRefuseEveryFlag(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name string) string { return filepath.Join(dir, name) }
+	// One usable value per flag; "" gives a boolean flag bare.
+	values := map[string]string{
+		"cpuprofile": file("cpu.pprof"), "ctasize": "32", "deconflict": "static", "diagnostics": "",
+		"diffcheck": "", "dot": "", "dump-ir-after": "pdom", "grid": "2", "inject": "skip-release@1",
+		"interleave": "", "kernel": "rsbench", "list": "", "list-passes": "", "memprofile": file("mem.pprof"),
+		"mode": "spec", "model": "stack", "passes": "pdom,alloc", "policy": "minpc", "print": "",
+		"print-pass-stats": "", "profile": "", "profile-json": file("profile.json"), "profile-top": "3",
+		"remarks": "", "safe": "", "sample-stride": "64", "sched": "oldest", "sched-seed": "3", "seed": "5",
+		"sms": "2", "starve-limit": "1000000", "sweep": "", "tasks": "2", "threads": "64", "threshold": "8",
+		"timeline": "4", "trace-out": file("trace.json"), "verify-each": "", "wall-budget": "1m", "workers": "2",
+	}
+	perRun := "dot dump-ir-after interleave mode model passes print print-pass-stats profile profile-json profile-top remarks sample-stride timeline trace-out verify-each"
+	refused := map[string]string{
+		"diffcheck": perRun + " sweep",
+		// The sweep sets the threshold itself and compiles, launches and
+		// compares its points without faults, the fail-safe pipeline or
+		// the liveness monitors.
+		"sweep": perRun + " inject safe starve-limit threshold wall-budget",
+	}
+	golden, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mode, names := range refused {
+		for _, name := range strings.Fields(string(golden)) {
+			value, ok := values[name]
+			if !ok {
+				t.Fatalf("-%s has no value here: give it one, and decide which modes read it", name)
+			}
+			args := []string{"-kernel", "rsbench", "-tasks", "2", "-" + mode, "-" + name}
+			if value != "" {
+				args[len(args)-1] += "=" + value
+			}
+			code, _, stderr := clitest.Exec(t, run, args...)
+			switch {
+			case name == "list" || name == "list-passes":
+				if code != 0 {
+					t.Errorf("-%s -%s: exit %d, want the listing\n%s", mode, name, code, stderr)
+				}
+			case name == "diffcheck" && mode == "sweep":
+				if code != 2 || !strings.Contains(stderr, "-sweep is not read by -diffcheck") {
+					t.Errorf("-sweep -diffcheck: exit %d, want 2 naming -sweep\n%s", code, stderr)
+				}
+			case slices.Contains(strings.Fields(names), name):
+				if want := fmt.Sprintf("-%s is not read by -%s", name, mode); code != 2 || !strings.Contains(stderr, want) {
+					t.Errorf("-%s -%s: exit %d, want 2 and %q\n%s", mode, name, code, want, stderr)
+				}
+			case code == 2 || code == 1 && name != "inject":
+				t.Errorf("-%s -%s: exit %d, want the mode to run with it\n%s", mode, name, code, stderr)
+			}
 		}
 	}
 }
