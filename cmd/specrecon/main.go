@@ -398,9 +398,9 @@ func printPassStats(out io.Writer, mode string, comp *core.Compilation) {
 // runDiffcheck runs the differential checker on the loaded kernel under
 // flags, the options the command line gives, and returns the exit
 // status: Fail on a finding. A .sasm file is replayed under the options
-// its repro directives record (launch, seed, memory, fault, scheduler),
-// each of which yields to an -inject spec (injected) or a scheduler flag
-// moved off its default.
+// its repro directives record (launch, seed, memory, fault, scheduler,
+// budgets, compile options), each of which yields to an -inject spec
+// (injected) or a flag moved off its default; -safe adds the verifier.
 func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, flags diffcheck.Options, injected bool) int {
 	k, opts := harness.DiffcheckKernel(inst), flags
 	if strings.HasSuffix(path, ".sasm") {
@@ -415,8 +415,16 @@ func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, flags dif
 		if flags.Sched == simt.SchedGreedyConverge {
 			opts.Sched, opts.SchedSeed = recorded.Sched, recorded.SchedSeed
 		}
+		if flags.ThresholdOverride < 0 {
+			opts.ThresholdOverride = recorded.ThresholdOverride
+		}
+		if flags.Deconflict == core.DeconflictDynamic {
+			opts.Deconflict = recorded.Deconflict
+		}
 		opts.Policy = cmp.Or(flags.Policy, recorded.Policy)
 		opts.StarveLimit = cmp.Or(flags.StarveLimit, recorded.StarveLimit)
+		opts.WallBudget = cmp.Or(flags.WallBudget, recorded.WallBudget)
+		opts.MaxIssues, opts.AutoAnnotate = recorded.MaxIssues, recorded.AutoAnnotate
 	}
 	res := diffcheck.Check(k, opts)
 	if !res.OK {

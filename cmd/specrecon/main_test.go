@@ -11,6 +11,7 @@ import (
 
 	"specrecon/internal/cli/clitest"
 	"specrecon/internal/core"
+	"specrecon/internal/diffcheck"
 	"specrecon/internal/harness"
 	"specrecon/internal/workloads"
 )
@@ -131,6 +132,21 @@ func TestDiffcheckSafeVerifies(t *testing.T) {
 		if code, stdout, stderr := clitest.Exec(t, run, args...); code != tc.code || !strings.HasPrefix(stdout, tc.stdout) {
 			t.Errorf("-safe=%v: exit %d, stdout %q, want %d and %q\n%s", tc.safe, code, stdout, tc.code, tc.stdout, stderr)
 		}
+	}
+}
+
+// TestDiffcheckReplaysTheBudget: a repro of a budget finding replays
+// under the issue budget it records, not the checker's default.
+func TestDiffcheckReplaysTheBudget(t *testing.T) {
+	k, opts := diffcheck.MatrixKernel(), diffcheck.Options{MaxIssues: 1537}
+	res := diffcheck.Check(k, opts)
+	path, err := diffcheck.WriteRepro(t.TempDir(), k, opts, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := clitest.Exec(t, run, "-kernel", path, "-diffcheck")
+	if want := "diffcheck: FAIL at run-spec: "; code != 1 || !strings.HasPrefix(stdout, want) || !strings.Contains(stdout, "(1537)") {
+		t.Errorf("exit %d, stdout %q, want 1 and %q with the recorded budget\n%s", code, stdout, want, stderr)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"specrecon/internal/core"
 	"specrecon/internal/corpus"
@@ -379,10 +380,11 @@ func TestEveryDirectiveRoundTrips(t *testing.T) {
 	}{
 		{Kernel{Name: "flat", Module: mod, Entry: "kernel", Threads: 96, Seed: 9, Memory: image(40)},
 			Options{Faults: core.FaultPlan{DropCancel: 2, SwapWaits: true}, SkipReleaseN: 3, Verify: true, Repair: true,
-				Sched: simt.SchedRandom, SchedSeed: 77, Policy: simt.PolicyMinPC, StarveLimit: 1 << 20}},
+				Sched: simt.SchedRandom, SchedSeed: 77, Policy: simt.PolicyMinPC, StarveLimit: 1 << 20,
+				MaxIssues: 1537, WallBudget: 90 * time.Second, ThresholdOverride: 8, Deconflict: core.DeconflictStatic}},
 		// A grid launch ignores Threads, and a repro of one does not record it.
 		{Kernel{Name: "grid", Module: mod, Threads: ir.WarpWidth, Grid: 6, CTASize: 64, SMs: 3, Seed: 1 << 40},
-			Options{Sched: simt.SchedOldestFirst}},
+			Options{Sched: simt.SchedOldestFirst, AutoAnnotate: true}},
 		{Kernel{Name: "big", Module: mod, Threads: 32, Memory: image(maxReproMemWords + 5)}, Options{}},
 	}
 	dir := t.TempDir()
@@ -425,6 +427,57 @@ func TestEveryDirectiveRoundTrips(t *testing.T) {
 		if !written[d.key] {
 			t.Errorf("no finding of this test writes repro-%s", d.key)
 		}
+	}
+}
+
+// TestEveryOptionIsReplayed: a repro replays every option that can change
+// a check's verdict, so each field of Options is recorded by a row of the
+// directives table or listed here, with the reason it cannot change a
+// verdict. A new field fails this test until someone decides which.
+func TestEveryOptionIsReplayed(t *testing.T) {
+	rows := map[string]string{ // field: the directive that records it
+		"MaxIssues": "max-issues", "ThresholdOverride": "threshold", "Deconflict": "deconflict",
+		"Verify": "verify", "Repair": "repair", "AutoAnnotate": "auto-annotate", "Faults": "fault",
+		"SkipReleaseN": "fault", "Policy": "policy", "Sched": "sched", "SchedSeed": "sched-seed",
+		"StarveLimit": "starve-limit", "WallBudget": "wall-budget",
+	}
+	// Every field can change a verdict today: the budgets decide a
+	// budget or watchdog finding, the rest the build or the launch.
+	noVerdict := map[string]string{}
+	keys := map[string]bool{}
+	for _, d := range directives {
+		keys[d.key] = d.parse != nil
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		key, row := rows[f.Name]
+		_, listed := noVerdict[f.Name]
+		switch {
+		case row && !keys[key]:
+			t.Errorf("Options.%s: no directive %q replays it", f.Name, key)
+		case !row && !listed:
+			t.Errorf("Options.%s is neither a directive row nor listed as unable to change a verdict", f.Name)
+		}
+	}
+}
+
+// TestReproReplaysItsBudget: a budget finding found under a smaller issue
+// budget than the checker's default replays as the same finding.
+func TestReproReplaysItsBudget(t *testing.T) {
+	k, opts := MatrixKernel(), Options{MaxIssues: 1537}
+	res := Check(k, opts)
+	if res.Stage != StageRunSpec || !strings.Contains(res.Err.Error(), "issue budget exhausted (1537)") {
+		t.Fatalf("checked %v, want a run-spec budget finding", res)
+	}
+	path, err := WriteRepro(t.TempDir(), k, opts, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, recorded, err := LoadRepro(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Check(loaded, recorded); got.Stage != res.Stage || got.Err.Error() != res.Err.Error() {
+		t.Errorf("replayed %v, checked %v", got, res)
 	}
 }
 
@@ -480,6 +533,7 @@ func TestLoadReproRejectsBadDirective(t *testing.T) {
 	for key, val := range map[string]string{
 		"seed": "abc", "sched": "bogus", "policy": "bogus", "threads": "-4", "grid": "x", "fault": "drop-everything",
 		"repair": "maybe", "sched-seed": "-1", "starve-limit": "soon", "memwords": "many", "mem": "3",
+		"threshold": "-2", "deconflict": "sideways", "auto-annotate": "maybe", "max-issues": "lots", "wall-budget": "soon",
 	} {
 		_, _, err := load("; repro-threads: 64\n; repro-memwords: 8\n; repro-" + key + ": " + val + "\n")
 		if want := "r.sasm:3: repro-" + key + ": "; err == nil || !strings.Contains(err.Error(), want) {
@@ -487,7 +541,7 @@ func TestLoadReproRejectsBadDirective(t *testing.T) {
 		}
 	}
 	k, opts, err := load("; repro-model: stack\n; repro-threads: 64\n; repro-err: seed: abc\n")
-	if err != nil || k.Threads != 64 || opts != (Options{}) {
+	if err != nil || k.Threads != 64 || opts != (Options{AutoAnnotate: true}) {
 		t.Errorf("unknown repro-model directive: kernel %+v options %+v error %v, want it skipped", k, opts, err)
 	}
 }

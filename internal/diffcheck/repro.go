@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
+	"specrecon/internal/core"
 	"specrecon/internal/ir"
 	"specrecon/internal/simt"
 )
@@ -69,6 +71,21 @@ var directives = []directive{
 			o.Faults, o.SkipReleaseN, err = ParseFault(v)
 			return
 		}},
+	{"threshold", func(_ *Kernel, o *Options) []string { return when(o.ThresholdOverride > 0, o.ThresholdOverride) },
+		func(v string, _ *Kernel, o *Options) error { return count(v, &o.ThresholdOverride) }},
+	// Dynamic, the paper's mode, is the zero mode.
+	{"deconflict", func(_ *Kernel, o *Options) []string { return when(o.Deconflict != 0, o.Deconflict) },
+		func(v string, _ *Kernel, o *Options) error {
+			for _, d := range []core.DeconflictMode{core.DeconflictDynamic, core.DeconflictStatic, core.DeconflictNone} {
+				if o.Deconflict = d; d.String() == v {
+					return nil
+				}
+			}
+			return fmt.Errorf("unknown deconfliction mode %q", v)
+		}},
+	// LoadRepro starts from AutoAnnotate on, as every campaign checks.
+	{"auto-annotate", func(_ *Kernel, o *Options) []string { return when(!o.AutoAnnotate, false) },
+		func(v string, _ *Kernel, o *Options) (err error) { o.AutoAnnotate, err = strconv.ParseBool(v); return }},
 	{"verify", func(_ *Kernel, o *Options) []string { return when(o.Verify, true) },
 		func(v string, _ *Kernel, o *Options) (err error) { o.Verify, err = strconv.ParseBool(v); return }},
 	{"repair", func(_ *Kernel, o *Options) []string { return when(o.Repair, true) },
@@ -87,6 +104,13 @@ var directives = []directive{
 			o.StarveLimit, err = strconv.ParseInt(v, 10, 64)
 			return
 		}},
+	{"max-issues", func(_ *Kernel, o *Options) []string { return when(o.MaxIssues > 0, o.MaxIssues) },
+		func(v string, _ *Kernel, o *Options) (err error) {
+			o.MaxIssues, err = strconv.ParseInt(v, 10, 64)
+			return
+		}},
+	{"wall-budget", func(_ *Kernel, o *Options) []string { return when(o.WallBudget > 0, o.WallBudget) },
+		func(v string, _ *Kernel, o *Options) (err error) { o.WallBudget, err = time.ParseDuration(v); return }},
 	// The memory image: its length, then its nonzero words.
 	{"memwords", func(k *Kernel, _ *Options) []string { return when(k.Memory != nil, len(k.Memory)) },
 		func(v string, k *Kernel, _ *Options) error {
@@ -199,7 +223,9 @@ func sanitize(name string) string {
 // LoadRepro reads a .sasm file written by WriteRepro (or any plain
 // module listing) and reconstructs the kernel plus the options it was
 // checked under, as far as the directives record them. Plain listings
-// get one warp, seed 0, no fault and the reference schedulers. A
+// get one warp, seed 0, no fault, the reference schedulers, the default
+// budgets and compile options, and the auto-annotation every campaign
+// checks under. A
 // directive whose value does not parse is an error naming its line; a
 // `repro-*` key the table does not have is skipped, so a repro written
 // by a newer tree loads.
@@ -214,7 +240,7 @@ func LoadRepro(path string) (Kernel, Options, error) {
 		Name:    strings.TrimSuffix(filepath.Base(path), ".sasm"),
 		Threads: ir.WarpWidth,
 	}
-	var opts Options
+	opts := Options{AutoAnnotate: true}
 	for n, line := range strings.Split(src, "\n") {
 		rest, ok := strings.CutPrefix(strings.TrimSpace(line), "; repro-")
 		if !ok {
