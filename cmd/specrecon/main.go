@@ -145,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if skipRelease > 0 && eng == simt.ModelStack {
 		return usage(errors.New("-inject skip-release cannot be combined with -model stack: the stack model has no barrier releases to skip"))
 	}
-	if err := refuseUnread(app, *diffFlag, *sweep); err != nil {
+	if err := refuseUnread(app); err != nil {
 		return usage(err)
 	}
 	inst, err := loadInstance(*kernel, app.Launch)
@@ -350,24 +350,22 @@ var modeReads = map[string]string{
 }
 
 // refuseUnread names the first flag the command line set that the
-// -diffcheck or -sweep mode it asked for does not read.
-func refuseUnread(app *cli.App, diffcheck, sweep bool) (err error) {
-	var mode string
-	switch {
-	case diffcheck:
-		mode = "diffcheck"
-	case sweep:
-		mode = "sweep"
-	default:
-		return nil
-	}
-	reads := strings.Fields(modeReads[mode] + " kernel diagnostics tasks threads seed grid ctasize sms workers policy sched sched-seed cpuprofile memprofile")
-	app.Visit(func(f *flag.Flag) {
-		if err == nil && !slices.Contains(reads, f.Name) {
-			err = fmt.Errorf("-%s is not read by -%s", f.Name, mode)
+// -diffcheck or -sweep mode it asked for (-diffcheck first, as run
+// takes them) does not read.
+func refuseUnread(app *cli.App) (err error) {
+	for _, mode := range []string{"diffcheck", "sweep"} {
+		if app.Lookup(mode).Value.String() != "true" {
+			continue
 		}
-	})
-	return err
+		reads := strings.Fields(modeReads[mode] + " kernel diagnostics tasks threads seed grid ctasize sms workers policy sched sched-seed cpuprofile memprofile")
+		app.Visit(func(f *flag.Flag) {
+			if err == nil && !slices.Contains(reads, f.Name) {
+				err = fmt.Errorf("-%s is not read by -%s", f.Name, mode)
+			}
+		})
+		return err
+	}
+	return nil
 }
 
 // modeSuffixed inserts "-<mode>" before path's extension when a run
@@ -400,7 +398,8 @@ func printPassStats(out io.Writer, mode string, comp *core.Compilation) {
 // status: Fail on a finding. A .sasm file is replayed under the options
 // its repro directives record (launch, seed, memory, fault, scheduler,
 // budgets, compile options), each of which yields to an -inject spec
-// (injected) or a flag moved off its default; -safe adds the verifier.
+// (injected) or a flag moved off its default (a launch flag included);
+// -safe adds the verifier.
 func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, flags diffcheck.Options, injected bool) int {
 	k, opts := harness.DiffcheckKernel(inst), flags
 	if strings.HasSuffix(path, ".sasm") {
@@ -409,6 +408,10 @@ func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, flags dif
 			return app.Fail(cli.Usage, err)
 		}
 		k, opts.Verify, opts.Repair = loaded, flags.Verify || recorded.Verify, recorded.Repair
+		// A launch flag given on the command line replaces what the file records.
+		l := app.Launch
+		k.Threads, k.Seed, k.Workers = cmp.Or(l.Threads, k.Threads), cmp.Or(l.Seed, k.Seed), cmp.Or(l.Workers, k.Workers)
+		k.Grid, k.CTASize, k.SMs = cmp.Or(l.Grid, k.Grid), cmp.Or(l.CTASize, k.CTASize), cmp.Or(l.SMs, k.SMs)
 		if !injected {
 			opts.Faults, opts.SkipReleaseN = recorded.Faults, recorded.SkipReleaseN
 		}
@@ -418,9 +421,7 @@ func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, flags dif
 		if flags.ThresholdOverride < 0 {
 			opts.ThresholdOverride = recorded.ThresholdOverride
 		}
-		if flags.Deconflict == core.DeconflictDynamic {
-			opts.Deconflict = recorded.Deconflict
-		}
+		opts.Deconflict = cmp.Or(flags.Deconflict, recorded.Deconflict)
 		opts.Policy = cmp.Or(flags.Policy, recorded.Policy)
 		opts.StarveLimit = cmp.Or(flags.StarveLimit, recorded.StarveLimit)
 		opts.WallBudget = cmp.Or(flags.WallBudget, recorded.WallBudget)

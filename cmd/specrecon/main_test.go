@@ -150,6 +150,18 @@ func TestDiffcheckReplaysTheBudget(t *testing.T) {
 	}
 }
 
+// TestDiffcheckFileTakesLaunchFlags: a .sasm file checked under launch
+// flags is launched as the run mode launches it, not as the file records.
+func TestDiffcheckFileTakesLaunchFlags(t *testing.T) {
+	launch := []string{"-kernel", "../../testdata/iterdelay.sasm", "-threads", "128", "-seed", "9"}
+	_, ran, _ := clitest.Exec(t, run, append(launch, "-mode", "baseline")...)
+	_, checked, stderr := clitest.Exec(t, run, append(launch, "-diffcheck")...)
+	var cycles int64
+	if _, err := fmt.Sscanf(checked, "diffcheck: ok (base cycles %d,", &cycles); err != nil || !strings.Contains(ran, fmt.Sprintf("cycles=%-10d", cycles)) {
+		t.Errorf("-diffcheck reported %q (%v), the run mode %q\n%s", checked, err, ran, stderr)
+	}
+}
+
 // TestModesReadOrRefuseEveryFlag: -diffcheck and -sweep return before
 // the per-run loop, so for each flag the binary has, a mode either reads
 // it (the run exits 0, or 1 on the finding -inject plants) or exits 2

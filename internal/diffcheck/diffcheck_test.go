@@ -460,45 +460,29 @@ func TestEveryOptionIsReplayed(t *testing.T) {
 	}
 }
 
-// TestReproReplaysItsBudget: a budget finding found under a smaller issue
-// budget than the checker's default replays as the same finding.
-func TestReproReplaysItsBudget(t *testing.T) {
-	k, opts := MatrixKernel(), Options{MaxIssues: 1537}
-	res := Check(k, opts)
-	if res.Stage != StageRunSpec || !strings.Contains(res.Err.Error(), "issue budget exhausted (1537)") {
-		t.Fatalf("checked %v, want a run-spec budget finding", res)
-	}
-	path, err := WriteRepro(t.TempDir(), k, opts, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, recorded, err := LoadRepro(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := Check(loaded, recorded); got.Stage != res.Stage || got.Err.Error() != res.Err.Error() {
-		t.Errorf("replayed %v, checked %v", got, res)
-	}
-}
-
 // TestReproReplaysItsCheck: a repro of a verified, repaired check replays
-// under the verifier and the repair pipeline, so the loaded file stops
-// where the check that wrote it stopped, repaired or not.
+// under the verifier and the repair pipeline, and one of a budget finding
+// under the issue budget it was found with (below the checker's
+// default), so the loaded file stops where the check that wrote it
+// stopped, repaired or not.
 func TestReproReplaysItsCheck(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		fault    string
+		opts     Options
 		stage    Stage
 		repaired bool
 	}{
-		{"drop-cancel@1", StageOK, true},
-		{"drop-wait@1", StageVerify, false},
+		{"drop-cancel@1", Options{Verify: true, Repair: true}, StageOK, true},
+		{"drop-wait@1", Options{Verify: true, Repair: true}, StageVerify, false},
+		{"", Options{MaxIssues: 1537}, StageRunSpec, false},
 	} {
 		plan, skip, err := ParseFault(tc.fault)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{Faults: plan, SkipReleaseN: skip, Verify: true, Repair: true}
+		opts := tc.opts
+		opts.Faults, opts.SkipReleaseN = plan, skip
 		k := MatrixKernel()
 		res := Check(k, opts)
 		if res.Stage != tc.stage || res.Repaired != tc.repaired {

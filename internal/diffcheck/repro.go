@@ -53,6 +53,12 @@ func count(v string, dst *int) (err error) {
 	return err
 }
 
+// set returns a function that stores a parsed value in dst and passes
+// the parse error on: set(&dst)(strconv.ParseInt(v, 10, 64)).
+func set[T any](dst *T) func(T, error) error {
+	return func(v T, err error) error { *dst = v; return err }
+}
+
 var directives = []directive{
 	{"grid", func(k *Kernel, _ *Options) []string { return when(k.Grid > 0, k.Grid) },
 		func(v string, k *Kernel, _ *Options) error { return count(v, &k.Grid) }},
@@ -93,22 +99,13 @@ var directives = []directive{
 	{"sched", func(_ *Kernel, o *Options) []string { return when(o.Sched != simt.SchedGreedyConverge, o.Sched) },
 		func(v string, _ *Kernel, o *Options) (err error) { o.Sched, err = simt.ParseSchedPolicy(v); return }},
 	{"sched-seed", func(_ *Kernel, o *Options) []string { return when(o.Sched == simt.SchedRandom, o.SchedSeed) },
-		func(v string, _ *Kernel, o *Options) (err error) {
-			o.SchedSeed, err = strconv.ParseUint(v, 10, 64)
-			return
-		}},
+		func(v string, _ *Kernel, o *Options) error { return set(&o.SchedSeed)(strconv.ParseUint(v, 10, 64)) }},
 	{"policy", func(_ *Kernel, o *Options) []string { return when(o.Policy != simt.PolicyMaxGroup, o.Policy) },
 		func(v string, _ *Kernel, o *Options) (err error) { o.Policy, err = simt.ParsePolicy(v); return }},
 	{"starve-limit", func(_ *Kernel, o *Options) []string { return when(o.StarveLimit > 0, o.StarveLimit) },
-		func(v string, _ *Kernel, o *Options) (err error) {
-			o.StarveLimit, err = strconv.ParseInt(v, 10, 64)
-			return
-		}},
+		func(v string, _ *Kernel, o *Options) error { return set(&o.StarveLimit)(strconv.ParseInt(v, 10, 64)) }},
 	{"max-issues", func(_ *Kernel, o *Options) []string { return when(o.MaxIssues > 0, o.MaxIssues) },
-		func(v string, _ *Kernel, o *Options) (err error) {
-			o.MaxIssues, err = strconv.ParseInt(v, 10, 64)
-			return
-		}},
+		func(v string, _ *Kernel, o *Options) error { return set(&o.MaxIssues)(strconv.ParseInt(v, 10, 64)) }},
 	{"wall-budget", func(_ *Kernel, o *Options) []string { return when(o.WallBudget > 0, o.WallBudget) },
 		func(v string, _ *Kernel, o *Options) (err error) { o.WallBudget, err = time.ParseDuration(v); return }},
 	// The memory image: its length, then its nonzero words.
