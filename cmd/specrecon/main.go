@@ -341,9 +341,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	return cli.OK
 }
 
-// modeReads lists the flags each mode that returns before the per-run
-// loop reads, beside the launch shape, the scheduler and the profiles
-// every mode reads. The sweep sets the threshold itself.
+// modeReads lists, for each mode that returns before the per-run loop,
+// the flags it reads beyond those every mode reads: the kernel,
+// -diagnostics, the launch shape, the scheduler and the profiles. The
+// sweep sets the threshold itself.
 var modeReads = map[string]string{
 	"diffcheck": "diffcheck threshold deconflict inject safe starve-limit wall-budget",
 	"sweep":     "sweep deconflict",

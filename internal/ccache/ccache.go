@@ -4,10 +4,10 @@
 // a canonical binary encoding of the input module's IR and a fingerprint
 // of the Options — and memoizes the immutable *core.Compilation, so a
 // sweep that diagnoses one module under the same options again compiles
-// it once. The tools no longer use it: every campaign shares each
-// baseline by construction (diffcheck.NewBaseline), which left the cache
-// nothing to save. The repo benchmark's sweep workload is its last
-// caller.
+// it once. Its one caller is the repo benchmark's sweep workload: the
+// tools compile each build once by construction (a campaign shares each
+// baseline through diffcheck.NewBaseline), which leaves a cache nothing
+// to save.
 //
 // Cached compilations are shared: callers must treat a returned
 // Compilation (module included) as immutable.
