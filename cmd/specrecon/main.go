@@ -160,7 +160,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(err)
 		}
-		dcomp, err := core.CompilePipeline(inst.Module, core.Options{SkipAllocation: true}, dpipe)
+		dcomp, err := core.CompilePipeline(inst.Module, core.Options{}, dpipe)
 		if err != nil {
 			return fail(err)
 		}

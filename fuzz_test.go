@@ -145,7 +145,7 @@ func FuzzAnalyze(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, verr := core.CompilePipeline(m, core.Options{SkipAllocation: true}, pipe)
+		_, verr := core.CompilePipeline(m, core.Options{}, pipe)
 		var se *core.SafetyError
 		if verr != nil && !errors.As(verr, &se) {
 			// Rejected before the verifier ran (module-level validation);

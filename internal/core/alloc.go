@@ -14,13 +14,6 @@ import (
 // the other (barrier masks are warp state shared across the whole call
 // graph). Allocation is greedy graph coloring over that interference
 // relation; running out of colors is a compile error, as on hardware.
-func init() {
-	registerSimplePass("alloc",
-		"color virtual barriers onto the physical barrier registers",
-		BarriersOnly,
-		func(c *PassContext) error { return c.allocateBarriers() })
-}
-
 func (c *PassContext) allocateBarriers() error {
 	n := c.nextBar
 	if n == 0 {

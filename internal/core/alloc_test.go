@@ -34,13 +34,13 @@ func TestAssignmentIsNeverNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skip := SpecReconOptions()
-	skip.SkipAllocation = true
+	spec := SpecReconOptions()
 	for _, tc := range []struct {
 		m    *ir.Module
 		opts Options
-	}{{uniform, BaselineOptions()}, {buildListing1(64, 8), skip}} {
-		comp, err := Compile(tc.m, tc.opts)
+		pipe *Pipeline
+	}{{uniform, BaselineOptions(), PipelineFor(BaselineOptions())}, {buildListing1(64, 8), spec, unallocated(t, spec)}} {
+		comp, err := CompilePipeline(tc.m, tc.opts, tc.pipe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestAssignmentIsNeverNil(t *testing.T) {
 // like the virtual-barrier module.
 func TestAllocationPreservesSemantics(t *testing.T) {
 	m := buildListing1(96, 10)
-	virt, err := Compile(m, func() Options { o := SpecReconOptions(); o.SkipAllocation = true; return o }())
+	virt, err := CompilePipeline(m, SpecReconOptions(), unallocated(t, SpecReconOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 
 	"specrecon/internal/analyze"
 	"specrecon/internal/cfg"
@@ -23,33 +22,6 @@ import (
 // uncoalesced after the transform, so they are charged extra), and
 // synchronization requirements (regions containing warp-synchronous
 // operations are rejected).
-
-func init() {
-	RegisterPass(PassInfo{
-		Name:        "autodetect",
-		Description: "annotate profitable reconvergence opportunities automatically (arg: min score, e.g. autodetect=1.5)",
-		Build: func(arg string) (Pass, error) {
-			opts := DefaultAutoDetectOptions()
-			if arg != "" {
-				min, err := strconv.ParseFloat(arg, 64)
-				if err != nil {
-					return nil, fmt.Errorf("pass \"autodetect\": bad min score %q: %v", arg, err)
-				}
-				opts.MinScore = min
-			}
-			return &pass{
-				name: "autodetect",
-				spec: specOf("autodetect", arg),
-				run: func(c *PassContext) error {
-					for _, cand := range AutoAnnotate(c.Mod, opts) {
-						c.Remarkf(cand.Fn.Name, cand.At.Name, "%s candidate: label %q, score %.2f", cand.Kind, cand.Label.Name, cand.Score())
-					}
-					return nil
-				},
-			}, nil
-		},
-	})
-}
 
 // PatternKind classifies a detected opportunity.
 type PatternKind int

@@ -2,40 +2,9 @@ package core
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"specrecon/internal/ir"
 )
-
-func init() {
-	RegisterPass(PassInfo{
-		Name:        "coarsen",
-		Description: "thread coarsening: each thread runs N consecutive tasks (arg: coarsen=fn:factor)",
-		Build: func(arg string) (Pass, error) {
-			parts := strings.Split(arg, ":")
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("pass \"coarsen\": want fn:factor, got %q", arg)
-			}
-			factor, err := strconv.Atoi(parts[1])
-			if err != nil {
-				return nil, fmt.Errorf("pass \"coarsen\": bad factor %q: %v", parts[1], err)
-			}
-			fn := parts[0]
-			return &pass{
-				name: "coarsen",
-				spec: "coarsen=" + arg,
-				run: func(c *PassContext) error {
-					if err := Coarsen(c.Mod, fn, factor); err != nil {
-						return err
-					}
-					c.Remarkf(fn, "", "coarsened by factor %d", factor)
-					return nil
-				},
-			}, nil
-		},
-	})
-}
 
 // Thread coarsening, paper section 3: "Programs that have a non-nested
 // divergent loop may be modified using thread coarsening, i.e. combining

@@ -1,43 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"specrecon/internal/dataflow"
 	"specrecon/internal/ir"
 )
-
-func init() {
-	RegisterPass(PassInfo{
-		Name:        "deconflict",
-		Description: "resolve non-inclusive barrier live-range conflicts (arg: dynamic|static)",
-		Build: func(arg string) (Pass, error) {
-			var mode DeconflictMode
-			switch arg {
-			case "", "dynamic":
-				mode = DeconflictDynamic
-			case "static":
-				mode = DeconflictStatic
-			default:
-				return nil, fmt.Errorf("pass \"deconflict\": unknown mode %q (want dynamic or static)", arg)
-			}
-			return &pass{
-				name:   "deconflict",
-				spec:   "deconflict=" + mode.String(),
-				effect: BarriersOnly,
-				run: func(c *PassContext) error {
-					for _, fw := range c.specWaits {
-						c.deconflict(fw.f, fw.waits, mode)
-					}
-					if n := c.Opts.Faults.SkipConflict; n > 0 && c.conflictSeen < n {
-						return fmt.Errorf("fault skip-conflict@%d: %w such target: only %d conflicts found", n, ErrNoFaultTarget, c.conflictSeen)
-					}
-					return nil
-				},
-			}, nil
-		},
-	})
-}
 
 // Conflict analysis, paper section 4.3: barrier live intervals overlap
 // in a non-inclusive manner. The interval machinery (equation 1 with

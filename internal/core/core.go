@@ -38,18 +38,6 @@ import (
 	"specrecon/internal/repair"
 )
 
-func init() {
-	registerSimplePass("pdom",
-		"insert baseline post-dominator convergence barriers at divergent branches",
-		BarriersOnly,
-		func(c *PassContext) error {
-			for _, f := range c.Mod.Funcs {
-				c.insertPDOM(f)
-			}
-			return nil
-		})
-}
-
 // DeconflictMode selects the section-4.3 strategy.
 type DeconflictMode int
 
@@ -93,9 +81,6 @@ type Options struct {
 	// the Figure 9 threshold sweeps. When < 0 the per-prediction
 	// thresholds apply.
 	ThresholdOverride int
-	// SkipAllocation keeps virtual barrier ids (tests only; the
-	// simulator accepts any number of barriers, real hardware has 16).
-	SkipAllocation bool
 	// AssumeVerified skips the input VerifyModule check. Sweeps that
 	// compile one already-verified module many times (the Figure 9
 	// threshold sweep) set it to avoid paying verification per variant;

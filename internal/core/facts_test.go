@@ -37,8 +37,8 @@ type shadow struct {
 	reads, kept int
 }
 
-func (s *shadow) pass() Pass {
-	return &pass{name: "shadow", spec: "shadow", effect: ReadsOnly, run: func(c *PassContext) error {
+func (s *shadow) pass() pass {
+	return pass{name: "shadow", spec: "shadow", effect: ReadsOnly, run: func(c *PassContext) error {
 		for _, f := range c.Mod.Funcs {
 			if len(f.Blocks) == 0 {
 				continue
@@ -74,11 +74,11 @@ func (c *PassContext) lastPass() string {
 // shadowed returns p with the shadow run first and after every pass.
 func (s *shadow) shadowed(p *Pipeline) *Pipeline {
 	check := s.pass()
-	passes := []Pass{check}
-	for _, ps := range p.passes {
-		passes = append(passes, ps, check)
+	ps := []pass{check}
+	for _, p := range p.passes {
+		ps = append(ps, p, check)
 	}
-	return newPipeline(passes)
+	return newPipeline(ps)
 }
 
 // run compiles m through the shadowed pipeline. A pass may fail (the
@@ -224,8 +224,8 @@ z:
 // and it is the Info read before the pass that must have stopped being
 // Valid and must differ from a rebuild.
 func TestShadowCatchesPlantedFaults(t *testing.T) {
-	plant := func(name string, edit func(f *ir.Function)) Pass {
-		return &pass{name: name, spec: name, effect: BarriersOnly, run: func(c *PassContext) error {
+	plant := func(name string, edit func(f *ir.Function)) pass {
+		return pass{name: name, spec: name, effect: BarriersOnly, run: func(c *PassContext) error {
 			edit(c.Mod.Funcs[0])
 			return nil
 		}}
@@ -240,21 +240,19 @@ func TestShadowCatchesPlantedFaults(t *testing.T) {
 		a.Instrs[len(a.Instrs)-1] = ir.Instr{Op: ir.OpCBr, Dst: ir.NoReg, A: 2, B: ir.NoReg, C: ir.NoReg}
 		a.Succs = append(a.Succs, f.BlockByName("head"))
 	})
-	remember := &pass{name: "remember", spec: "remember", effect: ReadsOnly, run: func(c *PassContext) error {
+	remember := pass{name: "remember", spec: "remember", effect: ReadsOnly, run: func(c *PassContext) error {
 		before = c.facts.CFG(c.Mod.Funcs[0])
 		return nil
 	}}
 
-	compile := func(planted Pass) (*Compilation, error) {
+	compile := func(planted pass) (*Compilation, error) {
 		m, err := ir.Parse(plantedKernel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := BaselineOptions()
-		opts.SkipAllocation = true
 		var s shadow
 		s.seen = map[*ir.Function]*cfg.Info{}
-		return CompilePipeline(m, opts, s.shadowed(newPipeline([]Pass{remember, planted})))
+		return CompilePipeline(m, BaselineOptions(), s.shadowed(newPipeline([]pass{remember, planted})))
 	}
 
 	var stale *staleFacts

@@ -122,35 +122,6 @@ func ParseFaultPlan(spec string) (FaultPlan, error) {
 	return p, nil
 }
 
-func init() {
-	RegisterPass(PassInfo{
-		Name:        "inject",
-		Description: "deterministically perturb barrier placement per the fault plan (arg: fault spec, default Options.Faults)",
-		Build: func(arg string) (Pass, error) {
-			var plan *FaultPlan
-			if arg != "" {
-				p, err := ParseFaultPlan(arg)
-				if err != nil {
-					return nil, err
-				}
-				plan = &p
-			}
-			return &pass{
-				name:   "inject",
-				spec:   specOf("inject", arg),
-				effect: BarriersOnly,
-				run: func(c *PassContext) error {
-					p := c.Opts.Faults
-					if plan != nil {
-						p = *plan
-					}
-					return c.inject(p)
-				},
-			}, nil
-		},
-	})
-}
-
 // instrRef locates one instruction for the drop faults.
 type instrRef struct {
 	f   *ir.Function

@@ -2,58 +2,9 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"specrecon/internal/ir"
 )
-
-func init() {
-	RegisterPass(PassInfo{
-		Name:        "inline",
-		Description: "inline every call to a function (arg: inline=caller:callee)",
-		Build: func(arg string) (Pass, error) {
-			parts := strings.Split(arg, ":")
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("pass \"inline\": want caller:callee, got %q", arg)
-			}
-			caller, callee := parts[0], parts[1]
-			return &pass{
-				name: "inline",
-				spec: "inline=" + arg,
-				run: func(c *PassContext) error {
-					sites, dropped, err := Inline(c.Mod, caller, callee)
-					if err != nil {
-						return err
-					}
-					c.Remarkf(caller, "", "inlined %d calls to %q, dropped %d interprocedural predictions", sites, callee, dropped)
-					return nil
-				},
-			}, nil
-		},
-	})
-	RegisterPass(PassInfo{
-		Name:        "outline",
-		Description: "extract a block body into a new function (arg: outline=fn:block:newfn)",
-		Build: func(arg string) (Pass, error) {
-			parts := strings.Split(arg, ":")
-			if len(parts) != 3 {
-				return nil, fmt.Errorf("pass \"outline\": want fn:block:newfn, got %q", arg)
-			}
-			fn, block, newFn := parts[0], parts[1], parts[2]
-			return &pass{
-				name: "outline",
-				spec: "outline=" + arg,
-				run: func(c *PassContext) error {
-					if err := Outline(c.Mod, fn, block, newFn); err != nil {
-						return err
-					}
-					c.Remarkf(fn, block, "outlined into new function %q", newFn)
-					return nil
-				},
-			}, nil
-		},
-	})
-}
 
 // Function inlining, built to study the paper's section-6 interaction:
 // "If a function call that is common across divergent paths is inlined,

@@ -7,20 +7,6 @@ import (
 	"specrecon/internal/ir"
 )
 
-func init() {
-	registerSimplePass("predict",
-		"lower Predict annotations into speculative join/wait/rejoin/cancel barriers",
-		BarriersOnly,
-		func(c *PassContext) error {
-			for _, f := range c.Mod.Funcs {
-				if err := c.applyPredictions(f); err != nil {
-					return fmt.Errorf("func %q: %w", f.Name, err)
-				}
-			}
-			return nil
-		})
-}
-
 // applyPredictions lowers every Prediction of f (paper section 4.2) and
 // records the speculative waits it placed so that a later deconflict
 // pass can run conflict analysis (section 4.3) over the function as a

@@ -28,13 +28,21 @@ func findBarrierOps(f *ir.Function, bar int, op ir.Opcode) []string {
 	return out
 }
 
-// compileListing1 lowers the Listing 1 kernel without barrier allocation
-// so tests can inspect virtual barrier ids directly.
+// unallocated is the default pipeline of opts without barrier
+// allocation, so tests can inspect virtual barrier ids directly.
+func unallocated(t *testing.T, opts Options) *Pipeline {
+	t.Helper()
+	pipe, err := ParsePipeline(strings.TrimSuffix(PipelineFor(opts).Spec(), ",alloc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pipe
+}
+
+// compileListing1 lowers the Listing 1 kernel without barrier allocation.
 func compileListing1(t *testing.T, opts Options) (*Compilation, *ir.Function) {
 	t.Helper()
-	m := buildListing1(64, 8)
-	opts.SkipAllocation = true
-	comp, err := Compile(m, opts)
+	comp, err := CompilePipeline(buildListing1(64, 8), opts, unallocated(t, opts))
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}

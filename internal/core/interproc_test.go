@@ -114,9 +114,7 @@ func buildFigure2c(loop bool) *ir.Module {
 // exits.
 func TestInterprocPlacement(t *testing.T) {
 	m := buildFigure2c(true)
-	opts := SpecReconOptions()
-	opts.SkipAllocation = true
-	comp, err := Compile(m, opts)
+	comp, err := CompilePipeline(m, SpecReconOptions(), unallocated(t, SpecReconOptions()))
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}

@@ -14,18 +14,6 @@ import (
 // genuine cleanups after inlining/unrolling and to keep the kernel
 // builders honest — the workloads are tested to be nearly fold-free.
 
-func init() {
-	registerSimplePass("opt",
-		"scalar optimization: constant folding and dead-code elimination to a fixed point",
-		Rewrites,
-		func(c *PassContext) error {
-			if n := Optimize(c.Mod); n > 0 {
-				c.Remarkf("", "", "%d instructions folded or eliminated", n)
-			}
-			return nil
-		})
-}
-
 // Optimize runs constant folding and dead-code elimination to a fixed
 // point on every function, returning the number of instructions removed
 // or rewritten.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -12,8 +14,8 @@ import (
 )
 
 // The pass manager. Every transform and analysis of this package is a
-// registered, named Pass; Compile assembles them into a Pipeline (either
-// derived from Options or parsed from a spec string such as
+// named row of one table, passes; Compile assembles them into a Pipeline
+// (either derived from Options or parsed from a spec string such as
 // "pdom,predict,deconflict=dynamic,alloc") and the manager runs them in
 // order over a shared PassContext, instrumenting each pass with wall
 // time, instruction and barrier-operation deltas, and an LLVM-style
@@ -124,18 +126,6 @@ func (c *PassContext) Remarkf(fn, block, format string, args ...any) {
 	})
 }
 
-// Pass is one unit of the compilation pipeline.
-type Pass interface {
-	// Name is the pass's registry name, without any argument.
-	Name() string
-	// Spec is the pass as it appears in a pipeline spec string: the
-	// name, plus "=arg" when the pass was built with an argument.
-	Spec() string
-	// Effect declares what the pass may change.
-	Effect() Effect
-	Run(c *PassContext) error
-}
-
 // Effect declares what a pass may change, which decides what of the
 // compile's analysis record survives it. The CFG half of the record
 // needs no declaration (it is checked against the graph on every read);
@@ -157,84 +147,247 @@ const (
 	ReadsOnly
 )
 
-// pass is the concrete Pass used by every registration.
+// passDef is one row of the pass table: what the pass does, what it may
+// change, and its body. A pass without an argument has run; a pass with
+// one has build, which parses the "=arg" text into the body once, when a
+// pipeline is built. bare is the argument a bare name stands for.
+type passDef struct {
+	desc   string
+	effect Effect
+	run    func(c *PassContext) error
+	build  func(arg string) (func(c *PassContext) error, error)
+	bare   string
+}
+
+// passes is every pass the compiler can run, by name.
+var passes = map[string]passDef{
+	"pdom": {desc: "insert baseline post-dominator convergence barriers at divergent branches", effect: BarriersOnly,
+		run: func(c *PassContext) error {
+			for _, f := range c.Mod.Funcs {
+				c.insertPDOM(f)
+			}
+			return nil
+		}},
+	"predict": {desc: "lower Predict annotations into speculative join/wait/rejoin/cancel barriers", effect: BarriersOnly,
+		run: func(c *PassContext) error {
+			for _, f := range c.Mod.Funcs {
+				if err := c.applyPredictions(f); err != nil {
+					return fmt.Errorf("func %q: %w", f.Name, err)
+				}
+			}
+			return nil
+		}},
+	"deconflict": {desc: "resolve non-inclusive barrier live-range conflicts (arg: dynamic|static)", effect: BarriersOnly, bare: "dynamic",
+		build: func(arg string) (func(c *PassContext) error, error) {
+			mode := DeconflictDynamic
+			switch arg {
+			case "dynamic":
+			case "static":
+				mode = DeconflictStatic
+			default:
+				return nil, fmt.Errorf("unknown mode %q (want dynamic or static)", arg)
+			}
+			return func(c *PassContext) error {
+				for _, fw := range c.specWaits {
+					c.deconflict(fw.f, fw.waits, mode)
+				}
+				if n := c.Opts.Faults.SkipConflict; n > 0 && c.conflictSeen < n {
+					return fmt.Errorf("fault skip-conflict@%d: %w such target: only %d conflicts found", n, ErrNoFaultTarget, c.conflictSeen)
+				}
+				return nil
+			}, nil
+		}},
+	"inject": {desc: "deterministically perturb barrier placement per the fault plan (arg: fault spec, default Options.Faults)", effect: BarriersOnly,
+		build: func(arg string) (func(c *PassContext) error, error) {
+			if arg == "" {
+				return func(c *PassContext) error { return c.inject(c.Opts.Faults) }, nil
+			}
+			plan, err := ParseFaultPlan(arg)
+			return func(c *PassContext) error { return c.inject(plan) }, err
+		}},
+	"repair": {desc: "analysis-driven automated repair: apply the analyzer's machine edits to fixpoint before verification (arg: iteration budget)", effect: BarriersOnly,
+		build: func(arg string) (func(c *PassContext) error, error) {
+			iters := 0
+			if arg != "" {
+				var err error
+				if iters, err = strconv.Atoi(arg); err != nil || iters < 1 {
+					return nil, fmt.Errorf("bad iteration budget %q (want a positive integer)", arg)
+				}
+			}
+			return func(c *PassContext) error { return c.repairToFixpoint(iters) }, nil
+		}},
+	"alloc":          {desc: "color virtual barriers onto the physical barrier registers", effect: BarriersOnly, run: (*PassContext).allocateBarriers},
+	"barrier-safety": {desc: "verify barrier placement: pairing, releases on all exit paths, rejoin discipline, residual conflicts (read-only)", effect: ReadsOnly, run: (*PassContext).verifyBarrierSafety},
+	"analyze": {desc: "full static analysis: barrier-state interpretation, diagnostics, SIMT-efficiency estimates (read-only; arg: low-efficiency note threshold)", effect: ReadsOnly,
+		build: func(arg string) (func(c *PassContext) error, error) {
+			thr := DefaultEffNoteBelow
+			if arg != "" {
+				var err error
+				if thr, err = strconv.ParseFloat(arg, 64); err != nil || thr < 0 || thr > 1 {
+					return nil, fmt.Errorf("bad threshold %q (want a float in [0, 1])", arg)
+				}
+			}
+			return func(c *PassContext) error { return c.report(thr) }, nil
+		}},
+	"opt": {desc: "scalar optimization: constant folding and dead-code elimination to a fixed point",
+		run: func(c *PassContext) error {
+			if n := Optimize(c.Mod); n > 0 {
+				c.Remarkf("", "", "%d instructions folded or eliminated", n)
+			}
+			return nil
+		}},
+	"simplify": {desc: "control-flow cleanup: merge straight-line blocks, skip empty blocks, drop unreachable ones",
+		run: func(c *PassContext) error {
+			for _, f := range c.Mod.Funcs {
+				if n := Simplify(f); n > 0 {
+					c.Remarkf(f.Name, "", "%d control-flow simplifications", n)
+				}
+			}
+			return nil
+		}},
+	"autodetect": {desc: "annotate profitable reconvergence opportunities automatically (arg: min score, e.g. autodetect=1.5)",
+		build: func(arg string) (func(c *PassContext) error, error) {
+			opts := DefaultAutoDetectOptions()
+			if arg != "" {
+				var err error
+				if opts.MinScore, err = strconv.ParseFloat(arg, 64); err != nil {
+					return nil, fmt.Errorf("bad min score %q: %v", arg, err)
+				}
+			}
+			return func(c *PassContext) error {
+				for _, cand := range AutoAnnotate(c.Mod, opts) {
+					c.Remarkf(cand.Fn.Name, cand.At.Name, "%s candidate: label %q, score %.2f", cand.Kind, cand.Label.Name, cand.Score())
+				}
+				return nil
+			}, nil
+		}},
+	"unroll": {desc: "partially unroll a loop (arg: unroll=fn:header:factor)",
+		build: func(arg string) (func(c *PassContext) error, error) {
+			f, factor, err := argFields(arg, "fn:header:factor")
+			return func(c *PassContext) error {
+				copies, err := UnrollLoop(c.Mod, f[0], f[1], factor)
+				if err != nil {
+					return err
+				}
+				c.Remarkf(f[0], f[1], "unrolled by %d: body copies %s", factor, strings.Join(copies, ", "))
+				return nil
+			}, err
+		}},
+	"inline": {desc: "inline every call to a function (arg: inline=caller:callee)",
+		build: func(arg string) (func(c *PassContext) error, error) {
+			f, _, err := argFields(arg, "caller:callee")
+			return func(c *PassContext) error {
+				sites, dropped, err := Inline(c.Mod, f[0], f[1])
+				if err != nil {
+					return err
+				}
+				c.Remarkf(f[0], "", "inlined %d calls to %q, dropped %d interprocedural predictions", sites, f[1], dropped)
+				return nil
+			}, err
+		}},
+	"outline": {desc: "extract a block body into a new function (arg: outline=fn:block:newfn)",
+		build: func(arg string) (func(c *PassContext) error, error) {
+			f, _, err := argFields(arg, "fn:block:newfn")
+			return func(c *PassContext) error {
+				if err := Outline(c.Mod, f[0], f[1], f[2]); err != nil {
+					return err
+				}
+				c.Remarkf(f[0], f[1], "outlined into new function %q", f[2])
+				return nil
+			}, err
+		}},
+	"coarsen": {desc: "thread coarsening: each thread runs N consecutive tasks (arg: coarsen=fn:factor)",
+		build: func(arg string) (func(c *PassContext) error, error) {
+			f, factor, err := argFields(arg, "fn:factor")
+			return func(c *PassContext) error {
+				if err := Coarsen(c.Mod, f[0], factor); err != nil {
+					return err
+				}
+				c.Remarkf(f[0], "", "coarsened by factor %d", factor)
+				return nil
+			}, err
+		}},
+}
+
+// argFields splits a pass argument into the colon-separated fields form
+// names, and parses a last field named factor as an integer.
+func argFields(arg, form string) (fields []string, factor int, err error) {
+	fields = strings.Split(arg, ":")
+	if len(fields) != strings.Count(form, ":")+1 {
+		return nil, 0, fmt.Errorf("want %s, got %q", form, arg)
+	}
+	if !strings.HasSuffix(form, ":factor") {
+		return fields, 0, nil
+	}
+	last := fields[len(fields)-1]
+	if factor, err = strconv.Atoi(last); err != nil {
+		return nil, 0, fmt.Errorf("bad factor %q: %v", last, err)
+	}
+	return fields, factor, nil
+}
+
+// pass is a built row of the table: a pipeline's element.
 type pass struct {
 	name   string
-	spec   string
+	spec   string // the pass as a spec string shows it: name[=arg]
 	effect Effect
 	run    func(c *PassContext) error
 }
 
-func (p *pass) Name() string             { return p.name }
-func (p *pass) Spec() string             { return p.spec }
-func (p *pass) Effect() Effect           { return p.effect }
-func (p *pass) Run(c *PassContext) error { return p.run(c) }
+// newPass builds the named pass with its argument.
+func newPass(name, arg string) (pass, error) {
+	def, ok := passes[name]
+	if !ok {
+		return pass{}, fmt.Errorf("unknown pass %q (known: %s)", name, strings.Join(passNames(), ", "))
+	}
+	p := pass{name: name, spec: name, effect: def.effect, run: def.run}
+	if arg = cmp.Or(arg, def.bare); arg != "" {
+		p.spec += "=" + arg
+	}
+	if def.build == nil {
+		if arg != "" {
+			return pass{}, fmt.Errorf("pass %q takes no argument (got %q)", name, arg)
+		}
+		return p, nil
+	}
+	var err error
+	if p.run, err = def.build(arg); err != nil {
+		return pass{}, fmt.Errorf("pass %q: %w", name, err)
+	}
+	return p, nil
+}
 
-// PassInfo describes one registered pass factory.
+// PassInfo describes one pass of the table, as -list-passes prints it.
 type PassInfo struct {
 	Name        string
 	Description string
 	// Analysis marks read-only passes.
 	Analysis bool
-	// Build constructs a pass instance. arg is the text after "=" in
-	// the pipeline spec ("" when absent); factories reject arguments
-	// they do not accept.
-	Build func(arg string) (Pass, error)
 }
 
-var passRegistry = map[string]PassInfo{}
-
-// RegisterPass adds a pass factory to the registry. Transform files call
-// it from init; registering the same name twice is a programming error.
-func RegisterPass(info PassInfo) {
-	if info.Name == "" || info.Build == nil {
-		panic("core: RegisterPass: name and build function are required")
-	}
-	if _, dup := passRegistry[info.Name]; dup {
-		panic(fmt.Sprintf("core: RegisterPass: duplicate pass %q", info.Name))
-	}
-	passRegistry[info.Name] = info
-}
-
-// RegisteredPasses lists every registered pass, sorted by name.
+// RegisteredPasses lists the pass table, sorted by name.
 func RegisteredPasses() []PassInfo {
-	out := make([]PassInfo, 0, len(passRegistry))
-	for _, info := range passRegistry {
-		out = append(out, info)
+	out := make([]PassInfo, 0, len(passes))
+	for _, name := range passNames() {
+		out = append(out, PassInfo{Name: name, Description: passes[name].desc, Analysis: passes[name].effect == ReadsOnly})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// specOf renders a pass as it appears in a pipeline spec string.
-func specOf(name, arg string) string {
-	if arg == "" {
-		return name
+func passNames() []string {
+	names := make([]string, 0, len(passes))
+	for n := range passes {
+		names = append(names, n)
 	}
-	return name + "=" + arg
+	sort.Strings(names)
+	return names
 }
 
-// registerSimplePass registers an argument-free pass.
-func registerSimplePass(name, description string, effect Effect, run func(c *PassContext) error) {
-	ps := &pass{name: name, spec: name, effect: effect, run: run}
-	RegisterPass(PassInfo{
-		Name:        name,
-		Description: description,
-		Analysis:    effect == ReadsOnly,
-		Build: func(arg string) (Pass, error) {
-			if arg != "" {
-				return nil, fmt.Errorf("pass %q takes no argument (got %q)", name, arg)
-			}
-			return ps, nil
-		},
-	})
-}
-
-// Pipeline is an ordered list of pass instances plus the manager's debug
-// hooks. Pass instances are immutable, and so are passes and spec once
+// Pipeline is an ordered list of built passes plus the manager's debug
+// hooks. Built passes are immutable, and so are passes and spec once
 // the pipeline is built: pipelines of one shape share them.
 type Pipeline struct {
-	passes []Pass
+	passes []pass
 	spec   string
 
 	// VerifyEach runs ir.VerifyModule after every pass; the first
@@ -249,7 +402,7 @@ type Pipeline struct {
 func (p *Pipeline) Passes() []string {
 	out := make([]string, len(p.passes))
 	for i, ps := range p.passes {
-		out[i] = ps.Name()
+		out[i] = ps.name
 	}
 	return out
 }
@@ -259,57 +412,41 @@ func (p *Pipeline) Passes() []string {
 func (p *Pipeline) Spec() string { return p.spec }
 
 // newPipeline returns the pipeline of the given passes.
-func newPipeline(passes []Pass) *Pipeline {
-	specs := make([]string, len(passes))
-	for i, ps := range passes {
-		specs[i] = ps.Spec()
+func newPipeline(ps []pass) *Pipeline {
+	specs := make([]string, len(ps))
+	for i, p := range ps {
+		specs[i] = p.spec
 	}
-	return &Pipeline{passes: passes, spec: strings.Join(specs, ",")}
+	return &Pipeline{passes: ps, spec: strings.Join(specs, ",")}
 }
 
 // ParsePipeline parses a spec string like
 // "pdom,predict,deconflict=dynamic,alloc" into a pipeline. Every element
-// is a registered pass name with an optional "=arg"; unknown and
+// is a pass name of the table with an optional "=arg"; unknown and
 // duplicate passes are errors.
 func ParsePipeline(spec string) (*Pipeline, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("core: empty pipeline spec")
 	}
-	var passes []Pass
+	var ps []pass
 	seen := map[string]bool{}
 	for _, item := range strings.Split(spec, ",") {
 		item = strings.TrimSpace(item)
 		if item == "" {
 			return nil, fmt.Errorf("core: pipeline spec %q has an empty element", spec)
 		}
-		name, arg := item, ""
-		if i := strings.IndexByte(item, '='); i >= 0 {
-			name, arg = item[:i], item[i+1:]
-		}
-		info, ok := passRegistry[name]
-		if !ok {
-			return nil, fmt.Errorf("core: unknown pass %q (known: %s)", name, strings.Join(passNames(), ", "))
-		}
+		name, arg, _ := strings.Cut(item, "=")
 		if seen[name] {
 			return nil, fmt.Errorf("core: duplicate pass %q in pipeline %q", name, spec)
 		}
 		seen[name] = true
-		ps, err := info.Build(arg)
+		p, err := newPass(name, arg)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		passes = append(passes, ps)
+		ps = append(ps, p)
 	}
-	return newPipeline(passes), nil
-}
-
-func passNames() []string {
-	names := make([]string, 0, len(passRegistry))
-	for n := range passRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return newPipeline(ps), nil
 }
 
 // PipelineFor derives the default pipeline from compile options — the
@@ -333,9 +470,9 @@ func (p *Pipeline) own() *Pipeline {
 // shape is what a default pipeline depends on: the options that select
 // passes and the passes put in front of register allocation.
 type shape struct {
-	pdom, predict, inject, skipAlloc bool
-	deconflict                       DeconflictMode
-	before                           [2]string
+	pdom, predict, inject bool
+	deconflict            DeconflictMode
+	before                [2]string
 }
 
 // defaults memoizes the default pipeline of every shape asked for
@@ -346,27 +483,25 @@ var defaults sync.Map
 // ("" for none) put in front of register allocation — the slot every
 // verifying, repairing and reporting variant of the default pipeline
 // uses, because there the barrier layout is final and still stated in
-// virtual ids — or at the end when allocation is skipped. The passes
-// come straight from the registry: no spec string is parsed. The
-// pipeline is built once per shape and shared, so it is the caller's to
-// run but not to set hooks on (own).
+// virtual ids. The passes come straight from the table: no spec string
+// is parsed. The pipeline is built once per shape and shared, so it is
+// the caller's to run but not to set hooks on (own).
 func pipelineWith(opts Options, before1, before2 string) *Pipeline {
-	sh := shape{opts.InsertPDOM, opts.ApplyPredictions, opts.Faults.injectLayer(), opts.SkipAllocation,
-		opts.Deconflict, [2]string{before1, before2}}
+	sh := shape{opts.InsertPDOM, opts.ApplyPredictions, opts.Faults.injectLayer(), opts.Deconflict, [2]string{before1, before2}}
 	if p, ok := defaults.Load(sh); ok {
 		return p.(*Pipeline)
 	}
-	var passes []Pass
+	var ps []pass
 	add := func(name, arg string) {
 		if name == "" {
 			return
 		}
-		ps, err := passRegistry[name].Build(arg)
+		p, err := newPass(name, arg)
 		if err != nil {
-			// The registry is populated at init; default passes cannot fail.
+			// The table is fixed; default passes cannot fail.
 			panic(fmt.Sprintf("core: default pipeline: %v", err))
 		}
-		passes = append(passes, ps)
+		ps = append(ps, p)
 	}
 	if sh.pdom {
 		add("pdom", "")
@@ -382,10 +517,8 @@ func pipelineWith(opts Options, before1, before2 string) *Pipeline {
 	}
 	add(before1, "")
 	add(before2, "")
-	if !sh.skipAlloc {
-		add("alloc", "")
-	}
-	p, _ := defaults.LoadOrStore(sh, newPipeline(passes))
+	add("alloc", "")
+	p, _ := defaults.LoadOrStore(sh, newPipeline(ps))
 	return p.(*Pipeline)
 }
 
@@ -395,20 +528,20 @@ func (p *Pipeline) run(c *PassContext) error {
 	// One pass's counts after are the next one's before.
 	instrs, barOps := c.Mod.NumInstrs(), c.Mod.NumBarrierOps()
 	for _, ps := range p.passes {
-		name := ps.Name()
+		name := ps.name
 		instrsBefore, barOpsBefore := instrs, barOps
 		mintedBefore := len(c.barriers)
 		remarksBefore := len(c.result.Remarks)
 
 		c.current = name
 		start := time.Now()
-		err := ps.Run(c)
+		err := ps.run(c)
 		wall := time.Since(start)
 		c.current = ""
 		if err != nil {
 			return fmt.Errorf("pass %q: %w", name, err)
 		}
-		if e := ps.Effect(); e != BarriersOnly && e != ReadsOnly {
+		if e := ps.effect; e != BarriersOnly && e != ReadsOnly {
 			c.facts.Invalidate()
 		}
 

@@ -9,21 +9,6 @@ import (
 	"specrecon/internal/ir"
 )
 
-func init() {
-	// breakir is a deliberately IR-breaking pass used by the negative
-	// inter-pass verification test: it deletes the terminator of the
-	// first function's last block.
-	registerSimplePass("breakir",
-		"test-only pass that corrupts the module",
-		Rewrites,
-		func(c *PassContext) error {
-			f := c.Mod.Funcs[0]
-			b := f.Blocks[len(f.Blocks)-1]
-			b.Instrs = b.Instrs[:len(b.Instrs)-1]
-			return nil
-		})
-}
-
 // TestDefaultPipelineSpecs pins the default pass orders: any change to
 // what Compile runs for the stock option sets must be deliberate.
 func TestDefaultPipelineSpecs(t *testing.T) {
@@ -44,8 +29,6 @@ func TestDefaultPipelineSpecs(t *testing.T) {
 			o.Deconflict = DeconflictNone
 			return o
 		}(), "pdom,predict,alloc"},
-		{"skip-alloc", Options{InsertPDOM: true, SkipAllocation: true, ThresholdOverride: -1}, "pdom"},
-		{"empty", Options{SkipAllocation: true}, ""},
 	}
 	for _, tc := range cases {
 		if got := PipelineFor(tc.opts).Spec(); got != tc.want {
@@ -209,6 +192,14 @@ func TestPassStatsInstrumentation(t *testing.T) {
 // verification: a pass that corrupts the IR is caught immediately, and
 // the error names it.
 func TestVerifyEachNamesBreakingPass(t *testing.T) {
+	// breakir deletes the terminator of the first function's last block.
+	passes["breakir"] = passDef{desc: "test-only pass that corrupts the module", run: func(c *PassContext) error {
+		f := c.Mod.Funcs[0]
+		b := f.Blocks[len(f.Blocks)-1]
+		b.Instrs = b.Instrs[:len(b.Instrs)-1]
+		return nil
+	}}
+	t.Cleanup(func() { delete(passes, "breakir") })
 	m := buildListing1(64, 8)
 	pipe, err := ParsePipeline("pdom,breakir,alloc")
 	if err != nil {
@@ -265,7 +256,7 @@ func TestLintPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := CompilePipeline(m, Options{SkipAllocation: true}, pipe)
+	comp, err := CompilePipeline(m, Options{}, pipe)
 	if err != nil {
 		t.Fatal(err)
 	}

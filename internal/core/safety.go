@@ -66,15 +66,6 @@ func (e *SafetyError) Error() string {
 	return fmt.Sprintf("barrier safety: %d violation(s): %s", len(e.Violations), strings.Join(msgs, "; "))
 }
 
-func init() {
-	registerSimplePass("barrier-safety",
-		"verify barrier placement: pairing, releases on all exit paths, rejoin discipline, residual conflicts (read-only)",
-		ReadsOnly,
-		func(c *PassContext) error {
-			return c.verifyBarrierSafety()
-		})
-}
-
 // barrierClassOf returns the analyzer ClassOf callback for the barriers
 // minted so far in this compilation.
 func (c *PassContext) barrierClassOf() func(int) analyze.BarrierClass {
@@ -187,7 +178,6 @@ func CompileSafe(m *ir.Module, opts Options) (*SafeCompilation, error) {
 	fb := Options{
 		InsertPDOM:        true,
 		ThresholdOverride: -1,
-		SkipAllocation:    opts.SkipAllocation,
 		AssumeVerified:    opts.AssumeVerified,
 	}
 	base, berr := compilePipeline(m, fb, pipelineWith(fb, "barrier-safety", ""), true)

@@ -193,7 +193,7 @@ func (e *viewMismatch) Error() string { return e.msg }
 // error layer fails the test even though the full report drops it too.
 func TestErrorViewIsTheReportsErrors(t *testing.T) {
 	seen := map[analyze.Code]int{}
-	probe := &pass{name: "view", spec: "view", effect: ReadsOnly, run: func(c *PassContext) error {
+	probe := pass{name: "view", spec: "view", effect: ReadsOnly, run: func(c *PassContext) error {
 		for _, classOf := range []func(int) analyze.BarrierClass{nil, c.barrierClassOf()} {
 			opts := analyze.Options{ClassOf: classOf}
 			view, want := c.facts.Errors(opts), analyze.Filter(c.facts.Analyze(opts).Diags, analyze.SeverityError)
@@ -211,12 +211,12 @@ func TestErrorViewIsTheReportsErrors(t *testing.T) {
 	probed := func(p *Pipeline) *Pipeline {
 		at := len(p.passes)
 		for i, ps := range p.passes {
-			if ps.Name() == "barrier-safety" || ps.Name() == "alloc" {
+			if ps.name == "barrier-safety" || ps.name == "alloc" {
 				at = i
 				break
 			}
 		}
-		return newPipeline(append(append(append([]Pass(nil), p.passes[:at]...), probe), p.passes[at:]...))
+		return newPipeline(append(append(append([]pass(nil), p.passes[:at]...), probe), p.passes[at:]...))
 	}
 
 	for _, k := range recordKernels() {

@@ -6,20 +6,6 @@ import (
 	"specrecon/internal/ir"
 )
 
-func init() {
-	registerSimplePass("simplify",
-		"control-flow cleanup: merge straight-line blocks, skip empty blocks, drop unreachable ones",
-		Rewrites,
-		func(c *PassContext) error {
-			for _, f := range c.Mod.Funcs {
-				if n := Simplify(f); n > 0 {
-					c.Remarkf(f.Name, "", "%d control-flow simplifications", n)
-				}
-			}
-			return nil
-		})
-}
-
 // Simplify performs control-flow cleanups on a function, the kind of
 // tidying a backend runs after inlining or unrolling:
 //

@@ -3,41 +3,9 @@ package core
 import (
 	"fmt"
 	"specrecon/internal/analyze"
-	"strconv"
-	"strings"
 
 	"specrecon/internal/ir"
 )
-
-func init() {
-	RegisterPass(PassInfo{
-		Name:        "unroll",
-		Description: "partially unroll a loop (arg: unroll=fn:header:factor)",
-		Build: func(arg string) (Pass, error) {
-			parts := strings.Split(arg, ":")
-			if len(parts) != 3 {
-				return nil, fmt.Errorf("pass \"unroll\": want fn:header:factor, got %q", arg)
-			}
-			factor, err := strconv.Atoi(parts[2])
-			if err != nil {
-				return nil, fmt.Errorf("pass \"unroll\": bad factor %q: %v", parts[2], err)
-			}
-			fn, header := parts[0], parts[1]
-			return &pass{
-				name: "unroll",
-				spec: "unroll=" + arg,
-				run: func(c *PassContext) error {
-					copies, err := UnrollLoop(c.Mod, fn, header, factor)
-					if err != nil {
-						return err
-					}
-					c.Remarkf(fn, header, "unrolled by %d: body copies %s", factor, strings.Join(copies, ", "))
-					return nil
-				},
-			}, nil
-		},
-	})
-}
 
 // Partial loop unrolling, built to study the paper's section-6
 // interaction: "if the inner loop of a loop nest is partially unrolled

@@ -49,8 +49,12 @@ func referenceSet(t *testing.T) []*ir.Module {
 	}
 	for _, m := range mods { // the inputs: range has fixed its bounds before the appends below
 		for _, opts := range []core.Options{core.BaselineOptions(), core.SpecReconOptions()} {
-			opts.SkipAllocation = true // keep virtual barrier ids: more distinct bits
-			c, err := core.Compile(m, opts)
+			// No alloc pass: virtual barrier ids give more distinct bits.
+			pipe, err := core.ParsePipeline(strings.TrimSuffix(core.PipelineFor(opts).Spec(), ",alloc"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := core.CompilePipeline(m, opts, pipe)
 			if err != nil {
 				t.Fatalf("compile %s: %v", m.Name, err)
 			}
