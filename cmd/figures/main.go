@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"specrecon/internal/cli"
 	"specrecon/internal/harness"
@@ -47,6 +48,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	defer app.Close(&code)
 	if *apps < 0 {
 		return app.Fail(cli.Usage, fmt.Errorf("-apps %d: the corpus size cannot be negative", *apps))
+	}
+	if !slices.Contains([]string{"7", "8", "9", "10", "all"}, *fig) {
+		return app.Fail(cli.Usage, fmt.Errorf("-fig %s: want 7 | 8 | 9 | 10 | all", *fig))
 	}
 	cfg := app.Launch
 

@@ -22,6 +22,7 @@ func TestCLI(t *testing.T) {
 		{Name: "fig7-grid-oldest", Args: []string{"-fig", "7", "-grid", "4", "-ctasize", "64", "-sms", "2", "-sched", "oldest", "-j", "1"}},
 		{Name: "bad-policy", Args: []string{"-fig", "7", "-policy", "bad"}, Code: 2, Stderr: "unknown policy"},
 		{Name: "bad-sched", Args: []string{"-fig", "7", "-sched", "bad"}, Code: 2, Stderr: "unknown sched policy"},
+		{Name: "unknown-fig", Args: []string{"-fig", "11"}, Code: 2, Stderr: "-fig 11: want 7 | 8 | 9 | 10 | all"},
 		{Name: "negative-apps", Args: []string{"-fig", "10", "-apps", "-4"}, Code: 2, Stderr: "-apps -4: the corpus size cannot be negative"},
 		{Name: "negative-sms", Args: []string{"-fig", "7", "-grid", "2", "-sms", "-1"}, Code: 2, Stderr: "-sms -1: the count cannot be negative"},
 	})
@@ -87,7 +88,7 @@ func TestFinishersRunOnFailure(t *testing.T) {
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, _, stderr := clitest.Exec(t, run, "-fig", "none", "-trace-dir", filepath.Join(file, "traces"), "-memprofile", prof)
+	code, _, stderr := clitest.Exec(t, run, "-fig", "9", "-j", "1", "-trace-dir", filepath.Join(file, "traces"), "-memprofile", prof)
 	if code != 1 {
 		t.Errorf("exit %d, want 1\nstderr: %s", code, stderr)
 	}

@@ -181,12 +181,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *diffFlag {
+		// diffcheck keeps each annotation's own threshold at 0 and builds
+		// the hard barrier at -1: the other way round from -threshold.
+		thr := *threshold
+		if thr <= 0 {
+			thr = -1 - thr
+		}
 		return runDiffcheck(app, *kernel, inst, diffcheck.Options{
-			ThresholdOverride: *threshold, Deconflict: dec, AutoAnnotate: true,
+			ThresholdOverride: thr, Deconflict: dec, AutoAnnotate: true,
 			Faults: faultPlan, SkipReleaseN: skipRelease, Verify: *safe,
 			Sched: app.Launch.Sched, SchedSeed: app.Launch.SchedSeed, Policy: app.Launch.Policy, StarveLimit: app.StarveLimit,
 			WallBudget: app.WallBudget,
-		}, *inject != "")
+		})
 	}
 	if *sweep {
 		if err := runSweep(app, inst, dec); err != nil {
@@ -398,35 +404,39 @@ func printPassStats(out io.Writer, mode string, comp *core.Compilation) {
 // flags, the options the command line gives, and returns the exit
 // status: Fail on a finding. A .sasm file is replayed under the options
 // its repro directives record (launch, seed, memory, fault, scheduler,
-// budgets, compile options), each of which yields to an -inject spec
-// (injected) or a flag moved off its default (a launch flag included);
-// -safe adds the verifier.
-func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, flags diffcheck.Options, injected bool) int {
+// budgets, compile options), and each flag the command line sets
+// replaces what the file records, at any value: a launch flag as the
+// run mode launches the file.
+func runDiffcheck(app *cli.App, path string, inst *workloads.Instance, flags diffcheck.Options) int {
 	k, opts := harness.DiffcheckKernel(inst), flags
 	if strings.HasSuffix(path, ".sasm") {
-		loaded, recorded, err := diffcheck.LoadRepro(path)
-		if err != nil {
+		launch := k
+		var err error
+		if k, opts, err = diffcheck.LoadRepro(path); err != nil {
 			return app.Fail(cli.Usage, err)
 		}
-		k, opts.Verify, opts.Repair = loaded, flags.Verify || recorded.Verify, recorded.Repair
-		// A launch flag given on the command line replaces what the file records.
-		l := app.Launch
-		k.Threads, k.Seed, k.Workers = cmp.Or(l.Threads, k.Threads), cmp.Or(l.Seed, k.Seed), cmp.Or(l.Workers, k.Workers)
-		k.Grid, k.CTASize, k.SMs = cmp.Or(l.Grid, k.Grid), cmp.Or(l.CTASize, k.CTASize), cmp.Or(l.SMs, k.SMs)
-		if !injected {
-			opts.Faults, opts.SkipReleaseN = recorded.Faults, recorded.SkipReleaseN
+		given := map[string]func(){
+			"threads":      func() { k.Threads = launch.Threads },
+			"seed":         func() { k.Seed = launch.Seed },
+			"grid":         func() { k.Grid = launch.Grid },
+			"ctasize":      func() { k.CTASize = launch.CTASize },
+			"sms":          func() { k.SMs = launch.SMs },
+			"workers":      func() { k.Workers = launch.Workers },
+			"inject":       func() { opts.Faults, opts.SkipReleaseN = flags.Faults, flags.SkipReleaseN },
+			"safe":         func() { opts.Verify = flags.Verify },
+			"threshold":    func() { opts.ThresholdOverride = flags.ThresholdOverride },
+			"deconflict":   func() { opts.Deconflict = flags.Deconflict },
+			"sched":        func() { opts.Sched = flags.Sched },
+			"sched-seed":   func() { opts.SchedSeed = flags.SchedSeed },
+			"policy":       func() { opts.Policy = flags.Policy },
+			"starve-limit": func() { opts.StarveLimit = flags.StarveLimit },
+			"wall-budget":  func() { opts.WallBudget = flags.WallBudget },
 		}
-		if flags.Sched == simt.SchedGreedyConverge {
-			opts.Sched, opts.SchedSeed = recorded.Sched, recorded.SchedSeed
-		}
-		if flags.ThresholdOverride < 0 {
-			opts.ThresholdOverride = recorded.ThresholdOverride
-		}
-		opts.Deconflict = cmp.Or(flags.Deconflict, recorded.Deconflict)
-		opts.Policy = cmp.Or(flags.Policy, recorded.Policy)
-		opts.StarveLimit = cmp.Or(flags.StarveLimit, recorded.StarveLimit)
-		opts.WallBudget = cmp.Or(flags.WallBudget, recorded.WallBudget)
-		opts.MaxIssues, opts.AutoAnnotate = recorded.MaxIssues, recorded.AutoAnnotate
+		app.Visit(func(f *flag.Flag) {
+			if set, ok := given[f.Name]; ok {
+				set()
+			}
+		})
 	}
 	res := diffcheck.Check(k, opts)
 	if !res.OK {

@@ -31,6 +31,7 @@ func TestCLI(t *testing.T) {
 		{Name: "timeline-spec-grid", Args: []string{"-kernel", "rsbench", "-mode", "spec", "-tasks", "4", "-grid", "2", "-ctasize", "32", "-sms", "2", "-timeline", "12"}},
 		{Name: "timeline-both", Args: []string{"-kernel", "../../testdata/iterdelay.sasm", "-timeline", "8"}},
 		{Name: "diffcheck-ok", Args: []string{"-kernel", "rsbench", "-diffcheck"}},
+		{Name: "diffcheck-hard-barrier", Args: []string{"-kernel", "rsbench", "-tasks", "2", "-diffcheck", "-threshold", "0"}},
 		{Name: "diffcheck-finding", Args: []string{"-kernel", "rsbench", "-diffcheck", "-inject", "skip-release@1"}, Code: 1},
 		{Name: "diffcheck-bad-repro", Args: []string{"-kernel", "testdata/badrepro.sasm", "-diffcheck"}, Code: 2, Stderr: "testdata/badrepro.sasm:4: repro-seed: "},
 		{Name: "list", Args: []string{"-list"}},
@@ -159,6 +160,42 @@ func TestDiffcheckFileTakesLaunchFlags(t *testing.T) {
 	var cycles int64
 	if _, err := fmt.Sscanf(checked, "diffcheck: ok (base cycles %d,", &cycles); err != nil || !strings.Contains(ran, fmt.Sprintf("cycles=%-10d", cycles)) {
 		t.Errorf("-diffcheck reported %q (%v), the run mode %q\n%s", checked, err, ran, stderr)
+	}
+}
+
+// TestDiffcheckFileYieldsToEveryFlagGiven: a flag the command line sets
+// replaces what a .sasm file records even at the flag's default value,
+// so the file checked under it is the bare kernel checked under what the
+// file records with the flag given last.
+func TestDiffcheckFileYieldsToEveryFlagGiven(t *testing.T) {
+	const kernel = "../../testdata/iterdelay.sasm"
+	src, err := os.ReadFile(kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ file, given []string }{
+		{[]string{"deconflict", "static"}, []string{"-deconflict", "dynamic"}},
+		{[]string{"threshold", "8"}, []string{"-threshold", "-1"}},
+		{[]string{"sched", "oldest", "starve-limit", "1"}, []string{"-sched", "greedy"}},
+		{[]string{"policy", "minpc"}, []string{"-policy", "maxgroup"}},
+		{[]string{"sched", "oldest", "starve-limit", "1"}, []string{"-starve-limit", "0"}},
+		{[]string{"wall-budget", "1ns"}, []string{"-wall-budget", "0"}},
+	} {
+		header, bare := "; repro-threads: 64\n", []string{"-kernel", kernel, "-diffcheck", "-threads", "64"}
+		for i := 0; i < len(tc.file); i += 2 {
+			header += fmt.Sprintf("; repro-%s: %s\n", tc.file[i], tc.file[i+1])
+			bare = append(bare, "-"+tc.file[i], tc.file[i+1])
+		}
+		path := filepath.Join(t.TempDir(), "k.sasm")
+		if err := os.WriteFile(path, append([]byte(header), src...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, recorded, _ := clitest.Exec(t, run, "-kernel", path, "-diffcheck")
+		_, given, stderr := clitest.Exec(t, run, append([]string{"-kernel", path, "-diffcheck"}, tc.given...)...)
+		_, want, _ := clitest.Exec(t, run, append(bare, tc.given...)...)
+		if given != want || given == recorded {
+			t.Errorf("%v under %v: checked %q, want %q (the file alone: %q)\n%s", tc.file, tc.given, given, want, recorded, stderr)
+		}
 	}
 }
 

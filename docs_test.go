@@ -5,6 +5,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,9 +108,11 @@ func checkFlags(t *testing.T, where, cmd, text string) {
 // history fences; on a flag README's Layout stanza or one of its flag
 // tables gives a binary that the binary does not have; and on a
 // directory DESIGN.md's inventory tree has and the repository does not,
-// or the other way round.
+// or the other way round; and on a pass DESIGN.md's pass list names and
+// `specrecon -list-passes` does not print, or the other way round.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	checkInventoryTree(t)
+	checkPassList(t)
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +170,41 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				checkFlags(t, "README.md flag table", strings.Trim(cmd, "`"), row[1])
 			}
 		}
+	}
+}
+
+// passListRE is the sentence of DESIGN.md's "Pass manager" paragraph
+// that lists the pass table, one code span a pass.
+var passListRE = regexp.MustCompile(`(?s)The table's passes:(.*?)\.\s`)
+
+// checkPassList holds the names of DESIGN.md's pass list to those that
+// `specrecon -list-passes` prints (its golden, held to the table by the
+// command's TestCLI), both ways.
+func checkPassList(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := passListRE.FindSubmatch(design)
+	if list == nil {
+		t.Fatal("DESIGN.md: no pass list (\"The table's passes: ...\")")
+	}
+	var named []string
+	for _, span := range codeSpanRE.FindAllString(string(list[1]), -1) {
+		name, _, _ := strings.Cut(strings.Trim(span, "`"), "=")
+		named = append(named, strings.TrimSuffix(name, "["))
+	}
+	golden, err := os.ReadFile("cmd/specrecon/testdata/list-passes.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		listed = append(listed, strings.Fields(line)[0])
+	}
+	slices.Sort(named)
+	if !slices.Equal(named, listed) {
+		t.Errorf("DESIGN.md lists the passes %v, specrecon -list-passes prints %v", named, listed)
 	}
 }
 

@@ -67,15 +67,17 @@ func (c *Candidate) Score() float64 {
 	return c.CommonCost / c.OverheadCost
 }
 
+// tripCount is the static estimate for loop iterations when no profile
+// is available (paper: "Static analysis is limited by its inability to
+// predict dynamic loop counts").
+const tripCount = 8
+
+// memPenalty multiplies the latency of prolog/epilog memory operations,
+// modeling lost coalescing.
+const memPenalty = 4
+
 // AutoDetectOptions tunes the detector.
 type AutoDetectOptions struct {
-	// TripCount is the static estimate for loop iterations when no
-	// profile is available (paper: "Static analysis is limited by its
-	// inability to predict dynamic loop counts").
-	TripCount float64
-	// MemPenalty multiplies the latency of prolog/epilog memory
-	// operations, modeling lost coalescing.
-	MemPenalty float64
 	// MinScore is the profitability threshold.
 	MinScore float64
 	// Threshold is the soft-barrier threshold given to auto-applied
@@ -94,7 +96,7 @@ type AutoDetectOptions struct {
 // detected candidates mostly avoid regressions while keeping the strong
 // opportunities (see internal/harness/figure10.go).
 func DefaultAutoDetectOptions() AutoDetectOptions {
-	return AutoDetectOptions{TripCount: 8, MemPenalty: 4, MinScore: 10, Threshold: 28}
+	return AutoDetectOptions{MinScore: 10, Threshold: 28}
 }
 
 // DetectOpportunities scans every function of m and returns scored
@@ -231,13 +233,13 @@ func detectLoopMerge(f *ir.Function, info *cfg.Info, div *divergence.Info, outer
 			continue
 		}
 
-		common := loopCost(f, inner.Blocks, opts) * opts.TripCount
+		common := loopCost(f, inner.Blocks) * tripCount
 		var overhead float64
 		for _, b := range outer.Blocks {
 			if inner.Contains(b) {
 				continue
 			}
-			overhead += blockCost(f, b, opts)
+			overhead += blockCost(f, b)
 		}
 		c := Candidate{
 			Fn: f, Kind: PatternLoopMerge, At: at, Label: label,
@@ -283,7 +285,7 @@ func detectIterationDelay(f *ir.Function, info *cfg.Info, div *divergence.Info, 
 			}
 			common := 0.0
 			for _, sb := range side {
-				common += blockCost(f, sb, opts)
+				common += blockCost(f, sb)
 			}
 			var overhead float64
 			for _, lb := range l.Blocks {
@@ -294,7 +296,7 @@ func detectIterationDelay(f *ir.Function, info *cfg.Info, div *divergence.Info, 
 					}
 				}
 				if !inSide {
-					overhead += blockCost(f, lb, opts)
+					overhead += blockCost(f, lb)
 				}
 			}
 			at := l.Preheader(info)
@@ -366,13 +368,13 @@ func loopMinus(l *cfg.Loop, side []*ir.Block) []*ir.Block {
 
 // blockCost is the latency-weighted instruction count of a block, with
 // memory operations surcharged by the memory-divergence penalty.
-func blockCost(f *ir.Function, b *ir.Block, opts AutoDetectOptions) float64 {
+func blockCost(f *ir.Function, b *ir.Block) float64 {
 	cost := 0.0
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		c := float64(in.Op.Latency())
 		if in.Op.IsMemory() {
-			c *= opts.MemPenalty
+			c *= memPenalty
 		}
 		cost += c
 	}
@@ -380,10 +382,10 @@ func blockCost(f *ir.Function, b *ir.Block, opts AutoDetectOptions) float64 {
 }
 
 // loopCost sums block costs across a loop body.
-func loopCost(f *ir.Function, blocks []*ir.Block, opts AutoDetectOptions) float64 {
+func loopCost(f *ir.Function, blocks []*ir.Block) float64 {
 	cost := 0.0
 	for _, b := range blocks {
-		cost += blockCost(f, b, opts)
+		cost += blockCost(f, b)
 	}
 	return cost
 }
@@ -401,10 +403,10 @@ func profileCosts(f *ir.Function, common, overhead []*ir.Block, opts AutoDetectO
 	}
 	// float64(…) keeps arm64 from fusing the product into the sum.
 	for _, b := range common {
-		c += float64(blockCost(f, b, opts) * weight(b))
+		c += float64(blockCost(f, b) * weight(b))
 	}
 	for _, b := range overhead {
-		o += float64(blockCost(f, b, opts) * weight(b))
+		o += float64(blockCost(f, b) * weight(b))
 	}
 	return c, o
 }

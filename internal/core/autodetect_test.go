@@ -137,7 +137,7 @@ func TestWarpSyncInhibitsDetection(t *testing.T) {
 
 func TestProfileGuidedDetection(t *testing.T) {
 	m := buildLoopMergeKernel(12, 2)
-	// Static estimate uses TripCount=8; feed a profile where the inner
+	// Static estimate uses tripCount=8; feed a profile where the inner
 	// body dominates even more, and one where it never executes.
 	hot := DefaultAutoDetectOptions()
 	hot.Profile = map[string]int64{"inner_body": 10000, "prolog": 100, "epilog": 100, "outer_header": 100, "inner_header": 10000}

@@ -282,7 +282,7 @@ func TestLintPass(t *testing.T) {
 	}
 }
 
-// TestRegisteredPasses sanity-checks the registry contents.
+// TestRegisteredPasses sanity-checks the listing of the pass table.
 func TestRegisteredPasses(t *testing.T) {
 	infos := RegisteredPasses()
 	byName := map[string]PassInfo{}

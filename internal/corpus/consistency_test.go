@@ -55,7 +55,7 @@ func TestCrossConfigConsistency(t *testing.T) {
 		// to lower; kernels without detected opportunity just compile
 		// to the baseline shape.
 		annotated := app.Module.Clone()
-		core.AutoAnnotate(annotated, core.AutoDetectOptions{TripCount: 8, MemPenalty: 4, MinScore: 1, Threshold: 0})
+		core.AutoAnnotate(annotated, core.AutoDetectOptions{MinScore: 1, Threshold: 0})
 		for i, v := range mods {
 			src := app.Module
 			if i > 0 {

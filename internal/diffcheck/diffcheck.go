@@ -55,8 +55,10 @@ type Options struct {
 	// speculative build that exceeds the budget the baseline met is a
 	// livelock finding.
 	MaxIssues int64
-	// ThresholdOverride forwards to core.Options (default -1: keep each
-	// prediction's own soft-barrier threshold).
+	// ThresholdOverride replaces every prediction's soft-barrier
+	// threshold in the speculative build: N > 0 waits for N threads, a
+	// negative value makes each speculative wait the hard barrier (core's
+	// 0), and the zero value keeps each prediction's own (core's -1).
 	ThresholdOverride int
 	// Deconflict selects the §4.3 strategy for the speculative build.
 	Deconflict core.DeconflictMode
@@ -108,9 +110,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxIssues == 0 {
 		o.MaxIssues = 1 << 24
-	}
-	if o.ThresholdOverride == 0 {
-		o.ThresholdOverride = -1
 	}
 	return o
 }
@@ -239,11 +238,18 @@ func (b *Baseline) Versus(opts Options) Result {
 		return b.fail
 	}
 	opts = opts.withDefaults()
+	thr := opts.ThresholdOverride // to core's -1 (each prediction's own) and 0 (hard)
+	switch {
+	case thr == 0:
+		thr = -1
+	case thr < 0:
+		thr = 0
+	}
 	specOpts := core.Options{
 		InsertPDOM:        true,
 		ApplyPredictions:  true,
 		Deconflict:        opts.Deconflict,
-		ThresholdOverride: opts.ThresholdOverride,
+		ThresholdOverride: thr,
 		Faults:            opts.Faults,
 	}
 	var specComp *core.Compilation

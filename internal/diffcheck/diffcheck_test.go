@@ -472,10 +472,14 @@ func TestReproReplaysItsCheck(t *testing.T) {
 		opts     Options
 		stage    Stage
 		repaired bool
+		soft     int // the threshold the kernel's predictions carry (0: as built)
 	}{
-		{"drop-cancel@1", Options{Verify: true, Repair: true}, StageOK, true},
-		{"drop-wait@1", Options{Verify: true, Repair: true}, StageVerify, false},
-		{"", Options{MaxIssues: 1537}, StageRunSpec, false},
+		{"drop-cancel@1", Options{Verify: true, Repair: true}, StageOK, true, 0},
+		{"drop-wait@1", Options{Verify: true, Repair: true}, StageVerify, false, 0},
+		{"", Options{MaxIssues: 1537}, StageRunSpec, false, 0},
+		// The hard barrier over soft predictions takes 2 256 issues, past
+		// the budget their own threshold meets in 1 252.
+		{"", Options{ThresholdOverride: -1, MaxIssues: 1537}, StageRunSpec, false, 8},
 	} {
 		plan, skip, err := ParseFault(tc.fault)
 		if err != nil {
@@ -484,6 +488,11 @@ func TestReproReplaysItsCheck(t *testing.T) {
 		opts := tc.opts
 		opts.Faults, opts.SkipReleaseN = plan, skip
 		k := MatrixKernel()
+		for i := range k.Module.Funcs[0].Predictions {
+			if tc.soft > 0 {
+				k.Module.Funcs[0].Predictions[i].Threshold = tc.soft
+			}
+		}
 		res := Check(k, opts)
 		if res.Stage != tc.stage || res.Repaired != tc.repaired {
 			t.Fatalf("%s: checked %v (repaired %v), want %s (repaired %v)", tc.fault, res, res.Repaired, tc.stage, tc.repaired)

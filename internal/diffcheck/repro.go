@@ -77,8 +77,17 @@ var directives = []directive{
 			o.Faults, o.SkipReleaseN, err = ParseFault(v)
 			return
 		}},
-	{"threshold", func(_ *Kernel, o *Options) []string { return when(o.ThresholdOverride > 0, o.ThresholdOverride) },
-		func(v string, _ *Kernel, o *Options) error { return count(v, &o.ThresholdOverride) }},
+	// A threshold reads as specrecon's -threshold: 0 is the hard barrier.
+	{"threshold", func(_ *Kernel, o *Options) []string {
+		return when(o.ThresholdOverride != 0, max(0, o.ThresholdOverride))
+	},
+		func(v string, _ *Kernel, o *Options) error {
+			err := count(v, &o.ThresholdOverride)
+			if o.ThresholdOverride == 0 {
+				o.ThresholdOverride = -1
+			}
+			return err
+		}},
 	// Dynamic, the paper's mode, is the zero mode.
 	{"deconflict", func(_ *Kernel, o *Options) []string { return when(o.Deconflict != 0, o.Deconflict) },
 		func(v string, _ *Kernel, o *Options) error {
