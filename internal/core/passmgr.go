@@ -374,6 +374,7 @@ func RegisteredPasses() []PassInfo {
 	return out
 }
 
+// passNames lists the table's pass names, sorted.
 func passNames() []string {
 	names := make([]string, 0, len(passes))
 	for n := range passes {

@@ -488,8 +488,8 @@ func TestReproReplaysItsCheck(t *testing.T) {
 		opts := tc.opts
 		opts.Faults, opts.SkipReleaseN = plan, skip
 		k := MatrixKernel()
-		for i := range k.Module.Funcs[0].Predictions {
-			if tc.soft > 0 {
+		if tc.soft > 0 {
+			for i := range k.Module.Funcs[0].Predictions {
 				k.Module.Funcs[0].Predictions[i].Threshold = tc.soft
 			}
 		}
