@@ -73,14 +73,14 @@ func specCells(c *campaign, k diffcheck.Kernel) []cell {
 		Policy: c.Launch.Policy, Sched: c.Launch.Sched, SchedSeed: c.Launch.SchedSeed,
 		StarveLimit: c.StarveLimit, WallBudget: c.WallBudget,
 	}
-	cells := []cell{{k, opts}}
+	cells := []cell{{k: k, opts: opts}}
 	if c.mutate > 0 {
 		for i, m := range diffcheck.Mutations(k) {
 			if i >= c.mutate {
 				break
 			}
 			m.Name = fmt.Sprintf("%s-mut%d", k.Name, i)
-			cells = append(cells, cell{m, opts})
+			cells = append(cells, cell{k: m, opts: opts, mutant: true})
 		}
 	}
 	return cells
@@ -104,7 +104,7 @@ func schedCells(c *campaign, k diffcheck.Kernel) []cell {
 	var cells []cell
 	for _, pol := range c.policies {
 		for _, ss := range c.seeds {
-			x := cell{k, diffcheck.Options{
+			x := cell{k: k, opts: diffcheck.Options{
 				MaxIssues: c.maxIssues, AutoAnnotate: true,
 				Sched: pol, SchedSeed: ss, StarveLimit: c.StarveLimit, WallBudget: c.WallBudget,
 			}}
@@ -170,7 +170,7 @@ func repairPlans() []diffcheck.Fault {
 func repairCells(c *campaign, k diffcheck.Kernel) []cell {
 	var cells []cell
 	for _, f := range repairPlans() {
-		cells = append(cells, cell{k, diffcheck.Options{
+		cells = append(cells, cell{k: k, opts: diffcheck.Options{
 			Faults: f.Plan, AutoAnnotate: true, Verify: true, Repair: true,
 			MaxIssues: c.maxIssues,
 		}})
@@ -311,7 +311,7 @@ func repairMatrix(c *campaign, st *Stats) int {
 			status = "POLICY MISMATCH"
 			st.Buckets[bucketMismatch]++
 		}
-		x := cell{k, diffcheck.Options{Faults: f.Plan, Verify: true, Repair: true, MaxIssues: c.maxIssues}}
+		x := cell{k: k, opts: diffcheck.Options{Faults: f.Plan, Verify: true, Repair: true, MaxIssues: c.maxIssues}}
 		res := diffcheck.Result{OK: true}
 		if sc.Repaired != nil {
 			proof = "verified"

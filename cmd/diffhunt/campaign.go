@@ -33,6 +33,10 @@ type campaign struct {
 type cell struct {
 	k    diffcheck.Kernel
 	opts diffcheck.Options
+	// mutant marks a structural mutant of the kernel of the closest
+	// cell before it that is not one. It is checked after that cell,
+	// under the budget its check derives (diffcheck.DerivedOptions).
+	mutant bool
 }
 
 // String names the cell in report lines: its kernel, and the fault
@@ -68,46 +72,42 @@ type baseKey struct {
 
 // run is the one campaign loop: corpus × the axis's cells → check on the
 // panic-contained pool → the axis's verdict → report in cell order →
-// minimize → repro. The cells that share a baseline are one pool task,
-// which makes the baseline once and checks each cell against it. Every
-// cell is checked whatever the others do: a check that panics is one
-// PANIC line with an unminimized repro (re-checking to minimize could
-// panic again).
+// minimize → repro. Mutants are checked after the cells they mutate,
+// under the budget their parent's check derives. Every cell is checked
+// whatever the others do: a check that panics is one PANIC line with an
+// unminimized repro (re-checking to minimize could panic again).
 func (c *campaign) run(ax axis, st *Stats) {
 	apps := corpus.Generate(c.n, c.seed)
 	var cells []cell
+	var plain, mutants, parent []int
 	for _, app := range apps {
 		cells = append(cells, ax.cells(c, diffcheck.Kernel{
 			Name: app.Name, Module: app.Module, Entry: app.Kernel,
 			Threads: app.Threads, Memory: app.Memory, Seed: app.Seed,
 		})...)
-	}
-	var keys []baseKey
-	groups := map[baseKey][]int{}
-	for i, x := range cells {
-		o := x.opts
-		key := baseKey{x.k.Module, x.k.Seed, diffcheck.Options{MaxIssues: o.MaxIssues, Policy: o.Policy, WallBudget: o.WallBudget, AutoAnnotate: o.AutoAnnotate}}
-		if groups[key] == nil {
-			keys = append(keys, key)
+		for i := len(parent); i < len(cells); i++ {
+			if !cells[i].mutant {
+				plain = append(plain, i)
+			} else {
+				mutants = append(mutants, i)
+			}
+			parent = append(parent, plain[len(plain)-1])
 		}
-		groups[key] = append(groups[key], i)
 	}
 	results := make([]diffcheck.Result, len(cells))
 	errs := make([]error, len(cells))
-	harness.RunTasks(c.jobs, len(keys), func(g int) error {
-		var b *diffcheck.Baseline
-		for _, i := range groups[keys[g]] {
-			errs[i] = harness.SafeCall(i, func(i int) error {
-				if b == nil {
-					made := newBaseline(cells[i].k, cells[i].opts)
-					b = &made
-				}
-				results[i] = versus(b, cells[i])
-				return nil
-			})
+	c.check(cells, plain, results, errs, func(i int) diffcheck.Options { return cells[i].opts })
+	derived := func(i int) diffcheck.Options { return diffcheck.DerivedOptions(cells[i].opts, results[parent[i]]) }
+	c.check(cells, mutants, results, errs, derived)
+	// A mutant that ran out of the derived budget is checked again under
+	// the caller's, so its verdict is the kernel's.
+	var again []int
+	for _, i := range mutants {
+		if errs[i] == nil && diffcheck.OutOfDerivedBudget(results[i], derived(i), cells[i].opts) {
+			again = append(again, i)
 		}
-		return nil
-	})
+	}
+	c.check(cells, again, results, errs, func(i int) diffcheck.Options { return cells[i].opts })
 
 	st.Kernels, st.Checks = len(apps), len(cells)
 	for i, x := range cells {
@@ -133,6 +133,39 @@ func (c *campaign) run(ax axis, st *Stats) {
 			st.Buckets[bucket]++
 		}
 	}
+}
+
+// check checks cells[todo] on the pool under opts(i), each into
+// results[i] and errs[i]. The cells whose baselines read the same (their
+// module, seed and the options a baseline reads) are one pool task,
+// which makes the baseline once and checks each cell against it.
+func (c *campaign) check(cells []cell, todo []int, results []diffcheck.Result, errs []error, opts func(i int) diffcheck.Options) {
+	var keys []baseKey
+	groups := map[baseKey][]int{}
+	for _, i := range todo {
+		o := opts(i)
+		key := baseKey{cells[i].k.Module, cells[i].k.Seed, diffcheck.Options{MaxIssues: o.MaxIssues, Policy: o.Policy, WallBudget: o.WallBudget, AutoAnnotate: o.AutoAnnotate}}
+		if groups[key] == nil {
+			keys = append(keys, key)
+		}
+		groups[key] = append(groups[key], i)
+	}
+	harness.RunTasks(c.jobs, len(keys), func(g int) error {
+		var b *diffcheck.Baseline
+		for _, i := range groups[keys[g]] {
+			x := cells[i]
+			x.opts = opts(i)
+			errs[i] = harness.SafeCall(i, func(i int) error {
+				if b == nil {
+					made := newBaseline(x.k, x.opts)
+					b = &made
+				}
+				results[i] = versus(b, x)
+				return nil
+			})
+		}
+		return nil
+	})
 }
 
 // finding counts a failed check and writes its minimized repro.

@@ -103,7 +103,7 @@ Flags:
 			return app.Fail(cli.Usage, fmt.Errorf("-inject requires -compiled (faults target the compiled barrier layout)"))
 		}
 		if injectPlan, err = core.ParseFaultPlan(*injectSpec); err != nil {
-			return app.Fail(cli.Usage, err)
+			return app.Fail(cli.Usage, fmt.Errorf("-inject: %w", err))
 		}
 	}
 

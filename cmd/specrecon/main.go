@@ -140,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	faultPlan, skipRelease, err := diffcheck.ParseFault(*inject)
 	if err != nil {
-		return usage(err)
+		return usage(fmt.Errorf("-inject: %w", err))
 	}
 	if skipRelease > 0 && eng == simt.ModelStack {
 		return usage(errors.New("-inject skip-release cannot be combined with -model stack: the stack model has no barrier releases to skip"))

@@ -40,6 +40,8 @@ func TestCLI(t *testing.T) {
 		{Name: "unknown-kernel", Args: []string{"-kernel", "nope"}, Code: 2, Stderr: "unknown workload"},
 		{Name: "bad-policy", Args: []string{"-kernel", "rsbench", "-policy", "bad"}, Code: 2, Stderr: "unknown policy"},
 		{Name: "bad-passes", Args: []string{"-kernel", "rsbench", "-passes", "pdom,bogus"}, Code: 2, Stderr: `unknown pass "bogus"`},
+		{Name: "bad-pass-fault", Args: []string{"-kernel", "rsbench", "-mode", "spec", "-passes", "inject=bogus"}, Code: 2, Stderr: `specrecon: core: pass "inject": unknown fault "bogus" (want `},
+		{Name: "bad-inject", Args: []string{"-kernel", "rsbench", "-inject", "bogus"}, Code: 2, Stderr: `specrecon: -inject: unknown fault "bogus" (want `},
 		{Name: "safe-passes", Args: []string{"-kernel", "rsbench", "-safe", "-passes", "pdom,alloc"}, Code: 2, Stderr: "-safe compiles through its own fail-safe pipeline and cannot be combined with -passes"},
 		{Name: "safe-verify-each", Args: []string{"-kernel", "rsbench", "-safe", "-mode", "spec", "-verify-each"}, Code: 2, Stderr: "-safe compiles"},
 		{Name: "safe-dump-ir-after", Args: []string{"-kernel", "rsbench", "-safe", "-mode", "spec", "-dump-ir-after", "pdom"}, Code: 2, Stderr: "-dump-ir-after"},

@@ -458,22 +458,26 @@ func conflictDiags(s *dataflow.Scratch, f *ir.Function, info *cfg.Info, st *Func
 	var out []Diagnostic
 	for _, pair := range conflicts {
 		spec, other := pair[0], pair[1]
-		d := Diagnostic{
-			Code: CodeResidualConflict, Severity: SeverityError, Fn: f.Name,
-			Msg: fmt.Sprintf("residual live-range conflict between b%d and b%d after deconfliction (would deadlock, §4.3)", spec, other),
+		blk, idx, ok := stillJoinedAtWait(spec, other)
+		if !ok {
+			// The interpreter is a may-analysis: no wait on spec that
+			// may see other joined means no cohort waits on spec while
+			// holding other, so the overlap cannot deadlock (DESIGN §11).
+			out = append(out, Diagnostic{
+				Code: CodeUnwitnessedConflict, Severity: SeverityNote, Fn: f.Name,
+				Msg: fmt.Sprintf("live ranges of b%d and b%d overlap, but no wait on b%d can see b%d joined (no deadlock)", spec, other, spec, other),
+			})
+			continue
 		}
-		if blk, idx, ok := stillJoinedAtWait(spec, other); ok {
-			d.Block, d.Instr = blk, idx+1
-			d.Fix = fmt.Sprintf("b%d is waiting at %q while b%d is still joined: cancel b%d before that wait (dynamic deconfliction)", spec, blk, other, other)
+		out = append(out, Diagnostic{
+			Code: CodeResidualConflict, Severity: SeverityError, Fn: f.Name, Block: blk, Instr: idx + 1,
+			Msg: fmt.Sprintf("residual live-range conflict between b%d and b%d after deconfliction (would deadlock, §4.3)", spec, other),
+			Fix: fmt.Sprintf("b%d is waiting at %q while b%d is still joined: cancel b%d before that wait (dynamic deconfliction)", spec, blk, other, other),
 			// The repair is exactly what dynamic deconfliction would
 			// have emitted: cancel the conflicting barrier right
 			// before the speculative wait (Figure 5(c)).
-			d.Edits = []Edit{{
-				Kind: EditInsert, Fn: f.Name, Block: blk,
-				Index: idx, Op: ir.OpCancel, Bar: other,
-			}}
-		}
-		out = append(out, d)
+			Edits: []Edit{{Kind: EditInsert, Fn: f.Name, Block: blk, Index: idx, Op: ir.OpCancel, Bar: other}},
+		})
 	}
 	return out
 }

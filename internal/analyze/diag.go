@@ -103,6 +103,11 @@ const (
 	// kernel falls below the report threshold — a candidate for
 	// speculative reconvergence (the paper targets kernels under 80%).
 	CodeLowEfficiency Code = "SR3003"
+	// CodeUnwitnessedConflict: two barrier live ranges overlap, but no
+	// wait on the speculative one can see the other joined, so no
+	// cohort can deadlock on them; SR1005 is kept for overlaps with such
+	// a wait.
+	CodeUnwitnessedConflict Code = "SR3004"
 )
 
 // CodeInfo is the registry entry of one diagnostic code.
@@ -114,17 +119,18 @@ type CodeInfo struct {
 }
 
 var codeTable = map[Code]CodeInfo{
-	CodeWaitNeverJoined:    {CodeWaitNeverJoined, SeverityError, "barrier waited on but never joined (lost JoinBarrier)"},
-	CodeJoinedAtExit:       {CodeJoinedAtExit, SeverityError, "barrier may still be joined when threads exit"},
-	CodeLostWait:           {CodeLostWait, SeverityError, "compiler-minted barrier joined but never waited (lost WaitBarrier)"},
-	CodeLostRejoin:         {CodeLostRejoin, SeverityError, "speculative wait on a looping path without an immediate rejoin"},
-	CodeResidualConflict:   {CodeResidualConflict, SeverityError, "barrier live ranges overlap non-inclusively (deadlock, §4.3)"},
-	CodeUninitializedRead:  {CodeUninitializedRead, SeverityWarning, "register possibly read before written"},
-	CodeUnreachableBlock:   {CodeUnreachableBlock, SeverityWarning, "unreachable block"},
-	CodeJoinedNeverCleared: {CodeJoinedNeverCleared, SeverityWarning, "barrier joined but never waited or cancelled"},
-	CodeEmptyCohortWait:    {CodeEmptyCohortWait, SeverityNote, "wait releases an empty cohort (no path joins the barrier)"},
-	CodeDeadJoin:           {CodeDeadJoin, SeverityNote, "join is never released on any path ahead"},
-	CodeLowEfficiency:      {CodeLowEfficiency, SeverityNote, "static SIMT-efficiency estimate below threshold"},
+	CodeWaitNeverJoined:     {CodeWaitNeverJoined, SeverityError, "barrier waited on but never joined (lost JoinBarrier)"},
+	CodeJoinedAtExit:        {CodeJoinedAtExit, SeverityError, "barrier may still be joined when threads exit"},
+	CodeLostWait:            {CodeLostWait, SeverityError, "compiler-minted barrier joined but never waited (lost WaitBarrier)"},
+	CodeLostRejoin:          {CodeLostRejoin, SeverityError, "speculative wait on a looping path without an immediate rejoin"},
+	CodeResidualConflict:    {CodeResidualConflict, SeverityError, "barrier live ranges overlap non-inclusively (deadlock, §4.3)"},
+	CodeUninitializedRead:   {CodeUninitializedRead, SeverityWarning, "register possibly read before written"},
+	CodeUnreachableBlock:    {CodeUnreachableBlock, SeverityWarning, "unreachable block"},
+	CodeJoinedNeverCleared:  {CodeJoinedNeverCleared, SeverityWarning, "barrier joined but never waited or cancelled"},
+	CodeEmptyCohortWait:     {CodeEmptyCohortWait, SeverityNote, "wait releases an empty cohort (no path joins the barrier)"},
+	CodeDeadJoin:            {CodeDeadJoin, SeverityNote, "join is never released on any path ahead"},
+	CodeLowEfficiency:       {CodeLowEfficiency, SeverityNote, "static SIMT-efficiency estimate below threshold"},
+	CodeUnwitnessedConflict: {CodeUnwitnessedConflict, SeverityNote, "barrier live ranges overlap, but no wait can see the other barrier joined"},
 }
 
 // Codes lists every registered diagnostic code in ascending order.

@@ -32,16 +32,16 @@ import (
 // statistically otherwise. The function must not already read `lane`.
 func Coarsen(m *ir.Module, fnName string, factor int) error {
 	if factor < 2 {
-		return fmt.Errorf("core: coarsen: factor %d < 2", factor)
+		return fmt.Errorf("coarsen: factor %d < 2", factor)
 	}
 	f := m.FuncByName(fnName)
 	if f == nil {
-		return fmt.Errorf("core: coarsen: function %q missing", fnName)
+		return fmt.Errorf("coarsen: function %q missing", fnName)
 	}
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			if b.Instrs[i].Op == ir.OpLane {
-				return fmt.Errorf("core: coarsen: %q reads lane; coarsening would change its meaning", fnName)
+				return fmt.Errorf("coarsen: %q reads lane; coarsening would change its meaning", fnName)
 			}
 		}
 	}

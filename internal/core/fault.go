@@ -98,7 +98,7 @@ func ParseFaultPlan(spec string) (FaultPlan, error) {
 			name = term[:i]
 			v, err := strconv.Atoi(term[i+1:])
 			if err != nil || v < 1 {
-				return FaultPlan{}, fmt.Errorf("core: fault %q: ordinal must be a positive integer", term)
+				return FaultPlan{}, fmt.Errorf("fault %q: ordinal must be a positive integer", term)
 			}
 			n = v
 		}
@@ -116,7 +116,7 @@ func ParseFaultPlan(spec string) (FaultPlan, error) {
 		case "skip-conflict":
 			p.SkipConflict = n
 		default:
-			return FaultPlan{}, fmt.Errorf("core: unknown fault %q (want drop-cancel, drop-wait, drop-join, drop-rejoin, swap-waits, skip-conflict)", name)
+			return FaultPlan{}, fmt.Errorf("unknown fault %q (want drop-cancel, drop-wait, drop-join, drop-rejoin, swap-waits, skip-conflict)", name)
 		}
 	}
 	return p, nil

@@ -28,13 +28,13 @@ func Inline(m *ir.Module, callerName, calleeName string) (sites int, droppedPred
 	caller := m.FuncByName(callerName)
 	callee := m.FuncByName(calleeName)
 	if caller == nil || callee == nil {
-		return 0, 0, fmt.Errorf("core: inline: function missing (%q or %q)", callerName, calleeName)
+		return 0, 0, fmt.Errorf("inline: function missing (%q or %q)", callerName, calleeName)
 	}
 	if caller == callee {
-		return 0, 0, fmt.Errorf("core: inline: cannot inline %q into itself", calleeName)
+		return 0, 0, fmt.Errorf("inline: cannot inline %q into itself", calleeName)
 	}
 	if calls(callee, calleeName) {
-		return 0, 0, fmt.Errorf("core: inline: %q is self-recursive", calleeName)
+		return 0, 0, fmt.Errorf("inline: %q is self-recursive", calleeName)
 	}
 
 	for {
@@ -143,19 +143,19 @@ func inlineOne(caller, callee *ir.Function, site *ir.Block, idx, n int) {
 func Outline(m *ir.Module, fnName, blockName, newFuncName string) error {
 	f := m.FuncByName(fnName)
 	if f == nil {
-		return fmt.Errorf("core: outline: function %q missing", fnName)
+		return fmt.Errorf("outline: function %q missing", fnName)
 	}
 	if m.FuncByName(newFuncName) != nil {
-		return fmt.Errorf("core: outline: function %q already exists", newFuncName)
+		return fmt.Errorf("outline: function %q already exists", newFuncName)
 	}
 	blk := f.BlockByName(blockName)
 	if blk == nil {
-		return fmt.Errorf("core: outline: block %q missing", blockName)
+		return fmt.Errorf("outline: block %q missing", blockName)
 	}
 	for i := 0; i < len(blk.Instrs)-1; i++ {
 		op := blk.Instrs[i].Op
 		if op == ir.OpCall || op.IsBarrierOp() {
-			return fmt.Errorf("core: outline: block %q contains %s", blockName, op)
+			return fmt.Errorf("outline: block %q contains %s", blockName, op)
 		}
 	}
 

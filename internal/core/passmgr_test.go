@@ -92,11 +92,15 @@ func TestParsePipelineErrors(t *testing.T) {
 		{"inline=onlycaller", "want caller:callee"},
 		{"coarsen=kernel:many", "bad factor"},
 		{"autodetect=notanumber", "bad min score"},
+		{"inject=bogus", `core: pass "inject": unknown fault "bogus" (want `},
+		{"inject=drop-cancel@x", `core: pass "inject": fault "drop-cancel@x": ordinal must be a positive integer`},
 	}
 	for _, tc := range cases {
 		_, err := ParsePipeline(tc.spec)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParsePipeline(%q) = %v, want error containing %q", tc.spec, err, tc.want)
+		} else if n := strings.Count(err.Error(), "core: "); n != 1 {
+			t.Errorf("ParsePipeline(%q) = %v: names its layer %d times, want once", tc.spec, err, n)
 		}
 	}
 }

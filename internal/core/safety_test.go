@@ -264,3 +264,30 @@ func TestErrorViewIsTheReportsErrors(t *testing.T) {
 		t.Errorf("rsbench under drop-wait@1: %v\nwant %s", err, want)
 	}
 }
+
+// TestEveryResidualConflictHasAWitness: over the record corpus, every
+// SR1005 the analyzer reports names the wait that witnesses it and
+// carries the edit that repairs it; an overlap without a witness is the
+// SR3004 note. The fault plans that skip a conflict or drop a cancel
+// must still reach SR1005.
+func TestEveryResidualConflictHasAWitness(t *testing.T) {
+	seen := map[analyze.Code]int{}
+	for _, k := range recordKernels() {
+		for _, opts := range k.variants {
+			c, err := Diagnose(k.mod, opts)
+			if err != nil {
+				continue // a fault plan with no target in this kernel
+			}
+			for _, d := range c.Diagnostics {
+				seen[d.Code]++
+				if d.Code == analyze.CodeResidualConflict && (d.Block == "" || len(d.Edits) == 0) {
+					t.Errorf("%s under %+v: SR1005 without a witness: %v", k.name, opts.Faults, d)
+				}
+			}
+		}
+	}
+	t.Logf("SR1005 %d, SR3004 %d", seen[analyze.CodeResidualConflict], seen[analyze.CodeUnwitnessedConflict])
+	if seen[analyze.CodeResidualConflict] == 0 {
+		t.Error("no SR1005 in the record corpus: the check is not exercised")
+	}
+}

@@ -25,26 +25,26 @@ import (
 // original). Factor must be at least 2.
 func UnrollLoop(m *ir.Module, fnName, headerName string, factor int) ([]string, error) {
 	if factor < 2 {
-		return nil, fmt.Errorf("core: unroll: factor %d < 2", factor)
+		return nil, fmt.Errorf("unroll: factor %d < 2", factor)
 	}
 	f := m.FuncByName(fnName)
 	if f == nil {
-		return nil, fmt.Errorf("core: unroll: function %q missing", fnName)
+		return nil, fmt.Errorf("unroll: function %q missing", fnName)
 	}
 	facts := analyze.NewFacts(nil)
 	defer facts.Retire()
 	info := facts.CFG(f)
 	header := f.BlockByName(headerName)
 	if header == nil {
-		return nil, fmt.Errorf("core: unroll: block %q missing", headerName)
+		return nil, fmt.Errorf("unroll: block %q missing", headerName)
 	}
 	loop := info.LoopOf(header)
 	if loop == nil || loop.Header != header {
-		return nil, fmt.Errorf("core: unroll: %q does not head a loop", headerName)
+		return nil, fmt.Errorf("unroll: %q does not head a loop", headerName)
 	}
 	term := header.Terminator()
 	if term.Op != ir.OpCBr {
-		return nil, fmt.Errorf("core: unroll: loop header %q must end in a conditional branch", headerName)
+		return nil, fmt.Errorf("unroll: loop header %q must end in a conditional branch", headerName)
 	}
 	var body, exit *ir.Block
 	switch {
@@ -53,13 +53,13 @@ func UnrollLoop(m *ir.Module, fnName, headerName string, factor int) ([]string, 
 	case loop.Contains(header.Succs[1]) && !loop.Contains(header.Succs[0]):
 		body, exit = header.Succs[1], header.Succs[0]
 	default:
-		return nil, fmt.Errorf("core: unroll: header %q is not the loop's sole exit", headerName)
+		return nil, fmt.Errorf("unroll: header %q is not the loop's sole exit", headerName)
 	}
 	if len(loop.Blocks) != 2 {
-		return nil, fmt.Errorf("core: unroll: only single-block loop bodies are supported (loop has %d blocks)", len(loop.Blocks))
+		return nil, fmt.Errorf("unroll: only single-block loop bodies are supported (loop has %d blocks)", len(loop.Blocks))
 	}
 	if bt := body.Terminator(); bt.Op != ir.OpBr || body.Succs[0] != header {
-		return nil, fmt.Errorf("core: unroll: body %q must branch straight back to the header", body.Name)
+		return nil, fmt.Errorf("unroll: body %q must branch straight back to the header", body.Name)
 	}
 
 	// Build the chain: body -> check1 -> body1 -> check2 -> body2 ...

@@ -112,23 +112,23 @@ func generateApp(i int, kind Kind, r *rng.Source) *App {
 	threads := ir.WarpWidth
 	m.MemWords = threads + 512
 
-	f := m.NewFunction("kernel")
-	b := ir.NewBuilder(f)
+	b := ir.NewBuilder(m.NewFunction("kernel"))
 
 	switch kind {
 	case KindStreaming:
-		genStreaming(f, b, r)
+		genStreaming(b, r)
 	case KindStencil:
-		genStencil(f, b, r)
+		genStencil(b, r)
 	case KindReduction:
-		genReduction(f, b, r)
+		genReduction(b, r)
 	case KindBranchy:
-		genBranchy(f, b, r)
+		genBranchy(b, r)
 	case KindImbalancedLoop:
-		genImbalancedLoop(f, b, r)
+		genImbalancedLoop(b, r)
 	case KindDivergentCond:
-		genDivergentCond(f, b, r)
+		genDivergentCond(b, r)
 	}
+	b.Finish()
 
 	// The input words are 16-bit integers, so every fld of one reads a
 	// float64 subnormal (or zero), and the streaming, stencil and
@@ -152,11 +152,9 @@ func generateApp(i int, kind Kind, r *rng.Source) *App {
 }
 
 // genStreaming: out[tid] = f(in[tid]) with a uniform inner loop.
-func genStreaming(f *ir.Function, b *ir.Builder, r *rng.Source) {
-	entry := f.NewBlock("entry")
-	header := f.NewBlock("header")
-	body := f.NewBlock("body")
-	done := f.NewBlock("done")
+func genStreaming(b *ir.Builder, r *rng.Source) {
+	bl := b.Blocks("entry", "header", "body", "done")
+	entry, header, body, done := bl[0], bl[1], bl[2], bl[3]
 
 	b.SetBlock(entry)
 	tid := b.Tid()
@@ -181,13 +179,9 @@ func genStreaming(f *ir.Function, b *ir.Builder, r *rng.Source) {
 }
 
 // genStencil: uniform doubly nested loop.
-func genStencil(f *ir.Function, b *ir.Builder, r *rng.Source) {
-	entry := f.NewBlock("entry")
-	oh := f.NewBlock("outer_header")
-	ih := f.NewBlock("inner_header")
-	ibody := f.NewBlock("inner_body")
-	oinc := f.NewBlock("outer_inc")
-	done := f.NewBlock("done")
+func genStencil(b *ir.Builder, r *rng.Source) {
+	bl := b.Blocks("entry", "outer_header", "inner_header", "inner_body", "outer_inc", "done")
+	entry, oh, ih, ibody, oinc, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5]
 
 	b.SetBlock(entry)
 	tid := b.Tid()
@@ -222,11 +216,9 @@ func genStencil(f *ir.Function, b *ir.Builder, r *rng.Source) {
 }
 
 // genReduction: uniform loop plus atomic accumulation.
-func genReduction(f *ir.Function, b *ir.Builder, r *rng.Source) {
-	entry := f.NewBlock("entry")
-	header := f.NewBlock("header")
-	body := f.NewBlock("body")
-	done := f.NewBlock("done")
+func genReduction(b *ir.Builder, r *rng.Source) {
+	bl := b.Blocks("entry", "header", "body", "done")
+	entry, header, body, done := bl[0], bl[1], bl[2], bl[3]
 
 	b.SetBlock(entry)
 	tid := b.Tid()
@@ -254,14 +246,9 @@ func genReduction(f *ir.Function, b *ir.Builder, r *rng.Source) {
 
 // genBranchy: divergent branches whose sides are cheap — the detector's
 // cost model should reject these.
-func genBranchy(f *ir.Function, b *ir.Builder, r *rng.Source) {
-	entry := f.NewBlock("entry")
-	header := f.NewBlock("header")
-	split := f.NewBlock("split")
-	thn := f.NewBlock("thn")
-	els := f.NewBlock("els")
-	merge := f.NewBlock("merge")
-	done := f.NewBlock("done")
+func genBranchy(b *ir.Builder, r *rng.Source) {
+	bl := b.Blocks("entry", "header", "split", "thn", "els", "merge", "done")
+	entry, header, split, thn, els, merge, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5], bl[6]
 
 	b.SetBlock(entry)
 	tid := b.Tid()
@@ -298,14 +285,9 @@ func genBranchy(f *ir.Function, b *ir.Builder, r *rng.Source) {
 // genImbalancedLoop: divergent-trip inner loop inside an outer loop; the
 // inner body weight is drawn from a wide range, so only some instances
 // pass the profitability test.
-func genImbalancedLoop(f *ir.Function, b *ir.Builder, r *rng.Source) {
-	entry := f.NewBlock("entry")
-	oh := f.NewBlock("outer_header")
-	prolog := f.NewBlock("prolog")
-	ih := f.NewBlock("inner_header")
-	ibody := f.NewBlock("inner_body")
-	epilog := f.NewBlock("epilog")
-	done := f.NewBlock("done")
+func genImbalancedLoop(b *ir.Builder, r *rng.Source) {
+	bl := b.Blocks("entry", "outer_header", "prolog", "inner_header", "inner_body", "epilog", "done")
+	entry, oh, prolog, ih, ibody, epilog, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5], bl[6]
 
 	weight := 1 + r.Intn(14)    // inner body heaviness
 	epiWeight := 1 + r.Intn(10) // epilog heaviness
@@ -350,13 +332,9 @@ func genImbalancedLoop(f *ir.Function, b *ir.Builder, r *rng.Source) {
 }
 
 // genDivergentCond: loop with a rarely-taken expensive conditional.
-func genDivergentCond(f *ir.Function, b *ir.Builder, r *rng.Source) {
-	entry := f.NewBlock("entry")
-	header := f.NewBlock("header")
-	split := f.NewBlock("split")
-	expensive := f.NewBlock("expensive")
-	merge := f.NewBlock("merge")
-	done := f.NewBlock("done")
+func genDivergentCond(b *ir.Builder, r *rng.Source) {
+	bl := b.Blocks("entry", "header", "split", "expensive", "merge", "done")
+	entry, header, split, expensive, merge, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5]
 
 	weight := 4 + r.Intn(20)
 	takeP := 0.1 + float64(0.3*r.Float64()) // unfused on every host

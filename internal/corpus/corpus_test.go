@@ -5,6 +5,7 @@ import (
 
 	"specrecon/internal/core"
 	"specrecon/internal/ir"
+	"specrecon/internal/rng"
 	"specrecon/internal/simt"
 )
 
@@ -107,5 +108,28 @@ func TestDivergentKindsAreInefficient(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("no divergent kernels generated in 200 apps")
+	}
+}
+
+// generateAllocs is what generating one application allocates: its
+// name, the module, its function list and function, the builder's block
+// slab, block pointer list, instruction slab and edge slab, the memory
+// image and the App.
+const generateAllocs = 10
+
+// TestGenerateAllocs: every kind of application, from four blocks to
+// seven, takes the same fixed number of allocations to generate once the
+// builders' scratch is warm.
+func TestGenerateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	for kind := KindStreaming; kind <= KindDivergentCond; kind++ {
+		allocs := testing.AllocsPerRun(50, func() {
+			generateApp(7, kind, rng.Split(42, 8))
+		})
+		if allocs != generateAllocs {
+			t.Errorf("generating a %s application allocates %v objects, want %d", kind, allocs, generateAllocs)
+		}
 	}
 }

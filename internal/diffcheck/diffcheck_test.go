@@ -511,6 +511,29 @@ func TestReproReplaysItsCheck(t *testing.T) {
 	}
 }
 
+// TestCheckedInReprosPass replays every repro in testdata/repros, each a
+// finding the toolchain has since mended: under the options it records,
+// verified, it passes under both deconfliction modes.
+func TestCheckedInReprosPass(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/repros/*.sasm")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no repros in testdata/repros (%v)", err)
+	}
+	for _, path := range paths {
+		k, opts, err := LoadRepro(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Verify = true
+		for _, mode := range []core.DeconflictMode{core.DeconflictDynamic, core.DeconflictStatic} {
+			opts.Deconflict = mode
+			if res := Check(k, opts); !res.OK {
+				t.Errorf("%s under %s deconfliction: %v", filepath.Base(path), mode, res)
+			}
+		}
+	}
+}
+
 // TestLoadReproRejectsBadDirective: a directive whose value does not parse
 // is an error naming the file, the line and the key — not a replay under
 // the default — while a key this tree does not know is skipped.

@@ -4,6 +4,40 @@ import (
 	"specrecon/internal/ir"
 )
 
+// A kernel derived from another one — a shrink candidate, a -mutate
+// mutant — is checked under derivedBudgetScale times the issues its
+// parent's baseline took, at least minDerivedBudget and never above the
+// caller's budget, so a derived kernel that loops costs what its parent
+// costs rather than the whole budget.
+const (
+	derivedBudgetScale = 64
+	minDerivedBudget   = 1 << 18
+)
+
+// DerivedOptions is opts for checking a kernel derived from one whose
+// check under opts gave parent: the issue budget scales from the
+// parent's baseline. A parent whose baseline did not complete keeps
+// opts' budget, and so does a liveness finding (LayerStarvation,
+// LayerBudget), whose monitors need the room the caller gave.
+func DerivedOptions(opts Options, parent Result) Options {
+	opts = opts.withDefaults()
+	switch ClassifyFailure(parent) {
+	case LayerStarvation, LayerBudget:
+		return opts
+	}
+	if n := parent.BaseMetrics.Issues; n > 0 && !parent.Stage.BaselineFailure() {
+		opts.MaxIssues = min(opts.MaxIssues, max(minDerivedBudget, derivedBudgetScale*n))
+	}
+	return opts
+}
+
+// OutOfDerivedBudget reports whether res, a check under derived, ran
+// out of an issue budget that derived cut below opts': its verdict is
+// the cut's, not the kernel's.
+func OutOfDerivedBudget(res Result, derived, opts Options) bool {
+	return derived.MaxIssues < opts.withDefaults().MaxIssues && ClassifyFailure(res) == LayerBudget
+}
+
 // maxShrinkChecks bounds the number of differential checks one Minimize
 // call may spend; each check is two compiles plus up to two simulations,
 // so an adversarial kernel must not turn shrinking into an unbounded
@@ -24,7 +58,9 @@ const maxShrinkChecks = 400
 //
 // Every candidate is verified (ir.VerifyModule) and re-checked before it
 // is accepted, so the result is always a valid module that still
-// reproduces.
+// reproduces. A candidate is checked under the budget DerivedOptions
+// gives the kernel it shrinks, and one that runs out of that budget is
+// not accepted.
 func Minimize(k Kernel, opts Options) (Kernel, Result) {
 	first := Check(k, opts)
 	if first.OK {
@@ -34,13 +70,14 @@ func Minimize(k Kernel, opts Options) (Kernel, Result) {
 	checks := 0
 	for {
 		improved := false
+		derived := DerivedOptions(opts, res)
 		for _, cand := range candidates(cur) {
 			if checks >= maxShrinkChecks {
 				return cur, res
 			}
 			checks++
-			r := Check(cand, opts)
-			if !r.OK && r.Stage == res.Stage {
+			r := Check(cand, derived)
+			if !r.OK && r.Stage == res.Stage && !OutOfDerivedBudget(r, derived, opts) {
 				cur, res = cand, r
 				improved = true
 				break // restart candidate enumeration from the smaller kernel

@@ -1,9 +1,27 @@
 package ir
 
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
+
 // Builder provides a convenient, cursor-based API for constructing
 // functions. It allocates fresh registers on demand and keeps the
 // function's register-file sizes up to date. The workload kernels in
-// internal/workloads are written against this API.
+// internal/workloads and the generated population of internal/corpus
+// are written against this API.
+//
+// A builder lays a function out as Parse does. The blocks of one Blocks
+// call share one []Block slab. Emit appends into one instruction slab
+// and Br and CBr carve successor lists from one edge slab, each block's
+// slice capped at its own end, so a pass that later grows one block
+// moves that block alone. Those two slabs are scratch that builders
+// hand on to each other: Finish copies every block of the function into
+// one exact-size instruction slab and one exact-size edge slab and
+// returns the scratch to the pool. A function whose builder is not
+// finished is still whole, but its blocks keep the scratch, slack
+// included, live.
 type Builder struct {
 	Fn  *Function
 	cur *Block
@@ -11,7 +29,19 @@ type Builder struct {
 	nextReg  Reg
 	nextFReg Reg
 	nextBar  int
+
+	s *builderScratch // taken at the first Emit, handed on by Finish
 }
+
+// builderScratch is where a function's instructions and successor
+// edges collect until Finish.
+type builderScratch struct {
+	instrs []Instr
+	edges  []*Block
+}
+
+// scratches holds the scratch of finished builders.
+var scratches sync.Pool
 
 // NewBuilder returns a builder positioned on no block. Fresh registers
 // start above the function's current file sizes, so a builder may be used
@@ -23,6 +53,53 @@ func NewBuilder(f *Function) *Builder {
 		nextFReg: Reg(f.NFRegs),
 		nextBar:  f.MaxBarrier() + 1,
 	}
+}
+
+// Blocks appends one new empty block per name to the function, all from
+// one slab, and returns them in order. The cursor does not move.
+func (b *Builder) Blocks(names ...string) []*Block {
+	f := b.Fn
+	slab := make([]Block, len(names))
+	lo := len(f.Blocks)
+	f.Blocks = slices.Grow(f.Blocks, len(names))
+	for i, name := range names {
+		slab[i] = Block{Name: name, Index: lo + i}
+		f.Blocks = append(f.Blocks, &slab[i])
+	}
+	return f.Blocks[lo:len(f.Blocks):len(f.Blocks)]
+}
+
+// Finish lays every block of the function out in one exact-size
+// instruction slab and one exact-size edge slab, in block order and each
+// capped at its own end, and hands the builder's scratch to the next
+// builder. Every block the builder emitted into must still be a block of
+// the function. The builder stays usable: a later Emit takes scratch
+// again.
+func (b *Builder) Finish() {
+	s := b.s
+	if s == nil {
+		return
+	}
+	ni, ne := 0, 0
+	for _, blk := range b.Fn.Blocks {
+		ni, ne = ni+len(blk.Instrs), ne+len(blk.Succs)
+	}
+	instrs := make([]Instr, 0, ni)
+	edges := make([]*Block, 0, ne)
+	for _, blk := range b.Fn.Blocks {
+		if n := len(blk.Instrs); n > 0 {
+			instrs = append(instrs, blk.Instrs...)
+			blk.Instrs = instrs[len(instrs)-n : len(instrs) : len(instrs)]
+		}
+		if n := len(blk.Succs); n > 0 {
+			edges = append(edges, blk.Succs...)
+			blk.Succs = edges[len(edges)-n : len(edges) : len(edges)]
+		}
+	}
+	clear(s.instrs)
+	clear(s.edges)
+	s.instrs, s.edges, b.s = s.instrs[:0], s.edges[:0], nil
+	scratches.Put(s)
 }
 
 // Block creates a new block and positions the builder on it.
@@ -65,12 +142,44 @@ func (b *Builder) Barrier() int {
 	return n
 }
 
-// Emit appends a raw instruction to the current block.
+// Emit appends a raw instruction to the current block. The block's
+// instructions are the tail of the scratch slab; a block re-entered
+// after another one, or grown elsewhere since, first moves its
+// instructions to the tail.
 func (b *Builder) Emit(in Instr) {
-	if b.cur == nil {
+	cur := b.cur
+	if cur == nil {
 		panic("ir: Builder.Emit with no current block")
 	}
-	b.cur.Instrs = append(b.cur.Instrs, in)
+	s := b.scratch()
+	n := len(cur.Instrs)
+	if n == 0 || n > len(s.instrs) || &cur.Instrs[0] != &s.instrs[len(s.instrs)-n] {
+		if b.Fn.IndexOf(cur) < 0 {
+			panic(fmt.Sprintf("ir: Builder.Emit into block %q, which is not a block of %q", cur.Name, b.Fn.Name))
+		}
+		s.instrs = append(s.instrs, cur.Instrs...)
+	}
+	s.instrs = append(s.instrs, in)
+	cur.Instrs = s.instrs[len(s.instrs)-n-1 : len(s.instrs) : len(s.instrs)]
+}
+
+// scratch is the builder's scratch, taken from a finished builder when
+// one is pooled.
+func (b *Builder) scratch() *builderScratch {
+	if b.s == nil {
+		b.s, _ = scratches.Get().(*builderScratch)
+		if b.s == nil {
+			b.s = new(builderScratch)
+		}
+	}
+	return b.s
+}
+
+// setSuccs makes the current block's successors the last n edges of the
+// scratch.
+func (b *Builder) setSuccs(edges []*Block, n int) {
+	b.s.edges = edges
+	b.cur.Succs = edges[len(edges)-n : len(edges) : len(edges)]
 }
 
 // ---- integer ops ----
@@ -308,14 +417,14 @@ func (b *Builder) Call(name string) {
 // Br terminates the current block with an unconditional branch.
 func (b *Builder) Br(to *Block) {
 	b.Emit(Instr{Op: OpBr, Dst: NoReg, A: NoReg, B: NoReg, C: NoReg})
-	b.cur.Succs = []*Block{to}
+	b.setSuccs(append(b.s.edges, to), 1)
 }
 
 // CBr terminates the current block with a conditional branch: cond != 0
 // goes to then, otherwise to els.
 func (b *Builder) CBr(cond Reg, then, els *Block) {
 	b.Emit(Instr{Op: OpCBr, Dst: NoReg, A: cond, B: NoReg, C: NoReg})
-	b.cur.Succs = []*Block{then, els}
+	b.setSuccs(append(b.s.edges, then, els), 2)
 }
 
 // Ret terminates the current block with a return.

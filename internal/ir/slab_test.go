@@ -1,9 +1,11 @@
 package ir_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"specrecon/internal/corpus"
 	"specrecon/internal/ir"
 	"specrecon/internal/workloads"
 )
@@ -21,6 +23,35 @@ func blockText(b *ir.Block) string {
 	return sb.String()
 }
 
+// growEachBlock grows every block of m in turn — an append, an InsertAt
+// at its top, a new successor — and fails if that changes the text of
+// any other block. It returns how many blocks it grew.
+func growEachBlock(t *testing.T, what string, m *ir.Module) int {
+	t.Helper()
+	grown := ir.Instr{Op: ir.OpConst, Dst: 0, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: 7}
+	top := ir.Instr{Op: ir.OpNop, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg}
+	blocks := 0
+	for _, f := range m.Funcs {
+		texts := make([]string, len(f.Blocks))
+		for i, b := range f.Blocks {
+			texts[i] = blockText(b)
+		}
+		for i, b := range f.Blocks {
+			b.Instrs = append(b.Instrs, grown)
+			b.InsertAt(0, top)
+			b.Succs = append(b.Succs, f.Blocks[0])
+			for j, o := range f.Blocks {
+				if j != i && blockText(o) != texts[j] {
+					t.Fatalf("%s %s: growing block %s.%s changed block %s:\n%s\nwas:\n%s", what, m.Name, f.Name, b.Name, o.Name, blockText(o), texts[j])
+				}
+			}
+			texts[i] = blockText(b)
+			blocks++
+		}
+	}
+	return blocks
+}
+
 // TestParsedBlocksDoNotAlias: a parsed function's blocks share one
 // instruction slab and one edge slab, each block capped at its own end,
 // so growing any block — an append, an InsertAt at its top, a new
@@ -28,35 +59,77 @@ func blockText(b *ir.Block) string {
 // printed sourceSet: the corpus at seeds 42 and 1234567, every workload
 // and the checked-in assembly.
 func TestParsedBlocksDoNotAlias(t *testing.T) {
-	grown := ir.Instr{Op: ir.OpConst, Dst: 0, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: 7}
-	top := ir.Instr{Op: ir.OpNop, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg}
 	blocks := 0
 	for _, src := range sourceSet(t) {
 		m, err := ir.Parse(ir.Print(src))
 		if err != nil {
 			t.Fatalf("%s: %v", src.Name, err)
 		}
-		for _, f := range m.Funcs {
-			texts := make([]string, len(f.Blocks))
-			for i, b := range f.Blocks {
-				texts[i] = blockText(b)
-			}
-			for i, b := range f.Blocks {
-				b.Instrs = append(b.Instrs, grown)
-				b.InsertAt(0, top)
-				b.Succs = append(b.Succs, f.Blocks[0])
-				for j, o := range f.Blocks {
-					if j != i && blockText(o) != texts[j] {
-						t.Fatalf("%s: growing block %s.%s changed block %s:\n%s\nwas:\n%s", m.Name, f.Name, b.Name, o.Name, blockText(o), texts[j])
-					}
-				}
-				texts[i] = blockText(b)
-				blocks++
-			}
-		}
+		blocks += growEachBlock(t, "parsed", m)
 	}
 	if blocks < 1000 {
 		t.Fatalf("grew %d blocks, want at least 1000", blocks)
+	}
+}
+
+// TestBuiltBlocksDoNotAlias is TestParsedBlocksDoNotAlias for the other
+// two constructors: every block of the 520-kernel corpus and of every
+// workload as ir.Builder lays it out, and of a clone of each, grows
+// alone.
+func TestBuiltBlocksDoNotAlias(t *testing.T) {
+	var mods []*ir.Module
+	for _, a := range corpus.Generate(520, 42) {
+		mods = append(mods, a.Module)
+	}
+	for _, w := range workloads.All() {
+		mods = append(mods, w.Build(workloads.BuildConfig{}).Module)
+	}
+	blocks := 0
+	for _, m := range mods {
+		clone := m.Clone()
+		blocks += growEachBlock(t, "built", m)
+		blocks += growEachBlock(t, "cloned", clone)
+	}
+	if blocks < 4000 {
+		t.Fatalf("grew %d blocks, want at least 4000", blocks)
+	}
+}
+
+// builtChainAllocs is what building a chain of blocks allocates: the
+// block slab, the block pointer list, and the instruction and edge slabs
+// Finish lays out.
+const builtChainAllocs = 4
+
+// TestBuilderAllocs: once the builders' scratch is warm, what a builder
+// allocates for a function does not grow with the function's blocks.
+func TestBuilderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	for _, n := range []int{4, 64} {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("b%d", i)
+		}
+		f := &ir.Function{Name: "chain"}
+		allocs := testing.AllocsPerRun(50, func() {
+			f.Blocks = nil
+			b := ir.NewBuilder(f)
+			blocks := b.Blocks(names...)
+			for i, blk := range blocks {
+				b.SetBlock(blk)
+				r := b.Tid()
+				if i+1 < n {
+					b.CBr(b.SetLTI(r, int64(i)), blocks[i+1], blocks[n-1])
+				} else {
+					b.Exit()
+				}
+			}
+			b.Finish()
+		})
+		if allocs != builtChainAllocs {
+			t.Errorf("building a %d-block chain allocates %v objects, want %d", n, allocs, builtChainAllocs)
+		}
 	}
 }
 

@@ -33,6 +33,7 @@ func buildCallMicro(cfg BuildConfig) *Instance {
 		sb.SetBlock(body)
 		emitCalleeFlops(sb, callmicroShadeCost)
 		sb.Ret()
+		sb.Finish()
 	}
 
 	f := m.NewFunction("callmicro_kernel")
@@ -44,13 +45,8 @@ func buildCallMicro(cfg BuildConfig) *Instance {
 		_ = b.FReg()
 	}
 
-	entry := f.NewBlock("entry")
-	header := f.NewBlock("header")
-	split := f.NewBlock("split")
-	thenPath := f.NewBlock("then_path")
-	elsePath := f.NewBlock("else_path")
-	merge := f.NewBlock("merge")
-	done := f.NewBlock("done")
+	bl := b.Blocks("entry", "header", "split", "then_path", "else_path", "merge", "done")
+	entry, header, split, thenPath, elsePath, merge, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5], bl[6]
 
 	b.SetBlock(entry)
 	tid := b.Tid()
@@ -94,6 +90,7 @@ func buildCallMicro(cfg BuildConfig) *Instance {
 	b.SetBlock(done)
 	b.FStore(tid, 0, acc)
 	b.Exit()
+	b.Finish()
 
 	mem := make([]uint64, m.MemWords)
 	return &Instance{Module: m, Kernel: f.Name, Threads: cfg.Threads, Memory: mem, Seed: cfg.Seed}

@@ -29,13 +29,9 @@ func buildGPUMCML(cfg BuildConfig) *Instance {
 	f := m.NewFunction("mcml_propagate_kernel")
 	b := ir.NewBuilder(f)
 
-	entry := f.NewBlock("entry")
-	outerHeader := f.NewBlock("outer_header")
-	launch := f.NewBlock("launch") // prolog
-	hopHeader := f.NewBlock("hop_header")
-	hopBody := f.NewBlock("hop_body")
-	finish := f.NewBlock("finish") // epilog
-	done := f.NewBlock("done")
+	// launch is the prolog, finish the epilog.
+	bl := b.Blocks("entry", "outer_header", "launch", "hop_header", "hop_body", "finish", "done")
+	entry, outerHeader, launch, hopHeader, hopBody, finish, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5], bl[6]
 
 	b.SetBlock(entry)
 	tid := b.Tid()
@@ -93,6 +89,7 @@ func buildGPUMCML(cfg BuildConfig) *Instance {
 	b.SetBlock(done)
 	b.FStore(tid, 0, escaped)
 	b.Exit()
+	b.Finish()
 
 	mem := make([]uint64, m.MemWords)
 	return &Instance{Module: m, Kernel: f.Name, Threads: cfg.Threads, Memory: mem, Seed: cfg.Seed}

@@ -30,13 +30,9 @@ func buildMCB(cfg BuildConfig) *Instance {
 	f := m.NewFunction("mcb_track_kernel")
 	b := ir.NewBuilder(f)
 
-	entry := f.NewBlock("entry")
-	outerHeader := f.NewBlock("outer_header")
-	source := f.NewBlock("source") // prolog
-	segHeader := f.NewBlock("seg_header")
-	segBody := f.NewBlock("seg_body")
-	tally := f.NewBlock("tally") // epilog
-	done := f.NewBlock("done")
+	// source is the prolog, tally the epilog.
+	bl := b.Blocks("entry", "outer_header", "source", "seg_header", "seg_body", "tally", "done")
+	entry, outerHeader, source, segHeader, segBody, tally, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5], bl[6]
 
 	b.SetBlock(entry)
 	tid := b.Tid()
@@ -90,6 +86,7 @@ func buildMCB(cfg BuildConfig) *Instance {
 	b.SetBlock(done)
 	b.FStore(tid, 0, total)
 	b.Exit()
+	b.Finish()
 
 	mem := make([]uint64, m.MemWords)
 	r := newTableRNG(cfg.Seed)

@@ -29,13 +29,9 @@ func buildMCGPU(cfg BuildConfig) *Instance {
 	f := m.NewFunction("mcgpu_photon_kernel")
 	b := ir.NewBuilder(f)
 
-	entry := f.NewBlock("entry")
-	outerHeader := f.NewBlock("outer_header")
-	emit := f.NewBlock("emit") // prolog
-	hopHeader := f.NewBlock("hop_header")
-	hopBody := f.NewBlock("hop_body")
-	score := f.NewBlock("score") // epilog
-	done := f.NewBlock("done")
+	// emit is the prolog, score the epilog.
+	bl := b.Blocks("entry", "outer_header", "emit", "hop_header", "hop_body", "score", "done")
+	entry, outerHeader, emit, hopHeader, hopBody, score, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5], bl[6]
 
 	b.SetBlock(entry)
 	tid := b.Tid()
@@ -88,6 +84,7 @@ func buildMCGPU(cfg BuildConfig) *Instance {
 	b.SetBlock(done)
 	b.FStore(tid, 0, detector)
 	b.Exit()
+	b.Finish()
 
 	mem := make([]uint64, m.MemWords)
 	r := newTableRNG(cfg.Seed)

@@ -29,13 +29,9 @@ func buildMeiyaMD5(cfg BuildConfig) *Instance {
 	f := m.NewFunction("md5_reverse_kernel")
 	b := ir.NewBuilder(f)
 
-	entry := f.NewBlock("entry")
-	outerHeader := f.NewBlock("outer_header")
-	nextCand := f.NewBlock("next_candidate") // prolog
-	roundHeader := f.NewBlock("round_header")
-	roundBody := f.NewBlock("round_body")
-	compare := f.NewBlock("compare") // epilog
-	done := f.NewBlock("done")
+	// nextCand is the prolog, compare the epilog.
+	bl := b.Blocks("entry", "outer_header", "next_candidate", "round_header", "round_body", "compare", "done")
+	entry, outerHeader, nextCand, roundHeader, roundBody, compare, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5], bl[6]
 
 	b.SetBlock(entry)
 	tid := b.Tid()
@@ -93,6 +89,7 @@ func buildMeiyaMD5(cfg BuildConfig) *Instance {
 	out := b.Or(b.ShlI(hits, 48), b.AndI(digest, 0xffffffffffff))
 	b.Store(tid, 0, out)
 	b.Exit()
+	b.Finish()
 
 	mem := make([]uint64, m.MemWords)
 	return &Instance{Module: m, Kernel: f.Name, Threads: cfg.Threads, Memory: mem, Seed: cfg.Seed}

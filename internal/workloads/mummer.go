@@ -29,13 +29,9 @@ func buildMUMmer(cfg BuildConfig) *Instance {
 	f := m.NewFunction("mummer_match_kernel")
 	b := ir.NewBuilder(f)
 
-	entry := f.NewBlock("entry")
-	outerHeader := f.NewBlock("outer_header")
-	loadQuery := f.NewBlock("load_query") // prolog
-	matchHeader := f.NewBlock("match_header")
-	matchBody := f.NewBlock("match_body")
-	record := f.NewBlock("record") // epilog
-	done := f.NewBlock("done")
+	// loadQuery is the prolog, record the epilog.
+	bl := b.Blocks("entry", "outer_header", "load_query", "match_header", "match_body", "record", "done")
+	entry, outerHeader, loadQuery, matchHeader, matchBody, record, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5], bl[6]
 
 	b.SetBlock(entry)
 	tid := b.Tid()
@@ -87,6 +83,7 @@ func buildMUMmer(cfg BuildConfig) *Instance {
 	b.SetBlock(done)
 	b.Store(tid, 0, bestSum)
 	b.Exit()
+	b.Finish()
 
 	mem := make([]uint64, m.MemWords)
 	r := newTableRNG(cfg.Seed)

@@ -46,15 +46,9 @@ func buildOptix(v optixVariant) func(BuildConfig) *Instance {
 		f := m.NewFunction("optix_trace_kernel")
 		b := ir.NewBuilder(f)
 
-		entry := f.NewBlock("entry")
-		rayHeader := f.NewBlock("ray_header")
-		genRay := f.NewBlock("gen_ray") // prolog
-		travHeader := f.NewBlock("trav_header")
-		travBody := f.NewBlock("trav_body")
-		intersect := f.NewBlock("intersect")
-		travNext := f.NewBlock("trav_next")
-		shade := f.NewBlock("shade") // epilog
-		done := f.NewBlock("done")
+		// genRay is the prolog, shade the epilog.
+		bl := b.Blocks("entry", "ray_header", "gen_ray", "trav_header", "trav_body", "intersect", "trav_next", "shade", "done")
+		entry, rayHeader, genRay, travHeader, travBody, intersect, travNext, shade, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5], bl[6], bl[7], bl[8]
 
 		b.SetBlock(entry)
 		tid := b.Tid()
@@ -117,6 +111,7 @@ func buildOptix(v optixVariant) func(BuildConfig) *Instance {
 		b.SetBlock(done)
 		b.FStore(tid, 0, radiance)
 		b.Exit()
+		b.Finish()
 
 		mem := make([]uint64, m.MemWords)
 		r := newTableRNG(cfg.Seed)

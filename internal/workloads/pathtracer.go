@@ -38,13 +38,10 @@ func buildPathTracer(cfg BuildConfig) *Instance {
 	f := m.NewFunction("pathtrace_kernel")
 	b := ir.NewBuilder(f)
 
-	entry := f.NewBlock("entry")
-	sampleHeader := f.NewBlock("sample_header")
-	camera := f.NewBlock("camera") // prolog: generate camera ray
-	bounceHeader := f.NewBlock("bounce_header")
-	bounceBody := f.NewBlock("bounce_body")
-	accumulate := f.NewBlock("accumulate") // epilog
-	done := f.NewBlock("done")
+	// camera is the prolog, which generates the camera ray; accumulate is
+	// the epilog.
+	bl := b.Blocks("entry", "sample_header", "camera", "bounce_header", "bounce_body", "accumulate", "done")
+	entry, sampleHeader, camera, bounceHeader, bounceBody, accumulate, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5], bl[6]
 
 	b.SetBlock(entry)
 	tid := b.Tid()
@@ -110,6 +107,7 @@ func buildPathTracer(cfg BuildConfig) *Instance {
 	b.SetBlock(done)
 	b.FStore(tid, 0, color)
 	b.Exit()
+	b.Finish()
 
 	mem := make([]uint64, m.MemWords)
 	r := newTableRNG(cfg.Seed)

@@ -43,13 +43,8 @@ func buildRSBench(cfg BuildConfig) *Instance {
 	f := m.NewFunction("rsbench_lookup_kernel")
 	b := ir.NewBuilder(f)
 
-	entry := f.NewBlock("entry")
-	outerHeader := f.NewBlock("outer_header")
-	prolog := f.NewBlock("prolog")
-	innerHeader := f.NewBlock("inner_header")
-	innerBody := f.NewBlock("inner_body")
-	epilog := f.NewBlock("epilog")
-	done := f.NewBlock("done")
+	bl := b.Blocks("entry", "outer_header", "prolog", "inner_header", "inner_body", "epilog", "done")
+	entry, outerHeader, prolog, innerHeader, innerBody, epilog, done := bl[0], bl[1], bl[2], bl[3], bl[4], bl[5], bl[6]
 
 	b.SetBlock(entry)
 	tid := b.Tid()
@@ -107,6 +102,7 @@ func buildRSBench(cfg BuildConfig) *Instance {
 	b.SetBlock(done)
 	b.FStore(tid, 0, macroXS)
 	b.Exit()
+	b.Finish()
 
 	mem := make([]uint64, m.MemWords)
 	r := newTableRNG(cfg.Seed)
