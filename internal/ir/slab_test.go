@@ -158,3 +158,46 @@ func TestParseAllocs(t *testing.T) {
 		t.Errorf("Parse(rsbench) allocates %v objects, want at most %d", allocs, parseAllocsMax)
 	}
 }
+
+// TestBuilderReentryAndUnfinished: a block the builder re-enters after
+// another, or that something else grew since, keeps its instructions and
+// takes the new ones after them, and every block of a function grows
+// alone whether or not its builder was finished.
+func TestBuilderReentryAndUnfinished(t *testing.T) {
+	build := func() (*ir.Module, *ir.Builder) {
+		f := &ir.Function{Name: "k"}
+		b := ir.NewBuilder(f)
+		bl := b.Blocks("a", "c", "d")
+		a, c, d := bl[0], bl[1], bl[2]
+		b.SetBlock(a)
+		x := b.Tid()
+		b.SetBlock(c)
+		b.Lane()
+		b.SetBlock(a)
+		b.AddI(x, 1)
+		a.InsertTop(ir.Instr{Op: ir.OpNop, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg})
+		b.Br(c)
+		b.SetBlock(c)
+		b.CBr(x, d, a)
+		b.SetBlock(d)
+		b.Exit()
+		return &ir.Module{Name: "m", Funcs: []*ir.Function{f}}, b
+	}
+	want := []string{
+		"a:\n  nop\n  tid r0\n  add r2, r0, #1\n  br c\n  -> c",
+		"c:\n  lane r1\n  cbr r0, d, a\n  -> d\n  -> a",
+		"d:\n  exit",
+	}
+	for _, finish := range []bool{false, true} {
+		m, b := build()
+		if finish {
+			b.Finish()
+		}
+		for i, blk := range m.Funcs[0].Blocks {
+			if got := blockText(blk); got != want[i] {
+				t.Errorf("finished %v: block %d:\n%s\nwant:\n%s", finish, i, got, want[i])
+			}
+		}
+		growEachBlock(t, fmt.Sprintf("finished %v", finish), m)
+	}
+}
