@@ -40,6 +40,7 @@ import (
 	"math/bits"
 	"sync"
 	"time"
+	"weak"
 
 	"specrecon/internal/ir"
 	"specrecon/internal/rng"
@@ -661,8 +662,47 @@ func (s *sim) newCTAWarp(cta *ctaState, wi int) *warpState {
 }
 
 // arenas holds retired launch arenas: the sims of finished Runs, whose
-// storage the next Run loads into.
-var arenas sync.Pool
+// storage the next Run loads into. A sync.Pool keeps the last object a
+// P put in that P's private slot, which no other P takes from, so a Run
+// whose goroutine the scheduler had moved to another P since the last
+// launch would build a whole arena afresh (about 200 objects for a
+// 16-CTA grid) at random. free therefore indexes the retired arenas by
+// weak pointer, and a Run on any P takes the newest. keep holds them
+// live as a sync.Pool would, until the collector has run twice since
+// they were retired, so an idle process keeps no arena.
+var arenas struct {
+	mu   sync.Mutex
+	free []weak.Pointer[sim]
+	keep sync.Pool
+}
+
+// takeArena returns the most recently retired arena that is still live,
+// or nil. The arena is the caller's alone until it retires it.
+func takeArena() *sim {
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	for n := len(arenas.free); n > 0; n-- {
+		s := arenas.free[n-1].Value()
+		arenas.free = arenas.free[:n-1]
+		if s != nil {
+			return s
+		}
+	}
+	return nil
+}
+
+// retireArena makes s the arena the next Run takes. keep first gives up
+// one reference it held, most often this P's to the arena s was loaded
+// into, so it holds about one a P however many launches run between two
+// collections; an arena whose reference goes with it lives until the
+// next collection instead of the second.
+func retireArena(s *sim) {
+	arenas.mu.Lock()
+	arenas.free = append(arenas.free, weak.Make(s))
+	arenas.mu.Unlock()
+	arenas.keep.Get()
+	arenas.keep.Put(s)
+}
 
 // Run launches the module's kernel under cfg and simulates it to
 // completion: every launch shape is a sequence of waves handed to the
@@ -674,14 +714,13 @@ var arenas sync.Pool
 // the caller's alone: its Memory, Shared and Metrics share no storage
 // with the arena.
 func Run(m *ir.Module, cfg Config) (*Result, error) {
-	prev, _ := arenas.Get().(*sim)
-	s, err := load(prev, m, cfg)
+	s, err := load(takeArena(), m, cfg)
 	if err != nil {
 		return nil, err
 	}
 	res, err := s.launch()
 	s.retire()
-	arenas.Put(s)
+	retireArena(s)
 	return res, err
 }
 
