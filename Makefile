@@ -136,7 +136,9 @@ bench-pairs:
 # "stale" line naming perf-baseline. perf gate exits 2 if GATE_WORKLOADS lacks a workload BENCHMARK.json
 # lists. perf-baseline is the same run written over the committed
 # records: run it, and commit the result, in the PR that means to move a
-# digest or an allocation count.
+# digest or an allocation count. A change that moves one workload
+# re-records that one alone, so the others keep their records:
+#   make perf-baseline GATE_WORKLOADS=campaign
 GATE_WORKLOADS = figures_all grid_launch campaign sweep observed_grid driver_matrix
 gate-run = for w in $(GATE_WORKLOADS); do \
 	sh bench/run.sh -workload $$w -seed 42 -seconds 1 -trace 0 -out $(1) >/dev/null || exit 1; done

@@ -144,7 +144,7 @@ func (c *campaign) check(cells []cell, todo []int, results []diffcheck.Result, e
 	groups := map[baseKey][]int{}
 	for _, i := range todo {
 		o := opts(i)
-		key := baseKey{cells[i].k.Module, cells[i].k.Seed, diffcheck.Options{MaxIssues: o.MaxIssues, Policy: o.Policy, WallBudget: o.WallBudget, AutoAnnotate: o.AutoAnnotate}}
+		key := baseKey{cells[i].k.Module, cells[i].k.Seed, diffcheck.Options{MaxIssues: o.MaxIssues, Policy: o.Policy, Verify: o.Verify, WallBudget: o.WallBudget, AutoAnnotate: o.AutoAnnotate}}
 		if groups[key] == nil {
 			keys = append(keys, key)
 		}

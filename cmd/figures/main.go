@@ -14,6 +14,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -51,6 +53,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if !slices.Contains([]string{"7", "8", "9", "10", "all"}, *fig) {
 		return app.Fail(cli.Usage, fmt.Errorf("-fig %s: want 7 | 8 | 9 | 10 | all", *fig))
+	}
+	// Only the funnel reads -apps, and -markdown is the whole suite.
+	var unread error
+	app.Visit(func(f *flag.Flag) {
+		switch {
+		case f.Name == "fig" && *markdown:
+			unread = errors.New("-fig is not read by -markdown")
+		case f.Name == "apps" && !*markdown && *fig != "10" && *fig != "all":
+			unread = fmt.Errorf("-apps is not read by -fig %s", *fig)
+		}
+	})
+	if unread != nil {
+		return app.Fail(cli.Usage, unread)
 	}
 	cfg := app.Launch
 

@@ -24,6 +24,8 @@ func TestCLI(t *testing.T) {
 		{Name: "bad-sched", Args: []string{"-fig", "7", "-sched", "bad"}, Code: 2, Stderr: "unknown sched policy"},
 		{Name: "unknown-fig", Args: []string{"-fig", "11"}, Code: 2, Stderr: "-fig 11: want 7 | 8 | 9 | 10 | all"},
 		{Name: "negative-apps", Args: []string{"-fig", "10", "-apps", "-4"}, Code: 2, Stderr: "-apps -4: the corpus size cannot be negative"},
+		{Name: "apps-unread", Args: []string{"-fig", "7", "-apps", "60"}, Code: 2, Stderr: "-apps is not read by -fig 7"},
+		{Name: "markdown-fig", Args: []string{"-markdown", "-fig", "10"}, Code: 2, Stderr: "-fig is not read by -markdown"},
 		{Name: "negative-sms", Args: []string{"-fig", "7", "-grid", "2", "-sms", "-1"}, Code: 2, Stderr: "-sms -1: the count cannot be negative"},
 	})
 }
@@ -71,7 +73,11 @@ func TestAllMeasuresTheSuiteOnce(t *testing.T) {
 	calls, _ := countSuite(t)
 	for fig, want := range map[string]int{"all": 1, "7": 1, "8": 1, "9": 0, "10": 0} {
 		*calls = 0
-		if code, _, stderr := clitest.Exec(t, run, "-fig", fig, "-apps", "20", "-j", "1"); code != 0 {
+		args := []string{"-fig", fig, "-j", "1"}
+		if fig == "all" || fig == "10" {
+			args = append(args, "-apps", "20") // only the funnel reads it
+		}
+		if code, _, stderr := clitest.Exec(t, run, args...); code != 0 {
 			t.Fatalf("-fig %s: exit %d\n%s", fig, code, stderr)
 		}
 		if *calls != want {

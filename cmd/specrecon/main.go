@@ -90,6 +90,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	usage := func(err error) int { return app.Fail(cli.Usage, err) }
 	fail := func(err error) int { return app.Fail(cli.Fail, err) }
 
+	if *list || *listPasses {
+		if err := refuseUnread(app); err != nil {
+			return usage(err)
+		}
+	}
 	if *list {
 		for _, w := range workloads.All() {
 			fmt.Fprintf(stdout, "%-14s %-16s %s\n", w.Name, w.Pattern, w.Description)
@@ -348,23 +353,28 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 }
 
 // modeReads lists, for each mode that returns before the per-run loop,
-// the flags it reads beyond those every mode reads: the kernel,
-// -diagnostics, the launch shape, the scheduler and the profiles. The
-// sweep sets the threshold itself.
+// the flags it reads beyond the profiles, which every exit path writes.
+// -list and -list-passes read nothing else. -diffcheck and -sweep read
+// the kernel, -diagnostics (printed before either), the launch shape
+// and the scheduler; the sweep sets the threshold itself. -diagnostics
+// is not such a mode: the run it comes before reads the rest.
 var modeReads = map[string]string{
-	"diffcheck": "diffcheck threshold deconflict inject safe starve-limit wall-budget",
-	"sweep":     "sweep deconflict",
+	"list":        "list",
+	"list-passes": "list-passes",
+	"diffcheck":   "diffcheck threshold deconflict inject safe starve-limit wall-budget" + launchReads,
+	"sweep":       "sweep deconflict" + launchReads,
 }
 
-// refuseUnread names the first flag the command line set that the
-// -diffcheck or -sweep mode it asked for (-diffcheck first, as run
-// takes them) does not read.
+const launchReads = " kernel diagnostics tasks threads seed grid ctasize sms workers policy sched sched-seed"
+
+// refuseUnread names the first flag the command line set that the mode
+// it asked for does not read, taking the modes in the order run does.
 func refuseUnread(app *cli.App) (err error) {
-	for _, mode := range []string{"diffcheck", "sweep"} {
+	for _, mode := range []string{"list", "list-passes", "diffcheck", "sweep"} {
 		if app.Lookup(mode).Value.String() != "true" {
 			continue
 		}
-		reads := strings.Fields(modeReads[mode] + " kernel diagnostics tasks threads seed grid ctasize sms workers policy sched sched-seed cpuprofile memprofile")
+		reads := strings.Fields(modeReads[mode] + " cpuprofile memprofile")
 		app.Visit(func(f *flag.Flag) {
 			if err == nil && !slices.Contains(reads, f.Name) {
 				err = fmt.Errorf("-%s is not read by -%s", f.Name, mode)

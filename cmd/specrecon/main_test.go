@@ -36,6 +36,9 @@ func TestCLI(t *testing.T) {
 		{Name: "diffcheck-bad-repro", Args: []string{"-kernel", "testdata/badrepro.sasm", "-diffcheck"}, Code: 2, Stderr: "testdata/badrepro.sasm:4: repro-seed: "},
 		{Name: "list", Args: []string{"-list"}},
 		{Name: "list-passes", Args: []string{"-list-passes"}},
+		{Name: "list-passes-timeline", Args: []string{"-kernel", "rsbench", "-list-passes", "-timeline", "3"}, Code: 2, Stderr: "-kernel is not read by -list-passes"},
+		{Name: "list-passes-unread", Args: []string{"-list-passes", "-timeline", "3"}, Code: 2, Stderr: "-timeline is not read by -list-passes"},
+		{Name: "list-profile", Args: []string{"-list", "-profile"}, Code: 2, Stderr: "-profile is not read by -list"},
 		{Name: "no-kernel", Code: 2, Stderr: "-kernel is required"},
 		{Name: "unknown-kernel", Args: []string{"-kernel", "nope"}, Code: 2, Stderr: "unknown workload"},
 		{Name: "bad-policy", Args: []string{"-kernel", "rsbench", "-policy", "bad"}, Code: 2, Stderr: "unknown policy"},
@@ -205,7 +208,8 @@ func TestDiffcheckFileYieldsToEveryFlagGiven(t *testing.T) {
 // the per-run loop, so for each flag the binary has, a mode either reads
 // it (the run exits 0, or 1 on the finding -inject plants) or exits 2
 // naming the flag and the mode. -list and -list-passes are modes of
-// their own and come first.
+// their own and come first; they read nothing but themselves and the
+// profiles, and refuse every other flag.
 func TestModesReadOrRefuseEveryFlag(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string) string { return filepath.Join(dir, name) }
@@ -245,8 +249,8 @@ func TestModesReadOrRefuseEveryFlag(t *testing.T) {
 			code, _, stderr := clitest.Exec(t, run, args...)
 			switch {
 			case name == "list" || name == "list-passes":
-				if code != 0 {
-					t.Errorf("-%s -%s: exit %d, want the listing\n%s", mode, name, code, stderr)
+				if want := "is not read by -" + name; code != 2 || !strings.Contains(stderr, want) {
+					t.Errorf("-%s -%s: exit %d, want 2 and %q\n%s", mode, name, code, want, stderr)
 				}
 			case name == "diffcheck" && mode == "sweep":
 				if code != 2 || !strings.Contains(stderr, "-sweep is not read by -diffcheck") {
@@ -258,6 +262,25 @@ func TestModesReadOrRefuseEveryFlag(t *testing.T) {
 				}
 			case code == 2 || code == 1 && name != "inject":
 				t.Errorf("-%s -%s: exit %d, want the mode to run with it\n%s", mode, name, code, stderr)
+			}
+		}
+	}
+	for _, mode := range []string{"list", "list-passes"} {
+		for _, name := range strings.Fields(string(golden)) {
+			args := []string{"-" + mode, "-" + name}
+			if value := values[name]; value != "" {
+				args[1] += "=" + value
+			}
+			code, _, stderr := clitest.Exec(t, run, args...)
+			want := fmt.Sprintf("-%s is not read by -%s", name, mode)
+			switch name {
+			case mode, "cpuprofile", "memprofile":
+				want = ""
+			case "list":
+				want = "-list-passes is not read by -list"
+			}
+			if want == "" && code != 0 || want != "" && (code != 2 || !strings.Contains(stderr, want)) {
+				t.Errorf("-%s -%s: exit %d, want %q\n%s", mode, name, code, want, stderr)
 			}
 		}
 	}

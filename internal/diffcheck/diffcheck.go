@@ -6,8 +6,9 @@
 // asserts that the two terminate with equivalent architectural state.
 // The baseline side is its own step (NewBaseline), so a campaign that
 // checks one kernel under many speculative options launches its
-// baseline once; a speculative build that is the baseline build on the
-// baseline launch is simulated once: both sides share that run.
+// baseline once; a kernel with no prediction has no speculative build of
+// its own (the transform acts only at predictions), so its check
+// compiles one build and, on the baseline launch, simulates it once.
 // Speculative reconvergence must never change results (the paper's
 // transform only reorders when lanes execute, §4); any divergence in
 // final memory, any deadlock, budget exhaustion or leaked barrier
@@ -49,7 +50,8 @@ type Kernel struct {
 }
 
 // Options configures one differential check. NewBaseline reads
-// AutoAnnotate, MaxIssues, Policy and WallBudget; Versus reads the rest.
+// AutoAnnotate, MaxIssues, Policy, Verify and WallBudget; Versus reads
+// the rest, and Verify.
 type Options struct {
 	// MaxIssues budgets each simulator run (default 1<<24 issues). A
 	// speculative build that exceeds the budget the baseline met is a
@@ -64,7 +66,9 @@ type Options struct {
 	Deconflict core.DeconflictMode
 	// Verify adds the static barrier-safety verifier to the speculative
 	// pipeline; violations surface as StageVerify findings before any
-	// simulation runs.
+	// simulation runs. The baseline reads it too: a verifying baseline
+	// is the verifier's build of the PDOM pipeline, which is the
+	// verifying speculative build of a module with no prediction.
 	Verify bool
 	// Repair routes the speculative build through the automated-repair
 	// pipeline, which verifies whether or not Verify is set: the
@@ -170,37 +174,54 @@ func (r Result) String() string {
 
 // Baseline is the reference side of a check: the kernel's PDOM build,
 // launched once. Any number of speculative builds of the kernel are
-// compared with it (Versus); it is only read once made.
+// compared with it (Versus); it is only read once made. A speculative
+// build that is the baseline build by rule (see Versus) is not compiled
+// again: it is this one, so it also shares this launch.
 type Baseline struct {
 	// mod is what both sides compile: the kernel's module, or the clone
 	// AutoAnnotate annotated.
 	mod       *ir.Module
 	annotated bool
 	comp      *core.Compilation
-	cfg       simt.Config
-	run       *simt.Result
+	// verified reports that NewBaseline ran the barrier-safety verifier
+	// over comp (Options.Verify); rejected is its error, and comp the
+	// plain build, when it rejected the build.
+	verified bool
+	rejected error
+	cfg      simt.Config
+	run      *simt.Result
 	// fail is every check's result when the baseline build (comp nil)
 	// or its run (run nil) failed.
 	fail Result
-	// relaunch simulates the speculative build even when it is the
-	// baseline launch (the relaunch that export_test.go holds reuse to).
+	// relaunch compiles and simulates the speculative build even when it
+	// is the baseline build (the rebuild that export_test.go holds the
+	// shared build and launch to).
 	relaunch bool
 }
 
 // NewBaseline compiles and launches k's baseline under the options a
-// baseline reads: AutoAnnotate, MaxIssues, Policy and WallBudget.
+// baseline reads: AutoAnnotate, MaxIssues, Policy, Verify and
+// WallBudget. Under Verify the build is the verifier's
+// (SafePipelineFor(BaselineOptions())); barrier-safety only reads, so
+// its module is the plain baseline's, and the plain build is compiled
+// only when the verifier rejects it.
 func NewBaseline(k Kernel, opts Options) Baseline {
 	opts = opts.withDefaults()
-	b := Baseline{mod: k.Module}
+	b := Baseline{mod: k.Module, verified: opts.Verify}
 	if opts.AutoAnnotate && !hasPredictions(b.mod) {
 		if clone, _ := core.AnnotatedClone(b.mod, core.DefaultAutoDetectOptions()); clone != nil {
 			b.mod, b.annotated = clone, true
 		}
 	}
 	var err error
-	if b.comp, err = core.Compile(b.mod, core.BaselineOptions()); err != nil {
-		b.fail = Result{Stage: StageCompileBase, Err: err, Annotated: b.annotated}
-		return b
+	if opts.Verify {
+		b.comp, b.rejected = core.CompilePipeline(b.mod, core.BaselineOptions(), core.SafePipelineFor(core.BaselineOptions()))
+	}
+	if b.comp == nil {
+		if b.comp, err = core.Compile(b.mod, core.BaselineOptions()); err != nil {
+			b.fail = Result{Stage: StageCompileBase, Err: err, Annotated: b.annotated}
+			return b
+		}
 	}
 	b.cfg = simt.Config{
 		Kernel:     k.Entry,
@@ -227,48 +248,38 @@ func NewBaseline(k Kernel, opts Options) Baseline {
 func Check(k Kernel, opts Options) Result { b := NewBaseline(k, opts); return b.Versus(opts) }
 
 // Versus checks the speculative build that opts' other fields ask for
-// against b. The speculative build is simulated only when it or its
-// launch differs from the baseline's: a speculative build that is the
-// baseline build (the detector found nothing to predict) on the
-// baseline launch (no simulator fault, inter-warp policy or starvation
-// monitor) shares the baseline's run, and the memory comparisons hold
-// it to itself.
+// against b. The paper's transform acts only at predictions (§4), so
+// when b's module carries none, opts injects no compile fault and asks
+// for no repair, the speculative build is the baseline build: it is
+// b's, decided before compiling, and under Verify it is b's verdict,
+// provided b was verified too. That build on the baseline launch (no
+// simulator fault, inter-warp policy or starvation monitor) shares the
+// baseline's run, and the memory comparisons hold it to itself.
 func (b *Baseline) Versus(opts Options) Result {
 	if b.comp == nil {
 		return b.fail
 	}
 	opts = opts.withDefaults()
-	thr := opts.ThresholdOverride // to core's -1 (each prediction's own) and 0 (hard)
-	switch {
-	case thr == 0:
-		thr = -1
-	case thr < 0:
-		thr = 0
+	specComp, stage, err := b.comp, StageVerify, error(nil)
+	if opts.Verify {
+		err = b.rejected
 	}
-	specOpts := core.Options{
-		InsertPDOM:        true,
-		ApplyPredictions:  true,
-		Deconflict:        opts.Deconflict,
-		ThresholdOverride: thr,
-		Faults:            opts.Faults,
+	// A threshold core rejects is still the speculative compile's error.
+	if b.relaunch || opts.Verify && !b.verified || opts.Repair || !opts.Faults.Zero() ||
+		opts.ThresholdOverride > ir.WarpWidth || hasPredictions(b.mod) {
+		specOpts := specOptions(opts)
+		switch {
+		case opts.Repair:
+			specComp, err = core.CompilePipeline(b.mod, specOpts, core.RepairPipelineFor(specOpts))
+		case opts.Verify:
+			specComp, err = core.CompilePipeline(b.mod, specOpts, core.SafePipelineFor(specOpts))
+		default:
+			specComp, err = core.Compile(b.mod, specOpts)
+			stage = StageCompileSpec
+		}
 	}
-	var specComp *core.Compilation
-	var err error
-	if opts.Repair {
-		specComp, err = core.CompilePipeline(b.mod, specOpts, core.RepairPipelineFor(specOpts))
-		if err != nil {
-			return Result{Stage: StageVerify, Err: err, Annotated: b.annotated}
-		}
-	} else if opts.Verify {
-		specComp, err = core.CompilePipeline(b.mod, specOpts, core.SafePipelineFor(specOpts))
-		if err != nil {
-			return Result{Stage: StageVerify, Err: err, Annotated: b.annotated}
-		}
-	} else {
-		specComp, err = core.Compile(b.mod, specOpts)
-		if err != nil {
-			return Result{Stage: StageCompileSpec, Err: err, Annotated: b.annotated}
-		}
+	if err != nil {
+		return Result{Stage: stage, Err: err, Annotated: b.annotated}
 	}
 	if b.run == nil {
 		return b.fail
@@ -284,13 +295,11 @@ func (b *Baseline) Versus(opts Options) Result {
 	specCfg.Sched = opts.Sched
 	specCfg.SchedSeed = opts.SchedSeed
 	specCfg.StarveLimit = opts.StarveLimit
-	// A launch is a function of its module and config, so a speculative
-	// build that is the baseline build, on the baseline launch, has the
-	// baseline's result.
+	// A launch is a function of its module and config, so the baseline
+	// build on the baseline launch has the baseline's result.
 	spec := base
-	if b.relaunch || specCfg.SkipReleaseN != cfg.SkipReleaseN || specCfg.Sched != cfg.Sched ||
-		specCfg.SchedSeed != cfg.SchedSeed || specCfg.StarveLimit != cfg.StarveLimit ||
-		!ir.SameModule(specComp.Module, b.comp.Module) {
+	if specComp != b.comp || specCfg.SkipReleaseN != cfg.SkipReleaseN || specCfg.Sched != cfg.Sched ||
+		specCfg.SchedSeed != cfg.SchedSeed || specCfg.StarveLimit != cfg.StarveLimit {
 		spec, err = simt.Run(specComp.Module, specCfg)
 	}
 	if err != nil {
@@ -315,6 +324,25 @@ func (b *Baseline) Versus(opts Options) Result {
 	return Result{
 		OK: true, Stage: StageOK,
 		BaseMetrics: base.Metrics, SpecMetrics: spec.Metrics, Annotated: b.annotated, Repaired: repaired,
+	}
+}
+
+// specOptions is the core spelling of the speculative build opts asks
+// for.
+func specOptions(opts Options) core.Options {
+	thr := opts.ThresholdOverride // to core's -1 (each prediction's own) and 0 (hard)
+	switch {
+	case thr == 0:
+		thr = -1
+	case thr < 0:
+		thr = 0
+	}
+	return core.Options{
+		InsertPDOM:        true,
+		ApplyPredictions:  true,
+		Deconflict:        opts.Deconflict,
+		ThresholdOverride: thr,
+		Faults:            opts.Faults,
 	}
 }
 

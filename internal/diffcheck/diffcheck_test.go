@@ -562,8 +562,9 @@ func TestLoadReproRejectsBadDirective(t *testing.T) {
 	}
 }
 
-// TestReusedLaunchIsARelaunch: a check that shares the baseline's launch
-// reports what it reports when it simulates the speculative build again,
+// TestReusedLaunchIsARelaunch: a check that shares the baseline's build
+// and launch reports what it reports when it compiles and simulates the
+// speculative build again,
 // over the campaign's corpus under the campaign's options and under a
 // repairing check with a planted compile fault. A reused launch is
 // visible as SpecMetrics sharing BaseMetrics' storage; the campaign's
@@ -617,5 +618,102 @@ func TestReusedLaunchIsARelaunch(t *testing.T) {
 				t.Errorf("%d checks reused the baseline's launch, want %d", reused, tc.reused)
 			}
 		})
+	}
+}
+
+// TestPredictionFreeSpecBuildIsTheBaseline holds the rule Versus takes
+// a speculative build by: with no prediction, the speculative pipeline
+// is the baseline's. Over the campaign's corpus and every workload with
+// its predictions stripped, the verifying speculative build under each
+// deconfliction mode and threshold prints as the verifying baseline
+// build with the same verdict, and the verifying baseline build prints
+// as the plain one (barrier-safety only reads).
+func TestPredictionFreeSpecBuildIsTheBaseline(t *testing.T) {
+	var mods []*ir.Module
+	for _, app := range corpus.Generate(500, 42) {
+		mods = append(mods, app.Module)
+	}
+	for _, w := range workloads.All() {
+		m := w.Build(workloads.BuildConfig{}).Module
+		for _, f := range m.Funcs {
+			f.Predictions = nil
+		}
+		mods = append(mods, m)
+	}
+	base := core.BaselineOptions()
+	builds := 0
+	for _, m := range mods {
+		if hasPredictions(m) {
+			t.Fatalf("%s carries a prediction", m.Name)
+		}
+		bc, berr := core.CompilePipeline(m, base, core.SafePipelineFor(base))
+		plain, err := core.Compile(m, base)
+		if err != nil {
+			t.Fatalf("%s: baseline: %v", m.Name, err)
+		}
+		if berr == nil && ir.Print(bc.Module) != ir.Print(plain.Module) {
+			t.Errorf("%s: the verifying baseline build prints differently from the plain one", m.Name)
+		}
+		for _, d := range []core.DeconflictMode{core.DeconflictDynamic, core.DeconflictStatic, core.DeconflictNone} {
+			for _, thr := range []int{-1, 0, 8, 28} {
+				so := specOptions(Options{Deconflict: d, ThresholdOverride: thr})
+				sc, serr := core.CompilePipeline(m, so, core.SafePipelineFor(so))
+				builds++
+				if fmt.Sprint(serr) != fmt.Sprint(berr) {
+					t.Errorf("%s deconflict=%v threshold %d: verdict %v, baseline's %v", m.Name, d, thr, serr, berr)
+				} else if serr == nil && ir.Print(sc.Module) != ir.Print(bc.Module) {
+					t.Errorf("%s deconflict=%v threshold %d: the speculative build prints differently from the baseline's", m.Name, d, thr)
+				}
+			}
+		}
+	}
+	if builds != 6144 {
+		t.Errorf("%d speculative builds, want 6144 (500 corpus kernels and 12 workloads, 12 options each)", builds)
+	}
+}
+
+// TestPredictionFreeVersusAllocatesNothing pins what the rule saves: a
+// check of a kernel with no prediction compiles one build, the
+// baseline's, and launches it once, so against a made baseline Versus
+// compiles and launches nothing and allocates nothing, verifying or
+// not. A baseline made without Verify cannot answer a verifying check,
+// which compiles; and a kernel the verifier rejects is rejected at
+// verify with the text a compiled speculative build gives.
+func TestPredictionFreeVersusAllocatesNothing(t *testing.T) {
+	app := corpus.Generate(1, 42)[0]
+	k := Kernel{
+		Name: app.Name, Module: app.Module, Entry: app.Kernel,
+		Threads: app.Threads, Memory: app.Memory, Seed: app.Seed,
+	}
+	for _, opts := range []Options{{AutoAnnotate: true, Verify: true}, {}} {
+		b := NewBaseline(k, opts)
+		if b.annotated {
+			t.Fatalf("%s: annotated, want a kernel with no prediction", k.Name)
+		}
+		if res := b.Versus(opts); !res.OK {
+			t.Fatalf("verify=%v: %v", opts.Verify, res)
+		}
+		if n := testing.AllocsPerRun(20, func() { b.Versus(opts) }); n != 0 {
+			t.Errorf("verify=%v: Versus allocates %v objects a run, want 0", opts.Verify, n)
+		}
+	}
+	b := NewBaseline(k, Options{})
+	if n := testing.AllocsPerRun(5, func() { b.Versus(Options{Verify: true}) }); n == 0 {
+		t.Error("a verifying check against an unverified baseline compiled nothing")
+	}
+
+	m, err := ir.Parse("module waitonly memwords=64\n\nfunc @kernel nregs=4 nfregs=1 {\nentry:\n  tid r0\n  wait b0\n  st [r0], r0\n  exit\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k = Kernel{Name: "waitonly", Module: m, Threads: 32, Memory: make([]uint64, 64), Seed: 1}
+	for _, opts := range []Options{{Verify: true}, {}} {
+		got, want := Check(k, opts), checkRelaunching(k, opts)
+		if got.Stage != want.Stage || fmt.Sprint(got.Err) != fmt.Sprint(want.Err) {
+			t.Errorf("verify=%v: %v, compiled %v", opts.Verify, got, want)
+		}
+		if opts.Verify && got.Stage != StageVerify {
+			t.Errorf("verify: %v, want a verify rejection", got)
+		}
 	}
 }

@@ -39,7 +39,7 @@ func OutOfDerivedBudget(res Result, derived, opts Options) bool {
 }
 
 // maxShrinkChecks bounds the number of differential checks one Minimize
-// call may spend; each check is two compiles plus up to two simulations,
+// call may spend; each check is up to two compiles and two simulations,
 // so an adversarial kernel must not turn shrinking into an unbounded
 // campaign.
 const maxShrinkChecks = 400

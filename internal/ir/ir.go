@@ -19,10 +19,7 @@
 // both files. The workloads in internal/workloads follow this convention.
 package ir
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Reg is a virtual register index within one of the two register files.
 // Which file an operand uses is determined by its opcode's signature.
@@ -333,57 +330,4 @@ func (f *Function) Clone() *Function {
 		})
 	}
 	return nf
-}
-
-// SameModule reports whether a and b are the same program: equal name,
-// memory sizes and functions in order — names, register file sizes,
-// blocks in order (names, every instruction field, successors and
-// prediction blocks by position) and predictions. Float immediates
-// compare by their bits, so -0 differs from +0 and NaN payloads differ.
-// It allocates nothing.
-func SameModule(a, b *Module) bool {
-	if a.Name != b.Name || a.MemWords != b.MemWords || a.SharedWords != b.SharedWords || len(a.Funcs) != len(b.Funcs) {
-		return false
-	}
-	for i, fa := range a.Funcs {
-		if !sameFunction(fa, b.Funcs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameFunction(fa, fb *Function) bool {
-	if fa.Name != fb.Name || fa.NRegs != fb.NRegs || fa.NFRegs != fb.NFRegs ||
-		len(fa.Blocks) != len(fb.Blocks) || len(fa.Predictions) != len(fb.Predictions) {
-		return false
-	}
-	for i, ba := range fa.Blocks {
-		bb := fb.Blocks[i]
-		if ba.Name != bb.Name || len(ba.Instrs) != len(bb.Instrs) || len(ba.Succs) != len(bb.Succs) {
-			return false
-		}
-		for j := range ba.Instrs {
-			x, y := ba.Instrs[j], bb.Instrs[j]
-			if math.Float64bits(x.FImm) != math.Float64bits(y.FImm) {
-				return false
-			}
-			if x.FImm, y.FImm = 0, 0; x != y {
-				return false
-			}
-		}
-		for j, s := range ba.Succs {
-			if fa.IndexOf(s) != fb.IndexOf(bb.Succs[j]) {
-				return false
-			}
-		}
-	}
-	for i, pa := range fa.Predictions {
-		pb := fb.Predictions[i]
-		if fa.IndexOf(pa.At) != fb.IndexOf(pb.At) || fa.IndexOf(pa.Label) != fb.IndexOf(pb.Label) ||
-			pa.Callee != pb.Callee || pa.Threshold != pb.Threshold {
-			return false
-		}
-	}
-	return true
 }
